@@ -33,18 +33,6 @@ TASK_KINDS = ("check", "alpha", "price", "hedge", "zonoid")
 SCALAR_KINDS = ("lognormal", "lp_self_dual", "heavy_tail", "discrete")
 VECTOR_KINDS = ("multi_lognormal", "common_factor", "unit_ball_max", "independent_product")
 MODEL_KINDS = SCALAR_KINDS + VECTOR_KINDS + ("levy_triplet", "path_config")
-PAYOFF_KINDS = (
-    "basket_call",
-    "basket_put",
-    "max_option",
-    "binary_call",
-    "binary_put",
-    "gap_call",
-    "gap_put",
-    "spread_call",
-    "power_call",
-    "min_combo",
-)
 
 
 # --------------------------------------------------------------------------- #
@@ -223,8 +211,11 @@ def _build_vector(node, path, chk: _Check):
             return None
         factors = []
         for idx, sub in enumerate(factors_node):
-            sub_chk = chk.mapping(sub, f"{path}.factors[{idx}]", MODEL_KINDS + ("kind",))
-            factors.append(_build_scalar(sub, f"{path}.factors[{idx}]", chk) if sub_chk else None)
+            if isinstance(sub, dict):  # _build_scalar checks the keys of each kind
+                factors.append(_build_scalar(sub, f"{path}.factors[{idx}]", chk))
+            else:
+                chk.fail(f"{path}.factors[{idx}]", f"expected a mapping, got {type(sub).__name__}")
+                factors.append(None)
         if any(f is None for f in factors) or chk.errors:
             return None
         cls = dist.CommonFactor if kind == "common_factor" else dist.IndependentProduct
@@ -357,61 +348,50 @@ def build_model(node, path, chk: _Check):
     return None
 
 
+# kind -> (constructor, its arguments in order); _payoff_field validates each by name
+_PAYOFFS = {
+    "basket_call": (pricing.BasketCall, ("weights", "strike")),
+    "basket_put": (pricing.BasketPut, ("weights", "strike")),
+    "max_option": (pricing.MaxOption, ("u0", "weights")),
+    "binary_call": (pricing.BinaryCall, ("strike", "asset")),
+    "binary_put": (pricing.BinaryPut, ("strike", "asset")),
+    "gap_call": (pricing.GapCall, ("strike", "asset")),
+    "gap_put": (pricing.GapPut, ("strike", "asset")),
+    "spread_call": (pricing.SpreadCall, ("long_weights", "short_weights", "strike")),
+    "power_call": (pricing.PowerCall, ("weights", "strike", "alpha")),
+    "min_combo": (hedging.TwoAssetMinCombo, ("strike",)),
+}
+PAYOFF_KINDS = tuple(_PAYOFFS)
+
+
+def _payoff_field(node, path, name, kind, chk: _Check):
+    if name.endswith("weights"):
+        return chk.vector(node.get(name), f"{path}.{name}", required=True)
+    if name == "asset":
+        return chk.integer(node.get(name), f"{path}.{name}", ge=1, default=1)
+    # alpha and the min-combo strike must be positive; u0 and other strikes nonnegative
+    bound = {"gt": 0.0} if name == "alpha" or kind == "min_combo" else {"ge": 0.0}
+    return chk.number(node.get(name), f"{path}.{name}", required=True, **bound)
+
+
 def build_payoff(node, path, chk: _Check):
     if not isinstance(node, dict):
         chk.fail(path, "expected a payoff mapping")
         return None
     kind = node.get("kind")
+    if kind not in _PAYOFFS:
+        chk.fail(f"{path}.kind", f"expected one of {PAYOFF_KINDS}, got {kind!r}")
+        return None
+    make, fields = _PAYOFFS[kind]
+    chk.mapping(node, path, ("kind",) + fields, tuple(f for f in fields if f != "asset"))
+    args = [_payoff_field(node, path, name, kind, chk) for name in fields]
+    if any(a is None for a in args) or chk.errors:
+        return None
     try:
-        if kind in ("basket_call", "basket_put", "power_call"):
-            allowed = ("kind", "weights", "strike") + (("alpha",) if kind == "power_call" else ())
-            chk.mapping(node, path, allowed, ("weights", "strike"))
-            w = chk.vector(node.get("weights"), f"{path}.weights", required=True)
-            k = chk.number(node.get("strike"), f"{path}.strike", ge=0.0, required=True)
-            if w is None or k is None or chk.errors:
-                return None
-            if kind == "basket_call":
-                return pricing.BasketCall(tuple(w), k)
-            if kind == "basket_put":
-                return pricing.BasketPut(tuple(w), k)
-            alpha = chk.number(node.get("alpha"), f"{path}.alpha", gt=0.0, required=True)
-            return pricing.PowerCall(tuple(w), k, alpha) if alpha is not None else None
-        if kind == "max_option":
-            chk.mapping(node, path, ("kind", "u0", "weights"), ("u0", "weights"))
-            u0 = chk.number(node.get("u0"), f"{path}.u0", ge=0.0, required=True)
-            w = chk.vector(node.get("weights"), f"{path}.weights", required=True)
-            return pricing.MaxOption(u0, tuple(w)) if u0 is not None and w else None
-        if kind in ("binary_call", "binary_put", "gap_call", "gap_put"):
-            chk.mapping(node, path, ("kind", "strike", "asset"), ("strike",))
-            k = chk.number(node.get("strike"), f"{path}.strike", ge=0.0, required=True)
-            asset = chk.integer(node.get("asset"), f"{path}.asset", ge=1, default=1)
-            cls = {
-                "binary_call": pricing.BinaryCall,
-                "binary_put": pricing.BinaryPut,
-                "gap_call": pricing.GapCall,
-                "gap_put": pricing.GapPut,
-            }[kind]
-            return cls(k, asset) if k is not None else None
-        if kind == "spread_call":
-            chk.mapping(
-                node, path, ("kind", "long_weights", "short_weights", "strike"),
-                ("long_weights", "short_weights", "strike"),
-            )
-            lw = chk.vector(node.get("long_weights"), f"{path}.long_weights", required=True)
-            sw = chk.vector(node.get("short_weights"), f"{path}.short_weights", required=True)
-            k = chk.number(node.get("strike"), f"{path}.strike", ge=0.0, required=True)
-            if lw is None or sw is None or k is None:
-                return None
-            return pricing.SpreadCall(tuple(lw), tuple(sw), k)
-        if kind == "min_combo":
-            chk.mapping(node, path, ("kind", "strike"), ("strike",))
-            k = chk.number(node.get("strike"), f"{path}.strike", gt=0.0, required=True)
-            return hedging.TwoAssetMinCombo(k) if k is not None else None
+        return make(*args)
     except SelfDualError as exc:
         chk.fail(path, str(exc))
         return None
-    chk.fail(f"{path}.kind", f"expected one of {PAYOFF_KINDS}, got {kind!r}")
-    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -457,10 +437,9 @@ def parse_model_spec(document: str) -> dict:
         chk.fail("spec.out", "expected a directory path string")
     spec["out"] = raw.get("out")
     tol_node = raw.get("tol") or {}
-    chk.mapping(tol_node, "spec.tol", ("exact", "se_band"))
+    chk.mapping(tol_node, "spec.tol", ("exact",))
     spec["tol"] = {
         "exact": chk.number(tol_node.get("exact"), "spec.tol.exact", gt=0.0, default=1e-10),
-        "se_band": chk.number(tol_node.get("se_band"), "spec.tol.se_band", gt=0.0, default=3.0),
     }
 
     model_node = raw.get("model")
@@ -476,9 +455,8 @@ def parse_model_spec(document: str) -> dict:
         task["kind"] = kind
         if kind == "check":
             chk.mapping(task_node, "spec.task", _CHECK_TASK_KEYS, ("kind",))
-            task["numeraire"] = chk.integer(
-                task_node.get("numeraire"), "spec.task.numeraire", ge=1, default=1
-            )
+            # left None when omitted: a vector model then defaults to the joint check
+            task["numeraire"] = chk.integer(task_node.get("numeraire"), "spec.task.numeraire", ge=1)
             checks = task_node.get("checks")
             if checks is not None:
                 if not isinstance(checks, list) or not all(c in _KNOWN_CHECKS for c in checks):

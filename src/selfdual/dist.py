@@ -2,8 +2,16 @@
 
 Scalar models represent an almost surely positive random variable with
 (where available) density, distribution function, moments, integrated
-tail ``E min(eta, z)``, and a deterministic sampler.  Vector models
-represent a positive random vector with joint density and sampler.
+tail ``E min(eta, z)``, tail mean ``E[eta 1{eta > k}]``, and a
+deterministic sampler.  Vector models represent a positive random vector
+with joint density and sampler.
+
+Each model owns its closed forms: ``expect_affine(w, c, p, b)`` returns
+``E[eta^b (w eta + c)_+^p]`` (the lift-zonoid support value at ``(c, w)``
+when ``p = 1, b = 0``, the binary and gap values when ``p = 0``) or
+``None`` where the law has none, and ``power_transformed(lam, alpha)``
+returns the law of ``(e^lam eta)^alpha`` when it stays in the family.
+Callers ask the model instead of branching on its class.
 
 All models are immutable after construction and safe to share across
 threads; samplers consume a caller-owned :class:`~selfdual.rng.RngStream`.
@@ -27,7 +35,6 @@ from .errors import (
 )
 from .quadrature import decays_at_scales, integrate_interval, integrate_positive
 from .rng import RngStream
-from .special import norm_cdf
 
 __all__ = [
     "ScalarModel",
@@ -42,6 +49,14 @@ __all__ = [
     "UnitBallMax",
     "IndependentProduct",
 ]
+
+
+def positive_power(x, p: float):
+    """``x_+^p`` elementwise, reading ``x_+^0`` as the strict indicator ``1{x > 0}``."""
+    if p == 0:
+        return (x > 0).astype(float)
+    out = np.maximum(x, 0.0)
+    return out if p == 1 else out**p
 
 
 # --------------------------------------------------------------------------- #
@@ -84,6 +99,24 @@ class ScalarModel(ABC):
         upper = integrate_interval(lambda t: self.pdf(t), z, math.inf, what="P(eta>z)")
         return lower + z * upper
 
+    def tail_mean(self, k: float) -> float:
+        """E[eta 1{eta > k}], the gap-call value at forward one."""
+        if k <= 0:
+            return self.mean
+        return integrate_interval(lambda t: t * self.pdf(t), k, math.inf, what="E[eta 1{eta>k}]")
+
+    def expect_affine(self, w: float, c: float, p: float = 1.0, b: float = 0.0) -> float | None:
+        """E[eta^b (w eta + c)_+^p] in closed form, or None where the law has none."""
+        return None
+
+    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> float | None:
+        """Exact E fn(eta) for a vectorised ``fn``, or None; only finite atom sets have it."""
+        return None
+
+    def power_transformed(self, lam, alpha: float) -> "ScalarModel | None":
+        """The law of (e^lam eta)^alpha when it stays in the model's family, else None."""
+        return None
+
     def _check_positive(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         if np.any(arr <= 0):
@@ -117,8 +150,7 @@ class LogNormal(ScalarModel):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0
-        z = (np.log(x[pos]) - self.mu) / self.sigma
-        out[pos] = np.atleast_1d(norm_cdf(z))
+        out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
@@ -128,21 +160,48 @@ class LogNormal(ScalarModel):
         return math.exp(r * self.mu + 0.5 * r * r * self.sigma * self.sigma)
 
     def integrated_tail(self, z):
-        # E min(eta, z) = E[eta 1{eta<=z}] + z P(eta>z), both in closed form.
+        # E min(eta, z) = E eta - E (eta - z)_+
         if z < 0:
             raise DomainError("integrated tail requires z >= 0")
-        if z == 0:
-            return 0.0
-        d = (math.log(z) - self.mu) / self.sigma
-        m1 = self.raw_moment(1.0)
-        return m1 * norm_cdf(d - self.sigma) + z * (1.0 - norm_cdf(d))
+        return self.mean - self._call(z, 1.0)
 
-    def tail_mean(self, k: float) -> float:
-        """E[eta 1{eta > k}] in closed form."""
+    def tail_mean(self, k):
         if k <= 0:
-            return self.raw_moment(1.0)
+            return self.mean
         d = (math.log(k) - self.mu) / self.sigma
-        return self.raw_moment(1.0) * (1.0 - norm_cdf(d - self.sigma))
+        return float(self.mean * (1.0 - special.ndtr(d - self.sigma)))
+
+    def _call(self, k: float, big_f: float) -> float:
+        """E (F eta - k)_+ for F > 0, the undiscounted Black call."""
+        if k <= 0:
+            return big_f * self.mean - k
+        d = (math.log(k / big_f) - self.mu) / self.sigma
+        return float(big_f * self.mean * special.ndtr(self.sigma - d) - k * special.ndtr(-d))
+
+    def expect_affine(self, w, c, p=1.0, b=0.0):
+        """Closed forms for p in {0, 1} and b in {0, 1}.
+
+        The claim pays above ``k = -c/w`` when ``w > 0`` and below it when
+        ``w < 0``: p = 1 is the Black call or the put by parity, p = 0 the
+        binary value (b = 0) or the gap value (b = 1).  p = 1, b = 1
+        prices under the size-biased law, log-normal with mean mu + sigma^2.
+        """
+        if p == 1 and b == 1:
+            return self.mean * LogNormal(self.mu + self.sigma**2, self.sigma).expect_affine(w, c)
+        if p not in (0, 1) or b not in (0, 1):
+            return None
+        if w == 0:
+            return (self.mean if b else 1.0) * c**p if c > 0 else 0.0
+        k, above = -c / w, w > 0
+        if p == 1:
+            return self._call(-c, w) if above else self._call(c, -w) + w * self.mean + c
+        if b == 0:
+            return 1.0 - self.cdf(k) if above else self.cdf(k)
+        return self.tail_mean(k) if above else self.mean - self.tail_mean(k)
+
+    def power_transformed(self, lam, alpha):
+        (lam,) = np.atleast_1d(lam)
+        return LogNormal(alpha * (lam + self.mu), abs(alpha) * self.sigma)
 
     def __repr__(self):
         return f"LogNormal(mu={self.mu}, sigma={self.sigma})"
@@ -194,6 +253,10 @@ class LpSelfDual(ScalarModel):
         if z < 0:
             raise DomainError("integrated tail requires z >= 0")
         return z + 1.0 - (z**self.p + 1.0) ** (1.0 / self.p)
+
+    def tail_mean(self, k):
+        # self-duality: E[eta 1{eta > k}] = P(1/eta > k) = P(eta < 1/k)
+        return self.mean if k <= 0 else self.cdf(1.0 / k)
 
     def __repr__(self):
         return f"LpSelfDual(p={self.p})"
@@ -253,6 +316,10 @@ class HeavyTail(ScalarModel):
             return z - c * z ** (2.0 + g) / denom
         return 1.0 - c * z ** (-(1.0 + g)) / denom
 
+    def tail_mean(self, k):
+        # self-duality: E[eta 1{eta > k}] = P(1/eta > k) = P(eta < 1/k)
+        return self.mean if k <= 0 else self.cdf(1.0 / k)
+
     def __repr__(self):
         return f"HeavyTail(gamma={self.gamma})"
 
@@ -303,6 +370,17 @@ class DiscreteAtoms(ScalarModel):
         if z < 0:
             raise DomainError("integrated tail requires z >= 0")
         return float(np.sum(self.probs * np.minimum(self.values, z)))
+
+    def tail_mean(self, k):
+        return self.expect_affine(1.0, -k, 0.0, 1.0)
+
+    def expect(self, fn):
+        return float(fn(self.values) @ self.probs)
+
+    def expect_affine(self, w, c, p=1.0, b=0.0):
+        """Exact atom sum; at p = 0 the indicator 1{w eta + c > 0} is strict."""
+        pay = positive_power(w * self.values + c, p)
+        return float((pay if b == 0 else pay * self.values**b) @ self.probs)
 
     def __repr__(self):
         return f"DiscreteAtoms({self.atoms!r})"
@@ -423,6 +501,10 @@ class VectorModel(ABC):
     @abstractmethod
     def means(self) -> np.ndarray: ...
 
+    def power_transformed(self, lam, alpha: float) -> "VectorModel | None":
+        """The law of (e^lam o eta)^alpha when it stays in the model's family, else None."""
+        return None
+
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -478,6 +560,9 @@ class MultiLogNormal(VectorModel):
     @property
     def means(self):
         return np.exp(self.mu + 0.5 * np.diag(self.cov))
+
+    def power_transformed(self, lam, alpha):
+        return MultiLogNormal(alpha * (lam + self.mu), alpha * alpha * self.cov)
 
     def marginal(self, i: int) -> LogNormal:
         """1-based component index."""

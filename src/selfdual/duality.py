@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import (
-    CustomDensity,
-    DiscreteAtoms,
-    LogNormal,
-    MultiLogNormal,
-    ScalarModel,
-    VectorModel,
-)
+from .dist import CustomDensity, ScalarModel, VectorModel
 from .errors import DomainError, NoDensity, NotIntegrable, ZeroDensity
 from .quadrature import decays_at_scales, integrate_interval
 from .rng import RngStream
@@ -326,10 +319,7 @@ def check_discrete_self_dual(atoms, i: int = 1) -> SymmetryReport:
     pairs where values may be vectors.  Fraction-valued inputs are checked
     in exact rational arithmetic.
     """
-    if isinstance(atoms, DiscreteAtoms):
-        pairs = atoms.atoms
-    else:
-        pairs = list(atoms)
+    pairs = list(getattr(atoms, "atoms", atoms))
     table: dict[tuple, object] = {}
     exact = True
     for value, prob in pairs:
@@ -627,8 +617,9 @@ def check_quasi_self_dual(
     """Quasi-self-duality of order alpha with carrying costs lambda.
 
     The transformed vector ``(e^lambda o eta)^alpha`` is tested for plain
-    self-duality: exactly through the density criterion for (multi)
-    log-normal models, by Monte Carlo otherwise.  The defining payoff
+    self-duality: exactly through the density criterion when the model's
+    ``power_transformed`` keeps it in its family (the (multi) log-normal
+    models), by Monte Carlo otherwise.  The defining payoff
     identity ``E f(e^zeta) = E[f(e^(K_i zeta)) e^(alpha zeta_i)]`` is also
     tested directly on bounded payoffs.
     """
@@ -641,22 +632,15 @@ def check_quasi_self_dual(
     if lam.shape != (n,):
         raise DomainError("carrying-cost vector length does not match the model")
 
-    report = SymmetryReport(f"quasi_self_dual[i={i},alpha={alpha:g}]")
-    if isinstance(model, LogNormal):
-        transformed = LogNormal(alpha * (lam[0] + model.mu), abs(alpha) * model.sigma)
-        report = report.merge(check_density_self_dual(transformed))
-        report.test_name = f"quasi_self_dual[i={i},alpha={alpha:g}]"
-    elif isinstance(model, MultiLogNormal):
-        transformed = MultiLogNormal(alpha * (lam + model.mu), alpha * alpha * model.cov)
-        report = report.merge(check_density_self_dual(transformed, i))
-        report.test_name = f"quasi_self_dual[i={i},alpha={alpha:g}]"
+    transformed = model.power_transformed(lam, alpha)
+    if transformed is not None:
+        sub = check_density_self_dual(transformed, i)
+    elif rng is None:
+        raise DomainError("Monte-Carlo QSD check requires an RngStream")
     else:
-        if rng is None:
-            raise DomainError("Monte-Carlo QSD check requires an RngStream")
         adapter = _PowerScaled(model, lam, alpha)
         sub = check_payoff_symmetry(adapter, i, "basket", rng=rng.child(3), n_samples=n_samples)
-        report = report.merge(sub)
-        report.test_name = f"quasi_self_dual[i={i},alpha={alpha:g}]"
+    report = SymmetryReport(f"quasi_self_dual[i={i},alpha={alpha:g}]").merge(sub)
 
     if rng is not None:
         s = _sample_matrix(model, n_samples, rng.child(4))

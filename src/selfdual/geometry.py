@@ -5,9 +5,12 @@ by two convex bodies in R^(n+1): the lift zonoid, whose support function
 at ``(u0, u)`` is ``E (u0 + <u, eta>)_+``, and the lift max-zonoid, whose
 support function on the first orthant is ``E max(u0, u_1 eta_1, ...)``.
 Option-pricing identities become symmetry statements about these bodies;
-this module evaluates the support functions (closed form where available,
-Monte Carlo with standard errors otherwise), the Husler-Reiss norm, the
+this module evaluates the support functions, the Husler-Reiss norm, the
 binary/gap boundary parametrisation, and the coordinate-swap reflection.
+The support value at ``(u0, u)`` is the price of the affine claim
+``(u0 + <u, eta>)_+``, so a scalar model's ``expect_affine`` supplies it
+in closed form where the law has one (and ``tail_mean`` the boundary);
+otherwise it is Monte Carlo with standard errors.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr
 
-from .dist import DiscreteAtoms, LogNormal, ScalarModel, VectorModel
+from .dist import ScalarModel, VectorModel
 from .errors import AtomicModel, DomainError
-from .quadrature import integrate_interval
 from .rng import RngStream
-from .special import norm_cdf
 
 __all__ = [
     "LiftVector",
@@ -90,6 +92,12 @@ def _mc(samples: np.ndarray) -> SupportEstimate:
     return SupportEstimate(value, max(se, _SE_FLOOR), "monte_carlo")
 
 
+def _draws(model, rng: RngStream | None, n_samples: int) -> np.ndarray:
+    if rng is None:
+        raise DomainError("Monte-Carlo path requires an RngStream")
+    return model.sample(n_samples, rng).reshape(n_samples, -1)
+
+
 def _model_dim(model) -> int:
     return model.dim if isinstance(model, VectorModel) else 1
 
@@ -98,16 +106,6 @@ def _model_means(model) -> np.ndarray:
     if isinstance(model, VectorModel):
         return np.asarray(model.means, dtype=float)
     return np.array([model.mean])
-
-
-def lognormal_call(model: LogNormal, k: float, big_f: float) -> float:
-    """E (F eta - k)_+ for a scalar log-normal model (undiscounted)."""
-    if big_f <= 0:
-        return 0.0
-    if k <= 0:
-        return big_f * model.mean - k
-    d = (math.log(k / big_f) - model.mu) / model.sigma
-    return big_f * model.mean * norm_cdf(model.sigma - d) - k * norm_cdf(-d)
 
 
 def support_lift_zonoid(
@@ -120,8 +118,8 @@ def support_lift_zonoid(
 
     Sign cases with an exact value short-circuit Monte Carlo: all
     coordinates nonnegative gives ``u0 + <u, E eta>``; all nonpositive
-    gives zero.  The scalar log-normal model prices through the
-    closed-form call/put; atoms sum exactly.
+    gives zero.  A scalar model then prices the affine claim through its
+    ``expect_affine`` closed form where it has one.
     """
     u = np.asarray(lv.u, dtype=float)
     if lv.dim != _model_dim(model):
@@ -131,22 +129,12 @@ def support_lift_zonoid(
     if lv.u0 <= 0 and np.all(u <= 0):
         return _exact(0.0)
 
-    if isinstance(model, LogNormal):
-        u1 = float(u[0])
-        if u1 > 0:  # u0 < 0: call with strike -u0, forward weight u1
-            return _exact(lognormal_call(model, -lv.u0, u1))
-        # u1 < 0, u0 > 0: put via parity p = c - F m + k
-        call = lognormal_call(model, lv.u0, -u1)
-        return _exact(call - (-u1) * model.mean + lv.u0)
-    if isinstance(model, DiscreteAtoms):
-        payoff = np.maximum(lv.u0 + u[0] * model.values, 0.0)
-        return _exact(float(payoff @ model.probs))
+    if isinstance(model, ScalarModel):
+        value = model.expect_affine(float(u[0]), lv.u0)
+        if value is not None:
+            return _exact(value)
 
-    if rng is None:
-        raise DomainError("Monte-Carlo path requires an RngStream")
-    draws = model.sample(n_samples, rng)
-    draws = draws.reshape(n_samples, -1)
-    return _mc(np.maximum(lv.u0 + draws @ u, 0.0))
+    return _mc(np.maximum(lv.u0 + _draws(model, rng, n_samples) @ u, 0.0))
 
 
 def support_lift_max_zonoid(
@@ -172,18 +160,13 @@ def support_lift_max_zonoid(
         j = int(nonzero[0])
         return _exact(float(u[j] * _model_means(model)[j]))
 
-    if isinstance(model, LogNormal):
+    if isinstance(model, ScalarModel):
         # E max(k, F eta) = E (F eta - k)_+ + k
-        return _exact(lognormal_call(model, lv.u0, float(u[0])) + lv.u0)
-    if isinstance(model, DiscreteAtoms):
-        payoff = np.maximum(lv.u0, u[0] * model.values)
-        return _exact(float(payoff @ model.probs))
+        value = model.expect_affine(float(u[0]), -lv.u0)
+        if value is not None:
+            return _exact(value + lv.u0)
 
-    if rng is None:
-        raise DomainError("Monte-Carlo path requires an RngStream")
-    draws = model.sample(n_samples, rng)
-    draws = draws.reshape(n_samples, -1)
-    return _mc(np.maximum(lv.u0, np.max(draws * u, axis=1)))
+    return _mc(np.maximum(lv.u0, np.max(_draws(model, rng, n_samples) * u, axis=1)))
 
 
 def husler_reiss_norm(k: float, big_f: float, lambda_hr: float) -> float:
@@ -205,7 +188,7 @@ def husler_reiss_norm(k: float, big_f: float, lambda_hr: float) -> float:
     if big_f == 0:
         return float(k)
     half_log = math.log(big_f / k) / (2.0 * lambda_hr)
-    return big_f * norm_cdf(lambda_hr + half_log) + k * norm_cdf(lambda_hr - half_log)
+    return float(big_f * ndtr(lambda_hr + half_log) + k * ndtr(lambda_hr - half_log))
 
 
 def boundary_param(model: ScalarModel, k: float) -> tuple[float, float]:
@@ -213,20 +196,16 @@ def boundary_param(model: ScalarModel, k: float) -> tuple[float, float]:
 
     Returns ``(P(eta > k), E[eta 1{eta > k}])`` -- the undiscounted
     binary-call and normalised gap-call values -- a point on the upper
-    boundary of the lift zonoid.  Requires a non-atomic model, since the
-    support function is continuously differentiable exactly when the
-    distribution has no atoms.
+    boundary of the lift zonoid.  The gap value is the model's
+    ``tail_mean``: closed form where the law has one, quadrature otherwise.
+    Requires a non-atomic model, since the support function is
+    continuously differentiable exactly when the distribution has no atoms.
     """
     if k <= 0:
         raise DomainError("strike must be positive")
     if not model.has_density:
         raise AtomicModel("boundary parametrisation requires a non-atomic model")
-    bc = 1.0 - float(model.cdf(k))
-    if isinstance(model, LogNormal):
-        gc = model.tail_mean(k)
-    else:
-        gc = integrate_interval(lambda t: t * model.pdf(t), k, math.inf, what="E[eta 1{eta>k}]")
-    return bc, gc
+    return 1.0 - float(model.cdf(k)), model.tail_mean(k)
 
 
 def boundary_polyline(

@@ -5,10 +5,11 @@ Levy log-driver whose exponential is a componentwise martingale.  A
 barrier event is the first grid time at which the level lies on the
 segment between the initial and the current price of the monitored
 asset.  The semi-static hedge of a knock-in claim is the European claim
-``(f(S_T) + (S_Ti/H)^alpha f(kappahat_i(S_T, H))) 1{H in segment}``;
-when the payoff's support makes one summand vanish identically the
-indicator is dropped and the hedge collapses to a plain basket/spread
-claim.
+``(f(S_T) + (S_Ti/H)^alpha f(kappahat_i(S_T, H))) 1{H in segment}``.
+The reflection maps an affine-power claim ``(S_i/H)^b (<w, S> + c)_+^p``
+symbolically to another one; when the payoff's support makes one summand
+vanish identically the indicator is dropped and the hedge collapses to
+that reflected claim.
 
 Replication is verified by nested Monte Carlo: outer paths locate first
 hits, inner simulations restarted from the hit state compare the
@@ -33,12 +34,12 @@ from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, char_exponent, check_qsd_triplet, sample_increments
 from .pricing import (
     AffineCall,
+    AffinePower,
     BasketCall,
     BasketPut,
     CompositePayoff,
     CustomPayoff,
     Payoff,
-    SpreadCall,
 )
 from .rng import RngStream
 
@@ -96,7 +97,7 @@ class PathConfig:
             raise DomainError("initial prices must be positive")
         if self.horizon <= 0 or self.steps < 1:
             raise DomainError("horizon must be positive and steps >= 1")
-        if isinstance(self.driver, MultiLogNormal):
+        if not isinstance(self.driver, LevyTriplet):  # a MultiLogNormal law at the horizon
             self.driver = LevyTriplet(
                 self.driver.cov / self.horizon, mu=self.driver.mu / self.horizon
             )
@@ -259,26 +260,9 @@ class ReflectedClaim(Payoff):
         return (si / self.level) ** self.alpha * self.base(refl)
 
 
-class PowerWeightedAffine(Payoff):
-    """(S_i/H)^(alpha-1) (<w, S> + c)_+; the reflected affine claim.
-
-    For alpha = 1 this is a plain basket/spread option.
-    """
-
-    def __init__(self, weights, constant: float, i: int, level: float, alpha: float):
-        self.weights = tuple(float(w) for w in np.atleast_1d(weights))
-        self.constant = float(constant)
-        self.i = int(i)
-        self.level = float(level)
-        self.alpha = float(alpha)
-        self.n_assets = len(self.weights)
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        inner = np.maximum(s @ np.asarray(self.weights) + self.constant, 0.0)
-        if self.alpha == 1.0:
-            return inner
-        return (s[:, self.i - 1] / self.level) ** (self.alpha - 1.0) * inner
+# The reflected affine claim (S_i/H)^(alpha-b-p) (<w', S> + c')_+^p is an
+# affine-power claim; the old name stays for callers that test for it.
+PowerWeightedAffine = AffinePower
 
 
 class TerminalKnockIndicator(Payoff):
@@ -308,33 +292,20 @@ class TwoAssetMinCombo(Payoff):
         return d + np.minimum(s[:, 1], d)
 
 
-def _affine_parts(payoff: Payoff) -> tuple[np.ndarray, float] | None:
-    """Express basket/spread/affine calls as (<w, S> + c)_+."""
-    if isinstance(payoff, BasketCall):
-        return np.asarray(payoff.weights, dtype=float), -payoff.strike
-    if isinstance(payoff, SpreadCall):
-        return payoff.net_weights.astype(float), -payoff.strike
-    if isinstance(payoff, AffineCall):
-        return np.asarray(payoff.weights, dtype=float), payoff.constant
-    return None
-
-
 def reflect_claim(f: Payoff, i: int, level: float, alpha: float) -> Payoff:
     """Claim whose value at the barrier equals the value of ``f``.
 
-    Affine calls reflect symbolically: the result is
-    ``(S_i/H)^(alpha-1) (w_i H + (c/H) S_i + sum_{j != i} w_j S_j)_+``,
-    a weighted spread/basket claim.  Anything else reflects through the
-    generic wrapper.
+    Affine-power claims reflect symbolically:
+    ``(S_i/H)^b (<w, S> + c)_+^p`` becomes
+    ``(S_i/H)^(alpha-b-p) (w_i H + (c/H) S_i + sum_{j != i} w_j S_j)_+^p``.
+    That needs ``b = 0`` or the same ``(i, H)`` as the reflection.
+    Anything else reflects through the generic wrapper.
     """
-    parts = _affine_parts(f)
-    if parts is None:
+    if not isinstance(f, AffinePower) or (f.b != 0 and (f.i, f.level) != (i, level)):
         return ReflectedClaim(f, i, level, alpha)
-    w, c = parts
-    new_w = w.copy()
-    new_w[i - 1] = c / level
-    new_c = w[i - 1] * level
-    return PowerWeightedAffine(new_w, new_c, i, level, alpha)
+    w = list(f.weights)
+    w[i - 1], c = f.constant / level, f.weights[i - 1] * level
+    return AffinePower(w, c, f.p, alpha - f.b - f.p, i, level)
 
 
 @dataclass
@@ -356,10 +327,11 @@ class HedgePlan:
 def _try_simplify(target: Payoff, barrier: Barrier, alpha: float) -> tuple[Payoff, str] | None:
     """Indicator elimination when the payoff's support allows it.
 
-    Pattern 1 (spread with a down barrier): target
-    ``(a S_i - sum b_j S_j - k)_+`` with ``a > 0``, ``b_j >= 0`` and
-    ``a H <= k`` pays nothing when knocked, and its reflection pays
-    nothing when not knocked, so the hedge is the bare reflected claim.
+    Pattern 1 (spread with a down barrier): an affine-power target
+    ``(S_i/H')^b' (a S_i - sum b_j S_j - k)_+^p`` with ``a > 0``,
+    ``b_j >= 0`` and ``a H <= k`` pays nothing when knocked, and its
+    reflection pays nothing when not knocked, so the hedge is the bare
+    reflected claim.
 
     Pattern 2 (two-asset min combination with barrier at its strike):
     the indicator absorbs into ``target - (S1+S2-k)_+ + (k+S2-S1)_+``.
@@ -377,10 +349,8 @@ def _try_simplify(target: Payoff, barrier: Barrier, alpha: float) -> tuple[Payof
                 ]
             )
             return combo, "min-combo indicator absorbed"
-    parts = _affine_parts(target)
-    if parts is not None and barrier.direction == "down":
-        w, c = parts
-        k = -c
+    if isinstance(target, AffinePower) and barrier.direction == "down":
+        w, k = np.asarray(target.weights), -target.constant
         others = np.delete(w, i - 1)
         if w[i - 1] > 0 and np.all(others <= 0) and k >= 0 and w[i - 1] * level <= k:
             return reflect_claim(target, i, level, alpha), "spread-put form"

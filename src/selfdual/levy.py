@@ -181,8 +181,9 @@ class JumpMeasure:
             out += g.mass * (g.cov + np.outer(g.mean, g.mean))
         return out
 
-    def ball_mean(self, norm_kind: str, norm_index: int, n: int) -> np.ndarray:
-        """integral of x over the unit ball; atoms only (exact indicator)."""
+    def ball_mean(self, norm_kind: str, norm_index: int, n: int, tilt=None) -> np.ndarray:
+        """integral of x exp(<tilt, x>) over the unit ball (no tilt: of x);
+        atoms only (exact indicator)."""
         if self.gaussian is not None:
             raise DomainError(
                 "ball integrals over a Gaussian jump component are unsupported; "
@@ -191,7 +192,7 @@ class JumpMeasure:
         out = np.zeros(n)
         for x, m in self.atoms:
             if _in_ball(x, norm_kind, norm_index):
-                out += m * x
+                out += m * x if tilt is None else m * math.exp(float(tilt @ x)) * x
         return out
 
 
@@ -302,6 +303,18 @@ class LevyTriplet:
         )
 
 
+def _compensator_vector(t: LevyTriplet, convention: str | None = None, tilt=None) -> np.ndarray:
+    """The jump mean a drift convention compensates (``t``'s by default):
+    the integral of x (times exp(<tilt, x>) when tilted) over all of nu
+    for ``mean``, over its unit ball for the truncated conventions."""
+    convention = convention or t.convention
+    if t.nu.is_empty:
+        return np.zeros(t.n)
+    if convention == "mean":
+        return t.nu.mean_vector(t.n) if tilt is None else t.nu.weighted_mean(tilt, t.n)
+    return t.nu.ball_mean(convention, t.norm_index, t.n, tilt)
+
+
 def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
     """Re-express the drift under another truncation convention.
 
@@ -313,21 +326,12 @@ def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
         raise DomainError(f"unknown drift convention {to!r}")
     if to == t.convention:
         return t
-    n = t.n
-    if t.nu.is_empty:
-        corr = {c: np.zeros(n) for c in CONVENTIONS}
-    else:
-        if t.nu.gaussian is not None:
-            raise DomainError("convention conversion needs an atomic jump measure")
-        full = t.nu.mean_vector(n)
-        corr = {
-            "mean": full,
-            "truncated": t.nu.ball_mean("truncated", t.norm_index, n),
-            "truncated_euclidean": t.nu.ball_mean("truncated_euclidean", t.norm_index, n),
-        }
+    if t.nu.gaussian is not None:
+        raise DomainError("convention conversion needs an atomic jump measure")
+    full = _compensator_vector(t, "mean")
     # drift_c + integral of x (1 - 1_ball_c) d nu is convention independent
-    base = t.drift + (corr["mean"] - corr[t.convention])
-    new_drift = base - (corr["mean"] - corr[to])
+    base = t.drift + (full - _compensator_vector(t))
+    new_drift = base - (full - _compensator_vector(t, to))
     if to == "mean":
         return LevyTriplet(t.a, t.nu, mu=new_drift, norm_index=t.norm_index)
     return LevyTriplet(
@@ -351,11 +355,7 @@ def char_exponent(t: LevyTriplet, u) -> complex:
         return complex(out)
     iu = 1j * u
     out += t.nu.exp_integral(iu) - t.nu.total_mass
-    if t.convention == "mean":
-        out -= iu @ t.nu.mean_vector(t.n)
-    else:
-        kind = "truncated" if t.convention == "truncated" else "truncated_euclidean"
-        out -= iu @ t.nu.ball_mean(kind, t.norm_index, t.n)
+    out -= iu @ _compensator_vector(t)
     return complex(out)
 
 
@@ -384,11 +384,7 @@ def esscher(t: LevyTriplet, theta) -> LevyTriplet:
         )
         return LevyTriplet(t.a, nu, mu=t.drift + t.a @ theta + jump_shift,
                            norm_index=t.norm_index)
-    kind = "truncated" if t.convention == "truncated" else "truncated_euclidean"
-    shift = np.zeros(t.n)
-    for x, m in t.nu.atoms:
-        if _in_ball(x, kind, t.norm_index):
-            shift += m * (math.exp(float(theta @ x)) - 1.0) * x
+    shift = _compensator_vector(t, tilt=theta) - _compensator_vector(t)
     return LevyTriplet(
         t.a, nu, gamma=t.drift + t.a @ theta + shift,
         convention=t.convention, norm_index=t.norm_index,
@@ -402,18 +398,12 @@ def esscher(t: LevyTriplet, theta) -> LevyTriplet:
 
 def _exp_compensator(t: LevyTriplet, j: int) -> float:
     """integral of (e^(x_j) - 1 - x_j [1_ball]) d nu under t's convention."""
-    n = t.n
-    e_j = np.zeros(n)
+    e_j = np.zeros(t.n)
     e_j[j - 1] = 1.0
     if t.nu.is_empty:
         return 0.0
     val = float(np.real(t.nu.exp_integral(e_j))) - t.nu.total_mass
-    if t.convention == "mean":
-        val -= float(t.nu.mean_vector(n)[j - 1])
-    else:
-        kind = "truncated" if t.convention == "truncated" else "truncated_euclidean"
-        val -= float(t.nu.ball_mean(kind, t.norm_index, n)[j - 1])
-    return val
+    return val - float(_compensator_vector(t)[j - 1])
 
 
 def martingale_drift(t: LevyTriplet, j: int) -> float:
@@ -523,24 +513,10 @@ def check_qsd_triplet(
         )
 
     # (3) drift coordinate i
-    n = t.n
-    e_i = np.zeros(n)
+    e_i = np.zeros(t.n)
     e_i[i - 1] = 1.0
-    if t.nu.is_empty:
-        integral = 0.0
-    elif t.convention == "mean":
-        integral = float(
-            np.real(
-                t.nu.mean_vector(n)[i - 1] - t.nu.weighted_mean(0.5 * alpha * e_i, n)[i - 1]
-            )
-        )
-    else:
-        kind = "truncated" if t.convention == "truncated" else "truncated_euclidean"
-        integral = 0.0
-        for x, m in t.nu.atoms:
-            if _in_ball(x, kind, t.norm_index):
-                xi = float(x[i - 1])
-                integral += m * xi * (1.0 - math.exp(0.5 * alpha * xi))
+    tilted = _compensator_vector(t, tilt=0.5 * alpha * e_i)
+    integral = float(np.real(_compensator_vector(t)[i - 1] - tilted[i - 1]))
     want = integral - 0.5 * alpha * aii - lam_i
     report.points.append(
         ReportPoint(
@@ -751,14 +727,7 @@ def sample_increments(
     counts = np.zeros(size, dtype=np.int64)
 
     # linear coefficient absorbing the compensation used by the convention
-    b = np.array(t.drift, dtype=float)
-    if not t.nu.is_empty:
-        if t.convention == "mean":
-            b = b - t.nu.mean_vector(n)
-        else:
-            kind = "truncated" if t.convention == "truncated" else "truncated_euclidean"
-            b = b - t.nu.ball_mean(kind, t.norm_index, n)
-    out += b * dt
+    out += (np.array(t.drift, dtype=float) - _compensator_vector(t)) * dt
 
     if np.any(t.a):
         w, v = np.linalg.eigh(t.a * dt)

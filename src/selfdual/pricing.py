@@ -1,12 +1,18 @@
 """Payoff algebra and Monte-Carlo pricing with standard errors.
 
 Payoffs evaluate vectorised on a terminal-price matrix of shape
-``(paths, assets)``.  Identities (parity, vanilla symmetry, binary/gap
-symmetry, the power symmetry) are measured as residuals: closed forms
-where the scalar log-normal model admits them, otherwise common-random-
-number Monte Carlo so that only the variance of the difference matters.
-Discounting is a scalar afterthought; every identity is stated and
-tested undiscounted.
+``(paths, assets)``.  One dataclass, :class:`AffinePower`, is the family
+``(S_i/H)^b (<w, S> + c)_+^p``; basket, spread and power calls, basket
+puts and affine calls are constructors of it, and the hedges' reflected
+claims stay in it.  Closed forms are owned by the models: on a scalar
+model a payoff's ``closed_form`` asks ``expect_affine`` (whose value at
+``p = 1, b = 0`` is the lift-zonoid support function) and gets a number
+or ``None``, in which case pricing falls back to Monte Carlo.
+Identities (parity, vanilla symmetry, binary/gap symmetry, the power
+symmetry) are measured as residuals: closed forms where the model admits
+them, otherwise common-random-number Monte Carlo so that only the
+variance of the difference matters.  Discounting is a scalar
+afterthought; every identity is stated and tested undiscounted.
 """
 
 from __future__ import annotations
@@ -17,14 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import DiscreteAtoms, LogNormal, ScalarModel, VectorModel
+from .dist import ScalarModel, positive_power
 from .errors import DomainError, GeometryViolation, MomentDiverges
-from .geometry import lognormal_call
 from .rng import RngStream
-from .special import norm_cdf
 
 __all__ = [
     "Payoff",
+    "AffinePower",
     "BasketCall",
     "BasketPut",
     "AffineCall",
@@ -56,6 +61,13 @@ class Payoff:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def closed_form(self, model: ScalarModel, forward: float) -> float | None:
+        """Exact E self(forward * eta) on a scalar model, or None.
+
+        The default has only the exact sum over a finite atom set.
+        """
+        return model.expect(lambda eta: self(forward * eta[:, None]))
+
     def _matrix(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
@@ -75,54 +87,87 @@ class Payoff:
 
 
 @dataclass
-class BasketCall(Payoff):
-    """(sum u_l S_l - k)_+; positively homogeneous in (u, k) jointly."""
+class AffinePower(Payoff):
+    """(S_i/H)^b (<w, S> + c)_+^p with signed weights.
 
-    weights: tuple
-    strike: float
-
-    def __post_init__(self):
-        self.weights = tuple(float(w) for w in np.atleast_1d(self.weights))
-        if self.strike < 0:
-            raise DomainError("strike must be nonnegative")
-        self.n_assets = len(self.weights)
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        return np.maximum(s @ np.asarray(self.weights) - self.strike, 0.0)
-
-
-@dataclass
-class BasketPut(Payoff):
-    weights: tuple
-    strike: float
-
-    def __post_init__(self):
-        self.weights = tuple(float(w) for w in np.atleast_1d(self.weights))
-        if self.strike < 0:
-            raise DomainError("strike must be nonnegative")
-        self.n_assets = len(self.weights)
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        return np.maximum(self.strike - s @ np.asarray(self.weights), 0.0)
-
-
-@dataclass
-class AffineCall(Payoff):
-    """(sum w_l S_l + c)_+ with signed weights; the closure of basket
-    calls/puts under numeraire reflection."""
+    ``p = 0`` reads ``x_+^0`` as the strict indicator ``1{x > 0}``.  The
+    family is closed under the numeraire reflection of the hedges, and
+    on a scalar model its price is the model's ``expect_affine`` value.
+    """
 
     weights: tuple
     constant: float
+    p: float = 1.0
+    b: float = 0.0
+    i: int = 1
+    level: float = 1.0
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in np.atleast_1d(self.weights))
+        self.constant = float(self.constant)
         self.n_assets = len(self.weights)
+        if self.p < 0:
+            raise DomainError("power must be nonnegative")
+        if self.level <= 0:
+            raise DomainError("level must be positive")
+        if not 1 <= self.i <= self.n_assets:
+            raise DomainError(f"asset index {self.i} out of range 1..{self.n_assets}")
 
     def __call__(self, s):
         s = self._matrix(s)
-        return np.maximum(s @ np.asarray(self.weights) + self.constant, 0.0)
+        out = positive_power(s @ np.asarray(self.weights) + self.constant, self.p)
+        if self.b == 0:
+            return out
+        return (s[:, self.i - 1] / self.level) ** self.b * out
+
+    def closed_form(self, model, forward):
+        if self.n_assets != 1:
+            return None
+        value = model.expect_affine(self.weights[0] * forward, self.constant, self.p, self.b)
+        if value is None or self.b == 0:
+            return value
+        return (forward / self.level) ** self.b * value
+
+
+def _nonnegative(strike: float) -> None:
+    if strike < 0:
+        raise DomainError("strike must be nonnegative")
+
+
+def BasketCall(weights, strike: float) -> AffinePower:
+    """(sum u_l S_l - k)_+; positively homogeneous in (u, k) jointly."""
+    _nonnegative(strike)
+    return AffinePower(weights, -strike)
+
+
+def BasketPut(weights, strike: float) -> AffinePower:
+    """(k - sum u_l S_l)_+."""
+    _nonnegative(strike)
+    return AffinePower(-np.atleast_1d(np.asarray(weights, dtype=float)), strike)
+
+
+# (sum w_l S_l + c)_+ with signed weights: the affine-power claim at its defaults
+AffineCall = AffinePower
+
+
+def SpreadCall(long_weights, short_weights, strike: float) -> AffinePower:
+    """(sum long_l S_l - sum short_l S_l - k)_+ with nonnegative legs."""
+    long_w = np.atleast_1d(np.asarray(long_weights, dtype=float))
+    short_w = np.atleast_1d(np.asarray(short_weights, dtype=float))
+    if long_w.shape != short_w.shape:
+        raise DomainError("long/short weight lengths differ")
+    if np.any(long_w < 0) or np.any(short_w < 0):
+        raise DomainError("leg weights must be nonnegative")
+    _nonnegative(strike)
+    return AffinePower(long_w - short_w, -strike)
+
+
+def PowerCall(weights, strike: float, alpha: float) -> AffinePower:
+    """(sum u_l S_l - k)_+^alpha."""
+    _nonnegative(strike)
+    if alpha <= 0:
+        raise DomainError("power must be positive")
+    return AffinePower(weights, -strike, p=alpha)
 
 
 @dataclass
@@ -142,100 +187,56 @@ class MaxOption(Payoff):
         s = self._matrix(s)
         return np.maximum(self.u0, np.max(s * np.asarray(self.weights), axis=1))
 
+    def closed_form(self, model, forward):
+        # E max(u0, F w eta) = E (F w eta - u0)_+ + u0
+        w = self.weights[0] if self.n_assets == 1 else None
+        value = None if w is None else model.expect_affine(w * forward, -self.u0)
+        return None if value is None else value + self.u0
+
 
 @dataclass
-class BinaryCall(Payoff):
-    """1{S_j > k}: strict inequality, which matters only at atoms."""
+class _StrikeIndicator(Payoff):
+    """S_j^b 1{sign (S_j - k) > 0}: binaries (b = 0) and gaps (b = 1).
+
+    The inequality is strict, which matters only at atoms.
+    """
 
     strike: float
     asset: int = 1
+    sign = 1.0
+    b = 0
 
     def __call__(self, s):
-        s = self._matrix(s)
-        return (s[:, self.asset - 1] > self.strike).astype(float)
+        sj = self._matrix(s)[:, self.asset - 1]
+        hit = sj > self.strike if self.sign > 0 else sj < self.strike
+        return sj * hit if self.b else hit.astype(float)
+
+    def closed_form(self, model, forward):
+        value = model.expect_affine(self.sign * forward, -self.sign * self.strike, 0.0, self.b)
+        return forward * value if value is not None and self.b else value
 
 
-@dataclass
-class BinaryPut(Payoff):
-    strike: float
-    asset: int = 1
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        return (s[:, self.asset - 1] < self.strike).astype(float)
+class BinaryCall(_StrikeIndicator):
+    """1{S_j > k}."""
 
 
-@dataclass
-class GapCall(Payoff):
+class BinaryPut(_StrikeIndicator):
+    """1{S_j < k}."""
+
+    sign = -1.0
+
+
+class GapCall(_StrikeIndicator):
     """S_j 1{S_j > k}."""
 
-    strike: float
-    asset: int = 1
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        sj = s[:, self.asset - 1]
-        return sj * (sj > self.strike)
+    b = 1
 
 
-@dataclass
-class GapPut(Payoff):
-    strike: float
-    asset: int = 1
+class GapPut(_StrikeIndicator):
+    """S_j 1{S_j < k}."""
 
-    def __call__(self, s):
-        s = self._matrix(s)
-        sj = s[:, self.asset - 1]
-        return sj * (sj < self.strike)
-
-
-@dataclass
-class SpreadCall(Payoff):
-    """(sum long_l S_l - sum short_l S_l - k)_+ with nonnegative legs."""
-
-    long_weights: tuple
-    short_weights: tuple
-    strike: float
-
-    def __post_init__(self):
-        self.long_weights = tuple(float(w) for w in np.atleast_1d(self.long_weights))
-        self.short_weights = tuple(float(w) for w in np.atleast_1d(self.short_weights))
-        if len(self.long_weights) != len(self.short_weights):
-            raise DomainError("long/short weight lengths differ")
-        if any(w < 0 for w in self.long_weights + self.short_weights):
-            raise DomainError("leg weights must be nonnegative")
-        if self.strike < 0:
-            raise DomainError("strike must be nonnegative")
-        self.n_assets = len(self.long_weights)
-
-    @property
-    def net_weights(self) -> np.ndarray:
-        return np.asarray(self.long_weights) - np.asarray(self.short_weights)
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        return np.maximum(s @ self.net_weights - self.strike, 0.0)
-
-
-@dataclass
-class PowerCall(Payoff):
-    """(sum u_l S_l - k)_+^alpha."""
-
-    weights: tuple
-    strike: float
-    alpha: float
-
-    def __post_init__(self):
-        self.weights = tuple(float(w) for w in np.atleast_1d(self.weights))
-        if self.strike < 0:
-            raise DomainError("strike must be nonnegative")
-        if self.alpha <= 0:
-            raise DomainError("power must be positive")
-        self.n_assets = len(self.weights)
-
-    def __call__(self, s):
-        s = self._matrix(s)
-        return np.maximum(s @ np.asarray(self.weights) - self.strike, 0.0) ** self.alpha
+    sign = -1.0
+    b = 1
 
 
 class CustomPayoff(Payoff):
@@ -297,33 +298,17 @@ def _terminal_samples(model, n_samples: int, rng: RngStream, forward=None) -> np
     return s
 
 
-def _closed_form_value(model, payoff: Payoff, forward: float) -> float | None:
-    """Closed forms for the scalar log-normal and exact sums for atoms."""
-    if isinstance(model, LogNormal):
-        if isinstance(payoff, (BasketCall, PowerCall)) and getattr(payoff, "alpha", 1.0) == 1.0:
-            (w,) = payoff.weights
-            if w >= 0:
-                return lognormal_call(model, payoff.strike, w * forward)
-        if isinstance(payoff, BasketPut):
-            (w,) = payoff.weights
-            if w >= 0:
-                call = lognormal_call(model, payoff.strike, w * forward)
-                return call - w * forward * model.mean + payoff.strike
-        if isinstance(payoff, BinaryCall):
-            return 1.0 - float(model.cdf(payoff.strike / forward))
-        if isinstance(payoff, BinaryPut):
-            return float(model.cdf(payoff.strike / forward))
-        if isinstance(payoff, GapCall):
-            return forward * model.tail_mean(payoff.strike / forward)
-        if isinstance(payoff, GapPut):
-            return forward * (model.mean - model.tail_mean(payoff.strike / forward))
-        if isinstance(payoff, MaxOption):
-            (w,) = payoff.weights
-            return lognormal_call(model, payoff.u0, w * forward) + payoff.u0
-    if isinstance(model, DiscreteAtoms):
-        vals = payoff(forward * model.values[:, None])
-        return float(vals @ model.probs)
-    return None
+def _closed_forms(model, priced: list[tuple[Payoff, float]]) -> list[float] | None:
+    """Closed forms of every (payoff, forward) pair on a scalar model, or None unless all exist."""
+    if not isinstance(model, ScalarModel):
+        return None
+    values = [payoff.closed_form(model, forward) for payoff, forward in priced]
+    return None if None in values else values
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    n = values.shape[0]
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
 
 
 def price(
@@ -337,41 +322,56 @@ def price(
 ) -> PriceEstimate:
     """Expected payoff of ``payoff`` on terminal prices ``forward * eta``.
 
-    Accepts a model (closed form where available, Monte Carlo otherwise)
-    or a pre-simulated terminal sample matrix.  ``PowerCall`` verifies the
-    required moment exists before sampling.
+    Accepts a model (closed form where the model has one, Monte Carlo
+    otherwise) or a pre-simulated terminal sample matrix.  An affine
+    power claim of growth order ``p + b`` other than one verifies that
+    the moment of that order exists before anything is evaluated.
     """
     df = math.exp(-r * maturity)
     if isinstance(model_or_samples, np.ndarray):
         s = model_or_samples.reshape(model_or_samples.shape[0], -1)
-        vals = payoff(s)
-        se = float(np.std(vals, ddof=1) / math.sqrt(s.shape[0]))
-        return PriceEstimate(float(np.mean(vals)), se, s.shape[0], df, "monte_carlo")
-
-    model = model_or_samples
-    if isinstance(payoff, PowerCall) and isinstance(model, ScalarModel):
-        try:
-            model.raw_moment(payoff.alpha)
-        except MomentDiverges as exc:
-            raise MomentDiverges(
-                f"payoff of power {payoff.alpha} is not integrable: {exc}",
-                critical_exponent=exc.critical_exponent,
-            ) from None
-    if isinstance(model, (LogNormal, DiscreteAtoms)) and np.ndim(forward) == 0:
-        closed = _closed_form_value(model, payoff, float(forward))
+    else:
+        model = model_or_samples
+        order = payoff.p + payoff.b if isinstance(payoff, AffinePower) else 1.0
+        if order != 1.0 and isinstance(model, ScalarModel):
+            try:
+                model.raw_moment(order)
+            except MomentDiverges as exc:
+                raise MomentDiverges(
+                    f"payoff of power {order} is not integrable: {exc}",
+                    critical_exponent=exc.critical_exponent,
+                ) from None
+        closed = _closed_forms(model, [(payoff, float(forward))]) if np.ndim(forward) == 0 else None
         if closed is not None:
-            return PriceEstimate(closed, 0.0, 0, df, "closed_form")
+            return PriceEstimate(closed[0], 0.0, 0, df, "closed_form")
+        if rng is None:
+            raise DomainError("Monte-Carlo pricing requires an RngStream")
+        s = _terminal_samples(model, n_samples, rng, forward)
+    value, se = _mean_se(payoff(s))
+    return PriceEstimate(value, se, s.shape[0], df, "monte_carlo")
+
+
+def _identity_residuals(model, identities, rng, n_samples) -> list[tuple[float, float]]:
+    """Residuals of identities ``const + sum_j c_j E f_j(F_j eta) = 0``.
+
+    Each identity is ``(const, [(c_j, f_j, F_j), ...])``.  When every term
+    has a closed form the residuals are exact (standard error zero);
+    otherwise all of them are estimated with common random numbers on one
+    draw of eta, so only the variance of each difference matters.
+    """
+    closed = _closed_forms(model, [(f, fwd) for _, terms in identities for _, f, fwd in terms])
+    if closed is not None:
+        values = iter(closed)
+        return [
+            (const + sum(c * next(values) for c, _, _ in terms), 0.0) for const, terms in identities
+        ]
     if rng is None:
-        raise DomainError("Monte-Carlo pricing requires an RngStream")
-    s = _terminal_samples(model, n_samples, rng, forward)
-    vals = payoff(s)
-    se = float(np.std(vals, ddof=1) / math.sqrt(s.shape[0]))
-    return PriceEstimate(float(np.mean(vals)), se, s.shape[0], df, "monte_carlo")
-
-
-def _crn_residual(values: np.ndarray) -> tuple[float, float]:
-    n = values.shape[0]
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+        raise DomainError("Monte-Carlo residuals require an RngStream")
+    eta = _terminal_samples(model, n_samples, rng)
+    return [
+        _mean_se(const + sum(c * f(fwd * eta) for c, f, fwd in terms))
+        for const, terms in identities
+    ]
 
 
 def parity_residual(
@@ -383,21 +383,17 @@ def parity_residual(
     rng: RngStream | None = None,
     n_samples: int = DEFAULT_SAMPLES,
 ) -> tuple[float, float]:
-    """Call-put parity defect e^{-rT} [ (F eta - k)_+ - (k - F eta)_+ - (F - k) ].
+    """Call-put parity defect e^{-rT} [ (F eta - k)_+ - (k - F eta)_+ - (F eta - k) ].
 
     Model free: zero for every integrable model up to the noise of the
-    common-random-number estimator (identically zero on closed forms).
+    common-random-number estimator (rounding-level on closed forms).
     """
     df = math.exp(-r * maturity)
-    if isinstance(model, (LogNormal, DiscreteAtoms)):
-        call = _closed_form_value(model, BasketCall((1.0,), k), big_f)
-        put = _closed_form_value(model, BasketPut((1.0,), k), big_f)
-        return df * (call - put - (big_f * model.mean - k)), 0.0
-    if rng is None:
-        raise DomainError("Monte-Carlo parity check requires an RngStream")
-    s = _terminal_samples(model, n_samples, rng, big_f)[:, 0]
-    vals = np.maximum(s - k, 0.0) - np.maximum(k - s, 0.0) - (s - k)
-    mean, se = _crn_residual(vals)
+    forward = AffineCall((1.0,), 0.0)  # (S)_+ = S for positive prices
+    terms = [(1.0, BasketCall((1.0,), k), big_f), (-1.0, BasketPut((1.0,), k), big_f)]
+    ((mean, se),) = _identity_residuals(
+        model, [(k, terms + [(-1.0, forward, big_f)])], rng, n_samples
+    )
     return df * mean, df * se
 
 
@@ -415,23 +411,17 @@ def vanilla_symmetry_residual(
     Returns the defects of ``e^{rT} c(k,F) + k = e^{rT} c(F,k) + F`` and
     of ``p(k,F) = c(F,k)`` with standard errors (zero on closed forms).
     """
-    if isinstance(model, (LogNormal, DiscreteAtoms)):
-        c_kf = _closed_form_value(model, BasketCall((1.0,), k), big_f)
-        c_fk = _closed_form_value(model, BasketCall((1.0,), big_f), k)
-        p_kf = _closed_form_value(model, BasketPut((1.0,), k), big_f)
-        return {
-            "call_swap": (c_kf + k - c_fk - big_f, 0.0),
-            "put_call": (p_kf - c_fk, 0.0),
-        }
-    if rng is None:
-        raise DomainError("Monte-Carlo symmetry check requires an RngStream")
-    eta = _terminal_samples(model, n_samples, rng)[:, 0]
-    call_swap = np.maximum(big_f * eta - k, 0.0) + k - np.maximum(k * eta - big_f, 0.0) - big_f
-    put_call = np.maximum(k - big_f * eta, 0.0) - np.maximum(k * eta - big_f, 0.0)
-    return {
-        "call_swap": _crn_residual(call_swap),
-        "put_call": _crn_residual(put_call),
-    }
+    c_fk = (-1.0, BasketCall((1.0,), big_f), k)
+    call_swap, put_call = _identity_residuals(
+        model,
+        [
+            (k - big_f, [(1.0, BasketCall((1.0,), k), big_f), c_fk]),
+            (0.0, [(1.0, BasketPut((1.0,), k), big_f), c_fk]),
+        ],
+        rng,
+        n_samples,
+    )
+    return {"call_swap": call_swap, "put_call": put_call}
 
 
 def binary_gap_symmetry_residual(
@@ -449,26 +439,17 @@ def binary_gap_symmetry_residual(
     if k_c <= 0 or k_p <= 0:
         raise GeometryViolation("strikes must be positive")
     big_f = math.sqrt(k_c * k_p)
-    if isinstance(model, (LogNormal, DiscreteAtoms)):
-        bc = _closed_form_value(model, BinaryCall(k_c), big_f)
-        gp = _closed_form_value(model, GapPut(k_p), big_f)
-        bp = _closed_form_value(model, BinaryPut(k_p), big_f)
-        gc = _closed_form_value(model, GapCall(k_c), big_f)
-        return {
-            "forward": big_f,
-            "binary_call_gap_put": (math.sqrt(k_c) * bc - gp / math.sqrt(k_p), 0.0),
-            "binary_put_gap_call": (math.sqrt(k_p) * bp - gc / math.sqrt(k_c), 0.0),
-        }
-    if rng is None:
-        raise DomainError("Monte-Carlo symmetry check requires an RngStream")
-    s = _terminal_samples(model, n_samples, rng, big_f)[:, 0]
-    d1 = math.sqrt(k_c) * (s > k_c) - s * (s < k_p) / math.sqrt(k_p)
-    d2 = math.sqrt(k_p) * (s < k_p) - s * (s > k_c) / math.sqrt(k_c)
-    return {
-        "forward": big_f,
-        "binary_call_gap_put": _crn_residual(d1),
-        "binary_put_gap_call": _crn_residual(d2),
-    }
+    r_c, r_p = math.sqrt(k_c), math.sqrt(k_p)
+    d1, d2 = _identity_residuals(
+        model,
+        [
+            (0.0, [(r_c, BinaryCall(k_c), big_f), (-1.0 / r_p, GapPut(k_p), big_f)]),
+            (0.0, [(r_p, BinaryPut(k_p), big_f), (-1.0 / r_c, GapCall(k_c), big_f)]),
+        ],
+        rng,
+        n_samples,
+    )
+    return {"forward": big_f, "binary_call_gap_put": d1, "binary_put_gap_call": d2}
 
 
 def power_symmetry_residual(
@@ -489,4 +470,4 @@ def power_symmetry_residual(
     eta = model.sample(int(n_samples), rng)
     lhs = np.maximum(big_f * eta - k, 0.0) ** alpha
     rhs = a ** (-alpha) * np.maximum(big_f - k * a * a * eta, 0.0) ** alpha
-    return _crn_residual(lhs - rhs)
+    return _mean_se(lhs - rhs)

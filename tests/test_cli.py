@@ -217,3 +217,53 @@ def test_error_surfaces_as_diagnostic_not_crash():
     code, doc, _ = cli.run(spec)
     assert code == 3
     assert doc["error"]["type"] == "SelfDualError"
+
+
+def test_common_factor_of_lognormal_factors_parses():
+    spec = cli.parse_model_spec(
+        """
+model:
+  kind: common_factor
+  factors:
+    - {kind: lognormal, sigma: 0.5}
+    - {kind: lognormal, sigma: 0.5}
+    - {kind: lognormal, sigma: 0.5}
+task: {kind: check}
+"""
+    )
+    assert isinstance(spec["model"], dist.CommonFactor)
+    assert spec["model"].dim == 2
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_model_spec(
+            "model: {kind: common_factor, factors: [{kind: lognormal, sigma: 0.5, junk: 1}, 3]}\n"
+            "task: {kind: check}\n"
+        )
+    text = "\n".join(exc.value.violations)
+    assert "spec.model.factors[0].junk: unknown key" in text
+    assert "spec.model.factors[1]: expected a mapping" in text
+
+
+def test_vector_check_without_numeraire_runs_joint():
+    doc = """
+samples: 2000
+model:
+  kind: multi_lognormal
+  mean: [-0.125, -0.125]
+  cov: [[0.25, 0.125], [0.125, 0.25]]
+task: {kind: check%s}
+"""
+    spec = cli.parse_model_spec(doc % "")
+    assert spec["task"]["numeraire"] is None
+    _, out, _ = cli.run(spec)
+    assert [c["name"] for c in out["results"]["checks"]] == ["joint_self_duality"]
+    spec = cli.parse_model_spec(doc % ", numeraire: 1")
+    _, out, _ = cli.run(spec)
+    assert out["results"]["checks"][0]["name"].startswith("payoff_symmetry")
+
+
+def test_tol_se_band_is_not_a_setting():
+    spec = cli.parse_model_spec(MINIMAL)
+    assert spec["tol"] == {"exact": 1e-10}
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_model_spec(MINIMAL + "tol: {se_band: 4.0}\n")
+    assert exc.value.violations == ["spec.tol.se_band: unknown key"]

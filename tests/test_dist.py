@@ -318,3 +318,57 @@ def test_multi_lognormal_validation():
         dist.MultiLogNormal([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # not PSD
     with pytest.raises(DomainError):
         dist.MultiLogNormal([0.0], [[1.0, 0.0], [0.0, 1.0]])  # shape mismatch
+
+
+# --------------------------------------------------------------------------- #
+# Tail means and closed forms
+# --------------------------------------------------------------------------- #
+
+
+def _tail_mean_oracle(model, k):
+    # split at the HeavyTail kink so quadrature meets a smooth integrand
+    mid = max(k, 1.0)
+    inner = integrate_interval(lambda t: t * model.pdf(t), k, mid) if mid > k else 0.0
+    return inner + integrate_interval(lambda t: t * model.pdf(t), mid, math.inf)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [dist.HeavyTail(g) for g in (-0.5, 0.0, 1.0, 2.0)]
+    + [dist.LpSelfDual(p) for p in (1.5, 2.0, 3.0)],
+    ids=repr,
+)
+def test_self_dual_tail_mean_matches_quadrature(model):
+    for k in (0.01, 0.0608022, 0.3, 1.0, 1.7, 25.0):
+        want = _tail_mean_oracle(model, k)
+        assert model.tail_mean(k) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert model.tail_mean(0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_lognormal_expect_affine_matches_quadrature():
+    model = dist.LogNormal(0.1, 0.4)
+    cases = [(1.3, -1.0, 1, 0), (-0.8, 1.1, 1, 0), (1.3, -1.0, 0, 0), (-0.8, 1.1, 0, 0),
+             (1.3, -1.0, 0, 1), (-0.8, 1.1, 0, 1), (1.3, -1.0, 1, 1), (-0.8, 1.1, 1, 1)]
+    for w, c, p, b in cases:
+        # integrate over the region w t + c > 0 only, so the integrand is smooth
+        lo, hi = (-c / w, math.inf) if w > 0 else (0.0, -c / w)
+        oracle = integrate_interval(lambda t: t**b * (w * t + c) ** p * model.pdf(t), lo, hi)
+        assert model.expect_affine(w, c, p, b) == pytest.approx(oracle, rel=1e-8), (w, c, p, b)
+    assert model.expect_affine(1.0, -1.0, 2.0) is None
+    assert dist.HeavyTail(1.0).expect_affine(1.0, -1.0) is None
+
+
+def test_atoms_expect_affine_is_strict_at_p_zero():
+    atoms = dist.DiscreteAtoms(PAPER_ATOMS)
+    assert atoms.expect_affine(1.0, -1.0, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert atoms.expect_affine(-1.0, 1.0, 0.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert atoms.tail_mean(1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert atoms.expect_affine(1.0, -1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+
+def test_power_transformed_families():
+    ln = dist.LogNormal(0.1, 0.4).power_transformed(np.array([0.2]), -0.5)
+    assert (ln.mu, ln.sigma) == pytest.approx((-0.15, 0.2), abs=1e-15)
+    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5).power_transformed(np.zeros(2), 2.0)
+    assert np.allclose(mln.cov, 4.0 * dist.MultiLogNormal.jointly_self_dual(2, 0.5).cov)
+    assert dist.HeavyTail(1.0).power_transformed(0.0, 2.0) is None

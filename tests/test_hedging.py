@@ -346,3 +346,28 @@ def test_joint_hedge_alpha_weights():
     leg = plan.legs[0][1]
     plain = max(2.2 - 0.4 - 1.3, 0.0)
     assert leg(s)[0] == pytest.approx((2.2 / 1.3) ** (-0.5) * plain, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_symbolic_reflection_matches_generic(p, b, alpha):
+    f = pricing.AffinePower((0.7, -0.4), -0.9, p=p, b=b, i=1, level=0.8)
+    sym = hedging.reflect_claim(f, 1, 0.8, alpha)
+    assert isinstance(sym, pricing.AffinePower)
+    assert sym.b == pytest.approx(alpha - b - p, abs=1e-15)
+    gen = np.random.default_rng(22)
+    s = gen.uniform(0.2, 3.0, size=(200, 2))
+    generic = hedging.ReflectedClaim(f, 1, 0.8, alpha)(s)
+    assert np.allclose(sym(s), generic, rtol=1e-12, atol=1e-14)
+    assert np.allclose(hedging.reflect_claim(sym, 1, 0.8, alpha)(s), f(s), rtol=1e-12, atol=1e-14)
+
+
+def test_power_weighted_affine_is_the_affine_power_claim():
+    # the reflected affine claim (S_i/H)^(alpha-1) (<w, S> + c)_+ of the hedges
+    assert hedging.PowerWeightedAffine is pricing.AffinePower
+    w, c, level, alpha = np.array([0.7, -0.4]), 0.3, 0.8, 1.3
+    claim = hedging.PowerWeightedAffine(w, c, b=alpha - 1.0, i=1, level=level)
+    s = np.random.default_rng(23).uniform(0.1, 3.0, size=(100, 2))
+    want = (s[:, 0] / level) ** (alpha - 1.0) * np.maximum(s @ w + c, 0.0)
+    np.testing.assert_array_equal(claim(s), want)

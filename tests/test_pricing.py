@@ -260,3 +260,56 @@ def test_general_symmetry_special_payoffs():
         lhs = float(f(big_f * vals) @ probs)
         rhs = float((f(big_f / vals) * vals) @ probs)
         assert lhs == pytest.approx(rhs, abs=1e-14), name
+
+
+# --------------------------------------------------------------------------- #
+# The affine-power family
+# --------------------------------------------------------------------------- #
+
+
+def test_legacy_constructors_match_their_formulas():
+    gen = np.random.default_rng(21)
+    s = gen.uniform(0.1, 3.0, size=(200, 2))
+    w = np.array([0.7, -0.4])
+    cases = [
+        (pricing.BasketCall(w, 0.9), np.maximum(s @ w - 0.9, 0.0)),
+        (pricing.BasketPut(w, 0.9), np.maximum(0.9 - s @ w, 0.0)),
+        (pricing.AffineCall(w, 0.3), np.maximum(s @ w + 0.3, 0.0)),
+        (pricing.SpreadCall((1.0, 0.0), (0.0, 0.5), 0.25), np.maximum(s @ [1.0, -0.5] - 0.25, 0.0)),
+        (pricing.PowerCall(w, 0.2, 1.7), np.maximum(s @ w - 0.2, 0.0) ** 1.7),
+        (
+            pricing.AffinePower(w, 0.3, b=0.3, i=2, level=0.8),
+            (s[:, 1] / 0.8) ** 0.3 * np.maximum(s @ w + 0.3, 0.0),
+        ),
+    ]
+    for payoff, want in cases:
+        assert isinstance(payoff, pricing.AffinePower)
+        np.testing.assert_array_equal(payoff(s), want)
+
+
+def test_legacy_constructors_keep_their_checks():
+    with pytest.raises(DomainError):
+        pricing.BasketPut((1.0,), -0.1)
+    with pytest.raises(DomainError):
+        pricing.SpreadCall((1.0, -0.5), (0.0, 0.0), 0.1)
+    with pytest.raises(DomainError):
+        pricing.SpreadCall((1.0,), (0.0, 0.0), 0.1)
+    with pytest.raises(DomainError):
+        pricing.SpreadCall((1.0,), (0.0,), -0.1)
+    with pytest.raises(DomainError):
+        pricing.PowerCall((1.0,), 1.0, 0.0)
+    with pytest.raises(DomainError):
+        pricing.PowerCall((1.0,), -1.0, 2.0)
+
+
+def test_puts_at_an_atom_keep_the_strict_inequality():
+    # struck exactly at the atom 1: it pays neither the binary put nor the gap put
+    bp = pricing.price(PAPER_ATOMS, pricing.BinaryPut(1.0))
+    gp = pricing.price(PAPER_ATOMS, pricing.GapPut(1.0))
+    assert bp.method == gp.method == "closed_form"
+    assert bp.value == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert gp.value == pytest.approx(1.0 / 6.0, abs=1e-15)
+    bc = pricing.price(PAPER_ATOMS, pricing.BinaryCall(1.0))
+    gc = pricing.price(PAPER_ATOMS, pricing.GapCall(1.0))
+    assert bc.value == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert gc.value == pytest.approx(1.0 / 3.0, abs=1e-15)
