@@ -580,6 +580,8 @@ def _report_of(sym_report) -> dict:
                 "residual": float(p.residual),
                 "std_error": float(p.std_error),
                 "status": p.status,
+                "n_samples": int(p.n_samples),
+                "rounds": int(p.rounds),
             }
             for p in sym_report.points
         ],

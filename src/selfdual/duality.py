@@ -17,7 +17,7 @@ so only the noise of the difference estimator matters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -55,7 +55,7 @@ SE_FLOOR = 1e-3  # relative to the point scale; larger SE -> inconclusive
 # resolution the check certifies regardless of SE units.  Genuine
 # asymmetries of the shipped negative controls sit two orders above it.
 MC_ABS_FLOOR = 5e-5
-DEFAULT_SAMPLES = 100_000
+DEFAULT_SAMPLES = 200_000
 
 # Grid defaults: log-spaced points per scalar dimension.
 GRID_LO, GRID_HI, GRID_POINTS = 0.2, 5.0, 7
@@ -81,14 +81,15 @@ class KappaMaps:
         self.n = int(n)
         self.i = int(i)
 
-    def kappa(self, x):
-        x = np.asarray(x, dtype=float)
+    def kappa(self, x, axis: int = -1):
+        """``axis`` holds the coordinates: -1 for points and rows, 0 for column-major draws."""
+        x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
         if np.any(x <= 0):
             raise DomainError("kappa requires strictly positive coordinates")
-        xi = x[..., self.i - 1]
-        out = x / xi[..., None]
-        out[..., self.i - 1] = 1.0 / xi
-        return out
+        xi = x[self.i - 1]
+        out = x / xi
+        out[self.i - 1] = 1.0 / xi
+        return np.moveaxis(out, 0, axis)
 
     def K(self, x):
         x = np.asarray(x, dtype=float)
@@ -123,6 +124,8 @@ class ReportPoint:
     std_error: float = 0.0  # zero on exact evaluation paths
     tol: float = EXACT_TOL
     scale: float = 1.0
+    n_samples: int = 0  # pooled draws behind a Monte-Carlo estimate; zero on exact paths
+    rounds: int = 0  # confirmation rounds pooled into it
 
     @property
     def status(self) -> str:
@@ -174,8 +177,7 @@ class SymmetryReport:
     def merge(self, other: "SymmetryReport") -> "SymmetryReport":
         merged = SymmetryReport(self.test_name)
         merged.points = self.points + [
-            ReportPoint(f"{other.test_name}:{p.label}", p.residual, p.std_error, p.tol, p.scale)
-            for p in other.points
+            replace(p, label=f"{other.test_name}:{p.label}") for p in other.points
         ]
         return merged
 
@@ -197,44 +199,95 @@ class SymmetryReport:
         return "\n".join(lines)
 
 
-def _mc_point(label: str, diffs: np.ndarray, scale: float) -> ReportPoint:
-    n = diffs.shape[0]
-    se = float(np.std(diffs, ddof=1) / math.sqrt(n))
+@dataclass(frozen=True)
+class _Moments:
+    """Sufficient statistics of a difference sample: count, mean, squared deviations."""
+
+    n: int
+    mean: float
+    m2: float
+
+    @classmethod
+    def of(cls, diffs: np.ndarray) -> "_Moments":
+        mean = np.mean(diffs)
+        dev = diffs - mean
+        dev *= dev
+        return cls(diffs.shape[0], float(mean), float(np.sum(dev)))
+
+    def pooled(self, other: "_Moments") -> "_Moments":
+        """Both samples together, by the pairwise update of Chan, Golub & LeVeque (1979)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return _Moments(
+            n,
+            self.mean + delta * (other.n / n),
+            self.m2 + other.m2 + delta * delta * (self.n * other.n / n),
+        )
+
+
+def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0) -> ReportPoint:
+    if stats.n < 2:
+        raise DomainError(f"{label}: a standard error needs at least two draws")
+    se = math.sqrt(stats.m2 / (stats.n - 1)) / math.sqrt(stats.n)
     # pathwise-cancelling differences leave rounding dust; an SE below the
     # float resolution of the payoff scale is not an inference statement
     se = max(se, 1e-15 * scale)
-    return ReportPoint(label, float(np.mean(diffs)), se, scale=scale)
+    return ReportPoint(label, stats.mean, se, scale=scale, n_samples=stats.n, rounds=rounds)
 
 
-def _confirmed_mc_points(specs, s, resample, max_rounds: int = 2) -> list[ReportPoint]:
+def _group_moments(evaluate, batch: np.ndarray, width: int) -> list[_Moments]:
+    """A group's statistics on ``batch``, evaluated ``width`` draws at a time.
+
+    Confirmation batches are two and four times the first one; taking them
+    in first-batch slices keeps their working memory at the first batch's.
+    """
+    total = None
+    for start in range(0, batch.shape[1], width):
+        part = [_Moments.of(diffs) for diffs, _ in evaluate(batch[:, start : start + width])]
+        total = part if total is None else [a.pooled(b) for a, b in zip(total, part)]
+    return total
+
+
+def _confirmed_mc_points(
+    groups, model, batch: np.ndarray, confirm_rng: RngStream, max_rounds: int = 2
+) -> list[ReportPoint]:
     """Evaluate CRN difference points with pooled re-confirmation.
 
-    ``specs`` is a list of (label, diff_fn, scale).  A point that fails
-    its band on the shared draws is re-evaluated on fresh independent
-    batches and the estimates pooled: under the exact identity a
-    borderline exceedance among many simultaneous 3-SE tests washes out,
-    while a genuine asymmetry reproduces and keeps failing.
+    ``groups`` is a list of ``(labels, evaluate)``: ``evaluate`` maps a
+    column-major ``(n, N)`` batch of ``model`` draws to an iterable of one
+    ``(diffs, scale)`` pair per label, doing the work its points share
+    once.  Each pair is reduced to its sufficient statistics before the
+    next is taken; only the scale of the first batch is used.
+
+    A point that fails its band on the shared draws is re-evaluated on
+    fresh independent batches of ``model`` from ``confirm_rng`` and pooled
+    by its sufficient statistics: under the exact identity a borderline
+    exceedance among many simultaneous 3-SE tests washes out, while a
+    genuine asymmetry reproduces and keeps failing.
     """
-    points: list[ReportPoint | None] = [None] * len(specs)
-    pending: dict[int, np.ndarray] = {}
-    for idx, (label, diff_fn, scale) in enumerate(specs):
-        diffs = diff_fn(s)
-        points[idx] = _mc_point(label, diffs, scale)
-        if points[idx].status == "fail" and resample is not None:
-            pending[idx] = diffs
-    rounds = 0
-    while pending and resample is not None and rounds < max_rounds:
+    points: list[ReportPoint] = []
+    pending = []  # (point index, group index, label index, pooled statistics)
+    for g, (labels, evaluate) in enumerate(groups):
+        for k, (label, (diffs, scale)) in enumerate(zip(labels, evaluate(batch))):
+            stats = _Moments.of(diffs)
+            points.append(_mc_point(label, stats, scale))
+            if points[-1].status == "fail":
+                pending.append((len(points) - 1, g, k, stats))
+    for rounds in range(1, max_rounds + 1):
+        if not pending:
+            break
         # growing batches dilute an unlucky first draw quickly
-        fresh = resample(rounds, s.shape[0] * 2 ** (rounds + 1))
-        still = {}
-        for idx, old in pending.items():
-            label, diff_fn, scale = specs[idx]
-            pooled = np.concatenate([old, diff_fn(fresh)])
-            points[idx] = _mc_point(label, pooled, scale)
+        fresh = _sample_matrix(model, batch.shape[1] * 2**rounds, confirm_rng.child(rounds - 1))
+        fresh_stats: dict[int, list[_Moments]] = {}
+        still = []
+        for idx, g, k, stats in pending:
+            if g not in fresh_stats:
+                fresh_stats[g] = _group_moments(groups[g][1], fresh, batch.shape[1])
+            stats = stats.pooled(fresh_stats[g][k])
+            points[idx] = _mc_point(points[idx].label, stats, points[idx].scale, rounds)
             if points[idx].status == "fail":
-                still[idx] = pooled
+                still.append((idx, g, k, stats))
         pending = still
-        rounds += 1
     return points
 
 
@@ -242,13 +295,14 @@ def default_grid(lo: float = GRID_LO, hi: float = GRID_HI, n: int = GRID_POINTS)
     return np.geomspace(lo, hi, n)
 
 
-# Fixed bounded payoffs for the weighted-change-of-numeraire identity.
-# They decay in every coordinate and its reciprocal, so the weighted side
-# f(kappa_i(eta)) eta_i keeps finite variance even for tail-index-2 models.
+# Fixed bounded payoffs for the weighted-change-of-numeraire identity, on
+# column-major draws.  They decay in every coordinate and its reciprocal, so
+# the weighted side f(kappa_i(eta)) eta_i keeps finite variance even for
+# tail-index-2 models.
 _BOUNDED_PAYOFFS: list[tuple[str, Callable[[np.ndarray], np.ndarray]]] = [
-    ("exp(-sum(x+1/x))", lambda s: np.exp(-np.sum(s + 1.0 / s, axis=1))),
-    ("prod x/(1+x)^2", lambda s: np.prod(s / (1.0 + s) ** 2, axis=1)),
-    ("1/(1+sum(x+1/x))", lambda s: 1.0 / (1.0 + np.sum(s + 1.0 / s, axis=1))),
+    ("exp(-sum(x+1/x))", lambda x: np.exp(-np.sum(x + 1.0 / x, axis=0))),
+    ("prod x/(1+x)^2", lambda x: np.prod(x / (1.0 + x) ** 2, axis=0)),
+    ("1/(1+sum(x+1/x))", lambda x: 1.0 / (1.0 + np.sum(x + 1.0 / x, axis=0))),
 ]
 
 
@@ -407,17 +461,65 @@ def random_test_vectors(
     return [(float(row[0]), row[1:].copy()) for row in draw]
 
 
-def _payoff(family: str, u0: float, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _payoff(family: str, u0: float, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The test payoff of weights (u0, u) on column-major draws of shape (n, N)."""
     if family == "basket":
-        return np.maximum(u0 + s @ u, 0.0)
+        out = u @ cols
+        out += u0
+        return np.maximum(out, 0.0, out=out)
     if family == "max":
-        return np.maximum(u0, np.max(s * u, axis=1))
+        out = cols[0] * u[0]
+        term = np.empty_like(out)
+        for k in range(1, cols.shape[0]):
+            np.multiply(cols[k], u[k], out=term)
+            np.maximum(out, term, out=out)
+        return np.maximum(out, u0, out=out)
     raise DomainError(f"unknown payoff family {family!r}")
 
 
 def _sample_matrix(model, n_samples: int, rng: RngStream) -> np.ndarray:
+    """``n_samples`` draws of ``model`` laid out column-major, shape (n, n_samples)."""
     s = model.sample(int(n_samples), rng)
-    return s.reshape(int(n_samples), -1)
+    return np.ascontiguousarray(s.reshape(int(n_samples), -1).T)
+
+
+def _test_vector_group(family: str, i: int, u0: float, u):
+    """The swap residual ``f(u0,u) - f(pi_i(u0,u))`` of one test vector, as a kernel group."""
+    u = np.asarray(u, dtype=float)
+    if family == "max" and (u0 < 0 or np.any(u < 0)):
+        raise DomainError("max-family test vectors must be nonnegative")
+    swapped_u = u.copy()
+    swapped_u0 = float(u[i - 1])
+    swapped_u[i - 1] = u0
+    # control variate: the exact linear tail of the difference in the
+    # only unbounded direction eta_i; mean zero since E eta_i = 1 for
+    # any candidate (and tested separately), variance finite even for
+    # tail-index-2 marginals where the raw difference has none
+    coeff = max(float(u[i - 1]), 0.0) - max(u0, 0.0)
+
+    def evaluate(cols):
+        diffs = _payoff(family, u0, u, cols)
+        scale = max(1.0, float(np.mean(diffs)))  # the payoff is nonnegative: its mean |f|
+        diffs -= _payoff(family, swapped_u0, swapped_u, cols)
+        diffs -= coeff * (cols[i - 1] - 1.0)
+        return [(diffs, scale)]
+
+    return [f"u=({u0:.3f}," + ",".join(f"{v:.3f}" for v in u) + ")"], evaluate
+
+
+def _numeraire_change_group(title: str, maps: KappaMaps, carry=None, alpha: float = 1.0):
+    """``E f(x) = E[f(kappa_i(x)) x_i^alpha]`` on the bounded payoffs, with
+    ``x = e^carry o eta``, as one kernel group: ``kappa_i`` of a batch is
+    computed once for all of them."""
+
+    def evaluate(cols):
+        x = cols if carry is None else np.exp(carry)[:, None] * cols
+        reflected = maps.kappa(x, axis=0)
+        weight = x[maps.i - 1] ** alpha
+        for _, f in _BOUNDED_PAYOFFS:
+            yield f(x) - f(reflected) * weight, 1.0
+
+    return [f"{title} {name}" for name, _ in _BOUNDED_PAYOFFS], evaluate
 
 
 def check_payoff_symmetry(
@@ -427,7 +529,6 @@ def check_payoff_symmetry(
     test_vectors: Sequence[tuple[float, np.ndarray]] | None = None,
     rng: RngStream | None = None,
     n_samples: int = DEFAULT_SAMPLES,
-    samples: np.ndarray | None = None,
 ) -> SymmetryReport:
     """Expected-payoff symmetry under the coordinate swap pi_i.
 
@@ -437,55 +538,17 @@ def check_payoff_symmetry(
     numeraire-change identity ``E f(eta) = E[f(kappa_i(eta)) eta_i]`` for
     three fixed bounded payoffs.
     """
-    if rng is None and samples is None:
+    if rng is None:
         raise DomainError("common-random-number check requires an RngStream")
-    if samples is None:
-        vec_rng, sample_rng = rng.child(0), rng.child(1)
-    else:
-        vec_rng = rng.child(0) if rng is not None else RngStream(0)
-    s = samples if samples is not None else _sample_matrix(model, n_samples, sample_rng)
-    n = s.shape[1]
+    cols = _sample_matrix(model, n_samples, rng.child(1))
+    n = cols.shape[0]
     maps = KappaMaps(n, i)
     if test_vectors is None:
-        test_vectors = random_test_vectors(vec_rng, n, payoff_family)
-
-    specs = []
-    for u0, u in test_vectors:
-        u = np.asarray(u, dtype=float)
-        if payoff_family == "max" and (u0 < 0 or np.any(u < 0)):
-            raise DomainError("max-family test vectors must be nonnegative")
-        swapped_u = u.copy()
-        swapped_u0 = float(u[i - 1])
-        swapped_u[i - 1] = u0
-        # control variate: the exact linear tail of the difference in the
-        # only unbounded direction eta_i; mean zero since E eta_i = 1 for
-        # any candidate (and tested separately), variance finite even for
-        # tail-index-2 marginals where the raw difference has none
-        coeff = max(float(u[i - 1]), 0.0) - max(u0, 0.0)
-        scale = max(1.0, float(np.mean(np.abs(_payoff(payoff_family, u0, u, s)))))
-        label = f"u=({u0:.3f}," + ",".join(f"{v:.3f}" for v in u) + ")"
-
-        def diff(batch, u0=u0, u=u, su0=swapped_u0, su=swapped_u, coeff=coeff):
-            d = _payoff(payoff_family, u0, u, batch) - _payoff(payoff_family, su0, su, batch)
-            return d - coeff * (batch[:, i - 1] - 1.0)
-
-        specs.append((label, diff, scale))
-
-    for name, f in _BOUNDED_PAYOFFS:
-        def diff(batch, f=f):
-            return f(batch) - f(maps.kappa(batch)) * batch[:, i - 1]
-
-        specs.append((f"change-of-numeraire {name}", diff, 1.0))
-
-    resample = None
-    if rng is not None and hasattr(model, "sample"):
-        confirm_rng = rng.child(9)
-
-        def resample(round_idx, size):
-            return _sample_matrix(model, size, confirm_rng.child(round_idx))
-
+        test_vectors = random_test_vectors(rng.child(0), n, payoff_family)
+    groups = [_test_vector_group(payoff_family, i, u0, u) for u0, u in test_vectors]
+    groups.append(_numeraire_change_group("change-of-numeraire", maps))
     report = SymmetryReport(f"payoff_symmetry[{payoff_family},i={i}]")
-    report.points = _confirmed_mc_points(specs, s, resample)
+    report.points = _confirmed_mc_points(groups, model, cols, rng.child(9))
     return report
 
 
@@ -496,48 +559,56 @@ def check_joint_self_duality(
 ) -> SymmetryReport:
     """Self-duality for every numeraire plus its exchangeability traces.
 
-    Runs the payoff symmetry for each ``i``, permutation invariance of the
-    max payoff, and pairwise marginal comparisons, all on one common set
-    of draws.
+    Runs the payoff symmetry for each ``i`` and both families, permutation
+    invariance of the max payoff, and pairwise marginal comparisons, all
+    on one common set of draws.
     """
     n = model.dim
-    s = _sample_matrix(model, n_samples, rng.child(1))
+    cols = _sample_matrix(model, n_samples, rng.child(1))
     report = SymmetryReport("joint_self_duality")
     for i in range(1, n + 1):
-        for family in ("basket", "max"):
-            sub = check_payoff_symmetry(
-                model, i, family, rng=rng.child(10 + i), samples=s, n_samples=n_samples
-            )
+        # both families of numeraire i draw their vectors and confirmation
+        # batches from one stream, so they share one change-of-numeraire
+        # evaluation, reported under each family's label
+        stream = rng.child(10 + i)
+        basket, peak = (
+            [
+                _test_vector_group(family, i, *v)
+                for v in random_test_vectors(stream.child(0), n, family)
+            ]
+            for family in ("basket", "max")
+        )
+        shared = _numeraire_change_group("change-of-numeraire", KappaMaps(n, i))
+        points = _confirmed_mc_points(basket + peak + [shared], model, cols, stream.child(9))
+        nb, nv = len(basket), len(basket) + len(peak)  # one point per test vector
+        for family, own in (("basket", points[:nb]), ("max", points[nb:nv])):
+            sub = SymmetryReport(f"payoff_symmetry[{family},i={i}]", own + points[nv:])
             report = report.merge(sub)
-            report.test_name = "joint_self_duality"
 
     perm_rng = rng.child(2)
     vectors = random_test_vectors(perm_rng, n, "max", count=5)
-    specs = []
+    groups = []
     for idx, (u0, u) in enumerate(vectors):
         perm = perm_rng.generator.permutation(n)
 
-        def diff(batch, u0=u0, u=u, perm=perm):
-            d = _payoff("max", u0, u, batch) - _payoff("max", u0, u[perm], batch)
-            return d - (u - u[perm]) @ (batch - 1.0).T  # linear-tail control
+        def evaluate(cols, u0=u0, u=u, perm=perm):
+            diffs = _payoff("max", u0, u, cols)
+            diffs -= _payoff("max", u0, u[perm], cols)
+            diffs -= (u - u[perm]) @ (cols - 1.0)  # linear-tail control
+            return [(diffs, 1.0)]
 
-        specs.append((f"permutation[{idx}]", diff, 1.0))
+        groups.append(([f"permutation[{idx}]"], evaluate))
 
     for a in range(n):
         for b in range(a + 1, n):
             for c in (0.5, 1.0, 2.0):
-                def diff(batch, a=a, b=b, c=c):
-                    return np.minimum(batch[:, a], c) - np.minimum(batch[:, b], c)
+                def evaluate(cols, a=a, b=b, c=c):
+                    # the statistic is bounded by the cap, which sets its scale
+                    return [(np.minimum(cols[a], c) - np.minimum(cols[b], c), max(1.0, c))]
 
-                # the statistic is bounded by the cap, which sets its scale
-                specs.append((f"marginal {a + 1} vs {b + 1} @min(.,{c})", diff, max(1.0, c)))
+                groups.append(([f"marginal {a + 1} vs {b + 1} @min(.,{c})"], evaluate))
 
-    confirm_rng = rng.child(3)
-    report.points.extend(
-        _confirmed_mc_points(
-            specs, s, lambda r, size: _sample_matrix(model, size, confirm_rng.child(r))
-        )
-    )
+    report.points.extend(_confirmed_mc_points(groups, model, cols, rng.child(3)))
     return report
 
 
@@ -548,7 +619,7 @@ def check_empirical_integrated_tail(samples: np.ndarray, z_grid=None) -> Symmetr
     report = SymmetryReport("empirical_integrated_tail")
     for z in z_grid:
         d = z * np.minimum(samples, 1.0 / z) - np.minimum(samples, z)
-        report.points.append(_mc_point(f"z={z:g}", d, max(1.0, float(z))))
+        report.points.append(_mc_point(f"z={z:g}", _Moments.of(d), max(1.0, float(z))))
     return report
 
 
@@ -643,23 +714,9 @@ def check_quasi_self_dual(
     report = SymmetryReport(f"quasi_self_dual[i={i},alpha={alpha:g}]").merge(sub)
 
     if rng is not None:
-        s = _sample_matrix(model, n_samples, rng.child(4))
-        maps = KappaMaps(n, i)
-        specs = []
-        for name, f in _BOUNDED_PAYOFFS:
-            def diff(batch, f=f):
-                zeta_exp = np.exp(lam) * batch
-                weight = zeta_exp[:, i - 1] ** alpha
-                reflected = np.exp(maps.K(np.log(zeta_exp)))
-                return f(zeta_exp) - f(reflected) * weight
-
-            specs.append((f"qsd identity {name}", diff, 1.0))
-        confirm_rng = rng.child(5)
-        report.points.extend(
-            _confirmed_mc_points(
-                specs, s, lambda r, size: _sample_matrix(model, size, confirm_rng.child(r))
-            )
-        )
+        cols = _sample_matrix(model, n_samples, rng.child(4))
+        group = _numeraire_change_group("qsd identity", KappaMaps(n, i), lam, alpha)
+        report.points.extend(_confirmed_mc_points([group], model, cols, rng.child(5)))
     return report
 
 

@@ -267,3 +267,27 @@ def test_tol_se_band_is_not_a_setting():
     with pytest.raises(SchemaError) as exc:
         cli.parse_model_spec(MINIMAL + "tol: {se_band: 4.0}\n")
     assert exc.value.violations == ["spec.tol.se_band: unknown key"]
+
+
+def test_report_points_record_samples_and_rounds():
+    spec = cli.parse_model_spec(
+        """
+samples: 20000
+model:
+  kind: multi_lognormal
+  mean: [-0.125, -0.125]
+  cov: [[0.25, 0.0], [0.0, 0.25]]
+task: {kind: check, checks: [payoff], numeraire: 1}
+"""
+    )
+    code, doc, _ = cli.run(spec)
+    assert code == 1
+    points = doc["results"]["checks"][0]["points"]
+    seen = {(p["status"], p["n_samples"], p["rounds"]) for p in points}
+    # passing points rest on the first batch; failing ones pooled 20k + 40k + 80k
+    assert seen <= {("pass", 20_000, 0), ("fail", 140_000, 2)}
+    assert ("fail", 140_000, 2) in seen
+    exact = cli.parse_model_spec(MINIMAL)
+    _, doc, _ = cli.run(exact)
+    for check in doc["results"]["checks"]:
+        assert all((p["n_samples"], p["rounds"]) == (0, 0) for p in check["points"])

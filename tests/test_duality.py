@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -211,6 +212,13 @@ def test_product_of_independent_self_duals_is_self_dual():
     assert rep.max_residual_in_se_units <= 3.5
 
 
+def test_default_sample_count_certifies_the_two_asset_family():
+    # at 100k draws both checks came out inconclusive on nearly every seed
+    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    assert duality.check_joint_self_duality(mln, make_rng(79)).verdict == "pass"
+    assert duality.check_payoff_symmetry(mln, 1, rng=make_rng(79)).verdict == "pass"
+
+
 def test_joint_self_duality_fixtures():
     # sigma kept moderate here; the sigma = 1 paper example runs in the
     # acceptance suite at the sample size its variance needs
@@ -230,6 +238,82 @@ def test_degenerate_detection():
     for i in (1, 2):
         rep = duality.check_payoff_symmetry(ind, i, "max", rng=make_rng(59), n_samples=200_000)
         assert rep.verdict == "fail"
+
+
+# --------------------------------------------------------------------------- #
+# The column-major CRN kernel
+# --------------------------------------------------------------------------- #
+
+
+def test_column_payoffs_match_the_row_major_formulas():
+    rows = dist.MultiLogNormal.jointly_self_dual(3, 0.5).sample(50_000, make_rng(70))
+    cols = np.ascontiguousarray(rows.T)
+    for u0, u in duality.random_test_vectors(make_rng(71), 3, "max"):
+        want = np.maximum(u0, np.max(rows * u, axis=1))
+        assert np.array_equal(duality._payoff("max", u0, u, cols), want)
+    for u0, u in duality.random_test_vectors(make_rng(72), 3, "basket"):
+        want = np.maximum(u0 + rows @ u, 0.0)
+        got = duality._payoff("basket", u0, u, cols)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
+
+
+def test_pooled_moments_match_concatenated_samples():
+    gen = make_rng(73).generator
+    batches = [gen.standard_t(3.0, size=n) + 0.1 for n in (10_000, 20_000, 40_000)]
+    stats = duality._Moments.of(batches[0])
+    for batch in batches[1:]:
+        stats = stats.pooled(duality._Moments.of(batch))
+    pooled = np.concatenate(batches)
+    assert stats.n == pooled.size
+    assert stats.mean == pytest.approx(np.mean(pooled), rel=1e-12)
+    std = math.sqrt(stats.m2 / (stats.n - 1))
+    assert std == pytest.approx(np.std(pooled, ddof=1), rel=1e-12)
+
+
+def test_joint_families_share_their_change_of_numeraire_points():
+    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    rep = duality.check_joint_self_duality(mln, make_rng(74), n_samples=20_000)
+    for i in (1, 2):
+        basket, peak = (
+            [
+                replace(p, label=p.label.split(":", 1)[1])
+                for p in rep.points
+                if p.label.startswith(f"payoff_symmetry[{family},i={i}]:change-of-numeraire")
+            ]
+            for family in ("basket", "max")
+        )
+        assert len(basket) == 3 and basket == peak
+
+
+def test_control_confirms_by_pooled_rounds():
+    ind = dist.IndependentProduct([dist.LogNormal.mean_one(0.5)] * 2)
+    rep = duality.check_payoff_symmetry(ind, 1, "basket", rng=make_rng(75), n_samples=20_000)
+    assert rep.verdict == "fail"
+    failing = [p for p in rep.points if p.status == "fail"]
+    # a genuine asymmetry survives both confirmation rounds: 20k + 40k + 80k draws
+    assert failing and all((p.rounds, p.n_samples) == (2, 140_000) for p in failing)
+    assert all((p.rounds, p.n_samples) == (0, 20_000) for p in rep.points if p.status == "pass")
+
+
+class _ZeroCoordinate:
+    """A sampler whose first draw has a zero coordinate."""
+
+    dim = 2
+
+    def sample(self, n, rng):
+        out = np.ones((n, 2))
+        out[0, 1] = 0.0
+        return out
+
+
+def test_kernel_rejects_nonpositive_draws():
+    with pytest.raises(DomainError):
+        duality.check_payoff_symmetry(_ZeroCoordinate(), 1, rng=make_rng(76), n_samples=1_000)
+    # one draw has no standard error: refused rather than certified
+    with pytest.raises(DomainError):
+        duality.check_payoff_symmetry(
+            dist.MultiLogNormal.jointly_self_dual(2, 0.5), 1, rng=make_rng(76), n_samples=1
+        )
 
 
 # --------------------------------------------------------------------------- #
