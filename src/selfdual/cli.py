@@ -411,6 +411,19 @@ _KNOWN_CHECKS = (
 )
 
 
+# Run settings, checked the same way in the spec and as command-line overrides.
+def _seed(chk: _Check, node, path: str):
+    return chk.integer(node, path, ge=0, default=DEFAULTS["seed"])
+
+
+def _samples(chk: _Check, node, path: str):
+    return chk.integer(node, path, ge=100, default=DEFAULTS["samples"])
+
+
+def _tol_exact(chk: _Check, node, path: str):
+    return chk.number(node, path, gt=0.0, default=1e-10)
+
+
 def parse_model_spec(document: str) -> dict:
     """Parse and validate a YAML model spec; returns the normalized tree.
 
@@ -429,17 +442,15 @@ def parse_model_spec(document: str) -> dict:
 
     spec = dict(DEFAULTS)
     spec["version"] = chk.integer(raw.get("version"), "spec.version", ge=1, default=1)
-    spec["seed"] = chk.integer(raw.get("seed"), "spec.seed", ge=0, default=DEFAULTS["seed"])
-    spec["samples"] = chk.integer(
-        raw.get("samples"), "spec.samples", ge=100, default=DEFAULTS["samples"]
-    )
+    spec["seed"] = _seed(chk, raw.get("seed"), "spec.seed")
+    spec["samples"] = _samples(chk, raw.get("samples"), "spec.samples")
     if raw.get("out") is not None and not isinstance(raw.get("out"), str):
         chk.fail("spec.out", "expected a directory path string")
     spec["out"] = raw.get("out")
     tol_node = raw.get("tol") or {}
     chk.mapping(tol_node, "spec.tol", ("exact",))
     spec["tol"] = {
-        "exact": chk.number(tol_node.get("exact"), "spec.tol.exact", gt=0.0, default=1e-10),
+        "exact": _tol_exact(chk, tol_node.get("exact"), "spec.tol.exact"),
     }
 
     model_node = raw.get("model")
@@ -780,6 +791,19 @@ def run(spec: dict) -> tuple[int, dict, dict]:
 # --------------------------------------------------------------------------- #
 
 
+def _apply_overrides(spec: dict, args: argparse.Namespace) -> None:
+    """Apply ``--seed``/``--samples``/``--tol`` under the spec's own checks."""
+    chk = _Check()
+    if args.seed is not None:
+        spec["seed"] = _seed(chk, args.seed, "--seed")
+    if args.samples is not None:
+        spec["samples"] = _samples(chk, args.samples, "--samples")
+    if args.tol is not None:
+        spec["tol"]["exact"] = _tol_exact(chk, args.tol, "--tol")
+    if chk.errors:
+        raise SchemaError(chk.errors)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="selfdual",
@@ -802,6 +826,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     try:
         spec = parse_model_spec(text)
+        _apply_overrides(spec, args)
     except SchemaError as exc:
         for violation in exc.violations:
             print(f"schema error: {violation}", file=sys.stderr)
@@ -814,12 +839,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    if args.samples is not None:
-        spec["samples"] = args.samples
-    if args.tol is not None:
-        spec["tol"]["exact"] = args.tol
     if args.out is not None:
         spec["out"] = args.out
 

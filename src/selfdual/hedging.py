@@ -12,7 +12,9 @@ vanish identically the indicator is dropped and the hedge collapses to
 that reflected claim.
 
 Replication is verified by nested Monte Carlo: outer paths locate first
-hits, inner simulations restarted from the hit state compare the
+hits in one streaming pass that holds only the current prices and each
+barrier's first-hit record, so memory is O(paths * n) whatever the number
+of steps; inner simulations restarted from the hit state compare the
 conditional values of the target and the hedge claims.  The identity is
 an equality of conditional expectations given a hit state with
 ``S_i = H`` exactly, so for continuous drivers the detected state is
@@ -172,30 +174,67 @@ class HitRecord:
 # --------------------------------------------------------------------------- #
 
 
-def simulate_paths(
-    cfg: PathConfig, n_paths: int, rng: RngStream, with_jumps: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate full price grids; returns (paths, jump_flags).
+def _price_steps(cfg: PathConfig, n_paths: int, rng: RngStream):
+    """Yield ``(k, prices, counts)`` for k = 1..steps: the simulation loop.
 
-    ``paths`` has shape (n_paths, steps+1, n); log-prices accumulate
-    exact Levy increments per step, so the scheme has no discretisation
-    bias in distribution at the grid times.  ``jump_flags[p, k]`` marks a
-    Poisson event inside step k of path p.
+    Log-prices accumulate exact Levy increments per step, so the scheme
+    has no discretisation bias in distribution at the grid times; only
+    the current log-price is held.  ``counts`` are the Poisson jump
+    counts inside step k.
     """
     n_paths = int(n_paths)
     dt = cfg.horizon / cfg.steps
-    logs = np.zeros((n_paths, cfg.steps + 1, cfg.n))
-    jump_flags = np.zeros((n_paths, cfg.steps), dtype=bool)
-    for k in range(cfg.steps):
-        incr, counts = sample_increments(
-            cfg.driver, dt, rng.child(k), n_paths, return_counts=True
-        )
-        logs[:, k + 1] = logs[:, k] + incr
-        if with_jumps:
-            jump_flags[:, k] = counts > 0
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    paths = cfg.s0 * np.exp(times[None, :, None] * cfg.carry + logs)
+    x = np.zeros((n_paths, cfg.n))
+    for k in range(1, cfg.steps + 1):
+        incr, counts = sample_increments(
+            cfg.driver, dt, rng.child(k - 1), n_paths, return_counts=True
+        )
+        x += incr
+        yield k, cfg.s0 * np.exp(times[k] * cfg.carry + x), counts
+
+
+def simulate_paths(cfg: PathConfig, n_paths: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate full price grids; returns (paths, jump_flags).
+
+    ``paths`` has shape (n_paths, steps+1, n) and ``jump_flags[p, k]``
+    marks a Poisson event inside step k of path p.  The hedge checks do
+    not hold this grid; they stream the same steps through
+    :func:`_first_hits`.
+    """
+    paths = np.empty((int(n_paths), cfg.steps + 1, cfg.n))
+    paths[:, 0] = cfg.s0
+    jump_flags = np.zeros((int(n_paths), cfg.steps), dtype=bool)
+    for k, prices, counts in _price_steps(cfg, n_paths, rng):
+        paths[:, k] = prices
+        jump_flags[:, k - 1] = counts > 0
     return paths, jump_flags
+
+
+def _first_hits(
+    cfg: PathConfig, n_paths: int, rng: RngStream, barriers: Sequence[Barrier]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """First hit of every barrier on every path, in one streaming pass.
+
+    Returns ``(step, state, overshoot, terminal)``: ``step[b, p]`` is the
+    first grid index at which path p crossed barrier b (0 if it never
+    did), ``state[b, p]`` the price vector at that step, ``overshoot[b, p]``
+    whether that step held a jump and missed the level, and ``terminal``
+    the (n_paths, n) prices at the horizon.  The hit rule is the one of
+    :func:`detect_first_hit`; memory is O(paths * n), not O(paths * steps * n).
+    """
+    n_paths = int(n_paths)
+    step = np.zeros((len(barriers), n_paths), dtype=np.int64)
+    state = np.zeros((len(barriers), n_paths, cfg.n))
+    overshoot = np.zeros((len(barriers), n_paths), dtype=bool)
+    for k, prices, counts in _price_steps(cfg, n_paths, rng):
+        for b, barrier in enumerate(barriers):
+            value = prices[:, barrier.asset - 1]
+            new = np.flatnonzero(barrier.crossed(value) & (step[b] == 0))
+            step[b, new] = k
+            state[b, new] = prices[new]
+            overshoot[b, new] = (counts[new] > 0) & (value[new] != barrier.level)
+    return step, state, overshoot, prices
 
 
 def detect_first_hit(
@@ -492,6 +531,32 @@ def _conditional_gap(
     return float(np.mean(lv)), float(np.mean(rv)), float(np.mean(d)), max(se, 1e-300)
 
 
+def _hit_gap(
+    cfg: PathConfig,
+    path: int,
+    step: int,
+    state: np.ndarray,
+    overshoot: bool,
+    project: Barrier | None,
+    lhs: Payoff,
+    rhs: Payoff,
+    n_inner: int,
+    rng: RngStream,
+) -> HitGap:
+    """Conditional gap of ``rhs`` over ``lhs`` at one outer path's first hit.
+
+    A hit that is not an overshoot is moved onto the level of the barrier
+    ``project``, if one is given, before the inner simulation restarts
+    from it.
+    """
+    state = state.copy()
+    if project is not None and not overshoot:
+        state[project.asset - 1] = project.level
+    tau = cfg.horizon * step / cfg.steps
+    lv, rv, gap, se = _conditional_gap(cfg, state, tau, lhs, rhs, n_inner, rng)
+    return HitGap(path, step, tau, tuple(state), lv, rv, gap, se, overshoot)
+
+
 def evaluate_hedge(
     plan: HedgePlan,
     cfg: PathConfig,
@@ -517,22 +582,14 @@ def evaluate_hedge(
     plan.barrier.validate(cfg)
     if bridge_correction is None:
         bridge_correction = cfg.is_continuous
-    paths, jump_flags = simulate_paths(cfg, n_outer, rng.child(0))
-    terminal = paths[:, -1, :]
-
-    hits: list[tuple[int, HitRecord]] = []
-    knocked = np.zeros(n_outer, dtype=bool)
-    overshoots = 0
-    for p in range(n_outer):
-        rec = detect_first_hit(paths[p], plan.barrier, cfg.horizon, jump_flags[p])
-        if rec is not None:
-            knocked[p] = True
-            overshoots += int(rec.overshoot)
-            hits.append((p, rec))
+    (step,), (state,), (overshoot,), terminal = _first_hits(
+        cfg, n_outer, rng.child(0), [plan.barrier]
+    )
+    knocked = step > 0
     frac = float(np.mean(knocked))
     frac_se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer)
     n_knocked = int(knocked.sum())
-    overshoot_fraction = overshoots / n_knocked if n_knocked else 0.0
+    overshoot_fraction = int(overshoot.sum()) / n_knocked if n_knocked else 0.0
 
     # pathwise indicator algebra on the same outer draws
     target_terminal = plan.target(terminal)
@@ -553,24 +610,18 @@ def evaluate_hedge(
     else:
         no_hit_mismatch = 0.0  # super-hedge promises only domination
 
-    gaps: list[HitGap] = []
-    zero = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
-    for idx, (p, rec) in enumerate(hits[: int(n_hit_states)]):
-        state = paths[p, rec.step].copy()
-        if bridge_correction and not rec.overshoot:
-            state[plan.barrier.asset - 1] = plan.barrier.level
-        if plan.knock == "in":
-            lhs, rhs = plan.target, plan.hedge
-        elif plan.knock == "out":
-            lhs, rhs = zero, plan.hedge
-        else:  # super: reflected claim must dominate the knocked-in target
-            lhs, rhs = plan.target, plan.hedge
-        tv, hv, gap, se = _conditional_gap(
-            cfg, state, rec.time, lhs, rhs, n_inner, rng.child(1000 + idx)
+    if plan.knock == "out":
+        lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
+    else:  # in: exact exchange; super: the reflected claim must dominate the target
+        lhs = plan.target
+    gaps = [
+        _hit_gap(
+            cfg, int(p), int(step[p]), state[p], bool(overshoot[p]),
+            plan.barrier if bridge_correction else None, lhs, plan.hedge, n_inner,
+            rng.child(1000 + idx),
         )
-        gaps.append(
-            HitGap(p, rec.step, rec.time, tuple(state), tv, hv, gap, se, rec.overshoot)
-        )
+        for idx, p in enumerate(np.flatnonzero(knocked)[: int(n_hit_states)])
+    ]
 
     one_sided = (not cfg.is_continuous) or plan.knock == "super"
     return HedgeReport(
@@ -667,41 +718,28 @@ def evaluate_joint_hedge(
     if rng is None:
         raise DomainError("evaluate_joint_hedge requires an RngStream")
     direction = "down" if plan.claim == "X" else "up"
-    barriers = {
-        i: Barrier(i, plan.level, direction) for i in (1, 2)
-    }
-    for b in barriers.values():
+    barriers = [Barrier(i, plan.level, direction) for i in (1, 2)]
+    for b in barriers:
         b.validate(cfg)
-    paths, jump_flags = simulate_paths(cfg, n_outer, rng.child(0))
-
-    gaps: list[HitGap] = []
-    knocked = np.zeros(n_outer, dtype=bool)
-    overshoots = 0
+    step, state, overshoot, _ = _first_hits(cfg, n_outer, rng.child(0), barriers)
+    hit = step > 0
+    knocked = hit.any(axis=0)
+    # index of the first asset to hit, asset 1 on ties
+    first = np.where(hit[0] & (~hit[1] | (step[0] <= step[1])), 0, 1)
+    overshoots = int(overshoot[first, np.arange(n_outer)][knocked].sum())
     per_asset_quota = max(1, int(n_hit_states) // 2)
-    counts = {1: 0, 2: 0}
-    for p in range(n_outer):
-        recs = {
-            i: detect_first_hit(paths[p], barriers[i], cfg.horizon, jump_flags[p])
-            for i in (1, 2)
-        }
-        live = {i: r for i, r in recs.items() if r is not None}
-        if not live:
-            continue
-        knocked[p] = True
-        first_asset = min(live, key=lambda i: live[i].step)
-        rec = live[first_asset]
-        overshoots += int(rec.overshoot)
-        if counts[first_asset] >= per_asset_quota:
-            continue
-        counts[first_asset] += 1
-        state = paths[p, rec.step].copy()
-        if cfg.is_continuous and not rec.overshoot:
-            state[first_asset - 1] = plan.level
-        _, lhs, rhs = next(e for e in plan.exchanges if e[0] == first_asset)
-        lv, rv, gap, se = _conditional_gap(
-            cfg, state, rec.time, lhs, rhs, n_inner, rng.child(2000 + p)
-        )
-        gaps.append(HitGap(p, rec.step, rec.time, tuple(state), lv, rv, gap, se, rec.overshoot))
+    checked = np.sort(np.concatenate(
+        [np.flatnonzero(knocked & (first == b))[:per_asset_quota] for b in (0, 1)]
+    ))
+    exchanges = {i: (lhs, rhs) for i, lhs, rhs in plan.exchanges}
+    gaps = []
+    for p in checked:
+        b = int(first[p])
+        gaps.append(_hit_gap(
+            cfg, int(p), int(step[b, p]), state[b, p], bool(overshoot[b, p]),
+            barriers[b] if cfg.is_continuous else None, *exchanges[b + 1], n_inner,
+            rng.child(2000 + int(p)),
+        ))
 
     frac = float(np.mean(knocked))
     frac_se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer)

@@ -723,16 +723,19 @@ def sample_increments(
     if not math.isfinite(t.nu.total_mass):
         raise InfiniteActivity("jump measure must be finite")
     n, size = t.n, int(size)
-    out = np.zeros((size, n))
     counts = np.zeros(size, dtype=np.int64)
 
     # linear coefficient absorbing the compensation used by the convention
-    out += (np.array(t.drift, dtype=float) - _compensator_vector(t)) * dt
+    linear = (np.array(t.drift, dtype=float) - _compensator_vector(t)) * dt
 
     if np.any(t.a):
         w, v = np.linalg.eigh(t.a * dt)
         root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        out += rng.standard_normal((size, n)) @ root.T
+        out = rng.standard_normal((size, n)) @ root.T
+        out += linear
+    else:
+        out = np.zeros((size, n))
+        out += linear
 
     mass = t.nu.total_mass
     if mass > 0:

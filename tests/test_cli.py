@@ -291,3 +291,38 @@ task: {kind: check, checks: [payoff], numeraire: 1}
     _, doc, _ = cli.run(exact)
     for check in doc["results"]["checks"]:
         assert all((p["n_samples"], p["rounds"]) == (0, 0) for p in check["points"])
+
+
+INDEPENDENT_PAYOFF = """
+model:
+  kind: multi_lognormal
+  mean: [-0.125, -0.125]
+  cov: [[0.25, 0.0], [0.0, 0.25]]
+task: {kind: check, checks: [payoff], numeraire: 1}
+"""
+
+HEAVY_TAIL_SELF_DUAL = """
+model: {kind: heavy_tail, gamma: 2.0}
+task: {kind: check, checks: [density, integrated_tail, moments]}
+"""
+
+
+def test_samples_override_is_checked_like_the_spec(tmp_path, capsys):
+    # 5 draws would leave the negative control inconclusive instead of failing
+    spec_file = tmp_path / "independent.yaml"
+    spec_file.write_text(INDEPENDENT_PAYOFF)
+    assert cli.main(["check", str(spec_file), "--samples", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "schema error: --samples: must be >= 100, got 5" in captured.err
+    assert captured.out == ""
+
+
+def test_tol_override_is_checked_like_the_spec(tmp_path, capsys):
+    # a negative tolerance would fail a self-dual law
+    spec_file = tmp_path / "heavy_tail.yaml"
+    spec_file.write_text(HEAVY_TAIL_SELF_DUAL)
+    assert cli.main(["check", str(spec_file), "--tol", "-1"]) == 3
+    assert "schema error: --tol: must be > 0.0, got -1.0" in capsys.readouterr().err
+    assert cli.main(["check", str(spec_file), "--tol", "1e-9", "--seed", "-2"]) == 3
+    assert "schema error: --seed: must be >= 0, got -2" in capsys.readouterr().err
+    assert cli.main(["check", str(spec_file), "--tol", "1e-9"]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,8 +66,7 @@ def test_terminal_marginal_matches_distribution_sampler():
 
 def test_forward_growth_with_carry():
     cfg = bs_config(steps=50, carry=(0.03, -0.01))
-    paths, _ = hedging.simulate_paths(cfg, 200_000, make_rng(92))
-    terminal = paths[:, -1, :]
+    *_, terminal = hedging._first_hits(cfg, 200_000, make_rng(92), [])
     for j, lam in enumerate(cfg.carry):
         se = terminal[:, j].std(ddof=1) / math.sqrt(terminal.shape[0])
         assert abs(terminal[:, j].mean() - math.exp(lam)) <= 4.0 * se
@@ -267,18 +267,12 @@ def test_super_hedge_value_dominates():
     barrier = hedging.Barrier(1, 0.85, "down")
     plan_in = hedging.build_hedge(target, barrier, 1.0, "in")
     plan_super = hedging.build_hedge(target, barrier, 1.0, "super")
-    paths, _ = hedging.simulate_paths(cfg, 100_000, make_rng(96))
-    terminal = paths[:, -1, :]
-    knocked = np.array(
-        [
-            hedging.detect_first_hit(paths[p], barrier, cfg.horizon) is not None
-            for p in range(paths.shape[0])
-        ]
-    )
+    (step,), _, _, terminal = hedging._first_hits(cfg, 100_000, make_rng(96), [barrier])
+    knocked = step > 0
     ki_value = np.mean(knocked * target(terminal))
     super_value = np.mean(plan_super.hedge(terminal))
     se = np.std(knocked * target(terminal) - plan_super.hedge(terminal), ddof=1) / math.sqrt(
-        paths.shape[0]
+        terminal.shape[0]
     )
     assert super_value >= ki_value - 3.0 * se
 
@@ -371,3 +365,183 @@ def test_power_weighted_affine_is_the_affine_power_claim():
     s = np.random.default_rng(23).uniform(0.1, 3.0, size=(100, 2))
     want = (s[:, 0] / level) ** (alpha - 1.0) * np.maximum(s @ w + c, 0.0)
     np.testing.assert_array_equal(claim(s), want)
+
+
+# --------------------------------------------------------------------------- #
+# Streaming hit pass against the full-grid, per-path loop
+# --------------------------------------------------------------------------- #
+
+
+def _oracle_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
+    """evaluate_hedge as a full price grid plus one detect_first_hit call per path."""
+    paths, jump_flags = hedging.simulate_paths(cfg, n_outer, rng.child(0))
+    terminal = paths[:, -1, :]
+    hits = []
+    for p in range(n_outer):
+        rec = hedging.detect_first_hit(paths[p], plan.barrier, cfg.horizon, jump_flags[p])
+        if rec is not None:
+            hits.append((p, rec))
+    knocked = np.zeros(n_outer, dtype=bool)
+    knocked[[p for p, _ in hits]] = True
+    frac = float(np.mean(knocked))
+    overshoots = sum(rec.overshoot for _, rec in hits)
+    target_terminal, hedge_terminal = plan.target(terminal), plan.hedge(terminal)
+    chi = knocked.astype(float)
+    if plan.knock == "super" or knocked.all():
+        mismatch = 0.0
+    elif plan.knock == "in":
+        mismatch = float(np.max(np.abs(hedge_terminal[~knocked])))
+    else:
+        mismatch = float(np.max(np.abs(hedge_terminal[~knocked] - target_terminal[~knocked])))
+    zero = pricing.CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
+    lhs = zero if plan.knock == "out" else plan.target
+    gaps = []
+    for idx, (p, rec) in enumerate(hits[:n_hit_states]):
+        state = paths[p, rec.step].copy()
+        if cfg.is_continuous and not rec.overshoot:
+            state[plan.barrier.asset - 1] = plan.barrier.level
+        tv, hv, gap, se = hedging._conditional_gap(
+            cfg, state, rec.time, lhs, plan.hedge, n_inner, rng.child(1000 + idx)
+        )
+        gaps.append(
+            hedging.HitGap(p, rec.step, rec.time, tuple(state), tv, hv, gap, se, rec.overshoot)
+        )
+
+    def price(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_outer))
+
+    return hedging.HedgeReport(
+        knock_in_fraction=frac,
+        knock_in_se=math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer),
+        overshoot_fraction=overshoots / len(hits) if hits else 0.0,
+        one_sided=(not cfg.is_continuous) or plan.knock == "super",
+        hit_gaps=gaps,
+        terminal_max_mismatch=mismatch,
+        price_plain=price(target_terminal),
+        price_knock_in=price(chi * target_terminal),
+        price_knock_out=price((1.0 - chi) * target_terminal),
+    )
+
+
+def _oracle_joint_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
+    """evaluate_joint_hedge as a full price grid plus a per-path loop."""
+    direction = "down" if plan.claim == "X" else "up"
+    barriers = {i: hedging.Barrier(i, plan.level, direction) for i in (1, 2)}
+    paths, jump_flags = hedging.simulate_paths(cfg, n_outer, rng.child(0))
+    gaps, knocked, overshoots = [], 0, 0
+    quota, counts = max(1, n_hit_states // 2), {1: 0, 2: 0}
+    for p in range(n_outer):
+        recs = {
+            i: hedging.detect_first_hit(paths[p], barriers[i], cfg.horizon, jump_flags[p])
+            for i in (1, 2)
+        }
+        live = {i: r for i, r in recs.items() if r is not None}
+        if not live:
+            continue
+        knocked += 1
+        first = min(live, key=lambda i: live[i].step)
+        rec = live[first]
+        overshoots += rec.overshoot
+        if counts[first] >= quota:
+            continue
+        counts[first] += 1
+        state = paths[p, rec.step].copy()
+        if cfg.is_continuous and not rec.overshoot:
+            state[first - 1] = plan.level
+        _, lhs, rhs = next(e for e in plan.exchanges if e[0] == first)
+        lv, rv, gap, se = hedging._conditional_gap(
+            cfg, state, rec.time, lhs, rhs, n_inner, rng.child(2000 + p)
+        )
+        gaps.append(
+            hedging.HitGap(p, rec.step, rec.time, tuple(state), lv, rv, gap, se, rec.overshoot)
+        )
+    frac = knocked / n_outer
+    return hedging.HedgeReport(
+        knock_in_fraction=frac,
+        knock_in_se=math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer),
+        overshoot_fraction=overshoots / knocked if knocked else 0.0,
+        one_sided=not cfg.is_continuous,
+        hit_gaps=gaps,
+    )
+
+
+_SPREAD = pricing.SpreadCall((1.0, 0.0), (0.0, 0.1), 0.8)
+_BASKET = pricing.BasketCall((1.0, 0.5), 1.2)
+_HEDGE_CASES = {
+    "down-in-carry": (
+        _BASKET, hedging.Barrier(1, 0.85, "down"), "in",
+        lambda: bs_config(120, carry=(0.03, -0.01)),
+    ),
+    "knock-out": (_SPREAD, hedging.Barrier(1, 0.8, "down"), "out", lambda: bs_config(120)),
+    "up-super": (_BASKET, hedging.Barrier(2, 1.2, "up"), "super", lambda: bs_config(120)),
+    "jump-in": (_SPREAD, hedging.Barrier(1, 0.8, "down"), "in", jump_config),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HEDGE_CASES))
+def test_streaming_hedge_matches_per_path_loop(case):
+    target, barrier, knock, config = _HEDGE_CASES[case]
+    cfg = config()
+    plan = hedging.build_hedge(target, barrier, 1.0, knock)
+    rep = hedging.evaluate_hedge(
+        plan, cfg, n_outer=1_500, n_inner=400, rng=make_rng(200), n_hit_states=20
+    )
+    assert len(rep.hit_gaps) == 20
+    assert rep == _oracle_hedge(plan, cfg, 1_500, 400, make_rng(200), 20)
+    if case == "jump-in":
+        assert rep.overshoot_fraction > 0.2
+        assert any(g.overshoot for g in rep.hit_gaps) and not all(g.overshoot for g in rep.hit_gaps)
+
+
+@pytest.mark.parametrize("claim", ["X", "Y", "X-jumps"])
+def test_streaming_joint_hedge_matches_per_path_loop(claim):
+    if claim == "X-jumps":  # overshooting first hits of either asset
+        cfg = jump_config()
+        plan = hedging.JointHedgePlan(
+            "X", 0.8, (1.0, 1.0), [], [(1, _SPREAD, _BASKET), (2, _BASKET, _SPREAD)]
+        )
+    else:
+        cfg = bs_config(steps=100, sigma=0.5)
+        plan = hedging.two_asset_joint_hedges(cfg, claim, k_x=0.75, k_y=1.35)
+    rep = hedging.evaluate_joint_hedge(
+        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(201), n_hit_states=16
+    )
+    assert len(rep.hit_gaps) == 16
+    assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(201), 16)
+    if claim == "X-jumps":
+        assert 0.0 < rep.overshoot_fraction < 1.0
+
+
+def test_simulate_paths_matches_whole_grid_formula():
+    cfg = jump_config()
+    paths, flags = hedging.simulate_paths(cfg, 300, make_rng(202))
+    dt = cfg.horizon / cfg.steps
+    logs = np.zeros((300, cfg.steps + 1, cfg.n))
+    want_flags = np.zeros((300, cfg.steps), dtype=bool)
+    rng = make_rng(202)
+    for k in range(cfg.steps):
+        incr, counts = levy.sample_increments(cfg.driver, dt, rng.child(k), 300, return_counts=True)
+        logs[:, k + 1] = logs[:, k] + incr
+        want_flags[:, k] = counts > 0
+    times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
+    np.testing.assert_array_equal(paths, cfg.s0 * np.exp(times[None, :, None] * cfg.carry + logs))
+    np.testing.assert_array_equal(flags, want_flags)
+    assert flags.any()
+
+
+def test_hedge_memory_does_not_grow_with_steps():
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+
+    def peak(steps):
+        cfg = bs_config(steps=steps)
+        tracemalloc.start()
+        try:
+            hedging.evaluate_hedge(
+                plan, cfg, n_outer=2_000, n_inner=200, rng=make_rng(203), n_hit_states=5
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a full (paths, steps+1, n) grid would make the second peak 10x the first
+    assert peak(1000) <= 1.5 * peak(100)

@@ -449,6 +449,18 @@ def test_increment_determinism():
     assert np.array_equal(a, b)
 
 
+def test_increment_draws_match_two_pass_form():
+    # Gaussian part plus linear term, summed into zeros as two passes
+    t = levy.martingale_normalized(A2)
+    dt = 0.01
+    w, v = np.linalg.eigh(t.a * dt)
+    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    want = np.zeros((1000, 2))
+    want += (np.array(t.drift, dtype=float) - levy._compensator_vector(t)) * dt
+    want += make_rng(75).standard_normal((1000, 2)) @ root.T
+    np.testing.assert_array_equal(levy.sample_increments(t, dt, make_rng(75), 1000), want)
+
+
 def test_increment_cumulants():
     t = sd_gauss_jump_triplet(mass=2.0)
     dt = 0.37
