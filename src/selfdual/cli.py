@@ -34,6 +34,10 @@ SCALAR_KINDS = ("lognormal", "lp_self_dual", "heavy_tail", "discrete")
 VECTOR_KINDS = ("multi_lognormal", "common_factor", "unit_ball_max", "independent_product")
 MODEL_KINDS = SCALAR_KINDS + VECTOR_KINDS + ("levy_triplet", "path_config")
 
+# libyaml where PyYAML was built with it; both read and write the same YAML
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 # --------------------------------------------------------------------------- #
 # Validation helpers
@@ -431,7 +435,7 @@ def parse_model_spec(document: str) -> dict:
     first) with ``section.field`` paths.
     """
     try:
-        raw = yaml.safe_load(document)
+        raw = yaml.load(document, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError([f"document: invalid YAML ({exc})"]) from None
     chk = _Check()
@@ -560,18 +564,26 @@ def _normalize(node):
     return node
 
 
-def serialize_spec(spec: dict) -> str:
+def _dump(doc) -> str:
+    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True)
+
+
+def _spec_echo(spec: dict) -> dict:
+    """The computation's inputs as echoed in every report."""
     # 'out' is an I/O disposition, not part of the computation: reports
     # must be byte-identical for identical (spec, seed) wherever written
-    echo = {
+    return {
         "version": spec["version"],
         "seed": spec["seed"],
         "samples": spec["samples"],
-        "tol": spec["tol"],
+        "tol": dict(spec["tol"]),
         "model": spec["model_node"],
         "task": spec["task_node"],
     }
-    return yaml.safe_dump(echo, sort_keys=True)
+
+
+def serialize_spec(spec: dict) -> str:
+    return _dump(_spec_echo(spec))
 
 
 # --------------------------------------------------------------------------- #
@@ -766,14 +778,15 @@ _RUNNERS = {
 def run(spec: dict) -> tuple[int, dict, dict]:
     """Execute a parsed spec; returns (exit code, report doc, artifacts)."""
     kind = spec["task"].get("kind")
+    echo = _spec_echo(spec)
     header = {
         "tool": {
             "name": "selfdual",
             "version": __version__,
             "seed": spec["seed"],
-            "spec_sha256": hashlib.sha256(serialize_spec(spec).encode()).hexdigest(),
+            "spec_sha256": hashlib.sha256(_dump(echo).encode()).hexdigest(),
         },
-        "spec": yaml.safe_load(serialize_spec(spec)),
+        "spec": echo,
     }
     try:
         code, results, artifacts = _RUNNERS[kind](spec)
@@ -843,7 +856,7 @@ def main(argv: list[str] | None = None) -> int:
         spec["out"] = args.out
 
     code, doc, artifacts = run(spec)
-    out_text = yaml.safe_dump(doc, sort_keys=True)
+    out_text = _dump(doc)
     sys.stdout.write(out_text)
     if spec["out"]:
         out_dir = Path(spec["out"])

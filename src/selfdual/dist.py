@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+SAMPLE_BLOCK = 1 << 16  # rows per block of a column-major draw
+
+
 def positive_power(x, p: float):
     """``x_+^p`` elementwise, reading ``x_+^0`` as the strict indicator ``1{x > 0}``."""
     if p == 0:
@@ -111,11 +114,18 @@ class ScalarModel(ABC):
         upper = _integrate_split(lambda t: self.pdf(t), z, math.inf, what="P(eta>z)")
         return lower + z * upper
 
-    def tail_mean(self, k: float) -> float:
-        """E[eta 1{eta > k}], the gap-call value at forward one."""
-        if k <= 0:
-            return self.mean
-        return _integrate_split(lambda t: t * self.pdf(t), k, math.inf, what="E[eta 1{eta>k}]")
+    def tail_mean(self, k):
+        """E[eta 1{eta > k}], the gap-call value at forward one, per strike of ``k``.
+
+        Quadrature, one integral per strike; models with a closed form override it.
+        """
+
+        def upper(strike):
+            return _integrate_split(
+                lambda t: t * self.pdf(t), strike, math.inf, what="E[eta 1{eta>k}]"
+            )
+
+        return self._by_strike(k, np.vectorize(upper, otypes=[float]))
 
     def expect_affine(self, w: float, c: float, p: float = 1.0, b: float = 0.0) -> float | None:
         """E[eta^b (w eta + c)_+^p] in closed form, or None where the law has none."""
@@ -128,6 +138,22 @@ class ScalarModel(ABC):
     def power_transformed(self, lam, alpha: float) -> "ScalarModel | None":
         """The law of (e^lam eta)^alpha when it stays in the model's family, else None."""
         return None
+
+    def _by_strike(self, k, positive: Callable):
+        """``positive(k)`` at strikes k > 0 and the mean where k <= 0.
+
+        ``k`` is a number (a float is returned) or an array of strikes,
+        which ``positive`` receives as one array of the positive ones.
+        """
+        if np.ndim(k) == 0:
+            return self.mean if k <= 0 else float(positive(k))
+        k = np.asarray(k, dtype=float)
+        pos = k > 0
+        out = np.empty(k.shape)
+        out[pos] = positive(k[pos])
+        if not pos.all():
+            out[~pos] = self.mean
+        return out
 
     def _check_positive(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -178,10 +204,15 @@ class LogNormal(ScalarModel):
         return self.mean - self._call(z, 1.0)
 
     def tail_mean(self, k):
-        if k <= 0:
-            return self.mean
-        d = (math.log(k) - self.mu) / self.sigma
-        return float(self.mean * (1.0 - special.ndtr(d - self.sigma)))
+        # math.log for one strike keeps the scalar closed forms bit-identical;
+        # np.log may differ from it by one ulp
+        log = math.log if np.ndim(k) == 0 else np.log
+
+        def positive(kk):
+            d = (log(kk) - self.mu) / self.sigma
+            return self.mean * (1.0 - special.ndtr(d - self.sigma))
+
+        return self._by_strike(k, positive)
 
     def _call(self, k: float, big_f: float) -> float:
         """E (F eta - k)_+ for F > 0, the undiscounted Black call."""
@@ -268,7 +299,7 @@ class LpSelfDual(ScalarModel):
 
     def tail_mean(self, k):
         # self-duality: E[eta 1{eta > k}] = P(1/eta > k) = P(eta < 1/k)
-        return self.mean if k <= 0 else self.cdf(1.0 / k)
+        return self._by_strike(k, lambda kk: self.cdf(1.0 / kk))
 
     def __repr__(self):
         return f"LpSelfDual(p={self.p})"
@@ -330,7 +361,7 @@ class HeavyTail(ScalarModel):
 
     def tail_mean(self, k):
         # self-duality: E[eta 1{eta > k}] = P(1/eta > k) = P(eta < 1/k)
-        return self.mean if k <= 0 else self.cdf(1.0 / k)
+        return self._by_strike(k, lambda kk: self.cdf(1.0 / kk))
 
     def __repr__(self):
         return f"HeavyTail(gamma={self.gamma})"
@@ -384,7 +415,8 @@ class DiscreteAtoms(ScalarModel):
         return float(np.sum(self.probs * np.minimum(self.values, z)))
 
     def tail_mean(self, k):
-        return self.expect_affine(1.0, -k, 0.0, 1.0)
+        gap = lambda kk: self.expect_affine(1.0, -kk, 0.0, 1.0)
+        return gap(k) if np.ndim(k) == 0 else np.vectorize(gap, otypes=[float])(k)
 
     def expect(self, fn):
         return float(fn(self.values) @ self.probs)
@@ -561,6 +593,20 @@ class MultiLogNormal(VectorModel):
         y = z @ self._root.T
         y += self.mu
         return np.exp(y, out=y)
+
+    def sample_columns(self, n: int, rng: RngStream) -> np.ndarray:
+        """The draws of :meth:`sample` laid out column-major, shape (dim, n)."""
+        # Row blocks drawn in turn consume the stream as one whole draw does,
+        # so only one block of z and y is held beside the result.  Blocks are
+        # near-equal: a one-row block would be multiplied by BLAS gemv, whose
+        # sums may round apart from gemm's.
+        n = int(n)
+        out = np.empty((self.dim, n))
+        n_blocks = max(-(-n // SAMPLE_BLOCK), 1)
+        edges = [n * j // n_blocks for j in range(n_blocks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            out[:, lo:hi] = self.sample(hi - lo, rng).T
+        return out
 
     def pdf(self, x):
         if not self._rank_ok:

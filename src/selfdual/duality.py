@@ -478,7 +478,13 @@ def _payoff(family: str, u0: float, u: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 
 def _sample_matrix(model, n_samples: int, rng: RngStream) -> np.ndarray:
-    """``n_samples`` draws of ``model`` laid out column-major, shape (n, n_samples)."""
+    """``n_samples`` draws of ``model`` laid out column-major, shape (n, n_samples).
+
+    A model with ``sample_columns`` draws it directly, holding one copy;
+    the row-major draws of any other sampler are transposed.
+    """
+    if hasattr(model, "sample_columns"):
+        return model.sample_columns(int(n_samples), rng)
     s = model.sample(int(n_samples), rng)
     return np.ascontiguousarray(s.reshape(int(n_samples), -1).T)
 
@@ -671,10 +677,9 @@ class _PowerScaled:
         self.alpha = alpha
         self.dim = base.dim if isinstance(base, VectorModel) else 1
 
-    def sample(self, n, rng):
-        s = self.base.sample(int(n), rng)
-        s = s.reshape(int(n), -1)
-        return (np.exp(self.lam) * s) ** self.alpha
+    def sample_columns(self, n, rng):
+        cols = _sample_matrix(self.base, n, rng)
+        return (np.exp(self.lam).reshape(-1, 1) * cols) ** self.alpha
 
 
 def check_quasi_self_dual(

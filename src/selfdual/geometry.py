@@ -191,21 +191,23 @@ def husler_reiss_norm(k: float, big_f: float, lambda_hr: float) -> float:
     return float(big_f * ndtr(lambda_hr + half_log) + k * ndtr(lambda_hr - half_log))
 
 
-def boundary_param(model: ScalarModel, k: float) -> tuple[float, float]:
+def boundary_param(model: ScalarModel, k):
     """Gradient of the lift-zonoid support function at (-k, 1).
 
     Returns ``(P(eta > k), E[eta 1{eta > k}])`` -- the undiscounted
     binary-call and normalised gap-call values -- a point on the upper
-    boundary of the lift zonoid.  The gap value is the model's
-    ``tail_mean``: closed form where the law has one, quadrature otherwise.
-    Requires a non-atomic model, since the support function is
-    continuously differentiable exactly when the distribution has no atoms.
+    boundary of the lift zonoid, or two arrays of them for an array of
+    strikes.  The gap value is the model's ``tail_mean``: closed form
+    where the law has one, quadrature otherwise.  Requires a non-atomic
+    model, since the support function is continuously differentiable
+    exactly when the distribution has no atoms.
     """
-    if k <= 0:
+    if np.any(np.asarray(k) <= 0):
         raise DomainError("strike must be positive")
     if not model.has_density:
         raise AtomicModel("boundary parametrisation requires a non-atomic model")
-    return 1.0 - float(model.cdf(k)), model.tail_mean(k)
+    bc = 1.0 - model.cdf(k)
+    return (float(bc) if np.ndim(k) == 0 else bc), model.tail_mean(k)
 
 
 def boundary_polyline(
@@ -220,11 +222,7 @@ def boundary_polyline(
     Lorenz curve of the model.
     """
     ks = np.geomspace(k_min, k_max, n_points)
-    rows = np.empty((n_points, 3))
-    for idx, k in enumerate(ks):
-        bc, gc = boundary_param(model, float(k))
-        rows[idx] = (k, bc, gc)
-    return rows
+    return np.column_stack((ks, *boundary_param(model, ks)))
 
 
 def write_boundary_csv(rows: np.ndarray, fh: io.TextIOBase) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dist import MultiLogNormal
 from .errors import DomainError, SymmetryPrereqFailed
-from .levy import LevyTriplet, char_exponent, check_qsd_triplet, sample_increments
+from .levy import LevyTriplet, char_exponent, check_qsd_triplet, gaussian_root, sample_increments
 from .pricing import (
     AffineCall,
     AffinePower,
@@ -186,9 +186,10 @@ def _price_steps(cfg: PathConfig, n_paths: int, rng: RngStream):
     dt = cfg.horizon / cfg.steps
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
     x = np.zeros((n_paths, cfg.n))
+    root = gaussian_root(cfg.driver, dt)
     for k in range(1, cfg.steps + 1):
         incr, counts = sample_increments(
-            cfg.driver, dt, rng.child(k - 1), n_paths, return_counts=True
+            cfg.driver, dt, rng.child(k - 1), n_paths, return_counts=True, root=root
         )
         x += incr
         yield k, cfg.s0 * np.exp(times[k] * cfg.carry + x), counts

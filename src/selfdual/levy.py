@@ -50,6 +50,7 @@ __all__ = [
     "martingale_normalized",
     "build_tilted_gaussian_measure",
     "convert_convention",
+    "gaussian_root",
     "sample_increment",
     "sample_increments",
 ]
@@ -707,8 +708,21 @@ def _scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):
 # --------------------------------------------------------------------------- #
 
 
+def gaussian_root(t: LevyTriplet, dt: float) -> np.ndarray | None:
+    """A root ``R`` with ``R R^T = A dt``, or None when the triplet has no Gaussian part."""
+    if not np.any(t.a):
+        return None
+    w, v = np.linalg.eigh(t.a * dt)
+    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+
+
 def sample_increments(
-    t: LevyTriplet, dt: float, rng: RngStream, size: int, return_counts: bool = False
+    t: LevyTriplet,
+    dt: float,
+    rng: RngStream,
+    size: int,
+    return_counts: bool = False,
+    root: np.ndarray | None = None,
 ):
     """``size`` i.i.d. increments of the Levy process over time ``dt``.
 
@@ -716,7 +730,8 @@ def sample_increments(
     from the normalised finite jump measure, with the linear coefficient
     chosen so the characteristic exponent is ``dt`` times the triplet's.
     With ``return_counts`` the per-increment Poisson jump counts are
-    returned alongside.
+    returned alongside.  Callers that draw many batches over one ``dt``
+    pass ``root = gaussian_root(t, dt)`` to factor the covariance once.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -728,9 +743,9 @@ def sample_increments(
     # linear coefficient absorbing the compensation used by the convention
     linear = (np.array(t.drift, dtype=float) - _compensator_vector(t)) * dt
 
-    if np.any(t.a):
-        w, v = np.linalg.eigh(t.a * dt)
-        root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    if root is None:
+        root = gaussian_root(t, dt)
+    if root is not None:
         out = rng.standard_normal((size, n)) @ root.T
         out += linear
     else:

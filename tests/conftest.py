@@ -1,12 +1,37 @@
 import numpy as np
 import pytest
+import yaml
 
 from selfdual.rng import RngStream
+
+# (loader, dumper) of each YAML backend; PyYAML may be built without libyaml
+YAML_BACKENDS = {
+    "libyaml": (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None)),
+    "python": (yaml.SafeLoader, yaml.SafeDumper),
+}
 
 
 @pytest.fixture
 def rng():
     return RngStream(20240901)
+
+
+def use_yaml_backend(monkeypatch, name: str) -> None:
+    """Make the CLI read specs and write reports through backend ``name``."""
+    from selfdual import cli
+
+    loader, dumper = YAML_BACKENDS[name]
+    monkeypatch.setattr(cli, "YAML_LOADER", loader)
+    monkeypatch.setattr(cli, "YAML_DUMPER", dumper)
+
+
+@pytest.fixture(params=sorted(YAML_BACKENDS))
+def yaml_backend(request, monkeypatch):
+    """Run a CLI test once through libyaml and once through pure-Python PyYAML."""
+    if YAML_BACKENDS[request.param][0] is None:
+        pytest.skip("PyYAML is built without libyaml")
+    use_yaml_backend(monkeypatch, request.param)
+    return request.param
 
 
 def make_rng(tag: int) -> RngStream:

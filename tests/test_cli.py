@@ -6,6 +6,8 @@ import yaml
 from selfdual import cli, dist, hedging, levy
 from selfdual.errors import SchemaError
 
+from conftest import use_yaml_backend
+
 MINIMAL = """
 model:
   kind: lognormal
@@ -326,3 +328,103 @@ def test_tol_override_is_checked_like_the_spec(tmp_path, capsys):
     assert cli.main(["check", str(spec_file), "--tol", "1e-9", "--seed", "-2"]) == 3
     assert "schema error: --seed: must be >= 0, got -2" in capsys.readouterr().err
     assert cli.main(["check", str(spec_file), "--tol", "1e-9"]) == 0
+
+
+# --------------------------------------------------------------------------- #
+# Report bytes: the spec echo and the YAML backend
+# --------------------------------------------------------------------------- #
+
+ECHO_SPEC = """
+seed: 7
+samples: 5000
+tol: {exact: 1.0e-9}
+model:
+  kind: discrete
+  atoms:
+    - ["1/2", "1/3"]
+    - ["1", "1/2"]
+    - ["2", "1/6"]
+task:
+  kind: check
+  checks: [discrete, moments]
+"""
+
+# The echo and hash of ECHO_SPEC as reports have carried them since the echo
+# was first hashed; building the echo once must not move a byte of either
+ECHO = {
+    "model": {"atoms": [["1/2", "1/3"], ["1", "1/2"], ["2", "1/6"]], "kind": "discrete"},
+    "samples": 5000,
+    "seed": 7,
+    "task": {"checks": ["discrete", "moments"], "kind": "check"},
+    "tol": {"exact": 1e-09},
+    "version": 1,
+}
+ECHO_TEXT = (
+    "model:\n  atoms:\n  - - 1/2\n    - 1/3\n  - - '1'\n    - 1/2\n  - - '2'\n    - 1/6\n"
+    "  kind: discrete\nsamples: 5000\nseed: 7\ntask:\n  checks:\n  - discrete\n  - moments\n"
+    "  kind: check\ntol:\n  exact: 1.0e-09\nversion: 1\n"
+)
+
+
+def test_spec_echo_and_hash_match_golden_values(yaml_backend, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(ECHO_SPEC)
+    assert cli.serialize_spec(cli.parse_model_spec(ECHO_SPEC)) == ECHO_TEXT
+    runs = [
+        ([], "1c61b1f41e9df664f8b9005bf778046fb84f8d5d14b0de3c22991603a879f3c9", {}),
+        (
+            ["--seed", "99", "--samples", "1234", "--tol", "3e-7"],
+            "583902a5319317985da59e45d4f53648d4b19bc9371038d2302d70090f86bde3",
+            {"seed": 99, "samples": 1234, "tol": {"exact": 3e-07}},
+        ),
+    ]
+    for overrides, sha, changed in runs:
+        assert cli.main(["check", str(spec_file), *overrides]) == 0
+        doc = yaml.safe_load(capsys.readouterr().out)
+        assert doc["tool"]["spec_sha256"] == sha
+        assert doc["spec"] == {**ECHO, **changed}
+
+
+HEDGE_SMALL = """
+seed: 5
+model:
+  kind: path_config
+  s0: [1.0, 1.0]
+  steps: 60
+  driver: {kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}
+task:
+  kind: hedge
+  barrier: {asset: 1, level: 0.8}
+  target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
+  n_outer: 500
+  n_inner: 4000
+  hit_states: 6
+"""
+
+REPORT_SPECS = {
+    "check": DISCRETE,
+    "alpha": "model: {kind: levy_triplet, a: 0.04}\ntask: {kind: alpha, carry: 0.01}\n",
+    "price": "model: {kind: lognormal, sigma: 0.25}\n"
+    "task: {kind: price, payoff: {kind: basket_call, weights: [1.0], strike: 1.0}}\n",
+    "hedge": HEDGE_SMALL,
+    "zonoid": "model: {kind: heavy_tail, gamma: 1.0}\ntask: {kind: zonoid, points: 40}\n",
+}
+
+
+def _cli_output(kind, spec_file, out_dir, capsys):
+    code = cli.main([kind, str(spec_file), "--out", str(out_dir)])
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("kind", cli.TASK_KINDS)
+def test_report_bytes_do_not_depend_on_the_yaml_backend(
+    kind, yaml_backend, tmp_path, monkeypatch, capsys
+):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(REPORT_SPECS[kind])
+    got = _cli_output(kind, spec_file, tmp_path / "got", capsys)
+    use_yaml_backend(monkeypatch, "python")
+    want = _cli_output(kind, spec_file, tmp_path / "want", capsys)
+    assert got == want
+    assert "report.yaml" in got[2]

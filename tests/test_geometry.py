@@ -300,3 +300,32 @@ def test_heavy_tail_boundary_meets_closed_form():
             want_bc, want_gc = 0.4 * k**-3, 0.6 * k**-2
         assert abs(bc - want_bc) <= 1e-10 + 1e-8 * abs(want_bc)
         assert abs(gc - want_gc) <= 1e-10 + 1e-8 * abs(want_gc)
+
+
+BOUNDARY_MODELS = [
+    dist.HeavyTail(1.0),
+    dist.LpSelfDual(2.0),
+    dist.LogNormal.mean_one(0.5),
+    dist.CustomDensity(lambda x: (x * x + 1.0) ** -1.5, name="lp2"),
+]
+
+
+@pytest.mark.parametrize("model", BOUNDARY_MODELS, ids=repr)
+def test_boundary_param_on_an_array_is_the_scalar_calls(model):
+    ks = np.geomspace(1e-2, 1e2, 41)
+    bc, gc = geometry.boundary_param(model, ks)
+    want = np.array([geometry.boundary_param(model, float(k)) for k in ks])
+    if isinstance(model, (dist.HeavyTail, dist.LpSelfDual)):
+        assert bc.tobytes() == want[:, 0].tobytes()
+        assert gc.tobytes() == want[:, 1].tobytes()
+    else:  # np.log against math.log, one ulp apart on rare inputs
+        np.testing.assert_allclose(bc, want[:, 0], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(gc, want[:, 1], rtol=1e-15, atol=0)
+    rows = geometry.boundary_polyline(model, 1e-2, 1e2, 41)
+    assert rows.tobytes() == np.column_stack((ks, bc, gc)).tobytes()
+
+
+@pytest.mark.parametrize("ks", [[0.5, 0.0, 2.0], [-1.0], [1.0, 2.0, -1e-300]])
+def test_boundary_param_array_rejects_nonpositive_strikes(ks):
+    with pytest.raises(DomainError):
+        geometry.boundary_param(dist.HeavyTail(1.0), np.array(ks))

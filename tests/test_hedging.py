@@ -529,6 +529,14 @@ def test_simulate_paths_matches_whole_grid_formula():
     assert flags.any()
 
 
+def test_simulation_factors_the_covariance_once(monkeypatch):
+    cfg = bs_config(steps=40)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    hedging.simulate_paths(cfg, 100, make_rng(204))
+    assert len(calls) == 1
+
+
 def test_hedge_memory_does_not_grow_with_steps():
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
 

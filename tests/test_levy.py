@@ -461,6 +461,18 @@ def test_increment_draws_match_two_pass_form():
     np.testing.assert_array_equal(levy.sample_increments(t, dt, make_rng(75), 1000), want)
 
 
+def test_increment_draws_with_a_given_root_match():
+    for t in (levy.martingale_normalized(A2), sd_gauss_jump_triplet()):
+        root = levy.gaussian_root(t, 0.02)
+        want = levy.sample_increments(t, 0.02, make_rng(76), 500, return_counts=True)
+        got = levy.sample_increments(
+            t, 0.02, make_rng(76), 500, return_counts=True, root=root
+        )
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+    assert levy.gaussian_root(LevyTriplet(np.zeros((2, 2)), mu=np.zeros(2)), 0.5) is None
+
+
 def test_increment_cumulants():
     t = sd_gauss_jump_triplet(mass=2.0)
     dt = 0.37
