@@ -47,10 +47,6 @@ class ZeroDensity(SelfDualError):
     """Density vanishes at a point where a ratio is required."""
 
 
-class MomentStripViolation(SelfDualError):
-    """Complex shift leaves the strip of finite exponential moments."""
-
-
 class NoBracket(SelfDualError):
     """Root scan found no sign change in the search interval."""
 
@@ -77,10 +73,6 @@ class GeometryViolation(SelfDualError):
 
 class SymmetryPrereqFailed(SelfDualError):
     """A hedge construction requires a symmetry the driver does not have."""
-
-
-class UnsupportedSimplification(SelfDualError):
-    """No indicator-free rewrite is known for the requested payoff."""
 
 
 class SchemaError(SelfDualError):

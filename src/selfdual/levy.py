@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .duality import KappaMaps, ReportPoint, SymmetryReport
 from .errors import (
@@ -542,39 +542,13 @@ def check_sd_triplet(t: LevyTriplet, i: int, tol: float = 1e-10) -> SymmetryRepo
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of w e^w = x for x >= -1/e.
-
-    Halley iteration from a branch-point series or log-log start;
-    residual below ``1e-14 (1 + |x|)``.
-    """
+    """Principal branch of w e^w = x for x >= -1/e (``scipy.special.lambertw``)."""
     if x < -1.0 / math.e:
         raise DomainError(f"lambert_w0 requires x >= -1/e, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < -1.0 / math.e + 0.25:
-        # series around the branch point -1/e
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif x < math.e:
-        w = x / (1.0 + x)  # crude but inside the basin
-    else:
-        lg = math.log(x)
-        w = lg - math.log(lg)
-    for _ in range(60):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0 or w == -1.0:  # exact root or the branch point itself
-            break
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
-            break
-    # near the branch point the residual scale degrades like sqrt(e x + 1)
-    slack = 1e-14 * (1.0 + abs(x)) + 1e-9 * max(0.0, 1e-6 - (math.e * x + 1.0))
-    if abs(w * math.exp(w) - x) > slack:
-        raise DomainError(f"lambert_w0 failed to converge at {x!r}")
-    return w
+    if x == -1.0 / math.e:
+        # the double nearest -1/e lies just below the branch point, where scipy returns nan
+        return -1.0
+    return float(special.lambertw(x).real)
 
 
 @dataclass(frozen=True)

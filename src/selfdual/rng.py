@@ -37,9 +37,6 @@ class RngStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 

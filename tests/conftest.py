@@ -34,6 +34,16 @@ def yaml_backend(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=["inline", "pool"])
+def kernel_workers(request, monkeypatch):
+    """Run a test once with the CRN kernel's blocks inline on one worker, once on the default pool."""
+    from selfdual import duality
+
+    if request.param == "inline":
+        monkeypatch.setattr(duality, "WORKERS", 1)
+    return duality.WORKERS
+
+
 def make_rng(tag: int) -> RngStream:
     return RngStream(20240901, tag)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 import yaml
 
-from selfdual import cli, dist, hedging, levy
+from selfdual import cli, dist, duality, hedging, levy
 from selfdual.errors import SchemaError
 
 from conftest import use_yaml_backend
@@ -428,3 +428,39 @@ def test_report_bytes_do_not_depend_on_the_yaml_backend(
     want = _cli_output(kind, spec_file, tmp_path / "want", capsys)
     assert got == want
     assert "report.yaml" in got[2]
+
+
+# the benchmark's crn-pass and crn-fail specs, at a seed where both confirm failing points
+CRN_SPECS = {
+    "pass": """
+model:
+  kind: multi_lognormal
+  mean: [-0.125, -0.125, -0.125]
+  cov: [[0.25, 0.125, 0.125], [0.125, 0.25, 0.125], [0.125, 0.125, 0.25]]
+samples: 200000
+seed: 838640110
+task: {kind: check, checks: [joint]}
+""",
+    "fail": """
+model:
+  kind: multi_lognormal
+  mean: [-0.125, -0.125]
+  cov: [[0.25, 0.0], [0.0, 0.25]]
+samples: 200000
+seed: 838640110
+task: {kind: check, checks: [payoff], numeraire: 1}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRN_SPECS))
+def test_report_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkeypatch, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(CRN_SPECS[name])
+    outputs = []
+    # one worker runs the blocks inline; more run them on the default pool
+    for workers in (1, max(duality.WORKERS, 2)):
+        monkeypatch.setattr(duality, "WORKERS", workers)
+        outputs.append(_cli_output("check", spec_file, tmp_path / f"out{workers}", capsys))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == {"pass": 0, "fail": 1}[name]

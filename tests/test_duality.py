@@ -1,4 +1,8 @@
+import collections
 import math
+import multiprocessing
+import os
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -245,15 +249,23 @@ def test_degenerate_detection():
 # --------------------------------------------------------------------------- #
 
 
+def _weight_rows(vectors):
+    return np.array([u0 for u0, _ in vectors]), np.array([u for _, u in vectors])
+
+
 def test_column_payoffs_match_the_row_major_formulas():
     rows = dist.MultiLogNormal.jointly_self_dual(3, 0.5).sample(50_000, make_rng(70))
     cols = np.ascontiguousarray(rows.T)
-    for u0, u in duality.random_test_vectors(make_rng(71), 3, "max"):
+    # one batched call, every row against the row-major formula of its vector
+    vectors = duality.random_test_vectors(make_rng(71), 3, "max")
+    batched = duality._payoff("max", *_weight_rows(vectors), cols)
+    for (u0, u), got in zip(vectors, batched, strict=True):
         want = np.maximum(u0, np.max(rows * u, axis=1))
-        assert np.array_equal(duality._payoff("max", u0, u, cols), want)
-    for u0, u in duality.random_test_vectors(make_rng(72), 3, "basket"):
+        assert np.array_equal(got, want)
+    vectors = duality.random_test_vectors(make_rng(72), 3, "basket")
+    batched = duality._payoff("basket", *_weight_rows(vectors), cols)
+    for (u0, u), got in zip(vectors, batched, strict=True):
         want = np.maximum(u0 + rows @ u, 0.0)
-        got = duality._payoff("basket", u0, u, cols)
         assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
 
 
@@ -314,6 +326,69 @@ def test_kernel_rejects_nonpositive_draws():
         duality.check_payoff_symmetry(
             dist.MultiLogNormal.jointly_self_dual(2, 0.5), 1, rng=make_rng(76), n_samples=1
         )
+
+
+def test_confirmation_evaluates_only_the_pending_rows(kernel_workers):
+    ind = dist.IndependentProduct([dist.LogNormal.mean_one(0.5)] * 2)
+    # a zero weight vector cancels pathwise and passes; the others fail
+    vectors = [(0.7, np.zeros(2))] + duality.random_test_vectors(make_rng(77), 2, "basket", 4)
+    labels, evaluate, scales = duality._test_vector_group("basket", 1, vectors)
+    draws = collections.Counter()
+
+    def counted(cols, rows, levels):
+        draws.update({int(k): cols.shape[1] for k in rows})
+        return evaluate(cols, rows, levels)
+
+    batch = duality._sample_matrix(ind, 20_000, make_rng(78))
+    group = (labels, counted, scales)
+    points = duality._confirmed_mc_points([group], ind, batch, make_rng(79))
+    assert {p.rounds for p in points} == {0, 2}
+    # each row was evaluated on exactly the draws its point pools
+    assert [draws[k] for k in range(len(points))] == [p.n_samples for p in points]
+
+
+def _forked_points(model, n_samples):
+    return duality.check_payoff_symmetry(model, 1, rng=make_rng(81), n_samples=n_samples).points
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_kernel_runs_in_a_forked_child(monkeypatch):
+    # the parent's kernel threads do not exist in a forked child
+    monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
+    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    want = _forked_points(mln, 50_000)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_forked_points, (mln, 50_000)).get(timeout=60) == want
+
+
+class _RecordedDraws:
+    """A model whose column-major draws are recorded by size."""
+
+    def __init__(self, model):
+        self.model, self.dim, self.nbytes = model, model.dim, []
+
+    def sample_columns(self, n, rng):
+        cols = self.model.sample_columns(n, rng)
+        self.nbytes.append(cols.nbytes)
+        return cols
+
+
+def test_kernel_memory_does_not_grow_with_the_sample_count(kernel_workers):
+    model = _RecordedDraws(dist.MultiLogNormal.jointly_self_dual(2, 0.5))
+
+    def peak_beyond_draws(n_samples):
+        model.nbytes.clear()
+        tracemalloc.start()
+        try:
+            duality.check_payoff_symmetry(model, 1, rng=make_rng(80), n_samples=n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.nbytes) == 1  # no confirmation batch
+        return peak - model.nbytes[0]
+
+    peak_beyond_draws(400_000)  # every kernel thread takes blocks and sizes its buffers
+    assert peak_beyond_draws(400_000) <= 1.2 * peak_beyond_draws(100_000)
 
 
 # --------------------------------------------------------------------------- #

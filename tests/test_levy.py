@@ -341,6 +341,13 @@ def test_lambert_w0_residual_bound():
         levy.lambert_w0(-1.0 / math.e - 1e-9)
 
 
+def test_lambert_w0_at_large_arguments():
+    # a hand-written Halley iteration failed to converge on about a quarter of these
+    for x in np.concatenate([[5.2e57], np.geomspace(5.1e57, 1e300, 2_000)]):
+        w = levy.lambert_w0(float(x))
+        assert w + math.log(w) == pytest.approx(math.log(x), rel=1e-15)
+
+
 def test_solve_alpha_closed_lognormal():
     t = levy.martingale_normalized([[0.04]])
     sol = levy.solve_alpha(t, 1, 0.01)
