@@ -18,6 +18,7 @@ import io
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,21 +28,20 @@ from . import __version__, dist, duality, geometry, hedging, levy, pricing
 from .errors import SchemaError, SelfDualError
 from .rng import RngStream
 
-DEFAULTS = {"version": 1, "seed": 12345, "samples": 200_000, "out": None}
-TASK_KINDS = ("check", "alpha", "price", "hedge", "zonoid")
-
-SCALAR_KINDS = ("lognormal", "lp_self_dual", "heavy_tail", "discrete")
-VECTOR_KINDS = ("multi_lognormal", "common_factor", "unit_ball_max", "independent_product")
-MODEL_KINDS = SCALAR_KINDS + VECTOR_KINDS + ("levy_triplet", "path_config")
-
 # libyaml where PyYAML was built with it; both read and write the same YAML
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 # --------------------------------------------------------------------------- #
-# Validation helpers
+# The schema walker and its readers
 # --------------------------------------------------------------------------- #
+#
+# A table is ``(constructor, fields)``; each field maps a YAML key to
+# ``(reader, options)``.  Readers take ``(chk, node, path, options)`` and
+# record violations on ``chk``; options are the bounds ``gt``/``ge``, a
+# ``default`` and ``required``, plus what a reader reads (``of``, ``item``,
+# ``table``).
 
 
 class _Check:
@@ -51,381 +51,366 @@ class _Check:
     def fail(self, path: str, msg: str) -> None:
         self.errors.append(f"{path}: {msg}")
 
-    def mapping(self, node, path, allowed, required=()) -> dict:
-        if not isinstance(node, dict):
-            self.fail(path, f"expected a mapping, got {type(node).__name__}")
-            return {}
-        for key in node:
-            if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown key")
-        for key in required:
-            if key not in node:
-                self.fail(f"{path}.{key}", "missing required key")
-        return node
 
-    def number(self, node, path, *, gt=None, ge=None, lt=None, default=None, required=False):
-        if node is None:
-            if required:
-                self.fail(path, "missing required number")
-            return default
-        if isinstance(node, str):
-            try:
-                node = float(Fraction(node))
-            except (ValueError, ZeroDivisionError):
-                self.fail(path, f"not a number: {node!r}")
-                return default
-        if not isinstance(node, (int, float)) or isinstance(node, bool):
-            self.fail(path, f"expected a number, got {type(node).__name__}")
-            return default
-        val = float(node)
-        if not math.isfinite(val):
-            self.fail(path, "must be finite")
-            return default
-        if gt is not None and not val > gt:
-            self.fail(path, f"must be > {gt}, got {val!r}")
-        if ge is not None and not val >= ge:
-            self.fail(path, f"must be >= {ge}, got {val!r}")
-        if lt is not None and not val < lt:
-            self.fail(path, f"must be < {lt}, got {val!r}")
-        return val
+def _build(chk: _Check, node, path: str, table):
+    """Check the keys of a mapping, read its fields and call the constructor by key.
 
-    def integer(self, node, path, *, ge=None, default=None, required=False):
-        if node is None:
-            if required:
-                self.fail(path, "missing required integer")
-            return default
-        if not isinstance(node, int) or isinstance(node, bool):
-            self.fail(path, f"expected an integer, got {type(node).__name__}")
-            return default
-        if ge is not None and node < ge:
-            self.fail(path, f"must be >= {ge}, got {node}")
-        return int(node)
-
-    def vector(self, node, path, *, required=False):
-        if node is None:
-            if required:
-                self.fail(path, "missing required list of numbers")
-            return None
-        if isinstance(node, (int, float)) and not isinstance(node, bool):
-            return [float(node)]
-        if not isinstance(node, list) or not node:
-            self.fail(path, "expected a nonempty list of numbers")
-            return None
-        out = []
-        for idx, v in enumerate(node):
-            out.append(self.number(v, f"{path}[{idx}]", required=True))
-        return None if any(v is None for v in out) else out
-
-    def matrix(self, node, path, *, required=False):
-        if node is None:
-            if required:
-                self.fail(path, "missing required matrix")
-            return None
-        if isinstance(node, (int, float)) and not isinstance(node, bool):
-            return [[float(node)]]
-        if not isinstance(node, list) or not node:
-            self.fail(path, "expected a nonempty list of rows")
-            return None
-        rows = []
-        for idx, row in enumerate(node):
-            rows.append(self.vector(row, f"{path}[{idx}]", required=True))
-        if any(r is None for r in rows):
-            return None
-        if len({len(r) for r in rows}) != 1:
-            self.fail(path, "rows have unequal lengths")
-            return None
-        return rows
-
-
-def _rational(node):
-    """Numbers stay numbers; strings like '1/3' become exact Fractions."""
-    if isinstance(node, str):
-        return Fraction(node)
-    return node
-
-
-# --------------------------------------------------------------------------- #
-# Model construction
-# --------------------------------------------------------------------------- #
-
-
-def _build_scalar(node, path, chk: _Check):
-    kind = node.get("kind")
-    if kind == "lognormal":
-        chk.mapping(node, path, ("kind", "mu", "sigma"), ("sigma",))
-        sigma = chk.number(node.get("sigma"), f"{path}.sigma", gt=0.0, required=True)
-        if sigma is None:
-            return None
-        mu = chk.number(node.get("mu"), f"{path}.mu", default=-0.5 * sigma * sigma)
-        return dist.LogNormal(mu, sigma) if not chk.errors else None
-    if kind == "lp_self_dual":
-        chk.mapping(node, path, ("kind", "p"), ("p",))
-        p = chk.number(node.get("p"), f"{path}.p", gt=1.0, required=True)
-        return dist.LpSelfDual(p) if p is not None and not chk.errors else None
-    if kind == "heavy_tail":
-        chk.mapping(node, path, ("kind", "gamma"), ("gamma",))
-        g = chk.number(node.get("gamma"), f"{path}.gamma", gt=-1.0, required=True)
-        return dist.HeavyTail(g) if g is not None and not chk.errors else None
-    if kind == "discrete":
-        chk.mapping(node, path, ("kind", "atoms"), ("atoms",))
-        atoms_node = node.get("atoms")
-        if not isinstance(atoms_node, list) or not atoms_node:
-            chk.fail(f"{path}.atoms", "expected a nonempty list of [value, prob] pairs")
-            return None
-        atoms = []
-        for idx, pair in enumerate(atoms_node):
-            if not isinstance(pair, list) or len(pair) != 2:
-                chk.fail(f"{path}.atoms[{idx}]", "expected [value, prob]")
-                continue
-            try:
-                v, p = _rational(pair[0]), _rational(pair[1])
-            except (ValueError, ZeroDivisionError):
-                chk.fail(f"{path}.atoms[{idx}]", "values must be numbers or fraction strings")
-                continue
-            atoms.append((v, p))
-        if chk.errors:
-            return None
-        try:
-            return dist.DiscreteAtoms(atoms)
-        except SelfDualError as exc:
-            chk.fail(f"{path}.atoms", str(exc))
-            return None
-    chk.fail(f"{path}.kind", f"expected one of {SCALAR_KINDS}, got {kind!r}")
-    return None
-
-
-def _build_vector(node, path, chk: _Check):
-    kind = node.get("kind")
-    if kind == "multi_lognormal":
-        chk.mapping(node, path, ("kind", "mean", "cov"), ("mean", "cov"))
-        mean = chk.vector(node.get("mean"), f"{path}.mean", required=True)
-        cov = chk.matrix(node.get("cov"), f"{path}.cov", required=True)
-        if mean is None or cov is None or chk.errors:
-            return None
-        try:
-            return dist.MultiLogNormal(mean, cov)
-        except SelfDualError as exc:
-            chk.fail(path, str(exc))
-            return None
-    if kind in ("common_factor", "independent_product"):
-        chk.mapping(node, path, ("kind", "factors"), ("factors",))
-        factors_node = node.get("factors")
-        if not isinstance(factors_node, list) or not factors_node:
-            chk.fail(f"{path}.factors", "expected a nonempty list of scalar models")
-            return None
-        factors = []
-        for idx, sub in enumerate(factors_node):
-            if isinstance(sub, dict):  # _build_scalar checks the keys of each kind
-                factors.append(_build_scalar(sub, f"{path}.factors[{idx}]", chk))
-            else:
-                chk.fail(f"{path}.factors[{idx}]", f"expected a mapping, got {type(sub).__name__}")
-                factors.append(None)
-        if any(f is None for f in factors) or chk.errors:
-            return None
-        cls = dist.CommonFactor if kind == "common_factor" else dist.IndependentProduct
-        try:
-            return cls(factors)
-        except SelfDualError as exc:
-            chk.fail(path, str(exc))
-            return None
-    if kind == "unit_ball_max":
-        chk.mapping(node, path, ("kind", "dim"), ("dim",))
-        n = chk.integer(node.get("dim"), f"{path}.dim", ge=1, required=True)
-        return dist.UnitBallMax(n) if n is not None and not chk.errors else None
-    chk.fail(f"{path}.kind", f"expected one of {VECTOR_KINDS}, got {kind!r}")
-    return None
-
-
-def _build_triplet(node, path, chk: _Check):
-    chk.mapping(
-        node,
-        path,
-        ("kind", "a", "drift", "convention", "norm_index", "atoms", "tilted_gaussian"),
-        ("a",),
-    )
-    a = chk.matrix(node.get("a"), f"{path}.a", required=True)
-    convention = node.get("convention", "mean")
-    if convention not in levy.CONVENTIONS:
-        chk.fail(f"{path}.convention", f"expected one of {levy.CONVENTIONS}")
-    norm_index = chk.integer(node.get("norm_index"), f"{path}.norm_index", ge=1, default=1)
-
-    atoms = []
-    for idx, entry in enumerate(node.get("atoms", []) or []):
-        if not isinstance(entry, dict):
-            chk.fail(f"{path}.atoms[{idx}]", "expected {x: [...], mass: m}")
-            continue
-        chk.mapping(entry, f"{path}.atoms[{idx}]", ("x", "mass"), ("x", "mass"))
-        x = chk.vector(entry.get("x"), f"{path}.atoms[{idx}].x", required=True)
-        m = chk.number(entry.get("mass"), f"{path}.atoms[{idx}].mass", gt=0.0, required=True)
-        if x is not None and m is not None:
-            atoms.append((x, m))
-    gaussian = None
-    tg = node.get("tilted_gaussian")
-    if tg is not None:
-        chk.mapping(tg, f"{path}.tilted_gaussian", ("cov", "tilt", "mass", "numeraire"),
-                    ("cov", "tilt", "mass", "numeraire"))
-        cov = chk.matrix(tg.get("cov"), f"{path}.tilted_gaussian.cov", required=True)
-        tilt = chk.number(tg.get("tilt"), f"{path}.tilted_gaussian.tilt", required=True)
-        mass = chk.number(tg.get("mass"), f"{path}.tilted_gaussian.mass", gt=0.0, required=True)
-        numeraire = chk.integer(
-            tg.get("numeraire"), f"{path}.tilted_gaussian.numeraire", ge=1, required=True
-        )
-        if chk.errors:
-            return None
-        try:
-            gaussian = levy.build_tilted_gaussian_measure(cov, tilt, mass, numeraire).gaussian
-        except SelfDualError as exc:
-            chk.fail(f"{path}.tilted_gaussian", str(exc))
-            return None
-    if chk.errors:
+    Unknown and missing required keys are each reported once.  A null
+    stands for an absent key where the field is optional and its default
+    is not a word; elsewhere its reader judges it.  The constructor runs
+    only when the mapping read cleanly, and its :class:`SelfDualError` is
+    recorded at ``path``.
+    """
+    make, fields = table
+    if not isinstance(node, dict):
+        return chk.fail(path, f"expected a mapping, got {type(node).__name__}")
+    before = len(chk.errors)
+    for key in node:
+        if key not in fields:
+            chk.fail(f"{path}.{key}", "unknown key")
+    args = {}
+    for key, (read, opt) in fields.items():
+        value = node.get(key)
+        if value is not None or (key in node and _reads_null(opt)):
+            args[key] = read(chk, value, f"{path}.{key}", opt)
+        elif opt.get("required"):
+            chk.fail(f"{path}.{key}", "missing required key")
+        else:
+            args[key] = opt.get("default")
+    if len(chk.errors) > before:
         return None
-    nu = levy.JumpMeasure(atoms=tuple(atoms), gaussian=gaussian)
-
-    drift = node.get("drift", "martingale")
     try:
-        if drift == "martingale":
-            return levy.martingale_normalized(a, nu, convention=convention, norm_index=norm_index)
-        if isinstance(drift, dict) and set(drift) == {"mu"}:
-            mu = chk.vector(drift.get("mu"), f"{path}.drift.mu", required=True)
-            return levy.LevyTriplet(a, nu, mu=mu, norm_index=norm_index) if mu else None
-        if isinstance(drift, dict) and set(drift) == {"gamma"}:
-            gamma = chk.vector(drift.get("gamma"), f"{path}.drift.gamma", required=True)
-            if gamma is None:
-                return None
-            return levy.LevyTriplet(
-                a, nu, gamma=gamma,
-                convention=convention if convention != "mean" else "truncated",
-                norm_index=norm_index,
-            )
+        return make(**args)
     except SelfDualError as exc:
         chk.fail(path, str(exc))
+
+
+def _reads_null(opt) -> bool:
+    return bool(opt.get("required")) or isinstance(opt.get("default"), str)
+
+
+def _bounded(chk: _Check, val, path: str, opt):
+    if "gt" in opt and not val > opt["gt"]:
+        chk.fail(path, f"must be > {opt['gt']}, got {val!r}")
+    if "ge" in opt and not val >= opt["ge"]:
+        chk.fail(path, f"must be >= {opt['ge']}, got {val!r}")
+    return val
+
+
+def _number(chk: _Check, node, path: str, opt):
+    """A finite float; strings like '1/3' are read as fractions, words in ``or`` kept."""
+    if isinstance(node, str):
+        if node in opt.get("or", ()):
+            return node
+        try:
+            node = float(Fraction(node))
+        except (ValueError, ZeroDivisionError):
+            return chk.fail(path, f"not a number: {node!r}")
+    if not isinstance(node, (int, float)) or isinstance(node, bool):
+        got = f"expected a number, got {type(node).__name__}"
+        return chk.fail(path, "missing required number" if node is None else got)
+    val = float(node)
+    if not math.isfinite(val):
+        return chk.fail(path, "must be finite")
+    return _bounded(chk, val, path, opt)
+
+
+def _integer(chk: _Check, node, path: str, opt):
+    if not isinstance(node, int) or isinstance(node, bool):
+        got = f"expected an integer, got {type(node).__name__}"
+        return chk.fail(path, "missing required integer" if node is None else got)
+    return _bounded(chk, node, path, opt)
+
+
+def _vector(chk: _Check, node, path: str, opt=None):
+    """A nonempty list of numbers; a lone number is a list of one."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [float(node)]
+    if not isinstance(node, list) or not node:
+        got = "expected a nonempty list of numbers"
+        return chk.fail(path, "missing required list of numbers" if node is None else got)
+    out = [_number(chk, v, f"{path}[{idx}]", {}) for idx, v in enumerate(node)]
+    return None if None in out else out
+
+
+def _matrix(chk: _Check, node, path: str, opt):
+    """Equal-length rows of numbers; a lone number is a 1 x 1 matrix."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [[float(node)]]
+    if not isinstance(node, list) or not node:
+        got = "expected a nonempty list of rows"
+        return chk.fail(path, "missing required matrix" if node is None else got)
+    rows = [_vector(chk, row, f"{path}[{idx}]") for idx, row in enumerate(node)]
+    if None in rows:
         return None
-    chk.fail(f"{path}.drift", "expected 'martingale', {mu: [...]}, or {gamma: [...]}")
-    return None
+    if len({len(r) for r in rows}) != 1:
+        return chk.fail(path, "rows have unequal lengths")
+    return rows
 
 
-def _build_path_config(node, path, chk: _Check):
-    chk.mapping(
-        node, path, ("kind", "s0", "carry", "horizon", "steps", "driver"), ("s0", "driver")
+def _choice(chk: _Check, node, path: str, opt):
+    """One of ``opt['of']``, or with ``many`` a list drawn from them."""
+    of = opt["of"]
+    if opt.get("many"):
+        if isinstance(node, list) and all(v in of for v in node):
+            return node
+        return chk.fail(path, f"expected a list drawn from {of}")
+    if node in of:
+        return node
+    return chk.fail(path, f"expected one of {of}, got {node!r}")
+
+
+def _list_of(chk: _Check, node, path: str, opt):
+    """A list read item by item with ``opt['item']``; nonempty unless ``ge`` is 0."""
+    least = opt.get("ge", 1)
+    if not isinstance(node, list) or len(node) < least:
+        return chk.fail(path, "expected a nonempty list" if least else "expected a list")
+    read, item = opt["item"]
+    return [read(chk, v, f"{path}[{idx}]", item) for idx, v in enumerate(node)]
+
+
+def _table(chk: _Check, node, path: str, opt):
+    return _build(chk, node, path, opt["table"])
+
+
+def _kinded(chk: _Check, node, path: str, opt):
+    """A mapping whose ``kind`` names its table in ``opt['of']``."""
+    if not isinstance(node, dict):
+        return chk.fail(path, f"expected a mapping, got {type(node).__name__}")
+    tables, kind = opt["of"], node.get("kind")
+    if not isinstance(kind, str) or kind not in tables:
+        return chk.fail(f"{path}.kind", f"expected one of {tuple(tables)}, got {kind!r}")
+    return _build(chk, {k: v for k, v in node.items() if k != "kind"}, path, tables[kind])
+
+
+def _atom(chk: _Check, node, path: str, opt):
+    """A discrete atom [value, prob]; strings like '1/3' become exact Fractions."""
+    if not isinstance(node, list) or len(node) != 2:
+        return chk.fail(path, "expected [value, prob]")
+    if all(isinstance(v, (int, float, str)) for v in node):
+        try:
+            return tuple(Fraction(v) if isinstance(v, str) else v for v in node)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return chk.fail(path, "values must be numbers or fraction strings")
+
+
+def _drift(chk: _Check, node, path: str, opt):
+    """A triplet drift: 'martingale', {mu: [...]} or {gamma: [...]}."""
+    if node == "martingale":
+        return node
+    if isinstance(node, dict) and len(node) == 1 and set(node) <= {"mu", "gamma"}:
+        return _build(chk, node, path, (dict, dict.fromkeys(node, _REQUIRED_VECTOR)))
+    return chk.fail(path, "expected 'martingale', {mu: [...]}, or {gamma: [...]}")
+
+
+def _text(chk: _Check, node, path: str, opt):
+    return node if isinstance(node, str) else chk.fail(path, "expected a directory path string")
+
+
+# --------------------------------------------------------------------------- #
+# Models, payoffs and tasks
+# --------------------------------------------------------------------------- #
+
+
+def _lognormal(mu, sigma):
+    # the mean-one member when the drift is omitted
+    return dist.LogNormal(-0.5 * sigma * sigma if mu is None else mu, sigma)
+
+
+def _triplet(a, drift, convention, norm_index, atoms, tilted_gaussian):
+    nu = levy.JumpMeasure(atoms=tuple(atoms), gaussian=tilted_gaussian)
+    if drift == "martingale":
+        return levy.martingale_normalized(a, nu, convention=convention, norm_index=norm_index)
+    if "mu" in drift:
+        return levy.LevyTriplet(a, nu, mu=drift["mu"], norm_index=norm_index)
+    # a gamma drift is a truncated one, in the Euclidean ball if the spec says so
+    convention = "truncated" if convention == "mean" else convention
+    return levy.LevyTriplet(
+        a, nu, gamma=drift["gamma"], convention=convention, norm_index=norm_index
     )
-    s0 = chk.vector(node.get("s0"), f"{path}.s0", required=True)
-    horizon = chk.number(node.get("horizon"), f"{path}.horizon", gt=0.0, default=1.0)
-    steps = chk.integer(node.get("steps"), f"{path}.steps", ge=1, default=250)
-    carry = chk.vector(node.get("carry"), f"{path}.carry") or ([0.0] * len(s0 or []))
-    driver_node = node.get("driver")
-    if not isinstance(driver_node, dict):
-        chk.fail(f"{path}.driver", "expected a model mapping")
-        return None
-    dkind = driver_node.get("kind")
-    if dkind == "levy_triplet":
-        driver = _build_triplet(driver_node, f"{path}.driver", chk)
-    elif dkind == "multi_lognormal":
-        driver = _build_vector(driver_node, f"{path}.driver", chk)
-    else:
-        chk.fail(f"{path}.driver.kind", "expected levy_triplet or multi_lognormal")
-        return None
-    if driver is None or s0 is None or chk.errors:
-        return None
+
+
+def _path_config(s0, carry, horizon, steps, driver):
+    # no carry by default; one carry applies to every asset
+    carry = carry or [0.0] * len(s0)
     if len(carry) == 1 and len(s0) > 1:
         carry = carry * len(s0)
-    try:
-        return hedging.PathConfig(s0, carry, driver, horizon=horizon, steps=steps)
-    except SelfDualError as exc:
-        chk.fail(path, str(exc))
-        return None
+    return hedging.PathConfig(s0, carry, driver, horizon=horizon, steps=steps)
 
 
-def build_model(node, path, chk: _Check):
-    if not isinstance(node, dict):
-        chk.fail(path, "expected a mapping")
-        return None
-    kind = node.get("kind")
-    if kind in SCALAR_KINDS:
-        return _build_scalar(node, path, chk)
-    if kind in VECTOR_KINDS:
-        return _build_vector(node, path, chk)
-    if kind == "levy_triplet":
-        return _build_triplet(node, path, chk)
-    if kind == "path_config":
-        return _build_path_config(node, path, chk)
-    chk.fail(f"{path}.kind", f"expected one of {MODEL_KINDS}, got {kind!r}")
-    return None
+_REQUIRED_VECTOR = (_vector, {"required": True})
+_REQUIRED_MATRIX = (_matrix, {"required": True})
+_STRIKE = (_number, {"ge": 0.0, "required": True})
+_ASSET = (_integer, {"ge": 1, "default": 1})
 
-
-# kind -> (constructor, its arguments in order); _payoff_field validates each by name
-_PAYOFFS = {
-    "basket_call": (pricing.BasketCall, ("weights", "strike")),
-    "basket_put": (pricing.BasketPut, ("weights", "strike")),
-    "max_option": (pricing.MaxOption, ("u0", "weights")),
-    "binary_call": (pricing.BinaryCall, ("strike", "asset")),
-    "binary_put": (pricing.BinaryPut, ("strike", "asset")),
-    "gap_call": (pricing.GapCall, ("strike", "asset")),
-    "gap_put": (pricing.GapPut, ("strike", "asset")),
-    "spread_call": (pricing.SpreadCall, ("long_weights", "short_weights", "strike")),
-    "power_call": (pricing.PowerCall, ("weights", "strike", "alpha")),
-    "min_combo": (hedging.TwoAssetMinCombo, ("strike",)),
+SCALARS = {
+    "lognormal": (_lognormal, {
+        "mu": (_number, {}),
+        "sigma": (_number, {"gt": 0.0, "required": True}),
+    }),
+    "lp_self_dual": (dist.LpSelfDual, {"p": (_number, {"gt": 1.0, "required": True})}),
+    "heavy_tail": (dist.HeavyTail, {"gamma": (_number, {"gt": -1.0, "required": True})}),
+    "discrete": (dist.DiscreteAtoms, {
+        "atoms": (_list_of, {"item": (_atom, {}), "required": True}),
+    }),
 }
-PAYOFF_KINDS = tuple(_PAYOFFS)
+_FACTORS = {"factors": (_list_of, {"item": (_kinded, {"of": SCALARS}), "required": True})}
+_MULTI_LOGNORMAL = (dist.MultiLogNormal, {"mean": _REQUIRED_VECTOR, "cov": _REQUIRED_MATRIX})
+_TRIPLET = (_triplet, {
+    "a": _REQUIRED_MATRIX,
+    "drift": (_drift, {"default": "martingale"}),
+    "convention": (_choice, {"of": levy.CONVENTIONS, "default": "mean"}),
+    "norm_index": (_integer, {"ge": 1, "default": 1}),
+    "atoms": (_list_of, {"ge": 0, "default": (), "item": (_table, {"table": (
+        lambda x, mass: (x, mass),
+        {"x": _REQUIRED_VECTOR, "mass": (_number, {"gt": 0.0, "required": True})},
+    )})}),
+    "tilted_gaussian": (_table, {"table": (
+        lambda cov, tilt, mass, numeraire:
+            levy.build_tilted_gaussian_measure(cov, tilt, mass, numeraire).gaussian,
+        {
+            "cov": _REQUIRED_MATRIX,
+            "tilt": (_number, {"required": True}),
+            "mass": (_number, {"gt": 0.0, "required": True}),
+            "numeraire": (_integer, {"ge": 1, "required": True}),
+        },
+    )}),
+})
+MODELS = {
+    **SCALARS,
+    "multi_lognormal": _MULTI_LOGNORMAL,
+    "common_factor": (dist.CommonFactor, _FACTORS),
+    "unit_ball_max": (lambda dim: dist.UnitBallMax(dim), {
+        "dim": (_integer, {"ge": 1, "required": True}),
+    }),
+    "independent_product": (lambda factors: dist.IndependentProduct(factors), _FACTORS),
+    "levy_triplet": _TRIPLET,
+    "path_config": (_path_config, {
+        "s0": _REQUIRED_VECTOR,
+        "carry": (_vector, {}),
+        "horizon": (_number, {"gt": 0.0, "default": 1.0}),
+        "steps": (_integer, {"ge": 1, "default": 250}),
+        "driver": (_kinded, {
+            "of": {"levy_triplet": _TRIPLET, "multi_lognormal": _MULTI_LOGNORMAL},
+            "required": True,
+        }),
+    }),
+}
+
+PAYOFFS = {
+    "basket_call": (pricing.BasketCall, {"weights": _REQUIRED_VECTOR, "strike": _STRIKE}),
+    "basket_put": (pricing.BasketPut, {"weights": _REQUIRED_VECTOR, "strike": _STRIKE}),
+    "max_option": (pricing.MaxOption, {
+        "u0": (_number, {"ge": 0.0, "required": True}),
+        "weights": _REQUIRED_VECTOR,
+    }),
+    "binary_call": (pricing.BinaryCall, {"strike": _STRIKE, "asset": _ASSET}),
+    "binary_put": (pricing.BinaryPut, {"strike": _STRIKE, "asset": _ASSET}),
+    "gap_call": (pricing.GapCall, {"strike": _STRIKE, "asset": _ASSET}),
+    "gap_put": (pricing.GapPut, {"strike": _STRIKE, "asset": _ASSET}),
+    "spread_call": (pricing.SpreadCall, {
+        "long_weights": _REQUIRED_VECTOR,
+        "short_weights": _REQUIRED_VECTOR,
+        "strike": _STRIKE,
+    }),
+    "power_call": (pricing.PowerCall, {
+        "weights": _REQUIRED_VECTOR,
+        "strike": _STRIKE,
+        "alpha": (_number, {"gt": 0.0, "required": True}),
+    }),
+    "min_combo": (hedging.TwoAssetMinCombo, {
+        "strike": (_number, {"gt": 0.0, "required": True}),
+    }),
+}
 
 
-def _payoff_field(node, path, name, kind, chk: _Check):
-    if name.endswith("weights"):
-        return chk.vector(node.get(name), f"{path}.{name}", required=True)
-    if name == "asset":
-        return chk.integer(node.get(name), f"{path}.{name}", ge=1, default=1)
-    # alpha and the min-combo strike must be positive; u0 and other strikes nonnegative
-    bound = {"gt": 0.0} if name == "alpha" or kind == "min_combo" else {"ge": 0.0}
-    return chk.number(node.get(name), f"{path}.{name}", required=True, **bound)
+def _carry(spec: dict) -> float:
+    return spec["task"].get("carry") or 0.0
 
 
-def build_payoff(node, path, chk: _Check):
-    if not isinstance(node, dict):
-        chk.fail(path, "expected a payoff mapping")
-        return None
-    kind = node.get("kind")
-    if kind not in _PAYOFFS:
-        chk.fail(f"{path}.kind", f"expected one of {PAYOFF_KINDS}, got {kind!r}")
-        return None
-    make, fields = _PAYOFFS[kind]
-    chk.mapping(node, path, ("kind",) + fields, tuple(f for f in fields if f != "asset"))
-    args = [_payoff_field(node, path, name, kind, chk) for name in fields]
-    if any(a is None for a in args) or chk.errors:
-        return None
-    try:
-        return make(*args)
-    except SelfDualError as exc:
-        chk.fail(path, str(exc))
-        return None
+def _check_triplet(model, i, spec, rng):
+    tol, alpha = spec["tol"]["exact"], spec["task"]["alpha"]
+    if alpha is None:
+        return levy.check_sd_triplet(model, i, tol=tol)
+    return levy.check_qsd_triplet(model, i, _carry(spec), alpha, tol=tol)
+
+
+# name -> check of (model, numeraire, spec, the maker of its own random stream)
+CHECKS = {
+    "density": lambda m, i, spec, rng: duality.check_density_self_dual(
+        m, i, tol=spec["tol"]["exact"]
+    ),
+    "integrated_tail": lambda m, i, spec, rng: duality.check_integrated_tail_symmetry(m),
+    "moments": lambda m, i, spec, rng: duality.check_moment_and_skewness(m),
+    "discrete": lambda m, i, spec, rng: duality.check_discrete_self_dual(m, i),
+    "payoff": lambda m, i, spec, rng: duality.check_payoff_symmetry(
+        m, i, rng=rng(), n_samples=spec["samples"]
+    ),
+    "joint": lambda m, i, spec, rng: duality.check_joint_self_duality(
+        m, rng(), n_samples=spec["samples"]
+    ),
+    "quasi": lambda m, i, spec, rng: duality.check_quasi_self_dual(
+        m, i, _carry(spec), spec["task"]["alpha"], rng=rng(), n_samples=spec["samples"]
+    ),
+    "triplet": _check_triplet,
+}
+
+_PAYOFF = (_kinded, {"of": PAYOFFS, "required": True})
+TASKS = {
+    "check": (dict, {
+        # left None when omitted: a vector model then defaults to the joint check
+        "numeraire": (_integer, {"ge": 1}),
+        "checks": (_choice, {"of": tuple(CHECKS), "many": True}),
+        "alpha": (_number, {}),
+        "carry": (_vector, {}),
+    }),
+    "alpha": (dict, {
+        "numeraire": (_integer, {"ge": 1, "default": 1}),
+        "carry": (_number, {"required": True}),
+    }),
+    "price": (dict, {
+        "payoff": _PAYOFF,
+        "rate": (_number, {"default": 0.0}),
+        "maturity": (_number, {"gt": 0.0, "default": 1.0}),
+        "forward": (_vector, {"default": (1.0,)}),
+    }),
+    "hedge": (dict, {
+        "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
+            "asset": (_integer, {"ge": 1, "required": True}),
+            "level": (_number, {"gt": 0.0, "required": True}),
+            "direction": (_choice, {"of": ("down", "up"), "default": "down"}),
+        })}),
+        "target": _PAYOFF,
+        "alpha": (_number, {"or": ("solve",), "default": 1.0}),
+        "knock": (_choice, {"of": ("in", "out", "super"), "default": "in"}),
+        "n_outer": (_integer, {"ge": 100, "default": 10_000}),
+        "n_inner": (_integer, {"ge": 100, "default": 20_000}),
+        "hit_states": (_integer, {"ge": 1, "default": 50}),
+    }),
+    "zonoid": (dict, {
+        "k_min": (_number, {"gt": 0.0, "default": 1e-2}),
+        "k_max": (_number, {"gt": 0.0, "default": 1e2}),
+        "points": (_integer, {"ge": 2, "default": 200}),
+    }),
+}
+TASK_KINDS = tuple(TASKS)
+
+_TOL = (dict, {"exact": (_number, {"gt": 0.0, "default": 1e-10})})
+_SPEC = (dict, {
+    "version": (_integer, {"ge": 1, "default": 1}),
+    "seed": (_integer, {"ge": 0, "default": 12345}),
+    "samples": (_integer, {"ge": 100, "default": 200_000}),
+    "tol": (_table, {"table": _TOL}),
+    "out": (_text, {}),
+    "model": (_kinded, {"of": MODELS, "required": True}),
+    "task": (_kinded, {"of": TASKS, "required": True}),
+})
 
 
 # --------------------------------------------------------------------------- #
 # Spec parsing
 # --------------------------------------------------------------------------- #
-
-_CHECK_TASK_KEYS = ("kind", "numeraire", "checks", "alpha", "carry")
-_KNOWN_CHECKS = (
-    "density",
-    "integrated_tail",
-    "moments",
-    "discrete",
-    "payoff",
-    "joint",
-    "quasi",
-    "triplet",
-)
-
-
-# Run settings, checked the same way in the spec and as command-line overrides.
-def _seed(chk: _Check, node, path: str):
-    return chk.integer(node, path, ge=0, default=DEFAULTS["seed"])
-
-
-def _samples(chk: _Check, node, path: str):
-    return chk.integer(node, path, ge=100, default=DEFAULTS["samples"])
-
-
-def _tol_exact(chk: _Check, node, path: str):
-    return chk.number(node, path, gt=0.0, default=1e-10)
 
 
 def parse_model_spec(document: str) -> dict:
@@ -438,120 +423,16 @@ def parse_model_spec(document: str) -> dict:
         raw = yaml.load(document, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError([f"document: invalid YAML ({exc})"]) from None
-    chk = _Check()
     if not isinstance(raw, dict):
         raise SchemaError(["document: expected a mapping at the top level"])
-    chk.mapping(raw, "spec", ("version", "seed", "samples", "tol", "out", "model", "task"),
-                ("model", "task"))
-
-    spec = dict(DEFAULTS)
-    spec["version"] = chk.integer(raw.get("version"), "spec.version", ge=1, default=1)
-    spec["seed"] = _seed(chk, raw.get("seed"), "spec.seed")
-    spec["samples"] = _samples(chk, raw.get("samples"), "spec.samples")
-    if raw.get("out") is not None and not isinstance(raw.get("out"), str):
-        chk.fail("spec.out", "expected a directory path string")
-    spec["out"] = raw.get("out")
-    tol_node = raw.get("tol") or {}
-    chk.mapping(tol_node, "spec.tol", ("exact",))
-    spec["tol"] = {
-        "exact": _tol_exact(chk, tol_node.get("exact"), "spec.tol.exact"),
-    }
-
-    model_node = raw.get("model")
-    model = build_model(model_node, "spec.model", chk) if model_node is not None else None
-
-    task_node = raw.get("task")
-    task: dict = {}
-    payoff = None
-    if isinstance(task_node, dict):
-        kind = task_node.get("kind")
-        if kind not in TASK_KINDS:
-            chk.fail("spec.task.kind", f"expected one of {TASK_KINDS}, got {kind!r}")
-        task["kind"] = kind
-        if kind == "check":
-            chk.mapping(task_node, "spec.task", _CHECK_TASK_KEYS, ("kind",))
-            # left None when omitted: a vector model then defaults to the joint check
-            task["numeraire"] = chk.integer(task_node.get("numeraire"), "spec.task.numeraire", ge=1)
-            checks = task_node.get("checks")
-            if checks is not None:
-                if not isinstance(checks, list) or not all(c in _KNOWN_CHECKS for c in checks):
-                    chk.fail("spec.task.checks", f"expected a list drawn from {_KNOWN_CHECKS}")
-                else:
-                    task["checks"] = checks
-            task["alpha"] = chk.number(task_node.get("alpha"), "spec.task.alpha", default=None)
-            task["carry"] = chk.vector(task_node.get("carry"), "spec.task.carry")
-        elif kind == "alpha":
-            chk.mapping(task_node, "spec.task", ("kind", "numeraire", "carry"), ("kind", "carry"))
-            task["numeraire"] = chk.integer(
-                task_node.get("numeraire"), "spec.task.numeraire", ge=1, default=1
-            )
-            task["carry"] = chk.number(task_node.get("carry"), "spec.task.carry", required=True)
-        elif kind == "price":
-            chk.mapping(
-                task_node, "spec.task",
-                ("kind", "payoff", "rate", "maturity", "forward"), ("kind", "payoff"),
-            )
-            payoff = build_payoff(task_node.get("payoff"), "spec.task.payoff", chk)
-            task["rate"] = chk.number(task_node.get("rate"), "spec.task.rate", default=0.0)
-            task["maturity"] = chk.number(
-                task_node.get("maturity"), "spec.task.maturity", gt=0.0, default=1.0
-            )
-            task["forward"] = chk.vector(task_node.get("forward"), "spec.task.forward") or [1.0]
-        elif kind == "hedge":
-            chk.mapping(
-                task_node, "spec.task",
-                ("kind", "barrier", "target", "alpha", "knock", "n_outer", "n_inner",
-                 "hit_states"),
-                ("kind", "barrier", "target"),
-            )
-            b = task_node.get("barrier")
-            bchk = chk.mapping(b, "spec.task.barrier", ("asset", "level", "direction"),
-                               ("asset", "level"))
-            if bchk:
-                asset = chk.integer(b.get("asset"), "spec.task.barrier.asset", ge=1, required=True)
-                level = chk.number(b.get("level"), "spec.task.barrier.level", gt=0.0, required=True)
-                direction = b.get("direction", "down")
-                if direction not in ("down", "up"):
-                    chk.fail("spec.task.barrier.direction", "expected 'down' or 'up'")
-                if asset is not None and level is not None and not chk.errors:
-                    task["barrier"] = hedging.Barrier(asset, level, direction)
-            payoff = build_payoff(task_node.get("target"), "spec.task.target", chk)
-            alpha_node = task_node.get("alpha", 1.0)
-            if alpha_node == "solve":
-                task["alpha"] = "solve"
-            else:
-                task["alpha"] = chk.number(alpha_node, "spec.task.alpha", default=1.0)
-            knock = task_node.get("knock", "in")
-            if knock not in ("in", "out", "super"):
-                chk.fail("spec.task.knock", "expected 'in', 'out' or 'super'")
-            task["knock"] = knock
-            task["n_outer"] = chk.integer(
-                task_node.get("n_outer"), "spec.task.n_outer", ge=100, default=10_000
-            )
-            task["n_inner"] = chk.integer(
-                task_node.get("n_inner"), "spec.task.n_inner", ge=100, default=20_000
-            )
-            task["hit_states"] = chk.integer(
-                task_node.get("hit_states"), "spec.task.hit_states", ge=1, default=50
-            )
-        elif kind == "zonoid":
-            chk.mapping(task_node, "spec.task", ("kind", "k_min", "k_max", "points"), ("kind",))
-            task["k_min"] = chk.number(task_node.get("k_min"), "spec.task.k_min", gt=0.0,
-                                       default=1e-2)
-            task["k_max"] = chk.number(task_node.get("k_max"), "spec.task.k_max", gt=0.0,
-                                       default=1e2)
-            task["points"] = chk.integer(task_node.get("points"), "spec.task.points", ge=2,
-                                         default=200)
-    elif task_node is not None:
-        chk.fail("spec.task", "expected a mapping")
-
+    chk = _Check()
+    # an empty tol section leaves every tolerance at its default
+    spec = _build(chk, {**raw, "tol": raw.get("tol") or {}}, "spec", _SPEC)
     if chk.errors:
         raise SchemaError(chk.errors)
-    spec["model"] = model
-    spec["model_node"] = _normalize(model_node)
-    spec["task"] = task
-    spec["task_node"] = _normalize(task_node)
-    spec["payoff"] = payoff
+    spec["task"]["kind"] = raw["task"]["kind"]
+    spec["model_node"] = _normalize(raw["model"])
+    spec["task_node"] = _normalize(raw["task"])
     return spec
 
 
@@ -632,43 +513,9 @@ def _run_check(spec: dict) -> tuple[int, dict, dict]:
     rng = RngStream(spec["seed"])
     i = task.get("numeraire") or 1
     checks = task.get("checks") or _default_checks(model, task)
-    reports = []
-    for idx, name in enumerate(checks):
-        if name == "density":
-            reports.append(duality.check_density_self_dual(model, i, tol=spec["tol"]["exact"]))
-        elif name == "integrated_tail":
-            reports.append(duality.check_integrated_tail_symmetry(model))
-        elif name == "moments":
-            reports.append(duality.check_moment_and_skewness(model))
-        elif name == "discrete":
-            reports.append(duality.check_discrete_self_dual(model, i))
-        elif name == "payoff":
-            reports.append(
-                duality.check_payoff_symmetry(
-                    model, i, rng=rng.child(idx), n_samples=spec["samples"]
-                )
-            )
-        elif name == "joint":
-            reports.append(
-                duality.check_joint_self_duality(model, rng.child(idx), n_samples=spec["samples"])
-            )
-        elif name == "quasi":
-            reports.append(
-                duality.check_quasi_self_dual(
-                    model, i, task.get("carry") or 0.0, task["alpha"],
-                    rng=rng.child(idx), n_samples=spec["samples"],
-                )
-            )
-        elif name == "triplet":
-            if task.get("alpha") is not None:
-                reports.append(
-                    levy.check_qsd_triplet(
-                        model, i, task.get("carry") or 0.0, task["alpha"],
-                        tol=spec["tol"]["exact"],
-                    )
-                )
-            else:
-                reports.append(levy.check_sd_triplet(model, i, tol=spec["tol"]["exact"]))
+    reports = [
+        CHECKS[name](model, i, spec, partial(rng.child, idx)) for idx, name in enumerate(checks)
+    ]
     verdicts = {r.verdict for r in reports}
     verdict = "fail" if "fail" in verdicts else (
         "inconclusive" if "inconclusive" in verdicts else "pass"
@@ -696,11 +543,11 @@ def _run_alpha(spec: dict) -> tuple[int, dict, dict]:
 
 
 def _run_price(spec: dict) -> tuple[int, dict, dict]:
-    model, task, payoff = spec["model"], spec["task"], spec["payoff"]
+    model, task = spec["model"], spec["task"]
     rng = RngStream(spec["seed"])
     forward = task["forward"]
     est = pricing.price(
-        model, payoff, r=task["rate"], maturity=task["maturity"], rng=rng,
+        model, task["payoff"], r=task["rate"], maturity=task["maturity"], rng=rng,
         n_samples=spec["samples"],
         forward=forward[0] if len(forward) == 1 else np.asarray(forward),
     )
@@ -720,7 +567,7 @@ def _run_price(spec: dict) -> tuple[int, dict, dict]:
 
 
 def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
-    cfg, task, payoff = spec["model"], spec["task"], spec["payoff"]
+    cfg, task = spec["model"], spec["task"]
     if not isinstance(cfg, hedging.PathConfig):
         raise SelfDualError("hedge task requires a path_config model")
     alpha = task["alpha"]
@@ -728,7 +575,7 @@ def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
         i = task["barrier"].asset
         lam = float(cfg.carry[i - 1])
         alpha = levy.solve_alpha(cfg.driver, i, lam).alpha
-    plan = hedging.build_hedge(payoff, task["barrier"], float(alpha), task["knock"])
+    plan = hedging.build_hedge(task["target"], task["barrier"], float(alpha), task["knock"])
     rng = RngStream(spec["seed"])
     report = hedging.evaluate_hedge(
         plan, cfg, n_outer=task["n_outer"], n_inner=task["n_inner"], rng=rng,
@@ -807,12 +654,14 @@ def run(spec: dict) -> tuple[int, dict, dict]:
 def _apply_overrides(spec: dict, args: argparse.Namespace) -> None:
     """Apply ``--seed``/``--samples``/``--tol`` under the spec's own checks."""
     chk = _Check()
-    if args.seed is not None:
-        spec["seed"] = _seed(chk, args.seed, "--seed")
-    if args.samples is not None:
-        spec["samples"] = _samples(chk, args.samples, "--samples")
-    if args.tol is not None:
-        spec["tol"]["exact"] = _tol_exact(chk, args.tol, "--tol")
+    for flag, value, owner, key, (_, fields) in (
+        ("--seed", args.seed, spec, "seed", _SPEC),
+        ("--samples", args.samples, spec, "samples", _SPEC),
+        ("--tol", args.tol, spec["tol"], "exact", _TOL),
+    ):
+        if value is not None:
+            read, opt = fields[key]
+            owner[key] = read(chk, value, flag, opt)
     if chk.errors:
         raise SchemaError(chk.errors)
 

@@ -303,6 +303,7 @@ def _confirmed_mc_points(
         if not live:
             break
         if rounds:  # growing batches dilute an unlucky first draw quickly
+            draws = None  # the last round's batch is not held while the next is drawn
             draws = _sample_matrix(model, batch.shape[1] * 2**rounds, confirm_rng.child(rounds - 1))
         got = _block_moments([groups[g] for g in live], [rows[g] for g in live], draws, not rounds)
         for g, (more, sums) in zip(live, got):

@@ -51,7 +51,6 @@ __all__ = [
     "build_tilted_gaussian_measure",
     "convert_convention",
     "gaussian_root",
-    "sample_increment",
     "sample_increments",
 ]
 
@@ -263,13 +262,17 @@ class LevyTriplet:
             raise DomainError(f"unknown drift convention {self.convention!r}")
         if self.mu is not None and self.gamma is not None:
             raise DomainError("give either mu or gamma, not both")
+        for name in ("mu", "gamma"):
+            drift = getattr(self, name)
+            if drift is not None:
+                drift = np.asarray(drift, dtype=float)
+                if drift.shape != (n,):
+                    raise DomainError(f"{name} must have length {n}, as A is {n} x {n}")
+                object.__setattr__(self, name, drift)
         if self.mu is not None:
-            object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
             object.__setattr__(self, "convention", "mean")
-        if self.gamma is not None:
-            object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-            if self.convention == "mean":
-                raise DomainError("gamma drift requires a truncated convention")
+        if self.gamma is not None and self.convention == "mean":
+            raise DomainError("gamma drift requires a truncated convention")
         if self.nu.dim is not None and self.nu.dim != n:
             raise DomainError("jump dimension does not match A")
         if self.nu.gaussian is not None and self.convention != "mean":
@@ -750,7 +753,3 @@ def sample_increments(
     if return_counts:
         return out, counts
     return out
-
-
-def sample_increment(t: LevyTriplet, dt: float, rng: RngStream) -> np.ndarray:
-    return sample_increments(t, dt, rng, 1)[0]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -464,3 +465,387 @@ def test_report_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkey
         outputs.append(_cli_output("check", spec_file, tmp_path / f"out{workers}", capsys))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == {"pass": 0, "fail": 1}[name]
+
+
+# --------------------------------------------------------------------------- #
+# The spec schema: one walker over the model, payoff and task tables
+# --------------------------------------------------------------------------- #
+def _model(node):
+    return f"model: {node}\ntask: {{kind: check}}\n"
+
+
+def _triplet(fields):
+    return _model("{kind: levy_triplet, a: 0.04, %s}" % fields)
+
+
+def _task(node):
+    return f"model: {{kind: lognormal, sigma: 0.25}}\ntask: {node}\n"
+
+
+def _payoff(node):
+    return _task("{kind: price, payoff: %s}" % node)
+
+
+def _hedge(fields):
+    return (
+        "model: {kind: path_config, s0: [1.0], driver: {kind: levy_triplet, a: 0.04}}\n"
+        "task: {kind: hedge, %s}\n" % fields
+    )
+
+
+_MODEL_KINDS, _SCALAR_KINDS = tuple(cli.MODELS), tuple(cli.SCALARS)
+_PAYOFF_KINDS = tuple(cli.PAYOFFS)
+_TARGET = "target: {kind: basket_put, weights: [1], strike: 1}"
+
+SCHEMA_CORPUS = [
+    (_model("{kind: lognormal}"), ["spec.model.sigma: missing required key"]),
+    (
+        _model("{kind: lognormal, sigma: abc, mu: .inf}"),
+        ["spec.model.mu: must be finite", "spec.model.sigma: not a number: 'abc'"],
+    ),
+    (
+        _model("{kind: lognormal, sigma: -1, junk: 1}"),
+        ["spec.model.junk: unknown key", "spec.model.sigma: must be > 0.0, got -1.0"],
+    ),
+    (_model("{kind: lognormal, sigma: null}"), ["spec.model.sigma: missing required number"]),
+    (
+        _model("{kind: mystery}"),
+        [f"spec.model.kind: expected one of {_MODEL_KINDS}, got 'mystery'"],
+    ),
+    (_model("{sigma: 0.2}"), [f"spec.model.kind: expected one of {_MODEL_KINDS}, got None"]),
+    (_model("3"), ["spec.model: expected a mapping, got int"]),
+    (_model("{kind: lp_self_dual, p: 1}"), ["spec.model.p: must be > 1.0, got 1.0"]),
+    (_model("{kind: heavy_tail, gamma: [1]}"), ["spec.model.gamma: expected a number, got list"]),
+    (_model("{kind: discrete, atoms: []}"), ["spec.model.atoms: expected a nonempty list"]),
+    (
+        _model("{kind: discrete, atoms: [[1, 0.5]]}"),
+        ["spec.model: atom probabilities sum to 0.5, not 1"],
+    ),
+    (
+        _model("{kind: discrete, atoms: [[1], [x, 1], [1, '1/0'], [null, 1]]}"),
+        [
+            "spec.model.atoms[0]: expected [value, prob]",
+            "spec.model.atoms[1]: values must be numbers or fraction strings",
+            "spec.model.atoms[2]: values must be numbers or fraction strings",
+            "spec.model.atoms[3]: values must be numbers or fraction strings",
+        ],
+    ),
+    (
+        _model("{kind: multi_lognormal, mean: x, cov: [[1], [1, 2]]}"),
+        [
+            "spec.model.mean: expected a nonempty list of numbers",
+            "spec.model.cov: rows have unequal lengths",
+        ],
+    ),
+    (
+        _model("{kind: multi_lognormal, mean: [0, null]}"),
+        ["spec.model.mean[1]: missing required number", "spec.model.cov: missing required key"],
+    ),
+    (
+        _model("{kind: multi_lognormal, mean: [0], cov: [[1, 0]]}"),
+        ["spec.model: covariance shape does not match mean"],
+    ),
+    (
+        _model("{kind: common_factor, factors: [{kind: lognormal, sigma: 0.5, junk: 1}, 3]}"),
+        [
+            "spec.model.factors[0].junk: unknown key",
+            "spec.model.factors[1]: expected a mapping, got int",
+        ],
+    ),
+    (
+        _model("{kind: common_factor, factors: []}"),
+        ["spec.model.factors: expected a nonempty list"],
+    ),
+    (
+        _model("{kind: independent_product, factors: [{kind: multi_lognormal}]}"),
+        [f"spec.model.factors[0].kind: expected one of {_SCALAR_KINDS}, got 'multi_lognormal'"],
+    ),
+    (_model("{kind: unit_ball_max, dim: 0}"), ["spec.model.dim: must be >= 1, got 0"]),
+    (_model("{kind: unit_ball_max, dim: 1.5}"), ["spec.model.dim: expected an integer, got float"]),
+    (_model("{kind: levy_triplet}"), ["spec.model.a: missing required key"]),
+    (
+        _triplet("convention: bogus, norm_index: 0"),
+        [
+            f"spec.model.convention: expected one of {levy.CONVENTIONS}, got 'bogus'",
+            "spec.model.norm_index: must be >= 1, got 0",
+        ],
+    ),
+    (
+        _triplet("convention: null"),
+        [f"spec.model.convention: expected one of {levy.CONVENTIONS}, got None"],
+    ),
+    (
+        _triplet("drift: {mu: [0.1], gamma: [0.1]}"),
+        ["spec.model.drift: expected 'martingale', {mu: [...]}, or {gamma: [...]}"],
+    ),
+    (_triplet("drift: {mu: null}"), ["spec.model.drift.mu: missing required list of numbers"]),
+    (
+        _triplet("drift: null"),
+        ["spec.model.drift: expected 'martingale', {mu: [...]}, or {gamma: [...]}"],
+    ),
+    (_triplet("drift: {mu: [0.1, 0.2]}"), ["spec.model: mu must have length 1, as A is 1 x 1"]),
+    (_triplet("atoms: 3"), ["spec.model.atoms: expected a list"]),
+    (
+        _triplet("atoms: [{x: [1.0]}, 5, {x: [0.5], mass: -1, y: 2}]"),
+        [
+            "spec.model.atoms[0].mass: missing required key",
+            "spec.model.atoms[1]: expected a mapping, got int",
+            "spec.model.atoms[2].y: unknown key",
+            "spec.model.atoms[2].mass: must be > 0.0, got -1.0",
+        ],
+    ),
+    (
+        _triplet("atoms: [{x: [0.0], mass: 1.0}]"),
+        ["spec.model: Levy measure must not charge the origin"],
+    ),
+    (_triplet("tilted_gaussian: 3"), ["spec.model.tilted_gaussian: expected a mapping, got int"]),
+    (
+        _triplet("tilted_gaussian: {cov: 1.0}"),
+        [
+            "spec.model.tilted_gaussian.tilt: missing required key",
+            "spec.model.tilted_gaussian.mass: missing required key",
+            "spec.model.tilted_gaussian.numeraire: missing required key",
+        ],
+    ),
+    (
+        _triplet("tilted_gaussian: {cov: [[1, 0.2], [0.2, 1]], tilt: 0.5, mass: 1, numeraire: 1}"),
+        [
+            "spec.model.tilted_gaussian: "
+            "base covariance must satisfy b[j,1] = b[1,1]/2 for K_1-invariance",
+        ],
+    ),
+    (
+        _model("{kind: path_config, s0: [1.0], driver: 3}"),
+        ["spec.model.driver: expected a mapping, got int"],
+    ),
+    (
+        _model("{kind: path_config, s0: [1.0], driver: {kind: lognormal, sigma: 0.2}}"),
+        [
+            "spec.model.driver.kind: "
+            "expected one of ('levy_triplet', 'multi_lognormal'), got 'lognormal'",
+        ],
+    ),
+    (
+        _model("{kind: path_config, driver: {kind: levy_triplet, a: 0.04}, steps: 0, horizon: 0}"),
+        [
+            "spec.model.s0: missing required key",
+            "spec.model.horizon: must be > 0.0, got 0.0",
+            "spec.model.steps: must be >= 1, got 0",
+        ],
+    ),
+    (
+        _model("{kind: path_config, s0: [1, 1], driver: {kind: levy_triplet, a: 0.04}}"),
+        ["spec.model: s0/carry length must match the driver dimension"],
+    ),
+    (
+        _payoff("{kind: basket_call, weights: [1]}"),
+        ["spec.task.payoff.strike: missing required key"],
+    ),
+    (
+        _payoff("{kind: basket_put, weights: [1], strike: -1}"),
+        ["spec.task.payoff.strike: must be >= 0.0, got -1.0"],
+    ),
+    (
+        _payoff("{kind: max_option, u0: 1, weights: []}"),
+        ["spec.task.payoff.weights: expected a nonempty list of numbers"],
+    ),
+    (
+        _payoff("{kind: binary_call, strike: 1, asset: 0}"),
+        ["spec.task.payoff.asset: must be >= 1, got 0"],
+    ),
+    (
+        _payoff("{kind: binary_put, strike: 1, asset: x}"),
+        ["spec.task.payoff.asset: expected an integer, got str"],
+    ),
+    (_payoff("{kind: gap_call}"), ["spec.task.payoff.strike: missing required key"]),
+    (_payoff("{kind: gap_put, strike: 1, junk: 2}"), ["spec.task.payoff.junk: unknown key"]),
+    (
+        _payoff("{kind: spread_call, long_weights: [1, 0], short_weights: [1], strike: 0.5}"),
+        ["spec.task.payoff: long/short weight lengths differ"],
+    ),
+    (
+        _payoff("{kind: power_call, weights: [1], strike: 1, alpha: 0}"),
+        ["spec.task.payoff.alpha: must be > 0.0, got 0.0"],
+    ),
+    (_payoff("{kind: min_combo, strike: 0}"), ["spec.task.payoff.strike: must be > 0.0, got 0.0"]),
+    (
+        _payoff("{kind: nope}"),
+        [f"spec.task.payoff.kind: expected one of {_PAYOFF_KINDS}, got 'nope'"],
+    ),
+    (_payoff("{kind: [1]}"), [f"spec.task.payoff.kind: expected one of {_PAYOFF_KINDS}, got [1]"]),
+    (_payoff("3"), ["spec.task.payoff: expected a mapping, got int"]),
+    (
+        _task("{kind: check, checks: [density, bogus]}"),
+        [f"spec.task.checks: expected a list drawn from {tuple(cli.CHECKS)}"],
+    ),
+    (
+        _task("{kind: check, numeraire: 0, alpha: x, carry: []}"),
+        [
+            "spec.task.numeraire: must be >= 1, got 0",
+            "spec.task.alpha: not a number: 'x'",
+            "spec.task.carry: expected a nonempty list of numbers",
+        ],
+    ),
+    (_task("{kind: alpha}"), ["spec.task.carry: missing required key"]),
+    (
+        _task("{kind: alpha, carry: 0.01, numeraire: 1.5}"),
+        ["spec.task.numeraire: expected an integer, got float"],
+    ),
+    (
+        _task("{kind: price, maturity: 0, forward: x, rate: y}"),
+        [
+            "spec.task.payoff: missing required key",
+            "spec.task.rate: not a number: 'y'",
+            "spec.task.maturity: must be > 0.0, got 0.0",
+            "spec.task.forward: expected a nonempty list of numbers",
+        ],
+    ),
+    (
+        _hedge("knock: in"),
+        [
+            "spec.task.barrier: missing required key",
+            "spec.task.target: missing required key",
+        ],
+    ),
+    (
+        _hedge("barrier: {asset: 0, level: -1, direction: sideways}, " + _TARGET),
+        [
+            "spec.task.barrier.asset: must be >= 1, got 0",
+            "spec.task.barrier.level: must be > 0.0, got -1.0",
+            "spec.task.barrier.direction: expected one of ('down', 'up'), got 'sideways'",
+        ],
+    ),
+    (_hedge("barrier: 3, " + _TARGET), ["spec.task.barrier: expected a mapping, got int"]),
+    (
+        _hedge("barrier: {level: 0.8, kind: x}, alpha: x, n_outer: 10, hit_states: 0, " + _TARGET),
+        [
+            "spec.task.barrier.kind: unknown key",
+            "spec.task.barrier.asset: missing required key",
+            "spec.task.alpha: not a number: 'x'",
+            "spec.task.n_outer: must be >= 100, got 10",
+            "spec.task.hit_states: must be >= 1, got 0",
+        ],
+    ),
+    (
+        _hedge("barrier: {asset: 1, level: 0.8}, knock: null, " + _TARGET),
+        ["spec.task.knock: expected one of ('in', 'out', 'super'), got None"],
+    ),
+    (
+        _task("{kind: zonoid, k_min: 0, k_max: -1, points: 1}"),
+        [
+            "spec.task.k_min: must be > 0.0, got 0.0",
+            "spec.task.k_max: must be > 0.0, got -1.0",
+            "spec.task.points: must be >= 2, got 1",
+        ],
+    ),
+    (
+        _task("{kind: frobnicate}"),
+        [f"spec.task.kind: expected one of {cli.TASK_KINDS}, got 'frobnicate'"],
+    ),
+    (_task("{}"), [f"spec.task.kind: expected one of {cli.TASK_KINDS}, got None"]),
+    (_task("[1]"), ["spec.task: expected a mapping, got list"]),
+    (MINIMAL + "tol: 3\n", ["spec.tol: expected a mapping, got int"]),
+    (
+        MINIMAL + "tol: {exact: 0, se_band: 4.0}\n",
+        ["spec.tol.se_band: unknown key", "spec.tol.exact: must be > 0.0, got 0.0"],
+    ),
+    (
+        MINIMAL + "seed: -1\nsamples: 5.5\nversion: 0\nout: 3\nbogus: 1\n",
+        [
+            "spec.bogus: unknown key",
+            "spec.version: must be >= 1, got 0",
+            "spec.seed: must be >= 0, got -1",
+            "spec.samples: expected an integer, got float",
+            "spec.out: expected a directory path string",
+        ],
+    ),
+    ("seed: 1\n", ["spec.model: missing required key", "spec.task: missing required key"]),
+]
+
+
+@pytest.mark.parametrize("doc, violations", SCHEMA_CORPUS)
+def test_schema_corpus_reports_each_violation_once(doc, violations):
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_model_spec(doc)
+    assert exc.value.violations == violations
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (MINIMAL + "tol: 3\n", "spec.tol"),
+        (_triplet("tilted_gaussian: 3"), "spec.model.tilted_gaussian"),
+        (_triplet("atoms: 3"), "spec.model.atoms"),
+    ],
+)
+def test_malformed_nodes_are_schema_errors_not_tracebacks(doc, path, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(doc)
+    assert cli.main(["check", str(spec_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (_model("{kind: lognormal}"), "spec.model.sigma"),
+        (_payoff("{kind: basket_call, weights: [1]}"), "spec.task.payoff.strike"),
+        (_hedge("barrier: {level: 0.8}, " + _TARGET), "spec.task.barrier.asset"),
+        (
+            _triplet("tilted_gaussian: {cov: 1, tilt: 0, mass: 1}"),
+            "spec.model.tilted_gaussian.numeraire",
+        ),
+        (_task("{kind: alpha}"), "spec.task.carry"),
+    ],
+)
+def test_each_missing_key_is_reported_once(doc, path):
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_model_spec(doc)
+    assert exc.value.violations == [f"{path}: missing required key"]
+
+
+def test_a_drift_of_the_wrong_length_is_a_schema_error(tmp_path, capsys):
+    # unchecked, a 1-long mu on a 2-d triplet solves alpha and exits 0
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(
+        "model: {kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]], drift: {mu: [0.1]}}\n"
+        "task: {kind: alpha, carry: 0.01}\n"
+    )
+    assert cli.main(["alpha", str(spec_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "schema error: spec.model: mu must have length 2, as A is 2 x 2\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _triplet("tilted_gaussian: null, atoms: null, norm_index: null"),
+        _triplet("atoms: []"),
+        _model("{kind: lognormal, sigma: '1/4', mu: null}"),
+        _task("{kind: check, checks: null, numeraire: null, alpha: null}"),
+        _task("{kind: check, checks: []}"),
+        _hedge("barrier: {asset: 1, level: 0.8}, alpha: null, " + _TARGET),
+        _payoff("{kind: binary_call, strike: 1, asset: null}"),
+        MINIMAL + "tol: null\nout: null\nseed: null\n",
+        MINIMAL + "tol: []\n",
+    ],
+)
+def test_a_null_in_an_optional_field_takes_its_default(doc):
+    cli.parse_model_spec(doc)
+
+
+def test_a_spec_needs_a_model_and_a_task():
+    # with a null model, a check task would run no check at all and pass
+    for doc in ("model: null\ntask: {kind: check}\n", _task("null")):
+        with pytest.raises(SchemaError) as exc:
+            cli.parse_model_spec(doc)
+        assert exc.value.violations[0].endswith(": expected a mapping, got NoneType")
+
+
+def test_readme_lists_every_model_payoff_task_and_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = [*cli.MODELS, *cli.PAYOFFS, *cli.TASKS, *cli.CHECKS]
+    assert [name for name in names if f"`{name}`" not in readme] == []

@@ -543,3 +543,25 @@ def test_asymmetry_correction_zero_density():
     model = duality.extend_self_dual_density(tail, name="gap")
     with pytest.raises(ZeroDensity):
         duality.asymmetry_correction(model, 1.0, 1.5)
+
+
+def test_confirmation_drops_each_batch_before_drawing_the_next(monkeypatch):
+    # both rounds run on the negative control: N first, then 2N, then 4N draws
+    monkeypatch.setattr(duality, "WORKERS", 1)
+    model = dist.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
+    n = 80_000
+
+    def peak():
+        tracemalloc.start()
+        try:
+            report = duality.check_payoff_symmetry(model, 1, rng=make_rng(82), n_samples=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(p.rounds for p in report.points) == 2
+        return peak / (n * model.dim * 8)
+
+    peak()  # first-call allocations do not count
+    # in units of N draws: the first batch and round 2's make 5 (6.7 now); also holding
+    # round 1's batch while round 2's is drawn makes 7 (8.7)
+    assert peak() <= 7.7

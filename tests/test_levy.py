@@ -100,6 +100,14 @@ def test_gaussian_jump_requires_mean_convention():
         LevyTriplet(A2, nu, gamma=np.zeros(2), convention="truncated")
 
 
+@pytest.mark.parametrize("drift", ["mu", "gamma"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_drift_must_match_the_dimension(drift, length):
+    # downstream, a short drift goes unnoticed and a long one fails only when increments are drawn
+    with pytest.raises(DomainError, match=f"{drift} must have length 2"):
+        LevyTriplet(A2, **{drift: np.full(length, 0.1)}, convention="truncated")
+
+
 # --------------------------------------------------------------------------- #
 # Esscher transform
 # --------------------------------------------------------------------------- #
@@ -445,7 +453,7 @@ def test_solve_alpha_no_bracket():
 
 def test_zero_triplet_increment():
     t = LevyTriplet(np.zeros((2, 2)), mu=np.zeros(2))
-    incr = levy.sample_increment(t, 0.5, make_rng(70))
+    incr = levy.sample_increments(t, 0.5, make_rng(70), 1)[0]
     assert np.array_equal(incr, np.zeros(2))
 
 
