@@ -40,7 +40,8 @@ YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # A table is ``(constructor, fields)``; each field maps a YAML key to
 # ``(reader, options)``.  Readers take ``(chk, node, path, options)`` and
 # record violations on ``chk``; options are the bounds ``gt``/``ge``, a
-# ``default`` and ``required``, plus what a reader reads (``of``, ``item``,
+# ``default`` and ``required`` (or ``needed_by``: required when the list under
+# another key holds a value), plus what a reader reads (``of``, ``item``,
 # ``table``).
 
 
@@ -73,7 +74,7 @@ def _build(chk: _Check, node, path: str, table):
         value = node.get(key)
         if value is not None or (key in node and _reads_null(opt)):
             args[key] = read(chk, value, f"{path}.{key}", opt)
-        elif opt.get("required"):
+        elif opt.get("required") or _needed_by(node, opt):
             chk.fail(f"{path}.{key}", "missing required key")
         else:
             args[key] = opt.get("default")
@@ -87,6 +88,11 @@ def _build(chk: _Check, node, path: str, table):
 
 def _reads_null(opt) -> bool:
     return bool(opt.get("required")) or isinstance(opt.get("default"), str)
+
+
+def _needed_by(node: dict, opt) -> bool:
+    key, value = opt.get("needed_by", (None, None))
+    return isinstance(node.get(key), list) and value in node[key]
 
 
 def _bounded(chk: _Check, val, path: str, opt):
@@ -362,7 +368,7 @@ TASKS = {
         # left None when omitted: a vector model then defaults to the joint check
         "numeraire": (_integer, {"ge": 1}),
         "checks": (_choice, {"of": tuple(CHECKS), "many": True}),
-        "alpha": (_number, {}),
+        "alpha": (_number, {"needed_by": ("checks", "quasi")}),
         "carry": (_vector, {}),
     }),
     "alpha": (dict, {

@@ -85,13 +85,14 @@ class KappaMaps:
         self.n = int(n)
         self.i = int(i)
 
-    def kappa(self, x, axis: int = -1):
-        """``axis`` holds the coordinates: -1 for points and rows, 0 for column-major draws."""
+    def kappa(self, x, axis: int = -1, out=None):
+        """``axis`` holds the coordinates: -1 for points and rows, 0 for column-major draws.
+        ``out``, of the shape of ``x``, receives the result if given."""
         x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
         if np.any(x <= 0):
             raise DomainError("kappa requires strictly positive coordinates")
         xi = x[self.i - 1]
-        out = x / xi
+        out = np.divide(x, xi, out=None if out is None else np.moveaxis(out, axis, 0))
         out[self.i - 1] = 1.0 / xi
         return np.moveaxis(out, 0, axis)
 
@@ -155,10 +156,6 @@ class SymmetryReport:
     @property
     def residuals(self) -> list[float]:
         return [p.residual for p in self.points]
-
-    @property
-    def std_errors(self) -> list[float]:
-        return [p.std_error for p in self.points]
 
     @property
     def max_abs_residual(self) -> float:
@@ -322,14 +319,17 @@ def default_grid(lo: float = GRID_LO, hi: float = GRID_HI, n: int = GRID_POINTS)
     return np.geomspace(lo, hi, n)
 
 
-# Fixed bounded payoffs for the weighted-change-of-numeraire identity, on
-# column-major draws (coordinates on axis -2).  They decay in every
-# coordinate and its reciprocal, so the weighted side f(kappa_i(eta)) eta_i
-# keeps finite variance even for tail-index-2 models.
-_BOUNDED_PAYOFFS: list[tuple[str, Callable[[np.ndarray], np.ndarray]]] = [
-    ("exp(-sum(x+1/x))", lambda x: np.exp(-np.add.reduce(x + 1.0 / x, axis=-2))),
-    ("prod x/(1+x)^2", lambda x: np.multiply.reduce(x / (1.0 + x) ** 2, axis=-2)),
-    ("1/(1+sum(x+1/x))", lambda x: 1.0 / (1.0 + np.add.reduce(x + 1.0 / x, axis=-2))),
+# Fixed bounded payoffs for the weighted-change-of-numeraire identity, of
+# column-major draws ``x`` (coordinates on axis -2), their shared sum
+# ``s = sum(x + 1/x)`` and a scratch array ``tmp`` of the shape of ``x``.
+# They decay in every coordinate and its reciprocal, so the weighted side
+# f(kappa_i(eta)) eta_i keeps finite variance even for tail-index-2 models.
+_BOUNDED_PAYOFFS: list[tuple[str, Callable[..., np.ndarray]]] = [
+    ("exp(-sum(x+1/x))", lambda x, s, tmp: np.exp(-s)),
+    ("prod x/(1+x)^2", lambda x, s, tmp: np.multiply.reduce(
+        np.divide(x, np.square(np.add(1.0, x, out=tmp), out=tmp), out=tmp), axis=-2
+    )),
+    ("1/(1+sum(x+1/x))", lambda x, s, tmp: 1.0 / (1.0 + s)),
 ]
 
 
@@ -561,12 +561,22 @@ def _numeraire_change_group(title: str, maps: KappaMaps, carry=None, alpha: floa
     computed once for all of them, and each is one call on both sides."""
 
     def evaluate(cols, rows, levels):
-        x = cols if carry is None else np.exp(carry)[:, None] * cols
-        sides = np.stack([x, maps.kappa(x, axis=0)])
+        # both sides and a temporary of their shape are thread scratch: a block
+        # then allocates only single rows, and two kernel threads at once stay
+        # below one sampling block however they interleave
+        sides = _scratch("sides", 2 * len(cols), cols.shape[1]).reshape(2, *cols.shape)
+        tmp = _scratch("tmp", 2 * len(cols), cols.shape[1]).reshape(2, *cols.shape)
+        x = sides[0]
+        if carry is None:
+            np.copyto(x, cols)
+        else:
+            np.multiply(np.exp(carry)[:, None], cols, out=x)
+        maps.kappa(x, axis=0, out=sides[1])
         weight = x[maps.i - 1] ** alpha
+        total = np.add.reduce(np.add(np.divide(1.0, sides, out=tmp), sides, out=tmp), axis=-2)
         diffs = _scratch("payoff", len(rows), cols.shape[1])
         for row, (_, f) in zip(diffs, (_BOUNDED_PAYOFFS[k] for k in rows)):
-            plain, reflected = f(sides)
+            plain, reflected = f(sides, total, tmp)
             np.subtract(plain, reflected * weight, out=row)
         return diffs, None
 

@@ -12,10 +12,13 @@ vanish identically the indicator is dropped and the hedge collapses to
 that reflected claim.
 
 Replication is verified by nested Monte Carlo: outer paths locate first
-hits in one streaming pass that holds only the current prices and each
-barrier's first-hit record, so memory is O(paths * n) whatever the number
-of steps; inner simulations restarted from the hit state compare the
-conditional values of the target and the hedge claims.  The identity is
+hits in one streaming pass that holds only the log-state, column-major as
+``(n, paths)``, and each barrier's first-hit record, so memory is
+O(paths * n) whatever the number of steps.  A step exponentiates only the
+monitored asset's row; price vectors are formed for the paths that hit at
+that step and, at the horizon, for all.  Inner simulations restarted from
+the hit state compare the conditional values of the target and the hedge
+claims.  The identity is
 an equality of conditional expectations given a hit state with
 ``S_i = H`` exactly, so for continuous drivers the detected state is
 projected onto the barrier (the grid-crossing bias otherwise dominates
@@ -175,24 +178,29 @@ class HitRecord:
 
 
 def _price_steps(cfg: PathConfig, n_paths: int, rng: RngStream):
-    """Yield ``(k, prices, counts)`` for k = 1..steps: the simulation loop.
+    """Yield ``(k, t_k * carry, x, counts)`` for k = 1..steps: the simulation loop.
 
     Log-prices accumulate exact Levy increments per step, so the scheme
     has no discretisation bias in distribution at the grid times; only
-    the current log-price is held.  ``counts`` are the Poisson jump
-    counts inside step k.
+    the current log-state ``x``, ``(n, paths)``, is held and updated in
+    place.  ``counts`` are the Poisson jump counts inside step k.
     """
     n_paths = int(n_paths)
     dt = cfg.horizon / cfg.steps
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    x = np.zeros((n_paths, cfg.n))
+    x = np.zeros((cfg.n, n_paths))
     root = gaussian_root(cfg.driver, dt)
     for k in range(1, cfg.steps + 1):
         incr, counts = sample_increments(
             cfg.driver, dt, rng.child(k - 1), n_paths, return_counts=True, root=root
         )
-        x += incr
-        yield k, cfg.s0 * np.exp(times[k] * cfg.carry + x), counts
+        x += incr.T
+        yield k, times[k] * cfg.carry, x, counts
+
+
+def _prices(s: np.ndarray, growth: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (n, m) price columns ``s o exp(growth + x)`` of the log-state columns ``x``."""
+    return s[:, None] * np.exp(growth[:, None] + x)
 
 
 def simulate_paths(cfg: PathConfig, n_paths: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +214,8 @@ def simulate_paths(cfg: PathConfig, n_paths: int, rng: RngStream) -> tuple[np.nd
     paths = np.empty((int(n_paths), cfg.steps + 1, cfg.n))
     paths[:, 0] = cfg.s0
     jump_flags = np.zeros((int(n_paths), cfg.steps), dtype=bool)
-    for k, prices, counts in _price_steps(cfg, n_paths, rng):
-        paths[:, k] = prices
+    for k, growth, x, counts in _price_steps(cfg, n_paths, rng):
+        paths[:, k] = _prices(cfg.s0, growth, x).T
         jump_flags[:, k - 1] = counts > 0
     return paths, jump_flags
 
@@ -228,14 +236,15 @@ def _first_hits(
     step = np.zeros((len(barriers), n_paths), dtype=np.int64)
     state = np.zeros((len(barriers), n_paths, cfg.n))
     overshoot = np.zeros((len(barriers), n_paths), dtype=bool)
-    for k, prices, counts in _price_steps(cfg, n_paths, rng):
+    for k, growth, x, counts in _price_steps(cfg, n_paths, rng):
         for b, barrier in enumerate(barriers):
-            value = prices[:, barrier.asset - 1]
+            i = barrier.asset - 1
+            value = cfg.s0[i] * np.exp(growth[i] + x[i])
             new = np.flatnonzero(barrier.crossed(value) & (step[b] == 0))
             step[b, new] = k
-            state[b, new] = prices[new]
+            state[b, new] = _prices(cfg.s0, growth, x[:, new]).T
             overshoot[b, new] = (counts[new] > 0) & (value[new] != barrier.level)
-    return step, state, overshoot, prices
+    return step, state, overshoot, np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
 
 
 def detect_first_hit(
@@ -258,15 +267,9 @@ def detect_first_hit(
     if not np.any(crossed):
         return None
     k = int(np.argmax(crossed)) + 1
-    steps = values.shape[0] - 1
     value = float(values[k])
     had_jump = bool(jump_steps[k - 1]) if jump_steps is not None else False
-    return HitRecord(
-        step=k,
-        time=horizon * k / steps,
-        value=value,
-        overshoot=had_jump and value != barrier.level,
-    )
+    return HitRecord(k, horizon * k / (values.shape[0] - 1), value, had_jump and value != barrier.level)
 
 
 # --------------------------------------------------------------------------- #
@@ -446,10 +449,6 @@ class HitGap:
     std_error: float
     overshoot: bool
 
-    @property
-    def gap_in_se_units(self) -> float:
-        return self.gap / self.std_error if self.std_error > 0 else 0.0
-
 
 @dataclass
 class HedgeReport:
@@ -465,9 +464,8 @@ class HedgeReport:
 
     @property
     def max_gap_se_units(self) -> float:
-        if self.one_sided:
-            return max((-(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0), default=0.0)
-        return max((abs(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0), default=0.0)
+        sign = (lambda gap: -gap) if self.one_sided else abs
+        return max((sign(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0), default=0.0)
 
     @property
     def decomposition_residual(self) -> tuple[float, float]:
@@ -524,7 +522,7 @@ def _conditional_gap(
         lv, rv = float(lhs(s_t)[0]), float(rhs(s_t)[0])
         return lv, rv, rv - lv, 0.0
     incr = sample_increments(cfg.driver, remaining, rng, int(n_inner))
-    s_t = state * np.exp(remaining * cfg.carry + incr)
+    s_t = np.ascontiguousarray(_prices(state, remaining * cfg.carry, incr.T).T)
     lv = lhs(s_t)
     rv = rhs(s_t)
     d = rv - lv
@@ -595,21 +593,14 @@ def evaluate_hedge(
     # pathwise indicator algebra on the same outer draws
     target_terminal = plan.target(terminal)
     chi = knocked.astype(float)
-    plain = target_terminal
-    ki = chi * target_terminal
-    ko = (1.0 - chi) * target_terminal
 
     def _price(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_outer))
 
-    hedge_terminal = plan.hedge(terminal)
-    if plan.knock == "in":
-        no_hit_mismatch = float(np.max(np.abs(hedge_terminal[~knocked]))) if (~knocked).any() else 0.0
-    elif plan.knock == "out":
-        diff = hedge_terminal[~knocked] - target_terminal[~knocked]
-        no_hit_mismatch = float(np.max(np.abs(diff))) if (~knocked).any() else 0.0
-    else:
-        no_hit_mismatch = 0.0  # super-hedge promises only domination
+    # without a hit a knock-in hedge pays nothing and a knock-out hedge the
+    # target; the super-hedge promises only domination
+    miss = plan.hedge(terminal)[~knocked] - (target_terminal[~knocked] if plan.knock == "out" else 0.0)
+    no_hit_mismatch = 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
 
     if plan.knock == "out":
         lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
@@ -632,9 +623,9 @@ def evaluate_hedge(
         one_sided=one_sided,
         hit_gaps=gaps,
         terminal_max_mismatch=no_hit_mismatch,
-        price_plain=_price(plain),
-        price_knock_in=_price(ki),
-        price_knock_out=_price(ko),
+        price_plain=_price(target_terminal),
+        price_knock_in=_price(chi * target_terminal),
+        price_knock_out=_price((1.0 - chi) * target_terminal),
     )
 
 

@@ -709,6 +709,8 @@ def sample_increments(
     With ``return_counts`` the per-increment Poisson jump counts are
     returned alongside.  Callers that draw many batches over one ``dt``
     pass ``root = gaussian_root(t, dt)`` to factor the covariance once.
+    The increments are built column-major, as ``(n, size)``, and returned
+    as its ``(size, n)`` transpose; ``.T`` gives the columns back.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -720,25 +722,17 @@ def sample_increments(
     # linear coefficient absorbing the compensation used by the convention
     linear = (np.array(t.drift, dtype=float) - _compensator_vector(t)) * dt
 
-    if root is None:
-        root = gaussian_root(t, dt)
-    if root is not None:
-        out = rng.standard_normal((size, n)) @ root.T
-        out += linear
-    else:
-        out = np.zeros((size, n))
-        out += linear
+    root = gaussian_root(t, dt) if root is None else root
+    out = np.zeros((n, size)) if root is None else root @ rng.standard_normal((size, n)).T
+    out += linear[:, None]
 
     mass = t.nu.total_mass
     if mass > 0:
         counts = rng.poisson(mass * dt, size=size)
         total = int(counts.sum())
         if total > 0:
-            weights = [m for _, m in t.nu.atoms]
             g = t.nu.gaussian
-            if g is not None:
-                weights = weights + [g.mass]
-            weights = np.array(weights) / mass
+            weights = np.array([m for _, m in t.nu.atoms] + ([] if g is None else [g.mass])) / mass
             kinds = rng.choice(len(weights), size=total, p=weights)
             jumps = np.empty((total, n))
             for idx, (x, _) in enumerate(t.nu.atoms):
@@ -748,8 +742,5 @@ def sample_increments(
                 m_g = int(sel.sum())
                 if m_g:
                     jumps[sel] = rng.multivariate_normal(g.mean, g.cov, size=m_g)
-            owner = np.repeat(np.arange(size), counts)
-            np.add.at(out, owner, jumps)
-    if return_counts:
-        return out, counts
-    return out
+            np.add.at(out.T, np.repeat(np.arange(size), counts), jumps)
+    return (out.T, counts) if return_counts else out.T

@@ -760,6 +760,15 @@ SCHEMA_CORPUS = [
         ],
     ),
     ("seed: 1\n", ["spec.model: missing required key", "spec.task: missing required key"]),
+    # the quasi check compares against alpha: without one it multiplied None
+    (
+        "model: {kind: lognormal, sigma: 0.5}\ntask: {kind: check, checks: [quasi]}\n",
+        ["spec.task.alpha: missing required key"],
+    ),
+    (
+        _task("{kind: check, checks: [density, quasi], alpha: null, numeraire: 0}"),
+        ["spec.task.numeraire: must be >= 1, got 0", "spec.task.alpha: missing required key"],
+    ),
 ]
 
 
@@ -776,6 +785,7 @@ def test_schema_corpus_reports_each_violation_once(doc, violations):
         (MINIMAL + "tol: 3\n", "spec.tol"),
         (_triplet("tilted_gaussian: 3"), "spec.model.tilted_gaussian"),
         (_triplet("atoms: 3"), "spec.model.atoms"),
+        (_task("{kind: check, checks: [quasi]}"), "spec.task.alpha"),
     ],
 )
 def test_malformed_nodes_are_schema_errors_not_tracebacks(doc, path, tmp_path, capsys):

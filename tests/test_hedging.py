@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,6 +512,68 @@ def test_streaming_joint_hedge_matches_per_path_loop(claim):
     assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(201), 16)
     if claim == "X-jumps":
         assert 0.0 < rep.overshoot_fraction < 1.0
+
+
+def three_asset_config(steps=90):
+    a = 0.05 * np.array([[1.0, 0.3, 0.1], [0.3, 1.2, 0.4], [0.1, 0.4, 0.8]])
+    driver = levy.martingale_normalized(a)
+    return hedging.PathConfig((1.0, 1.1, 0.9), (0.02, -0.01, 0.03), driver, 1.0, steps)
+
+
+@pytest.mark.parametrize(
+    "barrier",
+    [hedging.Barrier(2, 0.95, "down"), hedging.Barrier(3, 1.0, "up")],
+    ids=["down-asset-2", "up-asset-3"],
+)
+def test_streaming_hedge_matches_per_path_loop_on_three_assets(barrier):
+    # the monitored row is not asset 1, and the state holds three prices
+    cfg = three_asset_config()
+    plan = hedging.build_hedge(pricing.BasketCall((0.5, 1.0, 0.5), 1.1), barrier, 1.0, "in")
+    rep = hedging.evaluate_hedge(
+        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(205), n_hit_states=12
+    )
+    assert len(rep.hit_gaps) == 12
+    assert all(g.state[barrier.asset - 1] == barrier.level for g in rep.hit_gaps)
+    assert rep == _oracle_hedge(plan, cfg, 1_500, 300, make_rng(205), 12)
+
+
+def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
+    cfg = three_asset_config()
+    call = pricing.BasketCall((1.0, 0.5, 0.5), 1.5)
+    put = pricing.BasketPut((0.5, 0.5, 1.0), 1.5)
+    plan = hedging.JointHedgePlan("Y", 1.2, (1.0, 1.0), [], [(1, call, put), (2, put, call)])
+    rep = hedging.evaluate_joint_hedge(
+        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(206), n_hit_states=10
+    )
+    assert len(rep.hit_gaps) == 10
+    assert {len(g.state) for g in rep.hit_gaps} == {3}
+    assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(206), 10)
+
+
+def test_traced_hedge_counts_repeat():
+    # bench/run.py --trace 1 fails its self-test unless every count repeats;
+    # its recorder keeps one call stack, so the hedge pass must stay on one thread
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    cfg = jump_config()
+
+    def run():
+        return hedging.evaluate_hedge(
+            plan, cfg, n_outer=600, n_inner=200, rng=make_rng(207), n_hit_states=4
+        )
+
+    counts, reports = [], []
+    for _ in range(2):
+        recorder = spans.Recorder()
+        with recorder.recording() as recorded:
+            reports.append(run())
+        metrics = spans.layer_metrics(recorded)
+        counts.append({name: metrics.get(name, 0) for name in spans.REPEATABLE})
+    assert counts[0] == counts[1]
+    assert counts[0]["rng.draws"] > 0 and counts[0]["levy.increments_inner_rows"] > 0
+    assert reports[0] == reports[1] == run()
 
 
 def test_simulate_paths_matches_whole_grid_formula():

@@ -518,3 +518,51 @@ def test_increment_distribution_matches_char_exponent():
         emp = np.exp(1j * incr @ u).mean()
         want = np.exp(levy.char_exponent(t, u) * dt)
         assert abs(emp - want) <= 0.01
+
+
+def _row_major_increments(t, dt, rng, size):
+    """Increments built row-major, ``z @ root.T + linear`` and then the jumps."""
+    out = np.zeros((size, t.n))
+    root = levy.gaussian_root(t, dt)
+    if root is not None:
+        out = rng.standard_normal((size, t.n)) @ root.T
+    out += (np.array(t.drift, dtype=float) - levy._compensator_vector(t)) * dt
+    counts = np.zeros(size, dtype=np.int64)
+    mass = t.nu.total_mass
+    if mass > 0:
+        counts = rng.poisson(mass * dt, size=size)
+        weights = [m for _, m in t.nu.atoms] + [t.nu.gaussian.mass]
+        kinds = rng.choice(len(weights), size=int(counts.sum()), p=np.array(weights) / mass)
+        jumps = np.empty((kinds.size, t.n))
+        for idx, (x, _) in enumerate(t.nu.atoms):
+            jumps[kinds == idx] = x
+        sel = kinds == len(weights) - 1
+        g = t.nu.gaussian
+        jumps[sel] = rng.multivariate_normal(g.mean, g.cov, size=int(sel.sum()))
+        np.add.at(out, np.repeat(np.arange(size), counts), jumps)
+    return out, counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "jumps", "mixed"])
+@pytest.mark.parametrize("return_counts", [True, False])
+def test_column_major_increments_equal_the_row_major_formula(n, kind, return_counts):
+    a = 0.09 * (np.eye(n) + np.ones((n, n))) / 2
+    nu = JumpMeasure(
+        atoms=((np.linspace(-0.3, 0.2, n), 0.7), (np.linspace(0.25, -0.1, n), 0.4)),
+        gaussian=GaussianPart(np.full(n, -0.05), 0.02 * np.eye(n), 0.9),
+    )
+    t = {
+        "gaussian": levy.martingale_normalized(a),
+        "jumps": levy.martingale_normalized(np.zeros((n, n)), nu),
+        "mixed": levy.martingale_normalized(a, nu),
+    }[kind]
+    want, want_counts = _row_major_increments(t, 0.3, make_rng(77), 3_000)
+    got = levy.sample_increments(t, 0.3, make_rng(77), 3_000, return_counts=return_counts)
+    if return_counts:
+        got, counts = got
+        np.testing.assert_array_equal(counts, want_counts)
+    assert got.shape == (3_000, n)
+    np.testing.assert_array_equal(got, want)
+    if kind != "gaussian":
+        assert want_counts.sum() > 1_000
