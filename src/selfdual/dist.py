@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DomainError,
@@ -185,10 +184,12 @@ class LogNormal(ScalarModel):
         return np.exp(-0.5 * z * z) / (x * self.sigma * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
+        out[pos] = ndtr((np.log(x[pos]) - self.mu) / self.sigma)
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
@@ -204,22 +205,26 @@ class LogNormal(ScalarModel):
         return self.mean - self._call(z, 1.0)
 
     def tail_mean(self, k):
+        from scipy.special import ndtr
+
         # math.log for one strike keeps the scalar closed forms bit-identical;
         # np.log may differ from it by one ulp
         log = math.log if np.ndim(k) == 0 else np.log
 
         def positive(kk):
             d = (log(kk) - self.mu) / self.sigma
-            return self.mean * (1.0 - special.ndtr(d - self.sigma))
+            return self.mean * (1.0 - ndtr(d - self.sigma))
 
         return self._by_strike(k, positive)
 
     def _call(self, k: float, big_f: float) -> float:
         """E (F eta - k)_+ for F > 0, the undiscounted Black call."""
+        from scipy.special import ndtr
+
         if k <= 0:
             return big_f * self.mean - k
         d = (math.log(k / big_f) - self.mu) / self.sigma
-        return float(big_f * self.mean * special.ndtr(self.sigma - d) - k * special.ndtr(-d))
+        return float(big_f * self.mean * ndtr(self.sigma - d) - k * ndtr(-d))
 
     def expect_affine(self, w, c, p=1.0, b=0.0):
         """Closed forms for p in {0, 1} and b in {0, 1}.
@@ -282,6 +287,8 @@ class LpSelfDual(ScalarModel):
         return (v / (1.0 - v)) ** (1.0 / self.p)
 
     def raw_moment(self, r):
+        from scipy.special import beta
+
         p = self.p
         if not (-(p - 1.0) < r < p):
             raise MomentDiverges(
@@ -289,7 +296,7 @@ class LpSelfDual(ScalarModel):
                 critical_exponent=p if r > 0 else 1.0 - p,
             )
         # t = y^(1/p) reduces the moment to a Beta integral.
-        return (p - 1.0) / p * special.beta((r + p - 1.0) / p, (p - r) / p)
+        return (p - 1.0) / p * beta((r + p - 1.0) / p, (p - r) / p)
 
     def integrated_tail(self, z):
         # min + max = z + eta and E max(z, eta) = |(z, 1)|_p.
@@ -699,9 +706,11 @@ class UnitBallMax(VectorModel):
         return self.n
 
     def pdf(self, x):
+        from scipy.special import gamma
+
         x = self._check_point(x)
         n = self.n
-        norm = 2.0**n * special.gamma(n + 0.5) / math.sqrt(math.pi)
+        norm = 2.0**n * gamma(n + 0.5) / math.sqrt(math.pi)
         bracket = 1.0 + float(np.sum(x**-2.0))
         return norm / (bracket ** (n + 0.5) * float(np.prod(x**3)))
 

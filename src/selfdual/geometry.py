@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dist import ScalarModel, VectorModel
 from .errors import AtomicModel, DomainError
@@ -177,6 +176,8 @@ def husler_reiss_norm(k: float, big_f: float, lambda_hr: float) -> float:
     self-duality of the log-normal model.  Conventions at the boundary:
     k = 0 gives F and F = 0 gives k.
     """
+    from scipy.special import ndtr
+
     if lambda_hr <= 0:
         raise DomainError("lambda_hr must be positive")
     if k < 0 or big_f < 0:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
 
 from .duality import KappaMaps, ReportPoint, SymmetryReport
 from .errors import (
@@ -546,12 +545,14 @@ def check_sd_triplet(t: LevyTriplet, i: int, tol: float = 1e-10) -> SymmetryRepo
 
 def lambert_w0(x: float) -> float:
     """Principal branch of w e^w = x for x >= -1/e (``scipy.special.lambertw``)."""
+    from scipy.special import lambertw
+
     if x < -1.0 / math.e:
         raise DomainError(f"lambert_w0 requires x >= -1/e, got {x!r}")
     if x == -1.0 / math.e:
         # the double nearest -1/e lies just below the branch point, where scipy returns nan
         return -1.0
-    return float(special.lambertw(x).real)
+    return float(lambertw(x).real)
 
 
 @dataclass(frozen=True)
@@ -649,6 +650,8 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
 
 def _scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):
     """Sign-change scan on a symmetric geometric grid, then brentq."""
+    from scipy.optimize import brentq
+
     pos = np.geomspace(1e-3, hi, 120)
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     grid = grid[(grid >= lo) & (grid <= hi)]
@@ -663,11 +666,7 @@ def _scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):
             roots.append(float(grid[k]))
             continue
         if va * vb < 0.0:
-            r = float(
-                optimize.brentq(
-                    g_fun, float(grid[k]), float(grid[k + 1]), xtol=1e-15, rtol=8.9e-16
-                )
-            )
+            r = float(brentq(g_fun, float(grid[k]), float(grid[k + 1]), xtol=1e-15, rtol=8.9e-16))
             roots.append(r)
             if bracket is None:
                 bracket = (float(grid[k]), float(grid[k + 1]))

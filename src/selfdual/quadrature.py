@@ -4,7 +4,9 @@ All integrals over (0, inf) are computed after the substitution
 ``x = exp(t)``, which maps the half-line to the real line and removes the
 algebraic endpoint singularities of the densities handled here
 (power-law and log-normal tails).  The underlying integrator is the
-adaptive Gauss-Kronrod scheme of QUADPACK via ``scipy.integrate.quad``.
+adaptive Gauss-Kronrod scheme of QUADPACK via ``scipy.integrate.quad``,
+imported on the first integral: a task that integrates nothing never
+loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure
 
@@ -26,7 +27,12 @@ _EPSABS = 1e-12
 _EPSREL = 1e-10
 
 
-def _check(value: float, err: float, what: str) -> float:
+def _quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
+    """QUADPACK on (a, b) at the tightened tolerances, its error estimate checked."""
+    from scipy.integrate import quad
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        value, err = quad(f, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
     if not math.isfinite(value):
         raise QuadratureFailure(f"{what}: integral is not finite")
     if err > ABS_TOL + REL_TOL * abs(value):
@@ -60,9 +66,7 @@ def integrate_positive(f: Callable[[float], float], *, what: str = "integral") -
         x = math.exp(t)
         return fx(x) * x
 
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        value, err = integrate.quad(g, -np.inf, np.inf, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
-    return _check(value, err, what)
+    return _quad(g, -np.inf, np.inf, what)
 
 
 def integrate_interval(
@@ -72,25 +76,13 @@ def integrate_interval(
     at zero is handled by the log substitution."""
     if a < 0:
         raise ValueError("interval must lie in [0, inf)")
-    if math.isinf(b):
-        if a == 0.0:
-            return integrate_positive(f, what=what)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            value, err = integrate.quad(
-                _np_call(f), a, np.inf, epsabs=_EPSABS, epsrel=_EPSREL, limit=400
-            )
-        return _check(value, err, what)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        value, err = integrate.quad(_np_call(f), a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
-    return _check(value, err, what)
+    if math.isinf(b) and a == 0.0:
+        return integrate_positive(f, what=what)
+    return _quad(_np_call(f), a, b, what)
 
 
 def integrate_real_line(f: Callable[[float], float], *, what: str = "integral") -> float:
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        value, err = integrate.quad(
-            _np_call(f), -np.inf, np.inf, epsabs=_EPSABS, epsrel=_EPSREL, limit=400
-        )
-    return _check(value, err, what)
+    return _quad(_np_call(f), -np.inf, np.inf, what)
 
 
 def decays_at_scales(h: Callable[[float], float], scales: np.ndarray) -> bool:

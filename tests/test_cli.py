@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -465,6 +468,98 @@ def test_report_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkey
         outputs.append(_cli_output("check", spec_file, tmp_path / f"out{workers}", capsys))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == {"pass": 0, "fail": 1}[name]
+
+
+# --------------------------------------------------------------------------- #
+# Start-up: scipy is imported by the code that calls it, on its first call
+# --------------------------------------------------------------------------- #
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# Parses the specs on stdin, runs its tasks, and prints their exit codes and
+# the scipy modules loaded, all in one fresh interpreter.
+NO_SCIPY = """
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from selfdual import cli
+job = json.load(sys.stdin)
+for text in job["parse"]:
+    cli.parse_model_spec(text)
+codes = []
+for n, (kind, text, *extra) in enumerate(job["run"]):
+    spec = Path(sys.argv[2]) / f"{n}.yaml"
+    spec.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main([kind, str(spec), "--out", str(spec.with_suffix("")), *extra]))
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_tasks_without_quadrature_or_special_functions_never_import_scipy(tmp_path):
+    job = {
+        "parse": [INDEPENDENT_PAYOFF, HEDGE_SMALL, HEAVY_TAIL_SELF_DUAL],
+        "run": [
+            ["check", INDEPENDENT_PAYOFF, "--samples", "20000"],
+            ["hedge", HEDGE_SMALL],
+            ["zonoid", REPORT_SPECS["zonoid"]],
+        ],
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(SRC), str(tmp_path)],
+        input=json.dumps(job), capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"codes": [1, 0, 0], "scipy": []}
+
+
+# Tasks that need scipy: the closed LambertW order (lambert_w0 and the
+# brentq scan) and a common-factor density check (one quadrature per point)
+SCIPY_SPECS = {
+    "alpha": """
+model:
+  kind: levy_triplet
+  a: 0.04
+  tilted_gaussian: {cov: 1.0, tilt: 0.9808575969854374, mass: 1.0, numeraire: 1}
+task: {kind: alpha, carry: 0.01}
+""",
+    "check": """
+model:
+  kind: common_factor
+  factors: [{kind: lognormal, sigma: 0.5}, {kind: lognormal, sigma: 0.25}]
+task: {kind: check, checks: [density]}
+""",
+}
+
+# cli.main in a fresh interpreter, where scipy is first imported mid-task
+COLD_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from selfdual import cli
+assert "scipy" not in sys.modules
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(SCIPY_SPECS))
+def test_first_use_of_scipy_gives_the_in_process_output(kind, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(SCIPY_SPECS[kind])
+    args = [kind, str(spec_file), "--seed", "11", "--out"]
+    cold = subprocess.run(
+        [sys.executable, "-c", COLD_MAIN, str(SRC), *args, str(tmp_path / "cold")],
+        capture_output=True, text=True,
+    )
+    code = cli.main([*args, str(tmp_path / "warm")])
+    warm = capsys.readouterr()
+    assert (cold.returncode, cold.stdout, cold.stderr) == (code, warm.out, warm.err)
+    assert code == 0
+    cold_files, warm_files = (
+        {p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())} for d in ("cold", "warm")
+    )
+    assert cold_files == warm_files
+    assert "report.yaml" in cold_files
 
 
 # --------------------------------------------------------------------------- #
