@@ -18,7 +18,7 @@ import io
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -451,8 +451,146 @@ def _normalize(node):
     return node
 
 
+# --------------------------------------------------------------------------- #
+# Report text
+# --------------------------------------------------------------------------- #
+#
+# Reports and the spec echo are written in the block layout of
+# ``yaml.dump(doc, sort_keys=True)``: keys sorted, a sequence inside a mapping
+# not indented, an empty collection as ``{}``/``[]``, floats by ``repr``.  A
+# string takes the one-line text the dumper in use gives it.  A document
+# holding any other type, a container twice (PyYAML would write an alias) or
+# a string PyYAML could fold or quote over several lines goes to ``yaml.dump``.
+
+_WIDTH = 80  # PyYAML breaks plain and quoted scalars at a space beyond this column
+_SIMPLE_KEY = 128  # PyYAML writes a key this long or longer as a '? key' entry
+_STRINGS_MAX = 4096  # strings remembered per dumper before the memo starts over
+
+
+class _Strings(dict):
+    """The one-line text a dumper gives each string, or None where it has none."""
+
+    def __init__(self, dumper):
+        super().__init__()
+        self.dumper = dumper
+
+    def __missing__(self, value: str) -> str | None:
+        if len(self) >= _STRINGS_MAX:
+            self.clear()
+        text = yaml.dump([value], Dumper=self.dumper)[2:-1]
+        # a double-quoted text may hold escapes and break anywhere
+        self[value] = None if "\n" in text or text.startswith('"') else text
+        return self[value]
+
+
+@cache
+def _strings(dumper) -> _Strings:
+    return _Strings(dumper)
+
+
+class _Defer(Exception):
+    """The document holds something the writer leaves to ``yaml.dump``."""
+
+
 def _dump(doc) -> str:
-    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True)
+    text = _block_yaml(doc)
+    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True) if text is None else text
+
+
+def _block_yaml(doc) -> str | None:
+    """``doc`` as ``yaml.dump(doc, sort_keys=True)`` writes it, or None to defer to it."""
+    if type(doc) is not dict or not doc:
+        return None
+    out = _BlockWriter(_strings(YAML_DUMPER))
+    try:
+        out.mapping(doc, 0, "")
+    except _Defer:
+        return None
+    out.lines.append("")
+    return "\n".join(out.lines)
+
+
+class _BlockWriter:
+    def __init__(self, strings: _Strings):
+        self.strings = strings
+        self.lines: list[str] = []
+        self.seen: set[int] = set()  # ids of the containers written
+
+    def mapping(self, node: dict, indent: int, lead: str) -> None:
+        """Write a nonempty mapping whose first key follows ``lead`` on its line."""
+        self.enter(node)
+        try:
+            keys = sorted(node)
+        except TypeError:  # keys of unlike types, which PyYAML leaves unsorted
+            raise _Defer from None
+        pad = " " * indent
+        for key in keys:
+            if type(key) is not str or len(key) >= _SIMPLE_KEY or self.strings[key] != key:
+                raise _Defer
+            value = node[key]
+            kind = type(value)
+            if (kind is dict or kind is list) and value:
+                self.lines.append(f"{lead}{key}:")
+                if kind is dict:
+                    self.mapping(value, indent + 2, pad + "  ")
+                else:
+                    self.sequence(value, indent, pad)
+            else:
+                self.scalar(f"{lead}{key}: ", value)
+            lead = pad
+
+    def sequence(self, node: list, indent: int, lead: str) -> None:
+        """Write a nonempty sequence whose first ``- `` follows ``lead`` on its line."""
+        self.enter(node)
+        pad = " " * indent
+        for value in node:
+            kind = type(value)
+            if kind is dict and value:
+                self.mapping(value, indent + 2, lead + "- ")
+            elif kind is list and value:
+                self.sequence(value, indent + 2, lead + "- ")
+            else:
+                self.scalar(lead + "- ", value)
+            lead = pad
+
+    def scalar(self, head: str, value) -> None:
+        kind = type(value)
+        if kind is str:
+            text = self.strings[value]
+            if text is None or (" " in text and len(head) + len(text) > _WIDTH):
+                raise _Defer
+        elif kind is float:
+            text = _float(value)
+        elif kind is int:
+            text = str(value)
+        elif kind is bool:
+            text = "true" if value else "false"
+        elif value is None:
+            text = "null"
+        elif kind is dict or kind is list:  # empty
+            self.enter(value)
+            text = "{}" if kind is dict else "[]"
+        else:
+            raise _Defer
+        self.lines.append(head + text)
+
+    def enter(self, node) -> None:
+        if id(node) in self.seen:
+            raise _Defer
+        self.seen.add(id(node))
+
+
+def _float(value: float) -> str:
+    """PyYAML's text for a float."""
+    if value != value:
+        return ".nan"
+    if value == math.inf:
+        return ".inf"
+    if value == -math.inf:
+        return "-.inf"
+    text = repr(value).lower()
+    # a repr such as '1e+16' needs a '.' to read back as a YAML float
+    return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
 
 
 def _spec_echo(spec: dict) -> dict:
@@ -576,6 +714,8 @@ def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
     cfg, task = spec["model"], spec["task"]
     if not isinstance(cfg, hedging.PathConfig):
         raise SelfDualError("hedge task requires a path_config model")
+    # before the barrier's asset picks a carry or a hedge weight
+    task["barrier"].validate(cfg)
     alpha = task["alpha"]
     if alpha == "solve":
         i = task["barrier"].asset
@@ -677,14 +817,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="selfdual",
         description="Self-dual model checks, order solving, pricing, and hedges",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in TASK_KINDS:
-        p = sub.add_parser(name, help=f"run a '{name}' task from a model spec")
-        p.add_argument("spec", help="path to the YAML model spec")
-        p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-        p.add_argument("--samples", type=int, default=None, help="override sample counts")
-        p.add_argument("--tol", type=float, default=None, help="override the exact tolerance")
-        p.add_argument("--out", type=str, default=None, help="directory for report artifacts")
+    parser.add_argument("command", choices=TASK_KINDS, help="the task kind the spec holds")
+    parser.add_argument("spec", help="path to the YAML model spec")
+    parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    parser.add_argument("--samples", type=int, default=None, help="override sample counts")
+    parser.add_argument("--tol", type=float, default=None, help="override the exact tolerance")
+    parser.add_argument("--out", type=str, default=None, help="directory for report artifacts")
     args = parser.parse_args(argv)
 
     try:

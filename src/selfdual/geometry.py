@@ -227,9 +227,8 @@ def boundary_polyline(
 
 
 def write_boundary_csv(rows: np.ndarray, fh: io.TextIOBase) -> None:
-    fh.write("k,bc,gc_over_f\n")
-    for k, bc, gc in rows:
-        fh.write(f"{k:.17g},{bc:.17g},{gc:.17g}\n")
+    lines = [f"{k:.17g},{bc:.17g},{gc:.17g}\n" for k, bc, gc in rows.tolist()]
+    fh.write("k,bc,gc_over_f\n" + "".join(lines))
 
 
 def reflect_pi(lv: LiftVector, i: int) -> LiftVector:

@@ -294,7 +294,12 @@ def _terminal_samples(model, n_samples: int, rng: RngStream, forward=None) -> np
     s = model.sample(int(n_samples), rng)
     s = s.reshape(int(n_samples), -1)
     if forward is not None:
-        s = s * np.atleast_1d(np.asarray(forward, dtype=float))
+        forward = np.atleast_1d(np.asarray(forward, dtype=float))
+        if forward.size not in (1, s.shape[1]):
+            raise DomainError(
+                f"forward has {forward.size} entries; the model has dimension {s.shape[1]}"
+            )
+        s = s * forward
     return s
 
 

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from selfdual import cli, dist, duality, hedging, levy
 from selfdual.errors import SchemaError
@@ -471,6 +475,125 @@ def test_report_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkey
 
 
 # --------------------------------------------------------------------------- #
+# The report writer: PyYAML's bytes, or a deferral to PyYAML
+# --------------------------------------------------------------------------- #
+
+WRITER_SPECS = {
+    **{kind: (kind, REPORT_SPECS[kind]) for kind in cli.TASK_KINDS},
+    **{f"crn-{name}": ("check", CRN_SPECS[name]) for name in CRN_SPECS},
+    "echo": ("check", ECHO_SPEC),
+    # an exit-3 report: an alpha task on a model that is not a triplet
+    "error": ("alpha", "model: {kind: lognormal, sigma: 0.3}\ntask: {kind: alpha, carry: 0.01}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_SPECS))
+def test_writer_gives_pyyaml_bytes_for_cli_reports(name, yaml_backend):
+    kind, text = WRITER_SPECS[name]
+    spec = cli.parse_model_spec(text)
+    assert spec["task"]["kind"] == kind
+    code, doc, _ = cli.run(spec)
+    assert (code == 3) == ("error" in doc) == (name == "error")
+    for node in (doc, cli._spec_echo(spec)):
+        want = yaml.dump(node, Dumper=cli.YAML_DUMPER, sort_keys=True)
+        assert cli._block_yaml(node) == want
+        assert cli._block_yaml(node) == want  # and again from the learnt strings
+
+
+def _shared(node):
+    """A document holding ``node`` twice, which PyYAML writes as an anchor and an alias."""
+    return {"a": node, "b": [{}, [], node]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _shared([1.0, 2.0]),
+        _shared({}),
+        {"a": (1.0, 2.0)},
+        {"a": np.float64(1.0)},
+        {"a": 1, 2: "b"},
+        {"label": "word " * 17},
+        {"label": "two\nlines"},
+        {"label": "caf\u00e9"},
+        {"x" * 130: 1},
+        {"": 1},
+        {},
+    ],
+)
+def test_writer_defers_what_pyyaml_writes_otherwise(doc):
+    assert cli._block_yaml(doc) is None
+    try:
+        want = yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+    except yaml.YAMLError:  # numpy scalars are not representable: the deferral raises too
+        with pytest.raises(yaml.YAMLError):
+            cli._dump(doc)
+    else:
+        assert cli._dump(doc) == want
+
+
+# the program's own label formats and strings YAML reads as something else
+LABELS = [
+    "x=0.2",
+    "joint:u=(0.500,0.250)",
+    "E eta^2 - E eta^-1",
+    "",
+    "1",
+    "yes",
+    "null",
+    "a: b",
+    "#x",
+    "- x",
+    "a label of more than eighty characters, with spaces in it, to fold past the column",
+]
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16]
+)
+# printable ASCII as well, as most other text is double-quoted and deferred
+_LABEL = (
+    st.text()
+    | st.text(st.characters(min_codepoint=32, max_codepoint=126))
+    | st.sampled_from(LABELS)
+)
+_POINT = st.fixed_dictionaries({
+    "label": _LABEL,
+    "residual": FLOATS,
+    "std_error": FLOATS,
+    "status": st.sampled_from(["pass", "fail", "inconclusive"]),
+    "n_samples": st.integers(),
+    "rounds": st.integers(),
+})
+_CHECK = st.fixed_dictionaries({
+    "name": _LABEL,
+    "verdict": _LABEL,
+    "max_abs_residual": FLOATS,
+    "max_se_units": FLOATS,
+    "points": st.lists(_POINT, max_size=4),
+    "extras": st.dictionaries(_LABEL, FLOATS, max_size=3),
+})
+CHECK_DOCS = st.fixed_dictionaries({
+    "tool": st.fixed_dictionaries({"name": _LABEL, "seed": st.integers(), "spec_sha256": _LABEL}),
+    "results": st.fixed_dictionaries({"verdict": _LABEL, "checks": st.lists(_CHECK, max_size=3)}),
+})
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=CHECK_DOCS)
+def test_writer_matches_pyyaml_or_defers(doc, yaml_backend):
+    text = cli._block_yaml(doc)
+    assert text is None or text == yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+
+
+def test_writer_writes_the_program_labels_itself(yaml_backend):
+    # the labels the program writes fit the writer; only the long one is deferred
+    doc = {"labels": LABELS[:-1], "floats": [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf]}
+    assert cli._block_yaml(doc) == yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+    assert cli._block_yaml({"labels": LABELS}) is None
+
+
+# --------------------------------------------------------------------------- #
 # Start-up: scipy is imported by the code that calls it, on its first call
 # --------------------------------------------------------------------------- #
 
@@ -892,6 +1015,34 @@ def test_malformed_nodes_are_schema_errors_not_tracebacks(doc, path, tmp_path, c
     assert captured.err.startswith(f"schema error: {path}: ")
 
 
+# specs that read cleanly but cannot run: each is a report with an error, not a traceback
+RUN_ERRORS = {
+    "hedge": (
+        "model: {kind: path_config, s0: [1.0, 1.0], "
+        "driver: {kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]]}}\n"
+        "task: {kind: hedge, barrier: {asset: 3, level: 0.8}, alpha: solve, " + _TARGET + "}\n",
+        "barrier asset 3 out of range 1..2",
+    ),
+    "price": (
+        "model: {kind: multi_lognormal, mean: [-0.125, -0.125], cov: [[0.25, 0.0], [0.0, 0.25]]}\n"
+        "task: {kind: price, payoff: {kind: max_option, u0: 1, weights: [1, 1]}, "
+        "forward: [1, 2, 3]}\n",
+        "forward has 3 entries; the model has dimension 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_ERRORS))
+def test_a_spec_that_cannot_run_is_an_exit_three_report(kind, tmp_path, capsys):
+    text, message = RUN_ERRORS[kind]
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(text)
+    assert cli.main([kind, str(spec_file), "--samples", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert yaml.safe_load(captured.out)["error"] == {"type": "DomainError", "message": message}
+
+
 @pytest.mark.parametrize(
     "doc, path",
     [
@@ -954,3 +1105,92 @@ def test_readme_lists_every_model_payoff_task_and_check():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     names = [*cli.MODELS, *cli.PAYOFFS, *cli.TASKS, *cli.CHECKS]
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+# --------------------------------------------------------------------------- #
+# Golden report bytes: sha256 of report.yaml and every artifact at --seed 11
+# --------------------------------------------------------------------------- #
+
+# the benchmark's four exact-workload specs, copied so the pins do not move with bench/
+GOLDEN_SPECS = {
+    "zonoid-heavy-tail": (
+        "zonoid", "model: {kind: heavy_tail, gamma: 1.0}\ntask: {kind: zonoid, points: 200}\n"
+    ),
+    "zonoid-lp": ("zonoid", "model: {kind: lp_self_dual, p: 2.0}\ntask: {kind: zonoid, points: 200}\n"),
+    "alpha": (
+        "alpha",
+        "model:\n  kind: levy_triplet\n  a: 0.0\n"
+        "  tilted_gaussian: {cov: 1.0, tilt: 0.5, mass: 1.0, numeraire: 1}\n"
+        "task: {kind: alpha, carry: 0.2840254166877414}\n",
+    ),
+    "check-heavy-tail": ("check", HEAVY_TAIL_SELF_DUAL),
+    "hedge-small": ("hedge", HEDGE_SMALL),
+}
+GOLDEN_SHA256 = {
+    "zonoid-heavy-tail": {
+        "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
+        "report.yaml": "d3b32158656faf2436b2414d310e3161e595c0cdbfba15b807cb0fcd7fca2ca7",
+    },
+    "zonoid-lp": {
+        "boundary.csv": "af057ceb81946c4814afa78eb4965283c9389626887fbfe221153b1dac3b0e91",
+        "report.yaml": "e45031b674ff9e6c275e1bdb2e6a131229c3c344871c67bb5049a41f83baf61c",
+    },
+    "alpha": {
+        "alpha.txt": "c174baa2c35ecf6fd9b98472a781a982c6112c12f3ec80333e1ced8631cb117b",
+        "report.yaml": "d5bebf7f1934c509031435e18422e99baca06b650c1380334eb6f4cf93af9da8",
+    },
+    "check-heavy-tail": {
+        "report.yaml": "a4beb2fab465d0023dc47bcb9fde433cd915f8354fde5fc603a19d9d53152dc2",
+        "verdicts.txt": "ee2afbe083dc049f56ce74fab44d1fac6e38249c716eb543b368362646a7b643",
+    },
+    "hedge-small": {
+        "hedge.txt": "be1b90b70a754790eb453f0ff2b7bd854fe5aa1687004a5d3ae1e2ff90ae521b",
+        "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
+        "report.yaml": "3725236ae9589e25ed8d1d7889f768d0d25f339c7a8ac7f748c48f0cf69b85d6",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_report_and_artifact_bytes_match_golden_hashes(name, yaml_backend, tmp_path, capsys):
+    kind, text = GOLDEN_SPECS[name]
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert cli.main([kind, str(spec_file), "--seed", "11", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.encode() == (out_dir / "report.yaml").read_bytes()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+    assert got == GOLDEN_SHA256[name]
+
+
+# --------------------------------------------------------------------------- #
+# Usage: the command line that argparse accepts and rejects
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["frobnicate", "spec.yaml"], ["check"], ["check", "spec.yaml", "--seed", "abc"]],
+)
+def test_bad_usage_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: selfdual ")
+
+
+def test_help_lists_every_task_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert [kind for kind in cli.TASK_KINDS if kind not in text] == []
+
+
+def test_a_kind_mismatch_names_both_kinds(tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(DISCRETE)
+    assert cli.main(["alpha", str(spec_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spec task kind 'check' does not match subcommand 'alpha'\n"
