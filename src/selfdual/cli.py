@@ -18,7 +18,7 @@ import io
 import math
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -464,28 +464,6 @@ def _normalize(node):
 
 _WIDTH = 80  # PyYAML breaks plain and quoted scalars at a space beyond this column
 _SIMPLE_KEY = 128  # PyYAML writes a key this long or longer as a '? key' entry
-_STRINGS_MAX = 4096  # strings remembered per dumper before the memo starts over
-
-
-class _Strings(dict):
-    """The one-line text a dumper gives each string, or None where it has none."""
-
-    def __init__(self, dumper):
-        super().__init__()
-        self.dumper = dumper
-
-    def __missing__(self, value: str) -> str | None:
-        if len(self) >= _STRINGS_MAX:
-            self.clear()
-        text = yaml.dump([value], Dumper=self.dumper)[2:-1]
-        # a double-quoted text may hold escapes and break anywhere
-        self[value] = None if "\n" in text or text.startswith('"') else text
-        return self[value]
-
-
-@cache
-def _strings(dumper) -> _Strings:
-    return _Strings(dumper)
 
 
 class _Defer(Exception):
@@ -501,8 +479,8 @@ def _block_yaml(doc) -> str | None:
     """``doc`` as ``yaml.dump(doc, sort_keys=True)`` writes it, or None to defer to it."""
     if type(doc) is not dict or not doc:
         return None
-    out = _BlockWriter(_strings(YAML_DUMPER))
     try:
+        out = _BlockWriter(_string_texts(doc))
         out.mapping(doc, 0, "")
     except _Defer:
         return None
@@ -510,22 +488,51 @@ def _block_yaml(doc) -> str | None:
     return "\n".join(out.lines)
 
 
+def _string_texts(doc: dict) -> dict[str, str]:
+    """The one-line text the dumper in use gives each string in ``doc``, keys too.
+
+    All of them are learnt from one ``yaml.dump`` of their list.  A string
+    written over several lines, or double-quoted (whose escapes may break
+    anywhere), defers the document.
+    """
+    found: set[str] = set()
+    _collect_strings(doc, found, set())
+    strings = list(found)
+    lines = yaml.dump(strings, Dumper=YAML_DUMPER).split("\n")[:-1]
+    if len(lines) != len(strings) or any(line.startswith('- "') for line in lines):
+        raise _Defer
+    return {value: line[2:] for value, line in zip(strings, lines)}
+
+
+def _collect_strings(node, found: set[str], seen: set[int]) -> None:
+    kind = type(node)
+    if kind is dict or kind is list:
+        if id(node) in seen:  # a container held twice, which PyYAML writes as an alias
+            raise _Defer
+        seen.add(id(node))
+        if kind is dict:
+            found.update(key for key in node if type(key) is str)
+            node = node.values()
+        for value in node:
+            _collect_strings(value, found, seen)
+    elif kind is str:
+        found.add(node)
+
+
 class _BlockWriter:
-    def __init__(self, strings: _Strings):
-        self.strings = strings
+    def __init__(self, texts: dict[str, str]):
+        self.texts = texts
         self.lines: list[str] = []
-        self.seen: set[int] = set()  # ids of the containers written
 
     def mapping(self, node: dict, indent: int, lead: str) -> None:
         """Write a nonempty mapping whose first key follows ``lead`` on its line."""
-        self.enter(node)
         try:
             keys = sorted(node)
         except TypeError:  # keys of unlike types, which PyYAML leaves unsorted
             raise _Defer from None
         pad = " " * indent
         for key in keys:
-            if type(key) is not str or len(key) >= _SIMPLE_KEY or self.strings[key] != key:
+            if type(key) is not str or len(key) >= _SIMPLE_KEY or self.texts[key] != key:
                 raise _Defer
             value = node[key]
             kind = type(value)
@@ -541,7 +548,6 @@ class _BlockWriter:
 
     def sequence(self, node: list, indent: int, lead: str) -> None:
         """Write a nonempty sequence whose first ``- `` follows ``lead`` on its line."""
-        self.enter(node)
         pad = " " * indent
         for value in node:
             kind = type(value)
@@ -556,8 +562,8 @@ class _BlockWriter:
     def scalar(self, head: str, value) -> None:
         kind = type(value)
         if kind is str:
-            text = self.strings[value]
-            if text is None or (" " in text and len(head) + len(text) > _WIDTH):
+            text = self.texts[value]
+            if " " in text and len(head) + len(text) > _WIDTH:
                 raise _Defer
         elif kind is float:
             text = _float(value)
@@ -568,16 +574,10 @@ class _BlockWriter:
         elif value is None:
             text = "null"
         elif kind is dict or kind is list:  # empty
-            self.enter(value)
             text = "{}" if kind is dict else "[]"
         else:
             raise _Defer
         self.lines.append(head + text)
-
-    def enter(self, node) -> None:
-        if id(node) in self.seen:
-            raise _Defer
-        self.seen.add(id(node))
 
 
 def _float(value: float) -> str:
@@ -715,7 +715,7 @@ def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
     if not isinstance(cfg, hedging.PathConfig):
         raise SelfDualError("hedge task requires a path_config model")
     # before the barrier's asset picks a carry or a hedge weight
-    task["barrier"].validate(cfg)
+    task["barrier"].validate_asset(cfg)
     alpha = task["alpha"]
     if alpha == "solve":
         i = task["barrier"].asset

@@ -147,8 +147,7 @@ class Barrier:
             raise DomainError("direction must be 'down' or 'up'")
 
     def validate(self, cfg: PathConfig) -> None:
-        if not 1 <= self.asset <= cfg.n:
-            raise DomainError(f"barrier asset {self.asset} out of range 1..{cfg.n}")
+        self.validate_asset(cfg)
         s0 = float(cfg.s0[self.asset - 1])
         if s0 == self.level:
             raise DomainError("initial price must differ from the barrier level")
@@ -158,6 +157,10 @@ class Barrier:
                 f"barrier direction {self.direction!r} inconsistent with S0={s0} "
                 f"and level={self.level}"
             )
+
+    def validate_asset(self, cfg: PathConfig) -> None:
+        if not 1 <= self.asset <= cfg.n:
+            raise DomainError(f"barrier asset {self.asset} out of range 1..{cfg.n}")
 
     def crossed(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
