@@ -1117,6 +1117,58 @@ def test_readme_lists_every_model_payoff_task_and_check():
 # Golden report bytes: sha256 of report.yaml and every artifact at --seed 11
 # --------------------------------------------------------------------------- #
 
+# a reflected atom pair: mass 0.5 at (0.3, 0.1), 0.5 e^0.3 at K_1 (0.3, 0.1) = (-0.3, -0.2)
+_ATOM_PAIR = """
+  atoms:
+  - {x: [0.3, 0.1], mass: 0.5}
+  - {x: [-0.3, -0.2], mass: 0.6749294037880016}
+"""
+# gamma is the truncated-convention martingale drift, so the pair is self-dual
+TRIPLET_TRUNCATED_GAMMA = """
+model:
+  kind: levy_triplet
+  a: [[0.04, 0.02], [0.02, 0.04]]
+  convention: truncated
+  drift: {gamma: [-0.07247882113640049, -0.03522739504524644]}""" + _ATOM_PAIR + """
+task: {kind: check, checks: [triplet]}
+"""
+TRIPLET_EUCLIDEAN_MARTINGALE = """
+model:
+  kind: levy_triplet
+  a: [[0.04, 0.02], [0.02, 0.04]]
+  convention: truncated_euclidean""" + _ATOM_PAIR + """
+task: {kind: check, alpha: 1.0}
+"""
+TRIPLET_TILTED_GAUSSIAN = """
+model:
+  kind: levy_triplet
+  a: [[0.04, 0.02], [0.02, 0.04]]
+  tilted_gaussian: {cov: [[0.09, 0.045], [0.045, 0.16]], tilt: 1.0, mass: 0.5, numeraire: 1}
+task: {kind: check}
+"""
+HEDGE_JUMP_SUPER = """
+seed: 5
+model:
+  kind: path_config
+  s0: [1.0, 1.0]
+  steps: 60
+  driver:
+    kind: levy_triplet
+    a: [[0.0625, 0.03125], [0.03125, 0.0625]]
+    convention: truncated
+    atoms:
+    - {x: [0.2, 0.1], mass: 0.5}
+    - {x: [-0.2, -0.1], mass: 0.6107013790800849}
+task:
+  kind: hedge
+  barrier: {asset: 1, level: 0.8}
+  target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
+  knock: super
+  n_outer: 400
+  n_inner: 2000
+  hit_states: 6
+"""
+
 # the benchmark's four exact-workload specs, copied so the pins do not move with bench/
 GOLDEN_SPECS = {
     "zonoid-heavy-tail": (
@@ -1131,6 +1183,11 @@ GOLDEN_SPECS = {
     ),
     "check-heavy-tail": ("check", HEAVY_TAIL_SELF_DUAL),
     "hedge-small": ("hedge", HEDGE_SMALL),
+    # the truncated drift conventions, a Gaussian jump part and a jump driver
+    "triplet-truncated-gamma": ("check", TRIPLET_TRUNCATED_GAMMA),
+    "triplet-euclidean-martingale": ("check", TRIPLET_EUCLIDEAN_MARTINGALE),
+    "triplet-tilted-gaussian": ("check", TRIPLET_TILTED_GAUSSIAN),
+    "hedge-jump-super": ("hedge", HEDGE_JUMP_SUPER),
 }
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
@@ -1153,6 +1210,23 @@ GOLDEN_SHA256 = {
         "hedge.txt": "be1b90b70a754790eb453f0ff2b7bd854fe5aa1687004a5d3ae1e2ff90ae521b",
         "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
         "report.yaml": "3725236ae9589e25ed8d1d7889f768d0d25f339c7a8ac7f748c48f0cf69b85d6",
+    },
+    "triplet-truncated-gamma": {
+        "report.yaml": "caed6e3f40207fcc8ca91a6e65231a6c4694fb789bd4065bb5a6907efca8351c",
+        "verdicts.txt": "8f5b3beb18fc151e714ec47415e02548b03da4a70cd3f78315ffcda630a795a7",
+    },
+    "triplet-euclidean-martingale": {
+        "report.yaml": "125689df1225a118b0e58960a97d9479264e28899d7d017a367ce5e0998eef30",
+        "verdicts.txt": "ba378c7475cf493f36f11730c47dbb439814cac0dee2d14e84548d32a5a99bfb",
+    },
+    "triplet-tilted-gaussian": {
+        "report.yaml": "b895c2be1f3fb8373222c0ae434f81d126a7211075a838603c12e73233e07d7c",
+        "verdicts.txt": "780919f1dc7271799b49c20e167d1ed0d8f74e72afd471b3a8fda6749e4c8151",
+    },
+    "hedge-jump-super": {
+        "hedge.txt": "bf6ffa02e4baee6ac96bef70739b0d4d3f4a12e4c1b190b3a28f44b8cc13be54",
+        "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
+        "report.yaml": "807aeeebcb561af4e61d47eef35fdcabef6e5faa4c8dc3986c86121ac2469fd2",
     },
 }
 

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import sys
 import tracemalloc
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import selfdual
 from selfdual import dist, hedging, levy, pricing
 from selfdual.errors import DomainError, SymmetryPrereqFailed
 
@@ -574,6 +577,19 @@ def test_traced_hedge_counts_repeat():
     assert counts[0] == counts[1]
     assert counts[0]["rng.draws"] > 0 and counts[0]["levy.increments_inner_rows"] > 0
     assert reports[0] == reports[1] == run()
+
+
+def test_every_traced_and_exported_name_resolves():
+    # bench/run.py --trace 1 wraps its targets by name, so a deleted name breaks it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    functions, methods = spans._targets()
+    assert [(o, attr) for o, attr, *_ in functions + methods if not hasattr(o, attr)] == []
+    names = [m.name for m in pkgutil.iter_modules(selfdual.__path__)]
+    modules = [importlib.import_module(f"selfdual.{name}") for name in names]
+    assert len(modules) >= 10
+    assert [(m.__name__, n) for m in modules for n in getattr(m, "__all__", ()) if not hasattr(m, n)] == []
 
 
 def test_simulate_paths_matches_whole_grid_formula():
