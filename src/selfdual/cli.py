@@ -228,13 +228,13 @@ def _triplet(a, drift, convention, norm_index, atoms, tilted_gaussian):
     nu = levy.JumpMeasure(atoms=tuple(atoms), gaussian=tilted_gaussian)
     if drift == "martingale":
         return levy.martingale_normalized(a, nu, convention=convention, norm_index=norm_index)
-    if "mu" in drift:
-        return levy.LevyTriplet(a, nu, mu=drift["mu"], norm_index=norm_index)
-    # a gamma drift is a truncated one, in the Euclidean ball if the spec says so
-    convention = "truncated" if convention == "mean" else convention
-    return levy.LevyTriplet(
-        a, nu, gamma=drift["gamma"], convention=convention, norm_index=norm_index
-    )
+    # mu is a mean drift; gamma a truncated one, in the Euclidean ball if the spec says so
+    [(key, value)] = drift.items()
+    if key == "mu":
+        convention = "mean"
+    elif convention == "mean":
+        convention = "truncated"
+    return levy.LevyTriplet(a, nu, value, convention, norm_index)
 
 
 def _path_config(s0, carry, horizon, steps, driver):

@@ -82,6 +82,7 @@ class ScalarModel(ABC):
     """A positive integrable random variable."""
 
     has_density: bool = True
+    dim = 1
 
     @abstractmethod
     def pdf(self, x):
@@ -102,6 +103,11 @@ class ScalarModel(ABC):
     @property
     def mean(self) -> float:
         return self.raw_moment(1.0)
+
+    @property
+    def means(self) -> np.ndarray:
+        """The mean as a length-1 vector, as :attr:`VectorModel.means` gives it."""
+        return np.array([self.mean])
 
     def integrated_tail(self, z: float) -> float:
         """E min(eta, z) = integral of P(eta > t) over (0, z)."""

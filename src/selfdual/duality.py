@@ -240,6 +240,7 @@ def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0) -> Rep
 
 
 BLOCK = 8192  # draws per kernel block; 2,048 and 16,384 were slower
+CONFIRM_ROUNDS = 2  # fresh batches for a failing point, of 2x and then 4x the first
 # one kernel thread per CPU this process may use; with one, blocks run inline
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # by process: a forked child has no parent threads
@@ -275,9 +276,7 @@ def _block_moments(groups, rows, batch: np.ndarray, levels: bool) -> list:
     return functools.reduce(pooled, (map if WORKERS == 1 else pool.map)(reduce_block, starts))
 
 
-def _confirmed_mc_points(
-    groups, model, batch: np.ndarray, confirm_rng: RngStream, max_rounds: int = 2
-) -> list[ReportPoint]:
+def _confirmed_mc_points(groups, model, batch: np.ndarray, confirm_rng) -> list[ReportPoint]:
     """Evaluate CRN difference points with pooled re-confirmation.
 
     ``groups`` holds ``(labels, evaluate, scales)``: ``evaluate(cols, rows,
@@ -295,7 +294,7 @@ def _confirmed_mc_points(
     offsets = np.cumsum([0] + [len(r) for r in rows])  # index of each group's first point
     points: list[ReportPoint] = [None] * offsets[-1]
     stats, scales, draws = [None] * len(groups), [s for _, _, s in groups], batch
-    for rounds in range(max_rounds + 1):
+    for rounds in range(CONFIRM_ROUNDS + 1):
         live = [g for g, r in enumerate(rows) if r.size]
         if not live:
             break
@@ -723,7 +722,7 @@ class _PowerScaled:
         self.base = base
         self.lam = lam
         self.alpha = alpha
-        self.dim = base.dim if isinstance(base, VectorModel) else 1
+        self.dim = base.dim
 
     def sample_columns(self, n, rng):
         cols = _sample_matrix(self.base, n, rng)
@@ -750,7 +749,7 @@ def check_quasi_self_dual(
     if alpha == 0:
         raise DomainError("quasi-self-duality requires alpha != 0")
     lam = np.atleast_1d(np.asarray(lambda_cc, dtype=float))
-    n = model.dim if isinstance(model, VectorModel) else 1
+    n = model.dim
     if lam.shape == (1,) and n > 1:
         lam = np.full(n, lam[0])
     if lam.shape != (n,):

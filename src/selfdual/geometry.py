@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import ScalarModel, VectorModel
+from .dist import ScalarModel
 from .errors import AtomicModel, DomainError
 from .rng import RngStream
 
@@ -61,9 +61,6 @@ class LiftVector:
     def dim(self) -> int:
         return len(self.u)
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.u0], self.u))
-
 
 @dataclass(frozen=True)
 class SupportEstimate:
@@ -97,16 +94,6 @@ def _draws(model, rng: RngStream | None, n_samples: int) -> np.ndarray:
     return model.sample(n_samples, rng).reshape(n_samples, -1)
 
 
-def _model_dim(model) -> int:
-    return model.dim if isinstance(model, VectorModel) else 1
-
-
-def _model_means(model) -> np.ndarray:
-    if isinstance(model, VectorModel):
-        return np.asarray(model.means, dtype=float)
-    return np.array([model.mean])
-
-
 def support_lift_zonoid(
     model,
     lv: LiftVector,
@@ -121,10 +108,10 @@ def support_lift_zonoid(
     ``expect_affine`` closed form where it has one.
     """
     u = np.asarray(lv.u, dtype=float)
-    if lv.dim != _model_dim(model):
+    if lv.dim != model.dim:
         raise DomainError("lift vector dimension does not match the model")
     if lv.u0 >= 0 and np.all(u >= 0):
-        return _exact(lv.u0 + float(u @ _model_means(model)))
+        return _exact(lv.u0 + float(u @ model.means))
     if lv.u0 <= 0 and np.all(u <= 0):
         return _exact(0.0)
 
@@ -148,7 +135,7 @@ def support_lift_max_zonoid(
     ``DomainError`` because the implicit 0 in the max already covers them.
     """
     u = np.asarray(lv.u, dtype=float)
-    if lv.dim != _model_dim(model):
+    if lv.dim != model.dim:
         raise DomainError("lift vector dimension does not match the model")
     if lv.u0 < 0 or np.any(u < 0):
         raise DomainError("lift max-zonoid support is defined for nonnegative coordinates")
@@ -157,7 +144,7 @@ def support_lift_max_zonoid(
         return _exact(lv.u0)
     if lv.u0 == 0 and nonzero.size == 1:
         j = int(nonzero[0])
-        return _exact(float(u[j] * _model_means(model)[j]))
+        return _exact(float(u[j] * model.means[j]))
 
     if isinstance(model, ScalarModel):
         # E max(k, F eta) = E (F eta - k)_+ + k

@@ -57,7 +57,6 @@ __all__ = [
     "HedgeReport",
     "TwoAssetMinCombo",
     "ReflectedClaim",
-    "PowerWeightedAffine",
     "TerminalKnockIndicator",
     "simulate_paths",
     "detect_first_hit",
@@ -104,7 +103,7 @@ class PathConfig:
             raise DomainError("horizon must be positive and steps >= 1")
         if not isinstance(self.driver, LevyTriplet):  # a MultiLogNormal law at the horizon
             self.driver = LevyTriplet(
-                self.driver.cov / self.horizon, mu=self.driver.mu / self.horizon
+                self.driver.cov / self.horizon, drift=self.driver.mu / self.horizon
             )
         n = self.driver.n
         if self.s0.shape != (n,) or self.carry.shape != (n,):
@@ -304,11 +303,6 @@ class ReflectedClaim(Payoff):
         refl = s * scale[:, None]
         refl[:, self.i - 1] = self.level * scale
         return (si / self.level) ** self.alpha * self.base(refl)
-
-
-# The reflected affine claim (S_i/H)^(alpha-b-p) (<w', S> + c')_+^p is an
-# affine-power claim; the old name stays for callers that test for it.
-PowerWeightedAffine = AffinePower
 
 
 class TerminalKnockIndicator(Payoff):
@@ -566,24 +560,20 @@ def evaluate_hedge(
     n_inner: int = 20_000,
     rng: RngStream | None = None,
     n_hit_states: int = 50,
-    bridge_correction: bool | None = None,
 ) -> HedgeReport:
     """Measure the replication quality of a hedge plan by nested MC.
 
     Outer paths locate first hits; at up to ``n_hit_states`` of them the
     conditional values of the exchanged claims are compared by inner
     simulation restarted from the hit state.  For continuous drivers the
-    hit state is projected onto the barrier (``bridge_correction``, on
-    by default); jump drivers keep the overshoot state and the verdict
-    is one-sided.  No-hit paths check the terminal indicator algebra
+    hit state is projected onto the barrier; jump drivers keep the
+    overshoot state and the verdict is one-sided.  No-hit paths check the terminal indicator algebra
     pointwise, and knock-in/out/plain prices are taken from the same
     outer paths.
     """
     if rng is None:
         raise DomainError("evaluate_hedge requires an RngStream")
     plan.barrier.validate(cfg)
-    if bridge_correction is None:
-        bridge_correction = cfg.is_continuous
     (step,), (state,), (overshoot,), terminal = _first_hits(
         cfg, n_outer, rng.child(0), [plan.barrier]
     )
@@ -612,7 +602,7 @@ def evaluate_hedge(
     gaps = [
         _hit_gap(
             cfg, int(p), int(step[p]), state[p], bool(overshoot[p]),
-            plan.barrier if bridge_correction else None, lhs, plan.hedge, n_inner,
+            plan.barrier if cfg.is_continuous else None, lhs, plan.hedge, n_inner,
             rng.child(1000 + idx),
         )
         for idx, p in enumerate(np.flatnonzero(knocked)[: int(n_hit_states)])

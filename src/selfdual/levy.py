@@ -19,7 +19,7 @@ tying the quasi-self-duality order ``alpha`` to the carrying cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,25 +180,20 @@ class JumpMeasure:
             out += g.mass * (g.cov + np.outer(g.mean, g.mean))
         return out
 
-    def ball_mean(self, norm_kind: str, norm_index: int, n: int, tilt=None) -> np.ndarray:
-        """integral of x exp(<tilt, x>) over the unit ball (no tilt: of x);
-        atoms only (exact indicator)."""
+    def ball_mean(self, norm_kind: str, norm_index: int, tilt: np.ndarray) -> np.ndarray:
+        """integral of x exp(<tilt, x>) over the unit ball of the ``truncated``
+        (|||.|||) or ``truncated_euclidean`` norm; atoms only (exact indicator)."""
         if self.gaussian is not None:
             raise DomainError(
                 "ball integrals over a Gaussian jump component are unsupported; "
                 "use the mean drift convention"
             )
-        out = np.zeros(n)
+        out = np.zeros(tilt.shape[0])
         for x, m in self.atoms:
-            if _in_ball(x, norm_kind, norm_index):
-                out += m * x if tilt is None else m * math.exp(float(tilt @ x)) * x
+            norm = triple_norm(x, norm_index) if norm_kind == "truncated" else np.linalg.norm(x)
+            if norm <= 1.0:
+                out += m * math.exp(float(tilt @ x)) * x
         return out
-
-
-def _in_ball(x: np.ndarray, norm_kind: str, norm_index: int) -> bool:
-    if norm_kind == "truncated":
-        return triple_norm(x, norm_index) <= 1.0
-    return float(np.linalg.norm(x)) <= 1.0
 
 
 def build_tilted_gaussian_measure(b, alpha: float, mass: float, i: int) -> JumpMeasure:
@@ -235,15 +230,14 @@ def build_tilted_gaussian_measure(b, alpha: float, mass: float, i: int) -> JumpM
 class LevyTriplet:
     """Generating triplet of an n-dimensional infinitely divisible law.
 
-    Exactly one of ``mu`` (mean convention) or ``gamma`` (truncated
-    convention; ``norm_index`` fixes the |||.||| ball) is set; both may be
-    omitted for a driftless shell fed to :func:`martingale_drift`.
+    ``drift`` is read under ``convention``: the mean of xi for ``mean``, the
+    truncated drift for the ball conventions (``norm_index`` fixes the
+    |||.||| ball).
     """
 
     a: np.ndarray
     nu: JumpMeasure = field(default_factory=JumpMeasure)
-    mu: np.ndarray | None = None
-    gamma: np.ndarray | None = None
+    drift: np.ndarray | None = None
     convention: str = "mean"
     norm_index: int = 1
 
@@ -259,19 +253,10 @@ class LevyTriplet:
             raise DomainError("A must be positive semidefinite")
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown drift convention {self.convention!r}")
-        if self.mu is not None and self.gamma is not None:
-            raise DomainError("give either mu or gamma, not both")
-        for name in ("mu", "gamma"):
-            drift = getattr(self, name)
-            if drift is not None:
-                drift = np.asarray(drift, dtype=float)
-                if drift.shape != (n,):
-                    raise DomainError(f"{name} must have length {n}, as A is {n} x {n}")
-                object.__setattr__(self, name, drift)
-        if self.mu is not None:
-            object.__setattr__(self, "convention", "mean")
-        if self.gamma is not None and self.convention == "mean":
-            raise DomainError("gamma drift requires a truncated convention")
+        drift = np.asarray(self.drift, dtype=float)
+        if drift.shape != (n,):
+            raise DomainError(f"drift must have length {n}, as A is {n} x {n}")
+        object.__setattr__(self, "drift", drift)
         if self.nu.dim is not None and self.nu.dim != n:
             raise DomainError("jump dimension does not match A")
         if self.nu.gaussian is not None and self.convention != "mean":
@@ -283,13 +268,6 @@ class LevyTriplet:
     def n(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def drift(self) -> np.ndarray:
-        d = self.mu if self.convention == "mean" else self.gamma
-        if d is None:
-            raise DomainError("triplet has no drift")
-        return d
-
     def scaled(self, t: float) -> "LevyTriplet":
         """Triplet of xi_t for the Levy process: every part scales by t."""
         if t <= 0:
@@ -298,12 +276,7 @@ class LevyTriplet:
         g = self.nu.gaussian
         gaussian = None if g is None else GaussianPart(g.mean, g.cov, g.mass * t)
         nu = JumpMeasure(atoms=atoms, gaussian=gaussian)
-        mu = None if self.mu is None else self.mu * t
-        gamma = None if self.gamma is None else self.gamma * t
-        return LevyTriplet(
-            self.a * t, nu, mu=mu, gamma=gamma, convention=self.convention,
-            norm_index=self.norm_index,
-        )
+        return replace(self, a=self.a * t, nu=nu, drift=self.drift * t)
 
 
 def _compensator_vector(t: LevyTriplet, convention: str | None = None, tilt=None) -> np.ndarray:
@@ -315,7 +288,7 @@ def _compensator_vector(t: LevyTriplet, convention: str | None = None, tilt=None
         return np.zeros(t.n)
     if convention == "mean":
         return t.nu.mean_vector(t.n) if tilt is None else t.nu.weighted_mean(tilt, t.n)
-    return t.nu.ball_mean(convention, t.norm_index, t.n, tilt)
+    return t.nu.ball_mean(convention, t.norm_index, np.zeros(t.n) if tilt is None else tilt)
 
 
 def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
@@ -335,11 +308,7 @@ def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
     # drift_c + integral of x (1 - 1_ball_c) d nu is convention independent
     base = t.drift + (full - _compensator_vector(t))
     new_drift = base - (full - _compensator_vector(t, to))
-    if to == "mean":
-        return LevyTriplet(t.a, t.nu, mu=new_drift, norm_index=t.norm_index)
-    return LevyTriplet(
-        t.a, t.nu, gamma=new_drift, convention=to, norm_index=t.norm_index
-    )
+    return replace(t, drift=new_drift, convention=to)
 
 
 def char_exponent(t: LevyTriplet, u) -> complex:
@@ -378,20 +347,8 @@ def esscher(t: LevyTriplet, theta) -> LevyTriplet:
         factor = float(g.exp_integral(theta).real) / g.mass
         gaussian = GaussianPart(g.mean + g.cov @ theta, g.cov, g.mass * factor)
     nu = JumpMeasure(atoms=atoms, gaussian=gaussian)
-
-    if t.convention == "mean":
-        jump_shift = (
-            np.zeros(t.n)
-            if t.nu.is_empty
-            else np.real(nu.mean_vector(t.n) - t.nu.mean_vector(t.n))
-        )
-        return LevyTriplet(t.a, nu, mu=t.drift + t.a @ theta + jump_shift,
-                           norm_index=t.norm_index)
     shift = _compensator_vector(t, tilt=theta) - _compensator_vector(t)
-    return LevyTriplet(
-        t.a, nu, gamma=t.drift + t.a @ theta + shift,
-        convention=t.convention, norm_index=t.norm_index,
-    )
+    return replace(t, nu=nu, drift=t.drift + t.a @ theta + shift)
 
 
 # --------------------------------------------------------------------------- #
@@ -428,18 +385,9 @@ def martingale_normalized(
 ) -> LevyTriplet:
     """Triplet with every component of exp(xi) normalised to mean one."""
     nu = nu if nu is not None else JumpMeasure()
-    shell = LevyTriplet(
-        a,
-        nu,
-        mu=None if convention != "mean" else np.zeros(np.asarray(a).shape[0]),
-        gamma=None if convention == "mean" else np.zeros(np.asarray(a).shape[0]),
-        convention=convention,
-        norm_index=norm_index,
-    )
+    shell = LevyTriplet(a, nu, np.zeros(len(a)), convention, norm_index)
     drift = np.array([martingale_drift(shell, j) for j in range(1, shell.n + 1)])
-    if convention == "mean":
-        return LevyTriplet(a, nu, mu=drift, norm_index=norm_index)
-    return LevyTriplet(a, nu, gamma=drift, convention=convention, norm_index=norm_index)
+    return replace(shell, drift=drift)
 
 
 # --------------------------------------------------------------------------- #

@@ -285,10 +285,6 @@ class PriceEstimate:
     def discounted(self) -> float:
         return self.discount_factor * self.value
 
-    @property
-    def discounted_std_error(self) -> float:
-        return self.discount_factor * self.std_error
-
 
 def _terminal_samples(model, n_samples: int, rng: RngStream, forward=None) -> np.ndarray:
     s = model.sample(int(n_samples), rng)

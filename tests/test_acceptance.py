@@ -175,7 +175,7 @@ def test_criterion_07_levy_triplet_conditions():
     nu = levy.build_tilted_gaussian_measure(b, 1.0, 0.8, 1)
     t = levy.martingale_normalized(a, nu)
     rep = levy.check_sd_triplet(t, 1, tol=1e-10)
-    perturbed = levy.LevyTriplet(t.a, t.nu, mu=t.mu + np.array([1e-3, 0.0]))
+    perturbed = levy.LevyTriplet(t.a, t.nu, drift=t.drift + np.array([1e-3, 0.0]))
     rep_bad = levy.check_sd_triplet(perturbed, 1, tol=1e-10)
     failing = [p.label for p in rep_bad.points if p.status == "fail"]
     report(

@@ -800,7 +800,7 @@ SCHEMA_CORPUS = [
         _triplet("drift: null"),
         ["spec.model.drift: expected 'martingale', {mu: [...]}, or {gamma: [...]}"],
     ),
-    (_triplet("drift: {mu: [0.1, 0.2]}"), ["spec.model: mu must have length 1, as A is 1 x 1"]),
+    (_triplet("drift: {mu: [0.1, 0.2]}"), ["spec.model: drift must have length 1, as A is 1 x 1"]),
     (_triplet("atoms: 3"), ["spec.model.atoms: expected a list"]),
     (
         _triplet("atoms: [{x: [1.0]}, 5, {x: [0.5], mass: -1, y: 2}]"),
@@ -1078,7 +1078,7 @@ def test_a_drift_of_the_wrong_length_is_a_schema_error(tmp_path, capsys):
     assert cli.main(["alpha", str(spec_file)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "schema error: spec.model: mu must have length 2, as A is 2 x 2\n"
+    assert captured.err == "schema error: spec.model: drift must have length 2, as A is 2 x 2\n"
 
 
 @pytest.mark.parametrize(

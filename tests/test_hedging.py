@@ -37,7 +37,7 @@ def jump_config(mass=3.0):
 
 
 def test_path_config_rejects_drift_violations():
-    bad = levy.LevyTriplet(A_SD, mu=np.zeros(2))  # E e^xi != 1
+    bad = levy.LevyTriplet(A_SD, drift=np.zeros(2))  # E e^xi != 1
     with pytest.raises(DomainError):
         hedging.PathConfig([1.0, 1.0], [0.0, 0.0], bad)
 
@@ -50,7 +50,7 @@ def test_path_config_accepts_multilognormal_driver():
 
 
 def test_simulate_deterministic_degenerate():
-    driver = levy.LevyTriplet(np.zeros((2, 2)), mu=np.zeros(2))
+    driver = levy.LevyTriplet(np.zeros((2, 2)), drift=np.zeros(2))
     cfg = hedging.PathConfig([1.0, 2.0], [0.1, -0.05], driver, 1.0, 4)
     paths, flags = hedging.simulate_paths(cfg, 3, make_rng(90))
     times = np.linspace(0.0, 1.0, 5)
@@ -173,7 +173,7 @@ def test_spread_hedge_indicator_elimination():
     target = pricing.SpreadCall((1.0, 0.0), (0.0, 1.0), 1.0)
     plan = hedging.build_hedge(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
     assert plan.indicator_free
-    assert isinstance(plan.hedge, hedging.PowerWeightedAffine)
+    assert isinstance(plan.hedge, pricing.AffinePower)
     gen = np.random.default_rng(16)
     s = gen.uniform(0.1, 3.0, size=(200, 2))
     want = np.maximum(0.8 - 1.25 * s[:, 0] - s[:, 1], 0.0)
@@ -364,9 +364,8 @@ def test_symbolic_reflection_matches_generic(p, b, alpha):
 
 def test_power_weighted_affine_is_the_affine_power_claim():
     # the reflected affine claim (S_i/H)^(alpha-1) (<w, S> + c)_+ of the hedges
-    assert hedging.PowerWeightedAffine is pricing.AffinePower
     w, c, level, alpha = np.array([0.7, -0.4]), 0.3, 0.8, 1.3
-    claim = hedging.PowerWeightedAffine(w, c, b=alpha - 1.0, i=1, level=level)
+    claim = pricing.AffinePower(w, c, b=alpha - 1.0, i=1, level=level)
     s = np.random.default_rng(23).uniform(0.1, 3.0, size=(100, 2))
     want = (s[:, 0] / level) ** (alpha - 1.0) * np.maximum(s @ w + c, 0.0)
     np.testing.assert_array_equal(claim(s), want)

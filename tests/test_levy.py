@@ -57,9 +57,9 @@ def test_triple_norm_K_invariance(u, i):
 
 
 def test_char_exponent_gaussian_reduction():
-    t = LevyTriplet(A2, mu=np.array([0.1, -0.2]))
+    t = LevyTriplet(A2, drift=np.array([0.1, -0.2]))
     u = np.array([0.7, -1.3])
-    want = 1j * (u @ t.mu) - 0.5 * (u @ A2 @ u)
+    want = 1j * (u @ t.drift) - 0.5 * (u @ A2 @ u)
     assert levy.char_exponent(t, u) == pytest.approx(want, abs=1e-15)
     assert levy.char_exponent(t, np.zeros(2)) == 0.0
 
@@ -73,7 +73,7 @@ def test_char_exponent_martingale_normalisation():
 
 
 def test_char_exponent_wrong_length():
-    t = LevyTriplet(A2, mu=np.zeros(2))
+    t = LevyTriplet(A2, drift=np.zeros(2))
     with pytest.raises(DomainError):
         levy.char_exponent(t, np.zeros(3))
 
@@ -85,7 +85,7 @@ def test_char_exponent_convention_invariance():
     trunc = levy.convert_convention(base, "truncated")
     eucl = levy.convert_convention(base, "truncated_euclidean")
     back = levy.convert_convention(trunc, "mean")
-    assert np.allclose(back.mu, base.mu, atol=1e-15)
+    assert np.allclose(back.drift, base.drift, atol=1e-15)
     gen = np.random.default_rng(5)
     for _ in range(10):
         u = gen.uniform(-3, 3, 2) + 1j * gen.uniform(-0.5, 0.5, 2)
@@ -97,15 +97,15 @@ def test_char_exponent_convention_invariance():
 def test_gaussian_jump_requires_mean_convention():
     nu = levy.build_tilted_gaussian_measure(B2, 1.0, 1.0, 1)
     with pytest.raises(DomainError):
-        LevyTriplet(A2, nu, gamma=np.zeros(2), convention="truncated")
+        LevyTriplet(A2, nu, drift=np.zeros(2), convention="truncated")
 
 
-@pytest.mark.parametrize("drift", ["mu", "gamma"])
+@pytest.mark.parametrize("convention", levy.CONVENTIONS)
 @pytest.mark.parametrize("length", [1, 3])
-def test_drift_must_match_the_dimension(drift, length):
+def test_drift_must_match_the_dimension(convention, length):
     # downstream, a short drift goes unnoticed and a long one fails only when increments are drawn
-    with pytest.raises(DomainError, match=f"{drift} must have length 2"):
-        LevyTriplet(A2, **{drift: np.full(length, 0.1)}, convention="truncated")
+    with pytest.raises(DomainError, match="drift must have length 2"):
+        LevyTriplet(A2, drift=np.full(length, 0.1), convention=convention)
 
 
 # --------------------------------------------------------------------------- #
@@ -116,13 +116,13 @@ def test_drift_must_match_the_dimension(drift, length):
 def test_esscher_identity_at_zero():
     t = sd_gauss_jump_triplet()
     t0 = levy.esscher(t, np.zeros(2))
-    assert np.allclose(t0.mu, t.mu, atol=0)
+    assert np.allclose(t0.drift, t.drift, atol=0)
     assert t0.nu.gaussian.mass == pytest.approx(t.nu.gaussian.mass, rel=1e-15)
 
 
 def test_esscher_tilts_atom_mass():
     nu = JumpMeasure(atoms=((np.array([1.0]), 0.7),))
-    t = LevyTriplet([[0.0]], nu, mu=np.zeros(1))
+    t = LevyTriplet([[0.0]], nu, drift=np.zeros(1))
     tilted = levy.esscher(t, np.array([0.5]))
     assert tilted.nu.atoms[0][1] == pytest.approx(0.7 * math.exp(0.5), rel=1e-15)
 
@@ -132,14 +132,14 @@ def test_esscher_round_trip_and_A_invariance():
     for t in (sd_gauss_jump_triplet(), sd_atom_triplet()):
         back = levy.esscher(levy.esscher(t, theta), -theta)
         assert np.allclose(back.a, t.a, atol=0)
-        assert np.allclose(back.mu, t.mu, atol=1e-12)
+        assert np.allclose(back.drift, t.drift, atol=1e-12)
         for (x, m), (y, w) in zip(back.nu.atoms, t.nu.atoms):
             assert np.allclose(x, y) and m == pytest.approx(w, rel=1e-12)
     # truncated-convention path (atoms only)
     atoms = ((np.array([0.4, 0.9]), 0.3), (np.array([-1.4, 0.2]), 0.5))
     t = levy.martingale_normalized(A2, JumpMeasure(atoms=atoms), convention="truncated")
     back = levy.esscher(levy.esscher(t, theta), -theta)
-    assert np.allclose(back.gamma, t.gamma, atol=1e-12)
+    assert np.allclose(back.drift, t.drift, atol=1e-12)
 
 
 def test_esscher_matches_char_exponent_shift():
@@ -187,7 +187,7 @@ def test_diagonal_covariance_fails_condition_one():
 
 def test_drift_perturbation_fails_condition_three():
     t = sd_gauss_jump_triplet()
-    bad = LevyTriplet(t.a, t.nu, mu=t.mu + np.array([1e-3, 0.0]))
+    bad = LevyTriplet(t.a, t.nu, drift=t.drift + np.array([1e-3, 0.0]))
     rep = levy.check_sd_triplet(bad, 1)
     failing = [p.label for p in rep.points if p.status == "fail"]
     assert failing == ["(3) drift[i] - compensator"]
@@ -258,14 +258,14 @@ def test_qsd_char_identity_with_carry():
 
 
 def test_martingale_drift_no_jumps():
-    t = LevyTriplet(A2, mu=np.zeros(2))
+    t = LevyTriplet(A2, drift=np.zeros(2))
     for j in (1, 2):
         assert levy.martingale_drift(t, j) == pytest.approx(-0.5 * A2[j - 1, j - 1], abs=1e-15)
 
 
 def test_martingale_drift_single_atom():
     nu = JumpMeasure(atoms=((np.array([0.1]), 2.0),))
-    t = LevyTriplet([[0.04]], nu, mu=np.zeros(1))
+    t = LevyTriplet([[0.04]], nu, drift=np.zeros(1))
     want = -2.0 * (math.exp(0.1) - 1.0 - 0.1) - 0.02
     assert levy.martingale_drift(t, 1) == pytest.approx(want, rel=1e-14)
 
@@ -276,7 +276,7 @@ def test_martingale_drift_equals_sd_condition_three():
     t = sd_gauss_jump_triplet()
     rep = levy.check_sd_triplet(t, 1)
     assert rep.verdict == "pass"
-    assert levy.martingale_drift(t, 1) == pytest.approx(float(t.mu[0]), abs=1e-14)
+    assert levy.martingale_drift(t, 1) == pytest.approx(float(t.drift[0]), abs=1e-14)
 
 
 # --------------------------------------------------------------------------- #
@@ -452,7 +452,7 @@ def test_solve_alpha_no_bracket():
 
 
 def test_zero_triplet_increment():
-    t = LevyTriplet(np.zeros((2, 2)), mu=np.zeros(2))
+    t = LevyTriplet(np.zeros((2, 2)), drift=np.zeros(2))
     incr = levy.sample_increments(t, 0.5, make_rng(70), 1)[0]
     assert np.array_equal(incr, np.zeros(2))
 
@@ -485,7 +485,7 @@ def test_increment_draws_with_a_given_root_match():
         )
         assert got[0].tobytes() == want[0].tobytes()
         assert np.array_equal(got[1], want[1])
-    assert levy.gaussian_root(LevyTriplet(np.zeros((2, 2)), mu=np.zeros(2)), 0.5) is None
+    assert levy.gaussian_root(LevyTriplet(np.zeros((2, 2)), drift=np.zeros(2)), 0.5) is None
 
 
 def test_increment_cumulants():
@@ -494,7 +494,7 @@ def test_increment_cumulants():
     incr = levy.sample_increments(t, dt, make_rng(72), 10**6)
     mean = incr.mean(axis=0)
     se = incr.std(axis=0, ddof=1) / math.sqrt(incr.shape[0])
-    assert np.all(np.abs(mean - t.mu * dt) <= 4.0 * se)
+    assert np.all(np.abs(mean - t.drift * dt) <= 4.0 * se)
     want_cov = (t.a + t.nu.second_moment(2)) * dt
     got_cov = np.cov(incr.T)
     # variance of a covariance estimate ~ sqrt(2/n) relative
