@@ -567,9 +567,9 @@ def evaluate_hedge(
     conditional values of the exchanged claims are compared by inner
     simulation restarted from the hit state.  For continuous drivers the
     hit state is projected onto the barrier; jump drivers keep the
-    overshoot state and the verdict is one-sided.  No-hit paths check the terminal indicator algebra
-    pointwise, and knock-in/out/plain prices are taken from the same
-    outer paths.
+    overshoot state and the verdict is one-sided.  No-hit paths check
+    the terminal indicator algebra pointwise, and knock-in/out/plain
+    prices are taken from the same outer paths.
     """
     if rng is None:
         raise DomainError("evaluate_hedge requires an RngStream")
