@@ -1168,6 +1168,23 @@ task:
   n_inner: 2000
   hit_states: 6
 """
+# a basket call has no indicator-free hedge, so these run the indicator-form claim
+HEDGE_INDICATOR = """
+seed: 5
+model:
+  kind: path_config
+  s0: [1.0, 1.0]
+  steps: 60
+  driver: {kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}
+task:
+  kind: hedge
+  barrier: {asset: 1, level: 0.85}
+  target: {kind: basket_call, weights: [1, 0.5], strike: 1.2}
+  knock: KNOCK
+  n_outer: 500
+  n_inner: 20000
+  hit_states: 6
+"""
 
 # the benchmark's four exact-workload specs, copied so the pins do not move with bench/
 GOLDEN_SPECS = {
@@ -1188,6 +1205,8 @@ GOLDEN_SPECS = {
     "triplet-euclidean-martingale": ("check", TRIPLET_EUCLIDEAN_MARTINGALE),
     "triplet-tilted-gaussian": ("check", TRIPLET_TILTED_GAUSSIAN),
     "hedge-jump-super": ("hedge", HEDGE_JUMP_SUPER),
+    "hedge-indicator-in": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "in")),
+    "hedge-indicator-out": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "out")),
 }
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
@@ -1227,6 +1246,16 @@ GOLDEN_SHA256 = {
         "hedge.txt": "bf6ffa02e4baee6ac96bef70739b0d4d3f4a12e4c1b190b3a28f44b8cc13be54",
         "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
         "report.yaml": "807aeeebcb561af4e61d47eef35fdcabef6e5faa4c8dc3986c86121ac2469fd2",
+    },
+    "hedge-indicator-in": {
+        "hedge.txt": "5b76b1270496bf88ea6f848dbfa3f922d37c5d5a329bd3cae3a8c452a24502c4",
+        "hedge_gaps.csv": "398eb3483ad70caf69a472a65f6eb0641495fd7a56e9dc682c1ab4af48396ace",
+        "report.yaml": "a8eaf7e2744009178b06b6f907ffd8c7fce99e30033b923691f47a8ae206f2a3",
+    },
+    "hedge-indicator-out": {
+        "hedge.txt": "5b76b1270496bf88ea6f848dbfa3f922d37c5d5a329bd3cae3a8c452a24502c4",
+        "hedge_gaps.csv": "8823460d02a4d473e0096c735346597e4f2a952bc1b6bb4dbe8621ed3379a264",
+        "report.yaml": "7cc81794581764fe36e56bd8647e1b5f1382b1c14db90a42735451d856f47a8b",
     },
 }
 

@@ -295,6 +295,16 @@ def test_joint_hedge_requires_symmetry():
         hedging.two_asset_joint_hedges(cfg, "X", k_x=0.7)
 
 
+def test_hedge_evaluators_require_an_rng_stream():
+    cfg = bs_config(steps=10, sigma=0.5)
+    plan = hedging.build_hedge(_BASKET, hedging.Barrier(1, 0.85, "down"), 1.0, "in")
+    with pytest.raises(DomainError, match="requires an RngStream"):
+        hedging.evaluate_hedge(plan, cfg, n_outer=10, n_inner=10)
+    joint = hedging.two_asset_joint_hedges(cfg, "X", k_x=0.75)
+    with pytest.raises(DomainError, match="requires an RngStream"):
+        hedging.evaluate_joint_hedge(joint, cfg, n_outer=10, n_inner=10)
+
+
 def test_joint_hedge_plans():
     cfg = bs_config(steps=50, sigma=0.5)
     plan_x = hedging.two_asset_joint_hedges(cfg, "X", k_x=0.75)
@@ -497,8 +507,9 @@ def test_streaming_hedge_matches_per_path_loop(case):
         assert any(g.overshoot for g in rep.hit_gaps) and not all(g.overshoot for g in rep.hit_gaps)
 
 
+@pytest.mark.parametrize("n_hit_states", [7, 16])  # an odd count leaves one state unused
 @pytest.mark.parametrize("claim", ["X", "Y", "X-jumps"])
-def test_streaming_joint_hedge_matches_per_path_loop(claim):
+def test_streaming_joint_hedge_matches_per_path_loop(claim, n_hit_states):
     if claim == "X-jumps":  # overshooting first hits of either asset
         cfg = jump_config()
         plan = hedging.JointHedgePlan(
@@ -508,10 +519,10 @@ def test_streaming_joint_hedge_matches_per_path_loop(claim):
         cfg = bs_config(steps=100, sigma=0.5)
         plan = hedging.two_asset_joint_hedges(cfg, claim, k_x=0.75, k_y=1.35)
     rep = hedging.evaluate_joint_hedge(
-        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(201), n_hit_states=16
+        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(201), n_hit_states=n_hit_states
     )
-    assert len(rep.hit_gaps) == 16
-    assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(201), 16)
+    assert len(rep.hit_gaps) == 2 * (n_hit_states // 2)
+    assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(201), n_hit_states)
     if claim == "X-jumps":
         assert 0.0 < rep.overshoot_fraction < 1.0
 
