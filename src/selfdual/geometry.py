@@ -24,6 +24,7 @@ import numpy as np
 
 from .dist import ScalarModel
 from .errors import AtomicModel, DomainError
+from .pricing import _mean_se
 from .rng import RngStream
 
 __all__ = [
@@ -82,9 +83,7 @@ _SE_FLOOR = float(np.finfo(float).tiny)
 
 
 def _mc(samples: np.ndarray) -> SupportEstimate:
-    n = samples.shape[0]
-    value = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(n))
+    value, se = _mean_se(samples)
     return SupportEstimate(value, max(se, _SE_FLOOR), "monte_carlo")
 
 

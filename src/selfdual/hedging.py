@@ -29,7 +29,7 @@ verdict becomes one-sided super-replication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .pricing import (
     CompositePayoff,
     CustomPayoff,
     Payoff,
+    _mean_se,
 )
 from .rng import RngStream
 
@@ -522,35 +523,61 @@ def _conditional_gap(
     s_t = np.ascontiguousarray(_prices(state, remaining * cfg.carry, incr.T).T)
     lv = lhs(s_t)
     rv = rhs(s_t)
-    d = rv - lv
-    se = float(np.std(d, ddof=1) / math.sqrt(d.shape[0]))
-    return float(np.mean(lv)), float(np.mean(rv)), float(np.mean(d)), max(se, 1e-300)
+    gap, se = _mean_se(rv - lv)
+    return float(np.mean(lv)), float(np.mean(rv)), gap, max(se, 1e-300)
 
 
-def _hit_gap(
+def _measure(
     cfg: PathConfig,
-    path: int,
-    step: int,
-    state: np.ndarray,
-    overshoot: bool,
-    project: Barrier | None,
-    lhs: Payoff,
-    rhs: Payoff,
+    barriers: Sequence[Barrier],
+    exchanges: Sequence[tuple[Payoff, Payoff]],
+    n_outer: int,
     n_inner: int,
-    rng: RngStream,
-) -> HitGap:
-    """Conditional gap of ``rhs`` over ``lhs`` at one outer path's first hit.
+    rng: RngStream | None,
+    n_hit_states: int,
+    one_sided: bool,
+) -> tuple[HedgeReport, np.ndarray, np.ndarray]:
+    """The outer pass and hit-state checks of both evaluators: returns the
+    report without prices, the knock mask and the terminal prices.
 
-    A hit that is not an overshoot is moved onto the level of the barrier
-    ``project``, if one is given, before the inner simulation restarts
-    from it.
+    A path's first hitter is the barrier it crossed first, the lower index
+    on ties.  Each barrier gets up to ``n_hit_states // len(barriers)`` (at
+    least one) of the paths it hits first, in path order.  At each, inner
+    simulation from the hit state, on the barrier's level unless the driver
+    jumps or the hit overshot, measures the gap of that barrier's exchange.
     """
-    state = state.copy()
-    if project is not None and not overshoot:
-        state[project.asset - 1] = project.level
-    tau = cfg.horizon * step / cfg.steps
-    lv, rv, gap, se = _conditional_gap(cfg, state, tau, lhs, rhs, n_inner, rng)
-    return HitGap(path, step, tau, tuple(state), lv, rv, gap, se, overshoot)
+    if rng is None:
+        raise DomainError("hedge evaluation requires an RngStream")
+    for barrier in barriers:
+        barrier.validate(cfg)
+    steps, states, overshoots, terminal = _first_hits(cfg, n_outer, rng.child(0), barriers)
+    first = np.argmin(np.where(steps > 0, steps, np.iinfo(steps.dtype).max), axis=0)
+    paths = np.arange(steps.shape[1])
+    step, state, overshoot = steps[first, paths], states[first, paths], overshoots[first, paths]
+    knocked = step > 0
+    quota = max(1, int(n_hit_states) // len(barriers))
+    checked = np.sort(np.concatenate(
+        [np.flatnonzero(knocked & (first == b))[:quota] for b in range(len(barriers))]
+    ))
+    gaps = []
+    for rank, p in enumerate(checked):
+        b, k = int(first[p]), int(step[p])
+        if cfg.is_continuous and not overshoot[p]:
+            state[p, barriers[b].asset - 1] = barriers[b].level
+        tau = cfg.horizon * k / cfg.steps
+        lv, rv, gap, se = _conditional_gap(
+            cfg, state[p], tau, *exchanges[b], n_inner, rng.child(1000 + rank)
+        )
+        gaps.append(HitGap(int(p), k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p])))
+    frac, n_knocked = float(np.mean(knocked)), int(knocked.sum())
+    report = HedgeReport(
+        knock_in_fraction=frac,
+        knock_in_se=math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer),
+        overshoot_fraction=int(overshoot[knocked].sum()) / n_knocked if n_knocked else 0.0,
+        one_sided=one_sided,
+        hit_gaps=gaps,
+    )
+    return report, knocked, terminal
 
 
 def evaluate_hedge(
@@ -571,54 +598,27 @@ def evaluate_hedge(
     the terminal indicator algebra pointwise, and knock-in/out/plain
     prices are taken from the same outer paths.
     """
-    if rng is None:
-        raise DomainError("evaluate_hedge requires an RngStream")
-    plan.barrier.validate(cfg)
-    (step,), (state,), (overshoot,), terminal = _first_hits(
-        cfg, n_outer, rng.child(0), [plan.barrier]
-    )
-    knocked = step > 0
-    frac = float(np.mean(knocked))
-    frac_se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer)
-    n_knocked = int(knocked.sum())
-    overshoot_fraction = int(overshoot.sum()) / n_knocked if n_knocked else 0.0
-
-    # pathwise indicator algebra on the same outer draws
-    target_terminal = plan.target(terminal)
-    chi = knocked.astype(float)
-
-    def _price(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_outer))
-
-    # without a hit a knock-in hedge pays nothing and a knock-out hedge the
-    # target; the super-hedge promises only domination
-    miss = plan.hedge(terminal)[~knocked] - (target_terminal[~knocked] if plan.knock == "out" else 0.0)
-    no_hit_mismatch = 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
-
     if plan.knock == "out":
         lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
     else:  # in: exact exchange; super: the reflected claim must dominate the target
         lhs = plan.target
-    gaps = [
-        _hit_gap(
-            cfg, int(p), int(step[p]), state[p], bool(overshoot[p]),
-            plan.barrier if cfg.is_continuous else None, lhs, plan.hedge, n_inner,
-            rng.child(1000 + idx),
-        )
-        for idx, p in enumerate(np.flatnonzero(knocked)[: int(n_hit_states)])
-    ]
-
     one_sided = (not cfg.is_continuous) or plan.knock == "super"
-    return HedgeReport(
-        knock_in_fraction=frac,
-        knock_in_se=frac_se,
-        overshoot_fraction=overshoot_fraction,
-        one_sided=one_sided,
-        hit_gaps=gaps,
+    report, knocked, terminal = _measure(
+        cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, one_sided
+    )
+    # pathwise indicator algebra on the same outer draws: without a hit a
+    # knock-in hedge pays nothing and a knock-out hedge the target; the
+    # super-hedge promises only domination
+    target_terminal = plan.target(terminal)
+    miss = plan.hedge(terminal)[~knocked] - (target_terminal[~knocked] if plan.knock == "out" else 0.0)
+    no_hit_mismatch = 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
+    chi = knocked.astype(float)
+    return replace(
+        report,
         terminal_max_mismatch=no_hit_mismatch,
-        price_plain=_price(target_terminal),
-        price_knock_in=_price(chi * target_terminal),
-        price_knock_out=_price((1.0 - chi) * target_terminal),
+        price_plain=_mean_se(target_terminal),
+        price_knock_in=_mean_se(chi * target_terminal),
+        price_knock_out=_mean_se((1.0 - chi) * target_terminal),
     )
 
 
@@ -700,39 +700,9 @@ def evaluate_joint_hedge(
     collected from outer paths (projected onto the barrier for continuous
     drivers) and each stated identity is checked there.
     """
-    if rng is None:
-        raise DomainError("evaluate_joint_hedge requires an RngStream")
-    direction = "down" if plan.claim == "X" else "up"
-    barriers = [Barrier(i, plan.level, direction) for i in (1, 2)]
-    for b in barriers:
-        b.validate(cfg)
-    step, state, overshoot, _ = _first_hits(cfg, n_outer, rng.child(0), barriers)
-    hit = step > 0
-    knocked = hit.any(axis=0)
-    # index of the first asset to hit, asset 1 on ties
-    first = np.where(hit[0] & (~hit[1] | (step[0] <= step[1])), 0, 1)
-    overshoots = int(overshoot[first, np.arange(n_outer)][knocked].sum())
-    per_asset_quota = max(1, int(n_hit_states) // 2)
-    checked = np.sort(np.concatenate(
-        [np.flatnonzero(knocked & (first == b))[:per_asset_quota] for b in (0, 1)]
-    ))
+    barriers = [Barrier(i, plan.level, "down" if plan.claim == "X" else "up") for i in (1, 2)]
     exchanges = {i: (lhs, rhs) for i, lhs, rhs in plan.exchanges}
-    gaps = []
-    for p in checked:
-        b = int(first[p])
-        gaps.append(_hit_gap(
-            cfg, int(p), int(step[b, p]), state[b, p], bool(overshoot[b, p]),
-            barriers[b] if cfg.is_continuous else None, *exchanges[b + 1], n_inner,
-            rng.child(2000 + int(p)),
-        ))
-
-    frac = float(np.mean(knocked))
-    frac_se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer)
-    n_knocked = int(knocked.sum())
-    return HedgeReport(
-        knock_in_fraction=frac,
-        knock_in_se=frac_se,
-        overshoot_fraction=overshoots / n_knocked if n_knocked else 0.0,
-        one_sided=not cfg.is_continuous,
-        hit_gaps=gaps,
-    )
+    return _measure(
+        cfg, barriers, [exchanges[1], exchanges[2]], n_outer, n_inner, rng, n_hit_states,
+        not cfg.is_continuous,
+    )[0]

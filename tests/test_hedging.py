@@ -464,7 +464,7 @@ def _oracle_joint_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
             state[first - 1] = plan.level
         _, lhs, rhs = next(e for e in plan.exchanges if e[0] == first)
         lv, rv, gap, se = hedging._conditional_gap(
-            cfg, state, rec.time, lhs, rhs, n_inner, rng.child(2000 + p)
+            cfg, state, rec.time, lhs, rhs, n_inner, rng.child(1000 + len(gaps))
         )
         gaps.append(
             hedging.HitGap(p, rec.step, rec.time, tuple(state), lv, rv, gap, se, rec.overshoot)
