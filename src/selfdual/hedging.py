@@ -512,13 +512,9 @@ def _conditional_gap(
     n_inner: int,
     rng: RngStream,
 ) -> tuple[float, float, float, float]:
-    """Inner Monte Carlo from a stopping state; returns
+    """Inner Monte Carlo from a stopping state at ``tau < horizon``; returns
     (lhs_value, rhs_value, gap, se_of_gap) with common random numbers."""
     remaining = cfg.horizon - tau
-    if remaining <= 0:
-        s_t = state[None, :]
-        lv, rv = float(lhs(s_t)[0]), float(rhs(s_t)[0])
-        return lv, rv, rv - lv, 0.0
     incr = sample_increments(cfg.driver, remaining, rng, int(n_inner))
     s_t = np.ascontiguousarray(_prices(state, remaining * cfg.carry, incr.T).T)
     lv = lhs(s_t)
@@ -541,10 +537,10 @@ def _measure(
     report without prices, the knock mask and the terminal prices.
 
     A path's first hitter is the barrier it crossed first, the lower index
-    on ties.  Each barrier gets up to ``n_hit_states // len(barriers)`` (at
-    least one) of the paths it hits first, in path order.  At each, inner
-    simulation from the hit state, on the barrier's level unless the driver
-    jumps or the hit overshot, measures the gap of that barrier's exchange.
+    on ties.  Each barrier checks the gap of its exchange at up to
+    ``n_hit_states // len(barriers)`` (at least one) of the paths it hits
+    first before the horizon, in path order, by inner simulation from the
+    hit state, moved onto its level unless the driver jumps or it overshot.
     """
     if rng is None:
         raise DomainError("hedge evaluation requires an RngStream")
@@ -556,8 +552,9 @@ def _measure(
     step, state, overshoot = steps[first, paths], states[first, paths], overshoots[first, paths]
     knocked = step > 0
     quota = max(1, int(n_hit_states) // len(barriers))
+    live = knocked & (step < cfg.steps)  # a first hit at the horizon has no time left
     checked = np.sort(np.concatenate(
-        [np.flatnonzero(knocked & (first == b))[:quota] for b in range(len(barriers))]
+        [np.flatnonzero(live & (first == b))[:quota] for b in range(len(barriers))]
     ))
     gaps = []
     for rank, p in enumerate(checked):

@@ -282,6 +282,21 @@ def test_super_hedge_value_dominates():
     assert super_value >= ki_value - 3.0 * se
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("knock", ["in", "out"])
+def test_a_first_hit_at_the_horizon_is_knocked_but_not_checked(knock, seed):
+    # with no time left the projected state sits on the indicator's jump,
+    # where the indicator-form hedge pays 2 f(s) against f(s), with no SE
+    cfg = bs_config(steps=4)
+    plan = hedging.build_hedge(_BASKET, hedging.Barrier(1, 0.85, "down"), 1.0, knock)
+    rep = hedging.evaluate_hedge(
+        plan, cfg, n_outer=1_000, n_inner=20_000, rng=selfdual.RngStream(seed), n_hit_states=20
+    )
+    assert len(rep.hit_gaps) == 20
+    assert all(g.step < cfg.steps for g in rep.hit_gaps)
+    assert rep.verdict != "fail", rep.one_line()
+
+
 # --------------------------------------------------------------------------- #
 # Joint two-asset hedges
 # --------------------------------------------------------------------------- #
@@ -410,7 +425,7 @@ def _oracle_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
     zero = pricing.CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
     lhs = zero if plan.knock == "out" else plan.target
     gaps = []
-    for idx, (p, rec) in enumerate(hits[:n_hit_states]):
+    for idx, (p, rec) in enumerate([h for h in hits if h[1].step < cfg.steps][:n_hit_states]):
         state = paths[p, rec.step].copy()
         if cfg.is_continuous and not rec.overshoot:
             state[plan.barrier.asset - 1] = plan.barrier.level
@@ -456,7 +471,7 @@ def _oracle_joint_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
         first = min(live, key=lambda i: live[i].step)
         rec = live[first]
         overshoots += rec.overshoot
-        if counts[first] >= quota:
+        if counts[first] >= quota or rec.step == cfg.steps:
             continue
         counts[first] += 1
         state = paths[p, rec.step].copy()
