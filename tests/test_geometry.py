@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfdual import dist, geometry
+from selfdual import dist, geometry, pricing
 from selfdual.errors import AtomicModel, DomainError
 from selfdual.geometry import LiftVector, SupportEstimate
 from selfdual.quadrature import integrate_interval, integrate_positive
@@ -67,6 +67,34 @@ def test_support_monte_carlo_with_errors():
     oracle = integrate_interval(lambda t: (t - 1.0) * dist.HeavyTail(1.0).pdf(t), 1.0, math.inf)
     assert est.method == "monte_carlo" and est.std_error > 0
     assert abs(est.value - oracle) <= 4.0 * est.std_error
+
+
+# (model, mixed-sign lift-zonoid vector, first-orthant lift max-zonoid vector)
+SUPPORT_AS_PRICE_CASES = [
+    (LN25, LiftVector(-1.0, (1.3,)), LiftVector(1.0, (0.8,))),
+    (dist.HeavyTail(1.0), LiftVector(-1.0, (1.3,)), LiftVector(0.7, (1.2,))),
+    (dist.LpSelfDual(1.5), LiftVector(0.8, (-1.1,)), LiftVector(1.0, (0.6,))),
+    (
+        dist.MultiLogNormal.jointly_self_dual(2, 0.3),
+        LiftVector(-0.5, (1.0, -0.4)),
+        LiftVector(0.3, (1.0, 0.8)),
+    ),
+    (dist.UnitBallMax(3), LiftVector(0.4, (-0.2, 0.5, -0.3)), LiftVector(0.0, (0.5, 1.0, 0.7))),
+]
+
+
+@pytest.mark.parametrize("tag", range(len(SUPPORT_AS_PRICE_CASES)))
+def test_support_values_are_prices_of_their_claims(tag):
+    model, lz, lmz = SUPPORT_AS_PRICE_CASES[tag]
+    pairs = [
+        (geometry.support_lift_zonoid, lz, pricing.AffinePower(lz.u, lz.u0)),
+        (geometry.support_lift_max_zonoid, lmz, pricing.MaxOption(lmz.u0, lmz.u)),
+    ]
+    for support, lv, claim in pairs:
+        est = support(model, lv, make_rng(70 + tag), 20_000)
+        ref = pricing.price(model, claim, rng=make_rng(70 + tag), n_samples=20_000)
+        assert (est.value, est.std_error, est.method) == (ref.value, ref.std_error, ref.method)
+        assert est.method == ("closed_form" if model is LN25 else "monte_carlo")
 
 
 def test_support_estimate_invariant():
