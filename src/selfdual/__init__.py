@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from . import cli, dist, duality, geometry, hedging, levy, pricing  # noqa: E402
+from . import dist, duality, geometry, hedging, levy, pricing  # noqa: E402
 from .rng import RngStream  # noqa: E402
 
-__all__ = ["cli", "dist", "duality", "geometry", "hedging", "levy", "pricing", "RngStream"]
+__all__ = ["dist", "duality", "geometry", "hedging", "levy", "pricing", "RngStream"]

@@ -8,9 +8,10 @@ Option-pricing identities become symmetry statements about these bodies;
 this module evaluates the support functions, the Husler-Reiss norm, the
 binary/gap boundary parametrisation, and the coordinate-swap reflection.
 The support value at ``(u0, u)`` is the price of the affine claim
-``(u0 + <u, eta>)_+``, so a scalar model's ``expect_affine`` supplies it
-in closed form where the law has one (and ``tail_mean`` the boundary);
-otherwise it is Monte Carlo with standard errors.
+``(u0 + <u, eta>)_+`` (of ``max(u0, u_1 eta_1, ...)`` on the max-zonoid),
+so ``pricing.price`` supplies it: in closed form where the law has one,
+otherwise by Monte Carlo with standard errors.  A scalar model's
+``tail_mean`` gives the boundary.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import numpy as np
 
 from .dist import ScalarModel
 from .errors import AtomicModel, DomainError
-from .pricing import _mean_se
+from .pricing import DEFAULT_SAMPLES, AffinePower, MaxOption, PriceEstimate, price
 from .rng import RngStream
 
 __all__ = [
     "LiftVector",
-    "SupportEstimate",
     "support_lift_zonoid",
     "support_lift_max_zonoid",
     "husler_reiss_norm",
@@ -39,8 +39,6 @@ __all__ = [
     "reflect_pi",
     "max_stable_cdf",
 ]
-
-DEFAULT_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -63,34 +61,8 @@ class LiftVector:
         return len(self.u)
 
 
-@dataclass(frozen=True)
-class SupportEstimate:
-    value: float
-    std_error: float
-    method: str  # closed_form | quadrature | monte_carlo
-
-    def __post_init__(self):
-        if (self.std_error == 0.0) == (self.method == "monte_carlo"):
-            raise ValueError("std_error must be positive exactly for monte_carlo estimates")
-
-
-def _exact(value: float, method: str = "closed_form") -> SupportEstimate:
-    return SupportEstimate(float(value), 0.0, method)
-
-
-# degenerate all-equal samples still count as a Monte-Carlo estimate
-_SE_FLOOR = float(np.finfo(float).tiny)
-
-
-def _mc(samples: np.ndarray) -> SupportEstimate:
-    value, se = _mean_se(samples)
-    return SupportEstimate(value, max(se, _SE_FLOOR), "monte_carlo")
-
-
-def _draws(model, rng: RngStream | None, n_samples: int) -> np.ndarray:
-    if rng is None:
-        raise DomainError("Monte-Carlo path requires an RngStream")
-    return model.sample(n_samples, rng).reshape(n_samples, -1)
+def _exact(value: float) -> PriceEstimate:
+    return PriceEstimate(float(value), 0.0, 0, 1.0, "closed_form")
 
 
 def support_lift_zonoid(
@@ -98,13 +70,12 @@ def support_lift_zonoid(
     lv: LiftVector,
     rng: RngStream | None = None,
     n_samples: int = DEFAULT_SAMPLES,
-) -> SupportEstimate:
+) -> PriceEstimate:
     """Support function of the lift zonoid: E (u0 + <u, eta>)_+.
 
-    Sign cases with an exact value short-circuit Monte Carlo: all
+    Sign cases with an exact value short-circuit pricing: all
     coordinates nonnegative gives ``u0 + <u, E eta>``; all nonpositive
-    gives zero.  A scalar model then prices the affine claim through its
-    ``expect_affine`` closed form where it has one.
+    gives zero.  Otherwise it is the price of the affine claim.
     """
     u = np.asarray(lv.u, dtype=float)
     if lv.dim != model.dim:
@@ -113,13 +84,7 @@ def support_lift_zonoid(
         return _exact(lv.u0 + float(u @ model.means))
     if lv.u0 <= 0 and np.all(u <= 0):
         return _exact(0.0)
-
-    if isinstance(model, ScalarModel):
-        value = model.expect_affine(float(u[0]), lv.u0)
-        if value is not None:
-            return _exact(value)
-
-    return _mc(np.maximum(lv.u0 + _draws(model, rng, n_samples) @ u, 0.0))
+    return price(model, AffinePower(lv.u, lv.u0), rng=rng, n_samples=n_samples)
 
 
 def support_lift_max_zonoid(
@@ -127,11 +92,12 @@ def support_lift_max_zonoid(
     lv: LiftVector,
     rng: RngStream | None = None,
     n_samples: int = DEFAULT_SAMPLES,
-) -> SupportEstimate:
+) -> PriceEstimate:
     """Support function of the lift max-zonoid: E max(u0, u1 eta1, ...).
 
     Restricted to the first orthant; negative coordinates raise
     ``DomainError`` because the implicit 0 in the max already covers them.
+    Outside the degenerate cases it is the price of the max option.
     """
     u = np.asarray(lv.u, dtype=float)
     if lv.dim != model.dim:
@@ -144,14 +110,7 @@ def support_lift_max_zonoid(
     if lv.u0 == 0 and nonzero.size == 1:
         j = int(nonzero[0])
         return _exact(float(u[j] * model.means[j]))
-
-    if isinstance(model, ScalarModel):
-        # E max(k, F eta) = E (F eta - k)_+ + k
-        value = model.expect_affine(float(u[0]), -lv.u0)
-        if value is not None:
-            return _exact(value + lv.u0)
-
-    return _mc(np.maximum(lv.u0, np.max(_draws(model, rng, n_samples) * u, axis=1)))
+    return price(model, MaxOption(lv.u0, lv.u), rng=rng, n_samples=n_samples)
 
 
 def husler_reiss_norm(k: float, big_f: float, lambda_hr: float) -> float:

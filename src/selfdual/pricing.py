@@ -465,10 +465,12 @@ def power_symmetry_residual(
     """Power symmetry E (F eta - k)_+^alpha = a^-alpha E (F - k a^2 eta)_+^alpha.
 
     Holds for quasi-self-dual eta of order alpha with carry factor
-    ``a = e^lambda``; estimated with common random numbers.
+    ``a = e^lambda``; exact where both claims have closed forms,
+    otherwise estimated with common random numbers.
     """
     model.raw_moment(alpha)  # integrability gate
-    eta = model.sample(int(n_samples), rng)
-    lhs = np.maximum(big_f * eta - k, 0.0) ** alpha
-    rhs = a ** (-alpha) * np.maximum(big_f - k * a * a * eta, 0.0) ** alpha
-    return _mean_se(lhs - rhs)
+    terms = [
+        (1.0, PowerCall((1.0,), k, alpha), big_f),
+        (-(a**-alpha), AffinePower((-k * a * a,), big_f, p=alpha), 1.0),
+    ]
+    return _identity_residuals(model, [(0.0, terms)], rng, n_samples)[0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -664,14 +665,19 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+# how a fresh interpreter reaches cli.main: the script above, or runpy on the module
+LAUNCHERS = {"cold_main": ["-c", COLD_MAIN, str(SRC)], "run_module": ["-m", "selfdual.cli"]}
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
 @pytest.mark.parametrize("kind", sorted(SCIPY_SPECS))
-def test_first_use_of_scipy_gives_the_in_process_output(kind, tmp_path, capsys):
+def test_first_use_of_scipy_gives_the_in_process_output(kind, launcher, tmp_path, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(SCIPY_SPECS[kind])
     args = [kind, str(spec_file), "--seed", "11", "--out"]
     cold = subprocess.run(
-        [sys.executable, "-c", COLD_MAIN, str(SRC), *args, str(tmp_path / "cold")],
-        capture_output=True, text=True,
+        [sys.executable, *LAUNCHERS[launcher], *args, str(tmp_path / "cold")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     code = cli.main([*args, str(tmp_path / "warm")])
     warm = capsys.readouterr()

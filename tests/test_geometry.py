@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from selfdual import dist, geometry, pricing
 from selfdual.errors import AtomicModel, DomainError
-from selfdual.geometry import LiftVector, SupportEstimate
+from selfdual.geometry import LiftVector
 from selfdual.quadrature import integrate_interval, integrate_positive
 from scipy.special import ndtr as norm_cdf
 
@@ -67,6 +67,7 @@ def test_support_monte_carlo_with_errors():
     oracle = integrate_interval(lambda t: (t - 1.0) * dist.HeavyTail(1.0).pdf(t), 1.0, math.inf)
     assert est.method == "monte_carlo" and est.std_error > 0
     assert abs(est.value - oracle) <= 4.0 * est.std_error
+    assert est.n_samples == 200_000
 
 
 # (model, mixed-sign lift-zonoid vector, first-orthant lift max-zonoid vector)
@@ -97,11 +98,9 @@ def test_support_values_are_prices_of_their_claims(tag):
         assert est.method == ("closed_form" if model is LN25 else "monte_carlo")
 
 
-def test_support_estimate_invariant():
-    with pytest.raises(ValueError):
-        SupportEstimate(1.0, 0.1, "closed_form")
-    with pytest.raises(ValueError):
-        SupportEstimate(1.0, 0.0, "monte_carlo")
+def test_support_monte_carlo_requires_a_stream():
+    with pytest.raises(DomainError, match="Monte-Carlo pricing requires an RngStream"):
+        geometry.support_lift_zonoid(dist.HeavyTail(1.0), LiftVector(-1.0, (1.0,)))
 
 
 # --------------------------------------------------------------------------- #

@@ -219,6 +219,27 @@ def test_power_symmetry_reduces_to_vanilla():
         LN25, 1.0, 1.0, 1.0, 0.9, make_rng(86), n_samples=200_000
     )
     assert abs(res) <= 3.0 * se + 5e-5
+    # both claims have closed forms at alpha = 1, so the residual is exact
+    assert se == 0.0 and abs(res) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [LN25, dist.HeavyTail(2.0)], ids=["lognormal", "heavy_tail"])
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_power_symmetry_matches_the_direct_estimator(model, alpha):
+    # reference: both sides drawn on one eta and reduced by hand
+    a, big_f, k, n = 1.02, 1.1, 0.95, 20_000
+    eta = model.sample(n, make_rng(89))
+    lhs = np.maximum(big_f * eta - k, 0.0) ** alpha
+    rhs = a ** (-alpha) * np.maximum(big_f - k * a * a * eta, 0.0) ** alpha
+    diff = lhs - rhs
+    expected = (float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n)))
+    assert pricing.power_symmetry_residual(model, a, alpha, big_f, k, make_rng(89), n) == expected
+
+
+@pytest.mark.parametrize("alpha, k", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.9)])
+def test_power_symmetry_rejects_a_negative_strike_or_nonpositive_order(alpha, k):
+    with pytest.raises(DomainError):
+        pricing.power_symmetry_residual(LN25, 1.0, alpha, 1.0, k, make_rng(90), 1_000)
 
 
 def test_power_symmetry_quasi_self_dual():
