@@ -1302,6 +1302,63 @@ def test_help_lists_every_task_kind(capsys):
     assert [kind for kind in cli.TASK_KINDS if kind not in text] == []
 
 
+HELP_TEXT = """\
+usage: selfdual [-h] [--seed SEED] [--samples SAMPLES] [--tol TOL] [--out OUT]
+                {check,alpha,price,hedge,zonoid} spec
+
+Self-dual model checks, order solving, pricing, and hedges
+
+positional arguments:
+  {check,alpha,price,hedge,zonoid}
+                        the task kind the spec holds
+  spec                  path to the YAML model spec
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           override the spec seed
+  --samples SAMPLES     override sample counts
+  --tol TOL             override the exact tolerance
+  --out OUT             directory for report artifacts
+"""
+
+
+def test_help_and_usage_error_texts_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP_TEXT, "")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobnicate", "spec.yaml"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            HELP_TEXT.split("\n\n")[0]
+            + "\nselfdual: error: argument command: invalid choice: 'frobnicate'"
+        )
+
+
+def test_one_process_gives_each_call_the_output_of_a_fresh_one(tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(REPORT_SPECS["zonoid"])
+    flags = ["--samples", "1000", "--tol", "1e-9", "--seed", "3", "--out", str(tmp_path / "first")]
+    assert cli.main(["zonoid", str(spec_file), *flags]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zonoid", "--seed"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, files = _cli_output("zonoid", spec_file, tmp_path / "warm", capsys)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "selfdual.cli", "zonoid", str(spec_file), "--out", str(tmp_path / "cold")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, "")
+    assert {p.name: p.read_bytes() for p in sorted((tmp_path / "cold").iterdir())} == files
+    assert yaml.safe_load(out)["spec"]["seed"] == 12345
+
+
 def test_a_kind_mismatch_names_both_kinds(tmp_path, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(DISCRETE)

@@ -232,6 +232,34 @@ def test_boundary_polyline_csv():
     assert k0 == pytest.approx(0.1, rel=1e-15)
 
 
+def _oracle_boundary_csv(rows: np.ndarray) -> str:
+    """The boundary CSV with one f-string per row."""
+    lines = [f"{k:.17g},{bc:.17g},{gc:.17g}\n" for k, bc, gc in rows.tolist()]
+    return "k,bc,gc_over_f\n" + "".join(lines)
+
+
+def _csv_rows():
+    gen = np.random.default_rng(2024)
+    special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1e17, -1e17, 0.1, 1.0]
+    random = gen.uniform(-1, 1, 600) * 10.0 ** gen.integers(-300, 301, 600)
+    return {
+        "empty": np.empty((0, 3)),
+        "one": np.array([[0.01, 0.5, 1.0]]),
+        "two": np.array([[0.5, -0.0, 5e-324], [1e16, 1e17, math.nan]]),
+        "special": np.array(special * 3).reshape(-1, 3),
+        "random": random.reshape(200, 3),
+        "boundary": geometry.boundary_polyline(LN25, 1e-2, 1e2, 200),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_csv_rows()))
+def test_boundary_csv_matches_the_row_by_row_writer(name):
+    rows = _csv_rows()[name]
+    buf = io.StringIO()
+    geometry.write_boundary_csv(rows, buf)
+    assert buf.getvalue().encode() == _oracle_boundary_csv(rows).encode()
+
+
 # --------------------------------------------------------------------------- #
 # Reflections and max-stable link
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from selfdual import levy
 from selfdual.duality import KappaMaps
-from selfdual.errors import AmbiguousRoot, DomainError, NoBracket, PatternViolation
+from selfdual.errors import AmbiguousRoot, DomainError, NoBracket, PatternViolation, SelfDualError
 from selfdual.levy import GaussianPart, JumpMeasure, LevyTriplet
 
 from conftest import make_rng
@@ -444,6 +444,109 @@ def test_solve_alpha_no_bracket():
     t = levy.martingale_normalized([[0.0]], JumpMeasure(atoms=atoms))
     with pytest.raises(NoBracket):
         levy.solve_alpha(t, 1, -1.0)
+
+
+def _oracle_scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):
+    """The scan as one scalar ``g_fun`` call per grid point, then brentq."""
+    from scipy.optimize import brentq
+
+    pos = np.geomspace(1e-3, hi, 120)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    vals = np.array([g_fun(float(a)) for a in grid])
+    roots: list[float] = []
+    bracket = None
+    for k in range(len(grid) - 1):
+        va, vb = vals[k], vals[k + 1]
+        if not (math.isfinite(va) and math.isfinite(vb)):
+            continue
+        if va == 0.0:
+            roots.append(float(grid[k]))
+            continue
+        if va * vb < 0.0:
+            r = float(brentq(g_fun, float(grid[k]), float(grid[k + 1]), xtol=1e-15, rtol=8.9e-16))
+            roots.append(r)
+            if bracket is None:
+                bracket = (float(grid[k]), float(grid[k + 1]))
+    if math.isfinite(vals[-1]) and vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    dedup: list[float] = []
+    for r in roots:
+        if not any(abs(r - q) <= 1e-9 * (1.0 + abs(q)) for q in dedup):
+            dedup.append(r)
+    return dedup, bracket
+
+
+def _random_scalar_triplet(seed):
+    """A 1-d triplet: atoms, a Gaussian jump part, diffusion, each or none, and a carry."""
+    r = np.random.default_rng(seed)
+    a = 0.0 if r.random() < 0.25 else float(r.uniform(0.0, 0.5))
+    atoms = tuple(
+        # a few atoms far enough out that the grid's ends overflow
+        (np.array([r.choice([-1.0, 1.0]) * r.uniform(0.05, 40.0 if r.random() < 0.1 else 1.5)]),
+         float(r.uniform(0.05, 2.0)))
+        for _ in range(r.integers(0, 3))
+    )
+    gauss = None
+    if r.random() < 0.4:
+        mass = 1.0 if r.random() < 0.5 else float(r.uniform(0.1, 2.0))
+        var = float(r.uniform(0.01, 3.0 if r.random() < 0.1 else 1.5))
+        gauss = GaussianPart([r.uniform(-1.0, 1.0)], [[var]], mass)
+    return LevyTriplet([[a]], JumpMeasure(atoms, gauss), drift=np.zeros(1)), float(r.uniform(-0.3, 0.6))
+
+
+def _solve_or_error(t, lam):
+    try:
+        return repr(levy.solve_alpha(t, 1, lam))
+    except SelfDualError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _named_triplets():
+    """The solver's triplets from this file and the acceptance tests, with their carries."""
+    sigma2, beta2, lam = 0.04, 1.0, 0.01
+    z = beta2 / sigma2 * math.exp(beta2 * (lam + 1.0) / sigma2)
+    alpha_star = 2.0 * levy.lambert_w0(z) / beta2 + 1.0 - 2.0 * (lam + 1.0) / sigma2
+    lambertw = levy.martingale_normalized(
+        [[sigma2]], levy.build_tilted_gaussian_measure([[beta2]], alpha_star, 1.0, 1)
+    )
+    tilted = levy.martingale_normalized(
+        [[0.04]], levy.build_tilted_gaussian_measure([[1.0]], 0.9808575969854374, 1.0, 1)
+    )
+    lam_fallback = 0.5 * 0.04 * 0.6 + 0.7 * (math.exp(0.6 / 2) - 1)
+    return [
+        (levy.martingale_normalized([[0.04]]), 0.01),
+        (levy.martingale_normalized(
+            [[0.0]], levy.build_tilted_gaussian_measure([[1.0]], 0.5, 1.0, 1)
+        ), math.exp(0.25) - 1.0),
+        (lambertw, lam),
+        (lambertw.scaled(0.5), lam * 0.5),
+        (lambertw.scaled(2.0), lam * 2.0),
+        (tilted, 0.01),
+        (tilted.scaled(0.5), 0.005),
+        (tilted.scaled(2.0), 0.02),
+        (levy.martingale_normalized(
+            [[0.04]], levy.build_tilted_gaussian_measure([[1.0]], 0.4, 0.7, 1)
+        ), lam_fallback),
+        (levy.martingale_normalized([[0.09]], JumpMeasure(atoms=((np.array([0.25]), 1.5),))), 0.31),
+        (sd_gauss_jump_triplet(), 0.05),
+        (levy.martingale_normalized([[0.0]], JumpMeasure(atoms=((np.array([-1.0]), 1.0),))), -1.0),
+        (levy.martingale_normalized(
+            [[0.0]], levy.build_tilted_gaussian_measure([[1.0]], 0.5, 1.0, 1)
+        ), 0.2840254166877414),
+    ]
+
+
+def test_solve_alpha_matches_the_scalar_scan(monkeypatch):
+    cases = _named_triplets() + [_random_scalar_triplet(seed) for seed in range(1200)]
+    got = [_solve_or_error(t, lam) for t, lam in cases]
+    monkeypatch.setattr(levy, "_scan_roots", _oracle_scan_roots)
+    want = [_solve_or_error(t, lam) for t, lam in cases]
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    outcomes = {text.split("(")[0].split(":")[0] for text in want}
+    assert {"AlphaSolution", "DomainError", "NoBracket"} <= outcomes
+    methods = {text.split("method='")[1].split("'")[0] for text in want if "method=" in text}
+    assert methods == {"bracketed_root", "closed_lognormal", "closed_lambertw", "closed_laplace"}
 
 
 # --------------------------------------------------------------------------- #
