@@ -18,7 +18,7 @@ import io
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -812,7 +812,9 @@ def _apply_overrides(spec: dict, args: argparse.Namespace) -> None:
         raise SchemaError(chk.errors)
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="selfdual",
         description="Self-dual model checks, order solving, pricing, and hedges",
@@ -823,7 +825,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=None, help="override sample counts")
     parser.add_argument("--tol", type=float, default=None, help="override the exact tolerance")
     parser.add_argument("--out", type=str, default=None, help="directory for report artifacts")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.spec).read_text()

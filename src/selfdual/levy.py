@@ -530,12 +530,14 @@ def _marginal_jump_terms(t: LevyTriplet, i: int):
     )
     mass = t.nu.total_mass
 
-    def weighted(alpha: float) -> float:
-        # overflow at extreme scan points degrades to +-inf, never raises
+    def weighted(alpha):
+        # overflow at extreme scan points degrades to +-inf, never raises;
+        # the scan passes its whole grid as one array
         s = 0.5 * alpha
-        val = sum(m * x * _exp_safe(s * x) for x, m in atoms)
+        exp = _exp_safe if np.ndim(alpha) == 0 else np.exp
+        val = sum(m * x * exp(s * x) for x, m in atoms)
         if g is not None:
-            val += gmass * (gm + s * gv) * _exp_safe(s * gm + 0.5 * s * s * gv)
+            val += gmass * (gm + s * gv) * exp(s * gm + 0.5 * s * s * gv)
         return val
 
     return exp_int, mass, weighted
@@ -557,7 +559,7 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
     aii = float(t.a[i - 1, i - 1])
     exp_int, mass, weighted = _marginal_jump_terms(t, i)
 
-    def g_fun(alpha: float) -> float:
+    def g_fun(alpha):
         return aii * alpha - aii + 2.0 * lambda_i - 2.0 * (exp_int - mass - weighted(alpha))
 
     scale = 1.0 + abs(aii)
@@ -596,14 +598,17 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
     return AlphaSolution(roots[0], "bracketed_root", bracket, abs(g_fun(roots[0])), tuple(roots))
 
 
-def _scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):
-    """Sign-change scan on a symmetric geometric grid, then brentq."""
+def _scan_roots(g_fun):
+    """Sign-change scan on a symmetric geometric grid over [-50, 50], then brentq.
+
+    ``g_fun`` takes the whole grid in one call; brentq calls it on floats.
+    """
     from scipy.optimize import brentq
 
-    pos = np.geomspace(1e-3, hi, 120)
+    pos = np.geomspace(1e-3, 50.0, 120)
     grid = np.concatenate([-pos[::-1], [0.0], pos])
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    vals = np.array([g_fun(float(a)) for a in grid])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, skipped below
+        vals = g_fun(grid)
     roots: list[float] = []
     bracket = None
     for k in range(len(grid) - 1):

@@ -1041,6 +1041,15 @@ RUN_ERRORS = {
         "forward: [1, 2, 3]}\n",
         "forward has 3 entries; the model has dimension 2",
     ),
+    # an empty strike range used to print one strike three times, a reversed one a descending curve
+    "zonoid-equal": (
+        "model: {kind: heavy_tail, gamma: 1.0}\ntask: {kind: zonoid, k_min: 5, k_max: 5, points: 3}\n",
+        "strike range needs 0 < k_min < k_max, got k_min=5.0, k_max=5.0",
+    ),
+    "zonoid-reversed": (
+        "model: {kind: lognormal, sigma: 0.5}\ntask: {kind: zonoid, k_min: 10, k_max: 0.1}\n",
+        "strike range needs 0 < k_min < k_max, got k_min=10.0, k_max=0.1",
+    ),
 }
 
 
