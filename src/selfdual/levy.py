@@ -599,10 +599,7 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
 
 
 def _scan_roots(g_fun):
-    """Sign-change scan on a symmetric geometric grid over [-50, 50], then brentq.
-
-    ``g_fun`` takes the whole grid in one call; brentq calls it on floats.
-    """
+    """Sign-change scan, one array call on a symmetric geometric grid in [-50, 50], then brentq."""
     from scipy.optimize import brentq
 
     pos = np.geomspace(1e-3, 50.0, 120)
