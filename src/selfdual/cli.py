@@ -725,7 +725,7 @@ def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
     rng = RngStream(spec["seed"])
     report = hedging.evaluate_hedge(
         plan, cfg, n_outer=task["n_outer"], n_inner=task["n_inner"], rng=rng,
-        n_hit_states=task["hit_states"],
+        n_hit_states=task["hit_states"], n_samples=spec["samples"],
     )
     doc = {
         "verdict": report.verdict,
@@ -740,6 +740,7 @@ def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
         "price_plain": list(report.price_plain),
         "price_knock_in": list(report.price_knock_in),
         "price_knock_out": list(report.price_knock_out),
+        "price_gap": None if report.price_gap is None else list(report.price_gap),
         "hit_states": len(report.hit_gaps),
     }
     buf = io.StringIO()

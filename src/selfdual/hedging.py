@@ -11,19 +11,18 @@ symbolically to another one; when the payoff's support makes one summand
 vanish identically the indicator is dropped and the hedge collapses to
 that reflected claim.
 
-Replication is verified by nested Monte Carlo: outer paths locate first
-hits in one streaming pass that holds only the log-state, column-major as
-``(n, paths)``, and each barrier's first-hit record, so memory is
-O(paths * n) whatever the number of steps.  A step exponentiates only the
-monitored asset's row; price vectors are formed for the paths that hit at
-that step and, at the horizon, for all.  Inner simulations restarted from
-the hit state compare the conditional values of the target and the hedge
-claims.  The identity is
-an equality of conditional expectations given a hit state with
-``S_i = H`` exactly, so for continuous drivers the detected state is
-projected onto the barrier (the grid-crossing bias otherwise dominates
-the comparison); with jumps the observed overshoot state is kept and the
-verdict becomes one-sided super-replication.
+Replication is verified at two levels.  For a continuous driver the price
+check needs no path: given ``S_T`` the monitored log-price is a Brownian
+bridge, which hit the level with probability
+``p = exp(-2 (y_0 - h)(y_T - h) / (a_ii T))`` if ``S_T`` has not crossed it
+and 1 if it has (Glasserman 2004, 6.4), so the hedge must price like
+``p f(S_T)``, or ``(1 - p) f`` for knock-out.  Hit states come from a
+streaming first-hit pass over outer paths that holds only the log-state,
+column-major as ``(n, paths)``, so memory is O(paths * n) whatever the
+number of steps.  Inner simulations from each state, projected onto the
+barrier for continuous drivers, compare the conditional values of the
+target and the hedge claims.  Jump drivers keep the overshoot state and
+are monitored on the grid, and their verdicts are one-sided.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import MultiLogNormal
+from .duality import _Moments
 from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, char_exponent, check_qsd_triplet, gaussian_root, sample_increments
 from .pricing import (
@@ -73,6 +73,7 @@ SE_BAND = 3.0
 # resolution floor for nested-MC conditional values; coarser than the
 # distribution-level checks because inner simulations are the cost driver
 SE_FLOOR = 5e-3
+TERMINAL_BLOCK = 20_000  # terminal draws per block; one 200k-row pass was slower
 
 
 # --------------------------------------------------------------------------- #
@@ -459,17 +460,12 @@ class HedgeReport:
     price_plain: tuple[float, float] = (0.0, 0.0)
     price_knock_in: tuple[float, float] = (0.0, 0.0)
     price_knock_out: tuple[float, float] = (0.0, 0.0)
+    price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
 
     @property
     def max_gap_se_units(self) -> float:
         sign = (lambda gap: -gap) if self.one_sided else abs
         return max((sign(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0), default=0.0)
-
-    @property
-    def decomposition_residual(self) -> tuple[float, float]:
-        r = self.price_knock_in[0] + self.price_knock_out[0] - self.price_plain[0]
-        se = math.hypot(self.price_knock_in[1], self.price_knock_out[1], self.price_plain[1])
-        return r, se
 
     @property
     def verdict(self) -> str:
@@ -482,9 +478,10 @@ class HedgeReport:
                 return "fail"
             scale = max(1.0, abs(g.target_value))
             statuses.append("inconclusive" if g.std_error > SE_FLOOR * scale else "pass")
-        r, se = self.decomposition_residual
-        if abs(r) > SE_BAND * max(se, 1e-300):
-            return "fail"
+        if self.price_gap is not None:
+            gap, se = self.price_gap
+            if (-gap if self.one_sided else abs(gap)) > SE_BAND * se:
+                return "fail"
         return "inconclusive" if "inconclusive" in statuses else "pass"
 
     def one_line(self) -> str:
@@ -523,58 +520,102 @@ def _conditional_gap(
     return float(np.mean(lv)), float(np.mean(rv)), gap, max(se, 1e-300)
 
 
+def _require(cfg: PathConfig, barriers: Sequence[Barrier], rng: RngStream | None) -> None:
+    if rng is None:
+        raise DomainError("hedge evaluation requires an RngStream")
+    for barrier in barriers:
+        barrier.validate(cfg)
+
+
 def _measure(
     cfg: PathConfig,
     barriers: Sequence[Barrier],
     exchanges: Sequence[tuple[Payoff, Payoff]],
     n_outer: int,
     n_inner: int,
-    rng: RngStream | None,
+    rng: RngStream,
     n_hit_states: int,
     one_sided: bool,
+    first_batch: int | None = None,
 ) -> tuple[HedgeReport, np.ndarray, np.ndarray]:
     """The outer pass and hit-state checks of both evaluators: returns the
-    report without prices, the knock mask and the terminal prices.
+    report without prices, and the searched paths' knock mask and terminal prices.
 
     A path's first hitter is the barrier it crossed first, the lower index
     on ties.  Each barrier checks the gap of its exchange at up to
     ``n_hit_states // len(barriers)`` (at least one) of the paths it hits
     first before the horizon, in path order, by inner simulation from the
     hit state, moved onto its level unless the driver jumps or it overshot.
+    Batches are searched until each barrier has its states or ``n_outer``
+    paths are searched: ``first_batch`` (default all) from ``rng.child(0)``,
+    then doubling the paths searched from ``rng.child(3)``, ``child(4)``, ...
     """
-    if rng is None:
-        raise DomainError("hedge evaluation requires an RngStream")
-    for barrier in barriers:
-        barrier.validate(cfg)
-    steps, states, overshoots, terminal = _first_hits(cfg, n_outer, rng.child(0), barriers)
-    first = np.argmin(np.where(steps > 0, steps, np.iinfo(steps.dtype).max), axis=0)
-    paths = np.arange(steps.shape[1])
-    step, state, overshoot = steps[first, paths], states[first, paths], overshoots[first, paths]
-    knocked = step > 0
     quota = max(1, int(n_hit_states) // len(barriers))
-    live = knocked & (step < cfg.steps)  # a first hit at the horizon has no time left
-    checked = np.sort(np.concatenate(
-        [np.flatnonzero(live & (first == b))[:quota] for b in range(len(barriers))]
-    ))
-    gaps = []
-    for rank, p in enumerate(checked):
-        b, k = int(first[p]), int(step[p])
-        if cfg.is_continuous and not overshoot[p]:
-            state[p, barriers[b].asset - 1] = barriers[b].level
-        tau = cfg.horizon * k / cfg.steps
-        lv, rv, gap, se = _conditional_gap(
-            cfg, state[p], tau, *exchanges[b], n_inner, rng.child(1000 + rank)
-        )
-        gaps.append(HitGap(int(p), k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p])))
+    found, gaps, batches = np.zeros(len(barriers), dtype=np.int64), [], []
+    searched, size = 0, int(first_batch or n_outer)
+    while searched < n_outer and found.min() < quota:
+        size = min(size, n_outer - searched)
+        stream = rng.child(2 + len(batches) if batches else 0)
+        steps, states, overshoots, terminal = _first_hits(cfg, size, stream, barriers)
+        first = np.argmin(np.where(steps > 0, steps, np.iinfo(steps.dtype).max), axis=0)
+        paths = np.arange(size)
+        step, state, overshoot = steps[first, paths], states[first, paths], overshoots[first, paths]
+        live = (step > 0) & (step < cfg.steps)  # a first hit at the horizon has no time left
+        picks = [np.flatnonzero(live & (first == b))[: quota - n] for b, n in enumerate(found)]
+        found += [len(p) for p in picks]
+        for p in np.sort(np.concatenate(picks)):
+            b, k = int(first[p]), int(step[p])
+            if cfg.is_continuous and not overshoot[p]:
+                state[p, barriers[b].asset - 1] = barriers[b].level
+            tau = cfg.horizon * k / cfg.steps
+            lv, rv, gap, se = _conditional_gap(
+                cfg, state[p], tau, *exchanges[b], n_inner, rng.child(1000 + len(gaps))
+            )
+            path = searched + int(p)
+            gaps.append(HitGap(path, k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p])))
+        batches.append((step > 0, overshoot, terminal))
+        searched, size = searched + size, searched + size
+    knocked, overshoot, terminal = map(np.concatenate, zip(*batches))
     frac, n_knocked = float(np.mean(knocked)), int(knocked.sum())
-    report = HedgeReport(
-        knock_in_fraction=frac,
-        knock_in_se=math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer),
-        overshoot_fraction=int(overshoot[knocked].sum()) / n_knocked if n_knocked else 0.0,
-        one_sided=one_sided,
-        hit_gaps=gaps,
-    )
-    return report, knocked, terminal
+    over = int(overshoot[knocked].sum()) / n_knocked if n_knocked else 0.0
+    se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / searched)
+    return HedgeReport(frac, se, over, one_sided, gaps), knocked, terminal
+
+
+def _no_hit_mismatch(plan: HedgePlan, hedge: np.ndarray, target: np.ndarray) -> float:
+    """Largest miss where the barrier was not hit: a knock-in hedge pays nothing there
+    and a knock-out hedge the target; the super-hedge promises only domination."""
+    miss = hedge - target if plan.knock == "out" else hedge
+    return 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
+
+
+def _bridge_moments(
+    plan: HedgePlan, cfg: PathConfig, n_samples: int, rng: RngStream
+) -> tuple[_Moments, float]:
+    """Pooled moments of (price gap, plain, knock-in, knock-out, ``p``) on terminal draws
+    weighted by the bridge hit probability ``p``, and their no-hit mismatch.
+
+    The gap is ``hedge - p f``, or ``hedge - (1 - p) f`` for knock-out.  Draws
+    come from the one stream ``rng`` and are reduced in ``TERMINAL_BLOCK`` rows.
+    """
+    b, i = plan.barrier, plan.barrier.asset - 1
+    y0_h, var = math.log(cfg.s0[i] / b.level), cfg.driver.a[i, i] * cfg.horizon
+    rate = -2.0 * y0_h / var if var > 0 else -math.copysign(math.inf, y0_h)
+    growth, root = cfg.horizon * cfg.carry, gaussian_root(cfg.driver, cfg.horizon)
+    total, mismatch = None, 0.0
+    for start in range(0, int(n_samples), TERMINAL_BLOCK):
+        size = min(TERMINAL_BLOCK, int(n_samples) - start)
+        x = sample_increments(cfg.driver, cfg.horizon, rng, size, root=root).T
+        s = np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
+        # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
+        p = np.exp(np.minimum(rate * (y0_h + growth[i] + x[i]), 0.0))
+        f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
+        mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
+        w = 1.0 - p if plan.knock == "out" else p
+        rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p])
+        block = _Moments.of(rows, out=rows)
+        total = block if total is None else total.pooled(block)
+    return total, mismatch
 
 
 def evaluate_hedge(
@@ -584,38 +625,40 @@ def evaluate_hedge(
     n_inner: int = 20_000,
     rng: RngStream | None = None,
     n_hit_states: int = 50,
+    n_samples: int = 200_000,
 ) -> HedgeReport:
-    """Measure the replication quality of a hedge plan by nested MC.
+    """Measure the replication quality of a hedge plan.
 
-    Outer paths locate first hits; at up to ``n_hit_states`` of them the
-    conditional values of the exchanged claims are compared by inner
-    simulation restarted from the hit state.  For continuous drivers the
-    hit state is projected onto the barrier; jump drivers keep the
-    overshoot state and the verdict is one-sided.  No-hit paths check
-    the terminal indicator algebra pointwise, and knock-in/out/plain
-    prices are taken from the same outer paths.
+    A continuous driver takes the price gap, the knock-in fraction and the
+    prices from ``n_samples`` bridge-weighted terminal draws, checks the
+    no-hit algebra on those ending short of the level, and searches at
+    most ``n_outer`` paths for ``n_hit_states`` hit states, the first batch
+    sized to find them twice over at the bridge hit rate.  Jump drivers do
+    all of it on the grid of ``n_outer`` paths, keep the overshoot state,
+    and have a one-sided verdict and no price gap.
     """
-    if plan.knock == "out":
-        lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
-    else:  # in: exact exchange; super: the reflected claim must dominate the target
-        lhs = plan.target
+    _require(cfg, [plan.barrier], rng)
+    zero = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
+    # in: exact exchange; super: the reflected claim must dominate the target
+    lhs = zero if plan.knock == "out" else plan.target
     one_sided = (not cfg.is_continuous) or plan.knock == "super"
-    report, knocked, terminal = _measure(
-        cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, one_sided
-    )
-    # pathwise indicator algebra on the same outer draws: without a hit a
-    # knock-in hedge pays nothing and a knock-out hedge the target; the
-    # super-hedge promises only domination
-    target_terminal = plan.target(terminal)
-    miss = plan.hedge(terminal)[~knocked] - (target_terminal[~knocked] if plan.knock == "out" else 0.0)
-    no_hit_mismatch = 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
-    chi = knocked.astype(float)
+    args = cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, one_sided
+    if cfg.is_continuous:
+        total, mismatch = _bridge_moments(plan, cfg, n_samples, rng.child(2))
+        se = np.sqrt(total.m2 / (total.n - 1)) / math.sqrt(total.n)
+        gap, plain, k_in, k_out, hit = [(float(m), float(e)) for m, e in zip(total.mean, se)]
+        first = max(64, math.ceil(2 * n_hit_states / hit[0])) if hit[0] > 0 else n_outer
+        return replace(
+            _measure(*args, first)[0], knock_in_fraction=hit[0], knock_in_se=hit[1],
+            terminal_max_mismatch=mismatch, price_plain=plain, price_knock_in=k_in,
+            price_knock_out=k_out, price_gap=gap,
+        )
+    report, knocked, terminal = _measure(*args)
+    f, chi = plan.target(terminal), knocked.astype(float)
+    miss = _no_hit_mismatch(plan, plan.hedge(terminal)[~knocked], f[~knocked])
     return replace(
-        report,
-        terminal_max_mismatch=no_hit_mismatch,
-        price_plain=_mean_se(target_terminal),
-        price_knock_in=_mean_se(chi * target_terminal),
-        price_knock_out=_mean_se((1.0 - chi) * target_terminal),
+        report, terminal_max_mismatch=miss, price_plain=_mean_se(f),
+        price_knock_in=_mean_se(chi * f), price_knock_out=_mean_se((1.0 - chi) * f),
     )
 
 
@@ -698,6 +741,7 @@ def evaluate_joint_hedge(
     drivers) and each stated identity is checked there.
     """
     barriers = [Barrier(i, plan.level, "down" if plan.claim == "X" else "up") for i in (1, 2)]
+    _require(cfg, barriers, rng)
     exchanges = {i: (lhs, rhs) for i, lhs, rhs in plan.exchanges}
     return _measure(
         cfg, barriers, [exchanges[1], exchanges[2]], n_outer, n_inner, rng, n_hit_states,

@@ -615,7 +615,7 @@ def _scan_roots(g_fun):
         if va == 0.0:
             roots.append(float(grid[k]))
             continue
-        if va * vb < 0.0:
+        if (va < 0.0) != (vb < 0.0) and vb != 0.0:  # a product could overflow or underflow
             r = float(brentq(g_fun, float(grid[k]), float(grid[k + 1]), xtol=1e-15, rtol=8.9e-16))
             roots.append(r)
             if bracket is None:

@@ -277,14 +277,14 @@ def _hedge_criterion(cfg, alpha, name):
     rep = hedging.evaluate_hedge(
         plan, cfg, n_outer=10_000, n_inner=20_000, rng=rng(10), n_hit_states=50
     )
-    decomp, decomp_se = rep.decomposition_residual
+    gap, gap_se = rep.price_gap
     elapsed = time.time() - start
     gaps_ok = all(abs(g.gap) <= 3.0 * g.std_error for g in rep.hit_gaps)
     ok = (
         rep.verdict == "pass"
         and gaps_ok
         and len(rep.hit_gaps) == 50
-        and abs(decomp) <= 3.0 * max(decomp_se, 1e-300)
+        and abs(gap) <= 3.0 * gap_se
         and rep.overshoot_fraction == 0.0
         and elapsed < 600.0
     )
@@ -292,7 +292,7 @@ def _hedge_criterion(cfg, alpha, name):
         name,
         ok,
         f"verdict={rep.verdict} states={len(rep.hit_gaps)} "
-        f"max_gap={rep.max_gap_se_units:.2f}se decomp={decomp:+.1e}+-{decomp_se:.1e} "
+        f"max_gap={rep.max_gap_se_units:.2f}se price_gap={gap:+.1e}+-{gap_se:.1e} "
         f"{elapsed:.0f}s",
     )
 

@@ -1241,9 +1241,9 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "ee2afbe083dc049f56ce74fab44d1fac6e38249c716eb543b368362646a7b643",
     },
     "hedge-small": {
-        "hedge.txt": "be1b90b70a754790eb453f0ff2b7bd854fe5aa1687004a5d3ae1e2ff90ae521b",
+        "hedge.txt": "5eb345aa09f891e03eb69c81a24bbe99563ce5c4ef81a20bcde3b0202dc9e5bf",
         "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
-        "report.yaml": "3725236ae9589e25ed8d1d7889f768d0d25f339c7a8ac7f748c48f0cf69b85d6",
+        "report.yaml": "96905bcd460fe302ffa4f8e76a1f953aa03725c8b1a8940015e6558f58dca6a5",
     },
     "triplet-truncated-gamma": {
         "report.yaml": "caed6e3f40207fcc8ca91a6e65231a6c4694fb789bd4065bb5a6907efca8351c",
@@ -1260,17 +1260,17 @@ GOLDEN_SHA256 = {
     "hedge-jump-super": {
         "hedge.txt": "bf6ffa02e4baee6ac96bef70739b0d4d3f4a12e4c1b190b3a28f44b8cc13be54",
         "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
-        "report.yaml": "807aeeebcb561af4e61d47eef35fdcabef6e5faa4c8dc3986c86121ac2469fd2",
+        "report.yaml": "e7ed9d838ac1bc75c84d286bad53c5b7b8ade20b6accc9fb8b1734582dfa3aa1",
     },
     "hedge-indicator-in": {
-        "hedge.txt": "5b76b1270496bf88ea6f848dbfa3f922d37c5d5a329bd3cae3a8c452a24502c4",
+        "hedge.txt": "8d3bca85c589da26e7d21d768142c2611c75947cfff9302c8f3e1b5f83f1f421",
         "hedge_gaps.csv": "398eb3483ad70caf69a472a65f6eb0641495fd7a56e9dc682c1ab4af48396ace",
-        "report.yaml": "a8eaf7e2744009178b06b6f907ffd8c7fce99e30033b923691f47a8ae206f2a3",
+        "report.yaml": "5a916c67ca32decc91c12f83a3f426f6da720132f829d5a6c1fd0a20f84d9801",
     },
     "hedge-indicator-out": {
-        "hedge.txt": "5b76b1270496bf88ea6f848dbfa3f922d37c5d5a329bd3cae3a8c452a24502c4",
+        "hedge.txt": "8d3bca85c589da26e7d21d768142c2611c75947cfff9302c8f3e1b5f83f1f421",
         "hedge_gaps.csv": "8823460d02a4d473e0096c735346597e4f2a952bc1b6bb4dbe8621ed3379a264",
-        "report.yaml": "7cc81794581764fe36e56bd8647e1b5f1382b1c14db90a42735451d856f47a8b",
+        "report.yaml": "2fec6474e371dc5a4296686ab641f089850587f2225e676853371655fa6f3ee7",
     },
 }
 
@@ -1285,6 +1285,23 @@ def test_report_and_artifact_bytes_match_golden_hashes(name, yaml_backend, tmp_p
     assert capsys.readouterr().out.encode() == (out_dir / "report.yaml").read_bytes()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
     assert got == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["hedge-small", "hedge-jump-super"])
+def test_samples_size_the_price_check_of_continuous_hedges_only(name, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(GOLDEN_SPECS[name][1])
+    results = []
+    for flags in ([], ["--samples", "1000"]):
+        assert cli.main(["hedge", str(spec_file), "--seed", "11", *flags]) == 0
+        results.append(yaml.safe_load(capsys.readouterr().out)["results"])
+    default, small = results
+    if name == "hedge-jump-super":  # grid-monitored: no price gap, and samples do nothing
+        assert default["price_gap"] is None and small == default
+    else:
+        assert small["price_gap"] != default["price_gap"]
+        assert small["price_gap"][1] > 5.0 * default["price_gap"][1]  # 200x fewer draws
+        assert small["hit_states"] == default["hit_states"] == 6
 
 
 # --------------------------------------------------------------------------- #

@@ -3,6 +3,7 @@ import math
 import pkgutil
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +237,8 @@ def test_evaluate_hedge_black_scholes_smoke():
     assert rep.overshoot_fraction == 0.0
     assert not rep.one_sided
     assert rep.terminal_max_mismatch == 0.0
-    r, se = rep.decomposition_residual
-    assert abs(r) <= 3.0 * se + 1e-12
+    gap, se = rep.price_gap
+    assert abs(gap) <= 3.0 * se
     assert any(g.target_value > 1e-3 for g in rep.hit_gaps)  # states carry real value
 
 
@@ -452,6 +453,51 @@ def _oracle_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
     )
 
 
+def _oracle_bridge(plan, cfg, n_samples, rng):
+    """evaluate_hedge's terminal statistics for a continuous driver, from one unblocked draw."""
+    x = levy.sample_increments(cfg.driver, cfg.horizon, rng.child(2), n_samples)
+    s = cfg.s0 * np.exp(cfg.horizon * cfg.carry + x)
+    i, h = plan.barrier.asset - 1, math.log(plan.barrier.level)
+    y0, y_t = math.log(cfg.s0[i]), np.log(s[:, i])
+    far = ~plan.barrier.crossed(s[:, i])
+    p = np.ones(n_samples)
+    p[far] = np.exp(-2.0 * (y0 - h) * (y_t[far] - h) / (cfg.driver.a[i, i] * cfg.horizon))
+    f, hedge = plan.target(s), plan.hedge(s)
+    if plan.knock == "super":
+        mismatch = 0.0
+    else:
+        miss = hedge[far] - (f[far] if plan.knock == "out" else 0.0)
+        mismatch = float(np.max(np.abs(miss), initial=0.0))
+
+    def price(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_samples))
+
+    return {
+        "knock_in_fraction": price(p)[0],
+        "knock_in_se": price(p)[1],
+        "terminal_max_mismatch": mismatch,
+        "price_plain": price(f),
+        "price_knock_in": price(p * f),
+        "price_knock_out": price((1.0 - p) * f),
+        "price_gap": price(hedge - ((1.0 - p) if plan.knock == "out" else p) * f),
+    }
+
+
+def _assert_matches_oracles(rep, plan, cfg, n_outer, n_inner, seed, n_hit_states, n_samples):
+    """Jump drivers against the per-path loop; continuous ones against the bridge oracle and,
+    for their hit states, the per-path loop on the first batch of paths."""
+    if not cfg.is_continuous:
+        assert rep == _oracle_hedge(plan, cfg, n_outer, n_inner, make_rng(seed), n_hit_states)
+        return
+    want = _oracle_bridge(plan, cfg, n_samples, make_rng(seed))
+    for name, value in want.items():
+        assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+    first = max(64, math.ceil(2 * n_hit_states / want["knock_in_fraction"]))
+    grid = _oracle_hedge(plan, cfg, first, n_inner, make_rng(seed), n_hit_states)
+    assert rep.hit_gaps == grid.hit_gaps
+    assert (rep.overshoot_fraction, rep.one_sided) == (0.0, plan.knock == "super")
+
+
 def _oracle_joint_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
     """evaluate_joint_hedge as a full price grid plus a per-path loop."""
     direction = "down" if plan.claim == "X" else "up"
@@ -512,11 +558,12 @@ def test_streaming_hedge_matches_per_path_loop(case):
     target, barrier, knock, config = _HEDGE_CASES[case]
     cfg = config()
     plan = hedging.build_hedge(target, barrier, 1.0, knock)
+    # 50k terminal draws make two full blocks and a part block
     rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=1_500, n_inner=400, rng=make_rng(200), n_hit_states=20
+        plan, cfg, n_outer=1_500, n_inner=400, rng=make_rng(200), n_hit_states=20, n_samples=50_000
     )
     assert len(rep.hit_gaps) == 20
-    assert rep == _oracle_hedge(plan, cfg, 1_500, 400, make_rng(200), 20)
+    _assert_matches_oracles(rep, plan, cfg, 1_500, 400, 200, 20, 50_000)
     if case == "jump-in":
         assert rep.overshoot_fraction > 0.2
         assert any(g.overshoot for g in rep.hit_gaps) and not all(g.overshoot for g in rep.hit_gaps)
@@ -558,11 +605,11 @@ def test_streaming_hedge_matches_per_path_loop_on_three_assets(barrier):
     cfg = three_asset_config()
     plan = hedging.build_hedge(pricing.BasketCall((0.5, 1.0, 0.5), 1.1), barrier, 1.0, "in")
     rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(205), n_hit_states=12
+        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(205), n_hit_states=12, n_samples=30_000
     )
     assert len(rep.hit_gaps) == 12
     assert all(g.state[barrier.asset - 1] == barrier.level for g in rep.hit_gaps)
-    assert rep == _oracle_hedge(plan, cfg, 1_500, 300, make_rng(205), 12)
+    _assert_matches_oracles(rep, plan, cfg, 1_500, 300, 205, 12, 30_000)
 
 
 def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
@@ -658,3 +705,102 @@ def test_hedge_memory_does_not_grow_with_steps():
 
     # a full (paths, steps+1, n) grid would make the second peak 10x the first
     assert peak(1000) <= 1.5 * peak(100)
+
+
+def test_hedge_memory_does_not_grow_with_samples():
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    cfg = bs_config(steps=50)
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            hedging.evaluate_hedge(
+                plan, cfg, n_outer=2_000, n_inner=200, rng=make_rng(209), n_hit_states=5,
+                n_samples=n_samples,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one unblocked pass would make the second peak 4x the first
+    assert peak(800_000) <= 1.5 * peak(200_000)
+
+
+# --------------------------------------------------------------------------- #
+# The price check on bridge-weighted terminal draws
+# --------------------------------------------------------------------------- #
+
+
+def _carry_alpha():
+    # the order for asset 1 with carry 0.03 on the SIGMA driver: 1 - 2 * 0.03 / SIGMA^2
+    return levy.solve_alpha(bs_config(1).driver, 1, 0.03).alpha
+
+
+_PRICE_CASES = {
+    "spread-in": (_SPREAD, hedging.Barrier(1, 0.8, "down"), "in", lambda: 1.0, (0.0, 0.0)),
+    "spread-out": (_SPREAD, hedging.Barrier(1, 0.8, "down"), "out", lambda: 1.0, (0.0, 0.0)),
+    "basket-carry-in": (
+        _BASKET, hedging.Barrier(1, 0.85, "down"), "in", _carry_alpha, (0.03, -0.01)
+    ),
+    "basket-up-super": (_BASKET, hedging.Barrier(2, 1.2, "up"), "super", lambda: 1.0, (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_the_grid_knock_in_price_misses_the_hedge_price(seed):
+    # the grid indicator misses crossings between steps, so it prices the
+    # knock-in claim low; the bench spec's hedge exposes it at 250 steps
+    cfg = bs_config(250)
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    (step,), _, _, terminal = hedging._first_hits(cfg, 40_000, make_rng(seed), [plan.barrier])
+    gap, se = pricing._mean_se(plan.hedge(terminal) - (step > 0) * plan.target(terminal))
+    assert gap > 3.0 * se
+
+
+@pytest.mark.parametrize("case", sorted(_PRICE_CASES))
+def test_the_bridge_price_gap_holds_on_ten_seeds_whatever_the_steps(case):
+    target, barrier, knock, alpha, carry = _PRICE_CASES[case]
+    plan = hedging.build_hedge(target, barrier, alpha(), knock)
+    for seed in range(10):
+        gaps = {
+            hedging.evaluate_hedge(
+                plan, bs_config(steps, carry=carry), n_outer=100, n_inner=100,
+                rng=make_rng(seed), n_hit_states=1,
+            ).price_gap
+            for steps in (1, 25, 250)
+        }
+        assert len(gaps) == 1  # the grid only finds hit states
+        ((gap, se),) = gaps
+        assert (-gap if knock == "super" else abs(gap)) <= 3.0 * se, (seed, gap / se)
+
+
+def test_a_wrong_order_fails_through_the_price_gap_alone():
+    cfg = bs_config(250)
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.3, "in")
+    for seed in range(10):
+        rep = hedging.evaluate_hedge(
+            plan, cfg, n_outer=100, n_inner=100, rng=make_rng(seed), n_hit_states=1
+        )
+        assert replace(rep, hit_gaps=[]).verdict == "fail", (seed, rep.price_gap)
+
+
+def test_the_hit_state_search_grows_until_the_quota_is_full(monkeypatch):
+    sizes, first_hits = [], hedging._first_hits
+    monkeypatch.setattr(
+        hedging, "_first_hits", lambda cfg, n, *args: sizes.append(n) or first_hits(cfg, n, *args)
+    )
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    # with one step every hit is at the horizon, so no state is found before the cap
+    rep = hedging.evaluate_hedge(
+        plan, bs_config(1), n_outer=1_000, n_inner=100, rng=make_rng(208), n_hit_states=20
+    )
+    want = [max(64, math.ceil(2 * 20 / rep.knock_in_fraction))]
+    while sum(want) < 1_000:  # each later batch doubles the paths searched
+        want.append(min(sum(want), 1_000 - sum(want)))
+    assert rep.hit_gaps == [] and sizes == want and len(want) > 3
+    sizes.clear()  # with two steps only first-step hits are live, so one batch falls short
+    rep = hedging.evaluate_hedge(
+        plan, bs_config(2), n_outer=1_000, n_inner=100, rng=make_rng(208), n_hit_states=40
+    )
+    assert len(rep.hit_gaps) == 40 and sizes[0] == max(64, math.ceil(80 / rep.knock_in_fraction))
+    assert len(sizes) > 1 and max(g.path for g in rep.hit_gaps) < sum(sizes) < 1_000

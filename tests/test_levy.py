@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfdual import levy
+from selfdual import cli, levy
 from selfdual.duality import KappaMaps
 from selfdual.errors import AmbiguousRoot, DomainError, NoBracket, PatternViolation, SelfDualError
 from selfdual.levy import GaussianPart, JumpMeasure, LevyTriplet
@@ -547,6 +553,42 @@ def test_solve_alpha_matches_the_scalar_scan(monkeypatch):
     assert {"AlphaSolution", "DomainError", "NoBracket"} <= outcomes
     methods = {text.split("method='")[1].split("'")[0] for text in want if "method=" in text}
     assert methods == {"bracketed_root", "closed_lognormal", "closed_lambertw", "closed_laplace"}
+
+
+# an atom at 24 makes the order equation's grid values large enough that
+# their product overflows
+OVERFLOWING_SCAN = """\
+model: {kind: levy_triplet, a: 0.15, atoms: [{x: [24], mass: 1.47}, {x: [-0.5], mass: 1}]}
+task: {kind: alpha, carry: 0.1}
+"""
+
+
+def test_an_overflowing_scan_writes_no_warning_and_keeps_its_result(tmp_path, monkeypatch):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(OVERFLOWING_SCAN)
+    src = Path(levy.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "selfdual.cli", "alpha", str(spec_file)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    monkeypatch.setattr(levy, "_scan_roots", _oracle_scan_roots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's product overflows
+        code, doc, _ = cli.run(cli.parse_model_spec(OVERFLOWING_SCAN))
+    assert code == 0
+    assert yaml.safe_load(run.stdout)["results"] == doc["results"]
+
+
+def test_the_scan_finds_a_sign_change_between_subnormal_values():
+    def g_fun(x):
+        return (np.asarray(x) - 0.5) * 1e-310
+
+    lo, hi = 0.48431254296349885, 0.5304114121850267  # the grid points around 0.5
+    assert g_fun(lo) < 0.0 < g_fun(hi) and g_fun(lo) * g_fun(hi) == 0.0  # the product underflows
+    roots, bracket = levy._scan_roots(g_fun)
+    assert bracket == (lo, hi)
+    assert len(roots) == 1 and abs(roots[0] - 0.5) <= 1e-9
 
 
 # --------------------------------------------------------------------------- #
