@@ -652,7 +652,7 @@ def _default_checks(model, task) -> list[str]:
     return []
 
 
-def _run_check(spec: dict) -> tuple[int, dict, dict]:
+def _run_check(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
     rng = RngStream(spec["seed"])
     i = task.get("numeraire") or 1
@@ -660,18 +660,14 @@ def _run_check(spec: dict) -> tuple[int, dict, dict]:
     reports = [
         CHECKS[name](model, i, spec, partial(rng.child, idx)) for idx, name in enumerate(checks)
     ]
-    verdicts = {r.verdict for r in reports}
-    verdict = "fail" if "fail" in verdicts else (
-        "inconclusive" if "inconclusive" in verdicts else "pass"
-    )
-    code = {"pass": 0, "fail": 1, "inconclusive": 2}[verdict]
+    verdict = duality.worst_verdict(r.verdict for r in reports)
     lines = "\n".join(r.one_line() for r in reports)
-    return code, {"verdict": verdict, "checks": [_report_of(r) for r in reports]}, {
+    return verdict, {"verdict": verdict, "checks": [_report_of(r) for r in reports]}, {
         "verdicts.txt": lines + "\n"
     }
 
 
-def _run_alpha(spec: dict) -> tuple[int, dict, dict]:
+def _run_alpha(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
     if not isinstance(model, levy.LevyTriplet):
         raise SelfDualError("alpha task requires a levy_triplet model")
@@ -683,10 +679,10 @@ def _run_alpha(spec: dict) -> tuple[int, dict, dict]:
         "bracket": list(sol.bracket) if sol.bracket else None,
     }
     line = f"alpha={sol.alpha:.12g} method={sol.method} residual={sol.residual:.3e}\n"
-    return 0, doc, {"alpha.txt": line}
+    return "pass", doc, {"alpha.txt": line}
 
 
-def _run_price(spec: dict) -> tuple[int, dict, dict]:
+def _run_price(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
     rng = RngStream(spec["seed"])
     forward = task["forward"]
@@ -707,10 +703,10 @@ def _run_price(spec: dict) -> tuple[int, dict, dict]:
         f"value={est.value:.12g} std_error={est.std_error:.3e} "
         f"discounted={est.discounted:.12g} method={est.method}\n"
     )
-    return 0, doc, {"price.txt": line}
+    return "pass", doc, {"price.txt": line}
 
 
-def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
+def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
     cfg, task = spec["model"], spec["task"]
     if not isinstance(cfg, hedging.PathConfig):
         raise SelfDualError("hedge task requires a path_config model")
@@ -745,11 +741,11 @@ def _run_hedge(spec: dict) -> tuple[int, dict, dict]:
     }
     buf = io.StringIO()
     report.gaps_csv(buf)
-    code = {"pass": 0, "fail": 1, "inconclusive": 2}[report.verdict]
-    return code, doc, {"hedge_gaps.csv": buf.getvalue(), "hedge.txt": report.one_line() + "\n"}
+    artifacts = {"hedge_gaps.csv": buf.getvalue(), "hedge.txt": report.one_line() + "\n"}
+    return report.verdict, doc, artifacts
 
 
-def _run_zonoid(spec: dict) -> tuple[int, dict, dict]:
+def _run_zonoid(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
     if not isinstance(model, dist.ScalarModel):
         raise SelfDualError("zonoid task requires a scalar model")
@@ -757,7 +753,7 @@ def _run_zonoid(spec: dict) -> tuple[int, dict, dict]:
     buf = io.StringIO()
     geometry.write_boundary_csv(rows, buf)
     doc = {"points": int(rows.shape[0]), "k_min": task["k_min"], "k_max": task["k_max"]}
-    return 0, doc, {"boundary.csv": buf.getvalue()}
+    return "pass", doc, {"boundary.csv": buf.getvalue()}
 
 
 _RUNNERS = {
@@ -783,14 +779,14 @@ def run(spec: dict) -> tuple[int, dict, dict]:
         "spec": echo,
     }
     try:
-        code, results, artifacts = _RUNNERS[kind](spec)
+        verdict, results, artifacts = _RUNNERS[kind](spec)
     except SelfDualError as exc:
         doc = dict(header)
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return 3, doc, {}
     doc = dict(header)
     doc["results"] = results
-    return code, doc, artifacts
+    return {"pass": 0, "fail": 1, "inconclusive": 2}[verdict], doc, artifacts
 
 
 # --------------------------------------------------------------------------- #

@@ -113,8 +113,10 @@ class ScalarModel(ABC):
         """E min(eta, z) = integral of P(eta > t) over (0, z)."""
         if z < 0:
             raise DomainError("integrated tail requires z >= 0")
-        if z == 0:
-            return 0.0
+        return 0.0 if z == 0 else self._integrated_tail(z)
+
+    def _integrated_tail(self, z: float) -> float:
+        """The integrated tail at ``z > 0`` by quadrature; closed-form models override it."""
         lower = _integrate_split(lambda t: t * self.pdf(t), 0.0, z, what="E[eta 1{eta<=z}]")
         upper = _integrate_split(lambda t: self.pdf(t), z, math.inf, what="P(eta>z)")
         return lower + z * upper
@@ -204,10 +206,8 @@ class LogNormal(ScalarModel):
     def raw_moment(self, r):
         return math.exp(r * self.mu + 0.5 * r * r * self.sigma * self.sigma)
 
-    def integrated_tail(self, z):
+    def _integrated_tail(self, z):
         # E min(eta, z) = E eta - E (eta - z)_+
-        if z < 0:
-            raise DomainError("integrated tail requires z >= 0")
         return self.mean - self._call(z, 1.0)
 
     def tail_mean(self, k):
@@ -304,10 +304,8 @@ class LpSelfDual(ScalarModel):
         # t = y^(1/p) reduces the moment to a Beta integral.
         return (p - 1.0) / p * beta((r + p - 1.0) / p, (p - r) / p)
 
-    def integrated_tail(self, z):
+    def _integrated_tail(self, z):
         # min + max = z + eta and E max(z, eta) = |(z, 1)|_p.
-        if z < 0:
-            raise DomainError("integrated tail requires z >= 0")
         return z + 1.0 - (z**self.p + 1.0) ** (1.0 / self.p)
 
     def tail_mean(self, k):
@@ -363,9 +361,7 @@ class HeavyTail(ScalarModel):
             )
         return self.c * (1.0 / (r + g + 1.0) + 1.0 / (2.0 + g - r))
 
-    def integrated_tail(self, z):
-        if z < 0:
-            raise DomainError("integrated tail requires z >= 0")
+    def _integrated_tail(self, z):
         g, c = self.gamma, self.c
         denom = (1.0 + g) * (2.0 + g)
         if z <= 1.0:
@@ -422,9 +418,7 @@ class DiscreteAtoms(ScalarModel):
     def raw_moment(self, r):
         return float(np.sum(self.probs * self.values**r))
 
-    def integrated_tail(self, z):
-        if z < 0:
-            raise DomainError("integrated tail requires z >= 0")
+    def _integrated_tail(self, z):
         return float(np.sum(self.probs * np.minimum(self.values, z)))
 
     def tail_mean(self, k):

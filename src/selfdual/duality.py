@@ -36,6 +36,7 @@ __all__ = [
     "KappaMaps",
     "ReportPoint",
     "SymmetryReport",
+    "worst_verdict",
     "check_density_self_dual",
     "check_integrated_tail_symmetry",
     "check_payoff_symmetry",
@@ -122,6 +123,11 @@ class KappaMaps:
 # --------------------------------------------------------------------------- #
 
 
+def worst_verdict(verdicts) -> str:
+    """The most severe of ``verdicts``: fail, then inconclusive, then pass (also of none)."""
+    return max(verdicts, key=("pass", "inconclusive", "fail").index, default="pass")
+
+
 @dataclass(frozen=True)
 class ReportPoint:
     label: str
@@ -168,12 +174,7 @@ class SymmetryReport:
 
     @property
     def verdict(self) -> str:
-        statuses = {p.status for p in self.points}
-        if "fail" in statuses:
-            return "fail"
-        if "inconclusive" in statuses:
-            return "inconclusive"
-        return "pass"
+        return worst_verdict(p.status for p in self.points)
 
     def merge(self, other: "SymmetryReport") -> "SymmetryReport":
         merged = SymmetryReport(self.test_name)
@@ -346,30 +347,20 @@ def check_density_self_dual(model, i: int = 1, grid=None, tol: float = EXACT_TOL
     """
     if not getattr(model, "has_density", False):
         raise NoDensity("density criterion needs an absolutely continuous model")
-    if isinstance(model, VectorModel):
-        n = model.dim
-        maps = KappaMaps(n, i)
-        axes = [np.asarray(grid, dtype=float) if grid is not None else default_grid()] * n
-        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
-        report = SymmetryReport(f"density_self_dual[i={i}]")
-        for x in mesh:
-            px = model.pdf(x)
-            reflected = x[i - 1] ** (-(n + 2.0)) * model.pdf(maps.kappa(x))
-            report.points.append(
-                ReportPoint(
-                    "x=" + ",".join(f"{v:g}" for v in x),
-                    float(px - reflected),
-                    tol=tol * (1.0 + px),
-                )
+    n, scalar = model.dim, isinstance(model, ScalarModel)
+    axes = [np.asarray(grid, dtype=float) if grid is not None else default_grid()] * n
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+    report = SymmetryReport("density_self_dual" if scalar else f"density_self_dual[i={i}]")
+    for x, y in zip(mesh.tolist(), KappaMaps(n, i).kappa(mesh).tolist()):
+        px = float(model.pdf(x[0] if scalar else x))
+        reflected = x[i - 1] ** (-(n + 2.0)) * model.pdf(y[0] if scalar else y)
+        report.points.append(
+            ReportPoint(
+                "x=" + ",".join(f"{v:g}" for v in x),
+                float(px - reflected),
+                tol=tol * (1.0 + px),
             )
-        return report
-
-    grid = np.asarray(grid, dtype=float) if grid is not None else default_grid()
-    report = SymmetryReport("density_self_dual")
-    for x in grid:
-        px = float(model.pdf(x))
-        reflected = float(x ** (-3.0) * model.pdf(1.0 / x))
-        report.points.append(ReportPoint(f"x={x:g}", px - reflected, tol=tol * (1.0 + px)))
+        )
     return report
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import MultiLogNormal
-from .duality import _Moments
+from .duality import _Moments, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, char_exponent, check_qsd_triplet, gaussian_root, sample_increments
 from .pricing import (
@@ -340,10 +340,11 @@ def reflect_claim(f: Payoff, i: int, level: float, alpha: float) -> Payoff:
     Affine-power claims reflect symbolically:
     ``(S_i/H)^b (<w, S> + c)_+^p`` becomes
     ``(S_i/H)^(alpha-b-p) (w_i H + (c/H) S_i + sum_{j != i} w_j S_j)_+^p``.
-    That needs ``b = 0`` or the same ``(i, H)`` as the reflection.
-    Anything else reflects through the generic wrapper.
+    That needs all of ``S`` read, and ``b = 0`` or the same ``(i, H)`` as the
+    reflection.  Anything else reflects through the generic wrapper.
     """
-    if not isinstance(f, AffinePower) or (f.b != 0 and (f.i, f.level) != (i, level)):
+    symbolic = isinstance(f, AffinePower) and f.asset is None
+    if not symbolic or (f.b != 0 and (f.i, f.level) != (i, level)):
         return ReflectedClaim(f, i, level, alpha)
     w = list(f.weights)
     w[i - 1], c = f.constant / level, f.weights[i - 1] * level
@@ -391,7 +392,7 @@ def _try_simplify(target: Payoff, barrier: Barrier, alpha: float) -> tuple[Payof
                 ]
             )
             return combo, "min-combo indicator absorbed"
-    if isinstance(target, AffinePower) and barrier.direction == "down":
+    if isinstance(target, AffinePower) and target.asset is None and barrier.direction == "down":
         w, k = np.asarray(target.weights), -target.constant
         others = np.delete(w, i - 1)
         if w[i - 1] > 0 and np.all(others <= 0) and k >= 0 and w[i - 1] * level <= k:
@@ -462,10 +463,14 @@ class HedgeReport:
     price_knock_out: tuple[float, float] = (0.0, 0.0)
     price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
 
+    def _miss(self, gap: float) -> float:
+        """How far a gap lies on the failing side: below zero if one-sided, else either."""
+        return -gap if self.one_sided else abs(gap)
+
     @property
     def max_gap_se_units(self) -> float:
-        sign = (lambda gap: -gap) if self.one_sided else abs
-        return max((sign(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0), default=0.0)
+        units = (self._miss(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0)
+        return max(units, default=0.0)
 
     @property
     def verdict(self) -> str:
@@ -473,22 +478,26 @@ class HedgeReport:
             return "fail"
         statuses = []
         for g in self.hit_gaps:
-            bad = (-g.gap if self.one_sided else abs(g.gap)) > SE_BAND * g.std_error
-            if bad:
+            if self._miss(g.gap) > SE_BAND * g.std_error:
                 return "fail"
             scale = max(1.0, abs(g.target_value))
             statuses.append("inconclusive" if g.std_error > SE_FLOOR * scale else "pass")
         if self.price_gap is not None:
             gap, se = self.price_gap
-            if (-gap if self.one_sided else abs(gap)) > SE_BAND * se:
+            if self._miss(gap) > SE_BAND * se:
                 return "fail"
-        return "inconclusive" if "inconclusive" in statuses else "pass"
+        return worst_verdict(statuses)
 
     def one_line(self) -> str:
+        price_gap = "none"  # the driver has no price check
+        if self.price_gap is not None:  # signed; a constant gap is 0 or +-inf SEs from zero
+            gap, se = self.price_gap
+            price_gap = f"{gap / se if se > 0 else gap * math.inf if gap else 0.0:.2f}"
         return (
             f"verdict={self.verdict} hits={self.knock_in_fraction:.4f}"
             f"+-{self.knock_in_se:.4f} states={len(self.hit_gaps)} "
-            f"max_gap_se={self.max_gap_se_units:.2f} overshoot={self.overshoot_fraction:.4f}"
+            f"max_gap_se={self.max_gap_se_units:.2f} price_gap_se={price_gap} "
+            f"overshoot={self.overshoot_fraction:.4f}"
         )
 
     def gaps_csv(self, fh) -> None:

@@ -63,8 +63,7 @@ def triple_norm(u, i: int) -> float:
     in one dimension.
     """
     u = np.asarray(u, dtype=float)
-    k = u - u[i - 1]
-    k[i - 1] = -u[i - 1]
+    k = KappaMaps(len(u), i).K(u)
     return math.sqrt(0.5 * (float(u @ u) + float(k @ k)))
 
 
@@ -152,23 +151,15 @@ class JumpMeasure:
             out += self.gaussian.exp_integral(w)
         return out
 
-    def mean_vector(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        for x, m in self.atoms:
-            out += m * x
-        if self.gaussian is not None:
-            out += self.gaussian.mass * self.gaussian.mean
-        return out
-
     def weighted_mean(self, w, n: int) -> np.ndarray:
-        """integral of x exp(<w, x>) d nu."""
-        w = np.asarray(w)
-        out = np.zeros(n, dtype=complex)
+        """integral of x exp(<w, x>) d nu for a real ``w``."""
+        w = np.asarray(w, dtype=float)
+        out = np.zeros(n)
         for x, m in self.atoms:
             out = out + m * x * np.exp(w @ x)
         if self.gaussian is not None:
             out = out + self.gaussian.weighted_mean(w)
-        return out.real if np.allclose(out.imag, 0.0) else out
+        return out
 
     def second_moment(self, n: int) -> np.ndarray:
         """integral of x x^T d nu (for increment cumulant checks)."""
@@ -210,14 +201,11 @@ def build_tilted_gaussian_measure(b, alpha: float, mass: float, i: int) -> JumpM
         raise PatternViolation("covariance must be square symmetric")
     if not 1 <= i <= n:
         raise DomainError(f"numeraire index {i} out of range 1..{n}")
-    col = b[:, i - 1]
-    want = np.full(n, 0.5 * b[i - 1, i - 1])
-    want[i - 1] = b[i - 1, i - 1]
-    if np.max(np.abs(col - want)) > 1e-12 * (1.0 + abs(b[i - 1, i - 1])):
+    if any(p.status != "pass" for p in _half_diagonal(b, i, 1e-12)):
         raise PatternViolation(
             f"base covariance must satisfy b[j,{i}] = b[{i},{i}]/2 for K_{i}-invariance"
         )
-    mean = -(alpha / 2.0) * col
+    mean = -(alpha / 2.0) * b[:, i - 1]
     return JumpMeasure(gaussian=GaussianPart(mean=mean, cov=b, mass=mass))
 
 
@@ -259,6 +247,8 @@ class LevyTriplet:
         object.__setattr__(self, "drift", drift)
         if self.nu.dim is not None and self.nu.dim != n:
             raise DomainError("jump dimension does not match A")
+        if not 1 <= self.norm_index <= n:
+            raise DomainError(f"norm_index {self.norm_index} out of range 1..{n}")
         if self.nu.gaussian is not None and self.convention != "mean":
             raise DomainError(
                 "Gaussian jump components require the mean drift convention"
@@ -284,11 +274,10 @@ def _compensator_vector(t: LevyTriplet, convention: str | None = None, tilt=None
     the integral of x (times exp(<tilt, x>) when tilted) over all of nu
     for ``mean``, over its unit ball for the truncated conventions."""
     convention = convention or t.convention
-    if t.nu.is_empty:
-        return np.zeros(t.n)
+    tilt = np.zeros(t.n) if tilt is None else tilt
     if convention == "mean":
-        return t.nu.mean_vector(t.n) if tilt is None else t.nu.weighted_mean(tilt, t.n)
-    return t.nu.ball_mean(convention, t.norm_index, np.zeros(t.n) if tilt is None else tilt)
+        return t.nu.weighted_mean(tilt, t.n)
+    return t.nu.ball_mean(convention, t.norm_index, tilt)
 
 
 def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
@@ -302,8 +291,6 @@ def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
         raise DomainError(f"unknown drift convention {to!r}")
     if to == t.convention:
         return t
-    if t.nu.gaussian is not None:
-        raise DomainError("convention conversion needs an atomic jump measure")
     full = _compensator_vector(t, "mean")
     # drift_c + integral of x (1 - 1_ball_c) d nu is convention independent
     base = t.drift + (full - _compensator_vector(t))
@@ -360,8 +347,6 @@ def _exp_compensator(t: LevyTriplet, j: int) -> float:
     """integral of (e^(x_j) - 1 - x_j [1_ball]) d nu under t's convention."""
     e_j = np.zeros(t.n)
     e_j[j - 1] = 1.0
-    if t.nu.is_empty:
-        return 0.0
     val = float(np.real(t.nu.exp_integral(e_j))) - t.nu.total_mass
     return val - float(_compensator_vector(t)[j - 1])
 
@@ -395,6 +380,20 @@ def martingale_normalized(
 # --------------------------------------------------------------------------- #
 
 
+def _half_diagonal(b: np.ndarray, i: int, tol: float, label: str = "", name: str = "b"):
+    """Points of ``b[j,i] = b[i,i]/2`` for j != i, the pattern of a K_i-invariant covariance."""
+    bii = float(b[i - 1, i - 1])
+    return [
+        ReportPoint(
+            f"{label}{name}[{j + 1},{i}] - {name}[{i},{i}]/2",
+            float(b[j, i - 1] - 0.5 * bii),
+            tol=tol * (1.0 + abs(bii)),
+        )
+        for j in range(b.shape[0])
+        if j != i - 1
+    ]
+
+
 def check_qsd_triplet(
     t: LevyTriplet, i: int, lambda_cc, alpha: float, tol: float = 1e-10
 ) -> SymmetryReport:
@@ -407,25 +406,14 @@ def check_qsd_triplet(
     closed-form reflected parameters; (3) the drift coordinate ``i``
     equals the compensator value shifted by the carrying cost.
     """
-    if not 1 <= i <= t.n:
-        raise DomainError(f"numeraire index {i} out of range 1..{t.n}")
+    maps = KappaMaps(t.n, i)
     lam = np.atleast_1d(np.asarray(lambda_cc, dtype=float))
     lam_i = float(lam[0]) if lam.shape == (1,) else float(lam[i - 1])
-    maps = KappaMaps(t.n, i)
     report = SymmetryReport(f"qsd_triplet[i={i},alpha={alpha:g}]")
 
     # (1) covariance pattern
     aii = float(t.a[i - 1, i - 1])
-    for j in range(t.n):
-        if j == i - 1:
-            continue
-        report.points.append(
-            ReportPoint(
-                f"(1) a[{j + 1},{i}] - a[{i},{i}]/2",
-                float(t.a[j, i - 1] - 0.5 * aii),
-                tol=tol * (1.0 + abs(aii)),
-            )
-        )
+    report.points += _half_diagonal(t.a, i, tol, "(1) ", "a")
 
     # (2) jump measure reflection
     for idx, (x, m) in enumerate(t.nu.atoms):
@@ -443,16 +431,7 @@ def check_qsd_triplet(
     if g is not None:
         b = g.cov
         bii = float(b[i - 1, i - 1])
-        for j in range(t.n):
-            if j == i - 1:
-                continue
-            report.points.append(
-                ReportPoint(
-                    f"(2) gaussian b[{j + 1},{i}] - b[{i},{i}]/2",
-                    float(b[j, i - 1] - 0.5 * bii),
-                    tol=tol * (1.0 + abs(bii)),
-                )
-            )
+        report.points += _half_diagonal(b, i, tol, "(2) gaussian ")
         # reflection law <=> mean = -(alpha/2) B e_i given the pattern
         want_mean = -(alpha / 2.0) * b[:, i - 1]
         report.points.append(

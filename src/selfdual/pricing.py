@@ -93,6 +93,8 @@ class AffinePower(Payoff):
     ``p = 0`` reads ``x_+^0`` as the strict indicator ``1{x > 0}``.  The
     family is closed under the numeraire reflection of the hedges, and
     on a scalar model its price is the model's ``expect_affine`` value.
+    A one-weight claim with ``asset`` set reads that column of a price
+    matrix of any width, as binaries and gaps do.
     """
 
     weights: tuple
@@ -101,27 +103,32 @@ class AffinePower(Payoff):
     b: float = 0.0
     i: int = 1
     level: float = 1.0
+    asset: int | None = None
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in np.atleast_1d(self.weights))
         self.constant = float(self.constant)
-        self.n_assets = len(self.weights)
+        self.n_assets = len(self.weights) if self.asset is None else None
         if self.p < 0:
             raise DomainError("power must be nonnegative")
         if self.level <= 0:
             raise DomainError("level must be positive")
-        if not 1 <= self.i <= self.n_assets:
-            raise DomainError(f"asset index {self.i} out of range 1..{self.n_assets}")
+        if not 1 <= self.i <= len(self.weights):
+            raise DomainError(f"asset index {self.i} out of range 1..{len(self.weights)}")
 
     def __call__(self, s):
         s = self._matrix(s)
+        if self.asset is not None:
+            if not 1 <= self.asset <= s.shape[1]:
+                raise DomainError(f"payoff asset {self.asset} out of range 1..{s.shape[1]}")
+            s = s[:, self.asset - 1, None]
         out = positive_power(s @ np.asarray(self.weights) + self.constant, self.p)
         if self.b == 0:
             return out
         return (s[:, self.i - 1] / self.level) ** self.b * out
 
     def closed_form(self, model, forward):
-        if self.n_assets != 1:
+        if len(self.weights) != 1 or self.asset not in (None, 1):
             return None
         value = model.expect_affine(self.weights[0] * forward, self.constant, self.p, self.b)
         if value is None or self.b == 0:
@@ -170,6 +177,26 @@ def PowerCall(weights, strike: float, alpha: float) -> AffinePower:
     return AffinePower(weights, -strike, p=alpha)
 
 
+def BinaryCall(strike: float, asset: int = 1) -> AffinePower:
+    """1{S_j > k} on asset j; the inequality is strict, which matters only at atoms."""
+    return AffinePower((1.0,), -strike, p=0.0, asset=asset)
+
+
+def BinaryPut(strike: float, asset: int = 1) -> AffinePower:
+    """1{S_j < k}."""
+    return AffinePower((-1.0,), strike, p=0.0, asset=asset)
+
+
+def GapCall(strike: float, asset: int = 1) -> AffinePower:
+    """S_j 1{S_j > k}."""
+    return AffinePower((1.0,), -strike, p=0.0, b=1, asset=asset)
+
+
+def GapPut(strike: float, asset: int = 1) -> AffinePower:
+    """S_j 1{S_j < k}."""
+    return AffinePower((-1.0,), strike, p=0.0, b=1, asset=asset)
+
+
 @dataclass
 class MaxOption(Payoff):
     """max(u0, max_l u_l S_l) for nonnegative weights."""
@@ -189,54 +216,8 @@ class MaxOption(Payoff):
 
     def closed_form(self, model, forward):
         # E max(u0, F w eta) = E (F w eta - u0)_+ + u0
-        w = self.weights[0] if self.n_assets == 1 else None
-        value = None if w is None else model.expect_affine(w * forward, -self.u0)
+        value = AffinePower(self.weights, -self.u0).closed_form(model, forward)
         return None if value is None else value + self.u0
-
-
-@dataclass
-class _StrikeIndicator(Payoff):
-    """S_j^b 1{sign (S_j - k) > 0}: binaries (b = 0) and gaps (b = 1).
-
-    The inequality is strict, which matters only at atoms.
-    """
-
-    strike: float
-    asset: int = 1
-    sign = 1.0
-    b = 0
-
-    def __call__(self, s):
-        sj = self._matrix(s)[:, self.asset - 1]
-        hit = sj > self.strike if self.sign > 0 else sj < self.strike
-        return sj * hit if self.b else hit.astype(float)
-
-    def closed_form(self, model, forward):
-        value = model.expect_affine(self.sign * forward, -self.sign * self.strike, 0.0, self.b)
-        return forward * value if value is not None and self.b else value
-
-
-class BinaryCall(_StrikeIndicator):
-    """1{S_j > k}."""
-
-
-class BinaryPut(_StrikeIndicator):
-    """1{S_j < k}."""
-
-    sign = -1.0
-
-
-class GapCall(_StrikeIndicator):
-    """S_j 1{S_j > k}."""
-
-    b = 1
-
-
-class GapPut(_StrikeIndicator):
-    """S_j 1{S_j < k}."""
-
-    sign = -1.0
-    b = 1
 
 
 class CustomPayoff(Payoff):
@@ -325,8 +306,8 @@ def price(
 
     Accepts a model (closed form where the model has one, Monte Carlo
     otherwise) or a pre-simulated terminal sample matrix.  An affine
-    power claim of growth order ``p + b`` other than one verifies that
-    the moment of that order exists before anything is evaluated.
+    power claim of growth order ``p + b`` other than zero or one verifies
+    that the moment of that order exists before anything is evaluated.
     """
     df = math.exp(-r * maturity)
     if isinstance(model_or_samples, np.ndarray):
@@ -334,7 +315,7 @@ def price(
     else:
         model = model_or_samples
         order = payoff.p + payoff.b if isinstance(payoff, AffinePower) else 1.0
-        if order != 1.0 and isinstance(model, ScalarModel):
+        if order not in (0.0, 1.0) and isinstance(model, ScalarModel):
             try:
                 model.raw_moment(order)
             except MomentDiverges as exc:

@@ -793,6 +793,15 @@ SCHEMA_CORPUS = [
             "spec.model.norm_index: must be >= 1, got 0",
         ],
     ),
+    # the index of the |||.||| ball is a coordinate: once an IndexError, or ignored under mean
+    (
+        _model(
+            "{kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]], convention: truncated,"
+            " norm_index: 3, atoms: [{x: [0.3, 0.1], mass: 0.2}]}"
+        ),
+        ["spec.model: norm_index 3 out of range 1..2"],
+    ),
+    (_triplet("norm_index: 2"), ["spec.model: norm_index 2 out of range 1..1"]),
     (
         _triplet("convention: null"),
         [f"spec.model.convention: expected one of {levy.CONVENTIONS}, got None"],
@@ -1041,6 +1050,22 @@ RUN_ERRORS = {
         "forward: [1, 2, 3]}\n",
         "forward has 3 entries; the model has dimension 2",
     ),
+    # a scalar model's density check is the one-dimensional one, whose only numeraire is 1
+    "check-scalar-numeraire": (
+        "model: {kind: lognormal, sigma: 0.25}\ntask: {kind: check, checks: [density], numeraire: 2}\n",
+        "numeraire index 2 out of range 1..1",
+    ),
+    # a binary or gap on an asset the model lacks: once an IndexError, once asset 1's price
+    "price-binary-asset": (
+        "model: {kind: multi_lognormal, mean: [0, 0], cov: [[0.04, 0], [0, 0.04]]}\n"
+        "task: {kind: price, payoff: {kind: binary_call, strike: 1, asset: 3}}\n",
+        "payoff asset 3 out of range 1..2",
+    ),
+    "price-gap-asset": (
+        "model: {kind: lognormal, sigma: 0.2}\n"
+        "task: {kind: price, payoff: {kind: gap_call, strike: 1.1, asset: 2}}\n",
+        "payoff asset 2 out of range 1..1",
+    ),
     # an empty strike range used to print one strike three times, a reversed one a descending curve
     "zonoid-equal": (
         "model: {kind: heavy_tail, gamma: 1.0}\ntask: {kind: zonoid, k_min: 5, k_max: 5, points: 3}\n",
@@ -1241,7 +1266,7 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "ee2afbe083dc049f56ce74fab44d1fac6e38249c716eb543b368362646a7b643",
     },
     "hedge-small": {
-        "hedge.txt": "5eb345aa09f891e03eb69c81a24bbe99563ce5c4ef81a20bcde3b0202dc9e5bf",
+        "hedge.txt": "0ae309d68d4b180487529d99d4c96775d324f211662bdf3f894150a3083dc614",
         "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
         "report.yaml": "96905bcd460fe302ffa4f8e76a1f953aa03725c8b1a8940015e6558f58dca6a5",
     },
@@ -1258,17 +1283,17 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "780919f1dc7271799b49c20e167d1ed0d8f74e72afd471b3a8fda6749e4c8151",
     },
     "hedge-jump-super": {
-        "hedge.txt": "bf6ffa02e4baee6ac96bef70739b0d4d3f4a12e4c1b190b3a28f44b8cc13be54",
+        "hedge.txt": "af1bff4f4258b42daef750c0269c33bfeb39ed5be320238c6932bb3fd2d28349",
         "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
         "report.yaml": "e7ed9d838ac1bc75c84d286bad53c5b7b8ade20b6accc9fb8b1734582dfa3aa1",
     },
     "hedge-indicator-in": {
-        "hedge.txt": "8d3bca85c589da26e7d21d768142c2611c75947cfff9302c8f3e1b5f83f1f421",
+        "hedge.txt": "90b50f885bd5c56e862b04af7c08801ef6560e45456ac1a01c45b405adcf42df",
         "hedge_gaps.csv": "398eb3483ad70caf69a472a65f6eb0641495fd7a56e9dc682c1ab4af48396ace",
         "report.yaml": "5a916c67ca32decc91c12f83a3f426f6da720132f829d5a6c1fd0a20f84d9801",
     },
     "hedge-indicator-out": {
-        "hedge.txt": "8d3bca85c589da26e7d21d768142c2611c75947cfff9302c8f3e1b5f83f1f421",
+        "hedge.txt": "e31bbf343c3723a37f4fe468afb13a25705c21cc0692e14fcaeceb14ac8a1035",
         "hedge_gaps.csv": "8823460d02a4d473e0096c735346597e4f2a952bc1b6bb4dbe8621ed3379a264",
         "report.yaml": "2fec6474e371dc5a4296686ab641f089850587f2225e676853371655fa6f3ee7",
     },

@@ -88,6 +88,15 @@ def test_density_self_dual_negative_control():
     assert abs(at_two) > 1e-3
 
 
+@pytest.mark.parametrize("mu", [-0.125, 0.1])
+def test_the_scalar_density_check_is_the_one_dimensional_case(mu):
+    scalar = duality.check_density_self_dual(dist.LogNormal(mu, 0.5))
+    vector = duality.check_density_self_dual(dist.MultiLogNormal([mu], [[0.25]]))
+    assert scalar.grid == vector.grid and scalar.verdict == vector.verdict
+    assert scalar.verdict == ("pass" if mu == -0.125 else "fail")
+    assert np.allclose(scalar.residuals, vector.residuals, rtol=0.0, atol=1e-12)
+
+
 def test_density_self_dual_multivariate():
     mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
     for i in (1, 2):

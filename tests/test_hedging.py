@@ -784,6 +784,25 @@ def test_a_wrong_order_fails_through_the_price_gap_alone():
         assert replace(rep, hit_gaps=[]).verdict == "fail", (seed, rep.price_gap)
 
 
+@pytest.mark.parametrize("seed", [2, 3, 8])
+def test_the_hedge_line_shows_a_price_gap_that_fails_alone(seed):
+    # a wrong order on the README spread: the hit states pass at 3 SE, the price gap does not
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.1, "in")
+    rep = hedging.evaluate_hedge(plan, bs_config(250), rng=selfdual.RngStream(seed))
+    gap, se = rep.price_gap
+    assert rep.verdict == "fail" and rep.max_gap_se_units < 3.0 and gap < -3.0 * se
+    assert f" max_gap_se={rep.max_gap_se_units:.2f} price_gap_se={gap / se:.2f} " in rep.one_line()
+
+
+@pytest.mark.parametrize(
+    "price_gap, text",
+    [(None, "none"), ((-0.5, 0.25), "-2.00"), ((0.0, 0.0), "0.00"), ((-0.5, 0.0), "-inf")],
+)
+def test_the_hedge_line_prints_the_signed_price_gap_in_se_units(price_gap, text):
+    rep = hedging.HedgeReport(0.5, 0.01, 0.0, False, price_gap=price_gap)
+    assert f" price_gap_se={text} " in rep.one_line()
+
+
 def test_the_hit_state_search_grows_until_the_quota_is_full(monkeypatch):
     sizes, first_hits = [], hedging._first_hits
     monkeypatch.setattr(

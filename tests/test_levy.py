@@ -53,6 +53,20 @@ def test_triple_norm_example():
     assert levy.triple_norm([0.0, 0.0], 2) == 0.0
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_triple_norm_refuses_an_index_out_of_range(i):
+    # index 0 used to read u[-1]
+    with pytest.raises(DomainError, match=f"numeraire index {i} out of range 1..2"):
+        levy.triple_norm([1.0, 0.5], i)
+
+
+@pytest.mark.parametrize("convention", ["mean", "truncated"])
+def test_a_triplet_refuses_a_norm_index_out_of_range(convention):
+    nu = JumpMeasure(atoms=(([0.3, 0.1], 0.2),))
+    with pytest.raises(DomainError, match="norm_index 3 out of range 1..2"):
+        LevyTriplet(0.04 * np.eye(2), nu, np.zeros(2), convention, norm_index=3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=4), st.integers(1, 4))
 def test_triple_norm_K_invariance(u, i):
@@ -469,7 +483,9 @@ def _oracle_scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):
         if va == 0.0:
             roots.append(float(grid[k]))
             continue
-        if va * vb < 0.0:
+        with np.errstate(over="ignore"):  # a product past the float range keeps its sign
+            straddles = va * vb < 0.0
+        if straddles:
             r = float(brentq(g_fun, float(grid[k]), float(grid[k + 1]), xtol=1e-15, rtol=8.9e-16))
             roots.append(r)
             if bracket is None:

@@ -46,6 +46,16 @@ def test_composite_payoff_algebra():
     assert np.allclose(scaled(s), 2.0 * call(s))
 
 
+def test_binaries_and_gaps_read_their_own_asset():
+    s = np.array([[1.0, 0.5], [1.5, 2.0], [0.5, 1.2]])
+    assert np.array_equal(pricing.BinaryCall(1.0, asset=2)(s), [0.0, 1.0, 1.0])
+    assert np.array_equal(pricing.GapPut(1.0, asset=2)(s), [0.5, 0.0, 0.0])
+    with pytest.raises(DomainError, match="payoff asset 3 out of range 1..2"):
+        pricing.GapCall(1.0, asset=3)(s)
+    # a scalar model has only asset 1, so no closed form stands in for asset 2
+    assert pricing.GapCall(1.1, asset=2).closed_form(dist.LogNormal(0.0, 0.2), 1.0) is None
+
+
 def test_binary_and_gap_payoffs_strict_inequality():
     s = np.array([[1.0], [1.5], [0.5]])
     assert np.allclose(pricing.BinaryCall(1.0)(s), [0.0, 1.0, 0.0])
