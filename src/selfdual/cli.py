@@ -39,7 +39,7 @@ YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 #
 # A table is ``(constructor, fields)``; each field maps a YAML key to
 # ``(reader, options)``.  Readers take ``(chk, node, path, options)`` and
-# record violations on ``chk``; options are the bounds ``gt``/``ge``, a
+# record violations on ``chk``; options are the bounds ``gt``/``ge``/``le``, a
 # ``default`` and ``required`` (or ``needed_by``: required when the list under
 # another key holds a value), plus what a reader reads (``of``, ``item``,
 # ``table``).
@@ -100,6 +100,8 @@ def _bounded(chk: _Check, val, path: str, opt):
         chk.fail(path, f"must be > {opt['gt']}, got {val!r}")
     if "ge" in opt and not val >= opt["ge"]:
         chk.fail(path, f"must be >= {opt['ge']}, got {val!r}")
+    if "le" in opt and not val <= opt["le"]:
+        chk.fail(path, f"must be <= {opt['le']}, got {val!r}")
     return val
 
 
@@ -362,6 +364,27 @@ CHECKS = {
     "triplet": _check_triplet,
 }
 
+# the model class each check and task needs, and its name in a refusal; the
+# density check refuses a model without a density itself
+NEEDS = {
+    **dict.fromkeys(
+        ("payoff check", "joint check", "quasi check", "price task"),
+        ((dist.ScalarModel, dist.VectorModel), "a scalar or vector"),
+    ),
+    **dict.fromkeys(
+        ("integrated_tail check", "moments check", "zonoid task"), (dist.ScalarModel, "a scalar")
+    ),
+    **dict.fromkeys(("triplet check", "alpha task"), (levy.LevyTriplet, "a levy_triplet")),
+    "discrete check": (dist.DiscreteAtoms, "a discrete"),
+    "hedge task": (hedging.PathConfig, "a path_config"),
+}
+
+
+def _require(what: str, model) -> None:
+    if what in NEEDS and not isinstance(model, NEEDS[what][0]):
+        raise SelfDualError(f"{what} requires {NEEDS[what][1]} model")
+
+
 _PAYOFF = (_kinded, {"of": PAYOFFS, "required": True})
 TASKS = {
     "check": (dict, {
@@ -404,7 +427,7 @@ TASK_KINDS = tuple(TASKS)
 
 _TOL = (dict, {"exact": (_number, {"gt": 0.0, "default": 1e-10})})
 _SPEC = (dict, {
-    "version": (_integer, {"ge": 1, "default": 1}),
+    "version": (_integer, {"ge": 1, "le": 1, "default": 1}),
     "seed": (_integer, {"ge": 0, "default": 12345}),
     "samples": (_integer, {"ge": 100, "default": 200_000}),
     "tol": (_table, {"table": _TOL}),
@@ -455,129 +478,59 @@ def _normalize(node):
 # Report text
 # --------------------------------------------------------------------------- #
 #
-# Reports and the spec echo are written in the block layout of
-# ``yaml.dump(doc, sort_keys=True)``: keys sorted, a sequence inside a mapping
-# not indented, an empty collection as ``{}``/``[]``, floats by ``repr``.  A
-# string takes the one-line text the dumper in use gives it.  A document
-# holding any other type, a container twice (PyYAML would write an alias) or
-# a string PyYAML could fold or quote over several lines goes to ``yaml.dump``.
+# Reports and the spec echo are written as ``yaml.dump(doc, sort_keys=True)``
+# writes them.  A walk turns the document into the events that PyYAML's safe
+# representer and serializer would make, and PyYAML's own emitter lays them
+# out: indentation, folding, quoting and ``? `` keys are the emitter's.  A
+# container held twice (PyYAML writes an alias) or a type outside the walk
+# (one the safe representer may have no rule for) goes to ``yaml.dump``.
 
-_WIDTH = 80  # PyYAML breaks plain and quoted scalars at a space beyond this column
-_SIMPLE_KEY = 128  # PyYAML writes a key this long or longer as a '? key' entry
+_TAG = "tag:yaml.org,2002:"
+# both safe dumpers resolve through this class
+_RESOLVE = yaml.resolver.Resolver().resolve
 
 
 class _Defer(Exception):
-    """The document holds something the writer leaves to ``yaml.dump``."""
+    """The document holds something the walk leaves to ``yaml.dump``."""
 
 
 def _dump(doc) -> str:
-    text = _block_yaml(doc)
-    return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True) if text is None else text
-
-
-def _block_yaml(doc) -> str | None:
-    """``doc`` as ``yaml.dump(doc, sort_keys=True)`` writes it, or None to defer to it."""
-    if type(doc) is not dict or not doc:
-        return None
+    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
     try:
-        out = _BlockWriter(_string_texts(doc))
-        out.mapping(doc, 0, "")
+        _walk(doc, events, {}, set())
     except _Defer:
-        return None
-    out.lines.append("")
-    return "\n".join(out.lines)
+        return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=True)
+    events += [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
+    return yaml.emit(events, Dumper=YAML_DUMPER)
 
 
-def _string_texts(doc: dict) -> dict[str, str]:
-    """The one-line text the dumper in use gives each string in ``doc``, keys too.
-
-    All of them are learnt from one ``yaml.dump`` of their list.  A string
-    written over several lines, or double-quoted (whose escapes may break
-    anywhere), defers the document.
-    """
-    found: set[str] = set()
-    _collect_strings(doc, found, set())
-    strings = list(found)
-    lines = yaml.dump(strings, Dumper=YAML_DUMPER).split("\n")[:-1]
-    if len(lines) != len(strings) or any(line.startswith('- "') for line in lines):
-        raise _Defer
-    return {value: line[2:] for value, line in zip(strings, lines)}
-
-
-def _collect_strings(node, found: set[str], seen: set[int]) -> None:
+def _walk(node, events: list, implicit: dict[str, tuple], seen: set[int]) -> None:
+    """Append the events of ``node``; ``implicit`` holds each string's flags for one document."""
     kind = type(node)
-    if kind is dict or kind is list:
-        if id(node) in seen:  # a container held twice, which PyYAML writes as an alias
-            raise _Defer
+    if kind is str:
+        if node not in implicit:
+            # the serializer's test: plain if the text reads back as a string
+            implicit[node] = (_RESOLVE(yaml.ScalarNode, node, (True, False)) == _TAG + "str", True)
+        events.append(yaml.ScalarEvent(None, _TAG + "str", implicit[node], node))
+    elif kind in _SCALARS:
+        tag, text = _SCALARS[kind]
+        events.append(yaml.ScalarEvent(None, tag, (True, False), text(node)))
+    elif (kind is dict or kind is list) and id(node) not in seen:
         seen.add(id(node))
         if kind is dict:
-            found.update(key for key in node if type(key) is str)
-            node = node.values()
-        for value in node:
-            _collect_strings(value, found, seen)
-    elif kind is str:
-        found.add(node)
-
-
-class _BlockWriter:
-    def __init__(self, texts: dict[str, str]):
-        self.texts = texts
-        self.lines: list[str] = []
-
-    def mapping(self, node: dict, indent: int, lead: str) -> None:
-        """Write a nonempty mapping whose first key follows ``lead`` on its line."""
-        try:
-            keys = sorted(node)
-        except TypeError:  # keys of unlike types, which PyYAML leaves unsorted
-            raise _Defer from None
-        pad = " " * indent
-        for key in keys:
-            if type(key) is not str or len(key) >= _SIMPLE_KEY or self.texts[key] != key:
-                raise _Defer
-            value = node[key]
-            kind = type(value)
-            if (kind is dict or kind is list) and value:
-                self.lines.append(f"{lead}{key}:")
-                if kind is dict:
-                    self.mapping(value, indent + 2, pad + "  ")
-                else:
-                    self.sequence(value, indent, pad)
-            else:
-                self.scalar(f"{lead}{key}: ", value)
-            lead = pad
-
-    def sequence(self, node: list, indent: int, lead: str) -> None:
-        """Write a nonempty sequence whose first ``- `` follows ``lead`` on its line."""
-        pad = " " * indent
-        for value in node:
-            kind = type(value)
-            if kind is dict and value:
-                self.mapping(value, indent + 2, lead + "- ")
-            elif kind is list and value:
-                self.sequence(value, indent + 2, lead + "- ")
-            else:
-                self.scalar(lead + "- ", value)
-            lead = pad
-
-    def scalar(self, head: str, value) -> None:
-        kind = type(value)
-        if kind is str:
-            text = self.texts[value]
-            if " " in text and len(head) + len(text) > _WIDTH:
-                raise _Defer
-        elif kind is float:
-            text = _float(value)
-        elif kind is int:
-            text = str(value)
-        elif kind is bool:
-            text = "true" if value else "false"
-        elif value is None:
-            text = "null"
-        elif kind is dict or kind is list:  # empty
-            text = "{}" if kind is dict else "[]"
+            events.append(yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False))
+            try:
+                node = sorted(node.items())
+            except TypeError:  # keys of unlike types, which PyYAML leaves in insertion order
+                node = node.items()
+            node = [part for item in node for part in item]  # key, value, key, value, ...
         else:
-            raise _Defer
-        self.lines.append(head + text)
+            events.append(yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False))
+        for item in node:
+            _walk(item, events, implicit, seen)
+        events.append(yaml.MappingEndEvent() if kind is dict else yaml.SequenceEndEvent())
+    else:
+        raise _Defer
 
 
 def _float(value: float) -> str:
@@ -591,6 +544,15 @@ def _float(value: float) -> str:
     text = repr(value).lower()
     # a repr such as '1e+16' needs a '.' to read back as a YAML float
     return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+
+
+# type -> (tag, text) of the scalars whose text reads back as their own tag
+_SCALARS = {
+    float: (_TAG + "float", _float),
+    int: (_TAG + "int", str),
+    bool: (_TAG + "bool", lambda value: "true" if value else "false"),
+    type(None): (_TAG + "null", lambda value: "null"),
+}
 
 
 def _spec_echo(spec: dict) -> dict:
@@ -637,7 +599,8 @@ def _report_of(sym_report) -> dict:
     }
 
 
-def _default_checks(model, task) -> list[str]:
+def _default_checks(spec: dict) -> list[str]:
+    model, task = spec["model"], spec["task"]
     if isinstance(model, levy.LevyTriplet):
         return ["triplet"]
     if isinstance(model, dist.DiscreteAtoms):
@@ -649,14 +612,16 @@ def _default_checks(model, task) -> list[str]:
         return out
     if isinstance(model, dist.VectorModel):
         return ["joint"] if task.get("numeraire") is None else ["payoff"]
-    return []
+    raise SelfDualError(f"no check applies to a {spec['model_node']['kind']} model")
 
 
 def _run_check(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
     rng = RngStream(spec["seed"])
     i = task.get("numeraire") or 1
-    checks = task.get("checks") or _default_checks(model, task)
+    checks = task.get("checks") or _default_checks(spec)
+    for name in checks:
+        _require(f"{name} check", model)
     reports = [
         CHECKS[name](model, i, spec, partial(rng.child, idx)) for idx, name in enumerate(checks)
     ]
@@ -669,8 +634,6 @@ def _run_check(spec: dict) -> tuple[str, dict, dict]:
 
 def _run_alpha(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
-    if not isinstance(model, levy.LevyTriplet):
-        raise SelfDualError("alpha task requires a levy_triplet model")
     sol = levy.solve_alpha(model, task["numeraire"], task["carry"])
     doc = {
         "alpha": sol.alpha,
@@ -708,8 +671,6 @@ def _run_price(spec: dict) -> tuple[str, dict, dict]:
 
 def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
     cfg, task = spec["model"], spec["task"]
-    if not isinstance(cfg, hedging.PathConfig):
-        raise SelfDualError("hedge task requires a path_config model")
     # before the barrier's asset picks a carry or a hedge weight
     task["barrier"].validate_asset(cfg)
     alpha = task["alpha"]
@@ -747,8 +708,6 @@ def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
 
 def _run_zonoid(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
-    if not isinstance(model, dist.ScalarModel):
-        raise SelfDualError("zonoid task requires a scalar model")
     rows = geometry.boundary_polyline(model, task["k_min"], task["k_max"], task["points"])
     buf = io.StringIO()
     geometry.write_boundary_csv(rows, buf)
@@ -779,6 +738,7 @@ def run(spec: dict) -> tuple[int, dict, dict]:
         "spec": echo,
     }
     try:
+        _require(f"{kind} task", spec["model"])
         verdict, results, artifacts = _RUNNERS[kind](spec)
     except SelfDualError as exc:
         doc = dict(header)

@@ -267,17 +267,8 @@ class PriceEstimate:
         return self.discount_factor * self.value
 
 
-def _terminal_samples(model, n_samples: int, rng: RngStream, forward=None) -> np.ndarray:
-    s = model.sample(int(n_samples), rng)
-    s = s.reshape(int(n_samples), -1)
-    if forward is not None:
-        forward = np.atleast_1d(np.asarray(forward, dtype=float))
-        if forward.size not in (1, s.shape[1]):
-            raise DomainError(
-                f"forward has {forward.size} entries; the model has dimension {s.shape[1]}"
-            )
-        s = s * forward
-    return s
+def _terminal_samples(model, n_samples: int, rng: RngStream) -> np.ndarray:
+    return model.sample(int(n_samples), rng).reshape(int(n_samples), -1)
 
 
 def _closed_forms(model, priced: list[tuple[Payoff, float]]) -> list[float] | None:
@@ -328,7 +319,13 @@ def price(
             return PriceEstimate(closed[0], 0.0, 0, df, "closed_form")
         if rng is None:
             raise DomainError("Monte-Carlo pricing requires an RngStream")
-        s = _terminal_samples(model, n_samples, rng, forward)
+        forward = np.atleast_1d(np.asarray(forward, dtype=float))
+        if forward.size not in (1, model.dim):
+            raise DomainError(
+                f"forward has {forward.size} entries; the model has dimension {model.dim}"
+            )
+        payoff(np.ones((1, model.dim)))  # a probe row: a payoff that does not fit raises undrawn
+        s = _terminal_samples(model, n_samples, rng) * forward
     value, se = _mean_se(payoff(s))
     return PriceEstimate(value, se, s.shape[0], df, "monte_carlo")
 

@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 import math
@@ -476,7 +477,7 @@ def test_report_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkey
 
 
 # --------------------------------------------------------------------------- #
-# The report writer: PyYAML's bytes, or a deferral to PyYAML
+# The report writer: yaml.dump's bytes through PyYAML's own emitter
 # --------------------------------------------------------------------------- #
 
 WRITER_SPECS = {
@@ -488,6 +489,17 @@ WRITER_SPECS = {
 }
 
 
+def _assert_dumps_as_pyyaml(doc):
+    """``cli._dump`` writes ``yaml.dump``'s bytes, or raises the same error."""
+    try:
+        want = yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+    except yaml.YAMLError as exc:
+        with pytest.raises(type(exc)):
+            cli._dump(doc)
+    else:
+        assert cli._dump(doc) == want
+
+
 @pytest.mark.parametrize("name", sorted(WRITER_SPECS))
 def test_writer_gives_pyyaml_bytes_for_cli_reports(name, yaml_backend):
     kind, text = WRITER_SPECS[name]
@@ -496,8 +508,7 @@ def test_writer_gives_pyyaml_bytes_for_cli_reports(name, yaml_backend):
     code, doc, _ = cli.run(spec)
     assert (code == 3) == ("error" in doc) == (name == "error")
     for node in (doc, cli._spec_echo(spec)):
-        want = yaml.dump(node, Dumper=cli.YAML_DUMPER, sort_keys=True)
-        assert cli._block_yaml(node) == want
+        _assert_dumps_as_pyyaml(node)
 
 
 def _shared(node):
@@ -505,6 +516,8 @@ def _shared(node):
     return {"a": node, "b": [{}, [], node]}
 
 
+# the documents the hand-laid block writer used to leave to yaml.dump, and
+# types the safe dumper writes that the walk leaves to it
 @pytest.mark.parametrize(
     "doc",
     [
@@ -512,6 +525,9 @@ def _shared(node):
         _shared({}),
         {"a": (1.0, 2.0)},
         {"a": np.float64(1.0)},
+        {"a": b"\x00bytes"},
+        {"a": {1, 2}},
+        {"a": datetime.date(2026, 1, 2)},
         {"a": 1, 2: "b"},
         {"label": "word " * 17},
         {"label": "two\nlines"},
@@ -521,15 +537,8 @@ def _shared(node):
         {},
     ],
 )
-def test_writer_defers_what_pyyaml_writes_otherwise(doc, yaml_backend):
-    assert cli._block_yaml(doc) is None
-    try:
-        want = yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
-    except yaml.YAMLError:  # numpy scalars are not representable: the deferral raises too
-        with pytest.raises(yaml.YAMLError):
-            cli._dump(doc)
-    else:
-        assert cli._dump(doc) == want
+def test_writer_matches_pyyaml_on_what_it_used_to_defer(doc, yaml_backend):
+    _assert_dumps_as_pyyaml(doc)
 
 
 # the program's own label formats and strings YAML reads as something else
@@ -549,7 +558,6 @@ LABELS = [
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16]
 )
-# printable ASCII as well, as most other text is double-quoted and deferred
 _LABEL = (
     st.text()
     | st.text(st.characters(min_codepoint=32, max_codepoint=126))
@@ -575,22 +583,47 @@ CHECK_DOCS = st.fixed_dictionaries({
     "tool": st.fixed_dictionaries({"name": _LABEL, "seed": st.integers(), "spec_sha256": _LABEL}),
     "results": st.fixed_dictionaries({"verdict": _LABEL, "checks": st.lists(_CHECK, max_size=3)}),
 })
+# keys up to 140 characters reach PyYAML's '? ' keys, long printable text its folding
+_KEY = (
+    st.text(max_size=140)
+    | st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=120, max_size=140)
+    | st.integers()
+)
+_SCALAR = (
+    _LABEL
+    | st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=60, max_size=200)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | FLOATS
+)
+NESTED_DOCS = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEY, inner, max_size=4),
+    max_leaves=20,
+)
 
 
 @settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(doc=CHECK_DOCS)
-def test_writer_matches_pyyaml_or_defers(doc, yaml_backend):
-    text = cli._block_yaml(doc)
-    assert text is None or text == yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+@given(doc=CHECK_DOCS | NESTED_DOCS)
+def test_writer_matches_pyyaml_on_any_document(doc, yaml_backend):
+    _assert_dumps_as_pyyaml(doc)
 
 
-def test_writer_writes_the_program_labels_itself(yaml_backend):
-    # the labels the program writes fit the writer; only the long one is deferred
-    doc = {"labels": LABELS[:-1], "floats": [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf]}
-    assert cli._block_yaml(doc) == yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
-    assert cli._block_yaml({"labels": LABELS}) is None
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("a report went to yaml.dump")
+
+
+def test_writer_writes_the_program_labels_itself(yaml_backend, monkeypatch):
+    doc = {"labels": LABELS, "floats": [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf]}
+    want = yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+    monkeypatch.setattr(yaml, "dump", _no_fallback)
+    assert cli._dump(doc) == want
 
 
 # --------------------------------------------------------------------------- #
@@ -992,6 +1025,9 @@ SCHEMA_CORPUS = [
         ],
     ),
     ("seed: 1\n", ["spec.model: missing required key", "spec.task: missing required key"]),
+    # the one version the program knows; a later one was accepted, echoed and ignored
+    (MINIMAL + "version: 7\n", ["spec.version: must be <= 1, got 7"]),
+    (MINIMAL + "version: true\n", ["spec.version: expected an integer, got bool"]),
     # the quasi check compares against alpha: without one it multiplied None
     (
         "model: {kind: lognormal, sigma: 0.5}\ntask: {kind: check, checks: [quasi]}\n",
@@ -1075,18 +1111,103 @@ RUN_ERRORS = {
         "model: {kind: lognormal, sigma: 0.5}\ntask: {kind: zonoid, k_min: 10, k_max: 0.1}\n",
         "strike range needs 0 < k_min < k_max, got k_min=10.0, k_max=0.1",
     ),
+    "price-basket-weights": (
+        "model: {kind: multi_lognormal, mean: [0, 0], cov: [[0.04, 0], [0, 0.04]]}\n"
+        "task: {kind: price, payoff: {kind: basket_call, weights: [1, 1, 1], strike: 1}}\n",
+        "payoff expects 3 assets, got 2",
+    ),
+    # a task or check on a model of the wrong class: once an AttributeError
+    "price-triplet": (
+        "model: {kind: levy_triplet, a: 0.04}\n"
+        "task: {kind: price, payoff: {kind: basket_call, weights: [1], strike: 1}}\n",
+        "price task requires a scalar or vector model",
+        "SelfDualError",
+    ),
+    # no default check applies to a path config: it ran nothing and passed
+    "check-path": (
+        "model: {kind: path_config, s0: [1.0], driver: {kind: levy_triplet, a: 0.04}}\n"
+        "task: {kind: check}\n",
+        "no check applies to a path_config model",
+        "SelfDualError",
+    ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_ERRORS))
 def test_a_spec_that_cannot_run_is_an_exit_three_report(kind, tmp_path, capsys):
-    text, message = RUN_ERRORS[kind]
+    text, message, error_type = (*RUN_ERRORS[kind], "DomainError")[:3]
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(text)
     assert cli.main([kind.split("-")[0], str(spec_file), "--samples", "1000"]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert yaml.safe_load(captured.out)["error"] == {"type": "DomainError", "message": message}
+    assert yaml.safe_load(captured.out)["error"] == {"type": error_type, "message": message}
+
+
+# the counted sampler's control: a payoff that fits draws its rows
+PRICE_FITS = (
+    "model: {kind: multi_lognormal, mean: [0, 0], cov: [[0.04, 0], [0, 0.04]]}\n"
+    "task: {kind: price, payoff: {kind: basket_call, weights: [1, 1], strike: 1}}\n"
+)
+
+# one model of each kind, for the checks and tasks that each kind does or does not fit
+MODEL_OF_KIND = {
+    "lognormal": "{kind: lognormal, sigma: 0.25}",
+    "lp_self_dual": "{kind: lp_self_dual, p: 3}",
+    "heavy_tail": "{kind: heavy_tail, gamma: 3}",
+    "discrete": "{kind: discrete, atoms: [['1/2', '1/3'], ['1', '1/2'], ['2', '1/6']]}",
+    "multi_lognormal": "{kind: multi_lognormal, mean: [-0.125, -0.125], "
+    "cov: [[0.25, 0.1], [0.1, 0.25]]}",
+    "common_factor": "{kind: common_factor, factors: [{kind: lognormal, sigma: 0.25}, "
+    "{kind: heavy_tail, gamma: 1}]}",
+    "unit_ball_max": "{kind: unit_ball_max, dim: 2}",
+    "independent_product": "{kind: independent_product, factors: "
+    "[{kind: lognormal, sigma: 0.25}, {kind: lognormal, sigma: 0.5}]}",
+    "levy_triplet": "{kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]]}",
+    "path_config": "{kind: path_config, s0: [1, 1], steps: 4, "
+    "driver: {kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]]}}",
+}
+
+
+def test_every_model_kind_has_a_model_for_the_check_matrix():
+    assert sorted(MODEL_OF_KIND) == sorted(cli.MODELS)
+
+
+@pytest.mark.parametrize("check", sorted(cli.CHECKS))
+@pytest.mark.parametrize("kind", sorted(MODEL_OF_KIND))
+def test_every_check_on_every_model_kind_ends_in_an_exit_code(kind, check, tmp_path, capsys):
+    alpha = ", alpha: 1.0" if check == "quasi" else ""
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(
+        f"model: {MODEL_OF_KIND[kind]}\ntask: {{kind: check, checks: [{check}]{alpha}}}\n"
+    )
+    code = cli.main(["check", str(spec_file), "--samples", "1000"])
+    assert code in (0, 1, 2, 3)
+    model = cli.parse_model_spec(spec_file.read_text())["model"]
+    need = cli.NEEDS.get(f"{check} check")
+    if need and not isinstance(model, need[0]):
+        assert code == 3
+        message = yaml.safe_load(capsys.readouterr().out)["error"]["message"]
+        assert message == f"{check} check requires {need[1]} model"
+
+
+@pytest.mark.parametrize(
+    "kind, rows",
+    [("price", []), ("price-binary-asset", []), ("price-gap-asset", []),
+     ("price-basket-weights", []), ("price-fits", [1000])],
+)
+def test_a_price_of_the_wrong_shape_is_refused_before_the_draw(kind, rows, tmp_path, monkeypatch):
+    drawn = []
+    for model in (dist.LogNormal, dist.MultiLogNormal):
+        def counted(self, n, rng, sample=model.sample):
+            drawn.append(n)
+            return sample(self, n, rng)
+
+        monkeypatch.setattr(model, "sample", counted)
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(RUN_ERRORS[kind][0] if kind in RUN_ERRORS else PRICE_FITS)
+    assert cli.main(["price", str(spec_file), "--samples", "1000"]) == (3 if rows == [] else 0)
+    assert drawn == rows
 
 
 @pytest.mark.parametrize(
@@ -1310,6 +1431,31 @@ def test_report_and_artifact_bytes_match_golden_hashes(name, yaml_backend, tmp_p
     assert capsys.readouterr().out.encode() == (out_dir / "report.yaml").read_bytes()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
     assert got == GOLDEN_SHA256[name]
+
+
+def _bench_specs():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    return {
+        f"bench-{task.name}": (task.command, task.spec)
+        for tasks in workloads.WORKLOADS.values()
+        for task in tasks
+    }
+
+
+# every report these write must reach PyYAML's emitter through the walk
+UNSHARED_SPECS = {**_bench_specs(), **GOLDEN_SPECS}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHARED_SPECS))
+def test_no_cli_report_takes_the_yaml_dump_fallback(name, tmp_path, monkeypatch, capsys):
+    kind, text = UNSHARED_SPECS[name]
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(text)
+    monkeypatch.setattr(yaml, "dump", _no_fallback)
+    assert cli.main([kind, str(spec_file), "--seed", "11", "--out", str(tmp_path)]) in (0, 1, 2)
+    assert capsys.readouterr().out == (tmp_path / "report.yaml").read_text()
 
 
 @pytest.mark.parametrize("name", ["hedge-small", "hedge-jump-super"])
