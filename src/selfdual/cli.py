@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__, dist, duality, geometry, hedging, levy, pricing
-from .errors import SchemaError, SelfDualError
+from .errors import MomentDiverges, SchemaError, SelfDualError
 from .rng import RngStream
 
 # libyaml where PyYAML was built with it; both read and write the same YAML
@@ -603,11 +603,16 @@ def _default_checks(spec: dict) -> list[str]:
     model, task = spec["model"], spec["task"]
     if isinstance(model, levy.LevyTriplet):
         return ["triplet"]
-    if isinstance(model, dist.DiscreteAtoms):
-        return ["discrete", "integrated_tail", "moments"]
     if isinstance(model, dist.ScalarModel):
-        out = ["density", "integrated_tail", "moments"]
-        if task.get("alpha") is not None:
+        discrete = isinstance(model, dist.DiscreteAtoms)
+        out = ["discrete" if discrete else "density", "integrated_tail"]
+        try:  # the moment identities need E eta^3 and E eta^-2
+            model.raw_moment(3.0)
+            model.raw_moment(-2.0)
+            out.append("moments")
+        except MomentDiverges:
+            pass
+        if task.get("alpha") is not None and not discrete:
             out.append("quasi")
         return out
     if isinstance(model, dist.VectorModel):

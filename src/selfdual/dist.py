@@ -601,8 +601,9 @@ class MultiLogNormal(VectorModel):
         y += self.mu
         return np.exp(y, out=y)
 
-    def sample_columns(self, n: int, rng: RngStream) -> np.ndarray:
-        """The draws of :meth:`sample` laid out column-major, shape (dim, n)."""
+    def column_chunks(self, n: int, rng: RngStream):
+        """The draws of :meth:`sample` laid out column-major in one (dim, n) array,
+        yielded as ``(array, columns drawn)`` after each row block."""
         # Row blocks drawn in turn consume the stream as one whole draw does,
         # so only one block of z and y is held beside the result.  Blocks are
         # near-equal: a one-row block would be multiplied by BLAS gemv, whose
@@ -613,6 +614,12 @@ class MultiLogNormal(VectorModel):
         edges = [n * j // n_blocks for j in range(n_blocks + 1)]
         for lo, hi in zip(edges, edges[1:]):
             out[:, lo:hi] = self.sample(hi - lo, rng).T
+            yield out, hi
+
+    def sample_columns(self, n: int, rng: RngStream) -> np.ndarray:
+        """The draws of :meth:`sample` laid out column-major, shape (dim, n)."""
+        for out, _ in self.column_chunks(n, rng):
+            pass
         return out
 
     def pdf(self, x):

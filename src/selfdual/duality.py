@@ -17,6 +17,7 @@ so only the noise of the difference estimator matters).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -257,11 +258,12 @@ def _scratch(slot: str, rows: int, width: int) -> np.ndarray:
     return buffers[slot][: rows * width].reshape(rows, width)
 
 
-def _block_moments(groups, rows, batch: np.ndarray, levels: bool) -> list:
-    """``(statistics, level sums or None)`` of the points ``rows`` of each group on ``batch``:
-    blocks reduced on every kernel thread, pooled in block order whatever the thread count."""
+def _block_moments(groups, rows, chunks, levels: bool) -> list:
+    """``(statistics, level sums or None)`` of the points ``rows`` of each group on the draws
+    that ``chunks`` fill: each block reduced on a kernel thread as soon as its columns are
+    drawn, while the calling thread draws on; pooled in block order whatever the thread count."""
 
-    def reduce_block(start):
+    def reduce_block(batch, start):
         cols = batch[:, start : start + BLOCK]
         out = []
         for (_, evaluate, _), r in zip(groups, rows):
@@ -272,41 +274,78 @@ def _block_moments(groups, rows, batch: np.ndarray, levels: bool) -> list:
     def pooled(total, part):
         return [(a.pooled(b), None if s is None else s + t) for (a, s), (b, t) in zip(total, part)]
 
-    pid, starts = os.getpid(), range(0, batch.shape[1], BLOCK)
+    def drawn_blocks():
+        start = 0
+        for batch, ready in chunks:
+            while start < min(start + BLOCK, batch.shape[1]) <= ready:
+                yield batch, start
+                start += BLOCK
+
+    if WORKERS == 1:
+        return functools.reduce(pooled, itertools.starmap(reduce_block, drawn_blocks()))
+    pid = os.getpid()
     pool = _POOLS.get(pid) or _POOLS.setdefault(pid, ThreadPoolExecutor(WORKERS, "selfdual-kernel"))
-    return functools.reduce(pooled, (map if WORKERS == 1 else pool.map)(reduce_block, starts))
+    futures = []
+    try:
+        futures.extend(pool.submit(reduce_block, *block) for block in drawn_blocks())
+        return functools.reduce(pooled, (f.result() for f in futures))
+    finally:  # after an error, blocks not yet started are dropped
+        for f in futures:
+            f.cancel()
 
 
-def _confirmed_mc_points(groups, model, batch: np.ndarray, confirm_rng) -> list[ReportPoint]:
+class _Draw:
+    """``n`` draws of ``model`` from ``rng`` in one column-major (dim, n) array, iterated as
+    ``(array, columns drawn)`` chunks: as they are drawn on the first pass, whole after it.
+
+    A model's ``column_chunks`` streams; any other model is drawn here, as one chunk."""
+
+    def __init__(self, model, n: int, rng: RngStream):
+        self.model, self.n = model, int(n)
+        if hasattr(model, "column_chunks"):
+            self._chunks = model.column_chunks(self.n, rng)
+        elif hasattr(model, "sample_columns"):
+            self._chunks = [(model.sample_columns(self.n, rng), self.n)]
+        else:  # row-major draws, transposed
+            rows = model.sample(self.n, rng).reshape(self.n, -1)
+            self._chunks = [(np.ascontiguousarray(rows.T), self.n)]
+
+    def __iter__(self):
+        for self.cols, ready in self._chunks:
+            yield self.cols, ready
+        self._chunks = [(self.cols, self.n)]
+
+
+def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]:
     """Evaluate CRN difference points with pooled re-confirmation.
 
     ``groups`` holds ``(labels, evaluate, scales)``: ``evaluate(cols, rows,
-    levels)`` maps a column-major ``(n, B)`` block of ``model`` draws and the
+    levels)`` maps a column-major ``(n, B)`` block of draws and the
     indices of the points wanted to ``(diffs, sums)``: one row of differences
     per point, which may be overwritten, and with ``levels`` the row sums of
     the points' levels or ``None``.  A point's scale is its level mean on
-    ``batch``, at least one, or else its ``scales`` entry.
-    A failing point is re-evaluated on fresh batches from ``confirm_rng``
-    and pooled by its sufficient statistics: under the exact identity a
-    borderline exceedance among many simultaneous 3-SE tests washes out,
-    while a genuine asymmetry reproduces and keeps failing.
+    ``first``, at least one, or else its ``scales`` entry.
+    A failing point is re-evaluated on fresh batches of ``first.model``
+    from ``confirm_rng`` and pooled by its sufficient statistics: under the
+    exact identity a borderline exceedance among many simultaneous 3-SE
+    tests washes out, while a genuine asymmetry reproduces and keeps failing.
     """
     rows = [np.arange(len(labels)) for labels, _, _ in groups]
     offsets = np.cumsum([0] + [len(r) for r in rows])  # index of each group's first point
     points: list[ReportPoint] = [None] * offsets[-1]
-    stats, scales, draws = [None] * len(groups), [s for _, _, s in groups], batch
+    stats, scales, draws = [None] * len(groups), [s for _, _, s in groups], first
     for rounds in range(CONFIRM_ROUNDS + 1):
         live = [g for g, r in enumerate(rows) if r.size]
         if not live:
             break
         if rounds:  # growing batches dilute an unlucky first draw quickly
             draws = None  # the last round's batch is not held while the next is drawn
-            draws = _sample_matrix(model, batch.shape[1] * 2**rounds, confirm_rng.child(rounds - 1))
+            draws = _Draw(first.model, first.n * 2**rounds, confirm_rng.child(rounds - 1))
         got = _block_moments([groups[g] for g in live], [rows[g] for g in live], draws, not rounds)
         for g, (more, sums) in zip(live, got):
             stats[g] = more if stats[g] is None else stats[g].pooled(more)
             if sums is not None:
-                scales[g] = np.maximum(sums / batch.shape[1], 1.0).tolist()
+                scales[g] = np.maximum(sums / first.n, 1.0).tolist()
             for j, k in enumerate(rows[g]):
                 point = _mc_point(groups[g][0][k], stats[g].take(j), scales[g][k], rounds)
                 points[offsets[g] + k] = point
@@ -497,18 +536,6 @@ def _payoff(family: str, u0, u, cols: np.ndarray, out: np.ndarray | None = None)
     raise DomainError(f"unknown payoff family {family!r}")
 
 
-def _sample_matrix(model, n_samples: int, rng: RngStream) -> np.ndarray:
-    """``n_samples`` draws of ``model`` laid out column-major, shape (n, n_samples).
-
-    A model with ``sample_columns`` draws it directly, holding one copy;
-    the row-major draws of any other sampler are transposed.
-    """
-    if hasattr(model, "sample_columns"):
-        return model.sample_columns(int(n_samples), rng)
-    s = model.sample(int(n_samples), rng)
-    return np.ascontiguousarray(s.reshape(int(n_samples), -1).T)
-
-
 def _swap_group(family: str, labels, first, second, control, level: bool):
     """``f(first) - f(second) - control @ (x - 1)`` for weight rows ``(u0, u)`` of ``family``
     payoffs, as one kernel group; with ``level`` the payoff of ``first`` sets the scale."""
@@ -591,15 +618,15 @@ def check_payoff_symmetry(
     """
     if rng is None:
         raise DomainError("common-random-number check requires an RngStream")
-    cols = _sample_matrix(model, n_samples, rng.child(1))
-    n = cols.shape[0]
+    draw = _Draw(model, n_samples, rng.child(1))
+    n = model.dim
     maps = KappaMaps(n, i)
     if test_vectors is None:
         test_vectors = random_test_vectors(rng.child(0), n, payoff_family)
     groups = [_test_vector_group(payoff_family, i, test_vectors)]
     groups.append(_numeraire_change_group("change-of-numeraire", maps))
     report = SymmetryReport(f"payoff_symmetry[{payoff_family},i={i}]")
-    report.points = _confirmed_mc_points(groups, model, cols, rng.child(9))
+    report.points = _confirmed_mc_points(groups, draw, rng.child(9))
     return report
 
 
@@ -615,7 +642,8 @@ def check_joint_self_duality(
     on one common set of draws.
     """
     n = model.dim
-    cols = _sample_matrix(model, n_samples, rng.child(1))
+    # the first pass reduces the draws as they come; the later ones read them whole
+    draw = _Draw(model, n_samples, rng.child(1))
     report = SymmetryReport("joint_self_duality")
     for i in range(1, n + 1):
         # both families of numeraire i draw their vectors and confirmation
@@ -627,7 +655,7 @@ def check_joint_self_duality(
             for family in ("basket", "max")
         )
         shared = _numeraire_change_group("change-of-numeraire", KappaMaps(n, i))
-        points = _confirmed_mc_points([basket, peak, shared], model, cols, stream.child(9))
+        points = _confirmed_mc_points([basket, peak, shared], draw, stream.child(9))
         nb, nv = len(basket[0]), len(basket[0]) + len(peak[0])
         for family, own in (("basket", points[:nb]), ("max", points[nb:nv])):
             sub = SymmetryReport(f"payoff_symmetry[{family},i={i}]", own + points[nv:])
@@ -652,7 +680,7 @@ def check_joint_self_duality(
     labels = [f"marginal {a + 1} vs {b + 1} @min(.,{c})" for a, b, c in pairs]
     # the statistic is bounded by the cap, which sets its scale
     groups.append((labels, marginals, np.maximum(caps, 1.0).tolist()))
-    report.points.extend(_confirmed_mc_points(groups, model, cols, rng.child(3)))
+    report.points.extend(_confirmed_mc_points(groups, draw, rng.child(3)))
     return report
 
 
@@ -715,9 +743,15 @@ class _PowerScaled:
         self.alpha = alpha
         self.dim = base.dim
 
-    def sample_columns(self, n, rng):
-        cols = _sample_matrix(self.base, n, rng)
-        return (np.exp(self.lam).reshape(-1, 1) * cols) ** self.alpha
+    def column_chunks(self, n, rng):
+        """The base model's chunks, each transformed in place once it is drawn."""
+        scale, done = np.exp(self.lam)[:, None], 0
+        for cols, ready in _Draw(self.base, n, rng):
+            part = cols[:, done:ready]
+            part *= scale
+            part **= self.alpha
+            done = ready
+            yield cols, ready
 
 
 def check_quasi_self_dual(
@@ -757,9 +791,9 @@ def check_quasi_self_dual(
     report = SymmetryReport(f"quasi_self_dual[i={i},alpha={alpha:g}]").merge(sub)
 
     if rng is not None:
-        cols = _sample_matrix(model, n_samples, rng.child(4))
+        draw = _Draw(model, n_samples, rng.child(4))
         group = _numeraire_change_group("qsd identity", KappaMaps(n, i), lam, alpha)
-        report.points.extend(_confirmed_mc_points([group], model, cols, rng.child(5)))
+        report.points.extend(_confirmed_mc_points([group], draw, rng.child(5)))
     return report
 
 

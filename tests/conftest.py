@@ -36,11 +36,11 @@ def yaml_backend(request, monkeypatch):
 
 @pytest.fixture(params=["inline", "pool"])
 def kernel_workers(request, monkeypatch):
-    """Run a test once with the CRN kernel's blocks inline on one worker, once on the default pool."""
+    """Run a test once with the CRN kernel's blocks inline on one worker, once on a pool
+    of at least two kernel threads, which a one-CPU runner would otherwise run inline."""
     from selfdual import duality
 
-    if request.param == "inline":
-        monkeypatch.setattr(duality, "WORKERS", 1)
+    monkeypatch.setattr(duality, "WORKERS", 1 if request.param == "inline" else max(duality.WORKERS, 2))
     return duality.WORKERS
 
 

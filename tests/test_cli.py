@@ -213,6 +213,21 @@ def test_main_subcommand_mismatch(tmp_path, capsys):
     assert cli.main(["alpha", str(spec_file)]) == 3
 
 
+@pytest.mark.parametrize(
+    "model", ["{kind: lp_self_dual, p: 3}", "{kind: lp_self_dual, p: 2.5}", "{kind: heavy_tail, gamma: 0.5}"]
+)
+def test_default_checks_leave_out_moments_that_diverge(model, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(f"model: {model}\ntask: {{kind: check}}\n")
+    assert cli.main(["check", str(spec_file)]) == 0
+    checks = yaml.safe_load(capsys.readouterr().out)["results"]["checks"]
+    assert [c["name"] for c in checks] == ["density_self_dual", "integrated_tail_symmetry"]
+    # named, the moment check still refuses the model
+    spec_file.write_text(f"model: {model}\ntask: {{kind: check, checks: [moments]}}\n")
+    assert cli.main(["check", str(spec_file)]) == 3
+    assert yaml.safe_load(capsys.readouterr().out)["error"]["type"] == "MomentDiverges"
+
+
 def test_main_schema_errors_exit_three(tmp_path, capsys):
     spec_file = tmp_path / "bad.yaml"
     spec_file.write_text("model: {kind: lognormal, sigma: -2}\ntask: {kind: check}\n")

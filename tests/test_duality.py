@@ -2,6 +2,7 @@ import collections
 import math
 import multiprocessing
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from selfdual import dist, duality
 from selfdual.errors import DomainError, MomentDiverges, NotIntegrable, ZeroDensity
 from selfdual.quadrature import integrate_positive
+from selfdual.rng import RngStream
 
 from conftest import make_rng
 
@@ -348,9 +350,9 @@ def test_confirmation_evaluates_only_the_pending_rows(kernel_workers):
         draws.update({int(k): cols.shape[1] for k in rows})
         return evaluate(cols, rows, levels)
 
-    batch = duality._sample_matrix(ind, 20_000, make_rng(78))
+    first = duality._Draw(ind, 20_000, make_rng(78))
     group = (labels, counted, scales)
-    points = duality._confirmed_mc_points([group], ind, batch, make_rng(79))
+    points = duality._confirmed_mc_points([group], first, make_rng(79))
     assert {p.rounds for p in points} == {0, 2}
     # each row was evaluated on exactly the draws its point pools
     assert [draws[k] for k in range(len(points))] == [p.n_samples for p in points]
@@ -398,6 +400,83 @@ def test_kernel_memory_does_not_grow_with_the_sample_count(kernel_workers):
 
     peak_beyond_draws(400_000)  # every kernel thread takes blocks and sizes its buffers
     assert peak_beyond_draws(400_000) <= 1.2 * peak_beyond_draws(100_000)
+
+
+# the negative control, so the confirmation batches are streamed too
+_NEGATIVE = dist.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
+# near-equal sampling chunks whose edges fall inside kernel blocks
+_STREAMED_N = 3 * dist.SAMPLE_BLOCK + 17
+
+
+def test_streamed_draws_give_the_points_of_the_whole_draw(kernel_workers):
+    chunk_edges = [ready for _, ready in _NEGATIVE.column_chunks(_STREAMED_N, make_rng(83))]
+    assert len(chunk_edges) == 4 and all(edge % duality.BLOCK for edge in chunk_edges)
+    for check in (
+        lambda model: duality.check_payoff_symmetry(model, 1, rng=make_rng(83), n_samples=_STREAMED_N),
+        lambda model: duality.check_joint_self_duality(model, make_rng(84), n_samples=_STREAMED_N),
+    ):
+        streamed = check(_NEGATIVE).points
+        # a model with only ``sample_columns`` hands the kernel its whole draw
+        assert streamed == check(_RecordedDraws(_NEGATIVE)).points
+        assert max(p.rounds for p in streamed) == 2
+
+
+def test_every_draw_is_made_on_the_calling_thread(kernel_workers, monkeypatch):
+    threads = set()
+
+    def recorded(draw):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return draw(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("standard_normal", "uniform", "poisson", "choice", "multivariate_normal"):
+        monkeypatch.setattr(RngStream, name, recorded(getattr(RngStream, name)))
+    report = duality.check_payoff_symmetry(_NEGATIVE, 1, rng=make_rng(85), n_samples=_STREAMED_N)
+    assert max(p.rounds for p in report.points) == 2
+    assert threads == {threading.get_ident()}
+
+
+class _ZeroInLastChunk:
+    """A streamed draw whose last chunk ends in a zero coordinate."""
+
+    def __init__(self, model):
+        self.model, self.dim = model, model.dim
+
+    def column_chunks(self, n, rng):
+        for cols, ready in self.model.column_chunks(n, rng):
+            if ready == n:
+                cols[1, -1] = 0.0
+            yield cols, ready
+
+
+def test_a_nonpositive_draw_in_a_later_chunk_is_refused_on_every_worker_count(monkeypatch):
+    model, errors, points = _ZeroInLastChunk(_NEGATIVE), [], []
+    for workers in (1, max(duality.WORKERS, 2)):
+        monkeypatch.setattr(duality, "WORKERS", workers)
+        with pytest.raises(DomainError) as refused:
+            duality.check_payoff_symmetry(model, 1, rng=make_rng(86), n_samples=_STREAMED_N)
+        errors.append(str(refused.value))
+        # the pool that raised still serves the next check
+        points.append(duality.check_payoff_symmetry(_NEGATIVE, 1, rng=make_rng(86), n_samples=50_000).points)
+    assert errors == ["kappa requires strictly positive coordinates"] * 2
+    assert points[0] == points[1]
+
+
+def test_power_scaled_draw_holds_one_batch():
+    base = dist.MultiLogNormal.jointly_self_dual(3, 0.5)
+    adapter = duality._PowerScaled(base, np.array([0.01, -0.02, 0.03]), 1.7)
+    tracemalloc.start()
+    try:
+        for cols, _ in adapter.column_chunks(800_000, make_rng(87)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * cols.nbytes
+    want = (np.exp(adapter.lam)[:, None] * base.sample_columns(800_000, make_rng(87))) ** 1.7
+    assert cols.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------- #
