@@ -677,7 +677,7 @@ def _run_price(spec: dict) -> tuple[str, dict, dict]:
 def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
     cfg, task = spec["model"], spec["task"]
     # before the barrier's asset picks a carry or a hedge weight
-    task["barrier"].validate_asset(cfg)
+    task["barrier"].validate(cfg)
     alpha = task["alpha"]
     if alpha == "solve":
         i = task["barrier"].asset

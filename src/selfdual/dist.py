@@ -138,10 +138,6 @@ class ScalarModel(ABC):
         """E[eta^b (w eta + c)_+^p] in closed form, or None where the law has none."""
         return None
 
-    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> float | None:
-        """Exact E fn(eta) for a vectorised ``fn``, or None; only finite atom sets have it."""
-        return None
-
     def power_transformed(self, lam, alpha: float) -> "ScalarModel | None":
         """The law of (e^lam eta)^alpha when it stays in the model's family, else None."""
         return None
@@ -424,9 +420,6 @@ class DiscreteAtoms(ScalarModel):
     def tail_mean(self, k):
         gap = lambda kk: self.expect_affine(1.0, -kk, 0.0, 1.0)
         return gap(k) if np.ndim(k) == 0 else np.vectorize(gap, otypes=[float])(k)
-
-    def expect(self, fn):
-        return float(fn(self.values) @ self.probs)
 
     def expect_affine(self, w, c, p=1.0, b=0.0):
         """Exact atom sum; at p = 0 the indicator 1{w eta + c > 0} is strict."""

@@ -191,16 +191,6 @@ class SymmetryReport:
             f"max_se_units={self.max_residual_in_se_units:.3f} points={len(self.points)}"
         )
 
-    def to_text(self) -> str:
-        lines = [f"# {self.test_name}"]
-        for p in self.points:
-            lines.append(
-                f"point={p.label} residual={p.residual:.17g} "
-                f"std_error={p.std_error:.17g} status={p.status}"
-            )
-        lines.append(self.one_line())
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class _Moments:
@@ -304,8 +294,6 @@ class _Draw:
         self.model, self.n = model, int(n)
         if hasattr(model, "column_chunks"):
             self._chunks = model.column_chunks(self.n, rng)
-        elif hasattr(model, "sample_columns"):
-            self._chunks = [(model.sample_columns(self.n, rng), self.n)]
         else:  # row-major draws, transposed
             rows = model.sample(self.n, rng).reshape(self.n, -1)
             self._chunks = [(np.ascontiguousarray(rows.T), self.n)]

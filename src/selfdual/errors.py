@@ -51,14 +51,6 @@ class NoBracket(SelfDualError):
     """Root scan found no sign change in the search interval."""
 
 
-class AmbiguousRoot(SelfDualError):
-    """Root scan found several roots; all of them are reported."""
-
-    def __init__(self, message: str, roots: list[float]):
-        super().__init__(message)
-        self.roots = roots
-
-
 class InfiniteActivity(SelfDualError):
     """Jump measure has infinite total mass; simulation unsupported."""
 

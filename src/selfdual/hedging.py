@@ -148,7 +148,8 @@ class Barrier:
             raise DomainError("direction must be 'down' or 'up'")
 
     def validate(self, cfg: PathConfig) -> None:
-        self.validate_asset(cfg)
+        if not 1 <= self.asset <= cfg.n:
+            raise DomainError(f"barrier asset {self.asset} out of range 1..{cfg.n}")
         s0 = float(cfg.s0[self.asset - 1])
         if s0 == self.level:
             raise DomainError("initial price must differ from the barrier level")
@@ -158,10 +159,6 @@ class Barrier:
                 f"barrier direction {self.direction!r} inconsistent with S0={s0} "
                 f"and level={self.level}"
             )
-
-    def validate_asset(self, cfg: PathConfig) -> None:
-        if not 1 <= self.asset <= cfg.n:
-            raise DomainError(f"barrier asset {self.asset} out of range 1..{cfg.n}")
 
     def crossed(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -462,10 +459,12 @@ class HedgeReport:
     price_knock_in: tuple[float, float] = (0.0, 0.0)
     price_knock_out: tuple[float, float] = (0.0, 0.0)
     price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
+    sub_replicates: bool = False  # a knock-out hedge: target minus a super-replicating hedge
 
     def _miss(self, gap: float) -> float:
-        """How far a gap lies on the failing side: below zero if one-sided, else either."""
-        return -gap if self.one_sided else abs(gap)
+        """How far a gap lies on the failing side: either side if two-sided, else below zero,
+        or above it for a hedge that sub-replicates."""
+        return abs(gap) if not self.one_sided else gap if self.sub_replicates else -gap
 
     @property
     def max_gap_se_units(self) -> float:
@@ -644,7 +643,8 @@ def evaluate_hedge(
     most ``n_outer`` paths for ``n_hit_states`` hit states, the first batch
     sized to find them twice over at the bridge hit rate.  Jump drivers do
     all of it on the grid of ``n_outer`` paths, keep the overshoot state,
-    and have a one-sided verdict and no price gap.
+    and have no price gap and a one-sided verdict: a hit state's gap
+    fails below zero, or above it for a knock-out hedge.
     """
     _require(cfg, [plan.barrier], rng)
     zero = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
@@ -666,8 +666,9 @@ def evaluate_hedge(
     f, chi = plan.target(terminal), knocked.astype(float)
     miss = _no_hit_mismatch(plan, plan.hedge(terminal)[~knocked], f[~knocked])
     return replace(
-        report, terminal_max_mismatch=miss, price_plain=_mean_se(f),
-        price_knock_in=_mean_se(chi * f), price_knock_out=_mean_se((1.0 - chi) * f),
+        report, sub_replicates=plan.knock == "out", terminal_max_mismatch=miss,
+        price_plain=_mean_se(f), price_knock_in=_mean_se(chi * f),
+        price_knock_out=_mean_se((1.0 - chi) * f),
     )
 
 

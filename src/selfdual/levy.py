@@ -24,13 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .duality import KappaMaps, ReportPoint, SymmetryReport
-from .errors import (
-    AmbiguousRoot,
-    DomainError,
-    InfiniteActivity,
-    NoBracket,
-    PatternViolation,
-)
+from .errors import DomainError, InfiniteActivity, NoBracket, PatternViolation
 from .rng import RngStream
 
 __all__ = [
@@ -67,6 +61,16 @@ def triple_norm(u, i: int) -> float:
     return math.sqrt(0.5 * (float(u @ u) + float(k @ k)))
 
 
+def _require_covariance(m: np.ndarray, n: int, what: str) -> None:
+    """Refuse ``m`` unless it is an n x n symmetric positive semidefinite matrix."""
+    if m.shape != (n, n):
+        raise DomainError(f"{what} must be square")
+    if not np.allclose(m, m.T, atol=1e-12):
+        raise DomainError(f"{what} must be symmetric")
+    if np.min(np.linalg.eigvalsh(m)) < -1e-12:
+        raise DomainError(f"{what} must be positive semidefinite")
+
+
 # --------------------------------------------------------------------------- #
 # Jump measures
 # --------------------------------------------------------------------------- #
@@ -85,6 +89,7 @@ class GaussianPart:
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
         if self.mass <= 0:
             raise DomainError("Gaussian jump mass must be positive")
+        _require_covariance(self.cov, self.dim, "Gaussian jump covariance")
 
     @property
     def dim(self) -> int:
@@ -233,12 +238,7 @@ class LevyTriplet:
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
         n = a.shape[0]
-        if a.shape != (n, n):
-            raise DomainError("A must be square")
-        if not np.allclose(a, a.T, atol=1e-12):
-            raise DomainError("A must be symmetric")
-        if np.min(np.linalg.eigvalsh(a)) < -1e-12:
-            raise DomainError("A must be positive semidefinite")
+        _require_covariance(a, n, "A")
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown drift convention {self.convention!r}")
         drift = np.asarray(self.drift, dtype=float)
@@ -488,7 +488,7 @@ class AlphaSolution:
     method: str  # closed_lognormal | closed_lambertw | closed_laplace | bracketed_root
     bracket: tuple[float, float] | None
     residual: float
-    roots: tuple[float, ...] = ()  # every root the bracketed scan found
+    roots: tuple[float, ...] = ()  # the bracketed scan's root, if it found one
 
 
 def _exp_safe(v: float) -> float:
@@ -528,32 +528,35 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
     Solves ``a_ii alpha = a_ii - 2 lambda_i
     + 2 integral (e^x - 1 - x e^(alpha x / 2)) d nu_i(x)`` over the
     marginal jump measure, assuming the triplet is martingale-normalised
-    in coordinate ``i``.  Closed forms are dispatched when recognised
-    (no jumps; a unit-mass Gaussian jump part with or without a diffusion
-    component) and validated against the same equation; the bracketed
-    scan on [-50, 50] reports every root it finds.
+    in coordinate ``i``.  The two sides differ by a function of slope
+    ``a_ii + integral x^2 e^(alpha x / 2) d nu_i >= 0``, with one root unless
+    coordinate ``i`` has no diffusion and no jumps, which is refused.  The
+    scan on [-50, 50] brackets it; closed forms replace it for no jumps and,
+    when they solve the equation, for a unit-mass Gaussian jump part.
     """
     if not 1 <= i <= t.n:
         raise DomainError(f"numeraire index {i} out of range 1..{t.n}")
     aii = float(t.a[i - 1, i - 1])
+    gauss = t.nu.gaussian
+    # what moves coordinate i: its atoms, and the mean and variance of a Gaussian part
+    moves = [x[i - 1] for x, _ in t.nu.atoms]
+    moves += [] if gauss is None else [gauss.mean[i - 1], gauss.cov[i - 1, i - 1]]
+    if aii <= 0 and not any(moves):
+        raise DomainError(
+            f"coordinate {i} has no diffusion and no jumps: the order equation is degenerate"
+        )
     exp_int, mass, weighted = _marginal_jump_terms(t, i)
 
     def g_fun(alpha):
         return aii * alpha - aii + 2.0 * lambda_i - 2.0 * (exp_int - mass - weighted(alpha))
 
-    scale = 1.0 + abs(aii)
     roots, bracket = _scan_roots(g_fun)
 
     closed = None
-    method = "bracketed_root"
-    gauss = t.nu.gaussian
-    pure_gaussian_nu = gauss is not None and not t.nu.atoms
+    beta2 = 0.0 if gauss is None else float(gauss.cov[i - 1, i - 1])
     if t.nu.is_empty:
-        if aii <= 0:
-            raise DomainError("no jumps and a_ii = 0: the order equation is degenerate")
         closed, method = 1.0 - 2.0 * lambda_i / aii, "closed_lognormal"
-    elif pure_gaussian_nu and abs(gauss.mass - 1.0) <= 1e-12:
-        beta2 = float(gauss.cov[i - 1, i - 1])
+    elif beta2 > 0 and not t.nu.atoms and abs(gauss.mass - 1.0) <= 1e-12:
         if aii <= 1e-300:
             if 1.0 + lambda_i <= 0:
                 raise DomainError("carrying cost below -1: no real order exists")
@@ -563,49 +566,35 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
             cand = 2.0 * lambert_w0(z) / beta2 + 1.0 - 2.0 * (lambda_i + 1.0) / aii
             cand_method = "closed_lambertw"
         # closed forms presume the self-consistent tilt; validate on the equation
-        if abs(g_fun(cand)) <= 1e-10 * scale:
+        if abs(g_fun(cand)) <= 1e-10 * (1.0 + abs(aii)):
             closed, method = cand, cand_method
 
     if closed is not None:
         return AlphaSolution(closed, method, bracket, abs(g_fun(closed)), tuple(roots))
     if not roots:
         raise NoBracket("no sign change of the order equation found in [-50, 50]")
-    if len(roots) > 1:
-        raise AmbiguousRoot(
-            f"order equation has {len(roots)} roots: {roots}", roots=roots
-        )
     return AlphaSolution(roots[0], "bracketed_root", bracket, abs(g_fun(roots[0])), tuple(roots))
 
 
 def _scan_roots(g_fun):
-    """Sign-change scan, one array call on a symmetric geometric grid in [-50, 50], then brentq."""
+    """The first exact zero or sign change of ``g_fun`` on a symmetric geometric grid in
+    [-50, 50], evaluated in one array call and refined by brentq: ``([root] or [], bracket)``."""
     from scipy.optimize import brentq
 
     pos = np.geomspace(1e-3, 50.0, 120)
     grid = np.concatenate([-pos[::-1], [0.0], pos])
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, skipped below
         vals = g_fun(grid)
-    roots: list[float] = []
-    bracket = None
     for k in range(len(grid) - 1):
         va, vb = vals[k], vals[k + 1]
         if not (math.isfinite(va) and math.isfinite(vb)):
             continue  # overflow region; no reliable bracketing there
         if va == 0.0:
-            roots.append(float(grid[k]))
-            continue
+            return [float(grid[k])], None
         if (va < 0.0) != (vb < 0.0) and vb != 0.0:  # a product could overflow or underflow
-            r = float(brentq(g_fun, float(grid[k]), float(grid[k + 1]), xtol=1e-15, rtol=8.9e-16))
-            roots.append(r)
-            if bracket is None:
-                bracket = (float(grid[k]), float(grid[k + 1]))
-    if math.isfinite(vals[-1]) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    dedup: list[float] = []
-    for r in roots:
-        if not any(abs(r - q) <= 1e-9 * (1.0 + abs(q)) for q in dedup):
-            dedup.append(r)
-    return dedup, bracket
+            lo, hi = float(grid[k]), float(grid[k + 1])
+            return [float(brentq(g_fun, lo, hi, xtol=1e-15, rtol=8.9e-16))], (lo, hi)
+    return ([float(grid[-1])] if vals[-1] == 0.0 else []), None
 
 
 # --------------------------------------------------------------------------- #

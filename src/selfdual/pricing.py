@@ -62,11 +62,8 @@ class Payoff:
         raise NotImplementedError
 
     def closed_form(self, model: ScalarModel, forward: float) -> float | None:
-        """Exact E self(forward * eta) on a scalar model, or None.
-
-        The default has only the exact sum over a finite atom set.
-        """
-        return model.expect(lambda eta: self(forward * eta[:, None]))
+        """Exact E self(forward * eta) on a scalar model, or None: the default has none."""
+        return None
 
     def _matrix(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -285,7 +282,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def price(
-    model_or_samples,
+    model,
     payoff: Payoff,
     r: float = 0.0,
     maturity: float = 1.0,
@@ -293,39 +290,35 @@ def price(
     n_samples: int = DEFAULT_SAMPLES,
     forward=1.0,
 ) -> PriceEstimate:
-    """Expected payoff of ``payoff`` on terminal prices ``forward * eta``.
+    """Expected payoff of ``payoff`` on terminal prices ``forward * eta``:
+    in closed form where the model has one, by Monte Carlo otherwise.
 
-    Accepts a model (closed form where the model has one, Monte Carlo
-    otherwise) or a pre-simulated terminal sample matrix.  An affine
-    power claim of growth order ``p + b`` other than zero or one verifies
-    that the moment of that order exists before anything is evaluated.
+    An affine power claim of growth order ``p + b`` other than zero or one
+    verifies that the moment of that order exists before anything is
+    evaluated.
     """
     df = math.exp(-r * maturity)
-    if isinstance(model_or_samples, np.ndarray):
-        s = model_or_samples.reshape(model_or_samples.shape[0], -1)
-    else:
-        model = model_or_samples
-        order = payoff.p + payoff.b if isinstance(payoff, AffinePower) else 1.0
-        if order not in (0.0, 1.0) and isinstance(model, ScalarModel):
-            try:
-                model.raw_moment(order)
-            except MomentDiverges as exc:
-                raise MomentDiverges(
-                    f"payoff of power {order} is not integrable: {exc}",
-                    critical_exponent=exc.critical_exponent,
-                ) from None
-        closed = _closed_forms(model, [(payoff, float(forward))]) if np.ndim(forward) == 0 else None
-        if closed is not None:
-            return PriceEstimate(closed[0], 0.0, 0, df, "closed_form")
-        if rng is None:
-            raise DomainError("Monte-Carlo pricing requires an RngStream")
-        forward = np.atleast_1d(np.asarray(forward, dtype=float))
-        if forward.size not in (1, model.dim):
-            raise DomainError(
-                f"forward has {forward.size} entries; the model has dimension {model.dim}"
-            )
-        payoff(np.ones((1, model.dim)))  # a probe row: a payoff that does not fit raises undrawn
-        s = _terminal_samples(model, n_samples, rng) * forward
+    order = payoff.p + payoff.b if isinstance(payoff, AffinePower) else 1.0
+    if order not in (0.0, 1.0) and isinstance(model, ScalarModel):
+        try:
+            model.raw_moment(order)
+        except MomentDiverges as exc:
+            raise MomentDiverges(
+                f"payoff of power {order} is not integrable: {exc}",
+                critical_exponent=exc.critical_exponent,
+            ) from None
+    closed = _closed_forms(model, [(payoff, float(forward))]) if np.ndim(forward) == 0 else None
+    if closed is not None:
+        return PriceEstimate(closed[0], 0.0, 0, df, "closed_form")
+    if rng is None:
+        raise DomainError("Monte-Carlo pricing requires an RngStream")
+    forward = np.atleast_1d(np.asarray(forward, dtype=float))
+    if forward.size not in (1, model.dim):
+        raise DomainError(
+            f"forward has {forward.size} entries; the model has dimension {model.dim}"
+        )
+    payoff(np.ones((1, model.dim)))  # a probe row: a payoff that does not fit raises undrawn
+    s = _terminal_samples(model, n_samples, rng) * forward
     value, se = _mean_se(payoff(s))
     return PriceEstimate(value, se, s.shape[0], df, "monte_carlo")
 
@@ -380,14 +373,12 @@ def vanilla_symmetry_residual(
     model,
     k: float,
     big_f: float,
-    r: float = 0.0,
-    maturity: float = 1.0,
     rng: RngStream | None = None,
     n_samples: int = DEFAULT_SAMPLES,
 ) -> dict:
     """Self-duality of vanilla prices: strike/forward exchange residuals.
 
-    Returns the defects of ``e^{rT} c(k,F) + k = e^{rT} c(F,k) + F`` and
+    Returns the undiscounted defects of ``c(k,F) + k = c(F,k) + F`` and
     of ``p(k,F) = c(F,k)`` with standard errors (zero on closed forms).
     """
     c_fk = (-1.0, BasketCall((1.0,), big_f), k)

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from selfdual import cli, dist, duality, hedging, levy
+from selfdual import cli, dist, duality, hedging, levy, pricing
 from selfdual.errors import SchemaError
 
 from conftest import use_yaml_backend
@@ -1052,6 +1052,18 @@ SCHEMA_CORPUS = [
         _task("{kind: check, checks: [density, quasi], alpha: null, numeraire: 0}"),
         ["spec.task.numeraire: must be >= 1, got 0", "spec.task.alpha: missing required key"],
     ),
+    (
+        _model("{kind: multi_lognormal, mean: [0, 0], cov: []}"),
+        ["spec.model.cov: expected a nonempty list of rows"],
+    ),
+    (
+        _model("{kind: multi_lognormal, mean: [0, 0], cov: [[0.04, 0], [0, x]]}"),
+        ["spec.model.cov[1][1]: not a number: 'x'"],
+    ),
+    (
+        _model("{kind: multi_lognormal, mean: [0, 0], cov: [[0.04, 0], abc]}"),
+        ["spec.model.cov[1]: expected a nonempty list of numbers"],
+    ),
 ]
 
 
@@ -1281,6 +1293,148 @@ def test_a_spec_needs_a_model_and_a_task():
         with pytest.raises(SchemaError) as exc:
             cli.parse_model_spec(doc)
         assert exc.value.violations[0].endswith(": expected a mapping, got NoneType")
+
+
+def test_a_lone_carry_is_the_carry_of_every_asset():
+    path = (
+        "{kind: path_config, s0: [1, 1], carry: %s, "
+        "driver: {kind: multi_lognormal, mean: [-0.02, -0.02], cov: [[0.04, 0.02], [0.02, 0.04]]}}"
+    )
+    for carry in ("0.01", "[0.01]"):
+        assert cli.parse_model_spec(_model(path % carry))["model"].carry.tolist() == [0.01, 0.01]
+    # a check task's carry is a vector too, and a lone number is a list of one
+    assert cli.parse_model_spec(_task("{kind: check, carry: 0.01}"))["task"]["carry"] == [0.01]
+
+
+_JUMPY = "a: 0.04, atoms: [{x: [0.3], mass: 0.5}, {x: [-0.2], mass: 0.4}]"
+
+
+def test_an_explicit_martingale_drift_is_the_default():
+    default = cli.parse_model_spec(_triplet(_JUMPY))["model"]
+    explicit = cli.parse_model_spec(_triplet(_JUMPY + ", drift: martingale"))["model"]
+    assert (explicit.convention, explicit.drift.tolist()) == ("mean", default.drift.tolist())
+    assert abs(levy.char_exponent(explicit, np.array([-1j]))) <= 1e-15
+
+
+def test_a_gamma_drift_under_the_default_convention_is_truncated():
+    read = cli.parse_model_spec(_triplet(_JUMPY + ", drift: {gamma: [0.01]}"))["model"]
+    named = cli.parse_model_spec(
+        _triplet(_JUMPY + ", drift: {gamma: [0.01]}, convention: truncated")
+    )["model"]
+    assert (read.convention, read.drift.tolist()) == ("truncated", [0.01])
+    u = np.array([0.7])
+    assert levy.char_exponent(read, u) == levy.char_exponent(named, u)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model: [unclosed\n", "document: invalid YAML ("),
+        ("- model: {kind: lognormal, sigma: 0.25}\n", "document: expected a mapping at the top level"),
+    ],
+)
+def test_a_document_that_is_no_spec_mapping_is_a_schema_error(text, message, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(text)
+    assert cli.main(["check", str(spec_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema error: {message}")
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_model_spec(text)
+    assert len(exc.value.violations) == 1
+
+
+def test_a_spec_path_that_cannot_be_read_exits_three(tmp_path, capsys):
+    missing = tmp_path / "no-such-spec.yaml"
+    assert cli.main(["check", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read spec: ") and str(missing) in captured.err
+
+
+def test_default_checks_add_quasi_when_alpha_is_given():
+    plain = cli.parse_model_spec(_task("{kind: check}"))
+    spec = cli.parse_model_spec(_task("{kind: check, alpha: 1.0}") + "samples: 20000\n")
+    assert cli._default_checks(plain) == ["density", "integrated_tail", "moments"]
+    assert cli._default_checks(spec) == ["density", "integrated_tail", "moments", "quasi"]
+    code, doc, _ = cli.run(spec)  # the log-normal is self-dual: quasi-self-dual of order 1
+    names = [c["name"] for c in doc["results"]["checks"]]
+    assert names[-1] == "quasi_self_dual[i=1,alpha=1]" and len(names) == 4 and code == 0
+
+
+# a spread on a driver with two atoms, self-dual for numeraire 1: order 1 is its own
+JUMP_SPREAD = """
+model:
+  kind: path_config
+  s0: [1.0, 1.0]
+  steps: 100
+  driver:
+    kind: levy_triplet
+    a: [[0.0225, 0.01125], [0.01125, 0.0225]]
+    atoms:
+    - {x: [0.3, 0.15], mass: 1.0}
+    - {x: [-0.3, -0.15], mass: 1.3498588075760032}
+samples: 20000
+task:
+  kind: hedge
+  barrier: {asset: 1, level: 0.8}
+  target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
+  alpha: ALPHA
+  knock: KNOCK
+  n_outer: 4000
+  n_inner: 20000
+  hit_states: 20
+"""
+
+
+def _run_at(text, seed):
+    spec = cli.parse_model_spec(text)
+    spec["seed"] = seed
+    code, doc, artifacts = cli.run(spec)
+    return code, doc["results"], artifacts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_a_jump_driver_knock_out_hedge_sub_replicates(seed):
+    # overshoot makes the knock-in hedge super-replicate, so target minus it sub-replicates:
+    # its hit-state gaps are the knock-in gaps negated, and they fail only above zero
+    runs = {
+        (alpha, knock): _run_at(JUMP_SPREAD.replace("ALPHA", alpha).replace("KNOCK", knock), seed)
+        for alpha in ("1", "1.5")
+        for knock in ("in", "out")
+    }
+    for alpha in ("1", "1.5"):
+        (_, into, in_csv), (_, out, out_csv) = runs[alpha, "in"], runs[alpha, "out"]
+        gaps = [[float(row.split(",")[5]) for row in csv["hedge_gaps.csv"].splitlines()[1:]]
+                for csv in (in_csv, out_csv)]
+        assert len(gaps[0]) == 20 and gaps[1] == [-g for g in gaps[0]]
+        assert out["max_gap_se_units"] == into["max_gap_se_units"]
+    assert runs["1", "in"][0] == runs["1", "out"][0] == 0
+    # the wrong order fails through a hit state alone: a jump driver has no price check
+    for knock in ("in", "out"):
+        code, results, _ = runs["1.5", knock]
+        assert code == 1 and results["max_gap_se_units"] > 3.0
+        assert results["price_gap"] is None and results["terminal_max_mismatch"] == 0.0
+
+
+HEDGE_MAX_OPTION = HEDGE_SMALL.replace(
+    "{kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}",
+    "{kind: max_option, u0: 0.5, weights: [1, 1]}",
+).replace("n_inner: 4000", "n_inner: 20000")
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_a_max_option_hedge_reflects_through_the_generic_claim(seed):
+    # a max option is no affine-power claim, so its reflection is the generic wrapper
+    assert isinstance(hedging.reflect_claim(pricing.MaxOption(0.5, (1, 1)), 1, 0.8, 1.0),
+                      hedging.ReflectedClaim)
+    code, results, artifacts = _run_at(HEDGE_MAX_OPTION, seed)
+    assert code != 1 and results["simplification"] == "indicator"
+    rows = [row.split(",") for row in artifacts["hedge_gaps.csv"].splitlines()[1:]]
+    assert len(rows) == 6 and all(abs(float(r[5])) <= 3.0 * float(r[6]) for r in rows)
+    gap, se = results["price_gap"]
+    assert abs(gap) <= 3.0 * se
 
 
 def test_readme_lists_every_model_payoff_task_and_check():

@@ -174,6 +174,21 @@ def test_discrete_self_dual_vector_atoms():
     assert duality.check_discrete_self_dual(bad, i=1).verdict == "fail"
 
 
+def test_discrete_self_dual_matches_float_atoms_within_rounding():
+    # 1 / 1.1 is 0.9090909090909091, one unit in the last place from the atom
+    atoms = [(1.1, 0.5), (0.909090909090909, 0.55)]
+    assert 1.0 / 1.1 != atoms[1][0]
+    rep = duality.check_discrete_self_dual(atoms)
+    assert rep.verdict == "pass" and rep.max_abs_residual <= 1e-15
+
+
+def test_discrete_self_dual_misses_a_reflected_atom():
+    # neither 1 / 0.5 = 2 nor 1 / 1.5 is an atom: each residual is the whole of x Q(eta = x)
+    rep = duality.check_discrete_self_dual([(0.5, 0.5), (1.5, 0.5)])
+    assert rep.verdict == "fail"
+    assert rep.residuals == [0.25, 0.75]
+
+
 # --------------------------------------------------------------------------- #
 # Payoff symmetry by Monte Carlo
 # --------------------------------------------------------------------------- #
@@ -373,15 +388,15 @@ def test_kernel_runs_in_a_forked_child(monkeypatch):
 
 
 class _RecordedDraws:
-    """A model whose column-major draws are recorded by size."""
+    """A model whose column-major draws come whole, as one chunk, and are recorded by size."""
 
     def __init__(self, model):
         self.model, self.dim, self.nbytes = model, model.dim, []
 
-    def sample_columns(self, n, rng):
+    def column_chunks(self, n, rng):
         cols = self.model.sample_columns(n, rng)
         self.nbytes.append(cols.nbytes)
-        return cols
+        yield cols, n
 
 
 def test_kernel_memory_does_not_grow_with_the_sample_count(kernel_workers):
@@ -416,7 +431,7 @@ def test_streamed_draws_give_the_points_of_the_whole_draw(kernel_workers):
         lambda model: duality.check_joint_self_duality(model, make_rng(84), n_samples=_STREAMED_N),
     ):
         streamed = check(_NEGATIVE).points
-        # a model with only ``sample_columns`` hands the kernel its whole draw
+        # a model that yields its whole draw as one chunk hands the kernel every block at once
         assert streamed == check(_RecordedDraws(_NEGATIVE)).points
         assert max(p.rounds for p in streamed) == 2
 

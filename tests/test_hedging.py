@@ -803,6 +803,19 @@ def test_the_hedge_line_prints_the_signed_price_gap_in_se_units(price_gap, text)
     assert f" price_gap_se={text} " in rep.one_line()
 
 
+@pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["continuous", "jump"])
+def test_a_hedge_that_pays_where_the_barrier_was_not_hit_fails(config):
+    # the bare target as a knock-in hedge: exact at every hit state, wrong on every path that misses
+    plan = hedging.HedgePlan(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in", _SPREAD)
+    rep = hedging.evaluate_hedge(
+        plan, config(), n_outer=500, n_inner=200, rng=make_rng(210), n_hit_states=4,
+        n_samples=20_000,
+    )
+    assert rep.hit_gaps and all(g.gap == 0.0 for g in rep.hit_gaps)
+    assert rep.terminal_max_mismatch > 1e-10 and rep.verdict == "fail"
+    assert replace(rep, terminal_max_mismatch=0.0, price_gap=None).verdict == "pass"
+
+
 def test_the_hit_state_search_grows_until_the_quota_is_full(monkeypatch):
     sizes, first_hits = [], hedging._first_hits
     monkeypatch.setattr(

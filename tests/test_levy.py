@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from selfdual import cli, levy
 from selfdual.duality import KappaMaps
-from selfdual.errors import AmbiguousRoot, DomainError, NoBracket, PatternViolation, SelfDualError
+from selfdual.errors import DomainError, NoBracket, PatternViolation, SelfDualError
 from selfdual.levy import GaussianPart, JumpMeasure, LevyTriplet
 
 from conftest import make_rng
@@ -241,7 +241,7 @@ def test_qsd_tilted_gaussian_fixture():
     nu = levy.build_tilted_gaussian_measure([[1.0]], alpha, 1.0, 1)
     t = levy.martingale_normalized([[0.0]], nu)
     rep = levy.check_qsd_triplet(t, 1, lam_gauss, alpha)
-    assert rep.verdict == "pass", rep.to_text()
+    assert rep.verdict == "pass", rep.one_line()
 
 
 def test_sd_char_function_bridge():
@@ -464,6 +464,65 @@ def test_solve_alpha_no_bracket():
     t = levy.martingale_normalized([[0.0]], JumpMeasure(atoms=atoms))
     with pytest.raises(NoBracket):
         levy.solve_alpha(t, 1, -1.0)
+
+
+@pytest.mark.parametrize(
+    "mean, cov",
+    [
+        ([0.0], [[-1.0]]),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]]),
+        ([0.0, 0.0], [[1.0]]),
+    ],
+)
+def test_a_gaussian_jump_part_refuses_a_covariance_that_is_not_psd(mean, cov):
+    with pytest.raises(DomainError, match="Gaussian jump covariance must be"):
+        GaussianPart(mean, cov, 1.0)
+
+
+def test_a_negative_gaussian_jump_variance_is_a_schema_error(tmp_path, capsys):
+    # accepted once, it gave the order equation three roots
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(
+        "model: {kind: levy_triplet, a: 0.04, "
+        "tilted_gaussian: {cov: -1.0, tilt: 0.5, mass: 1.0, numeraire: 1}}\n"
+        "task: {kind: alpha, carry: 0.01}\n"
+    )
+    assert cli.main(["alpha", str(spec_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "schema error: spec.model.tilted_gaussian: "
+        "Gaussian jump covariance must be positive semidefinite\n"
+    )
+
+
+@pytest.mark.parametrize("a", [0.0, 0.04])
+def test_solve_alpha_scans_a_unit_gaussian_jump_part_of_zero_variance(a):
+    # the closed forms divide by the jump variance, so a zero one raised ZeroDivisionError;
+    # the scan solves the part as the atom it is
+    t = levy.martingale_normalized([[a]], JumpMeasure(gaussian=GaussianPart([0.5], [[0.0]], 1.0)))
+    sol = levy.solve_alpha(t, 1, 0.1)
+    want = levy.solve_alpha(levy.martingale_normalized([[a]], JumpMeasure(atoms=(([0.5], 1.0),))), 1, 0.1)
+    assert sol.method == "bracketed_root" and sol.alpha == want.alpha and sol.residual <= 1e-12
+
+
+def _still_in_coordinate_one():
+    """Triplets with no diffusion and no jumps in coordinate 1, whose order equation is flat."""
+    a = [[0.0, 0.0], [0.0, 0.04]]
+    atom = JumpMeasure(atoms=((np.array([0.0, 0.2]), 1.0),))
+    gauss = JumpMeasure(gaussian=GaussianPart([0.0, -0.1], [[0.0, 0.0], [0.0, 0.2]], 1.0))
+    return [levy.martingale_normalized(a, nu) for nu in (atom, gauss)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, -0.2])
+def test_solve_alpha_refuses_a_coordinate_with_no_diffusion_and_no_jumps(lam):
+    # the atom triplet had every grid point a root at lam = 0 and none elsewhere; the
+    # Gaussian one divided by its zero variance in the closed form
+    for t in _still_in_coordinate_one():
+        with pytest.raises(DomainError, match="coordinate 1 has no diffusion and no jumps"):
+            levy.solve_alpha(t, 1, lam)
+        assert math.isfinite(levy.solve_alpha(t, 2, lam).alpha)  # coordinate 2 moves
 
 
 def _oracle_scan_roots(g_fun, lo: float = -50.0, hi: float = 50.0):

@@ -109,13 +109,6 @@ def test_price_monte_carlo_path():
     assert abs(est.value - oracle) <= 4.0 * est.std_error
 
 
-def test_price_on_samples_matrix():
-    s = LN25.sample(100_000, make_rng(81)).reshape(-1, 1)
-    est = pricing.price(s, pricing.BasketCall((1.0,), 1.0))
-    closed = pricing.price(LN25, pricing.BasketCall((1.0,), 1.0)).value
-    assert abs(est.value - closed) <= 4.0 * est.std_error
-
-
 def test_power_call_moment_gate():
     with pytest.raises(MomentDiverges):
         pricing.price(
