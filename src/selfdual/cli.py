@@ -62,7 +62,7 @@ def _build(chk: _Check, node, path: str, table):
     only when the mapping read cleanly, and its :class:`SelfDualError` is
     recorded at ``path``.
     """
-    make, fields = table
+    make, fields = table[:2]
     if not isinstance(node, dict):
         return chk.fail(path, f"expected a mapping, got {type(node).__name__}")
     before = len(chk.errors)
@@ -386,6 +386,9 @@ def _require(what: str, model) -> None:
 
 
 _PAYOFF = (_kinded, {"of": PAYOFFS, "required": True})
+# each task kind's table ends in a function of the model that names the spec settings,
+# of ``samples`` and ``tol``, that the task reads; an explicit setting it does not read
+# is a schema error
 TASKS = {
     "check": (dict, {
         # left None when omitted: a vector model then defaults to the joint check
@@ -393,17 +396,18 @@ TASKS = {
         "checks": (_choice, {"of": tuple(CHECKS), "many": True}),
         "alpha": (_number, {"needed_by": ("checks", "quasi")}),
         "carry": (_vector, {}),
-    }),
+    }, lambda model: ("samples", "tol")),
     "alpha": (dict, {
         "numeraire": (_integer, {"ge": 1, "default": 1}),
         "carry": (_number, {"required": True}),
-    }),
+    }, lambda model: ()),
     "price": (dict, {
         "payoff": _PAYOFF,
         "rate": (_number, {"default": 0.0}),
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
-    }),
+    }, lambda model: ("samples",)),
+    # samples size a continuous driver's price check; a jump driver's hedge prices on its paths
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
             "asset": (_integer, {"ge": 1, "required": True}),
@@ -416,12 +420,12 @@ TASKS = {
         "n_outer": (_integer, {"ge": 100, "default": 10_000}),
         "n_inner": (_integer, {"ge": 100, "default": 20_000}),
         "hit_states": (_integer, {"ge": 1, "default": 50}),
-    }),
+    }, lambda cfg: ("samples",) if getattr(cfg, "is_continuous", True) else ()),
     "zonoid": (dict, {
         "k_min": (_number, {"gt": 0.0, "default": 1e-2}),
         "k_max": (_number, {"gt": 0.0, "default": 1e2}),
         "points": (_integer, {"ge": 2, "default": 200}),
-    }),
+    }, lambda model: ()),
 }
 TASK_KINDS = tuple(TASKS)
 
@@ -460,9 +464,27 @@ def parse_model_spec(document: str) -> dict:
     if chk.errors:
         raise SchemaError(chk.errors)
     spec["task"]["kind"] = raw["task"]["kind"]
+    _refuse_unread(spec, {
+        "samples": ("spec.samples", raw.get("samples")),
+        "tol": ("spec.tol.exact", (raw.get("tol") or {}).get("exact")),
+    })
     spec["model_node"] = _normalize(raw["model"])
     spec["task_node"] = _normalize(raw["task"])
     return spec
+
+
+def _refuse_unread(spec: dict, given: dict) -> None:
+    """Refuse each setting of ``given``, ``{setting: (where, value or None)}``, that was
+    given explicitly and that the spec's task does not read."""
+    kind = spec["task"]["kind"]
+    reads = TASKS[kind][2](spec["model"])
+    unread = [
+        f"{where}: the {kind} task does not read {setting}"
+        for setting, (where, value) in given.items()
+        if value is not None and setting not in reads
+    ]
+    if unread:
+        raise SchemaError(unread)
 
 
 def _normalize(node):
@@ -772,6 +794,7 @@ def _apply_overrides(spec: dict, args: argparse.Namespace) -> None:
             owner[key] = read(chk, value, flag, opt)
     if chk.errors:
         raise SchemaError(chk.errors)
+    _refuse_unread(spec, {"samples": ("--samples", args.samples), "tol": ("--tol", args.tol)})
 
 
 @cache

@@ -233,6 +233,9 @@ def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0) -> Rep
 
 BLOCK = 8192  # draws per kernel block; 2,048 and 16,384 were slower
 CONFIRM_ROUNDS = 2  # fresh batches for a failing point, of 2x and then 4x the first
+# a failing point beyond this many SE at a look is decided there; no failing point of
+# a positive control has gone past 4.13 SE at any look (tests/calibrate_confirmation.py)
+DECISIVE_Z = 10.0
 # one kernel thread per CPU this process may use; with one, blocks run inline
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # by process: a forked child has no parent threads
@@ -304,6 +307,11 @@ class _Draw:
         self._chunks = [(self.cols, self.n)]
 
 
+def _pending(point: ReportPoint) -> bool:
+    """A failing point whose margin a further batch could still overturn."""
+    return point.status == "fail" and abs(point.residual) <= DECISIVE_Z * point.std_error
+
+
 def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]:
     """Evaluate CRN difference points with pooled re-confirmation.
 
@@ -317,6 +325,7 @@ def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]
     from ``confirm_rng`` and pooled by its sufficient statistics: under the
     exact identity a borderline exceedance among many simultaneous 3-SE
     tests washes out, while a genuine asymmetry reproduces and keeps failing.
+    One beyond ``DECISIVE_Z`` SE at a look fails there, with the rounds it used.
     """
     rows = [np.arange(len(labels)) for labels, _, _ in groups]
     offsets = np.cumsum([0] + [len(r) for r in rows])  # index of each group's first point
@@ -337,8 +346,8 @@ def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]
             for j, k in enumerate(rows[g]):
                 point = _mc_point(groups[g][0][k], stats[g].take(j), scales[g][k], rounds)
                 points[offsets[g] + k] = point
-            failing = np.array([points[offsets[g] + k].status == "fail" for k in rows[g]], bool)
-            rows[g], stats[g] = rows[g][failing], stats[g].take(failing)
+            pending = np.array([_pending(points[offsets[g] + k]) for k in rows[g]], bool)
+            rows[g], stats[g] = rows[g][pending], stats[g].take(pending)
     return points
 
 

@@ -611,6 +611,8 @@ def _bridge_moments(
     rate = -2.0 * y0_h / var if var > 0 else -math.copysign(math.inf, y0_h)
     growth, root = cfg.horizon * cfg.carry, gaussian_root(cfg.driver, cfg.horizon)
     total, mismatch = None, 0.0
+    # held across blocks: a fresh (5, TERMINAL_BLOCK) stack per block costs page faults
+    held = np.empty((5, TERMINAL_BLOCK))
     for start in range(0, int(n_samples), TERMINAL_BLOCK):
         size = min(TERMINAL_BLOCK, int(n_samples) - start)
         x = sample_increments(cfg.driver, cfg.horizon, rng, size, root=root).T
@@ -620,7 +622,7 @@ def _bridge_moments(
         f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
         mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
         w = 1.0 - p if plan.knock == "out" else p
-        rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p])
+        rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=held[:, :size])
         block = _Moments.of(rows, out=rows)
         total = block if total is None else total.pooled(block)
     return total, mismatch

@@ -311,9 +311,13 @@ task: {kind: check, checks: [payoff], numeraire: 1}
     assert code == 1
     points = doc["results"]["checks"][0]["points"]
     seen = {(p["status"], p["n_samples"], p["rounds"]) for p in points}
-    # passing points rest on the first batch; failing ones pooled 20k + 40k + 80k
-    assert seen <= {("pass", 20_000, 0), ("fail", 140_000, 2)}
+    # passing points rest on the first batch; failing ones pooled 20k + 40k + 80k, unless
+    # they were beyond DECISIVE_Z SE at the first look or after the first round
+    assert seen <= {("pass", 20_000, 0), ("fail", 20_000, 0), ("fail", 60_000, 1), ("fail", 140_000, 2)}
     assert ("fail", 140_000, 2) in seen
+    for p in points:
+        if p["status"] == "fail" and p["rounds"] < 2:
+            assert abs(p["residual"]) > duality.DECISIVE_Z * p["std_error"]
     exact = cli.parse_model_spec(MINIMAL)
     _, doc, _ = cli.run(exact)
     for check in doc["results"]["checks"]:
@@ -1165,7 +1169,8 @@ def test_a_spec_that_cannot_run_is_an_exit_three_report(kind, tmp_path, capsys):
     text, message, error_type = (*RUN_ERRORS[kind], "DomainError")[:3]
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(text)
-    assert cli.main([kind.split("-")[0], str(spec_file), "--samples", "1000"]) == 3
+    flags = [] if kind.startswith("zonoid") else ["--samples", "1000"]  # zonoids refuse samples
+    assert cli.main([kind.split("-")[0], str(spec_file), *flags]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
     assert yaml.safe_load(captured.out)["error"] == {"type": error_type, "message": message}
@@ -1375,7 +1380,6 @@ model:
     atoms:
     - {x: [0.3, 0.15], mass: 1.0}
     - {x: [-0.3, -0.15], mass: 1.3498588075760032}
-samples: 20000
 task:
   kind: hedge
   barrier: {asset: 1, level: 0.8}
@@ -1631,17 +1635,57 @@ def test_no_cli_report_takes_the_yaml_dump_fallback(name, tmp_path, monkeypatch,
 def test_samples_size_the_price_check_of_continuous_hedges_only(name, tmp_path, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(GOLDEN_SPECS[name][1])
-    results = []
-    for flags in ([], ["--samples", "1000"]):
-        assert cli.main(["hedge", str(spec_file), "--seed", "11", *flags]) == 0
-        results.append(yaml.safe_load(capsys.readouterr().out)["results"])
-    default, small = results
-    if name == "hedge-jump-super":  # grid-monitored: no price gap, and samples do nothing
-        assert default["price_gap"] is None and small == default
+    assert cli.main(["hedge", str(spec_file), "--seed", "11"]) == 0
+    default = yaml.safe_load(capsys.readouterr().out)["results"]
+    code = cli.main(["hedge", str(spec_file), "--seed", "11", "--samples", "1000"])
+    captured = capsys.readouterr()
+    if name == "hedge-jump-super":  # grid-monitored: no price gap, and samples are refused
+        assert default["price_gap"] is None
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "schema error: --samples: the hedge task does not read samples\n"
     else:
+        assert code == 0
+        small = yaml.safe_load(captured.out)["results"]
         assert small["price_gap"] != default["price_gap"]
         assert small["price_gap"][1] > 5.0 * default["price_gap"][1]  # 200x fewer draws
         assert small["hit_states"] == default["hit_states"] == 6
+
+
+# one spec of each task kind, and a jump driver's hedge; each reads what its kind declares
+SETTING_SPECS = {
+    "check": "model: {kind: multi_lognormal, mean: [-0.125, -0.125], "
+    "cov: [[0.25, 0.125], [0.125, 0.25]]}\ntask: {kind: check, checks: [density, payoff], numeraire: 1}\n",
+    "alpha": REPORT_SPECS["alpha"],
+    "price": "model: {kind: multi_lognormal, mean: [-0.02, -0.02], cov: [[0.04, 0], [0, 0.04]]}\n"
+    "task: {kind: price, payoff: {kind: max_option, u0: 1, weights: [1, 1]}}\n",
+    "hedge": HEDGE_SMALL,
+    "hedge-jump": HEDGE_JUMP_SUPER,
+    "zonoid": REPORT_SPECS["zonoid"],
+}
+# each setting as a flag and as a spec key, away from its default
+SETTINGS = {"samples": ("1000", "samples: 1000\n"), "tol": ("1e-300", "tol: {exact: 1.0e-300}\n")}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("name", sorted(SETTING_SPECS))
+def test_every_explicit_setting_acts_or_is_refused(name, setting, tmp_path, capsys):
+    kind, text = name.split("-")[0], SETTING_SPECS[name]
+    flag, key = SETTINGS[setting]
+    spec_file = tmp_path / "spec.yaml"
+    runs = []
+    for doc, flags in ((text, []), (text, [f"--{setting}", flag]), (text + key, [])):
+        spec_file.write_text(doc)
+        code = cli.main([kind, str(spec_file), "--seed", "11", *flags])
+        out, err = capsys.readouterr()
+        runs.append((code, out and yaml.safe_load(out)["results"], err))
+    (code, default, _), by_flag, by_key = runs
+    assert code in (0, 1, 2)
+    if setting in cli.TASKS[kind][2](cli.parse_model_spec(text)["model"]):
+        assert by_flag[0] in (0, 1, 2) and by_flag[1] != default
+    else:
+        assert by_flag == (3, "", f"schema error: --{setting}: the {kind} task does not read {setting}\n")
+        assert by_key[2].endswith(f": the {kind} task does not read {setting}\n")
+    assert by_flag[:2] == by_key[:2]
 
 
 # --------------------------------------------------------------------------- #
@@ -1709,8 +1753,10 @@ def test_help_and_usage_error_texts_are_pinned(monkeypatch, capsys):
 def test_one_process_gives_each_call_the_output_of_a_fresh_one(tmp_path, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(REPORT_SPECS["zonoid"])
-    flags = ["--samples", "1000", "--tol", "1e-9", "--seed", "3", "--out", str(tmp_path / "first")]
+    flags = ["--seed", "3", "--out", str(tmp_path / "first")]
     assert cli.main(["zonoid", str(spec_file), *flags]) == 0
+    # settings that a zonoid task does not read are refused
+    assert cli.main(["zonoid", str(spec_file), "--samples", "1000", "--tol", "1e-9"]) == 3
     with pytest.raises(SystemExit) as exc:
         cli.main(["zonoid", "--seed"])
     assert exc.value.code == 2

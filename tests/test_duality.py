@@ -323,14 +323,28 @@ def test_joint_families_share_their_change_of_numeraire_points():
         assert len(basket) == 3 and basket == peak
 
 
+def confirmation_records(points, n):
+    """``(status, rounds, n_samples)`` of each point, having checked the stopping rule:
+    a point that does not fail rests on the first ``n`` draws; a failing point pools
+    n + 2n + 4n draws, or stops after fewer rounds beyond ``DECISIVE_Z`` SE."""
+    for p in points:
+        if p.status != "fail":
+            assert (p.rounds, p.n_samples) == (0, n)
+        elif p.rounds < duality.CONFIRM_ROUNDS:
+            assert abs(p.residual) > duality.DECISIVE_Z * p.std_error
+            assert p.n_samples == n * (2 ** (p.rounds + 1) - 1)
+        else:
+            assert (p.rounds, p.n_samples) == (2, 7 * n)
+    return {(p.status, p.rounds, p.n_samples) for p in points}
+
+
 def test_control_confirms_by_pooled_rounds():
     ind = dist.IndependentProduct([dist.LogNormal.mean_one(0.5)] * 2)
     rep = duality.check_payoff_symmetry(ind, 1, "basket", rng=make_rng(75), n_samples=20_000)
     assert rep.verdict == "fail"
-    failing = [p for p in rep.points if p.status == "fail"]
-    # a genuine asymmetry survives both confirmation rounds: 20k + 40k + 80k draws
-    assert failing and all((p.rounds, p.n_samples) == (2, 140_000) for p in failing)
-    assert all((p.rounds, p.n_samples) == (0, 20_000) for p in rep.points if p.status == "pass")
+    seen = confirmation_records(rep.points, 20_000)
+    # a genuine asymmetry stops at its first look, after one round, or survives both
+    assert {("fail", r, n) for r, n in ((0, 20_000), (1, 60_000), (2, 140_000))} <= seen
 
 
 class _ZeroCoordinate:
@@ -354,7 +368,8 @@ def test_kernel_rejects_nonpositive_draws():
         )
 
 
-def test_confirmation_evaluates_only_the_pending_rows(kernel_workers):
+def test_confirmation_evaluates_only_the_pending_rows(kernel_workers, monkeypatch):
+    monkeypatch.setattr(duality, "DECISIVE_Z", math.inf)  # every failing point runs both rounds
     ind = dist.IndependentProduct([dist.LogNormal.mean_one(0.5)] * 2)
     # a zero weight vector cancels pathwise and passes; the others fail
     vectors = [(0.7, np.zeros(2))] + duality.random_test_vectors(make_rng(77), 2, "basket", 4)
@@ -423,7 +438,8 @@ _NEGATIVE = dist.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
 _STREAMED_N = 3 * dist.SAMPLE_BLOCK + 17
 
 
-def test_streamed_draws_give_the_points_of_the_whole_draw(kernel_workers):
+def test_streamed_draws_give_the_points_of_the_whole_draw(kernel_workers, monkeypatch):
+    monkeypatch.setattr(duality, "DECISIVE_Z", math.inf)  # every failing point runs both rounds
     chunk_edges = [ready for _, ready in _NEGATIVE.column_chunks(_STREAMED_N, make_rng(83))]
     assert len(chunk_edges) == 4 and all(edge % duality.BLOCK for edge in chunk_edges)
     for check in (
@@ -434,6 +450,56 @@ def test_streamed_draws_give_the_points_of_the_whole_draw(kernel_workers):
         # a model that yields its whole draw as one chunk hands the kernel every block at once
         assert streamed == check(_RecordedDraws(_NEGATIVE)).points
         assert max(p.rounds for p in streamed) == 2
+
+
+def test_a_decisive_failure_stops_at_its_look(monkeypatch):
+    # normal differences of SD 0.01 shifted by a known mean: z grows as sqrt(draws)
+    shifts = np.array([1.0, 0.055, 0.035, 0.0])
+    group = (
+        [f"shift={s}" for s in shifts],
+        lambda cols, rows, levels: (0.01 * (np.log(cols[0]) + shifts[rows, None]), None),
+        [1.0] * len(shifts),
+    )
+    model = dist.MultiLogNormal([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    runs = []
+    for z in (math.inf, duality.DECISIVE_Z):  # the default last, for the checks below
+        monkeypatch.setattr(duality, "DECISIVE_Z", z)
+        first = duality._Draw(model, 20_000, make_rng(87))
+        runs.append(duality._confirmed_mc_points([group], first, make_rng(88)))
+    confirmed, decided = runs
+    assert [p.status for p in decided] == [p.status for p in confirmed] == ["fail"] * 3 + ["pass"]
+    # beyond 10 SE on the first 20k draws; after the first round's 40k more; borderline throughout
+    assert [(p.rounds, p.n_samples) for p in decided] == [
+        (0, 20_000), (1, 60_000), (2, 140_000), (0, 20_000)
+    ]
+    assert [p.rounds for p in confirmed] == [2, 2, 2, 0]
+    assert decided[2:] == confirmed[2:]
+    confirmation_records(decided, 20_000)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_positive_control_never_meets_the_boundary(seed, monkeypatch):
+    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    runs = []
+    for z in (math.inf, duality.DECISIVE_Z):
+        monkeypatch.setattr(duality, "DECISIVE_Z", z)
+        rng = RngStream(seed)
+        payoff = duality.check_payoff_symmetry(mln, 1, rng=rng.child(0), n_samples=20_000)
+        joint = duality.check_joint_self_duality(mln, rng.child(1), n_samples=20_000)
+        runs.append(payoff.points + joint.points)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_boundary_keeps_every_status_of_the_negative_control(seed, monkeypatch):
+    runs = []
+    for z in (math.inf, duality.DECISIVE_Z):  # the default last, for the checks below
+        monkeypatch.setattr(duality, "DECISIVE_Z", z)
+        runs.append(duality.check_payoff_symmetry(_NEGATIVE, 1, rng=RngStream(seed), n_samples=20_000))
+    confirmed, decided = runs
+    assert decided.verdict == confirmed.verdict == "fail"
+    assert [p.status for p in decided.points] == [p.status for p in confirmed.points]
+    confirmation_records(decided.points, 20_000)
 
 
 def test_every_draw_is_made_on_the_calling_thread(kernel_workers, monkeypatch):
@@ -651,6 +717,7 @@ def test_asymmetry_correction_zero_density():
 def test_confirmation_drops_each_batch_before_drawing_the_next(monkeypatch):
     # both rounds run on the negative control: N first, then 2N, then 4N draws
     monkeypatch.setattr(duality, "WORKERS", 1)
+    monkeypatch.setattr(duality, "DECISIVE_Z", math.inf)
     model = dist.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
     n = 80_000
 
