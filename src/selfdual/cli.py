@@ -344,24 +344,25 @@ def _check_triplet(model, i, spec, rng):
     return levy.check_qsd_triplet(model, i, _carry(spec), alpha, tol=tol)
 
 
-# name -> check of (model, numeraire, spec, the maker of its own random stream)
+# name -> (the settings it reads, of ``samples`` and ``tol``, and the check of (model,
+# numeraire, spec, the maker of its own random stream))
 CHECKS = {
-    "density": lambda m, i, spec, rng: duality.check_density_self_dual(
+    "density": (("tol",), lambda m, i, spec, rng: duality.check_density_self_dual(
         m, i, tol=spec["tol"]["exact"]
-    ),
-    "integrated_tail": lambda m, i, spec, rng: duality.check_integrated_tail_symmetry(m),
-    "moments": lambda m, i, spec, rng: duality.check_moment_and_skewness(m),
-    "discrete": lambda m, i, spec, rng: duality.check_discrete_self_dual(m, i),
-    "payoff": lambda m, i, spec, rng: duality.check_payoff_symmetry(
+    )),
+    "integrated_tail": ((), lambda m, i, spec, rng: duality.check_integrated_tail_symmetry(m)),
+    "moments": ((), lambda m, i, spec, rng: duality.check_moment_and_skewness(m)),
+    "discrete": ((), lambda m, i, spec, rng: duality.check_discrete_self_dual(m, i)),
+    "payoff": (("samples",), lambda m, i, spec, rng: duality.check_payoff_symmetry(
         m, i, rng=rng(), n_samples=spec["samples"]
-    ),
-    "joint": lambda m, i, spec, rng: duality.check_joint_self_duality(
+    )),
+    "joint": (("samples",), lambda m, i, spec, rng: duality.check_joint_self_duality(
         m, rng(), n_samples=spec["samples"]
-    ),
-    "quasi": lambda m, i, spec, rng: duality.check_quasi_self_dual(
+    )),
+    "quasi": (("samples",), lambda m, i, spec, rng: duality.check_quasi_self_dual(
         m, i, _carry(spec), spec["task"]["alpha"], rng=rng(), n_samples=spec["samples"]
-    ),
-    "triplet": _check_triplet,
+    )),
+    "triplet": (("tol",), _check_triplet),
 }
 
 # the model class each check and task needs, and its name in a refusal; the
@@ -386,9 +387,9 @@ def _require(what: str, model) -> None:
 
 
 _PAYOFF = (_kinded, {"of": PAYOFFS, "required": True})
-# each task kind's table ends in a function of the model that names the spec settings,
-# of ``samples`` and ``tol``, that the task reads; an explicit setting it does not read
-# is a schema error
+# each task kind's table ends in a function of the task and the model that names the spec
+# settings, of ``samples`` and ``tol``, that the task reads; one it does not read, given
+# away from its default, is a schema error
 TASKS = {
     "check": (dict, {
         # left None when omitted: a vector model then defaults to the joint check
@@ -396,17 +397,17 @@ TASKS = {
         "checks": (_choice, {"of": tuple(CHECKS), "many": True}),
         "alpha": (_number, {"needed_by": ("checks", "quasi")}),
         "carry": (_vector, {}),
-    }, lambda model: ("samples", "tol")),
+    }, lambda task, model: {s for name in _checks_of(task, model) for s in CHECKS[name][0]}),
     "alpha": (dict, {
         "numeraire": (_integer, {"ge": 1, "default": 1}),
         "carry": (_number, {"required": True}),
-    }, lambda model: ()),
+    }, lambda task, model: ()),
     "price": (dict, {
         "payoff": _PAYOFF,
         "rate": (_number, {"default": 0.0}),
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
-    }, lambda model: ("samples",)),
+    }, lambda task, model: ("samples",)),
     # samples size a continuous driver's price check; a jump driver's hedge prices on its paths
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
@@ -420,12 +421,12 @@ TASKS = {
         "n_outer": (_integer, {"ge": 100, "default": 10_000}),
         "n_inner": (_integer, {"ge": 100, "default": 20_000}),
         "hit_states": (_integer, {"ge": 1, "default": 50}),
-    }, lambda cfg: ("samples",) if getattr(cfg, "is_continuous", True) else ()),
+    }, lambda task, cfg: ("samples",) if getattr(cfg, "is_continuous", True) else ()),
     "zonoid": (dict, {
         "k_min": (_number, {"gt": 0.0, "default": 1e-2}),
         "k_max": (_number, {"gt": 0.0, "default": 1e2}),
         "points": (_integer, {"ge": 2, "default": 200}),
-    }, lambda model: ()),
+    }, lambda task, model: ()),
 }
 TASK_KINDS = tuple(TASKS)
 
@@ -475,13 +476,16 @@ def parse_model_spec(document: str) -> dict:
 
 def _refuse_unread(spec: dict, given: dict) -> None:
     """Refuse each setting of ``given``, ``{setting: (where, value or None)}``, that was
-    given explicitly and that the spec's task does not read."""
+    given away from its default and that the spec's task does not read.  Every report
+    echoes the defaults, so an echo parses again."""
     kind = spec["task"]["kind"]
-    reads = TASKS[kind][2](spec["model"])
+    defaults = {"samples": _SPEC[1]["samples"][1]["default"], "tol": _TOL[1]["exact"][1]["default"]}
+    given = {s: where for s, (where, value) in given.items() if value not in (None, defaults[s])}
+    reads = TASKS[kind][2](spec["task"], spec["model"]) if given else ()
     unread = [
         f"{where}: the {kind} task does not read {setting}"
-        for setting, (where, value) in given.items()
-        if value is not None and setting not in reads
+        for setting, where in given.items()
+        if setting not in reads
     ]
     if unread:
         raise SchemaError(unread)
@@ -621,8 +625,11 @@ def _report_of(sym_report) -> dict:
     }
 
 
-def _default_checks(spec: dict) -> list[str]:
-    model, task = spec["model"], spec["task"]
+def _checks_of(task: dict, model) -> list[str]:
+    """The checks a check task runs: those it names, or the model's defaults, none when no
+    check applies."""
+    if task.get("checks"):
+        return task["checks"]
     if isinstance(model, levy.LevyTriplet):
         return ["triplet"]
     if isinstance(model, dist.ScalarModel):
@@ -639,18 +646,20 @@ def _default_checks(spec: dict) -> list[str]:
         return out
     if isinstance(model, dist.VectorModel):
         return ["joint"] if task.get("numeraire") is None else ["payoff"]
-    raise SelfDualError(f"no check applies to a {spec['model_node']['kind']} model")
+    return []
 
 
 def _run_check(spec: dict) -> tuple[str, dict, dict]:
     model, task = spec["model"], spec["task"]
     rng = RngStream(spec["seed"])
     i = task.get("numeraire") or 1
-    checks = task.get("checks") or _default_checks(spec)
+    checks = _checks_of(task, model)
+    if not checks:
+        raise SelfDualError(f"no check applies to a {spec['model_node']['kind']} model")
     for name in checks:
         _require(f"{name} check", model)
     reports = [
-        CHECKS[name](model, i, spec, partial(rng.child, idx)) for idx, name in enumerate(checks)
+        CHECKS[name][1](model, i, spec, partial(rng.child, idx)) for idx, name in enumerate(checks)
     ]
     verdict = duality.worst_verdict(r.verdict for r in reports)
     lines = "\n".join(r.one_line() for r in reports)

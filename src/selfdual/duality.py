@@ -238,8 +238,19 @@ CONFIRM_ROUNDS = 2  # fresh batches for a failing point, of 2x and then 4x the f
 DECISIVE_Z = 10.0
 # one kernel thread per CPU this process may use; with one, blocks run inline
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOLS: dict[int, ThreadPoolExecutor] = {}  # by process: a forked child has no parent threads
+# by process and name: a forked child has no parent threads
+_POOLS: dict[tuple[int, str], ThreadPoolExecutor] = {}
 _LOCAL = threading.local()
+
+
+def _pool(name: str, threads: int) -> ThreadPoolExecutor | None:
+    """This process's pool ``name`` of ``threads`` threads, or None when the process may use
+    one CPU: then the caller runs its work inline and no thread is started."""
+    if WORKERS == 1:
+        return None
+    key = os.getpid(), name
+    pool = _POOLS.get(key)
+    return pool or _POOLS.setdefault(key, ThreadPoolExecutor(threads, "selfdual-" + name))
 
 
 def _scratch(slot: str, rows: int, width: int) -> np.ndarray:
@@ -274,10 +285,9 @@ def _block_moments(groups, rows, chunks, levels: bool) -> list:
                 yield batch, start
                 start += BLOCK
 
-    if WORKERS == 1:
+    pool = _pool("kernel", WORKERS)
+    if pool is None:
         return functools.reduce(pooled, itertools.starmap(reduce_block, drawn_blocks()))
-    pid = os.getpid()
-    pool = _POOLS.get(pid) or _POOLS.setdefault(pid, ThreadPoolExecutor(WORKERS, "selfdual-kernel"))
     futures = []
     try:
         futures.extend(pool.submit(reduce_block, *block) for block in drawn_blocks())

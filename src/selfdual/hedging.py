@@ -23,18 +23,28 @@ number of steps.  Inner simulations from each state, projected onto the
 barrier for continuous drivers, compare the conditional values of the
 target and the hedge claims.  Jump drivers keep the overshoot state and
 are monitored on the grid, and their verdicts are one-sided.
+
+The hit states' increments and the price check's terminal blocks are drawn
+up to two ahead, one after another, on one drawing thread per process
+while the calling thread evaluates the last; every draw keeps its stream
+and its order, so reports do not depend on that thread, and a process that
+may use one CPU draws them inline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
+from concurrent.futures import wait
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .dist import MultiLogNormal
-from .duality import _Moments, worst_verdict
+from .duality import _Moments, _pool, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, char_exponent, check_qsd_triplet, gaussian_root, sample_increments
 from .pricing import (
@@ -508,19 +518,39 @@ class HedgeReport:
             )
 
 
+def _ahead(draw, keys):
+    """Yield ``draw(key)`` for each key in order, drawn up to two ahead on this process's
+    one drawing thread while the caller uses the last, or inline when it may use one CPU.
+    Closed or raising early, it drops the draws not started and waits for the one running."""
+    pool = _pool("drawer", 1)
+    if pool is None:
+        yield from map(draw, keys)
+        return
+    keys, pending = iter(keys), deque()
+    try:
+        pending.extend(pool.submit(draw, key) for key in itertools.islice(keys, 2))
+        while pending:
+            got = pending.popleft().result()
+            pending.extend(pool.submit(draw, key) for key in itertools.islice(keys, 1))
+            yield got
+    finally:
+        for f in pending:
+            f.cancel()
+        wait(pending)
+
+
 def _conditional_gap(
     cfg: PathConfig,
     state: np.ndarray,
     tau: float,
     lhs: Payoff,
     rhs: Payoff,
-    n_inner: int,
-    rng: RngStream,
+    incr: np.ndarray,
 ) -> tuple[float, float, float, float]:
-    """Inner Monte Carlo from a stopping state at ``tau < horizon``; returns
-    (lhs_value, rhs_value, gap, se_of_gap) with common random numbers."""
+    """Inner Monte Carlo from a stopping state at ``tau < horizon`` on the ``(n, dim)``
+    driver increments ``incr`` to the horizon; returns (lhs_value, rhs_value, gap,
+    se_of_gap) with common random numbers."""
     remaining = cfg.horizon - tau
-    incr = sample_increments(cfg.driver, remaining, rng, int(n_inner))
     s_t = np.ascontiguousarray(_prices(state, remaining * cfg.carry, incr.T).T)
     lv = lhs(s_t)
     rv = rhs(s_t)
@@ -559,6 +589,11 @@ def _measure(
     then doubling the paths searched from ``rng.child(3)``, ``child(4)``, ...
     """
     quota = max(1, int(n_hit_states) // len(barriers))
+
+    def inner(key):  # a hit state's increments to the horizon, from its own stream
+        tau, idx = key
+        return sample_increments(cfg.driver, cfg.horizon - tau, rng.child(idx), int(n_inner))
+
     found, gaps, batches = np.zeros(len(barriers), dtype=np.int64), [], []
     searched, size = 0, int(first_batch or n_outer)
     while searched < n_outer and found.min() < quota:
@@ -571,16 +606,19 @@ def _measure(
         live = (step > 0) & (step < cfg.steps)  # a first hit at the horizon has no time left
         picks = [np.flatnonzero(live & (first == b))[: quota - n] for b, n in enumerate(found)]
         found += [len(p) for p in picks]
-        for p in np.sort(np.concatenate(picks)):
-            b, k = int(first[p]), int(step[p])
-            if cfg.is_continuous and not overshoot[p]:
-                state[p, barriers[b].asset - 1] = barriers[b].level
-            tau = cfg.horizon * k / cfg.steps
-            lv, rv, gap, se = _conditional_gap(
-                cfg, state[p], tau, *exchanges[b], n_inner, rng.child(1000 + len(gaps))
-            )
-            path = searched + int(p)
-            gaps.append(HitGap(path, k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p])))
+        order = np.sort(np.concatenate(picks))
+        taus = [cfg.horizon * int(step[p]) / cfg.steps for p in order]
+        # the j-th pick of this batch draws from rng.child(1000 + states before it)
+        with closing(_ahead(inner, zip(taus, itertools.count(1000 + len(gaps))))) as drawn:
+            for p, tau, incr in zip(order, taus, drawn):
+                b, k = int(first[p]), int(step[p])
+                if cfg.is_continuous and not overshoot[p]:
+                    state[p, barriers[b].asset - 1] = barriers[b].level
+                lv, rv, gap, se = _conditional_gap(cfg, state[p], tau, *exchanges[b], incr)
+                path = searched + int(p)
+                gaps.append(
+                    HitGap(path, k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p]))
+                )
         batches.append((step > 0, overshoot, terminal))
         searched, size = searched + size, searched + size
     knocked, overshoot, terminal = map(np.concatenate, zip(*batches))
@@ -604,7 +642,8 @@ def _bridge_moments(
     weighted by the bridge hit probability ``p``, and their no-hit mismatch.
 
     The gap is ``hedge - p f``, or ``hedge - (1 - p) f`` for knock-out.  Draws
-    come from the one stream ``rng`` and are reduced in ``TERMINAL_BLOCK`` rows.
+    come from the one stream ``rng``, block after block on the drawing thread, and are
+    reduced in ``TERMINAL_BLOCK`` rows.
     """
     b, i = plan.barrier, plan.barrier.asset - 1
     y0_h, var = math.log(cfg.s0[i] / b.level), cfg.driver.a[i, i] * cfg.horizon
@@ -613,18 +652,23 @@ def _bridge_moments(
     total, mismatch = None, 0.0
     # held across blocks: a fresh (5, TERMINAL_BLOCK) stack per block costs page faults
     held = np.empty((5, TERMINAL_BLOCK))
-    for start in range(0, int(n_samples), TERMINAL_BLOCK):
-        size = min(TERMINAL_BLOCK, int(n_samples) - start)
-        x = sample_increments(cfg.driver, cfg.horizon, rng, size, root=root).T
-        s = np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
-        # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
-        p = np.exp(np.minimum(rate * (y0_h + growth[i] + x[i]), 0.0))
-        f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
-        mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
-        w = 1.0 - p if plan.knock == "out" else p
-        rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=held[:, :size])
-        block = _Moments.of(rows, out=rows)
-        total = block if total is None else total.pooled(block)
+    n = int(n_samples)
+    sizes = [min(TERMINAL_BLOCK, n - start) for start in range(0, n, TERMINAL_BLOCK)]
+
+    def terminal(size):
+        return sample_increments(cfg.driver, cfg.horizon, rng, size, root=root).T
+
+    with closing(_ahead(terminal, sizes)) as drawn:
+        for size, x in zip(sizes, drawn):
+            s = np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
+            # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
+            p = np.exp(np.minimum(rate * (y0_h + growth[i] + x[i]), 0.0))
+            f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
+            mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
+            w = 1.0 - p if plan.knock == "out" else p
+            rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=held[:, :size])
+            block = _Moments.of(rows, out=rows)
+            total = block if total is None else total.pooled(block)
     return total, mismatch
 
 

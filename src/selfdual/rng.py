@@ -6,8 +6,10 @@ reconstructing a stream with the same pair replays exactly the same
 sample sequence, while distinct ``stream_id`` values give statistically
 independent streams (numpy ``SeedSequence`` spawning).
 
-Streams are stateful and single-owner: do not share one instance across
-threads.  For parallel work derive children with :meth:`RngStream.child`.
+Streams are stateful and single-owner: do not use one instance from two
+threads at once.  A stream may be handed to another thread when its uses
+never overlap, as the hedge's drawing thread takes its draws one after
+another.  For parallel work derive children with :meth:`RngStream.child`.
 """
 
 from __future__ import annotations

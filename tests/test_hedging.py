@@ -1,7 +1,10 @@
 import importlib
 import math
+import multiprocessing
+import os
 import pkgutil
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from scipy import stats
 
 import selfdual
-from selfdual import dist, hedging, levy, pricing
+from selfdual import dist, duality, hedging, levy, pricing
 from selfdual.errors import DomainError, SymmetryPrereqFailed
 
 from conftest import make_rng
@@ -430,9 +433,10 @@ def _oracle_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
         state = paths[p, rec.step].copy()
         if cfg.is_continuous and not rec.overshoot:
             state[plan.barrier.asset - 1] = plan.barrier.level
-        tv, hv, gap, se = hedging._conditional_gap(
-            cfg, state, rec.time, lhs, plan.hedge, n_inner, rng.child(1000 + idx)
+        incr = levy.sample_increments(
+            cfg.driver, cfg.horizon - rec.time, rng.child(1000 + idx), n_inner
         )
+        tv, hv, gap, se = hedging._conditional_gap(cfg, state, rec.time, lhs, plan.hedge, incr)
         gaps.append(
             hedging.HitGap(p, rec.step, rec.time, tuple(state), tv, hv, gap, se, rec.overshoot)
         )
@@ -524,9 +528,10 @@ def _oracle_joint_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
         if cfg.is_continuous and not rec.overshoot:
             state[first - 1] = plan.level
         _, lhs, rhs = next(e for e in plan.exchanges if e[0] == first)
-        lv, rv, gap, se = hedging._conditional_gap(
-            cfg, state, rec.time, lhs, rhs, n_inner, rng.child(1000 + len(gaps))
+        incr = levy.sample_increments(
+            cfg.driver, cfg.horizon - rec.time, rng.child(1000 + len(gaps)), n_inner
         )
+        lv, rv, gap, se = hedging._conditional_gap(cfg, state, rec.time, lhs, rhs, incr)
         gaps.append(
             hedging.HitGap(p, rec.step, rec.time, tuple(state), lv, rv, gap, se, rec.overshoot)
         )
@@ -625,14 +630,17 @@ def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
     assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(206), 10)
 
 
-def test_traced_hedge_counts_repeat():
-    # bench/run.py --trace 1 fails its self-test unless every count repeats;
-    # its recorder keeps one call stack, so the hedge pass must stay on one thread
+@pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["bridge", "jump"])
+def test_traced_hedge_counts_repeat(config, monkeypatch):
+    # bench/run.py --trace 1 fails its self-test unless every count repeats; its recorder
+    # keeps one call stack and one depth count, so draws run on one drawing thread, never
+    # beside a draw of the calling thread, even where one CPU would draw them inline
+    monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import spans
 
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    cfg = jump_config()
+    cfg = config()
 
     def run():
         return hedging.evaluate_hedge(
@@ -649,6 +657,104 @@ def test_traced_hedge_counts_repeat():
     assert counts[0] == counts[1]
     assert counts[0]["rng.draws"] > 0 and counts[0]["levy.increments_inner_rows"] > 0
     assert reports[0] == reports[1] == run()
+
+
+# --------------------------------------------------------------------------- #
+# The drawing thread
+# --------------------------------------------------------------------------- #
+
+
+def _joint_x(rng):
+    cfg = bs_config(120)
+    plan = hedging.two_asset_joint_hedges(cfg, "X", k_x=0.85)
+    return hedging.evaluate_joint_hedge(
+        plan, cfg, n_outer=2_000, n_inner=2_000, rng=rng, n_hit_states=10
+    )
+
+
+def test_joint_hedge_does_not_depend_on_the_drawing_thread(monkeypatch):
+    reports = []
+    for workers in (1, max(duality.WORKERS, 2)):
+        monkeypatch.setattr(duality, "WORKERS", workers)
+        reports.append(_joint_x(make_rng(208)))
+    assert len(reports[0].hit_gaps) == 10
+    assert repr(reports[0]) == repr(reports[1])
+
+
+def _small_hedge(n_samples):
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    return hedging.evaluate_hedge(
+        plan, bs_config(60), n_outer=1_000, n_inner=1_000, rng=make_rng(209), n_hit_states=6,
+        n_samples=n_samples,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_hedge_draws_in_a_forked_child(monkeypatch):
+    # the parent's drawing thread does not exist in a forked child
+    monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
+    want = _small_hedge(50_000)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_small_hedge, (50_000,)).get(timeout=60) == want
+
+
+class _RaisesOnCall(pricing.Payoff):
+    """``base`` until its ``n``-th call, which raises."""
+
+    def __init__(self, base, n):
+        self.base, self.n, self.n_assets, self.calls = base, n, base.n_assets, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        if self.calls == self.n:
+            raise DomainError(f"call {self.n}")
+        return self.base(s)
+
+
+@pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
+def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
+    cfg, draw, errors = config(), levy.sample_increments, []
+    hedge = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in").hedge
+    for workers in (1, max(duality.WORKERS, 2)):
+        monkeypatch.setattr(duality, "WORKERS", workers)
+        events = []
+
+        def counted(*args, **kwargs):
+            events.append("start")
+            try:
+                return draw(*args, **kwargs)
+            finally:
+                events.append("end")
+
+        monkeypatch.setattr(hedging, "sample_increments", counted)
+        # the bridge calls the target once per 20k-row block; the third inner state raises
+        target = _RaisesOnCall(_SPREAD, 6 if cfg.is_continuous else 3)
+        plan = hedging.HedgePlan(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in", hedge)
+        with pytest.raises(DomainError) as raised:
+            hedging.evaluate_hedge(
+                plan, cfg, n_outer=600, n_inner=500, rng=make_rng(210), n_hit_states=6,
+                n_samples=50_000,
+            )
+        errors.append(str(raised.value))
+        seen = list(events)
+        if workers > 1:  # the drawing thread takes its draws in order: after this, none is left
+            duality._POOLS[os.getpid(), "drawer"].submit(lambda: None).result(timeout=60)
+        assert events == seen and seen.count("start") == seen.count("end")
+    assert errors == [f"call {target.n}"] * 2
+
+
+def test_one_cpu_starts_no_drawing_thread(monkeypatch):
+    monkeypatch.setattr(duality, "WORKERS", 1)
+    monkeypatch.setattr(duality, "_POOLS", {})
+    threads, draw = set(), levy.sample_increments
+
+    def counted(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(hedging, "sample_increments", counted)
+    assert _small_hedge(50_000).hit_gaps
+    assert threads == {threading.current_thread()} and duality._POOLS == {}
 
 
 def test_every_traced_and_exported_name_resolves():
