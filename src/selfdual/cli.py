@@ -407,7 +407,7 @@ TASKS = {
         "rate": (_number, {"default": 0.0}),
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
-    }, lambda task, model: ("samples",)),
+    }, lambda task, model: () if _closed_form(task, model) else ("samples",)),
     # samples size a continuous driver's price check; a jump driver's hedge prices on its paths
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
@@ -679,6 +679,12 @@ def _run_alpha(spec: dict) -> tuple[str, dict, dict]:
     }
     line = f"alpha={sol.alpha:.12g} method={sol.method} residual={sol.residual:.3e}\n"
     return "pass", doc, {"alpha.txt": line}
+
+
+def _closed_form(task: dict, model) -> bool:
+    """Whether the price task's payoff has a closed form under the model: it draws nothing then."""
+    forward, payoff = task["forward"], task["payoff"]
+    return len(forward) == 1 and pricing._closed_forms(model, [(payoff, forward[0])]) is not None
 
 
 def _run_price(spec: dict) -> tuple[str, dict, dict]:

@@ -17,18 +17,20 @@ bridge, which hit the level with probability
 ``p = exp(-2 (y_0 - h)(y_T - h) / (a_ii T))`` if ``S_T`` has not crossed it
 and 1 if it has (Glasserman 2004, 6.4), so the hedge must price like
 ``p f(S_T)``, or ``(1 - p) f`` for knock-out.  Hit states come from a
-streaming first-hit pass over outer paths that holds only the log-state,
-column-major as ``(n, paths)``, so memory is O(paths * n) whatever the
-number of steps.  Inner simulations from each state, projected onto the
-barrier for continuous drivers, compare the conditional values of the
-target and the hedge claims.  Jump drivers keep the overshoot state and
-are monitored on the grid, and their verdicts are one-sided.
+streaming first-hit pass over outer paths that holds the log-states of one
+block of steps, column-major as ``(n, paths)``, and tests the barrier once
+per block, so memory is O(paths * n) whatever the number of steps.  Inner
+simulations from each state, projected onto the barrier for continuous
+drivers, compare the conditional values of the target and the hedge
+claims.  Jump drivers keep the overshoot state and are monitored on the
+grid, and their verdicts are one-sided.
 
-The hit states' increments and the price check's terminal blocks are drawn
-up to two ahead, one after another, on one drawing thread per process
-while the calling thread evaluates the last; every draw keeps its stream
+The hit states' variates and the price check's terminal blocks are drawn up
+to two ahead, one after another, on one drawing thread per process; the
+calling thread assembles each state's increments from its variates and
+evaluates them, and draws nothing meanwhile.  Every draw keeps its stream
 and its order, so reports do not depend on that thread, and a process that
-may use one CPU draws them inline.
+may use one CPU draws inline.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ import numpy as np
 from .dist import MultiLogNormal
 from .duality import _Moments, _pool, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
-from .levy import LevyTriplet, char_exponent, check_qsd_triplet, gaussian_root, sample_increments
+from .levy import LevyTriplet, assemble_increments, char_exponent, check_qsd_triplet
+from .levy import gaussian_root, increment_variates, sample_increments
 from .pricing import (
     AffineCall,
     AffinePower,
@@ -84,6 +87,7 @@ SE_BAND = 3.0
 # distribution-level checks because inner simulations are the cost driver
 SE_FLOOR = 5e-3
 TERMINAL_BLOCK = 20_000  # terminal draws per block; one 200k-row pass was slower
+SEARCH_BLOCK = 25  # grid steps per barrier test in the first-hit search; flat from 10 to 125
 
 
 # --------------------------------------------------------------------------- #
@@ -247,14 +251,22 @@ def _first_hits(
     step = np.zeros((len(barriers), n_paths), dtype=np.int64)
     state = np.zeros((len(barriers), n_paths, cfg.n))
     overshoot = np.zeros((len(barriers), n_paths), dtype=bool)
+    growths, xs = np.empty((SEARCH_BLOCK, cfg.n)), np.empty((SEARCH_BLOCK, cfg.n, n_paths))
+    jumped = np.empty((SEARCH_BLOCK, n_paths), dtype=bool)
     for k, growth, x, counts in _price_steps(cfg, n_paths, rng):
+        r = (k - 1) % SEARCH_BLOCK  # the block's rows 0..r hold steps k - r..k
+        growths[r], xs[r], jumped[r] = growth, x, counts > 0
+        if r + 1 < SEARCH_BLOCK and k < cfg.steps:
+            continue
         for b, barrier in enumerate(barriers):
             i = barrier.asset - 1
-            value = cfg.s0[i] * np.exp(growth[i] + x[i])
-            new = np.flatnonzero(barrier.crossed(value) & (step[b] == 0))
-            step[b, new] = k
-            state[b, new] = _prices(cfg.s0, growth, x[:, new]).T
-            overshoot[b, new] = (counts[new] > 0) & (value[new] != barrier.level)
+            values = cfg.s0[i] * np.exp(growths[: r + 1, i, None] + xs[: r + 1, i])
+            crossed = barrier.crossed(values) & (step[b] == 0)
+            new = np.flatnonzero(crossed.any(axis=0))
+            at = np.argmax(crossed[:, new], axis=0)
+            step[b, new] = k - r + at
+            state[b, new] = cfg.s0 * np.exp(growths[at] + xs[at, :, new])
+            overshoot[b, new] = jumped[at, new] & (values[at, new] != barrier.level)
     return step, state, overshoot, np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
 
 
@@ -521,6 +533,7 @@ class HedgeReport:
 def _ahead(draw, keys):
     """Yield ``draw(key)`` for each key in order, drawn up to two ahead on this process's
     one drawing thread while the caller uses the last, or inline when it may use one CPU.
+    Hit states draw only variates, assembled by the caller after its per-block search.
     Closed or raising early, it drops the draws not started and waits for the one running."""
     pool = _pool("drawer", 1)
     if pool is None:
@@ -590,9 +603,9 @@ def _measure(
     """
     quota = max(1, int(n_hit_states) // len(barriers))
 
-    def inner(key):  # a hit state's increments to the horizon, from its own stream
-        tau, idx = key
-        return sample_increments(cfg.driver, cfg.horizon - tau, rng.child(idx), int(n_inner))
+    def inner(key):  # a hit state's variates to the horizon, from its own stream
+        tau, stream = key
+        return increment_variates(cfg.driver, cfg.horizon - tau, stream, int(n_inner))
 
     found, gaps, batches = np.zeros(len(barriers), dtype=np.int64), [], []
     searched, size = 0, int(first_batch or n_outer)
@@ -609,11 +622,13 @@ def _measure(
         order = np.sort(np.concatenate(picks))
         taus = [cfg.horizon * int(step[p]) / cfg.steps for p in order]
         # the j-th pick of this batch draws from rng.child(1000 + states before it)
-        with closing(_ahead(inner, zip(taus, itertools.count(1000 + len(gaps))))) as drawn:
-            for p, tau, incr in zip(order, taus, drawn):
+        streams = map(rng.child, itertools.count(1000 + len(gaps)))
+        with closing(_ahead(inner, zip(taus, streams))) as drawn:
+            for p, tau, variates in zip(order, taus, drawn):
                 b, k = int(first[p]), int(step[p])
                 if cfg.is_continuous and not overshoot[p]:
                     state[p, barriers[b].asset - 1] = barriers[b].level
+                incr = assemble_increments(cfg.driver, cfg.horizon - tau, variates)
                 lv, rv, gap, se = _conditional_gap(cfg, state[p], tau, *exchanges[b], incr)
                 path = searched + int(p)
                 gaps.append(

@@ -1691,6 +1691,8 @@ SETTING_SPECS = {
     "alpha": REPORT_SPECS["alpha"],
     "price": "model: {kind: multi_lognormal, mean: [-0.02, -0.02], cov: [[0.04, 0], [0, 0.04]]}\n"
     "task: {kind: price, payoff: {kind: max_option, u0: 1, weights: [1, 1]}}\n",
+    # a payoff with a closed form under the model draws nothing, so it reads no samples
+    "price-closed": REPORT_SPECS["price"],
     "hedge": HEDGE_SMALL,
     "hedge-jump": HEDGE_JUMP_SUPER,
     "zonoid": REPORT_SPECS["zonoid"],

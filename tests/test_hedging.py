@@ -630,6 +630,71 @@ def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
     assert rep == _oracle_joint_hedge(plan, cfg, 1_500, 300, make_rng(206), 10)
 
 
+# --------------------------------------------------------------------------- #
+# The first-hit search, tested per block of steps, against the per-step rule
+# --------------------------------------------------------------------------- #
+
+
+def _per_step_hits(cfg, n_paths, rng, barriers):
+    """_first_hits as a full price grid plus one detect_first_hit call per path and barrier."""
+    paths, jump_flags = hedging.simulate_paths(cfg, n_paths, rng)
+    step = np.zeros((len(barriers), n_paths), dtype=np.int64)
+    state = np.zeros((len(barriers), n_paths, cfg.n))
+    overshoot = np.zeros((len(barriers), n_paths), dtype=bool)
+    for b, barrier in enumerate(barriers):
+        for p in range(n_paths):
+            rec = hedging.detect_first_hit(paths[p], barrier, cfg.horizon, jump_flags[p])
+            if rec is not None:
+                step[b, p], overshoot[b, p] = rec.step, rec.overshoot
+                state[b, p] = paths[p, rec.step]
+    return step, state, overshoot, paths[:, -1]
+
+
+def _assert_same_hits(got, want):
+    for name, g, w in zip(("step", "state", "overshoot", "terminal"), got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+@pytest.mark.parametrize("direction", ["down", "up"])
+@pytest.mark.parametrize("steps", [1, 7, 25, 26, 120, 250])  # less than, one, and past a block
+def test_the_block_search_keeps_the_per_step_rule(steps, direction):
+    cfg = bs_config(steps)
+    barrier = hedging.Barrier(2, 0.85 if direction == "down" else 1.15, direction)
+    got = hedging._first_hits(cfg, 400, make_rng(211), [barrier])
+    _assert_same_hits(got, _per_step_hits(cfg, 400, make_rng(211), [barrier]))
+    assert got[0].any() and not got[0].all()
+
+
+def test_the_block_search_keeps_ties_overshoots_and_block_edges():
+    # the joint X barriers on the jump driver of the streaming joint test: both assets often
+    # cross on one step, where the joint evaluator's first hitter is the lower index
+    cfg, rng = jump_config(), make_rng(201).child(0)
+    barriers = [hedging.Barrier(1, 0.8, "down"), hedging.Barrier(2, 0.8, "down")]
+    got = hedging._first_hits(cfg, 1_500, rng, barriers)
+    _assert_same_hits(got, _per_step_hits(cfg, 1_500, make_rng(201).child(0), barriers))
+    step, _, overshoot, _ = got
+    assert ((step[0] == step[1]) & (step[0] > 0)).sum() > 100
+    assert overshoot.any() and not overshoot[step > 0].all()
+    at = step[step > 0] % hedging.SEARCH_BLOCK  # 1: the first step of a block, 0: its last
+    assert (at == 1).any() and (at == 0).any() and cfg.steps % hedging.SEARCH_BLOCK != 0
+
+
+def test_the_search_memory_does_not_grow_with_steps():
+    barriers = [hedging.Barrier(1, 0.8, "down")]
+
+    def peak(steps):
+        cfg = bs_config(steps=steps)
+        tracemalloc.start()
+        try:
+            hedging._first_hits(cfg, 2_000, make_rng(212), barriers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a (steps, n, paths) block would make the second peak 10x the first
+    assert peak(1_000) <= 1.2 * peak(100)
+
+
 @pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["bridge", "jump"])
 def test_traced_hedge_counts_repeat(config, monkeypatch):
     # bench/run.py --trace 1 fails its self-test unless every count repeats; its recorder
@@ -713,7 +778,7 @@ class _RaisesOnCall(pricing.Payoff):
 
 @pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
 def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
-    cfg, draw, errors = config(), levy.sample_increments, []
+    cfg, draw, errors = config(), levy.increment_variates, []
     hedge = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in").hedge
     for workers in (1, max(duality.WORKERS, 2)):
         monkeypatch.setattr(duality, "WORKERS", workers)
@@ -726,7 +791,7 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
             finally:
                 events.append("end")
 
-        monkeypatch.setattr(hedging, "sample_increments", counted)
+        monkeypatch.setattr(hedging, "increment_variates", counted)
         # the bridge calls the target once per 20k-row block; the third inner state raises
         target = _RaisesOnCall(_SPREAD, 6 if cfg.is_continuous else 3)
         plan = hedging.HedgePlan(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in", hedge)
@@ -746,15 +811,52 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
 def test_one_cpu_starts_no_drawing_thread(monkeypatch):
     monkeypatch.setattr(duality, "WORKERS", 1)
     monkeypatch.setattr(duality, "_POOLS", {})
-    threads, draw = set(), levy.sample_increments
+    threads, draw = set(), levy.increment_variates
 
     def counted(*args, **kwargs):
         threads.add(threading.current_thread())
         return draw(*args, **kwargs)
 
-    monkeypatch.setattr(hedging, "sample_increments", counted)
+    monkeypatch.setattr(hedging, "increment_variates", counted)
     assert _small_hedge(50_000).hit_gaps
     assert threads == {threading.current_thread()} and duality._POOLS == {}
+
+
+@pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
+def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
+    # the calling thread assembles each hit state's increments; it draws nothing beside the
+    # drawing thread, whose draws bench/spans.py would otherwise count on one depth counter
+    monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
+    cfg, draws, assembled, main = config(), [], [], threading.current_thread()
+    for name in ("standard_normal", "poisson", "choice", "multivariate_normal"):
+        method = getattr(selfdual.RngStream, name)
+
+        def watched(stream, *args, _method=method, _name=name, **kwargs):
+            draws.append((stream._key, _name, threading.current_thread()))
+            return _method(stream, *args, **kwargs)
+
+        monkeypatch.setattr(selfdual.RngStream, name, watched)
+    assemble = hedging.assemble_increments
+    monkeypatch.setattr(
+        hedging, "assemble_increments",
+        lambda *args: assembled.append(threading.current_thread()) or assemble(*args),
+    )
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    rep = hedging.evaluate_hedge(
+        plan, cfg, n_outer=600, n_inner=500, rng=make_rng(213), n_hit_states=6, n_samples=50_000
+    )
+    # keys: (213,) the root, (213, 1000 + j) the j-th hit state, (213, 2) the bridge blocks,
+    # (213, 0, k) the search's step k + 1
+    inner = [(key, name, thread) for key, name, thread in draws if key[1:] >= (1000,)]
+    assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == 6
+    (drawer,) = {thread for _, _, thread in inner}
+    assert drawer is not main and assembled == [main] * 6
+    bridge = {thread for key, _, thread in draws if key[1:] == (2,)}
+    assert bridge == ({drawer} if cfg.is_continuous else set())
+    search = {thread for key, _, thread in draws if len(key) == 3}
+    assert search == {main}
+    if not cfg.is_continuous:
+        assert {"poisson", "choice", "multivariate_normal"} <= {name for _, name, _ in inner}
 
 
 def test_every_traced_and_exported_name_resolves():
