@@ -1545,6 +1545,16 @@ task:
   hit_states: 6
 """
 
+PRICE_MAX_OPTION = (
+    "model: {kind: multi_lognormal, mean: [-0.02, -0.02], cov: [[0.04, 0], [0, 0.04]]}\n"
+    "task: {kind: price, payoff: {kind: max_option, u0: 1, weights: [1, 1]}}\n"
+)
+# self-dual for numeraire 1, so quasi-self-dual of order 1 under a carry on asset 2 only
+MULTI_LOGNORMAL_DENSITY_QUASI = (
+    "model: {kind: multi_lognormal, mean: [-0.125, -0.2], cov: [[0.25, 0.125], [0.125, 0.3]]}\n"
+    "task: {kind: check, numeraire: 1, checks: [density, quasi], alpha: 1.0, carry: [0.0, 0.05]}\n"
+)
+
 # the benchmark's four exact-workload specs, copied so the pins do not move with bench/
 GOLDEN_SPECS = {
     "zonoid-heavy-tail": (
@@ -1566,7 +1576,19 @@ GOLDEN_SPECS = {
     "hedge-jump-super": ("hedge", HEDGE_JUMP_SUPER),
     "hedge-indicator-in": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "in")),
     "hedge-indicator-out": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "out")),
+    # a multi_lognormal's streamed and row-major draws, its density and its power transform
+    "crn-pass": ("check", CRN_SPECS["pass"]),
+    "crn-fail": ("check", CRN_SPECS["fail"]),
+    "price-multi-lognormal": ("price", PRICE_MAX_OPTION),
+    "check-density-quasi": ("check", MULTI_LOGNORMAL_DENSITY_QUASI),
+    "hedge-small-multi-lognormal": ("hedge", HEDGE_SMALL.replace(
+        "{kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}",
+        "{kind: multi_lognormal, mean: [-0.03125, -0.03125], "
+        "cov: [[0.0625, 0.03125], [0.03125, 0.0625]]}",
+    )),
 }
+# the exit code of each pin that does not pass
+GOLDEN_EXIT = {"crn-fail": 1}
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
         "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
@@ -1616,6 +1638,28 @@ GOLDEN_SHA256 = {
         "hedge_gaps.csv": "8823460d02a4d473e0096c735346597e4f2a952bc1b6bb4dbe8621ed3379a264",
         "report.yaml": "2fec6474e371dc5a4296686ab641f089850587f2225e676853371655fa6f3ee7",
     },
+    "crn-pass": {
+        "report.yaml": "2015ef1412c4c0b3c65d1fc436c8458f18061114116f7c2426ec1f8e9bd70842",
+        "verdicts.txt": "c7980f727b9905a2c4893f22c88e8e32eb64137162414b3d327de18f80f0539a",
+    },
+    "crn-fail": {
+        "report.yaml": "65c5923c2c29bb1bd6d71f216f0f897b72967576eb2ad99b684aae7c24dd00c5",
+        "verdicts.txt": "4414397d588b1c63531346ae7f9e95eb7947c2e8c167c510e5505935a53c3187",
+    },
+    "price-multi-lognormal": {
+        "price.txt": "5cbeebacc8b0840eec475c90e99adb4787a902383b4263c1219efdbf21de02c0",
+        "report.yaml": "438bcf87adf431db72389ffd476a2b94b01f2d5aeff27492cd10c495bf32901c",
+    },
+    "check-density-quasi": {
+        "report.yaml": "ca276dad2e1c34b2376247598e322bd1d6a9aaea3007217ed3b89153ae53daee",
+        "verdicts.txt": "8efa4ef0206212c4c072368124ac2a19610bf8f50fdde82b098a47520fa5af0b",
+    },
+    # the same paths as hedge-small's: only the spec echo differs
+    "hedge-small-multi-lognormal": {
+        "hedge.txt": "0ae309d68d4b180487529d99d4c96775d324f211662bdf3f894150a3083dc614",
+        "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
+        "report.yaml": "d3c42cd5c54514c56499c8b3faca59c56d104790902411c78b19188a9bcb7871",
+    },
 }
 
 
@@ -1625,7 +1669,8 @@ def test_report_and_artifact_bytes_match_golden_hashes(name, yaml_backend, tmp_p
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(text)
     out_dir = tmp_path / "out"
-    assert cli.main([kind, str(spec_file), "--seed", "11", "--out", str(out_dir)]) == 0
+    code = cli.main([kind, str(spec_file), "--seed", "11", "--out", str(out_dir)])
+    assert code == GOLDEN_EXIT.get(name, 0)
     assert capsys.readouterr().out.encode() == (out_dir / "report.yaml").read_bytes()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
     assert got == GOLDEN_SHA256[name]
@@ -1689,8 +1734,7 @@ SETTING_SPECS = {
     "check-triplet": "model: {kind: levy_triplet, a: 0.0225, "
     "atoms: [{x: 0.3, mass: 1.0}, {x: -0.3, mass: 1.3498588075760032}]}\ntask: {kind: check}\n",
     "alpha": REPORT_SPECS["alpha"],
-    "price": "model: {kind: multi_lognormal, mean: [-0.02, -0.02], cov: [[0.04, 0], [0, 0.04]]}\n"
-    "task: {kind: price, payoff: {kind: max_option, u0: 1, weights: [1, 1]}}\n",
+    "price": PRICE_MAX_OPTION,
     # a payoff with a closed form under the model draws nothing, so it reads no samples
     "price-closed": REPORT_SPECS["price"],
     "hedge": HEDGE_SMALL,
