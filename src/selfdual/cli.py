@@ -264,7 +264,7 @@ SCALARS = {
     }),
 }
 _FACTORS = {"factors": (_list_of, {"item": (_kinded, {"of": SCALARS}), "required": True})}
-_MULTI_LOGNORMAL = (dist.MultiLogNormal, {"mean": _REQUIRED_VECTOR, "cov": _REQUIRED_MATRIX})
+_MULTI_LOGNORMAL = (levy.MultiLogNormal, {"mean": _REQUIRED_VECTOR, "cov": _REQUIRED_MATRIX})
 _TRIPLET = (_triplet, {
     "a": _REQUIRED_MATRIX,
     "drift": (_drift, {"default": "martingale"}),
@@ -630,7 +630,7 @@ def _checks_of(task: dict, model) -> list[str]:
     check applies."""
     if task.get("checks"):
         return task["checks"]
-    if isinstance(model, levy.LevyTriplet):
+    if isinstance(model, levy.LevyTriplet) and not isinstance(model, levy.MultiLogNormal):
         return ["triplet"]
     if isinstance(model, dist.ScalarModel):
         discrete = isinstance(model, dist.DiscreteAtoms)

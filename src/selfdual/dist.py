@@ -4,7 +4,8 @@ Scalar models represent an almost surely positive random variable with
 (where available) density, distribution function, moments, integrated
 tail ``E min(eta, z)``, tail mean ``E[eta 1{eta > k}]``, and a
 deterministic sampler.  Vector models represent a positive random vector
-with joint density and sampler.
+with joint density and sampler; the log-normal and Levy ones live in
+:mod:`selfdual.levy` (``LevyTriplet``, and ``MultiLogNormal`` without jumps).
 
 Each model owns its closed forms: ``expect_affine(w, c, p, b)`` returns
 ``E[eta^b (w eta + c)_+^p]`` (the lift-zonoid support value at ``(c, w)``
@@ -43,14 +44,10 @@ __all__ = [
     "DiscreteAtoms",
     "CustomDensity",
     "VectorModel",
-    "MultiLogNormal",
     "CommonFactor",
     "UnitBallMax",
     "IndependentProduct",
 ]
-
-
-SAMPLE_BLOCK = 1 << 16  # rows per block of a column-major draw
 
 
 def positive_power(x, p: float):
@@ -556,87 +553,6 @@ class VectorModel(ABC):
         if np.any(x <= 0):
             raise DomainError("argument must be strictly positive componentwise")
         return x
-
-
-class MultiLogNormal(VectorModel):
-    """eta = exp(xi) with xi ~ N(mean, cov) componentwise exponentiated."""
-
-    def __init__(self, mean, cov):
-        self.mu = np.asarray(mean, dtype=float)
-        self.cov = np.asarray(cov, dtype=float)
-        n = self.mu.shape[0]
-        if self.cov.shape != (n, n):
-            raise DomainError("covariance shape does not match mean")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise DomainError("covariance must be symmetric")
-        w, v = np.linalg.eigh(self.cov)
-        if np.min(w) < -1e-12:
-            raise DomainError("covariance must be positive semidefinite")
-        self._root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        self._rank_ok = np.min(w) > 1e-12
-        if self._rank_ok:
-            self._prec = np.linalg.inv(self.cov)
-            self._logdet = float(np.linalg.slogdet(self.cov)[1])
-
-    @classmethod
-    def jointly_self_dual(cls, n: int, sigma: float) -> "MultiLogNormal":
-        """The n-asset family with unit-diagonal correlations 1/2 scaled by sigma^2."""
-        a = sigma * sigma * (0.5 * np.ones((n, n)) + 0.5 * np.eye(n))
-        return cls(-0.5 * sigma * sigma * np.ones(n), a)
-
-    @property
-    def dim(self):
-        return self.mu.shape[0]
-
-    def sample(self, n, rng):
-        z = rng.standard_normal((int(n), self.dim))
-        y = z @ self._root.T
-        y += self.mu
-        return np.exp(y, out=y)
-
-    def column_chunks(self, n: int, rng: RngStream):
-        """The draws of :meth:`sample` laid out column-major in one (dim, n) array,
-        yielded as ``(array, columns drawn)`` after each row block."""
-        # Row blocks drawn in turn consume the stream as one whole draw does,
-        # so only one block of z and y is held beside the result.  Blocks are
-        # near-equal: a one-row block would be multiplied by BLAS gemv, whose
-        # sums may round apart from gemm's.
-        n = int(n)
-        out = np.empty((self.dim, n))
-        n_blocks = max(-(-n // SAMPLE_BLOCK), 1)
-        edges = [n * j // n_blocks for j in range(n_blocks + 1)]
-        for lo, hi in zip(edges, edges[1:]):
-            out[:, lo:hi] = self.sample(hi - lo, rng).T
-            yield out, hi
-
-    def sample_columns(self, n: int, rng: RngStream) -> np.ndarray:
-        """The draws of :meth:`sample` laid out column-major, shape (dim, n)."""
-        for out, _ in self.column_chunks(n, rng):
-            pass
-        return out
-
-    def pdf(self, x):
-        if not self._rank_ok:
-            raise NoDensity("degenerate covariance has no joint density")
-        x = self._check_point(x)
-        y = np.log(x) - self.mu
-        q = float(y @ self._prec @ y)
-        norm = (2.0 * math.pi) ** (self.dim / 2.0) * math.exp(0.5 * self._logdet)
-        return math.exp(-0.5 * q) / (norm * float(np.prod(x)))
-
-    @property
-    def means(self):
-        return np.exp(self.mu + 0.5 * np.diag(self.cov))
-
-    def power_transformed(self, lam, alpha):
-        return MultiLogNormal(alpha * (lam + self.mu), alpha * alpha * self.cov)
-
-    def marginal(self, i: int) -> LogNormal:
-        """1-based component index."""
-        return LogNormal(self.mu[i - 1], math.sqrt(self.cov[i - 1, i - 1]))
-
-    def __repr__(self):
-        return f"MultiLogNormal(dim={self.dim})"
 
 
 class CommonFactor(VectorModel):

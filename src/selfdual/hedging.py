@@ -45,10 +45,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import MultiLogNormal
 from .duality import _Moments, _pool, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
-from .levy import LevyTriplet, assemble_increments, char_exponent, check_qsd_triplet
+from .levy import LevyTriplet, MultiLogNormal, assemble_increments, check_qsd_triplet
 from .levy import gaussian_root, increment_variates, sample_increments
 from .pricing import (
     AffineCall,
@@ -99,14 +98,14 @@ SEARCH_BLOCK = 25  # grid steps per barrier test in the first-hit search; flat f
 class PathConfig:
     """Market scenario: S_t = S0 o exp(t*carry + xi_t).
 
-    ``driver`` is the unit-time generating triplet of xi (a
-    :class:`MultiLogNormal` is accepted as the law of xi at the horizon
-    and rescaled); every component of exp(xi_t) must be a martingale.
+    ``driver`` is the unit-time generating triplet of xi, except that a
+    :class:`MultiLogNormal` is read as the law of xi at the horizon and
+    rescaled to unit time; every component of exp(xi_t) must be a martingale.
     """
 
     s0: Sequence[float]
     carry: Sequence[float]
-    driver: LevyTriplet | MultiLogNormal
+    driver: LevyTriplet
     horizon: float = 1.0
     steps: int = 250
 
@@ -117,17 +116,14 @@ class PathConfig:
             raise DomainError("initial prices must be positive")
         if self.horizon <= 0 or self.steps < 1:
             raise DomainError("horizon must be positive and steps >= 1")
-        if not isinstance(self.driver, LevyTriplet):  # a MultiLogNormal law at the horizon
+        if isinstance(self.driver, MultiLogNormal):  # a law at the horizon
             self.driver = LevyTriplet(
-                self.driver.cov / self.horizon, drift=self.driver.mu / self.horizon
+                self.driver.a / self.horizon, drift=self.driver.drift / self.horizon
             )
         n = self.driver.n
         if self.s0.shape != (n,) or self.carry.shape != (n,):
             raise DomainError("s0/carry length must match the driver dimension")
-        for j in range(1, n + 1):
-            e = np.zeros(n)
-            e[j - 1] = -1.0
-            resid = abs(char_exponent(self.driver, 1j * e))
+        for j, resid in enumerate(np.abs(np.log(self.driver.means)), 1):
             if resid > 1e-8:
                 raise DomainError(
                     f"driver is not martingale-normalised in component {j} "

@@ -1,10 +1,12 @@
 """Levy generating triplets, Esscher transforms, and the carry-order solver.
 
 A triplet ``(A, nu, drift)`` describes an infinitely divisible log-price
-vector through its characteristic exponent.  Three drift conventions are
-supported: ``mean`` (drift is the expectation of xi; jump integrand
-compensated everywhere), ``truncated`` (compensation inside the unit
-ball of the numeraire-adapted norm |||.|||), and ``truncated_euclidean``.
+vector through its characteristic exponent, and it is the vector model of
+``exp(xi)`` at ``t = 1``; :class:`MultiLogNormal` is its jump-free case.
+Three drift conventions are supported: ``mean`` (drift is the expectation
+of xi; jump integrand compensated everywhere), ``truncated`` (compensation
+inside the unit ball of the numeraire-adapted norm |||.|||), and
+``truncated_euclidean``.
 Jump measures are finite: weighted atoms plus an optional Gaussian
 component (the exponential tilt of a numeraire-symmetric base), so every
 integral against ``nu`` is an exact sum or a Gaussian closed form.
@@ -19,13 +21,14 @@ tying the quasi-self-duality order ``alpha`` to the carrying cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .dist import VectorModel
 from .duality import KappaMaps, ReportPoint, SymmetryReport
-from .errors import DomainError, InfiniteActivity, NoBracket, PatternViolation
+from .errors import DomainError, InfiniteActivity, NoBracket, NoDensity, PatternViolation
 from .rng import RngStream
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "GaussianPart",
     "JumpMeasure",
     "LevyTriplet",
+    "MultiLogNormal",
     "AlphaSolution",
     "char_exponent",
     "esscher",
@@ -51,6 +55,7 @@ __all__ = [
 ]
 
 CONVENTIONS = ("mean", "truncated", "truncated_euclidean")
+SAMPLE_BLOCK = 1 << 16  # rows per block of a column-major draw
 
 
 def triple_norm(u, i: int) -> float:
@@ -223,8 +228,9 @@ def build_tilted_gaussian_measure(b, alpha: float, mass: float, i: int) -> JumpM
 
 
 @dataclass(frozen=True)
-class LevyTriplet:
-    """Generating triplet of an n-dimensional infinitely divisible law.
+class LevyTriplet(VectorModel):
+    """Generating triplet of an n-dimensional infinitely divisible law, and the
+    vector model of ``exp(xi)`` at ``t = 1``.
 
     ``drift`` is read under ``convention``: the mean of xi for ``mean``, the
     truncated drift for the ball conventions (``norm_index`` fixes the
@@ -236,17 +242,21 @@ class LevyTriplet:
     drift: np.ndarray | None = None
     convention: str = "mean"
     norm_index: int = 1
+    _names = ("A", "drift")  # what a refusal calls A and the drift
 
     def __post_init__(self):
+        cov, mean = self._names
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
+        drift = np.asarray(self.drift, dtype=float)
         n = a.shape[0]
-        _require_covariance(a, n, "A")
+        if a.shape != (n, n):
+            raise DomainError(f"{cov} shape does not match {mean}")
+        if drift.shape != (n,):
+            raise DomainError(f"{mean} must have length {n}, as {cov} is {n} x {n}")
+        _require_covariance(a, n, cov)
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown drift convention {self.convention!r}")
-        drift = np.asarray(self.drift, dtype=float)
-        if drift.shape != (n,):
-            raise DomainError(f"drift must have length {n}, as A is {n} x {n}")
         object.__setattr__(self, "drift", drift)
         if self.nu.dim is not None and self.nu.dim != n:
             raise DomainError("jump dimension does not match A")
@@ -261,10 +271,57 @@ class LevyTriplet:
     def n(self) -> int:
         return self.a.shape[0]
 
+    dim = n
+
     @cached_property
     def _linear_rate(self) -> np.ndarray:
         """The drift less the jump mean its convention compensates: increments' linear rate."""
         return self.drift - _compensator_vector(self)
+
+    @property
+    def means(self) -> np.ndarray:
+        """E exp(xi_j), whose log is how far drift j is from its martingale value."""
+        return np.exp(self.drift - [martingale_drift(self, j) for j in range(1, self.n + 1)])
+
+    @cached_property
+    def _density(self) -> tuple[np.ndarray, float] | None:
+        """``(A^-1, log det A)`` of a jump-free law with a full-rank A, else None."""
+        if not self.nu.is_empty or np.min(np.linalg.eigvalsh(self.a)) <= 1e-12:
+            return None
+        return np.linalg.inv(self.a), float(np.linalg.slogdet(self.a)[1])
+
+    def pdf(self, x):
+        if self._density is None:
+            raise NoDensity("a law with jumps or a degenerate covariance has no joint density")
+        prec, logdet = self._density
+        x = self._check_point(x)
+        y = np.log(x) - self.drift
+        norm = (2.0 * math.pi) ** (self.dim / 2.0) * math.exp(0.5 * logdet)
+        return math.exp(-0.5 * float(y @ prec @ y)) / (norm * float(np.prod(x)))
+
+    def sample(self, n, rng):
+        for cols, _ in self.column_chunks(n, rng):
+            pass
+        return cols.T.copy()
+
+    def column_chunks(self, n: int, rng: RngStream):
+        """``n`` draws laid out column-major in one (dim, n) array, yielded as
+        ``(array, columns drawn)`` after each row block."""
+        # Without jumps, row blocks drawn in turn take the normals of one whole draw.  Blocks
+        # are near-equal: BLAS gemv, which a one-row block would get, rounds apart from gemm.
+        n = int(n)
+        out = np.empty((self.dim, n))
+        n_blocks = max(-(-n // SAMPLE_BLOCK), 1)
+        edges = [n * j // n_blocks for j in range(n_blocks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            np.exp(sample_increments(self, 1.0, rng, hi - lo).T, out=out[:, lo:hi])
+            yield out, hi
+
+    def power_transformed(self, lam, alpha):
+        """The law of (e^lam o exp(xi))^alpha: log-normal again without jumps, None with them."""
+        if not self.nu.is_empty:
+            return None
+        return MultiLogNormal(alpha * (lam + self.drift), alpha * alpha * self.a)
 
     def scaled(self, t: float) -> "LevyTriplet":
         """Triplet of xi_t for the Levy process: every part scales by t."""
@@ -274,7 +331,22 @@ class LevyTriplet:
         g = self.nu.gaussian
         gaussian = None if g is None else GaussianPart(g.mean, g.cov, g.mass * t)
         nu = JumpMeasure(atoms=atoms, gaussian=gaussian)
-        return replace(self, a=self.a * t, nu=nu, drift=self.drift * t)
+        return LevyTriplet(self.a * t, nu, self.drift * t, self.convention, self.norm_index)
+
+
+class MultiLogNormal(LevyTriplet):
+    """eta = exp(xi) with xi ~ N(mean, cov): the jump-free triplet ``(cov, 0, mean)``."""
+
+    _names = ("covariance", "mean")
+
+    def __init__(self, mean, cov):
+        super().__init__(cov, drift=mean)
+
+    @classmethod
+    def jointly_self_dual(cls, n: int, sigma: float) -> "MultiLogNormal":
+        """The n-asset family with unit-diagonal correlations 1/2 scaled by sigma^2."""
+        a = sigma * sigma * (0.5 * np.ones((n, n)) + 0.5 * np.eye(n))
+        return cls(-0.5 * sigma * sigma * np.ones(n), a)
 
 
 def _compensator_vector(t: LevyTriplet, convention: str | None = None, tilt=None) -> np.ndarray:
@@ -303,7 +375,7 @@ def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
     # drift_c + integral of x (1 - 1_ball_c) d nu is convention independent
     base = t.drift + (full - _compensator_vector(t))
     new_drift = base - (full - _compensator_vector(t, to))
-    return replace(t, drift=new_drift, convention=to)
+    return LevyTriplet(t.a, t.nu, new_drift, to, t.norm_index)
 
 
 def char_exponent(t: LevyTriplet, u) -> complex:
@@ -343,7 +415,7 @@ def esscher(t: LevyTriplet, theta) -> LevyTriplet:
         gaussian = GaussianPart(g.mean + g.cov @ theta, g.cov, g.mass * factor)
     nu = JumpMeasure(atoms=atoms, gaussian=gaussian)
     shift = _compensator_vector(t, tilt=theta) - _compensator_vector(t)
-    return replace(t, nu=nu, drift=t.drift + t.a @ theta + shift)
+    return LevyTriplet(t.a, nu, t.drift + t.a @ theta + shift, t.convention, t.norm_index)
 
 
 # --------------------------------------------------------------------------- #
@@ -380,7 +452,7 @@ def martingale_normalized(
     nu = nu if nu is not None else JumpMeasure()
     shell = LevyTriplet(a, nu, np.zeros(len(a)), convention, norm_index)
     drift = np.array([martingale_drift(shell, j) for j in range(1, shell.n + 1)])
-    return replace(shell, drift=drift)
+    return LevyTriplet(a, nu, drift, convention, norm_index)
 
 
 # --------------------------------------------------------------------------- #

@@ -48,6 +48,13 @@ def make_rng(tag: int) -> RngStream:
     return RngStream(20240901, tag)
 
 
+def drawn_columns(model, n: int, rng: RngStream):
+    """The whole column-major (dim, n) draw that ``model.column_chunks`` streams."""
+    for cols, _ in model.column_chunks(n, rng):
+        pass
+    return cols
+
+
 def self_dual_scalar_fixtures():
     """Built-in self-dual scalar models (all have mean one)."""
     from fractions import Fraction as F

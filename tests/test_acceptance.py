@@ -125,7 +125,7 @@ def test_criterion_04_binary_gap_symmetry():
 
 def test_criterion_05_multivariate_sd_monte_carlo():
     start = time.time()
-    model = dist.MultiLogNormal.jointly_self_dual(2, 0.5)  # sigma^2 = 0.25
+    model = levy.MultiLogNormal.jointly_self_dual(2, 0.5)  # sigma^2 = 0.25
     ok = True
     detail = []
     for family in ("basket", "max"):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from selfdual import dist
+from selfdual import dist, levy
 from selfdual.errors import DomainError, MomentDiverges, NoDensity, UnsupportedSampler
 from selfdual.quadrature import integrate_interval, integrate_positive
 
-from conftest import make_rng, moment_range, self_dual_scalar_fixtures
+from conftest import drawn_columns, make_rng, moment_range, self_dual_scalar_fixtures
 
 PAPER_ATOMS = [(F(1, 2), F(1, 3)), (F(1), F(1, 2)), (F(2), F(1, 6))]
 
@@ -294,7 +294,7 @@ def test_common_factor_matches_multi_lognormal():
     # zeta ~ LogNormal(-1/4, sqrt(1/2)) gives log eta ~ N(-1/2 1, I/2 + J/2)
     factor = dist.LogNormal(-0.25, math.sqrt(0.5))
     cf = dist.CommonFactor([factor, factor, factor])
-    mln = dist.MultiLogNormal([-0.5, -0.5], 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]) / 1.0)
+    mln = levy.MultiLogNormal([-0.5, -0.5], 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]) / 1.0)
     x = np.array([0.8, 1.3])
     assert cf.pdf(x) == pytest.approx(mln.pdf(x), rel=1e-8)
     assert np.allclose(cf.means, mln.means, atol=1e-12)
@@ -302,7 +302,7 @@ def test_common_factor_matches_multi_lognormal():
 
 def test_vector_samples_positive_and_deterministic():
     models = [
-        dist.MultiLogNormal.jointly_self_dual(3, 0.4),
+        levy.MultiLogNormal.jointly_self_dual(3, 0.4),
         dist.CommonFactor([dist.LpSelfDual(2.0)] * 3),
         dist.UnitBallMax(2),
         dist.IndependentProduct([dist.HeavyTail(0.0), dist.LogNormal.mean_one(0.3)]),
@@ -316,16 +316,16 @@ def test_vector_samples_positive_and_deterministic():
 
 def test_multi_lognormal_sampler_draws_are_the_textbook_formula():
     # the in-place sampler must keep every draw bit-identical
-    m = dist.MultiLogNormal.jointly_self_dual(3, 0.5)
+    m = levy.MultiLogNormal.jointly_self_dual(3, 0.5)
     z = make_rng(13).standard_normal((100_000, 3))
-    assert np.array_equal(m.sample(100_000, make_rng(13)), np.exp(m.mu + z @ m._root.T))
+    assert np.array_equal(m.sample(100_000, make_rng(13)), np.exp(m.drift + z @ levy.gaussian_root(m, 1.0).T))
 
 
 def test_multi_lognormal_validation():
     with pytest.raises(DomainError):
-        dist.MultiLogNormal([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # not PSD
+        levy.MultiLogNormal([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # not PSD
     with pytest.raises(DomainError):
-        dist.MultiLogNormal([0.0], [[1.0, 0.0], [0.0, 1.0]])  # shape mismatch
+        levy.MultiLogNormal([0.0], [[1.0, 0.0], [0.0, 1.0]])  # shape mismatch
 
 
 # --------------------------------------------------------------------------- #
@@ -377,8 +377,8 @@ def test_atoms_expect_affine_is_strict_at_p_zero():
 def test_power_transformed_families():
     ln = dist.LogNormal(0.1, 0.4).power_transformed(np.array([0.2]), -0.5)
     assert (ln.mu, ln.sigma) == pytest.approx((-0.15, 0.2), abs=1e-15)
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5).power_transformed(np.zeros(2), 2.0)
-    assert np.allclose(mln.cov, 4.0 * dist.MultiLogNormal.jointly_self_dual(2, 0.5).cov)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5).power_transformed(np.zeros(2), 2.0)
+    assert np.allclose(mln.a, 4.0 * levy.MultiLogNormal.jointly_self_dual(2, 0.5).a)
     assert dist.HeavyTail(1.0).power_transformed(0.0, 2.0) is None
 
 
@@ -445,22 +445,22 @@ def test_atoms_tail_mean_takes_arrays():
     "n",
     # below, at and past one block; B + 1 once left a one-row block, which
     # BLAS multiplies with gemv and rounds apart from the whole draw's gemm
-    [1_000, dist.SAMPLE_BLOCK, dist.SAMPLE_BLOCK + 1, 3 * dist.SAMPLE_BLOCK + 17],
+    [1_000, levy.SAMPLE_BLOCK, levy.SAMPLE_BLOCK + 1, 3 * levy.SAMPLE_BLOCK + 17],
 )
 def test_column_major_draw_is_the_transposed_row_draw(dim, n):
     cov = 0.25 * (0.3 * np.ones((dim, dim)) + 0.7 * np.eye(dim))
-    model = dist.MultiLogNormal(np.linspace(-0.2, 0.1, dim), cov)
-    got = model.sample_columns(n, make_rng(81))
+    model = levy.MultiLogNormal(np.linspace(-0.2, 0.1, dim), cov)
+    got = drawn_columns(model, n, make_rng(81))
     want = np.ascontiguousarray(model.sample(n, make_rng(81)).T)
     assert got.flags.c_contiguous and got.shape == (dim, n)
     assert got.tobytes() == want.tobytes()
 
 
 def test_column_major_draw_holds_one_copy():
-    model = dist.MultiLogNormal.jointly_self_dual(3, 0.5)
+    model = levy.MultiLogNormal.jointly_self_dual(3, 0.5)
     tracemalloc.start()
     try:
-        cols = model.sample_columns(800_000, make_rng(82))
+        cols = drawn_columns(model, 800_000, make_rng(82))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

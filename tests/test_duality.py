@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfdual import dist, duality
+from selfdual import dist, duality, levy
 from selfdual.errors import DomainError, MomentDiverges, NotIntegrable, ZeroDensity
 from selfdual.quadrature import integrate_positive
 from selfdual.rng import RngStream
 
-from conftest import make_rng
+from conftest import drawn_columns, make_rng
 
 PAPER_ATOMS = dist.DiscreteAtoms([(F(1, 2), F(1, 3)), (F(1), F(1, 2)), (F(2), F(1, 6))])
 
@@ -93,14 +93,14 @@ def test_density_self_dual_negative_control():
 @pytest.mark.parametrize("mu", [-0.125, 0.1])
 def test_the_scalar_density_check_is_the_one_dimensional_case(mu):
     scalar = duality.check_density_self_dual(dist.LogNormal(mu, 0.5))
-    vector = duality.check_density_self_dual(dist.MultiLogNormal([mu], [[0.25]]))
+    vector = duality.check_density_self_dual(levy.MultiLogNormal([mu], [[0.25]]))
     assert scalar.grid == vector.grid and scalar.verdict == vector.verdict
     assert scalar.verdict == ("pass" if mu == -0.125 else "fail")
     assert np.allclose(scalar.residuals, vector.residuals, rtol=0.0, atol=1e-12)
 
 
 def test_density_self_dual_multivariate():
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     for i in (1, 2):
         assert duality.check_density_self_dual(mln, i).verdict == "pass"
     ub = dist.UnitBallMax(2)
@@ -108,7 +108,7 @@ def test_density_self_dual_multivariate():
         assert duality.check_density_self_dual(ub, i).verdict == "pass"
     # single-numeraire symmetry only: SD_1 holds, SD_2 fails
     a = 0.25 * np.array([[1.0, 0.5], [0.5, 2.0]])
-    one_sided = dist.MultiLogNormal([-0.125, -0.1], a)
+    one_sided = levy.MultiLogNormal([-0.125, -0.1], a)
     assert duality.check_density_self_dual(one_sided, 1).verdict == "pass"
     assert duality.check_density_self_dual(one_sided, 2).verdict == "fail"
 
@@ -195,14 +195,14 @@ def test_discrete_self_dual_misses_a_reflected_atom():
 
 
 def test_payoff_symmetry_multilognormal_passes():
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     for family in ("basket", "max"):
         rep = duality.check_payoff_symmetry(mln, 1, family, rng=make_rng(50), n_samples=200_000)
         assert rep.verdict == "pass", rep.one_line()
 
 
 def test_payoff_symmetry_zero_weight_vector():
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     rep = duality.check_payoff_symmetry(
         mln, 1, "basket", test_vectors=[(0.7, np.zeros(2))], rng=make_rng(51), n_samples=10_000
     )
@@ -219,7 +219,7 @@ def test_payoff_symmetry_independent_product_fails():
 
 def test_marginal_and_martingale_consequences():
     # SD_i implies the i-th marginal is self-dual with mean one
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     assert duality.check_payoff_symmetry(
         mln, 1, "basket", rng=make_rng(53), n_samples=200_000
     ).verdict == "pass"
@@ -231,7 +231,7 @@ def test_marginal_and_martingale_consequences():
     se = marg.std(ddof=1) / math.sqrt(marg.size)
     assert abs(marg.mean() - 1.0) <= 4.0 * se
     # exact marginal consequence via the closed form
-    assert duality.check_density_self_dual(mln.marginal(1)).verdict == "pass"
+    assert duality.check_density_self_dual(dist.LogNormal(mln.drift[0], math.sqrt(mln.a[0, 0]))).verdict == "pass"
 
 
 def test_product_of_independent_self_duals_is_self_dual():
@@ -244,7 +244,7 @@ def test_product_of_independent_self_duals_is_self_dual():
 
 def test_default_sample_count_certifies_the_two_asset_family():
     # at 100k draws both checks came out inconclusive on nearly every seed
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     assert duality.check_joint_self_duality(mln, make_rng(79)).verdict == "pass"
     assert duality.check_payoff_symmetry(mln, 1, rng=make_rng(79)).verdict == "pass"
 
@@ -280,7 +280,7 @@ def _weight_rows(vectors):
 
 
 def test_column_payoffs_match_the_row_major_formulas():
-    rows = dist.MultiLogNormal.jointly_self_dual(3, 0.5).sample(50_000, make_rng(70))
+    rows = levy.MultiLogNormal.jointly_self_dual(3, 0.5).sample(50_000, make_rng(70))
     cols = np.ascontiguousarray(rows.T)
     # one batched call, every row against the row-major formula of its vector
     vectors = duality.random_test_vectors(make_rng(71), 3, "max")
@@ -309,7 +309,7 @@ def test_pooled_moments_match_concatenated_samples():
 
 
 def test_joint_families_share_their_change_of_numeraire_points():
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     rep = duality.check_joint_self_duality(mln, make_rng(74), n_samples=20_000)
     for i in (1, 2):
         basket, peak = (
@@ -364,7 +364,7 @@ def test_kernel_rejects_nonpositive_draws():
     # one draw has no standard error: refused rather than certified
     with pytest.raises(DomainError):
         duality.check_payoff_symmetry(
-            dist.MultiLogNormal.jointly_self_dual(2, 0.5), 1, rng=make_rng(76), n_samples=1
+            levy.MultiLogNormal.jointly_self_dual(2, 0.5), 1, rng=make_rng(76), n_samples=1
         )
 
 
@@ -396,7 +396,7 @@ def _forked_points(model, n_samples):
 def test_kernel_runs_in_a_forked_child(monkeypatch):
     # the parent's kernel threads do not exist in a forked child
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     want = _forked_points(mln, 50_000)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(_forked_points, (mln, 50_000)).get(timeout=60) == want
@@ -409,13 +409,13 @@ class _RecordedDraws:
         self.model, self.dim, self.nbytes = model, model.dim, []
 
     def column_chunks(self, n, rng):
-        cols = self.model.sample_columns(n, rng)
+        cols = drawn_columns(self.model, n, rng)
         self.nbytes.append(cols.nbytes)
         yield cols, n
 
 
 def test_kernel_memory_does_not_grow_with_the_sample_count(kernel_workers):
-    model = _RecordedDraws(dist.MultiLogNormal.jointly_self_dual(2, 0.5))
+    model = _RecordedDraws(levy.MultiLogNormal.jointly_self_dual(2, 0.5))
 
     def peak_beyond_draws(n_samples):
         model.nbytes.clear()
@@ -433,9 +433,9 @@ def test_kernel_memory_does_not_grow_with_the_sample_count(kernel_workers):
 
 
 # the negative control, so the confirmation batches are streamed too
-_NEGATIVE = dist.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
+_NEGATIVE = levy.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
 # near-equal sampling chunks whose edges fall inside kernel blocks
-_STREAMED_N = 3 * dist.SAMPLE_BLOCK + 17
+_STREAMED_N = 3 * levy.SAMPLE_BLOCK + 17
 
 
 def test_streamed_draws_give_the_points_of_the_whole_draw(kernel_workers, monkeypatch):
@@ -460,7 +460,7 @@ def test_a_decisive_failure_stops_at_its_look(monkeypatch):
         lambda cols, rows, levels: (0.01 * (np.log(cols[0]) + shifts[rows, None]), None),
         [1.0] * len(shifts),
     )
-    model = dist.MultiLogNormal([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    model = levy.MultiLogNormal([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
     runs = []
     for z in (math.inf, duality.DECISIVE_Z):  # the default last, for the checks below
         monkeypatch.setattr(duality, "DECISIVE_Z", z)
@@ -479,7 +479,7 @@ def test_a_decisive_failure_stops_at_its_look(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_a_positive_control_never_meets_the_boundary(seed, monkeypatch):
-    mln = dist.MultiLogNormal.jointly_self_dual(2, 0.5)
+    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
     runs = []
     for z in (math.inf, duality.DECISIVE_Z):
         monkeypatch.setattr(duality, "DECISIVE_Z", z)
@@ -546,7 +546,7 @@ def test_a_nonpositive_draw_in_a_later_chunk_is_refused_on_every_worker_count(mo
 
 
 def test_power_scaled_draw_holds_one_batch():
-    base = dist.MultiLogNormal.jointly_self_dual(3, 0.5)
+    base = levy.MultiLogNormal.jointly_self_dual(3, 0.5)
     adapter = duality._PowerScaled(base, np.array([0.01, -0.02, 0.03]), 1.7)
     tracemalloc.start()
     try:
@@ -556,7 +556,7 @@ def test_power_scaled_draw_holds_one_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * cols.nbytes
-    want = (np.exp(adapter.lam)[:, None] * base.sample_columns(800_000, make_rng(87))) ** 1.7
+    want = (np.exp(adapter.lam)[:, None] * drawn_columns(base, 800_000, make_rng(87))) ** 1.7
     assert cols.tobytes() == want.tobytes()
 
 
@@ -664,7 +664,7 @@ def test_qsd_wrong_order_fails():
 
 def test_qsd_multivariate():
     a = 0.04 * np.array([[1.0, 0.5], [0.5, 1.0]])
-    model = dist.MultiLogNormal([-0.02, -0.02], a)
+    model = levy.MultiLogNormal([-0.02, -0.02], a)
     lam = np.array([0.01, 0.01])
     rep = duality.check_quasi_self_dual(model, 1, lam, 0.5, rng=make_rng(61), n_samples=100_000)
     assert rep.verdict == "pass", rep.one_line()
@@ -718,7 +718,7 @@ def test_confirmation_drops_each_batch_before_drawing_the_next(monkeypatch):
     # both rounds run on the negative control: N first, then 2N, then 4N draws
     monkeypatch.setattr(duality, "WORKERS", 1)
     monkeypatch.setattr(duality, "DECISIVE_Z", math.inf)
-    model = dist.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
+    model = levy.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
     n = 80_000
 
     def peak():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfdual import dist, geometry, pricing
+from selfdual import dist, geometry, levy, pricing
 from selfdual.errors import AtomicModel, DomainError
 from selfdual.geometry import LiftVector
 from selfdual.quadrature import integrate_interval, integrate_positive
@@ -29,7 +29,7 @@ def test_support_nonnegative_cone_is_linear():
     est = geometry.support_lift_zonoid(LN25, LiftVector(1.0, (2.0,)))
     assert est.value == 3.0 and est.std_error == 0.0 and est.method == "closed_form"
     v = geometry.support_lift_zonoid(
-        dist.MultiLogNormal.jointly_self_dual(2, 0.3), LiftVector(0.5, (1.0, 2.0))
+        levy.MultiLogNormal.jointly_self_dual(2, 0.3), LiftVector(0.5, (1.0, 2.0))
     )
     assert v.value == pytest.approx(3.5, abs=1e-14)
 
@@ -76,7 +76,7 @@ SUPPORT_AS_PRICE_CASES = [
     (dist.HeavyTail(1.0), LiftVector(-1.0, (1.3,)), LiftVector(0.7, (1.2,))),
     (dist.LpSelfDual(1.5), LiftVector(0.8, (-1.1,)), LiftVector(1.0, (0.6,))),
     (
-        dist.MultiLogNormal.jointly_self_dual(2, 0.3),
+        levy.MultiLogNormal.jointly_self_dual(2, 0.3),
         LiftVector(-0.5, (1.0, -0.4)),
         LiftVector(0.3, (1.0, 0.8)),
     ),

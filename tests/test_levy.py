@@ -786,3 +786,134 @@ def test_column_major_increments_equal_the_row_major_formula(n, kind, return_cou
     np.testing.assert_array_equal(got, want)
     if kind != "gaussian":
         assert want_counts.sum() > 1_000
+
+
+# --------------------------------------------------------------------------- #
+# A triplet is the vector model of exp(xi) at t = 1
+# --------------------------------------------------------------------------- #
+
+JOINTLY_SELF_DUAL = "{kind: multi_lognormal, mean: [-0.125, -0.125], cov: [[0.25, 0.125], [0.125, 0.25]]}"
+INDEPENDENT = "{kind: multi_lognormal, mean: [-0.125, -0.125], cov: [[0.25, 0.0], [0.0, 0.25]]}"
+# self-dual for numeraire 1 only: each atom's K_1 reflection carries e^(x_1) times its mass
+ATOM_PAIR = "{kind: levy_triplet, a: 0.0225, atoms: [{x: 0.3, mass: 1.0}, {x: -0.3, mass: MASS}]}"
+ATOM_PAIR_2D = (
+    "{kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]], "
+    "atoms: [{x: [0.3, 0.1], mass: 0.2}, {x: [-0.3, -0.2], mass: MASS}]}"
+)
+
+
+def _run(model: str, task: str, seed: int = 11):
+    """Exit code and results of a spec run through ``cli.run`` at ``seed``."""
+    spec = cli.parse_model_spec(f"model: {model}\ntask: {task}\n")
+    spec["seed"] = seed
+    code, doc, _ = cli.run(spec)
+    return code, doc.get("results", doc.get("error"))
+
+
+@pytest.mark.parametrize("model, code", [(JOINTLY_SELF_DUAL, 0), (INDEPENDENT, 1)])
+def test_the_triplet_check_reads_a_multi_lognormal(model, code):
+    got, results = _run(model, "{kind: check, checks: [triplet], numeraire: 1}")
+    assert got == code
+    assert results["checks"][0]["name"] == "sd_triplet[i=1]"
+    # the default checks of a multi_lognormal stay the Monte Carlo ones
+    assert [c["name"] for c in _run(model, "{kind: check}")[1]["checks"]] == ["joint_self_duality"]
+
+
+def test_the_alpha_task_solves_a_multi_lognormal_in_closed_form():
+    model = "{kind: multi_lognormal, mean: [-0.02, -0.045], cov: [[0.04, 0.01], [0.01, 0.09]]}"
+    code, results = _run(model, "{kind: alpha, numeraire: 2, carry: 0.01}")
+    assert code == 0
+    assert results["method"] == "closed_lognormal"
+    assert results["alpha"] == 1.0 - 2.0 * 0.01 / 0.09
+
+
+@pytest.mark.parametrize(
+    "model, numeraires, reflected, perturbed",
+    [
+        (ATOM_PAIR, [1], "1.3498588075760032", "1.0"),
+        (ATOM_PAIR_2D, [1, 2], "0.26997176151520064", "0.2"),
+    ],
+)
+def test_the_payoff_check_of_a_jump_triplet_agrees_with_its_triplet_check(
+    model, numeraires, reflected, perturbed
+):
+    for mass in (reflected, perturbed):
+        spec = model.replace("MASS", mass)
+        for i in numeraires:
+            want = _run(spec, f"{{kind: check, checks: [triplet], numeraire: {i}}}")[0]
+            # self-dual exactly for numeraire 1 at the reflected mass
+            assert want == (0 if (mass, i) == (reflected, 1) else 1)
+            for seed in (11, 12, 13):
+                task = f"{{kind: check, checks: [payoff], numeraire: {i}}}"
+                assert _run(spec, task, seed)[0] == want
+                if mass == reflected:  # alpha 1 and no carry: the quasi check is self-duality
+                    task = f"{{kind: check, checks: [quasi], numeraire: {i}, alpha: 1.0}}"
+                    assert _run(spec, task, seed)[0] == want
+
+
+def test_the_joint_check_fails_a_triplet_self_dual_for_one_numeraire_only():
+    spec = ATOM_PAIR_2D.replace("MASS", "0.26997176151520064")
+    for seed in (11, 12, 13):
+        assert _run(spec, "{kind: check, checks: [joint]}", seed)[0] == 1
+
+
+def test_a_triplet_prices_and_checks_its_density_without_jumps_only():
+    code, results = _run(
+        "{kind: levy_triplet, a: 0.04}",
+        "{kind: price, payoff: {kind: basket_call, weights: [1], strike: 1}}",
+    )
+    assert (code, results["method"]) == (0, "monte_carlo")
+    density = "{kind: check, checks: [density], numeraire: 1}"
+    assert _run("{kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]]}", density)[0] == 0
+    code, error = _run(ATOM_PAIR.replace("MASS", "1.3498588075760032"), density)
+    assert (code, error["type"]) == (3, "NoDensity")
+
+
+def test_a_multi_lognormal_keeps_the_log_normal_means_and_density():
+    mln = levy.MultiLogNormal([-0.05, 0.1], A2)
+    assert np.array_equal(mln.means, np.exp(mln.drift + 0.5 * np.diag(mln.a)))
+    x = np.array([0.9, 1.2])
+    y = np.log(x) - mln.drift
+    want = math.exp(-0.5 * y @ np.linalg.inv(A2) @ y) / (2.0 * math.pi * math.sqrt(np.linalg.det(A2)) * x.prod())
+    assert mln.pdf(x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("convention", levy.CONVENTIONS)
+def test_a_jump_triplet_means_match_its_sample_means(convention):
+    t = levy.convert_convention(sd_atom_triplet(), convention)
+    t = levy.LevyTriplet(t.a, t.nu, t.drift + np.array([0.05, -0.1]), convention)
+    draws = t.sample(200_000, make_rng(93))
+    se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - t.means) <= 4.0 * se)
+    assert np.allclose(np.log(t.means), [levy.char_exponent(t, -1j * e).real for e in np.eye(2)])
+
+
+def test_the_triplet_helpers_return_a_plain_triplet_for_a_multi_lognormal():
+    mln = levy.MultiLogNormal([-0.05, -0.1], A2)
+    plain = LevyTriplet(A2, drift=np.array([-0.05, -0.1]))
+    for helper in (
+        lambda t: t.scaled(0.5),
+        lambda t: levy.esscher(t, [0.2, -0.1]),
+        lambda t: levy.convert_convention(t, "truncated"),
+    ):
+        got, want = helper(mln), helper(plain)
+        assert type(got) is LevyTriplet
+        assert (got.convention, got.norm_index) == (want.convention, want.norm_index)
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.drift, want.drift)
+
+
+@pytest.mark.parametrize(
+    "cov, message",
+    [
+        ("[[0.04, 0.01], [0.02, 0.04]]", "covariance must be symmetric"),
+        ("[[0.04, 0.1], [0.1, 0.04]]", "covariance must be positive semidefinite"),
+        ("[[0.04]]", "mean must have length 1, as covariance is 1 x 1"),
+    ],
+)
+def test_a_bad_multi_lognormal_covariance_is_named_as_such(cov, message, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(
+        f"model: {{kind: multi_lognormal, mean: [0, 0], cov: {cov}}}\ntask: {{kind: check}}\n"
+    )
+    assert cli.main(["check", str(spec_file)]) == 3
+    assert capsys.readouterr().err == f"schema error: spec.model: {message}\n"
