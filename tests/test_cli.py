@@ -1536,6 +1536,25 @@ model:
   tilted_gaussian: {cov: [[0.09, 0.045], [0.045, 0.16]], tilt: 1.0, mass: 0.5, numeraire: 1}
 task: {kind: check}
 """
+# the tilted Gaussian jump part of order 1/2 with its carry e^0.25 - 1
+TRIPLET_QSD_TILTED_GAUSSIAN = """
+model:
+  kind: levy_triplet
+  a: 0.0
+  tilted_gaussian: {cov: 1.0, tilt: 0.5, mass: 1.0, numeraire: 1}
+task: {kind: check, checks: [triplet], alpha: 0.5, carry: 0.2840254166877414}
+"""
+# a reflected pair that straddles the Euclidean unit ball: (0.9, 0.5) lies outside, K_1 of it inside
+TRIPLET_EUCLIDEAN_STRADDLE = """
+model:
+  kind: levy_triplet
+  a: [[0.04, 0.02], [0.02, 0.04]]
+  convention: truncated_euclidean
+  atoms:
+  - {x: [0.9, 0.5], mass: 0.5}
+  - {x: [-0.9, -0.4], mass: 1.229801555578475}
+task: {kind: check}
+"""
 HEDGE_JUMP_SUPER = """
 seed: 5
 model:
@@ -1604,6 +1623,8 @@ GOLDEN_SPECS = {
     "triplet-truncated-gamma": ("check", TRIPLET_TRUNCATED_GAMMA),
     "triplet-euclidean-martingale": ("check", TRIPLET_EUCLIDEAN_MARTINGALE),
     "triplet-tilted-gaussian": ("check", TRIPLET_TILTED_GAUSSIAN),
+    "triplet-qsd-tilted-gaussian": ("check", TRIPLET_QSD_TILTED_GAUSSIAN),
+    "triplet-euclidean-straddle": ("check", TRIPLET_EUCLIDEAN_STRADDLE),
     "hedge-jump-super": ("hedge", HEDGE_JUMP_SUPER),
     "hedge-indicator-in": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "in")),
     "hedge-indicator-out": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "out")),
@@ -1619,7 +1640,7 @@ GOLDEN_SPECS = {
     )),
 }
 # the exit code of each pin that does not pass
-GOLDEN_EXIT = {"crn-fail": 1}
+GOLDEN_EXIT = {"crn-fail": 1, "triplet-euclidean-straddle": 1}
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
         "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
@@ -1653,6 +1674,14 @@ GOLDEN_SHA256 = {
     "triplet-tilted-gaussian": {
         "report.yaml": "b895c2be1f3fb8373222c0ae434f81d126a7211075a838603c12e73233e07d7c",
         "verdicts.txt": "780919f1dc7271799b49c20e167d1ed0d8f74e72afd471b3a8fda6749e4c8151",
+    },
+    "triplet-qsd-tilted-gaussian": {
+        "report.yaml": "1dc1e99eff67b68a34be9ba0770d903c22ebcb332bd22f678309740b2f9296f5",
+        "verdicts.txt": "b033f6f151b1b653daa0b72c976c0ddc8248a9001831b6015db68d73a1f9aeb6",
+    },
+    "triplet-euclidean-straddle": {
+        "report.yaml": "0a9b3c4a44c6cefbc016a68e652b30eadbb0bddf7c88d4bde7f509cb783f3d21",
+        "verdicts.txt": "2c00baba5ce2050462e2dd0e219f5679da403e2f9945795a4e3a176bd3f313fb",
     },
     "hedge-jump-super": {
         "hedge.txt": "af1bff4f4258b42daef750c0269c33bfeb39ed5be320238c6932bb3fd2d28349",
