@@ -182,7 +182,7 @@ def test_criterion_07_levy_triplet_conditions():
         "criterion 7: triplet conditions",
         rep.verdict == "pass"
         and rep.max_abs_residual <= 1e-10
-        and failing == ["(3) drift[i] - compensator"],
+        and failing == ["(3) affine rest, from drift, carry and compensator"],
         f"residual {rep.max_abs_residual:.2e}; perturbation flips {failing}",
     )
 

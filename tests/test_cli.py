@@ -1640,7 +1640,7 @@ GOLDEN_SPECS = {
     )),
 }
 # the exit code of each pin that does not pass
-GOLDEN_EXIT = {"crn-fail": 1, "triplet-euclidean-straddle": 1}
+GOLDEN_EXIT = {"crn-fail": 1}
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
         "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
@@ -1664,24 +1664,24 @@ GOLDEN_SHA256 = {
         "report.yaml": "96905bcd460fe302ffa4f8e76a1f953aa03725c8b1a8940015e6558f58dca6a5",
     },
     "triplet-truncated-gamma": {
-        "report.yaml": "caed6e3f40207fcc8ca91a6e65231a6c4694fb789bd4065bb5a6907efca8351c",
-        "verdicts.txt": "8f5b3beb18fc151e714ec47415e02548b03da4a70cd3f78315ffcda630a795a7",
+        "report.yaml": "fe22cb199bee17427a16bc3af82a1f359662798d5b7b202989d6d8c980cf55d1",
+        "verdicts.txt": "968d94f2212dd70af31faafd0c1fcf8edf4105daae46be624528363f7b59cf58",
     },
     "triplet-euclidean-martingale": {
-        "report.yaml": "125689df1225a118b0e58960a97d9479264e28899d7d017a367ce5e0998eef30",
-        "verdicts.txt": "ba378c7475cf493f36f11730c47dbb439814cac0dee2d14e84548d32a5a99bfb",
+        "report.yaml": "618da5356e6a2dcb6e8075920ea0ff422359bdedcfd654a60902df3075d80371",
+        "verdicts.txt": "1b5620636351e79f8a2d3c10804540d905e9672f73f261075228a0a09ff772be",
     },
     "triplet-tilted-gaussian": {
-        "report.yaml": "b895c2be1f3fb8373222c0ae434f81d126a7211075a838603c12e73233e07d7c",
-        "verdicts.txt": "780919f1dc7271799b49c20e167d1ed0d8f74e72afd471b3a8fda6749e4c8151",
+        "report.yaml": "aca60535f4e3d9a33d1fe33e9868f2c6306a47d0561ceebc18a64d20b79719f0",
+        "verdicts.txt": "92a12ba605fc7eff435dca9173400c2730b9f617ce4aceb61d53e8d1aba20641",
     },
     "triplet-qsd-tilted-gaussian": {
-        "report.yaml": "1dc1e99eff67b68a34be9ba0770d903c22ebcb332bd22f678309740b2f9296f5",
-        "verdicts.txt": "b033f6f151b1b653daa0b72c976c0ddc8248a9001831b6015db68d73a1f9aeb6",
+        "report.yaml": "dca1d35e54a66935cd1688ce2117727e409aab1f357a73896026a08a7bc5f7a5",
+        "verdicts.txt": "45197b9dd2b739923844bc0d38b5c8c1dc68b6767f5f4f0355a372cade8726dc",
     },
     "triplet-euclidean-straddle": {
-        "report.yaml": "0a9b3c4a44c6cefbc016a68e652b30eadbb0bddf7c88d4bde7f509cb783f3d21",
-        "verdicts.txt": "2c00baba5ce2050462e2dd0e219f5679da403e2f9945795a4e3a176bd3f313fb",
+        "report.yaml": "1ed3f86809ffd00d9964eb28e5e024f03f4cf2acc06278e07d5afc6701c2eac7",
+        "verdicts.txt": "a5d3cc7cfaef657bc24b749a82c61c0a30faa416ab60107ae653ae38a4d3bce6",
     },
     "hedge-jump-super": {
         "hedge.txt": "af1bff4f4258b42daef750c0269c33bfeb39ed5be320238c6932bb3fd2d28349",

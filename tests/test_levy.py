@@ -210,7 +210,7 @@ def test_drift_perturbation_fails_condition_three():
     bad = LevyTriplet(t.a, t.nu, drift=t.drift + np.array([1e-3, 0.0]))
     rep = levy.check_sd_triplet(bad, 1)
     failing = [p.label for p in rep.points if p.status == "fail"]
-    assert failing == ["(3) drift[i] - compensator"]
+    assert failing == ["(3) affine rest, from drift, carry and compensator"]
 
 
 def test_unmatched_atom_fails_condition_two():
@@ -218,7 +218,7 @@ def test_unmatched_atom_fails_condition_two():
     t = levy.martingale_normalized(A2, JumpMeasure(atoms=atoms))
     rep = levy.check_sd_triplet(t, 1)
     failing = [p.label for p in rep.points if p.status == "fail"]
-    assert any(label.startswith("(2) atom") for label in failing)
+    assert any(label.startswith("(2) jump") for label in failing)
 
 
 def test_qsd_triplet_lognormal_relation():
@@ -270,6 +270,193 @@ def test_qsd_char_identity_with_carry():
         lhs = levy.char_exponent(t, u - 0.5j * alpha * np.ones(1))
         rhs = levy.char_exponent(t, -u - 0.5j * alpha * np.ones(1)) - 1j * lam * 2 * u[0]
         assert abs(lhs - rhs) <= 1e-10
+
+
+def _check_through_main(tmp_path, capsys, model: str, task: str, *flags: str):
+    """Exit code and the verdict of each check of a spec run through ``cli.main``."""
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(f"model: {model}\ntask: {task}\n")
+    code = cli.main(["check", str(spec_file), *flags])
+    checks = yaml.safe_load(capsys.readouterr().out)["results"]["checks"]
+    return code, [(c["name"], c["verdict"]) for c in checks], checks
+
+
+# reflected atom pairs whose two atoms lie on either side of the truncation ball
+@pytest.mark.parametrize(
+    "convention, i, x",
+    [
+        ("truncated_euclidean", 1, (0.9, 0.5)),
+        ("truncated", 2, (0.2, 0.95)),
+        ("truncated", 2, (0.9, 0.3)),
+    ],
+)
+def test_a_pair_straddling_the_truncation_ball_passes_as_under_the_mean_convention(
+    convention, i, x, tmp_path, capsys
+):
+    x = np.array(x)
+    partner = KappaMaps(2, i).K(x)
+    model = (
+        "{kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]], convention: CONVENTION, atoms: ["
+        f"{{x: {x.tolist()}, mass: 0.5}}, "
+        f"{{x: {partner.tolist()}, mass: {0.5 * math.exp(x[i - 1])!r}}}]}}"
+    )
+    task = f"{{kind: check, numeraire: {i}}}"
+    ball = _check_through_main(tmp_path, capsys, model.replace("CONVENTION", convention), task)
+    mean = _check_through_main(tmp_path, capsys, model.replace("CONVENTION", "mean"), task)
+    assert ball[:2] == mean[:2] == (0, [(f"sd_triplet[i={i}]", "pass")])
+
+
+def test_the_tolerance_acts_on_the_jump_part(tmp_path, capsys):
+    # the reflected partner of (0.3, 0.1) is (-0.3, -0.2); this one is moved by 1e-9
+    model = (
+        "{kind: levy_triplet, a: [[0.04, 0.02], [0.02, 0.04]], atoms: ["
+        "{x: [0.3, 0.1], mass: 0.5}, {x: [-0.3, -0.199999999], mass: 0.6749294037880016}]}"
+    )
+    assert _check_through_main(tmp_path, capsys, model, "{kind: check}", "--tol", "1e-6")[0] == 0
+    code, _, [check] = _check_through_main(tmp_path, capsys, model, "{kind: check}")
+    assert code == 1
+    assert 1e-9 < check["max_abs_residual"] < 1e-7
+    assert [p["label"][:3] for p in check["points"] if p["status"] == "fail"][0] == "(2)"
+
+
+def test_every_convention_and_norm_index_give_one_verdict():
+    atoms = ((np.array([0.9, 0.5]), 0.5), (np.array([-0.9, -0.4]), 0.5 * math.exp(0.9)))
+    for mass_factor, want in ((1.0, "pass"), (1.001, "fail")):
+        nu = JumpMeasure(atoms=(atoms[0], (atoms[1][0], atoms[1][1] * mass_factor)))
+        for norm_index in (1, 2):
+            base = levy.martingale_normalized(
+                [[0.04, 0.02], [0.02, 0.04]], nu, norm_index=norm_index
+            )
+            for convention in levy.CONVENTIONS:
+                t = levy.convert_convention(base, convention)
+                assert levy.check_sd_triplet(t, 1).verdict == want, (convention, norm_index)
+
+
+@pytest.mark.parametrize("n, i, carry", [(3, 3, "[0.0, 0.05]"), (2, 1, "[0.0, 0.05, 7.0]")])
+def test_a_carry_of_the_wrong_length_is_refused(n, i, carry, tmp_path, capsys):
+    # a carry has one entry, or one per asset, whichever of them the identity reads
+    a = (0.02 * (np.ones((n, n)) + np.eye(n))).tolist()
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(
+        f"model: {{kind: levy_triplet, a: {a}}}\n"
+        f"task: {{kind: check, checks: [triplet], numeraire: {i}, alpha: 1.0, carry: {carry}}}\n"
+    )
+    assert cli.main(["check", str(spec_file)]) == 3
+    error = yaml.safe_load(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "DomainError",
+        "message": "carrying-cost vector length does not match the model",
+    }
+
+
+def test_order_zero_is_refused():
+    # at alpha = 0 the identity holds for every law, so it decides nothing
+    with pytest.raises(DomainError, match="order alpha must be nonzero"):
+        levy.check_qsd_triplet(levy.martingale_normalized(A2), 1, 0.0, 0.0)
+
+
+# --------------------------------------------------------------------------- #
+# The exponent identity against the hand-derived conditions
+# --------------------------------------------------------------------------- #
+
+
+def _invariant_cov(gen, n, i, size, ridge):
+    """A random K_i-invariant covariance with eigenvalues of at least ``ridge / 2``."""
+    c = gen.normal(0.0, size, (n, n))
+    b = c @ c.T + ridge * np.eye(n)
+    k = KappaMaps(n, i).matrix
+    return 0.5 * (b + k @ b @ k.T)
+
+
+def _random_qsd_case(gen):
+    """A mean-convention triplet quasi-self-dual for a random (numeraire, order, carry).
+
+    Atoms come in reflected pairs with ``|x_i| >= 0.1``: an atom with ``x_i = 0`` is its
+    own reflection, its mass is free, and the exponent's response to a change of the
+    mass of an atom shrinks with ``x_i``.  A Gaussian part is the tilted one with its mean
+    moved off coordinate ``i``, which leaves the reflection law intact.
+    """
+    n = int(gen.integers(1, 4))
+    i = int(gen.integers(1, n + 1))
+    alpha, lam = float(gen.uniform(0.25, 2.0)), float(gen.uniform(-0.2, 0.2))
+    a = _invariant_cov(gen, n, i, 0.2, 0.05)
+    k = KappaMaps(n, i)
+    atoms = []
+    for _ in range(int(gen.integers(0, 5))):
+        x = gen.uniform(-1.0, 1.0, n)
+        x[i - 1] = gen.choice([-1.0, 1.0]) * gen.uniform(0.1, 1.0)
+        m = float(gen.uniform(0.05, 1.0))
+        atoms += [(x, m), (k.K(x), m * math.exp(alpha * x[i - 1]))]
+    gaussian = None
+    if gen.uniform() < 0.5:
+        b = _invariant_cov(gen, n, i, 0.2, 0.01)
+        g = levy.build_tilted_gaussian_measure(b, alpha, gen.uniform(0.1, 1.0), i).gaussian
+        free = gen.uniform(-0.3, 0.3, n)  # only coordinate i of the mean is constrained
+        free[i - 1] = 0.0
+        gaussian = GaussianPart(g.mean + free, g.cov, g.mass)
+    nu = JumpMeasure(atoms=tuple(atoms), gaussian=gaussian)
+    # on the set, integral x_i e^(alpha x_i / 2) d nu vanishes, and drift_i is this
+    drift = gen.uniform(-0.2, 0.2, n)
+    drift[i - 1] = nu.weighted_mean(np.zeros(n), n)[i - 1] - 0.5 * alpha * a[i - 1, i - 1] - lam
+    return LevyTriplet(a, nu, drift), i, alpha, lam
+
+
+def _perturbed(gen, t, i, lam, kind, size):
+    """``(t, lam)`` moved off the quasi-self-dual set by ``size`` in one part: ``kind``."""
+    a, drift, atoms, g = t.a.copy(), t.drift.copy(), list(t.nu.atoms), t.nu.gaussian
+    size *= gen.choice([-1.0, 1.0])
+    if kind == "a":  # an off-diagonal entry in row and column i
+        j = int(gen.choice([j for j in range(t.n) if j != i - 1]))
+        a[i - 1, j] += size
+        a[j, i - 1] += size
+    elif kind == "drift":
+        drift[i - 1] += size
+    elif kind == "carry":
+        lam += size
+    elif kind == "mass":
+        idx = int(gen.integers(len(atoms)))
+        atoms[idx] = (atoms[idx][0], atoms[idx][1] + size)
+    elif kind == "position":
+        idx, j = int(gen.integers(len(atoms))), int(gen.integers(t.n))
+        x = atoms[idx][0].copy()
+        x[j] += size
+        atoms[idx] = (x, atoms[idx][1])
+    else:  # the one coordinate of the Gaussian mean that the reflection law fixes
+        mean = g.mean.copy()
+        mean[i - 1] += size
+        g = GaussianPart(mean, g.cov, g.mass)
+    return LevyTriplet(a, JumpMeasure(atoms=tuple(atoms), gaussian=g), drift), lam
+
+
+def test_the_exponent_identity_gives_the_oracles_verdict_on_random_triplets():
+    from triplet_oracle import oracle_qsd_triplet
+
+    gen = np.random.default_rng(2025)
+    seen = {}
+    for _ in range(1000):
+        t, i, alpha, lam = _random_qsd_case(gen)
+        kinds = ["drift", "carry"] + ["a"] * (t.n > 1)
+        kinds += ["mass", "position"] * bool(t.nu.atoms) + ["gaussian"] * (t.nu.gaussian is not None)
+        kind = str(gen.choice(kinds))
+        seen[kind] = seen.get(kind, 0) + 1
+        # 1e-6 to 1e-3 is 1e4 to 1e7 times tol: the exponent moves by about the size times
+        # the reach of the design, and must clear tol (1 + scale)
+        off = _perturbed(gen, t, i, lam, kind, 10.0 ** gen.uniform(-6.0, -3.0))
+        for (case, carry), want in (((t, lam), "pass"), (off, "fail")):
+            norm_index = int(gen.integers(1, case.n + 1))
+            case = LevyTriplet(case.a, case.nu, case.drift, "mean", norm_index)
+            if case.nu.gaussian is None:
+                case = levy.convert_convention(case, str(gen.choice(levy.CONVENTIONS)))
+            rep = levy.check_qsd_triplet(case, i, carry, alpha)
+            oracle = oracle_qsd_triplet(levy.convert_convention(case, "mean"), i, carry, alpha)
+            assert rep.verdict == oracle.verdict == want, (kind, rep.one_line(), oracle.one_line())
+            failing = [p.label[:3] for p in rep.points if p.status == "fail"]
+            if want == "fail" and kind == "a":
+                assert failing == ["(1)"]
+            elif want == "fail" and kind in ("drift", "carry"):
+                assert failing == ["(3)"]
+    assert sorted(seen) == ["a", "carry", "drift", "gaussian", "mass", "position"]
+    assert min(seen.values()) >= 50, seen
 
 
 # --------------------------------------------------------------------------- #
@@ -341,6 +528,24 @@ def test_tilted_gaussian_reflection_density_ratio():
         lhs = dens(x)
         rhs = math.exp(-alpha * x[0]) * dens(maps.K(x))
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + lhs)
+
+
+def test_a_gaussian_jump_part_is_free_in_its_mean_off_the_numeraire():
+    # the reflection law fixes mean[i] = -(alpha/2) b[i,i] only; the other coordinates are free
+    g = levy.build_tilted_gaussian_measure(B2, 1.0, 0.8, 1).gaussian
+    for shift, want in (([0.0, 0.1], "pass"), ([0.1, 0.0], "fail")):
+        moved = GaussianPart(g.mean + np.array(shift), g.cov, g.mass)
+        prec = np.linalg.inv(moved.cov)
+
+        def dens(x):
+            y = x - moved.mean
+            return math.exp(-0.5 * float(y @ prec @ y))
+
+        x = np.array([0.2, -0.1])
+        ratio = dens(x) / (math.exp(-x[0]) * dens(KappaMaps(2, 1).K(x)))
+        assert (abs(ratio - 1.0) <= 1e-12) == (want == "pass")
+        t = levy.martingale_normalized(A2, JumpMeasure(gaussian=moved))
+        assert levy.check_sd_triplet(t, 1).verdict == want
 
 
 # --------------------------------------------------------------------------- #
