@@ -247,6 +247,11 @@ def _path_config(s0, carry, horizon, steps, driver):
     return hedging.PathConfig(s0, carry, driver, horizon=horizon, steps=steps)
 
 
+# each setting that a task may leave unread, at its default
+_DEFAULTS = {"samples": 200_000, "tol": 1e-10, "steps": 250, "n_outer": 10_000, "n_inner": 20_000,
+             "hit_states": 50}
+# the settings of a hedge's grid, each with the section of the spec that holds it
+_GRID = {"steps": "model", "n_outer": "task", "n_inner": "task", "hit_states": "task"}
 _REQUIRED_VECTOR = (_vector, {"required": True})
 _REQUIRED_MATRIX = (_matrix, {"required": True})
 _STRIKE = (_number, {"ge": 0.0, "required": True})
@@ -298,7 +303,7 @@ MODELS = {
         "s0": _REQUIRED_VECTOR,
         "carry": (_vector, {}),
         "horizon": (_number, {"gt": 0.0, "default": 1.0}),
-        "steps": (_integer, {"ge": 1, "default": 250}),
+        "steps": (_integer, {"ge": 1, "default": _DEFAULTS["steps"]}),
         "driver": (_kinded, {
             "of": {"levy_triplet": _TRIPLET, "multi_lognormal": _MULTI_LOGNORMAL},
             "required": True,
@@ -408,7 +413,8 @@ TASKS = {
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
     }, lambda task, model: () if _closed_form(task, model) else ("samples",)),
-    # samples size a continuous driver's price check; a jump driver's hedge prices on its paths
+    # a continuous driver's hedge reads tol for its exact exchange and samples for its price
+    # check, and simulates no path; a jump driver's hedge checks and prices on its grid
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
             "asset": (_integer, {"ge": 1, "required": True}),
@@ -418,10 +424,10 @@ TASKS = {
         "target": _PAYOFF,
         "alpha": (_number, {"or": ("solve",), "default": 1.0}),
         "knock": (_choice, {"of": ("in", "out", "super"), "default": "in"}),
-        "n_outer": (_integer, {"ge": 100, "default": 10_000}),
-        "n_inner": (_integer, {"ge": 100, "default": 20_000}),
-        "hit_states": (_integer, {"ge": 1, "default": 50}),
-    }, lambda task, cfg: ("samples",) if getattr(cfg, "is_continuous", True) else ()),
+        "n_outer": (_integer, {"ge": 100, "default": _DEFAULTS["n_outer"]}),
+        "n_inner": (_integer, {"ge": 100, "default": _DEFAULTS["n_inner"]}),
+        "hit_states": (_integer, {"ge": 1, "default": _DEFAULTS["hit_states"]}),
+    }, lambda task, cfg: ("samples", "tol") if getattr(cfg, "is_continuous", True) else _GRID),
     "zonoid": (dict, {
         "k_min": (_number, {"gt": 0.0, "default": 1e-2}),
         "k_max": (_number, {"gt": 0.0, "default": 1e2}),
@@ -430,11 +436,11 @@ TASKS = {
 }
 TASK_KINDS = tuple(TASKS)
 
-_TOL = (dict, {"exact": (_number, {"gt": 0.0, "default": 1e-10})})
+_TOL = (dict, {"exact": (_number, {"gt": 0.0, "default": _DEFAULTS["tol"]})})
 _SPEC = (dict, {
     "version": (_integer, {"ge": 1, "le": 1, "default": 1}),
     "seed": (_integer, {"ge": 0, "default": 12345}),
-    "samples": (_integer, {"ge": 100, "default": 200_000}),
+    "samples": (_integer, {"ge": 100, "default": _DEFAULTS["samples"]}),
     "tol": (_table, {"table": _TOL}),
     "out": (_text, {}),
     "model": (_kinded, {"of": MODELS, "required": True}),
@@ -465,10 +471,13 @@ def parse_model_spec(document: str) -> dict:
     if chk.errors:
         raise SchemaError(chk.errors)
     spec["task"]["kind"] = raw["task"]["kind"]
-    _refuse_unread(spec, {
+    given = {
         "samples": ("spec.samples", raw.get("samples")),
         "tol": ("spec.tol.exact", (raw.get("tol") or {}).get("exact")),
-    })
+    }
+    if spec["task"]["kind"] == "hedge":
+        given |= {key: (f"spec.{part}.{key}", raw[part].get(key)) for key, part in _GRID.items()}
+    _refuse_unread(spec, given)
     spec["model_node"] = _normalize(raw["model"])
     spec["task_node"] = _normalize(raw["task"])
     return spec
@@ -479,8 +488,7 @@ def _refuse_unread(spec: dict, given: dict) -> None:
     given away from its default and that the spec's task does not read.  Every report
     echoes the defaults, so an echo parses again."""
     kind = spec["task"]["kind"]
-    defaults = {"samples": _SPEC[1]["samples"][1]["default"], "tol": _TOL[1]["exact"][1]["default"]}
-    given = {s: where for s, (where, value) in given.items() if value not in (None, defaults[s])}
+    given = {s: where for s, (where, value) in given.items() if value not in (None, _DEFAULTS[s])}
     reads = TASKS[kind][2](spec["task"], spec["model"]) if given else ()
     unread = [
         f"{where}: the {kind} task does not read {setting}"
@@ -724,7 +732,7 @@ def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
     rng = RngStream(spec["seed"])
     report = hedging.evaluate_hedge(
         plan, cfg, n_outer=task["n_outer"], n_inner=task["n_inner"], rng=rng,
-        n_hit_states=task["hit_states"], n_samples=spec["samples"],
+        n_hit_states=task["hit_states"], n_samples=spec["samples"], tol=spec["tol"]["exact"],
     )
     doc = {
         "verdict": report.verdict,
@@ -734,17 +742,21 @@ def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
         "knock_in_se": report.knock_in_se,
         "overshoot_fraction": report.overshoot_fraction,
         "one_sided": report.one_sided,
-        "max_gap_se_units": report.max_gap_se_units,
         "terminal_max_mismatch": report.terminal_max_mismatch,
         "price_plain": list(report.price_plain),
         "price_knock_in": list(report.price_knock_in),
         "price_knock_out": list(report.price_knock_out),
         "price_gap": None if report.price_gap is None else list(report.price_gap),
-        "hit_states": len(report.hit_gaps),
     }
-    buf = io.StringIO()
-    report.gaps_csv(buf)
-    artifacts = {"hedge_gaps.csv": buf.getvalue(), "hedge.txt": report.one_line() + "\n"}
+    artifacts = {"hedge.txt": report.one_line() + "\n"}
+    if report.exchange is None:  # the grid's hit states
+        buf = io.StringIO()
+        report.gaps_csv(buf)
+        artifacts["hedge_gaps.csv"] = buf.getvalue()
+        doc |= {"max_gap_se_units": report.max_gap_se_units, "hit_states": len(report.hit_gaps)}
+    else:  # the exact exchange, in three parts
+        exchange = _report_of(report.exchange)
+        doc["exchange"] = {"method": "exponent", "tol": spec["tol"]["exact"], **exchange}
     return report.verdict, doc, artifacts
 
 

@@ -11,19 +11,21 @@ symbolically to another one; when the payoff's support makes one summand
 vanish identically the indicator is dropped and the hedge collapses to
 that reflected claim.
 
-Replication is verified at two levels.  For a continuous driver the price
-check needs no path: given ``S_T`` the monitored log-price is a Brownian
-bridge, which hit the level with probability
-``p = exp(-2 (y_0 - h)(y_T - h) / (a_ii T))`` if ``S_T`` has not crossed it
-and 1 if it has (Glasserman 2004, 6.4), so the hedge must price like
-``p f(S_T)``, or ``(1 - p) f`` for knock-out.  Hit states come from a
-streaming first-hit pass over outer paths that holds the log-states of one
-block of steps, column-major as ``(n, paths)``, and tests the barrier once
-per block, so memory is O(paths * n) whatever the number of steps.  Inner
-simulations from each state, projected onto the barrier for continuous
-drivers, compare the conditional values of the target and the hedge
-claims.  Jump drivers keep the overshoot state and are monitored on the
-grid, and their verdicts are one-sided.
+A continuous driver is decided without paths.  At a hit state ``s``, ``s_i = H``,
+the exchange ``E f(s o Y) = E[Y_i^alpha f(s o kappa_i Y)]`` for ``Y = S_T / s =
+exp(r carry + xi_r)`` is the quasi-self-duality of order ``alpha`` of ``Y``'s law
+for numeraire ``i``; a Levy exponent is linear in ``r``, so it holds at every
+state exactly when :func:`levy.check_qsd_triplet` passes (Carr and Lee 2009).
+Given ``S_T`` the monitored log-price is a Brownian bridge, which hit the level
+with probability ``p = exp(-2 (y_0 - h)(y_T - h) / (a_ii T))`` if ``S_T`` has not
+crossed it and 1 if it has (Glasserman 2004, 6.4), so the hedge must price like
+``p f(S_T)``, or ``(1 - p) f`` for knock-out.  Jump drivers and the joint
+hedges keep the grid: a streaming first-hit pass over outer paths holds the
+log-states of one block of steps, ``(n, paths)``, and tests the barrier once per
+block, so memory is O(paths * n) whatever the number of steps; inner
+simulations from each hit state, projected onto the barrier unless the driver
+jumps, compare the conditional values of the two claims.  A jump driver keeps
+the overshoot state, and its verdicts are one-sided.
 
 The hit states' variates and the price check's terminal blocks are drawn up
 to two ahead, one after another, on one drawing thread per process; the
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .duality import _Moments, _pool, worst_verdict
+from .duality import SymmetryReport, _Moments, _pool, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, MultiLogNormal, assemble_increments, check_qsd_triplet
 from .levy import gaussian_root, increment_variates, sample_increments
@@ -478,6 +480,7 @@ class HedgeReport:
     price_knock_out: tuple[float, float] = (0.0, 0.0)
     price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
     sub_replicates: bool = False  # a knock-out hedge: target minus a super-replicating hedge
+    exchange: SymmetryReport | None = None  # a continuous driver's exact exchange
 
     def _miss(self, gap: float) -> float:
         """How far a gap lies on the failing side: either side if two-sided, else below zero,
@@ -493,7 +496,7 @@ class HedgeReport:
     def verdict(self) -> str:
         if self.terminal_max_mismatch > 1e-10:
             return "fail"
-        statuses = []
+        statuses = [] if self.exchange is None else [self.exchange.verdict]
         for g in self.hit_gaps:
             if self._miss(g.gap) > SE_BAND * g.std_error:
                 return "fail"
@@ -510,10 +513,12 @@ class HedgeReport:
         if self.price_gap is not None:  # signed; a constant gap is 0 or +-inf SEs from zero
             gap, se = self.price_gap
             price_gap = f"{gap / se if se > 0 else gap * math.inf if gap else 0.0:.2f}"
+        checked = f"states={len(self.hit_gaps)} max_gap_se={self.max_gap_se_units:.2f}"
+        if self.exchange is not None:  # exact: no hit state is simulated
+            checked = f"exchange={self.exchange.max_abs_residual:.3e}"
         return (
             f"verdict={self.verdict} hits={self.knock_in_fraction:.4f}"
-            f"+-{self.knock_in_se:.4f} states={len(self.hit_gaps)} "
-            f"max_gap_se={self.max_gap_se_units:.2f} price_gap_se={price_gap} "
+            f"+-{self.knock_in_se:.4f} {checked} price_gap_se={price_gap} "
             f"overshoot={self.overshoot_fraction:.4f}"
         )
 
@@ -583,59 +588,48 @@ def _measure(
     rng: RngStream,
     n_hit_states: int,
     one_sided: bool,
-    first_batch: int | None = None,
 ) -> tuple[HedgeReport, np.ndarray, np.ndarray]:
-    """The outer pass and hit-state checks of both evaluators: returns the
-    report without prices, and the searched paths' knock mask and terminal prices.
+    """The outer pass and hit-state checks of the grid evaluators: returns the
+    report without prices, and the paths' knock mask and terminal prices.
 
     A path's first hitter is the barrier it crossed first, the lower index
     on ties.  Each barrier checks the gap of its exchange at up to
     ``n_hit_states // len(barriers)`` (at least one) of the paths it hits
     first before the horizon, in path order, by inner simulation from the
     hit state, moved onto its level unless the driver jumps or it overshot.
-    Batches are searched until each barrier has its states or ``n_outer``
-    paths are searched: ``first_batch`` (default all) from ``rng.child(0)``,
-    then doubling the paths searched from ``rng.child(3)``, ``child(4)``, ...
+    The ``n_outer`` paths come from ``rng.child(0)``, the j-th state's inner
+    draws from ``rng.child(1000 + j)``.
     """
-    quota = max(1, int(n_hit_states) // len(barriers))
+    quota, n_outer = max(1, int(n_hit_states) // len(barriers)), int(n_outer)
 
     def inner(key):  # a hit state's variates to the horizon, from its own stream
         tau, stream = key
         return increment_variates(cfg.driver, cfg.horizon - tau, stream, int(n_inner))
 
-    found, gaps, batches = np.zeros(len(barriers), dtype=np.int64), [], []
-    searched, size = 0, int(first_batch or n_outer)
-    while searched < n_outer and found.min() < quota:
-        size = min(size, n_outer - searched)
-        stream = rng.child(2 + len(batches) if batches else 0)
-        steps, states, overshoots, terminal = _first_hits(cfg, size, stream, barriers)
-        first = np.argmin(np.where(steps > 0, steps, np.iinfo(steps.dtype).max), axis=0)
-        paths = np.arange(size)
-        step, state, overshoot = steps[first, paths], states[first, paths], overshoots[first, paths]
-        live = (step > 0) & (step < cfg.steps)  # a first hit at the horizon has no time left
-        picks = [np.flatnonzero(live & (first == b))[: quota - n] for b, n in enumerate(found)]
-        found += [len(p) for p in picks]
-        order = np.sort(np.concatenate(picks))
-        taus = [cfg.horizon * int(step[p]) / cfg.steps for p in order]
-        # the j-th pick of this batch draws from rng.child(1000 + states before it)
-        streams = map(rng.child, itertools.count(1000 + len(gaps)))
-        with closing(_ahead(inner, zip(taus, streams))) as drawn:
-            for p, tau, variates in zip(order, taus, drawn):
-                b, k = int(first[p]), int(step[p])
-                if cfg.is_continuous and not overshoot[p]:
-                    state[p, barriers[b].asset - 1] = barriers[b].level
-                incr = assemble_increments(cfg.driver, cfg.horizon - tau, variates)
-                lv, rv, gap, se = _conditional_gap(cfg, state[p], tau, *exchanges[b], incr)
-                path = searched + int(p)
-                gaps.append(
-                    HitGap(path, k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p]))
-                )
-        batches.append((step > 0, overshoot, terminal))
-        searched, size = searched + size, searched + size
-    knocked, overshoot, terminal = map(np.concatenate, zip(*batches))
+    steps, states, overshoots, terminal = _first_hits(cfg, n_outer, rng.child(0), barriers)
+    first = np.argmin(np.where(steps > 0, steps, np.iinfo(steps.dtype).max), axis=0)
+    paths = np.arange(n_outer)
+    step, state, overshoot = steps[first, paths], states[first, paths], overshoots[first, paths]
+    live = (step > 0) & (step < cfg.steps)  # a first hit at the horizon has no time left
+    order = np.sort(np.concatenate(
+        [np.flatnonzero(live & (first == b))[:quota] for b in range(len(barriers))]
+    ))
+    taus = [cfg.horizon * int(step[p]) / cfg.steps for p in order]
+    gaps = []
+    with closing(_ahead(inner, zip(taus, map(rng.child, itertools.count(1000))))) as drawn:
+        for p, tau, variates in zip(order, taus, drawn):
+            b, k = int(first[p]), int(step[p])
+            if cfg.is_continuous and not overshoot[p]:
+                state[p, barriers[b].asset - 1] = barriers[b].level
+            incr = assemble_increments(cfg.driver, cfg.horizon - tau, variates)
+            lv, rv, gap, se = _conditional_gap(cfg, state[p], tau, *exchanges[b], incr)
+            gaps.append(
+                HitGap(int(p), k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p]))
+            )
+    knocked = step > 0
     frac, n_knocked = float(np.mean(knocked)), int(knocked.sum())
     over = int(overshoot[knocked].sum()) / n_knocked if n_knocked else 0.0
-    se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / searched)
+    se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer)
     return HedgeReport(frac, se, over, one_sided, gaps), knocked, terminal
 
 
@@ -691,35 +685,35 @@ def evaluate_hedge(
     rng: RngStream | None = None,
     n_hit_states: int = 50,
     n_samples: int = 200_000,
+    tol: float = 1e-10,
 ) -> HedgeReport:
     """Measure the replication quality of a hedge plan.
 
-    A continuous driver takes the price gap, the knock-in fraction and the
-    prices from ``n_samples`` bridge-weighted terminal draws, checks the
-    no-hit algebra on those ending short of the level, and searches at
-    most ``n_outer`` paths for ``n_hit_states`` hit states, the first batch
-    sized to find them twice over at the bridge hit rate.  Jump drivers do
-    all of it on the grid of ``n_outer`` paths, keep the overshoot state,
-    and have no price gap and a one-sided verdict: a hit state's gap
-    fails below zero, or above it for a knock-out hedge.
+    A continuous driver simulates no path, so it reads neither ``n_outer``,
+    ``n_inner`` nor ``n_hit_states``: its exchange is :func:`levy.check_qsd_triplet`
+    at the barrier's asset, the carry and the plan's order, judged at ``tol``,
+    and fails the hedge even where the prices balance; ``n_samples``
+    bridge-weighted terminal draws give the price gap, the knock-in fraction
+    and the prices, and check the no-hit algebra where they end short of the
+    level.  Jump drivers do all of it on ``n_outer`` paths, with inner draws at
+    ``n_hit_states`` hit states, and have no price gap and a one-sided
+    verdict: a gap fails below zero, or above it for a knock-out hedge.
     """
     _require(cfg, [plan.barrier], rng)
-    zero = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
-    # in: exact exchange; super: the reflected claim must dominate the target
-    lhs = zero if plan.knock == "out" else plan.target
-    one_sided = (not cfg.is_continuous) or plan.knock == "super"
-    args = cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, one_sided
-    if cfg.is_continuous:
+    if cfg.is_continuous:  # the exchange first: an order it cannot judge draws nothing
+        exchange = check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha, tol)
         total, mismatch = _bridge_moments(plan, cfg, n_samples, rng.child(2))
         se = np.sqrt(total.m2 / (total.n - 1)) / math.sqrt(total.n)
         gap, plain, k_in, k_out, hit = [(float(m), float(e)) for m, e in zip(total.mean, se)]
-        first = max(64, math.ceil(2 * n_hit_states / hit[0])) if hit[0] > 0 else n_outer
-        return replace(
-            _measure(*args, first)[0], knock_in_fraction=hit[0], knock_in_se=hit[1],
-            terminal_max_mismatch=mismatch, price_plain=plain, price_knock_in=k_in,
-            price_knock_out=k_out, price_gap=gap,
+        return HedgeReport(
+            *hit, 0.0, plan.knock == "super", terminal_max_mismatch=mismatch, price_plain=plain,
+            price_knock_in=k_in, price_knock_out=k_out, price_gap=gap, exchange=exchange,
         )
-    report, knocked, terminal = _measure(*args)
+    # in: exact exchange; super: the reflected claim must dominate the target
+    lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n) if plan.knock == "out" else plan.target
+    report, knocked, terminal = _measure(
+        cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, True
+    )
     f, chi = plan.target(terminal), knocked.astype(float)
     miss = _no_hit_mismatch(plan, plan.hedge(terminal)[~knocked], f[~knocked])
     return replace(

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from selfdual import cli, dist, duality, hedging, levy, pricing
 from selfdual.errors import SchemaError
+from selfdual.rng import RngStream
 
+import byte_sweep
+import hedge_oracle
 from conftest import use_yaml_backend
 
 MINIMAL = """
@@ -148,7 +151,6 @@ seed: 5
 model:
   kind: path_config
   s0: [1.0, 1.0]
-  steps: 60
   driver:
     kind: levy_triplet
     a: [[0.0625, 0.03125], [0.03125, 0.0625]]
@@ -156,16 +158,15 @@ task:
   kind: hedge
   barrier: {asset: 1, level: 0.8}
   target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
-  n_outer: 500
-  n_inner: 4000
-  hit_states: 6
 """
     )
     assert isinstance(spec["model"], hedging.PathConfig)
     code, doc, artifacts = cli.run(spec)
     assert code == 0, doc
     assert doc["results"]["verdict"] == "pass"
-    assert artifacts["hedge_gaps.csv"].startswith("path,step,time,")
+    # a continuous driver's exchange is exact, so it writes no hit states
+    assert doc["results"]["exchange"]["method"] == "exponent"
+    assert sorted(artifacts) == ["hedge.txt"]
 
 
 def test_run_hedge_with_solved_alpha():
@@ -176,7 +177,6 @@ model:
   kind: path_config
   s0: [1.0, 1.0]
   carry: [0.01, 0.01]
-  steps: 60
   driver:
     kind: levy_triplet
     a: [[0.04, 0.02], [0.02, 0.04]]
@@ -185,13 +185,10 @@ task:
   barrier: {asset: 1, level: 0.85}
   target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.85}
   alpha: solve
-  n_outer: 400
-  n_inner: 2000
-  hit_states: 4
 """
     )
     code, doc, _ = cli.run(spec)
-    assert code in (0, 2)
+    assert code == 0 and doc["results"]["exchange"]["verdict"] == "pass"
     assert doc["results"]["alpha"] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -416,15 +413,11 @@ seed: 5
 model:
   kind: path_config
   s0: [1.0, 1.0]
-  steps: 60
   driver: {kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}
 task:
   kind: hedge
   barrier: {asset: 1, level: 0.8}
   target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
-  n_outer: 500
-  n_inner: 4000
-  hit_states: 6
 """
 
 REPORT_SPECS = {
@@ -513,7 +506,9 @@ def test_hedge_bytes_do_not_depend_on_the_drawing_thread(name, tmp_path, monkeyp
         monkeypatch.setattr(duality, "WORKERS", workers)
         outputs.append(_cli_output("hedge", spec_file, tmp_path / f"out{workers}", capsys))
     assert outputs[0] == outputs[1]
-    assert outputs[0][0] in (0, 1, 2) and "hedge_gaps.csv" in outputs[0][2]
+    # only the grid of a jump driver writes hit states
+    assert outputs[0][0] in (0, 1, 2)
+    assert ("hedge_gaps.csv" in outputs[0][2]) == name.startswith("jump")
 
 
 # --------------------------------------------------------------------------- #
@@ -1481,7 +1476,7 @@ def test_a_jump_driver_knock_out_hedge_sub_replicates(seed):
 HEDGE_MAX_OPTION = HEDGE_SMALL.replace(
     "{kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}",
     "{kind: max_option, u0: 0.5, weights: [1, 1]}",
-).replace("n_inner: 4000", "n_inner: 20000")
+)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -1489,12 +1484,96 @@ def test_a_max_option_hedge_reflects_through_the_generic_claim(seed):
     # a max option is no affine-power claim, so its reflection is the generic wrapper
     assert isinstance(hedging.reflect_claim(pricing.MaxOption(0.5, (1, 1)), 1, 0.8, 1.0),
                       hedging.ReflectedClaim)
-    code, results, artifacts = _run_at(HEDGE_MAX_OPTION, seed)
-    assert code != 1 and results["simplification"] == "indicator"
-    rows = [row.split(",") for row in artifacts["hedge_gaps.csv"].splitlines()[1:]]
-    assert len(rows) == 6 and all(abs(float(r[5])) <= 3.0 * float(r[6]) for r in rows)
+    code, results, _ = _run_at(HEDGE_MAX_OPTION, seed)
+    assert code == 0 and results["simplification"] == "indicator"
     gap, se = results["price_gap"]
     assert abs(gap) <= 3.0 * se
+    # the exchange the exponent identity licenses, measured at hit states by the oracle
+    spec = cli.parse_model_spec(HEDGE_MAX_OPTION)
+    plan = hedging.build_hedge(spec["task"]["target"], spec["task"]["barrier"], 1.0, "in")
+    rows = hedge_oracle.hit_state_gaps(plan, spec["model"], 500, 20_000, RngStream(seed), 6)
+    assert len(rows) == 6 and all(abs(r.gap) <= 3.0 * r.std_error for r in rows)
+
+
+# the benchmark's hedge at a wrong order: the driver is quasi-self-dual of order 1 only
+@pytest.mark.parametrize("alpha, residual", [("1.1", 0.020135507897563257), ("1.3", 0.07138952800045151)])
+def test_a_hedge_at_a_wrong_order_fails_on_every_seed(alpha, residual):
+    text = _bench_specs()["bench-hedge"][1].replace("alpha: 1.0", f"alpha: {alpha}")
+    for seed in range(10):
+        code, results, artifacts = _run_at(text, seed)
+        exchange = results["exchange"]
+        assert code == 1 and exchange["verdict"] == "fail" and exchange["method"] == "exponent"
+        got = exchange["max_abs_residual"]
+        assert got == pytest.approx(residual, rel=1e-9)
+        assert f" exchange={got:.3e} " in artifacts["hedge.txt"]
+
+
+# an order solved from the carry licenses the hedge only where the law has that order
+SOLVED_HEDGE = """
+model:
+  kind: path_config
+  s0: [1.0, 1.0]
+  carry: [0.03, 0.03]
+  driver: {kind: levy_triplet, a: [[0.04, C], [C, 0.09]]}
+task:
+  kind: hedge
+  barrier: {asset: 1, level: 0.8}
+  target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
+  alpha: solve
+"""
+
+
+@pytest.mark.parametrize("c, want, residual", [("0.02", 0, 1e-16), ("0.0", 1, 0.0713), ("0.035", 1, 0.0535)])
+def test_a_solved_order_licenses_a_hedge_only_where_the_law_has_one(c, want, residual):
+    for seed in range(1, 11):
+        code, results, _ = _run_at(SOLVED_HEDGE.replace("C", c), seed)
+        assert (code, results["alpha"]) == (want, pytest.approx(-0.5, abs=1e-12)), seed
+        got = results["exchange"]["max_abs_residual"]
+        assert got == pytest.approx(residual, abs=1e-4)
+
+
+# the grid of the jump driver's pin: a continuous driver's hedge reads none of it
+JUMP_GRID = {"steps": 60, "n_outer": 400, "n_inner": 2000, "hit_states": 6}
+
+
+@pytest.mark.parametrize("key, default", [
+    ("steps", 250), ("n_outer", 10_000), ("n_inner", 20_000), ("hit_states", 50),
+])
+def test_a_continuous_hedge_refuses_the_grid_settings_it_does_not_read(key, default, tmp_path, capsys):
+    where = "model" if key == "steps" else "task"
+
+    def run(text):
+        spec_file = tmp_path / "spec.yaml"
+        spec_file.write_text(text)
+        code = cli.main(["hedge", str(spec_file), "--seed", "11"])
+        out, err = capsys.readouterr()
+        return code, out and yaml.safe_load(out)["results"], err
+
+    def continuous(value):  # the task section ends the spec
+        line = f"  {key}: {value}\n"
+        if where == "model":
+            return HEDGE_SMALL.replace("  s0: [1.0, 1.0]\n", "  s0: [1.0, 1.0]\n" + line)
+        return HEDGE_SMALL + line
+
+    given = JUMP_GRID[key]
+    assert run(continuous(given)) == (
+        3, "", f"schema error: spec.{where}.{key}: the hedge task does not read {key}\n"
+    )
+    # the default is accepted, as every echo writes it, and a jump driver's grid reads the setting
+    assert run(continuous(default)) == run(HEDGE_SMALL) and run(HEDGE_SMALL)[0] == 0
+    doubled = HEDGE_JUMP_SUPER.replace(f"  {key}: {given}\n", f"  {key}: {2 * given}\n")
+    assert doubled != HEDGE_JUMP_SUPER and run(doubled)[1] != run(HEDGE_JUMP_SUPER)[1]
+
+
+def test_a_hedge_of_order_zero_is_refused(tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(_bench_specs()["bench-hedge"][1].replace("alpha: 1.0", "alpha: 0"))
+    assert cli.main(["hedge", str(spec_file)]) == 3
+    error = yaml.safe_load(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "DomainError",
+        "message": "order alpha must be nonzero: every law is quasi-self-dual of order 0",
+    }
 
 
 def test_readme_lists_every_model_payoff_task_and_check():
@@ -1583,16 +1662,12 @@ seed: 5
 model:
   kind: path_config
   s0: [1.0, 1.0]
-  steps: 60
   driver: {kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}
 task:
   kind: hedge
   barrier: {asset: 1, level: 0.85}
   target: {kind: basket_call, weights: [1, 0.5], strike: 1.2}
   knock: KNOCK
-  n_outer: 500
-  n_inner: 20000
-  hit_states: 6
 """
 
 PRICE_MAX_OPTION = (
@@ -1659,9 +1734,8 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "ee2afbe083dc049f56ce74fab44d1fac6e38249c716eb543b368362646a7b643",
     },
     "hedge-small": {
-        "hedge.txt": "0ae309d68d4b180487529d99d4c96775d324f211662bdf3f894150a3083dc614",
-        "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
-        "report.yaml": "96905bcd460fe302ffa4f8e76a1f953aa03725c8b1a8940015e6558f58dca6a5",
+        "hedge.txt": "ea6d0d391d2caff7dc91ddf7738ba5bd165a99fe22e327606ee4789667143201",
+        "report.yaml": "2ebb0cdca91781050849da52f24aa99ff3edc8c9115f4807bc0b106678a972b2",
     },
     "triplet-truncated-gamma": {
         "report.yaml": "fe22cb199bee17427a16bc3af82a1f359662798d5b7b202989d6d8c980cf55d1",
@@ -1689,14 +1763,12 @@ GOLDEN_SHA256 = {
         "report.yaml": "e7ed9d838ac1bc75c84d286bad53c5b7b8ade20b6accc9fb8b1734582dfa3aa1",
     },
     "hedge-indicator-in": {
-        "hedge.txt": "90b50f885bd5c56e862b04af7c08801ef6560e45456ac1a01c45b405adcf42df",
-        "hedge_gaps.csv": "398eb3483ad70caf69a472a65f6eb0641495fd7a56e9dc682c1ab4af48396ace",
-        "report.yaml": "5a916c67ca32decc91c12f83a3f426f6da720132f829d5a6c1fd0a20f84d9801",
+        "hedge.txt": "4d853f54837a9e1dc1e72508af9c637e7abd270b973d2183712346f61c937dd9",
+        "report.yaml": "ef56b6d89de93d2478af1e7b3aa5a0d45161720d8a2247bba0f13fcc59d995cb",
     },
     "hedge-indicator-out": {
-        "hedge.txt": "e31bbf343c3723a37f4fe468afb13a25705c21cc0692e14fcaeceb14ac8a1035",
-        "hedge_gaps.csv": "8823460d02a4d473e0096c735346597e4f2a952bc1b6bb4dbe8621ed3379a264",
-        "report.yaml": "2fec6474e371dc5a4296686ab641f089850587f2225e676853371655fa6f3ee7",
+        "hedge.txt": "c191ccfa98aba8f6cd4d72e0a6f742cde792fbeef7deea33c8abc8a3bb3b2114",
+        "report.yaml": "fedbdbc8e7e50e20de09ae4dcf6e26caa050e4f83a45526e1d4b871ac335eaf4",
     },
     "crn-pass": {
         "report.yaml": "2015ef1412c4c0b3c65d1fc436c8458f18061114116f7c2426ec1f8e9bd70842",
@@ -1716,9 +1788,8 @@ GOLDEN_SHA256 = {
     },
     # the same paths as hedge-small's: only the spec echo differs
     "hedge-small-multi-lognormal": {
-        "hedge.txt": "0ae309d68d4b180487529d99d4c96775d324f211662bdf3f894150a3083dc614",
-        "hedge_gaps.csv": "dc608bb6ed5b44c21a50e658afdda6b42997cb21df648894db5a4b41a54a8913",
-        "report.yaml": "d3c42cd5c54514c56499c8b3faca59c56d104790902411c78b19188a9bcb7871",
+        "hedge.txt": "ea6d0d391d2caff7dc91ddf7738ba5bd165a99fe22e327606ee4789667143201",
+        "report.yaml": "dd5e76efee72a5626711316b759ab6b5831fb6670c4a6c04cee31ddf1e68396c",
     },
 }
 
@@ -1734,6 +1805,15 @@ def test_report_and_artifact_bytes_match_golden_hashes(name, yaml_backend, tmp_p
     assert capsys.readouterr().out.encode() == (out_dir / "report.yaml").read_bytes()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
     assert got == GOLDEN_SHA256[name]
+
+
+def test_the_byte_sweep_hashes_as_the_golden_pins_do():
+    # tests/byte_sweep.py writes a second copy of these hashes into every manifest
+    for name, (kind, text) in GOLDEN_SPECS.items():
+        entries = byte_sweep.outputs(kind, text, 11)
+        files = {key[len("file/"):]: sha for key, sha in entries.items() if key.startswith("file/")}
+        assert (entries["exit"], files) == (GOLDEN_EXIT.get(name, 0), GOLDEN_SHA256[name]), name
+        assert entries["stdout"] == files["report.yaml"] and entries["stderr"] == byte_sweep._sha("")
 
 
 def _bench_specs():
@@ -1778,7 +1858,7 @@ def test_samples_size_the_price_check_of_continuous_hedges_only(name, tmp_path, 
         small = yaml.safe_load(captured.out)["results"]
         assert small["price_gap"] != default["price_gap"]
         assert small["price_gap"][1] > 5.0 * default["price_gap"][1]  # 200x fewer draws
-        assert small["hit_states"] == default["hit_states"] == 6
+        assert small["exchange"] == default["exchange"]  # exact: it draws nothing
 
 
 # one spec of each task kind, and a jump driver's hedge; each reads what its kind declares

@@ -17,6 +17,7 @@ import selfdual
 from selfdual import dist, duality, hedging, levy, pricing
 from selfdual.errors import DomainError, SymmetryPrereqFailed
 
+import hedge_oracle
 from conftest import make_rng
 
 SIGMA = 0.25
@@ -28,11 +29,11 @@ def bs_config(steps=250, sigma=SIGMA, s0=(1.0, 1.0), carry=(0.0, 0.0)):
     return hedging.PathConfig(s0, carry, levy.martingale_normalized(a), 1.0, steps)
 
 
-def jump_config(mass=3.0):
+def jump_config(mass=3.0, steps=120):
     b = 0.09 * np.array([[1.0, 0.5], [0.5, 1.0]])
     nu = levy.build_tilted_gaussian_measure(b, 1.0, mass, 1)
     driver = levy.martingale_normalized(0.04 * np.array([[1.0, 0.5], [0.5, 1.0]]), nu)
-    return hedging.PathConfig([1.0, 1.0], [0.0, 0.0], driver, 1.0, 120)
+    return hedging.PathConfig([1.0, 1.0], [0.0, 0.0], driver, 1.0, steps)
 
 
 # --------------------------------------------------------------------------- #
@@ -233,25 +234,25 @@ def test_evaluate_hedge_black_scholes_smoke():
     cfg = bs_config(steps=120)
     target = pricing.SpreadCall((1.0, 0.0), (0.0, 0.1), 0.8)
     plan = hedging.build_hedge(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=2_000, n_inner=20_000, rng=make_rng(93), n_hit_states=12
-    )
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(93))
     assert rep.verdict == "pass", rep.one_line()
     assert rep.overshoot_fraction == 0.0
     assert not rep.one_sided
     assert rep.terminal_max_mismatch == 0.0
     gap, se = rep.price_gap
     assert abs(gap) <= 3.0 * se
-    assert any(g.target_value > 1e-3 for g in rep.hit_gaps)  # states carry real value
+    assert rep.hit_gaps == [] and rep.exchange.verdict == "pass"
+    # the oracle's hit states, where the exchange the exponent licenses is measured
+    states = hedge_oracle.hit_state_gaps(plan, cfg, 2_000, 20_000, make_rng(93), 12)
+    assert len(states) == 12 and all(abs(g.gap) <= 3.0 * g.std_error for g in states)
+    assert any(g.target_value > 1e-3 for g in states)  # states carry real value
 
 
 def test_evaluate_hedge_knock_out():
     cfg = bs_config(steps=120)
     target = pricing.SpreadCall((1.0, 0.0), (0.0, 0.1), 0.8)
     plan = hedging.build_hedge(target, hedging.Barrier(1, 0.8, "down"), 1.0, "out")
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=2_000, n_inner=20_000, rng=make_rng(94), n_hit_states=10
-    )
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(94))
     assert rep.verdict == "pass", rep.one_line()
     assert rep.terminal_max_mismatch <= 1e-12  # exact match off the barrier
 
@@ -293,12 +294,18 @@ def test_a_first_hit_at_the_horizon_is_knocked_but_not_checked(knock, seed):
     # where the indicator-form hedge pays 2 f(s) against f(s), with no SE
     cfg = bs_config(steps=4)
     plan = hedging.build_hedge(_BASKET, hedging.Barrier(1, 0.85, "down"), 1.0, knock)
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=1_000, n_inner=20_000, rng=selfdual.RngStream(seed), n_hit_states=20
-    )
-    assert len(rep.hit_gaps) == 20
-    assert all(g.step < cfg.steps for g in rep.hit_gaps)
+    states = hedge_oracle.hit_state_gaps(plan, cfg, 1_000, 20_000, selfdual.RngStream(seed), 20)
+    assert len(states) == 20
+    assert all(g.step < cfg.steps for g in states)
+    assert all(abs(g.gap) <= 3.0 * g.std_error for g in states)
+    rep = hedging.evaluate_hedge(plan, cfg, rng=selfdual.RngStream(seed))
     assert rep.verdict != "fail", rep.one_line()
+    # the grid evaluators keep the same rule: a continuous joint hedge projects its states too
+    joint = hedging.two_asset_joint_hedges(cfg, "X", k_x=0.85)
+    rep = hedging.evaluate_joint_hedge(
+        joint, cfg, n_outer=1_000, n_inner=2_000, rng=selfdual.RngStream(seed), n_hit_states=20
+    )
+    assert len(rep.hit_gaps) == 20 and all(g.step < cfg.steps for g in rep.hit_gaps)
 
 
 # --------------------------------------------------------------------------- #
@@ -318,7 +325,7 @@ def test_hedge_evaluators_require_an_rng_stream():
     cfg = bs_config(steps=10, sigma=0.5)
     plan = hedging.build_hedge(_BASKET, hedging.Barrier(1, 0.85, "down"), 1.0, "in")
     with pytest.raises(DomainError, match="requires an RngStream"):
-        hedging.evaluate_hedge(plan, cfg, n_outer=10, n_inner=10)
+        hedging.evaluate_hedge(plan, cfg)
     joint = hedging.two_asset_joint_hedges(cfg, "X", k_x=0.75)
     with pytest.raises(DomainError, match="requires an RngStream"):
         hedging.evaluate_joint_hedge(joint, cfg, n_outer=10, n_inner=10)
@@ -488,17 +495,16 @@ def _oracle_bridge(plan, cfg, n_samples, rng):
 
 
 def _assert_matches_oracles(rep, plan, cfg, n_outer, n_inner, seed, n_hit_states, n_samples):
-    """Jump drivers against the per-path loop; continuous ones against the bridge oracle and,
-    for their hit states, the per-path loop on the first batch of paths."""
+    """Jump drivers against the per-path loop; continuous ones against the bridge oracle and
+    the exponent identity at the barrier's asset, the carry and the plan's order."""
     if not cfg.is_continuous:
         assert rep == _oracle_hedge(plan, cfg, n_outer, n_inner, make_rng(seed), n_hit_states)
         return
     want = _oracle_bridge(plan, cfg, n_samples, make_rng(seed))
     for name, value in want.items():
         assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
-    first = max(64, math.ceil(2 * n_hit_states / want["knock_in_fraction"]))
-    grid = _oracle_hedge(plan, cfg, first, n_inner, make_rng(seed), n_hit_states)
-    assert rep.hit_gaps == grid.hit_gaps
+    exchange = levy.check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha)
+    assert rep.exchange == exchange and rep.hit_gaps == []
     assert (rep.overshoot_fraction, rep.one_sided) == (0.0, plan.knock == "super")
 
 
@@ -567,7 +573,7 @@ def test_streaming_hedge_matches_per_path_loop(case):
     rep = hedging.evaluate_hedge(
         plan, cfg, n_outer=1_500, n_inner=400, rng=make_rng(200), n_hit_states=20, n_samples=50_000
     )
-    assert len(rep.hit_gaps) == 20
+    assert len(rep.hit_gaps) == (0 if cfg.is_continuous else 20)
     _assert_matches_oracles(rep, plan, cfg, 1_500, 400, 200, 20, 50_000)
     if case == "jump-in":
         assert rep.overshoot_fraction > 0.2
@@ -594,10 +600,16 @@ def test_streaming_joint_hedge_matches_per_path_loop(claim, n_hit_states):
         assert 0.0 < rep.overshoot_fraction < 1.0
 
 
-def three_asset_config(steps=90):
-    a = 0.05 * np.array([[1.0, 0.3, 0.1], [0.3, 1.2, 0.4], [0.1, 0.4, 0.8]])
-    driver = levy.martingale_normalized(a)
+def three_asset_config(steps=90, a=((1.0, 0.3, 0.1), (0.3, 1.2, 0.4), (0.1, 0.4, 0.8))):
+    driver = levy.martingale_normalized(0.05 * np.array(a))
     return hedging.PathConfig((1.0, 1.1, 0.9), (0.02, -0.01, 0.03), driver, 1.0, steps)
+
+
+# covariances invariant under K_2 and under K_3: column i holds half the diagonal entry
+_SELF_DUAL_3 = {
+    2: ((1.0, 0.5, 0.2), (0.5, 1.0, 0.5), (0.2, 0.5, 1.2)),
+    3: ((1.0, 0.3, 0.8), (0.3, 1.2, 0.8), (0.8, 0.8, 1.6)),
+}
 
 
 @pytest.mark.parametrize(
@@ -606,15 +618,16 @@ def three_asset_config(steps=90):
     ids=["down-asset-2", "up-asset-3"],
 )
 def test_streaming_hedge_matches_per_path_loop_on_three_assets(barrier):
-    # the monitored row is not asset 1, and the state holds three prices
-    cfg = three_asset_config()
-    plan = hedging.build_hedge(pricing.BasketCall((0.5, 1.0, 0.5), 1.1), barrier, 1.0, "in")
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=1_500, n_inner=300, rng=make_rng(205), n_hit_states=12, n_samples=30_000
-    )
-    assert len(rep.hit_gaps) == 12
-    assert all(g.state[barrier.asset - 1] == barrier.level for g in rep.hit_gaps)
-    _assert_matches_oracles(rep, plan, cfg, 1_500, 300, 205, 12, 30_000)
+    # the monitored row is not asset 1, and that asset's carry sets the order; the driver of
+    # the grid tests has no order for either asset, so it licenses no hedge on them
+    i = barrier.asset
+    for cfg, licensed in ((three_asset_config(a=_SELF_DUAL_3[i]), True), (three_asset_config(), False)):
+        alpha = levy.solve_alpha(cfg.driver, i, cfg.carry[i - 1]).alpha
+        plan = hedging.build_hedge(pricing.BasketCall((0.5, 1.0, 0.5), 1.1), barrier, alpha, "in")
+        rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(205), n_samples=30_000)
+        assert rep.exchange.verdict == ("pass" if licensed else "fail")
+        assert (rep.verdict == "pass") == licensed, rep.one_line()
+        _assert_matches_oracles(rep, plan, cfg, 1_500, 300, 205, 12, 30_000)
 
 
 def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
@@ -748,10 +761,7 @@ def test_joint_hedge_does_not_depend_on_the_drawing_thread(monkeypatch):
 
 def _small_hedge(n_samples):
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    return hedging.evaluate_hedge(
-        plan, bs_config(60), n_outer=1_000, n_inner=1_000, rng=make_rng(209), n_hit_states=6,
-        n_samples=n_samples,
-    )
+    return hedging.evaluate_hedge(plan, bs_config(60), rng=make_rng(209), n_samples=n_samples)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -778,22 +788,24 @@ class _RaisesOnCall(pricing.Payoff):
 
 @pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
 def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
-    cfg, draw, errors = config(), levy.increment_variates, []
+    cfg, errors = config(), []
     hedge = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in").hedge
     for workers in (1, max(duality.WORKERS, 2)):
         monkeypatch.setattr(duality, "WORKERS", workers)
         events = []
+        for name in ("increment_variates", "sample_increments"):
 
-        def counted(*args, **kwargs):
-            events.append("start")
-            try:
-                return draw(*args, **kwargs)
-            finally:
-                events.append("end")
+            def counted(*args, _draw=getattr(levy, name), **kwargs):
+                events.append("start")
+                try:
+                    return _draw(*args, **kwargs)
+                finally:
+                    events.append("end")
 
-        monkeypatch.setattr(hedging, "increment_variates", counted)
-        # the bridge calls the target once per 20k-row block; the third inner state raises
-        target = _RaisesOnCall(_SPREAD, 6 if cfg.is_continuous else 3)
+            monkeypatch.setattr(hedging, name, counted)
+        # the bridge calls the target once per 20k-row block, and its second block raises
+        # while the third is drawn ahead; on the grid the third inner state raises
+        target = _RaisesOnCall(_SPREAD, 2 if cfg.is_continuous else 3)
         plan = hedging.HedgePlan(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in", hedge)
         with pytest.raises(DomainError) as raised:
             hedging.evaluate_hedge(
@@ -811,14 +823,14 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
 def test_one_cpu_starts_no_drawing_thread(monkeypatch):
     monkeypatch.setattr(duality, "WORKERS", 1)
     monkeypatch.setattr(duality, "_POOLS", {})
-    threads, draw = set(), levy.increment_variates
+    threads, draw = set(), levy.sample_increments
 
     def counted(*args, **kwargs):
         threads.add(threading.current_thread())
         return draw(*args, **kwargs)
 
-    monkeypatch.setattr(hedging, "increment_variates", counted)
-    assert _small_hedge(50_000).hit_gaps
+    monkeypatch.setattr(hedging, "sample_increments", counted)
+    assert _small_hedge(50_000).price_gap is not None
     assert threads == {threading.current_thread()} and duality._POOLS == {}
 
 
@@ -846,17 +858,18 @@ def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
         plan, cfg, n_outer=600, n_inner=500, rng=make_rng(213), n_hit_states=6, n_samples=50_000
     )
     # keys: (213,) the root, (213, 1000 + j) the j-th hit state, (213, 2) the bridge blocks,
-    # (213, 0, k) the search's step k + 1
+    # (213, 0, k) the search's step k + 1; a continuous driver draws only the bridge blocks
     inner = [(key, name, thread) for key, name, thread in draws if key[1:] >= (1000,)]
-    assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == 6
-    (drawer,) = {thread for _, _, thread in inner}
-    assert drawer is not main and assembled == [main] * 6
+    assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == len(assembled)
     bridge = {thread for key, _, thread in draws if key[1:] == (2,)}
-    assert bridge == ({drawer} if cfg.is_continuous else set())
     search = {thread for key, _, thread in draws if len(key) == 3}
-    assert search == {main}
-    if not cfg.is_continuous:
-        assert {"poisson", "choice", "multivariate_normal"} <= {name for _, name, _ in inner}
+    if cfg.is_continuous:
+        assert inner == [] and len(bridge) == 1 and main not in bridge and search == set()
+        return
+    (drawer,) = {thread for _, _, thread in inner}
+    assert drawer is not main and assembled == [main] * 6 == [main] * len(rep.hit_gaps)
+    assert bridge == set() and search == {main}
+    assert {"poisson", "choice", "multivariate_normal"} <= {name for _, name, _ in inner}
 
 
 def test_every_traced_and_exported_name_resolves():
@@ -898,10 +911,11 @@ def test_simulation_factors_the_covariance_once(monkeypatch):
 
 
 def test_hedge_memory_does_not_grow_with_steps():
+    # a jump driver's hedge searches its grid; a continuous one simulates no path
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
 
     def peak(steps):
-        cfg = bs_config(steps=steps)
+        cfg = jump_config(steps=steps)
         tracemalloc.start()
         try:
             hedging.evaluate_hedge(
@@ -922,10 +936,7 @@ def test_hedge_memory_does_not_grow_with_samples():
     def peak(n_samples):
         tracemalloc.start()
         try:
-            hedging.evaluate_hedge(
-                plan, cfg, n_outer=2_000, n_inner=200, rng=make_rng(209), n_hit_states=5,
-                n_samples=n_samples,
-            )
+            hedging.evaluate_hedge(plan, cfg, rng=make_rng(209), n_samples=n_samples)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -971,13 +982,10 @@ def test_the_bridge_price_gap_holds_on_ten_seeds_whatever_the_steps(case):
     plan = hedging.build_hedge(target, barrier, alpha(), knock)
     for seed in range(10):
         gaps = {
-            hedging.evaluate_hedge(
-                plan, bs_config(steps, carry=carry), n_outer=100, n_inner=100,
-                rng=make_rng(seed), n_hit_states=1,
-            ).price_gap
+            hedging.evaluate_hedge(plan, bs_config(steps, carry=carry), rng=make_rng(seed)).price_gap
             for steps in (1, 25, 250)
         }
-        assert len(gaps) == 1  # the grid only finds hit states
+        assert len(gaps) == 1  # the price check reads no grid
         ((gap, se),) = gaps
         assert (-gap if knock == "super" else abs(gap)) <= 3.0 * se, (seed, gap / se)
 
@@ -986,20 +994,20 @@ def test_a_wrong_order_fails_through_the_price_gap_alone():
     cfg = bs_config(250)
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.3, "in")
     for seed in range(10):
-        rep = hedging.evaluate_hedge(
-            plan, cfg, n_outer=100, n_inner=100, rng=make_rng(seed), n_hit_states=1
-        )
-        assert replace(rep, hit_gaps=[]).verdict == "fail", (seed, rep.price_gap)
+        rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(seed))
+        assert replace(rep, exchange=None).verdict == "fail", (seed, rep.price_gap)
 
 
 @pytest.mark.parametrize("seed", [2, 3, 8])
-def test_the_hedge_line_shows_a_price_gap_that_fails_alone(seed):
-    # a wrong order on the README spread: the hit states pass at 3 SE, the price gap does not
+def test_the_hedge_line_shows_the_exchange_residual_and_the_price_gap(seed):
+    # a wrong order on the README spread: the exchange fails at 0.020, and so does the price gap
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.1, "in")
     rep = hedging.evaluate_hedge(plan, bs_config(250), rng=selfdual.RngStream(seed))
     gap, se = rep.price_gap
-    assert rep.verdict == "fail" and rep.max_gap_se_units < 3.0 and gap < -3.0 * se
-    assert f" max_gap_se={rep.max_gap_se_units:.2f} price_gap_se={gap / se:.2f} " in rep.one_line()
+    residual = rep.exchange.max_abs_residual
+    assert rep.verdict == "fail" and residual == pytest.approx(0.0201, abs=1e-4) and gap < -3.0 * se
+    assert f" exchange={residual:.3e} price_gap_se={gap / se:.2f} " in rep.one_line()
+    assert "states=" not in rep.one_line()
 
 
 @pytest.mark.parametrize(
@@ -1014,33 +1022,73 @@ def test_the_hedge_line_prints_the_signed_price_gap_in_se_units(price_gap, text)
 @pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["continuous", "jump"])
 def test_a_hedge_that_pays_where_the_barrier_was_not_hit_fails(config):
     # the bare target as a knock-in hedge: exact at every hit state, wrong on every path that misses
+    cfg = config()
     plan = hedging.HedgePlan(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in", _SPREAD)
     rep = hedging.evaluate_hedge(
-        plan, config(), n_outer=500, n_inner=200, rng=make_rng(210), n_hit_states=4,
-        n_samples=20_000,
+        plan, cfg, n_outer=500, n_inner=200, rng=make_rng(210), n_hit_states=4, n_samples=20_000,
     )
-    assert rep.hit_gaps and all(g.gap == 0.0 for g in rep.hit_gaps)
+    if cfg.is_continuous:  # the driver licenses the exchange; the claim is wrong off the barrier
+        assert rep.exchange.verdict == "pass"
+    else:
+        assert rep.hit_gaps and all(g.gap == 0.0 for g in rep.hit_gaps)
     assert rep.terminal_max_mismatch > 1e-10 and rep.verdict == "fail"
     assert replace(rep, terminal_max_mismatch=0.0, price_gap=None).verdict == "pass"
 
 
-def test_the_hit_state_search_grows_until_the_quota_is_full(monkeypatch):
+@pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["continuous", "jump"])
+def test_only_a_jump_driver_searches_its_paths_for_hit_states(config, monkeypatch):
     sizes, first_hits = [], hedging._first_hits
     monkeypatch.setattr(
         hedging, "_first_hits", lambda cfg, n, *args: sizes.append(n) or first_hits(cfg, n, *args)
     )
+    cfg = config()
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    # with one step every hit is at the horizon, so no state is found before the cap
     rep = hedging.evaluate_hedge(
-        plan, bs_config(1), n_outer=1_000, n_inner=100, rng=make_rng(208), n_hit_states=20
+        plan, cfg, n_outer=1_000, n_inner=100, rng=make_rng(208), n_hit_states=20, n_samples=20_000
     )
-    want = [max(64, math.ceil(2 * 20 / rep.knock_in_fraction))]
-    while sum(want) < 1_000:  # each later batch doubles the paths searched
-        want.append(min(sum(want), 1_000 - sum(want)))
-    assert rep.hit_gaps == [] and sizes == want and len(want) > 3
-    sizes.clear()  # with two steps only first-step hits are live, so one batch falls short
-    rep = hedging.evaluate_hedge(
-        plan, bs_config(2), n_outer=1_000, n_inner=100, rng=make_rng(208), n_hit_states=40
+    # the grid searches its n_outer paths in one pass, for its states and its prices
+    assert sizes == ([] if cfg.is_continuous else [1_000])
+    assert len(rep.hit_gaps) == (0 if cfg.is_continuous else 20)
+
+
+# --------------------------------------------------------------------------- #
+# Wrong claims: the exact exchange cannot see them, the price check must
+# --------------------------------------------------------------------------- #
+
+
+def _wrong_claims():
+    """``{name: (plan, config)}`` of hedges that miss the reflection's algebra on a licensed
+    driver, or take the order of the wrong carry."""
+    barrier, level = hedging.Barrier(1, 0.8, "down"), 0.8
+    spread = hedging.build_hedge(_SPREAD, barrier, 1.0, "in")
+    refl = spread.hedge  # (S_1/H)^(alpha - b - p) (w_1 H + (c/H) S_1 + ...)_+^p
+    weights = list(refl.weights)
+    weights[0] = _SPREAD.constant * level  # c H in place of c / H
+    basket = hedging.Barrier(1, 0.85, "down")
+    both = pricing.CompositePayoff(
+        [(1.0, _BASKET), (1.0, hedging.reflect_claim(_BASKET, 1, 0.85, 1.0))]
     )
-    assert len(rep.hit_gaps) == 40 and sizes[0] == max(64, math.ceil(80 / rep.knock_in_fraction))
-    assert len(sizes) > 1 and max(g.path for g in rep.hit_gaps) < sum(sizes) < 1_000
+    carry = (0.03, 0.03)
+    wrong_alpha = levy.solve_alpha(bs_config(1).driver, 1, -carry[0]).alpha  # the carry's sign
+    return {
+        "exponent alpha - b": (
+            replace(spread, hedge=replace(refl, b=refl.b + refl.p)), bs_config(250)
+        ),
+        "constant c H": (replace(spread, hedge=replace(refl, weights=weights)), bs_config(250)),
+        "indicator dropped": (
+            hedging.HedgePlan(_BASKET, basket, 1.0, "in", both), bs_config(250)
+        ),
+        "carry sign": (
+            hedging.build_hedge(_SPREAD, barrier, wrong_alpha, "in"), bs_config(250, carry=carry)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_wrong_claims()))
+def test_a_wrong_claim_fails_through_the_price_gap_or_the_no_hit_mismatch(name):
+    plan, cfg = _wrong_claims()[name]
+    for seed in range(10):
+        rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(seed))
+        # the exchange is the driver's: only the wrong order is outside what it licenses
+        assert rep.exchange.verdict == ("fail" if name == "carry sign" else "pass")
+        assert replace(rep, exchange=None).verdict == "fail", (seed, rep.one_line())
