@@ -1679,6 +1679,15 @@ MULTI_LOGNORMAL_DENSITY_QUASI = (
     "model: {kind: multi_lognormal, mean: [-0.125, -0.2], cov: [[0.25, 0.125], [0.125, 0.3]]}\n"
     "task: {kind: check, numeraire: 1, checks: [density, quasi], alpha: 1.0, carry: [0.0, 0.05]}\n"
 )
+# a jump triplet's payoff check, drawn i.i.d. and confirmed by rounds of 2x and 4x the first
+PAYOFF_JUMP_TRIPLET = """
+model:
+  kind: levy_triplet
+  a: [[0.25, 0.0], [0.0, 0.25]]
+  atoms: [{x: [0.05, 0.0], mass: 0.1}]
+samples: 20000
+task: {kind: check, checks: [payoff], numeraire: 1}
+"""
 
 # the benchmark's four exact-workload specs, copied so the pins do not move with bench/
 GOLDEN_SPECS = {
@@ -1708,6 +1717,7 @@ GOLDEN_SPECS = {
     "crn-fail": ("check", CRN_SPECS["fail"]),
     "price-multi-lognormal": ("price", PRICE_MAX_OPTION),
     "check-density-quasi": ("check", MULTI_LOGNORMAL_DENSITY_QUASI),
+    "payoff-jump-triplet": ("check", PAYOFF_JUMP_TRIPLET),
     "hedge-small-multi-lognormal": ("hedge", HEDGE_SMALL.replace(
         "{kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}",
         "{kind: multi_lognormal, mean: [-0.03125, -0.03125], "
@@ -1715,7 +1725,7 @@ GOLDEN_SPECS = {
     )),
 }
 # the exit code of each pin that does not pass
-GOLDEN_EXIT = {"crn-fail": 1}
+GOLDEN_EXIT = {"crn-fail": 1, "payoff-jump-triplet": 1}
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
         "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
@@ -1785,6 +1795,10 @@ GOLDEN_SHA256 = {
     "check-density-quasi": {
         "report.yaml": "ca276dad2e1c34b2376247598e322bd1d6a9aaea3007217ed3b89153ae53daee",
         "verdicts.txt": "8efa4ef0206212c4c072368124ac2a19610bf8f50fdde82b098a47520fa5af0b",
+    },
+    "payoff-jump-triplet": {
+        "report.yaml": "0d37b83b332957ff63ad0927a32a902fb438560bb1dde11a3acac719d8b64fa6",
+        "verdicts.txt": "4ed35a41e6c76ab6588ee80af07b7185c311b675a1798a1db360cb8fbbea8c1b",
     },
     # the same paths as hedge-small's: only the spec echo differs
     "hedge-small-multi-lognormal": {
