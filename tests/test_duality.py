@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfdual import dist, duality, levy
+from selfdual import dist, duality, levy, pricing
+from selfdual import rng as rng_module
 from selfdual.errors import DomainError, MomentDiverges, NotIntegrable, ZeroDensity
 from selfdual.quadrature import integrate_positive
 from selfdual.rng import RngStream
@@ -432,8 +433,13 @@ def test_kernel_memory_does_not_grow_with_the_sample_count(kernel_workers):
     assert peak_beyond_draws(400_000) <= 1.2 * peak_beyond_draws(100_000)
 
 
-# the negative control, so the confirmation batches are streamed too
-_NEGATIVE = levy.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
+# a negative control on i.i.d. draws, so the confirmation batches are streamed too:
+# independent log-normals with a small atom, a jump law, which the checks draw from PCG64
+_NEGATIVE = levy.martingale_normalized(
+    [[0.25, 0.0], [0.0, 0.25]], levy.JumpMeasure(atoms=(([0.05, 0.0], 0.1),))
+)
+# the same without the atom: a jump-free law, which the checks draw on a lattice
+_NEGATIVE_LATTICE = levy.MultiLogNormal([-0.125, -0.125], [[0.25, 0.0], [0.0, 0.25]])
 # near-equal sampling chunks whose edges fall inside kernel blocks
 _STREAMED_N = 3 * levy.SAMPLE_BLOCK + 17
 
@@ -516,6 +522,9 @@ def test_every_draw_is_made_on_the_calling_thread(kernel_workers, monkeypatch):
         monkeypatch.setattr(RngStream, name, recorded(getattr(RngStream, name)))
     report = duality.check_payoff_symmetry(_NEGATIVE, 1, rng=make_rng(85), n_samples=_STREAMED_N)
     assert max(p.rounds for p in report.points) == 2
+    # the lattice's shifts too, for a first look and the looks that confirm it
+    first = duality._draw(_NEGATIVE_LATTICE, 200_000, make_rng(85))
+    assert max(p.rounds for p in duality._confirmed_mc_points([_NOISY], first, make_rng(86))) == 3
     assert threads == {threading.get_ident()}
 
 
@@ -558,6 +567,100 @@ def test_power_scaled_draw_holds_one_batch():
     assert peak <= 1.25 * cols.nbytes
     want = (np.exp(adapter.lam)[:, None] * drawn_columns(base, 800_000, make_rng(87))) ** 1.7
     assert cols.tobytes() == want.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# Lattice draws of a jump-free law
+# --------------------------------------------------------------------------- #
+
+# an oscillating statistic that a lattice does not smooth, inconclusive at every look,
+# beside one that cancels exactly
+_NOISY = (
+    ["noisy", "flat"],
+    lambda cols, rows, levels: (np.stack([np.sin(1e4 * cols[0]), 0.0 * cols[0]])[rows], None),
+    [1.0, 1.0],
+)
+
+
+def test_ndtri_matches_scipy_from_1e_300_to_one_ulp_below_one():
+    from scipy.special import ndtri
+
+    p = np.concatenate([
+        np.geomspace(1e-300, 0.5, 2000),
+        1.0 - np.geomspace(2.0**-53, 0.5, 2000),
+        np.linspace(0.0, 1.0, 2001)[1:-1],
+    ])
+    want = ndtri(p)
+    assert np.all(np.abs(rng_module.ndtri(p) - want) <= 1e-15 * np.abs(want))
+    assert rng_module.ndtri(np.array([0.5])).tolist() == [0.0]
+
+
+def test_ndtri_is_within_5e_16_of_the_exact_quantile():
+    # scipy's ndtri is off by 8.2e-16 at p = 0.1387, so the check above has little room there
+    mpmath = pytest.importorskip("mpmath")
+    p = np.concatenate(
+        [np.geomspace(1e-300, 0.4, 30), np.linspace(0.01, 0.99, 99), [0.1387, 1 - 2.0**-53]]
+    )
+    want = []
+    for v in p:
+        with mpmath.workdps(40 - int(math.log10(v))):  # digits enough for 2p - 1 to keep p
+            want.append(float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(v) - 1)))
+    want = np.array(want)
+    assert np.all(np.abs(rng_module.ndtri(p) - want) <= 5e-16 * np.abs(want))
+
+
+def test_lattice_normals_are_finite_at_every_shift():
+    out = np.empty((3, 4 * 509))
+    shifts = np.array(
+        [[0.0, 0.5, 1.0 - 2.0**-53], [0.25, 0.75, 1e-300], [0.5, 0.0, 0.5], [0.1, 0.2, 0.3]]
+    )
+    z = rng_module.lattice_normals(509, shifts, out)
+    assert z is out and np.all(np.isfinite(z)) and np.max(np.abs(z)) <= 8.3
+
+
+def test_lattice_z_scores_of_closed_form_expectations_have_unit_spread():
+    model = levy.MultiLogNormal([-0.125, -0.08], [[0.25, 0.1], [0.1, 0.16]])
+    call = pricing.price(dist.LogNormal(-0.125, 0.5), pricing.BasketCall((1.0,), 1.1)).value
+
+    def evaluate(cols, rows, levels):
+        diffs = np.stack([cols[0] - 1.0, cols[1] - 1.0, np.maximum(cols[0] - 1.1, 0.0) - call])
+        return diffs[rows], None
+
+    group, z = (["E eta_1", "E eta_2", "call"], evaluate, [1.0] * 3), []
+    for seed in range(200):  # first looks, each of LATTICE_SHIFTS fresh shifts
+        first = duality._draw(model, duality.DEFAULT_SAMPLES, RngStream(seed))
+        ((stats, _),) = duality._block_moments([group], [np.arange(3)], first, False)
+        assert stats.n == duality.LATTICE_SHIFTS
+        points = [duality._mc_point("", stats.take(k), 1.0) for k in range(3)]
+        z.append([p.residual / p.std_error for p in points])
+    sd = np.std(z, axis=0, ddof=1)
+    assert np.all((0.8 <= sd) & (sd <= 1.25)), sd
+
+
+def test_lattice_looks_extend_an_undecided_point_up_to_the_cap(kernel_workers):
+    first = duality._draw(_NEGATIVE_LATTICE, 200_000, make_rng(90))
+    assert (first.width, first.n) == (251, 64 * 251)
+    noisy, flat = duality._confirmed_mc_points([_NOISY], first, make_rng(91))
+    # looks of 64, 128, 256 and the cap's last 348 shifts: 796 * 251 = 199,796 draws
+    records = [(p.status, p.rounds, p.replicates, p.n_samples) for p in (noisy, flat)]
+    assert records == [("inconclusive", 3, 796, 199_796), ("pass", 0, 64, 64 * 251)]
+    # the confirmation looks fill one buffer of the calling thread, held from look to look
+    looks = [first.look(k, make_rng(92)) for k in (1, 2, 3)]
+    assert [look.n // 251 for look in looks] == [128, 256, 348]
+    assert first.look(4, make_rng(92)) is None
+    assert looks[0].cols.base is looks[2].cols.base is duality._LOCAL.buffers["look"]
+
+
+def test_a_cap_below_the_first_look_shrinks_the_lattice():
+    first = duality._draw(_NEGATIVE_LATTICE, 2_000, make_rng(93))
+    assert (first.width, first.first, first.n) == (31, 64, 1_984)
+    assert first.look(1, make_rng(94)) is None
+    report = duality.check_payoff_symmetry(_NEGATIVE_LATTICE, 1, rng=make_rng(93), n_samples=2_000)
+    assert {(p.n_samples, p.replicates, p.rounds) for p in report.points} == {(1_984, 64, 0)}
+    # a jump law stays on i.i.d. draws, replicates of width one that the report does not count
+    assert type(duality._draw(_NEGATIVE, 2_000, make_rng(93))) is duality._Draw
+    report = duality.check_payoff_symmetry(_NEGATIVE, 1, rng=make_rng(93), n_samples=2_000)
+    assert {p.replicates for p in report.points} == {0}
 
 
 # --------------------------------------------------------------------------- #

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from selfdual import dist, geometry, levy, pricing
 from selfdual.errors import AtomicModel, DomainError
-from selfdual.geometry import LiftVector
 from selfdual.quadrature import integrate_interval, integrate_positive
 from scipy.special import ndtr as norm_cdf
 
+import geometry_oracle
 from conftest import make_rng
+from geometry_oracle import LiftVector
 
 LN25 = dist.LogNormal.mean_one(0.25)
 PAPER_ATOMS = dist.DiscreteAtoms([(F(1, 2), F(1, 3)), (F(1), F(1, 2)), (F(2), F(1, 6))])
@@ -26,21 +27,21 @@ PAPER_ATOMS = dist.DiscreteAtoms([(F(1, 2), F(1, 3)), (F(1), F(1, 2)), (F(2), F(
 
 
 def test_support_nonnegative_cone_is_linear():
-    est = geometry.support_lift_zonoid(LN25, LiftVector(1.0, (2.0,)))
+    est = geometry_oracle.support_lift_zonoid(LN25, LiftVector(1.0, (2.0,)))
     assert est.value == 3.0 and est.std_error == 0.0 and est.method == "closed_form"
-    v = geometry.support_lift_zonoid(
+    v = geometry_oracle.support_lift_zonoid(
         levy.MultiLogNormal.jointly_self_dual(2, 0.3), LiftVector(0.5, (1.0, 2.0))
     )
     assert v.value == pytest.approx(3.5, abs=1e-14)
 
 
 def test_support_negative_cone_is_zero():
-    assert geometry.support_lift_zonoid(LN25, LiftVector(-1.0, (-1.0,))).value == 0.0
-    assert geometry.support_lift_zonoid(PAPER_ATOMS, LiftVector(-0.2, (0.0,))).value == 0.0
+    assert geometry_oracle.support_lift_zonoid(LN25, LiftVector(-1.0, (-1.0,))).value == 0.0
+    assert geometry_oracle.support_lift_zonoid(PAPER_ATOMS, LiftVector(-0.2, (0.0,))).value == 0.0
 
 
 def test_support_lognormal_call_value():
-    est = geometry.support_lift_zonoid(LN25, LiftVector(-1.0, (1.0,)))
+    est = geometry_oracle.support_lift_zonoid(LN25, LiftVector(-1.0, (1.0,)))
     assert est.method == "closed_form"
     assert est.value == pytest.approx(2.0 * norm_cdf(0.125) - 1.0, abs=1e-14)
     assert est.value == pytest.approx(0.09948, abs=5e-6)
@@ -50,18 +51,18 @@ def test_support_lognormal_call_value():
 
 
 def test_support_lognormal_put_side():
-    est = geometry.support_lift_zonoid(LN25, LiftVector(1.0, (-1.0,)))
+    est = geometry_oracle.support_lift_zonoid(LN25, LiftVector(1.0, (-1.0,)))
     oracle = integrate_interval(lambda t: (1.0 - t) * LN25.pdf(t), 0.0, 1.0)
     assert est.value == pytest.approx(oracle, abs=1e-9)
 
 
 def test_support_atoms_exact():
-    est = geometry.support_lift_zonoid(PAPER_ATOMS, LiftVector(-1.0, (1.0,)))
+    est = geometry_oracle.support_lift_zonoid(PAPER_ATOMS, LiftVector(-1.0, (1.0,)))
     assert est.value == pytest.approx(1.0 / 6.0, abs=1e-15)  # only the atom at 2 pays
 
 
 def test_support_monte_carlo_with_errors():
-    est = geometry.support_lift_zonoid(
+    est = geometry_oracle.support_lift_zonoid(
         dist.HeavyTail(1.0), LiftVector(-1.0, (1.0,)), make_rng(20), 200_000
     )
     oracle = integrate_interval(lambda t: (t - 1.0) * dist.HeavyTail(1.0).pdf(t), 1.0, math.inf)
@@ -88,8 +89,8 @@ SUPPORT_AS_PRICE_CASES = [
 def test_support_values_are_prices_of_their_claims(tag):
     model, lz, lmz = SUPPORT_AS_PRICE_CASES[tag]
     pairs = [
-        (geometry.support_lift_zonoid, lz, pricing.AffinePower(lz.u, lz.u0)),
-        (geometry.support_lift_max_zonoid, lmz, pricing.MaxOption(lmz.u0, lmz.u)),
+        (geometry_oracle.support_lift_zonoid, lz, pricing.AffinePower(lz.u, lz.u0)),
+        (geometry_oracle.support_lift_max_zonoid, lmz, pricing.MaxOption(lmz.u0, lmz.u)),
     ]
     for support, lv, claim in pairs:
         est = support(model, lv, make_rng(70 + tag), 20_000)
@@ -100,7 +101,7 @@ def test_support_values_are_prices_of_their_claims(tag):
 
 def test_support_monte_carlo_requires_a_stream():
     with pytest.raises(DomainError, match="Monte-Carlo pricing requires an RngStream"):
-        geometry.support_lift_zonoid(dist.HeavyTail(1.0), LiftVector(-1.0, (1.0,)))
+        geometry_oracle.support_lift_zonoid(dist.HeavyTail(1.0), LiftVector(-1.0, (1.0,)))
 
 
 # --------------------------------------------------------------------------- #
@@ -109,31 +110,31 @@ def test_support_monte_carlo_requires_a_stream():
 
 
 def test_max_zonoid_degenerate_weight():
-    assert geometry.support_lift_max_zonoid(LN25, LiftVector(0.0, (2.5,))).value == 2.5
+    assert geometry_oracle.support_lift_max_zonoid(LN25, LiftVector(0.0, (2.5,))).value == 2.5
 
 
 def test_max_zonoid_lognormal_matches_husler_reiss():
-    est = geometry.support_lift_max_zonoid(LN25, LiftVector(1.0, (1.0,)))
+    est = geometry_oracle.support_lift_max_zonoid(LN25, LiftVector(1.0, (1.0,)))
     assert est.value == pytest.approx(2.0 * norm_cdf(0.125), abs=1e-14)
     assert est.value == pytest.approx(1.09948, abs=5e-6)
 
 
 def test_max_zonoid_rejects_negative_coordinates():
     with pytest.raises(DomainError):
-        geometry.support_lift_max_zonoid(LN25, LiftVector(-0.1, (1.0,)))
+        geometry_oracle.support_lift_max_zonoid(LN25, LiftVector(-0.1, (1.0,)))
 
 
 def test_max_zonoid_zonoid_consistency():
     # E max(k, F eta) - k = E (F eta - k)_+ for k, F >= 0
     for k in (0.2, 1.0, 2.5):
         for f in (0.5, 1.0, 3.0):
-            mz = geometry.support_lift_max_zonoid(LN25, LiftVector(k, (f,))).value
-            z = geometry.support_lift_zonoid(LN25, LiftVector(-k, (f,))).value
+            mz = geometry_oracle.support_lift_max_zonoid(LN25, LiftVector(k, (f,))).value
+            z = geometry_oracle.support_lift_zonoid(LN25, LiftVector(-k, (f,))).value
             assert mz - k == pytest.approx(z, abs=1e-13)
     # Monte-Carlo model: within combined standard errors
     ht = dist.HeavyTail(2.0)
-    mz = geometry.support_lift_max_zonoid(ht, LiftVector(1.0, (1.0,)), make_rng(21), 100_000)
-    z = geometry.support_lift_zonoid(ht, LiftVector(-1.0, (1.0,)), make_rng(21), 100_000)
+    mz = geometry_oracle.support_lift_max_zonoid(ht, LiftVector(1.0, (1.0,)), make_rng(21), 100_000)
+    z = geometry_oracle.support_lift_zonoid(ht, LiftVector(-1.0, (1.0,)), make_rng(21), 100_000)
     assert abs((mz.value - 1.0) - z.value) <= 3.0 * (mz.std_error + z.std_error)
 
 
@@ -142,13 +143,13 @@ def test_max_zonoid_self_dual_symmetry_grid():
     grid = np.geomspace(0.3, 3.0, 7)
     for k in grid:
         for f in grid:
-            a = geometry.support_lift_max_zonoid(LN25, LiftVector(float(k), (float(f),))).value
-            b = geometry.support_lift_max_zonoid(LN25, LiftVector(float(f), (float(k),))).value
+            a = geometry_oracle.support_lift_max_zonoid(LN25, LiftVector(float(k), (float(f),))).value
+            b = geometry_oracle.support_lift_max_zonoid(LN25, LiftVector(float(f), (float(k),))).value
             assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_max_zonoid_atoms():
-    est = geometry.support_lift_max_zonoid(PAPER_ATOMS, LiftVector(1.0, (1.0,)))
+    est = geometry_oracle.support_lift_max_zonoid(PAPER_ATOMS, LiftVector(1.0, (1.0,)))
     # max(1, eta): 1 with prob 1/3+1/2, 2 with prob 1/6
     assert est.value == pytest.approx(5.0 / 6.0 + 2.0 / 6.0, abs=1e-15)
 
@@ -199,7 +200,7 @@ def test_boundary_gradient_matches_finite_differences():
     k, h = 1.0, 1e-6
 
     def sup(u0, u1):
-        return geometry.support_lift_zonoid(model, LiftVector(u0, (u1,))).value
+        return geometry_oracle.support_lift_zonoid(model, LiftVector(u0, (u1,))).value
 
     bc, gc = geometry.boundary_param(model, k)
     assert (sup(-k + h, 1.0) - sup(-k - h, 1.0)) / (2 * h) == pytest.approx(bc, abs=1e-4)
@@ -266,10 +267,10 @@ def test_boundary_csv_matches_the_row_by_row_writer(name):
 
 
 def test_reflect_pi_examples():
-    assert geometry.reflect_pi(LiftVector(1.0, (2.0, 3.0)), 1) == LiftVector(2.0, (1.0, 3.0))
-    assert geometry.reflect_pi(LiftVector(0.0, (5.0, 7.0)), 2) == LiftVector(7.0, (5.0, 0.0))
+    assert geometry_oracle.reflect_pi(LiftVector(1.0, (2.0, 3.0)), 1) == LiftVector(2.0, (1.0, 3.0))
+    assert geometry_oracle.reflect_pi(LiftVector(0.0, (5.0, 7.0)), 2) == LiftVector(7.0, (5.0, 0.0))
     with pytest.raises(IndexError):
-        geometry.reflect_pi(LiftVector(0.0, (1.0,)), 2)
+        geometry_oracle.reflect_pi(LiftVector(0.0, (1.0,)), 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -282,7 +283,7 @@ def test_reflect_pi_involution(u, u0, i):
     if i > len(u):
         i = 1 + (i - 1) % len(u)
     lv = LiftVector(u0, tuple(u))
-    assert geometry.reflect_pi(geometry.reflect_pi(lv, i), i) == lv
+    assert geometry_oracle.reflect_pi(geometry_oracle.reflect_pi(lv, i), i) == lv
 
 
 def test_max_stable_cdf():
@@ -307,13 +308,13 @@ def test_sublinearity_closed_forms():
         a = LiftVector(float(gen.uniform(-2, 2)), (float(gen.uniform(-2, 2)),))
         b = LiftVector(float(gen.uniform(-2, 2)), (float(gen.uniform(-2, 2)),))
         c = float(gen.uniform(0, 3))
-        ha = geometry.support_lift_zonoid(LN25, a).value
-        hb = geometry.support_lift_zonoid(LN25, b).value
-        hsum = geometry.support_lift_zonoid(
+        ha = geometry_oracle.support_lift_zonoid(LN25, a).value
+        hb = geometry_oracle.support_lift_zonoid(LN25, b).value
+        hsum = geometry_oracle.support_lift_zonoid(
             LN25, LiftVector(a.u0 + b.u0, (a.u[0] + b.u[0],))
         ).value
         assert hsum <= ha + hb + 1e-12
-        hscaled = geometry.support_lift_zonoid(LN25, LiftVector(c * a.u0, (c * a.u[0],))).value
+        hscaled = geometry_oracle.support_lift_zonoid(LN25, LiftVector(c * a.u0, (c * a.u[0],))).value
         assert hscaled == pytest.approx(c * ha, abs=1e-12)
 
 
@@ -323,9 +324,9 @@ def test_sublinearity_monte_carlo():
     for trial in range(5):
         a = LiftVector(float(gen.uniform(-2, 2)), (float(gen.uniform(-2, 2)),))
         b = LiftVector(float(gen.uniform(-2, 2)), (float(gen.uniform(-2, 2)),))
-        ha = geometry.support_lift_zonoid(ht, a, make_rng(30 + trial), 50_000)
-        hb = geometry.support_lift_zonoid(ht, b, make_rng(60 + trial), 50_000)
-        hs = geometry.support_lift_zonoid(
+        ha = geometry_oracle.support_lift_zonoid(ht, a, make_rng(30 + trial), 50_000)
+        hb = geometry_oracle.support_lift_zonoid(ht, b, make_rng(60 + trial), 50_000)
+        hs = geometry_oracle.support_lift_zonoid(
             ht, LiftVector(a.u0 + b.u0, (a.u[0] + b.u[0],)), make_rng(90 + trial), 50_000
         )
         slack = 4.0 * (ha.std_error + hb.std_error + hs.std_error)
@@ -336,12 +337,12 @@ def test_central_symmetry_is_call_put_parity():
     # h(u) - h(-u) = u0 + <u, E eta> for any integrable model
     for model in (LN25, PAPER_ATOMS):
         for u0, u1 in [(-1.0, 1.0), (0.3, -0.7), (2.0, -0.5)]:
-            h_plus = geometry.support_lift_zonoid(model, LiftVector(u0, (u1,))).value
-            h_minus = geometry.support_lift_zonoid(model, LiftVector(-u0, (-u1,))).value
+            h_plus = geometry_oracle.support_lift_zonoid(model, LiftVector(u0, (u1,))).value
+            h_minus = geometry_oracle.support_lift_zonoid(model, LiftVector(-u0, (-u1,))).value
             assert h_plus - h_minus == pytest.approx(u0 + u1 * model.mean, abs=1e-12)
     ht = dist.HeavyTail(1.0)
-    hp = geometry.support_lift_zonoid(ht, LiftVector(-1.0, (1.0,)), make_rng(41), 200_000)
-    hm = geometry.support_lift_zonoid(ht, LiftVector(1.0, (-1.0,)), make_rng(41), 200_000)
+    hp = geometry_oracle.support_lift_zonoid(ht, LiftVector(-1.0, (1.0,)), make_rng(41), 200_000)
+    hm = geometry_oracle.support_lift_zonoid(ht, LiftVector(1.0, (-1.0,)), make_rng(41), 200_000)
     assert abs(hp.value - hm.value) <= 3.0 * (hp.std_error + hm.std_error) + 1e-6
 
 

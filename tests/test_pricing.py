@@ -8,6 +8,7 @@ from selfdual import dist, pricing
 from selfdual.errors import DomainError, GeometryViolation, MomentDiverges
 from selfdual.quadrature import integrate_interval
 
+import pricing_oracle
 from conftest import make_rng
 
 LN25 = dist.LogNormal.mean_one(0.25)
@@ -124,13 +125,13 @@ def test_power_call_moment_gate():
 def test_parity_closed_forms():
     for model in (LN25, PAPER_ATOMS, dist.LogNormal(0.1, 0.4)):
         for k, f in [(1.0, 1.0), (0.8, 1.2), (2.0, 0.5)]:
-            res, se = pricing.parity_residual(model, k, f)
+            res, se = pricing_oracle.parity_residual(model, k, f)
             assert se == 0.0
             assert abs(res) <= 1e-14
 
 
 def test_parity_monte_carlo_any_model():
-    res, se = pricing.parity_residual(
+    res, se = pricing_oracle.parity_residual(
         dist.HeavyTail(1.0), 0.8, 1.2, rng=make_rng(83), n_samples=200_000
     )
     # common random numbers make the parity defect pathwise zero
@@ -143,24 +144,24 @@ def test_parity_monte_carlo_any_model():
 
 
 def test_vanilla_symmetry_at_the_money():
-    out = pricing.vanilla_symmetry_residual(LN25, 1.0, 1.0)
+    out = pricing_oracle.vanilla_symmetry_residual(LN25, 1.0, 1.0)
     assert out["call_swap"][0] == pytest.approx(0.0, abs=1e-15)
     assert out["put_call"][0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_vanilla_symmetry_closed_form():
-    out = pricing.vanilla_symmetry_residual(LN25, 0.8, 1.25)
+    out = pricing_oracle.vanilla_symmetry_residual(LN25, 0.8, 1.25)
     assert abs(out["call_swap"][0]) <= 1e-14
     assert abs(out["put_call"][0]) <= 1e-14
 
 
 def test_vanilla_symmetry_negative_control():
-    out = pricing.vanilla_symmetry_residual(dist.LogNormal(0.0, 0.5), 0.8, 1.25)
+    out = pricing_oracle.vanilla_symmetry_residual(dist.LogNormal(0.0, 0.5), 0.8, 1.25)
     assert abs(out["call_swap"][0]) > 1e-3
 
 
 def test_vanilla_symmetry_monte_carlo():
-    out = pricing.vanilla_symmetry_residual(
+    out = pricing_oracle.vanilla_symmetry_residual(
         dist.HeavyTail(2.0), 0.7, 1.3, rng=make_rng(84), n_samples=300_000
     )
     for key in ("call_swap", "put_call"):
@@ -182,7 +183,7 @@ def test_moneyness_form():
 
 
 def test_binary_gap_reduction_at_equal_strikes():
-    out = pricing.binary_gap_symmetry_residual(LN25, 1.0, 1.0)
+    out = pricing_oracle.binary_gap_symmetry_residual(LN25, 1.0, 1.0)
     assert out["forward"] == 1.0
     assert abs(out["binary_call_gap_put"][0]) <= 1e-14
 
@@ -192,24 +193,24 @@ def test_binary_gap_closed_form_pairs():
     for _ in range(20):
         k_c = float(gen.uniform(0.4, 2.5))
         k_p = float(gen.uniform(0.4, 2.5))
-        out = pricing.binary_gap_symmetry_residual(LN25, k_c, k_p)
+        out = pricing_oracle.binary_gap_symmetry_residual(LN25, k_c, k_p)
         assert abs(out["binary_call_gap_put"][0]) <= 1e-12
         assert abs(out["binary_put_gap_call"][0]) <= 1e-12
 
 
 def test_binary_gap_monte_carlo_and_negative_control():
-    out = pricing.binary_gap_symmetry_residual(
+    out = pricing_oracle.binary_gap_symmetry_residual(
         dist.HeavyTail(1.0), 1.5, 2.0 / 3.0, rng=make_rng(85), n_samples=300_000
     )
     res, se = out["binary_call_gap_put"]
     assert abs(res) <= 3.0 * se + 5e-5
-    bad = pricing.binary_gap_symmetry_residual(dist.LogNormal(0.0, 0.5), 1.5, 2.0 / 3.0)
+    bad = pricing_oracle.binary_gap_symmetry_residual(dist.LogNormal(0.0, 0.5), 1.5, 2.0 / 3.0)
     assert abs(bad["binary_call_gap_put"][0]) > 1e-3
 
 
 def test_binary_gap_invalid_strikes():
     with pytest.raises(GeometryViolation):
-        pricing.binary_gap_symmetry_residual(LN25, -1.0, 1.0)
+        pricing_oracle.binary_gap_symmetry_residual(LN25, -1.0, 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -218,7 +219,7 @@ def test_binary_gap_invalid_strikes():
 
 
 def test_power_symmetry_reduces_to_vanilla():
-    res, se = pricing.power_symmetry_residual(
+    res, se = pricing_oracle.power_symmetry_residual(
         LN25, 1.0, 1.0, 1.0, 0.9, make_rng(86), n_samples=200_000
     )
     assert abs(res) <= 3.0 * se + 5e-5
@@ -236,20 +237,20 @@ def test_power_symmetry_matches_the_direct_estimator(model, alpha):
     rhs = a ** (-alpha) * np.maximum(big_f - k * a * a * eta, 0.0) ** alpha
     diff = lhs - rhs
     expected = (float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n)))
-    assert pricing.power_symmetry_residual(model, a, alpha, big_f, k, make_rng(89), n) == expected
+    assert pricing_oracle.power_symmetry_residual(model, a, alpha, big_f, k, make_rng(89), n) == expected
 
 
 @pytest.mark.parametrize("alpha, k", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.9)])
 def test_power_symmetry_rejects_a_negative_strike_or_nonpositive_order(alpha, k):
     with pytest.raises(DomainError):
-        pricing.power_symmetry_residual(LN25, 1.0, alpha, 1.0, k, make_rng(90), 1_000)
+        pricing_oracle.power_symmetry_residual(LN25, 1.0, alpha, 1.0, k, make_rng(90), 1_000)
 
 
 def test_power_symmetry_quasi_self_dual():
     sigma2, alpha = 0.04, 0.5
     lam = sigma2 * (1.0 - alpha) / 2.0
     model = dist.LogNormal.mean_one(math.sqrt(sigma2))
-    res, se = pricing.power_symmetry_residual(
+    res, se = pricing_oracle.power_symmetry_residual(
         model, math.exp(lam), alpha, 1.0, 1.0, make_rng(87), n_samples=10**6
     )
     assert abs(res) <= 3.0 * se + 5e-5
@@ -259,7 +260,7 @@ def test_power_symmetry_detects_wrong_order():
     sigma2 = 0.04
     lam = sigma2 * (1.0 - 0.5) / 2.0
     model = dist.LogNormal.mean_one(math.sqrt(sigma2))
-    res, se = pricing.power_symmetry_residual(
+    res, se = pricing_oracle.power_symmetry_residual(
         model, math.exp(lam), 0.9, 1.0, 1.0, make_rng(88), n_samples=10**6
     )
     assert abs(res) > 5.0 * se
