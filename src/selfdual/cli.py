@@ -414,8 +414,9 @@ TASKS = {
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
     }, lambda task, model: () if _closed_form(task, model) else ("samples",)),
-    # a continuous driver's hedge reads tol for its exact exchange and samples for its price
-    # check, and simulates no path; a jump driver's hedge checks and prices on its grid
+    # a continuous driver's hedge reads tol for its exact exchange and samples as the cap on
+    # its price check's lattice draws, and simulates no path; a jump driver's hedge checks
+    # and prices on its grid
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
             "asset": (_integer, {"ge": 1, "required": True}),
@@ -759,6 +760,7 @@ def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
     else:  # the exact exchange, in three parts
         exchange = _report_of(report.exchange)
         doc["exchange"] = {"method": "exponent", "tol": spec["tol"]["exact"], **exchange}
+        doc["price_check"] = dict(zip(("n_samples", "replicates", "rounds"), report.price_check))
     return report.verdict, doc, artifacts
 
 

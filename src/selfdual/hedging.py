@@ -27,12 +27,15 @@ simulations from each hit state, projected onto the barrier unless the driver
 jumps, compare the conditional values of the two claims.  A jump driver keeps
 the overshoot state, and its verdicts are one-sided.
 
-The hit states' variates and the price check's terminal blocks are drawn up
-to two ahead, one after another, on one drawing thread per process; the
-calling thread assembles each state's increments from its variates and
-evaluates them, and draws nothing meanwhile.  Every draw keeps its stream
-and its order, so reports do not depend on that thread, and a process that
-may use one CPU draws inline.
+The price check draws ``xi_T``'s standard normals on randomly shifted copies of
+the rank-1 lattice of the common-random-number checks (randomised quasi-Monte
+Carlo), each copy a replicate whose means give the SEs; a price gap that fails
+within ``DECISIVE_Z`` SE takes fresh shifts in growing looks up to ``n_samples``.
+The hit states' variates are drawn up to two ahead, one after another, on one
+drawing thread per process; the calling thread assembles each state's
+increments from its variates and evaluates them, and draws nothing meanwhile.
+Every draw keeps its stream and its order, so reports do not depend on that
+thread, and a process that may use one CPU draws inline.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .duality import SymmetryReport, _Moments, _pool, worst_verdict
+from .duality import DECISIVE_Z, SymmetryReport, _LatticeDraw, _Moments, _pool, _scratch
+from .duality import worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, MultiLogNormal, assemble_increments, check_qsd_triplet
 from .levy import gaussian_root, increment_variates, sample_increments
@@ -87,7 +91,6 @@ SE_BAND = 3.0
 # resolution floor for nested-MC conditional values; coarser than the
 # distribution-level checks because inner simulations are the cost driver
 SE_FLOOR = 5e-3
-TERMINAL_BLOCK = 20_000  # terminal draws per block; one 200k-row pass was slower
 SEARCH_BLOCK = 25  # grid steps per barrier test in the first-hit search; flat from 10 to 125
 
 
@@ -481,6 +484,7 @@ class HedgeReport:
     price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
     sub_replicates: bool = False  # a knock-out hedge: target minus a super-replicating hedge
     exchange: SymmetryReport | None = None  # a continuous driver's exact exchange
+    price_check: tuple[int, int, int] | None = None  # its draws: (n_samples, replicates, rounds)
 
     def _miss(self, gap: float) -> float:
         """How far a gap lies on the failing side: either side if two-sided, else below zero,
@@ -534,7 +538,7 @@ class HedgeReport:
 def _ahead(draw, keys):
     """Yield ``draw(key)`` for each key in order, drawn up to two ahead on this process's
     one drawing thread while the caller uses the last, or inline when it may use one CPU.
-    Hit states draw only variates, assembled by the caller after its per-block search.
+    Only the grid's hit states draw here, and only variates, assembled by the caller.
     Closed or raising early, it drops the draws not started and waits for the one running."""
     pool = _pool("drawer", 1)
     if pool is None:
@@ -640,40 +644,25 @@ def _no_hit_mismatch(plan: HedgePlan, hedge: np.ndarray, target: np.ndarray) -> 
     return 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
 
 
-def _bridge_moments(
-    plan: HedgePlan, cfg: PathConfig, n_samples: int, rng: RngStream
-) -> tuple[_Moments, float]:
-    """Pooled moments of (price gap, plain, knock-in, knock-out, ``p``) on terminal draws
-    weighted by the bridge hit probability ``p``, and their no-hit mismatch.
-
-    The gap is ``hedge - p f``, or ``hedge - (1 - p) f`` for knock-out.  Draws
-    come from the one stream ``rng``, block after block on the drawing thread, and are
-    reduced in ``TERMINAL_BLOCK`` rows.
+def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw) -> tuple[_Moments, float]:
+    """Moments of the replicate means of (price gap, plain, knock-in, knock-out, ``p``) on the
+    lattice draws ``draws`` of ``exp(xi_T)`` weighted by the bridge hit probability ``p``, and
+    their no-hit mismatch.  The gap is ``hedge - p f``, or ``hedge - (1 - p) f`` for knock-out.
     """
     b, i = plan.barrier, plan.barrier.asset - 1
     y0_h, var = math.log(cfg.s0[i] / b.level), cfg.driver.a[i, i] * cfg.horizon
     rate = -2.0 * y0_h / var if var > 0 else -math.copysign(math.inf, y0_h)
-    growth, root = cfg.horizon * cfg.carry, gaussian_root(cfg.driver, cfg.horizon)
-    total, mismatch = None, 0.0
-    # held across blocks: a fresh (5, TERMINAL_BLOCK) stack per block costs page faults
-    held = np.empty((5, TERMINAL_BLOCK))
-    n = int(n_samples)
-    sizes = [min(TERMINAL_BLOCK, n - start) for start in range(0, n, TERMINAL_BLOCK)]
-
-    def terminal(size):
-        return sample_increments(cfg.driver, cfg.horizon, rng, size, root=root).T
-
-    with closing(_ahead(terminal, sizes)) as drawn:
-        for size, x in zip(sizes, drawn):
-            s = np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
-            # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
-            p = np.exp(np.minimum(rate * (y0_h + growth[i] + x[i]), 0.0))
-            f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
-            mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
-            w = 1.0 - p if plan.knock == "out" else p
-            rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=held[:, :size])
-            block = _Moments.of(rows, out=rows)
-            total = block if total is None else total.pooled(block)
+    forward, total, mismatch, lo = cfg.s0 * np.exp(cfg.horizon * cfg.carry), None, 0.0, 0
+    for cols, hi in draws:
+        s = np.ascontiguousarray((forward[:, None] * cols[:, lo:hi]).T)
+        # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
+        p = np.exp(np.minimum(rate * np.log(s[:, i] / b.level), 0.0))
+        f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
+        mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
+        w = 1.0 - p if plan.knock == "out" else p
+        rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=_scratch("bridge", 5, hi - lo))
+        block = _Moments.of(rows, out=rows, width=draws.width)
+        total, lo = block if total is None else total.pooled(block), hi
     return total, mismatch
 
 
@@ -692,23 +681,35 @@ def evaluate_hedge(
     A continuous driver simulates no path, so it reads neither ``n_outer``,
     ``n_inner`` nor ``n_hit_states``: its exchange is :func:`levy.check_qsd_triplet`
     at the barrier's asset, the carry and the plan's order, judged at ``tol``,
-    and fails the hedge even where the prices balance; ``n_samples``
-    bridge-weighted terminal draws give the price gap, the knock-in fraction
-    and the prices, and check the no-hit algebra where they end short of the
-    level.  Jump drivers do all of it on ``n_outer`` paths, with inner draws at
-    ``n_hit_states`` hit states, and have no price gap and a one-sided
+    and fails the hedge even where the prices balance.  Bridge-weighted terminal
+    draws give the price gap, the knock-in fraction and the prices, and check the
+    no-hit algebra where they end short of the level.  They are ``LATTICE_SHIFTS``
+    lattice replicates with shifts from ``rng.child(2)``; while the gap fails within
+    ``DECISIVE_Z`` SE, the looks of :meth:`duality._LatticeDraw.look` are pooled with
+    them, up to the cap ``n_samples``.  Jump drivers do all of it on ``n_outer`` paths, with
+    inner draws at ``n_hit_states`` hit states, and have no price gap and a one-sided
     verdict: a gap fails below zero, or above it for a knock-out hedge.
     """
     _require(cfg, [plan.barrier], rng)
     if cfg.is_continuous:  # the exchange first: an order it cannot judge draws nothing
         exchange = check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha, tol)
-        total, mismatch = _bridge_moments(plan, cfg, n_samples, rng.child(2))
-        se = np.sqrt(total.m2 / (total.n - 1)) / math.sqrt(total.n)
-        gap, plain, k_in, k_out, hit = [(float(m), float(e)) for m, e in zip(total.mean, se)]
-        return HedgeReport(
-            *hit, 0.0, plan.knock == "super", terminal_max_mismatch=mismatch, price_plain=plain,
-            price_knock_in=k_in, price_knock_out=k_out, price_gap=gap, exchange=exchange,
-        )
+        law = LevyTriplet(cfg.driver.a * cfg.horizon, drift=cfg.driver.drift * cfg.horizon)
+        look = first = _LatticeDraw(law, n_samples, stream := rng.child(2))  # the law of xi_T
+        total, mismatch = None, 0.0
+        for rounds in itertools.count():
+            more, miss = _bridge_moments(plan, cfg, look)
+            total, mismatch = more if total is None else total.pooled(more), max(mismatch, miss)
+            se = np.sqrt(total.m2 / (total.n - 1)) / math.sqrt(total.n)
+            gap, plain, k_in, k_out, hit = [(float(m), float(e)) for m, e in zip(total.mean, se)]
+            report = HedgeReport(
+                *hit, 0.0, plan.knock == "super", terminal_max_mismatch=mismatch, price_plain=plain,
+                price_knock_in=k_in, price_knock_out=k_out, price_gap=gap, exchange=exchange,
+                price_check=(total.n * first.width, total.n, rounds),
+            )
+            if not SE_BAND * gap[1] < report._miss(gap[0]) <= DECISIVE_Z * gap[1]:
+                return report  # a pass, or a fail beyond DECISIVE_Z SE
+            if (look := first.look(rounds + 1, stream.child(rounds))) is None:
+                return report  # the cap is spent
     # in: exact exchange; super: the reflected claim must dominate the target
     lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n) if plan.knock == "out" else plan.target
     report, knocked, terminal = _measure(

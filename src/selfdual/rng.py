@@ -11,12 +11,12 @@ threads at once.  A stream may be handed to another thread when its uses
 never overlap, as the hedge's drawing thread takes its draws one after
 another.  For parallel work derive children with :meth:`RngStream.child`.
 
-The standard normals of a jump-free law's common-random-number checks come
-from randomly shifted copies of a rank-1 lattice instead (randomised
-quasi-Monte Carlo: Owen, Ann. Statist. 25, 1997; L'Ecuyer & Lemieux, 2002):
-:func:`lattice_normals` maps each shift, drawn from a stream, to the lattice
-points moved by it, folded by the tent transform and passed through
-:func:`ndtri`.
+The standard normals of a jump-free law's common-random-number checks, and of a
+continuous hedge's price check, come from randomly shifted copies of a rank-1
+lattice instead (randomised quasi-Monte Carlo: Owen, Ann. Statist. 25, 1997;
+L'Ecuyer & Lemieux, 2002): :func:`lattice_normals` maps each shift, drawn from
+a stream, to the lattice points moved by it, folded by the tent transform and
+passed through :func:`ndtri`.
 """
 
 from __future__ import annotations

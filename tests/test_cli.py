@@ -1577,6 +1577,21 @@ def test_a_continuous_hedge_refuses_the_grid_settings_it_does_not_read(key, defa
     assert doubled != HEDGE_JUMP_SUPER and run(doubled)[1] != run(HEDGE_JUMP_SUPER)[1]
 
 
+# (seed, the price check's draws): the bench hedge's gap fails 3 SE at seed 18's first look,
+# within DECISIVE_Z, so 128 fresh shifts are pooled with its 64 and it passes
+@pytest.mark.parametrize("seed, draws", [
+    (11, {"n_samples": 16_064, "replicates": 64, "rounds": 0}),
+    (18, {"n_samples": 48_192, "replicates": 192, "rounds": 1}),
+])
+def test_a_continuous_hedge_records_the_draws_of_its_price_check(seed, draws):
+    code, results, _ = _run_at(_bench_specs()["bench-hedge"][1], seed)
+    assert (code, results["price_check"]) == (0, draws)
+    gap, se = results["price_gap"]
+    assert abs(gap) <= 3.0 * se
+    # a jump driver prices on its grid and has no price check
+    assert "price_check" not in _run_at(HEDGE_JUMP_SUPER, seed)[1]
+
+
 def test_a_hedge_of_order_zero_is_refused(tmp_path, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(_bench_specs()["bench-hedge"][1].replace("alpha: 1.0", "alpha: 0"))
@@ -1756,8 +1771,8 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "ee2afbe083dc049f56ce74fab44d1fac6e38249c716eb543b368362646a7b643",
     },
     "hedge-small": {
-        "hedge.txt": "ea6d0d391d2caff7dc91ddf7738ba5bd165a99fe22e327606ee4789667143201",
-        "report.yaml": "2ebb0cdca91781050849da52f24aa99ff3edc8c9115f4807bc0b106678a972b2",
+        "hedge.txt": "c18c569d49b47ad2681b2922c202b732aac6eb05478d34c86a8880659e1bbb56",
+        "report.yaml": "56b6f055a675aac38f0eecf14f198ec0e395d1c80e41fdea27df6aaaacf15ff1",
     },
     "triplet-truncated-gamma": {
         "report.yaml": "fe22cb199bee17427a16bc3af82a1f359662798d5b7b202989d6d8c980cf55d1",
@@ -1785,12 +1800,12 @@ GOLDEN_SHA256 = {
         "report.yaml": "e7ed9d838ac1bc75c84d286bad53c5b7b8ade20b6accc9fb8b1734582dfa3aa1",
     },
     "hedge-indicator-in": {
-        "hedge.txt": "4d853f54837a9e1dc1e72508af9c637e7abd270b973d2183712346f61c937dd9",
-        "report.yaml": "ef56b6d89de93d2478af1e7b3aa5a0d45161720d8a2247bba0f13fcc59d995cb",
+        "hedge.txt": "231f03ec8cc5c74fbde7bd2652fc7911813066a33fd7b5a649e926b10aaa7cbf",
+        "report.yaml": "fb9e096146f3a210a98ac571f85e38cc179ff2d7f2ec9a266770f02bd275b609",
     },
     "hedge-indicator-out": {
-        "hedge.txt": "c191ccfa98aba8f6cd4d72e0a6f742cde792fbeef7deea33c8abc8a3bb3b2114",
-        "report.yaml": "fedbdbc8e7e50e20de09ae4dcf6e26caa050e4f83a45526e1d4b871ac335eaf4",
+        "hedge.txt": "a023236779f37a042e8831b8f8adc7c886ec095d3682ffa8a4c6ed3e78e3bc96",
+        "report.yaml": "b5e8d9b52e7c028ed4b193995e09eb161fa944ad45e2054ebc93f7868c28943d",
     },
     "crn-pass": {
         "report.yaml": "c6179694445925cdb2c80663979ab0c6646cc4f893cdecfcdccc553655118a87",
@@ -1814,8 +1829,8 @@ GOLDEN_SHA256 = {
     },
     # the same paths as hedge-small's: only the spec echo differs
     "hedge-small-multi-lognormal": {
-        "hedge.txt": "ea6d0d391d2caff7dc91ddf7738ba5bd165a99fe22e327606ee4789667143201",
-        "report.yaml": "dd5e76efee72a5626711316b759ab6b5831fb6670c4a6c04cee31ddf1e68396c",
+        "hedge.txt": "c18c569d49b47ad2681b2922c202b732aac6eb05478d34c86a8880659e1bbb56",
+        "report.yaml": "5470f7e5f3b306abaada195057883ee9e4754c72661be12f9055fbedaba5d7e3",
     },
 }
 
@@ -1883,7 +1898,9 @@ def test_samples_size_the_price_check_of_continuous_hedges_only(name, tmp_path, 
         assert code == 0
         small = yaml.safe_load(captured.out)["results"]
         assert small["price_gap"] != default["price_gap"]
-        assert small["price_gap"][1] > 5.0 * default["price_gap"][1]  # 200x fewer draws
+        # 64 replicates of 15 points against 64 of 251: 960 draws against 16,064
+        assert (small["price_check"]["n_samples"], default["price_check"]["n_samples"]) == (960, 16_064)
+        assert small["price_gap"][1] > 5.0 * default["price_gap"][1]
         assert small["exchange"] == default["exchange"]  # exact: it draws nothing
 
 

@@ -15,6 +15,7 @@ from scipy import stats
 
 import selfdual
 from selfdual import dist, duality, hedging, levy, pricing
+from selfdual import rng as rng_module
 from selfdual.errors import DomainError, SymmetryPrereqFailed
 
 import hedge_oracle
@@ -464,14 +465,24 @@ def _oracle_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
     )
 
 
-def _oracle_bridge(plan, cfg, n_samples, rng):
-    """evaluate_hedge's terminal statistics for a continuous driver, from one unblocked draw."""
-    x = levy.sample_increments(cfg.driver, cfg.horizon, rng.child(2), n_samples)
+def _oracle_bridge(plan, cfg, n_samples, rng, rounds=0):
+    """evaluate_hedge's terminal statistics for a continuous driver, and their draws, from the
+    lattice normals of its first look and ``rounds`` more drawn in one piece: each SE is that
+    of the replicate means.  Look k > 0 takes twice the replicates of the last, up to the cap."""
+    points, shifts = duality.LATTICE_POINTS, duality.LATTICE_SHIFTS
+    assert n_samples >= points * shifts  # the full lattice
+    cap = n_samples // points
+    looks = [min(shifts * 2**k, cap - shifts * (2**k - 1)) for k in range(rounds + 1)]
+    streams = [rng.child(2)] + [rng.child(2).child(k) for k in range(rounds)]
+    shift = np.concatenate([stream.uniform(size=(m, cfg.n)) for stream, m in zip(streams, looks)])
+    shifts, n = len(shift), points * len(shift)
+    z = rng_module.lattice_normals(points, shift, np.empty((cfg.n, n)))
+    x = (levy.gaussian_root(cfg.driver, cfg.horizon) @ z).T + cfg.horizon * cfg.driver.drift
     s = cfg.s0 * np.exp(cfg.horizon * cfg.carry + x)
     i, h = plan.barrier.asset - 1, math.log(plan.barrier.level)
     y0, y_t = math.log(cfg.s0[i]), np.log(s[:, i])
     far = ~plan.barrier.crossed(s[:, i])
-    p = np.ones(n_samples)
+    p = np.ones(n)
     p[far] = np.exp(-2.0 * (y0 - h) * (y_t[far] - h) / (cfg.driver.a[i, i] * cfg.horizon))
     f, hedge = plan.target(s), plan.hedge(s)
     if plan.knock == "super":
@@ -480,8 +491,9 @@ def _oracle_bridge(plan, cfg, n_samples, rng):
         miss = hedge[far] - (f[far] if plan.knock == "out" else 0.0)
         mismatch = float(np.max(np.abs(miss), initial=0.0))
 
-    def price(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_samples))
+    def price(v):  # replicate r holds draws r * points to (r + 1) * points
+        means = v.reshape(shifts, points).mean(axis=1)
+        return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(shifts))
 
     return {
         "knock_in_fraction": price(p)[0],
@@ -491,7 +503,7 @@ def _oracle_bridge(plan, cfg, n_samples, rng):
         "price_knock_in": price(p * f),
         "price_knock_out": price((1.0 - p) * f),
         "price_gap": price(hedge - ((1.0 - p) if plan.knock == "out" else p) * f),
-    }
+    }, n
 
 
 def _assert_matches_oracles(rep, plan, cfg, n_outer, n_inner, seed, n_hit_states, n_samples):
@@ -500,9 +512,11 @@ def _assert_matches_oracles(rep, plan, cfg, n_outer, n_inner, seed, n_hit_states
     if not cfg.is_continuous:
         assert rep == _oracle_hedge(plan, cfg, n_outer, n_inner, make_rng(seed), n_hit_states)
         return
-    want = _oracle_bridge(plan, cfg, n_samples, make_rng(seed))
+    rounds = rep.price_check[2]
+    want, n = _oracle_bridge(plan, cfg, n_samples, make_rng(seed), rounds)
     for name, value in want.items():
         assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+    assert rep.price_check == (n, n // duality.LATTICE_POINTS, rounds)
     exchange = levy.check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha)
     assert rep.exchange == exchange and rep.hit_gaps == []
     assert (rep.overshoot_fraction, rep.one_sided) == (0.0, plan.knock == "super")
@@ -569,7 +583,7 @@ def test_streaming_hedge_matches_per_path_loop(case):
     target, barrier, knock, config = _HEDGE_CASES[case]
     cfg = config()
     plan = hedging.build_hedge(target, barrier, 1.0, knock)
-    # 50k terminal draws make two full blocks and a part block
+    # the first look's 16,064 terminal draws are two lattice blocks of 32 replicates
     rep = hedging.evaluate_hedge(
         plan, cfg, n_outer=1_500, n_inner=400, rng=make_rng(200), n_hit_states=20, n_samples=50_000
     )
@@ -733,7 +747,11 @@ def test_traced_hedge_counts_repeat(config, monkeypatch):
         metrics = spans.layer_metrics(recorded)
         counts.append({name: metrics.get(name, 0) for name in spans.REPEATABLE})
     assert counts[0] == counts[1]
-    assert counts[0]["rng.draws"] > 0 and counts[0]["levy.increments_inner_rows"] > 0
+    if cfg.is_continuous:  # the bridge draws only its lattice shifts, one uniform per asset
+        assert counts[0]["rng.draws"] == reports[0].price_check[1] * cfg.n == 64 * 2
+        assert counts[0]["levy.increments_inner_rows"] == 0
+    else:
+        assert counts[0]["rng.draws"] > 0 and counts[0]["levy.increments_inner_rows"] > 0
     assert reports[0] == reports[1] == run()
 
 
@@ -803,8 +821,8 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
                     events.append("end")
 
             monkeypatch.setattr(hedging, name, counted)
-        # the bridge calls the target once per 20k-row block, and its second block raises
-        # while the third is drawn ahead; on the grid the third inner state raises
+        # the bridge calls the target once per lattice block of 32 replicates and draws no
+        # increments, and its second block raises; on the grid the third inner state raises
         target = _RaisesOnCall(_SPREAD, 2 if cfg.is_continuous else 3)
         plan = hedging.HedgePlan(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in", hedge)
         with pytest.raises(DomainError) as raised:
@@ -814,33 +832,42 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
             )
         errors.append(str(raised.value))
         seen = list(events)
-        if workers > 1:  # the drawing thread takes its draws in order: after this, none is left
+        if workers > 1 and seen:  # the drawing thread takes its draws in order: after this, none is left
             duality._POOLS[os.getpid(), "drawer"].submit(lambda: None).result(timeout=60)
         assert events == seen and seen.count("start") == seen.count("end")
+        assert (seen == []) == cfg.is_continuous
     assert errors == [f"call {target.n}"] * 2
 
 
 def test_one_cpu_starts_no_drawing_thread(monkeypatch):
+    # a jump driver's hit states are what the drawing thread draws; a continuous hedge
+    # draws its lattice on the calling thread, whatever the CPUs
     monkeypatch.setattr(duality, "WORKERS", 1)
     monkeypatch.setattr(duality, "_POOLS", {})
-    threads, draw = set(), levy.sample_increments
+    threads, draw = set(), levy.increment_variates
 
     def counted(*args, **kwargs):
         threads.add(threading.current_thread())
         return draw(*args, **kwargs)
 
-    monkeypatch.setattr(hedging, "sample_increments", counted)
-    assert _small_hedge(50_000).price_gap is not None
+    monkeypatch.setattr(hedging, "increment_variates", counted)
+    assert _small_hedge(50_000).price_gap is not None and threads == set()
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    rep = hedging.evaluate_hedge(
+        plan, jump_config(), n_outer=600, n_inner=200, rng=make_rng(209), n_hit_states=4
+    )
+    assert len(rep.hit_gaps) == 4
     assert threads == {threading.current_thread()} and duality._POOLS == {}
 
 
 @pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
 def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
     # the calling thread assembles each hit state's increments; it draws nothing beside the
-    # drawing thread, whose draws bench/spans.py would otherwise count on one depth counter
+    # drawing thread, whose draws bench/spans.py would otherwise count on one depth counter;
+    # the bridge draws only its lattice shifts, on the calling thread, and nothing else runs
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
     cfg, draws, assembled, main = config(), [], [], threading.current_thread()
-    for name in ("standard_normal", "poisson", "choice", "multivariate_normal"):
+    for name in ("standard_normal", "uniform", "poisson", "choice", "multivariate_normal"):
         method = getattr(selfdual.RngStream, name)
 
         def watched(stream, *args, _method=method, _name=name, **kwargs):
@@ -857,14 +884,15 @@ def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
     rep = hedging.evaluate_hedge(
         plan, cfg, n_outer=600, n_inner=500, rng=make_rng(213), n_hit_states=6, n_samples=50_000
     )
-    # keys: (213,) the root, (213, 1000 + j) the j-th hit state, (213, 2) the bridge blocks,
-    # (213, 0, k) the search's step k + 1; a continuous driver draws only the bridge blocks
+    # keys: (213,) the root, (213, 1000 + j) the j-th hit state, (213, 2) the bridge's shifts,
+    # (213, 0, k) the search's step k + 1; a continuous driver draws only the bridge's shifts
     inner = [(key, name, thread) for key, name, thread in draws if key[1:] >= (1000,)]
     assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == len(assembled)
     bridge = {thread for key, _, thread in draws if key[1:] == (2,)}
     search = {thread for key, _, thread in draws if len(key) == 3}
     if cfg.is_continuous:
-        assert inner == [] and len(bridge) == 1 and main not in bridge and search == set()
+        assert inner == [] and bridge == {main} and search == set()
+        assert [name for _, name, _ in draws] == ["uniform"]
         return
     (drawer,) = {thread for _, _, thread in inner}
     assert drawer is not main and assembled == [main] * 6 == [main] * len(rep.hit_gaps)
@@ -1070,7 +1098,11 @@ def _wrong_claims():
     )
     carry = (0.03, 0.03)
     wrong_alpha = levy.solve_alpha(bs_config(1).driver, 1, -carry[0]).alpha  # the carry's sign
-    return {
+    exponents = {  # the reflected claim's power of S_1 / H, a little off
+        f"exponent {d:+g}": (replace(spread, hedge=replace(refl, b=refl.b + d)), bs_config(250))
+        for d in (0.1, -0.1, 0.05, -0.05)
+    }
+    return exponents | {
         "exponent alpha - b": (
             replace(spread, hedge=replace(refl, b=refl.b + refl.p)), bs_config(250)
         ),
@@ -1092,3 +1124,18 @@ def test_a_wrong_claim_fails_through_the_price_gap_or_the_no_hit_mismatch(name):
         # the exchange is the driver's: only the wrong order is outside what it licenses
         assert rep.exchange.verdict == ("fail" if name == "carry sign" else "pass")
         assert replace(rep, exchange=None).verdict == "fail", (seed, rep.one_line())
+        if name.startswith("exponent "):  # its support is right: only the price gap sees it
+            assert rep.terminal_max_mismatch == 0.0
+
+
+def test_the_bench_hedge_price_gap_has_unit_z_spread_and_honest_standard_errors():
+    # the benchmark's hedge, seeds 0-199: z = gap / SE spreads as a unit normal would, no
+    # seed fails, and the reported SE of the knock-in fraction is its spread across seeds
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
+    cfg = bs_config(250)
+    reports = [hedging.evaluate_hedge(plan, cfg, rng=selfdual.RngStream(seed)) for seed in range(200)]
+    z = [gap / se for gap, se in (rep.price_gap for rep in reports)]
+    assert 0.8 <= np.std(z, ddof=1) <= 1.3
+    assert [rep.verdict for rep in reports] == ["pass"] * 200
+    spread = np.std([rep.knock_in_fraction for rep in reports], ddof=1)
+    assert np.median([rep.knock_in_se for rep in reports]) == pytest.approx(spread, rel=0.3)
