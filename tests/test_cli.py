@@ -1715,6 +1715,22 @@ model:
 samples: 20000
 task: {kind: check, checks: [payoff], numeraire: 1}
 """
+# the joint check of a 1-d law, whose set of marginal traces is empty
+JOINT_ONE_DIM = """
+model: {kind: multi_lognormal, mean: [-0.125], cov: [[0.25]]}
+task: {kind: check, checks: [joint]}
+"""
+# the joint check of a jump triplet: a streamed i.i.d. first look, then confirmation batches
+JOINT_JUMP_TRIPLET = """
+model:
+  kind: levy_triplet
+  a: [[0.04, 0.02], [0.02, 0.04]]
+  atoms:
+  - {x: [0.1, 0.05], mass: 0.5}
+  - {x: [-0.1, -0.05], mass: 0.5}
+samples: 50000
+task: {kind: check, checks: [joint]}
+"""
 
 # the benchmark's four exact-workload specs, copied so the pins do not move with bench/
 GOLDEN_SPECS = {
@@ -1745,6 +1761,8 @@ GOLDEN_SPECS = {
     "price-multi-lognormal": ("price", PRICE_MAX_OPTION),
     "check-density-quasi": ("check", MULTI_LOGNORMAL_DENSITY_QUASI),
     "payoff-jump-triplet": ("check", PAYOFF_JUMP_TRIPLET),
+    "joint-one-dim": ("check", JOINT_ONE_DIM),
+    "joint-jump-triplet": ("check", JOINT_JUMP_TRIPLET),
     "hedge-small-multi-lognormal": ("hedge", HEDGE_SMALL.replace(
         "{kind: levy_triplet, a: [[0.0625, 0.03125], [0.03125, 0.0625]]}",
         "{kind: multi_lognormal, mean: [-0.03125, -0.03125], "
@@ -1752,7 +1770,7 @@ GOLDEN_SPECS = {
     )),
 }
 # the exit code of each pin that does not pass
-GOLDEN_EXIT = {"crn-fail": 1, "payoff-jump-triplet": 1}
+GOLDEN_EXIT = {"crn-fail": 1, "payoff-jump-triplet": 1, "joint-jump-triplet": 1}
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
         "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
@@ -1826,6 +1844,14 @@ GOLDEN_SHA256 = {
     "payoff-jump-triplet": {
         "report.yaml": "0d37b83b332957ff63ad0927a32a902fb438560bb1dde11a3acac719d8b64fa6",
         "verdicts.txt": "4ed35a41e6c76ab6588ee80af07b7185c311b675a1798a1db360cb8fbbea8c1b",
+    },
+    "joint-one-dim": {
+        "report.yaml": "4a7628064837e6de8c167e02b04b292bfb366fa3d013cc0f202cb45ba37c9f83",
+        "verdicts.txt": "51a898c13936a4f2780da7ccb6e2878e7edb05d8d6224cffdeed46ef71e4860e",
+    },
+    "joint-jump-triplet": {
+        "report.yaml": "8dd95f5f076dac71e6dace6ec8547d09f7a4d9233cb3dd6dc823f5c11e8d56b5",
+        "verdicts.txt": "28ce810df6b77ca5765c6845daa897fbac25805252aa437a75a5d54dd09120a3",
     },
     # the same paths as hedge-small's: only the spec echo differs
     "hedge-small-multi-lognormal": {
