@@ -407,27 +407,28 @@ def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]
     per point, which may be overwritten, and with ``levels`` the row sums of
     the points' levels or ``None``.  A point's scale is its level mean on
     ``first``, at least one, or else its ``scales`` entry.
-    A point that ``first.pending`` names is re-evaluated on the growing fresh
-    looks of ``first.look``, drawn from ``confirm_rng``, and pooled by its
-    sufficient statistics; the points are final when none is pending or the
-    looks run out.  I.i.d. draws confirm a failing point through two looks:
+    One kernel pass reduces every group on ``first``.  ``confirm_rng`` is one
+    stream, or a list of one per group.  A point that ``first.pending`` names is
+    re-evaluated on the growing fresh looks of ``first.look``, drawn from its
+    group's stream and each reducing only that stream's groups with such a point,
+    and pooled by its sufficient statistics; the points are final when none is
+    pending or the looks run out.  I.i.d. draws confirm a failing point through two looks:
     under the exact identity a borderline exceedance among many simultaneous
     3-SE tests washes out, while a genuine asymmetry reproduces and keeps
     failing.  Lattice draws also confirm an inconclusive point, and their
     looks stop at the cap of ``samples`` draws.  A failing point beyond
     ``DECISIVE_Z`` SE at a look is decided there, with the rounds it used.
     """
+    streams = confirm_rng if isinstance(confirm_rng, list) else [confirm_rng] * len(groups)
     rows = [np.arange(len(labels)) for labels, _, _ in groups]
     offsets = np.cumsum([0] + [len(r) for r in rows])  # index of each group's first point
     points: list[ReportPoint] = [None] * offsets[-1]
-    stats, scales, draws = [None] * len(groups), [s for _, _, s in groups], first
-    for rounds in itertools.count():
-        live = [g for g, r in enumerate(rows) if r.size]
-        if rounds and live:  # growing batches dilute an unlucky first draw quickly
-            draws = None  # the last round's batch is not held while the next is drawn
-            draws = first.look(rounds, confirm_rng.child(rounds - 1))
-        if not live or draws is None:
-            break
+    stats, scales = [None] * len(groups), [s for _, _, s in groups]
+
+    def reduce(live, draws, rounds) -> bool:
+        """Pool the look ``draws``, if there is one, into the pending points of ``live``."""
+        if draws is None:
+            return False
         got = _block_moments([groups[g] for g in live], [rows[g] for g in live], draws, not rounds)
         for g, (more, sums) in zip(live, got):
             stats[g] = more if stats[g] is None else stats[g].pooled(more)
@@ -438,6 +439,15 @@ def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]
                 points[offsets[g] + k] = point
             pending = np.array([first.pending(points[offsets[g] + k]) for k in rows[g]], bool)
             rows[g], stats[g] = rows[g][pending], stats[g].take(pending)
+        return True
+
+    reduce([g for g, r in enumerate(rows) if r.size], first, 0)
+    for stream in dict.fromkeys(streams):
+        for rounds in itertools.count(1):  # growing batches dilute an unlucky first draw quickly
+            live = [g for g, s in enumerate(streams) if s is stream and rows[g].size]
+            # the last look is dropped before the next is drawn
+            if not live or not reduce(live, first.look(rounds, stream.child(rounds - 1)), rounds):
+                break
     return points
 
 
@@ -726,27 +736,24 @@ def check_joint_self_duality(
 
     Runs the payoff symmetry for each ``i`` and both families, permutation
     invariance of the max payoff, and pairwise marginal comparisons, all
-    on one common set of draws.
+    on one common first look, which one kernel pass reduces for every set.
+    Each numeraire's set, and the traces, then confirm their own pending
+    points on the looks of their own stream.
     """
     n = model.dim
-    # the first pass reduces the draws as they come; the later ones read them whole
     draw = _draw(model, n_samples, rng.child(1))
-    report = SymmetryReport("joint_self_duality")
+    groups, streams = [], []
     for i in range(1, n + 1):
         # both families of numeraire i draw their vectors and confirmation
         # batches from one stream, so they share one change-of-numeraire
         # evaluation, reported under each family's label
         stream = rng.child(10 + i)
-        basket, peak = (
+        groups.extend(
             _test_vector_group(family, i, random_test_vectors(stream.child(0), n, family))
             for family in ("basket", "max")
         )
-        shared = _numeraire_change_group("change-of-numeraire", KappaMaps(n, i))
-        points = _confirmed_mc_points([basket, peak, shared], draw, stream.child(9))
-        nb, nv = len(basket[0]), len(basket[0]) + len(peak[0])
-        for family, own in (("basket", points[:nb]), ("max", points[nb:nv])):
-            sub = SymmetryReport(f"payoff_symmetry[{family},i={i}]", own + points[nv:])
-            report = report.merge(sub)
+        groups.append(_numeraire_change_group("change-of-numeraire", KappaMaps(n, i)))
+        streams.extend([stream.child(9)] * 3)
 
     perm_rng = rng.child(2)
     first = np.array([[u0, *u] for u0, u in random_test_vectors(perm_rng, n, "max", count=5)])
@@ -754,7 +761,7 @@ def check_joint_self_duality(
     for row in second:
         row[1:] = row[1:][perm_rng.generator.permutation(n)]
     labels = [f"permutation[{idx}]" for idx in range(len(first))]
-    groups = [_swap_group("max", labels, first, second, first[:, 1:] - second[:, 1:], False)]
+    groups.append(_swap_group("max", labels, first, second, first[:, 1:] - second[:, 1:], False))
 
     pairs = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in (0.5, 1.0, 2.0)]
     low, high, caps = np.array(pairs).reshape(-1, 3).T
@@ -767,7 +774,16 @@ def check_joint_self_duality(
     labels = [f"marginal {a + 1} vs {b + 1} @min(.,{c})" for a, b, c in pairs]
     # the statistic is bounded by the cap, which sets its scale
     groups.append((labels, marginals, np.maximum(caps, 1.0).tolist()))
-    report.points.extend(_confirmed_mc_points(groups, draw, rng.child(3)))
+    streams.extend([rng.child(3)] * 2)
+
+    points = iter(_confirmed_mc_points(groups, draw, streams))
+    report = SymmetryReport("joint_self_duality")
+    for i in range(1, n + 1):
+        sets = groups[3 * i - 3 : 3 * i]
+        basket, peak, shared = (list(itertools.islice(points, len(g[0]))) for g in sets)
+        for family, own in (("basket", basket), ("max", peak)):
+            report = report.merge(SymmetryReport(f"payoff_symmetry[{family},i={i}]", own + shared))
+    report.points.extend(points)  # the traces
     return report
 
 

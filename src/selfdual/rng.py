@@ -98,8 +98,16 @@ _AS241 = [
 
 
 def _ratio(coefs, x):
-    num, den = coefs
-    return np.polyval(num[::-1], x) / np.polyval(den[::-1], x)
+    """Numerator over denominator at ``x``, by Horner's rule in place: bit for bit
+    ``np.polyval``, without its two temporaries a step."""
+    num, den = (np.full_like(x, c[-1]) for c in coefs)
+    for a, b in zip(coefs[0][-2::-1], coefs[1][-2::-1]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    num /= den
+    return num
 
 
 def ndtri(p) -> np.ndarray:

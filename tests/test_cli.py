@@ -455,7 +455,8 @@ def test_report_bytes_do_not_depend_on_the_yaml_backend(
     assert "report.yaml" in got[2]
 
 
-# the benchmark's crn-pass and crn-fail specs, at a seed where both confirm failing points
+# the benchmark's crn-pass and crn-fail specs; on its lattice draws crn-pass decides every
+# point on the first look at this seed, and crn-fail confirms failing points
 CRN_SPECS = {
     "pass": """
 model:
@@ -1881,6 +1882,54 @@ def test_the_byte_sweep_hashes_as_the_golden_pins_do():
         files = {key[len("file/"):]: sha for key, sha in entries.items() if key.startswith("file/")}
         assert (entries["exit"], files) == (GOLDEN_EXIT.get(name, 0), GOLDEN_SHA256[name]), name
         assert entries["stdout"] == files["report.yaml"] and entries["stderr"] == byte_sweep._sha("")
+
+
+def _joint(text: str, seed: int | None = None):
+    """The joint check of spec ``text`` at ``seed`` or the spec's, on the stream that
+    ``cli.run`` gives it."""
+    spec = cli.parse_model_spec(text)
+    rng = RngStream(spec["seed"] if seed is None else seed).child(0)
+    return duality.check_joint_self_duality(spec["model"], rng, spec["samples"])
+
+
+@pytest.mark.parametrize("seed", [19, 22])  # seeds at which points confirm, over one and two looks
+def test_the_joint_check_gives_the_points_of_each_set_confirmed_alone(
+    seed, kernel_workers, monkeypatch
+):
+    confirmed, calls = duality._confirmed_mc_points, []
+
+    def spy(groups, first, streams):
+        calls.append((groups, first, streams, confirmed(groups, first, streams)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(duality, "_confirmed_mc_points", spy)
+    _joint(CRN_SPECS["pass"], seed)
+    ((groups, first, streams, points),) = calls
+    sets = list(dict.fromkeys(streams))  # the three numeraires' and the traces'
+    assert len(groups) == 3 * 3 + 2 and len(sets) == 4
+    alone = []
+    for stream in sets:  # each set alone, on the first look that the fused pass drew
+        alone += confirmed([g for g, s in zip(groups, streams) if s is stream], first, stream)
+    assert points == alone
+    assert max(p.rounds for p in points) == {19: 1, 22: 2}[seed]
+
+
+@pytest.mark.parametrize(
+    "text, live", [(CRN_SPECS["pass"], 11), (JOINT_ONE_DIM, 4)], ids=["crn-pass", "one-dim"]
+)
+def test_the_joint_check_reduces_its_first_look_in_one_kernel_pass(text, live, monkeypatch):
+    moments, passes = duality._block_moments, []
+
+    def counted(groups, rows, chunks, levels):
+        passes.append((len(groups), levels))
+        return moments(groups, rows, chunks, levels)
+
+    monkeypatch.setattr(duality, "_block_moments", counted)
+    _joint(text)
+    # only the first look reads the levels; its one pass reduces every group with a point:
+    # all 3 x 3 + 2 in 3-d, and in 1-d all but the empty set of marginal traces
+    assert passes[0] == (live, True)
+    assert [levels for _, levels in passes].count(True) == 1
 
 
 def _bench_specs():

@@ -609,6 +609,26 @@ def test_ndtri_is_within_5e_16_of_the_exact_quantile():
     assert np.all(np.abs(rng_module.ndtri(p) - want) <= 5e-16 * np.abs(want))
 
 
+def _polyval_ratio(coefs, x):
+    """The AS241 ratio by ``np.polyval``: the oracle of ``rng._ratio``'s Horner loop."""
+    num, den = coefs
+    return np.polyval(num[::-1], x) / np.polyval(den[::-1], x)
+
+
+def test_ndtri_is_bit_equal_to_its_polyval_form_on_a_dense_grid(monkeypatch):
+    p = np.concatenate([
+        np.linspace(2.0**-20, 1 - 2.0**-20, 400_001),
+        np.geomspace(1e-300, 0.5, 100_001),
+        1 - np.geomspace(2.0**-53, 0.5, 100_001),
+        [5e-324, 1e-300, math.exp(-25.0), 0.075, 0.5, 0.925, 1 - 2.0**-53],  # region edges
+    ])
+    got = rng_module.ndtri(p)
+    monkeypatch.setattr(rng_module, "_ratio", _polyval_ratio)
+    want = rng_module.ndtri(p)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_lattice_normals_are_finite_at_every_shift():
     out = np.empty((3, 4 * 509))
     shifts = np.array(
