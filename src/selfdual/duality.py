@@ -768,8 +768,13 @@ def check_joint_self_duality(
     low, high = low.astype(int), high.astype(int)
 
     def marginals(cols, rows, levels):
-        cap, lo, hi = caps[rows, None], cols[low[rows]], cols[high[rows]]
-        return np.minimum(lo, cap, out=lo) - np.minimum(hi, cap, out=hi), None
+        # into thread scratch; "clip" takes unbuffered, and every index is in range
+        lo, hi = (
+            np.take(cols, ends[rows], axis=0, out=_scratch(slot, len(rows), cols.shape[1]), mode="clip")
+            for ends, slot in ((low, "payoff"), (high, "tmp"))
+        )
+        cap = caps[rows, None]
+        return np.subtract(np.minimum(lo, cap, out=lo), np.minimum(hi, cap, out=hi), out=lo), None
 
     labels = [f"marginal {a + 1} vs {b + 1} @min(.,{c})" for a, b, c in pairs]
     # the statistic is bounded by the cap, which sets its scale

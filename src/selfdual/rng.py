@@ -15,8 +15,8 @@ The standard normals of a jump-free law's common-random-number checks, and of a
 continuous hedge's price check, come from randomly shifted copies of a rank-1
 lattice instead (randomised quasi-Monte Carlo: Owen, Ann. Statist. 25, 1997;
 L'Ecuyer & Lemieux, 2002): :func:`lattice_normals` maps each shift, drawn from
-a stream, to the lattice points moved by it, folded by the tent transform and
-passed through :func:`ndtri`.
+a stream in [0, 1), to the lattice points moved by it and wrapped exactly into
+[0, 1), folded by the tent transform and passed through :func:`ndtri` in place.
 """
 
 from __future__ import annotations
@@ -110,16 +110,17 @@ def _ratio(coefs, x):
     return num
 
 
-def ndtri(p) -> np.ndarray:
-    """The standard normal quantile of each ``p`` in (0, 1), by AS241 (about 1e-16 relative)."""
+def ndtri(p, out: np.ndarray | None = None) -> np.ndarray:
+    """The standard normal quantile of each ``p`` in (0, 1) by AS241 (about 1e-16 relative), into
+    ``out``, which may be ``p``.  The central ratio, finite on all of (0, 1), is taken at every
+    point, and the tail points then overwrite theirs."""
     p = np.asarray(p, dtype=float)
     q = p - 0.5
-    out = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    out[central] = qc * _ratio(_AS241[0], 0.180625 - qc * qc)
-    tail = ~central
-    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+    tail = np.abs(q) > 0.425
+    pt = p[tail]  # gathered before ``out``, which may be ``p``, is written
+    out = np.empty_like(p) if out is None else out
+    np.multiply(q, _ratio(_AS241[0], np.subtract(0.180625, q * q)), out=out)
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
     near = r <= 5.0
     r[near] = _ratio(_AS241[1], r[near] - 1.6)
     r[~near] = _ratio(_AS241[2], r[~near] - 5.0)
@@ -145,7 +146,7 @@ def korobov(points: int, dim: int) -> np.ndarray:
 
 def lattice_normals(points: int, shifts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Standard normals of the rank-1 lattice of ``points`` points moved by each row of
-    ``shifts`` (uniforms, ``(replicates, dim)``), folded by the tent transform, into the
+    ``shifts`` (uniforms in [0, 1), ``(replicates, dim)``), folded by the tent transform, into the
     C-contiguous ``out`` of shape ``(dim, replicates * points)``: replicate ``r`` fills columns
     ``r * points`` to ``(r + 1) * points``.  No point maps to 0 or 1, where the
     quantile is infinite."""
@@ -153,9 +154,8 @@ def lattice_normals(points: int, shifts: np.ndarray, out: np.ndarray) -> np.ndar
     base = np.arange(points) * korobov(points, dim)[:, None] % points / points
     u = out.reshape(dim, replicates, points)
     np.add(base[:, None, :], shifts.T[:, :, None], out=u)
-    u %= 1.0
+    np.subtract(u, 1.0, out=u, where=u >= 1.0)  # exact, as base + shift lies in [0, 2)
     np.abs(np.subtract(np.multiply(u, 2.0, out=u), 1.0, out=u), out=u)
     np.subtract(1.0, u, out=u)
     np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
-    out[...] = ndtri(out)
-    return out
+    return ndtri(out, out=out)

@@ -18,6 +18,7 @@ from selfdual.errors import DomainError, MomentDiverges, NotIntegrable, ZeroDens
 from selfdual.quadrature import integrate_positive
 from selfdual.rng import RngStream
 
+import lattice_oracle
 from conftest import drawn_columns, make_rng
 
 PAPER_ATOMS = dist.DiscreteAtoms([(F(1, 2), F(1, 3)), (F(1), F(1, 2)), (F(2), F(1, 6))])
@@ -627,6 +628,62 @@ def test_ndtri_is_bit_equal_to_its_polyval_form_on_a_dense_grid(monkeypatch):
     want = rng_module.ndtri(p)
     assert np.all(np.isfinite(got))
     assert got.tobytes() == want.tobytes()
+
+
+def _ndtri_grid():
+    """Dense in the centre, geometric into both tails, and the region edges."""
+    return np.concatenate([
+        np.linspace(2.0**-20, 1 - 2.0**-20, 400_001),
+        np.geomspace(1e-300, 0.5, 100_001),
+        1 - np.geomspace(2.0**-53, 0.5, 100_001),
+        [5e-324, 1e-300, math.exp(-25.0), 0.075, 0.5, 0.925, 1 - 2.0**-53],
+    ])
+
+
+def test_ndtri_is_bit_equal_to_its_gathered_form():
+    p = np.concatenate([_ndtri_grid(), np.random.default_rng(3).random(200_000)])
+    assert rng_module.ndtri(p).tobytes() == lattice_oracle.ndtri(p).tobytes()
+    for v in (0.5, 0.01, 0.3, 1 - 1e-12):  # a 0-d quantile stays 0-d
+        got = rng_module.ndtri(v)
+        assert got.shape == () and got.tobytes() == lattice_oracle.ndtri(v).tobytes()
+
+
+def test_ndtri_in_place_equals_ndtri_of_a_copy():
+    p = _ndtri_grid()
+    want = rng_module.ndtri(p.copy())
+    assert rng_module.ndtri(p, out=p) is p
+    assert p.tobytes() == want.tobytes()
+
+
+def test_the_central_ratio_raises_no_floating_point_error_on_the_tails():
+    # ndtri evaluates the central formula at every point before the tails overwrite theirs
+    p = _ndtri_grid()
+    q = p[np.abs(p - 0.5) > 0.425] - 0.5
+    with np.errstate(all="raise"):
+        central = q * rng_module._ratio(rng_module._AS241[0], 0.180625 - q * q)
+        rng_module.ndtri(p)
+    assert len(q) > 200_000 and np.all(np.isfinite(central))
+
+
+def _lattice_shifts(points: int, dim: int, seed: int):
+    """Uniform shifts, the edges 0 and 1 - 2^-53, and shifts that move a lattice point
+    exactly onto 1."""
+    base = np.arange(points) * rng_module.korobov(points, dim)[:, None] % points / points
+    g = np.random.default_rng(seed)
+    onto_one = 1.0 - base[:, g.integers(1, points, size=4)].T
+    shifts = np.concatenate([g.random((16, dim)), np.zeros((1, dim)), [[1 - 2.0**-53] * dim], onto_one])
+    assert np.any(base[:, None, :] + onto_one.T[:, :, None] == 1.0)
+    return shifts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_lattice_normals_are_bit_equal_to_the_wrapped_form(dim):
+    for points in (251, 509):
+        shifts = _lattice_shifts(points, dim, 100 * dim + points)
+        shape = (dim, len(shifts) * points)
+        got = rng_module.lattice_normals(points, shifts, np.empty(shape))
+        want = lattice_oracle.lattice_normals(points, shifts, np.empty(shape))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lattice_normals_are_finite_at_every_shift():
