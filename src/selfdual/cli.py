@@ -351,7 +351,8 @@ def _check_triplet(model, i, spec, rng):
 
 # name -> (the settings it reads, of ``samples`` and ``tol``, and the check of (model,
 # numeraire, spec, the maker of its own random stream)); on a jump-free law, whose draws
-# are lattice replicates, ``samples`` caps a Monte Carlo check's draws rather than counting them
+# are lattice replicates, ``samples`` caps a Monte Carlo check's draws rather than counting them.
+# On a triplet, whose exponent decides its order exactly, the quasi check is the triplet check.
 CHECKS = {
     "density": (("tol",), lambda m, i, spec, rng: duality.check_density_self_dual(
         m, i, tol=spec["tol"]["exact"]
@@ -407,7 +408,7 @@ TASKS = {
     "alpha": (dict, {
         "numeraire": (_integer, {"ge": 1, "default": 1}),
         "carry": (_number, {"required": True}),
-    }, lambda task, model: ()),
+    }, lambda task, model: ("tol",)),
     "price": (dict, {
         "payoff": _PAYOFF,
         "rate": (_number, {"default": 0.0}),
@@ -640,7 +641,8 @@ def _checks_of(task: dict, model) -> list[str]:
     """The checks a check task runs: those it names, or the model's defaults, none when no
     check applies."""
     if task.get("checks"):
-        return task["checks"]
+        triplet = isinstance(model, levy.LevyTriplet)
+        return ["triplet" if triplet and name == "quasi" else name for name in task["checks"]]
     if isinstance(model, levy.LevyTriplet) and not isinstance(model, levy.MultiLogNormal):
         return ["triplet"]
     if isinstance(model, dist.ScalarModel):
@@ -680,16 +682,20 @@ def _run_check(spec: dict) -> tuple[str, dict, dict]:
 
 
 def _run_alpha(spec: dict) -> tuple[str, dict, dict]:
-    model, task = spec["model"], spec["task"]
+    model, task, tol = spec["model"], spec["task"], spec["tol"]["exact"]
     sol = levy.solve_alpha(model, task["numeraire"], task["carry"])
+    # the root is the law's order only where the law is quasi-self-dual of that order
+    check = levy.check_qsd_triplet(model, task["numeraire"], task["carry"], sol.alpha, tol=tol)
     doc = {
+        "verdict": check.verdict,
         "alpha": sol.alpha,
         "method": sol.method,
         "residual": sol.residual,
         "bracket": list(sol.bracket) if sol.bracket else None,
+        "check": {"method": "exponent", "tol": tol, **_report_of(check)},
     }
     line = f"alpha={sol.alpha:.12g} method={sol.method} residual={sol.residual:.3e}\n"
-    return "pass", doc, {"alpha.txt": line}
+    return check.verdict, doc, {"alpha.txt": line + check.one_line() + "\n"}
 
 
 def _closed_form(task: dict, model) -> bool:

@@ -33,7 +33,7 @@ from .errors import (
     NoDensity,
     UnsupportedSampler,
 )
-from .quadrature import decays_at_scales, integrate_interval, integrate_positive
+from . import quadrature
 from .rng import RngStream
 
 __all__ = [
@@ -66,8 +66,9 @@ def _integrate_split(f: Callable[[float], float], a: float, b: float, *, what: s
     their kink; QUADPACK's error estimate across a kink is not to be trusted.
     """
     if a < 1.0 < b:
-        return integrate_interval(f, a, 1.0, what=what) + integrate_interval(f, 1.0, b, what=what)
-    return integrate_interval(f, a, b, what=what)
+        below = quadrature.integrate_interval(f, a, 1.0, what=what)
+        return below + quadrature.integrate_interval(f, 1.0, b, what=what)
+    return quadrature.integrate_interval(f, a, b, what=what)
 
 
 # --------------------------------------------------------------------------- #
@@ -448,7 +449,7 @@ class CustomDensity(ScalarModel):
         self._proposal: ScalarModel | None = None
         self._bound: float | None = None
         if check_mass:
-            mass = integrate_positive(density, what=f"{name}: total mass")
+            mass = quadrature.integrate_positive(density, what=f"{name}: total mass")
             if abs(mass - 1.0) > 1e-8:
                 raise DomainError(f"{name}: density mass {mass!r} is not 1")
 
@@ -501,14 +502,14 @@ class CustomDensity(ScalarModel):
     def _probe_moment(self, r: float) -> None:
         # h(x) = x^(r+1) p(x) must decay along dyadic scales at both ends.
         h = lambda x: x ** (r + 1.0) * self.density(x)
-        if not decays_at_scales(h, np.array([32.0, 64.0, 128.0, 256.0])):
+        if not quadrature.decays_at_scales(h, np.array([32.0, 64.0, 128.0, 256.0])):
             raise MomentDiverges(f"{self.name}: E eta^{r} appears to diverge at infinity")
-        if not decays_at_scales(h, 1.0 / np.array([32.0, 64.0, 128.0, 256.0])):
+        if not quadrature.decays_at_scales(h, 1.0 / np.array([32.0, 64.0, 128.0, 256.0])):
             raise MomentDiverges(f"{self.name}: E eta^{r} appears to diverge at zero")
 
     def raw_moment(self, r):
         self._probe_moment(r)
-        return integrate_positive(
+        return quadrature.integrate_positive(
             lambda x: x**r * self.density(x), what=f"{self.name}: E eta^{r}"
         )
 
@@ -590,7 +591,7 @@ class CommonFactor(VectorModel):
                 val *= f.pdf(xi / s)
             return val
 
-        return integrate_positive(integrand, what="common-factor joint density")
+        return quadrature.integrate_positive(integrand, what="common-factor joint density")
 
     @property
     def means(self):

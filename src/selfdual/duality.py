@@ -39,7 +39,7 @@ import numpy as np
 
 from .dist import CustomDensity, ScalarModel, VectorModel
 from .errors import DomainError, NoDensity, NotIntegrable, ZeroDensity
-from .quadrature import decays_at_scales, integrate_interval
+from . import quadrature
 from .rng import RngStream, lattice_normals
 
 __all__ = [
@@ -820,12 +820,12 @@ def extend_self_dual_density(
     mean and vice versa.
     """
     probes = np.array([32.0, 64.0, 128.0, 256.0])
-    if not decays_at_scales(lambda x: x * tail_density(x), probes):
+    if not quadrature.decays_at_scales(lambda x: x * tail_density(x), probes):
         raise NotIntegrable("tail mass integral of p on [1, inf) diverges")
-    if not decays_at_scales(lambda x: x * x * tail_density(x), probes):
+    if not quadrature.decays_at_scales(lambda x: x * x * tail_density(x), probes):
         raise NotIntegrable("tail mean integral of x p(x) on [1, inf) diverges")
-    mass_hi = integrate_interval(tail_density, 1.0, math.inf, what=f"{name}: tail mass")
-    mean_hi = integrate_interval(
+    mass_hi = quadrature.integrate_interval(tail_density, 1.0, math.inf, what=f"{name}: tail mass")
+    mean_hi = quadrature.integrate_interval(
         lambda t: t * tail_density(t), 1.0, math.inf, what=f"{name}: tail mean"
     )
     c = 1.0 / (mass_hi + mean_hi)
@@ -874,10 +874,11 @@ def check_quasi_self_dual(
 
     The transformed vector ``(e^lambda o eta)^alpha`` is tested for plain
     self-duality: exactly through the density criterion when the model's
-    ``power_transformed`` keeps it in its family (the (multi) log-normal
-    models), by Monte Carlo otherwise.  The defining payoff
-    identity ``E f(e^zeta) = E[f(e^(K_i zeta)) e^(alpha zeta_i)]`` is also
-    tested directly on bounded payoffs.
+    ``power_transformed`` keeps it in its family (the scalar log-normal), by
+    Monte Carlo otherwise.  The defining payoff identity
+    ``E f(e^zeta) = E[f(e^(K_i zeta)) e^(alpha zeta_i)]`` is also tested
+    directly on bounded payoffs.  A Levy triplet's order is decided exactly
+    by its exponent instead (:func:`selfdual.levy.check_qsd_triplet`).
     """
     if alpha == 0:
         raise DomainError("quasi-self-duality requires alpha != 0")

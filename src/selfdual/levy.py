@@ -70,6 +70,13 @@ def triple_norm(u, i: int) -> float:
     return math.sqrt(0.5 * (float(u @ u) + float(k @ k)))
 
 
+def _dot(u, v, m=None):
+    """``<u, v>``, or ``<u, m v>``, at each row of ``u`` (a vector is one row): matmul takes
+    a stack of ``(1, n)`` rows one at a time, so each row gets the bits of its own call."""
+    row = u[..., None, :] if m is None else u[..., None, :] @ m
+    return (row @ v[..., :, None])[..., 0, 0]
+
+
 def _require_covariance(m: np.ndarray, n: int, what: str) -> None:
     """Refuse ``m`` unless it is an n x n symmetric positive semidefinite matrix."""
     if m.shape != (n, n):
@@ -105,14 +112,14 @@ class GaussianPart:
         return self.mean.shape[0]
 
     def exp_integral(self, w) -> complex:
-        """integral of exp(<w, x>) against the component; w may be complex."""
+        """integral of exp(<w, x>) against the component at each row of ``w`` (complex allowed)."""
         w = np.asarray(w)
-        return self.mass * np.exp(w @ self.mean + 0.5 * (w @ self.cov @ w))
+        return self.mass * np.exp(_dot(w, self.mean) + 0.5 * _dot(w, w, self.cov))
 
     def weighted_mean(self, w) -> np.ndarray:
-        """integral of x exp(<w, x>) against the component."""
+        """integral of x exp(<w, x>) against the component, at each row of ``w``."""
         w = np.asarray(w)
-        return self.exp_integral(w) * (self.mean + self.cov @ w)
+        return self.exp_integral(w)[..., None] * (self.mean + w @ self.cov)
 
 
 @dataclass(frozen=True)
@@ -158,19 +165,19 @@ class JumpMeasure:
         return float(m)
 
     def exp_integral(self, w) -> complex:
-        """integral of exp(<w, x>) d nu; exact for atoms, closed form Gaussian."""
+        """integral of exp(<w, x>) d nu at each row of ``w``: atom sums, Gaussian closed form."""
         w = np.asarray(w)
-        out = sum(m * np.exp(w @ x) for x, m in self.atoms)
+        out = sum((m * np.exp(_dot(w, x)) for x, m in self.atoms), np.zeros(w.shape[:-1]))
         if self.gaussian is not None:
-            out += self.gaussian.exp_integral(w)
+            out = out + self.gaussian.exp_integral(w)
         return out
 
     def weighted_mean(self, w, n: int) -> np.ndarray:
-        """integral of x exp(<w, x>) d nu for a real ``w``."""
+        """integral of x exp(<w, x>) d nu at each row of a real ``w``."""
         w = np.asarray(w, dtype=float)
         out = np.zeros(n)
         for x, m in self.atoms:
-            out = out + m * x * np.exp(w @ x)
+            out = out + m * x * np.exp(_dot(w, x))[..., None]
         if self.gaussian is not None:
             out = out + self.gaussian.weighted_mean(w)
         return out
@@ -326,12 +333,6 @@ class LevyTriplet(VectorModel):
             np.exp(sample_increments(self, 1.0, rng, hi - lo).T, out=out[:, lo:hi])
             yield out, hi
 
-    def power_transformed(self, lam, alpha):
-        """The law of (e^lam o exp(xi))^alpha: log-normal again without jumps, None with them."""
-        if not self.nu.is_empty:
-            return None
-        return MultiLogNormal(alpha * (lam + self.drift), alpha * alpha * self.a)
-
     def scaled(self, t: float) -> "LevyTriplet":
         """Triplet of xi_t for the Levy process: every part scales by t."""
         if t <= 0:
@@ -388,23 +389,21 @@ def convert_convention(t: LevyTriplet, to: str) -> LevyTriplet:
 
 
 def char_exponent(t: LevyTriplet, u) -> complex:
-    """log of the characteristic function at ``u`` (complex allowed).
+    """log of the characteristic function at ``u``, or at each row of ``u`` (complex allowed).
 
     The finite jump measure has exponential moments of every order, so
     the exponent extends to arbitrary imaginary shifts; ``u = 0`` gives 0
     and ``u = -i e_j`` gives ``log E exp(xi_j)``.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (t.n,):
+    if u.shape[-1:] != (t.n,):
         raise DomainError(f"argument must have length {t.n}")
-    drift = t.drift
-    out = 1j * (u @ drift) - 0.5 * (u @ t.a @ u)
-    if t.nu.is_empty:
-        return complex(out)
-    iu = 1j * u
-    out += t.nu.exp_integral(iu) - t.nu.total_mass
-    out -= iu @ _compensator_vector(t)
-    return complex(out)
+    out = 1j * _dot(u, t.drift) - 0.5 * _dot(u, u, t.a)
+    if not t.nu.is_empty:
+        iu = 1j * u
+        out += t.nu.exp_integral(iu) - t.nu.total_mass
+        out -= _dot(iu, _compensator_vector(t))
+    return complex(out) if u.ndim == 1 else out
 
 
 def esscher(t: LevyTriplet, theta) -> LevyTriplet:
@@ -501,9 +500,9 @@ def check_qsd_triplet(
         v = u.astype(complex)
         v[:, i - 1] -= 0.5j
         return np.array([
-            [char_exponent(t, alpha * w) + 1j * alpha * lam_i * w[i - 1] for w in v],
+            char_exponent(t, alpha * v) + 1j * alpha * lam_i * v[:, i - 1],
             -0.5 * alpha * alpha * np.einsum("kj,jl,kl->k", u, t.a, u),
-            [t.nu.exp_integral(1j * alpha * w) for w in v],
+            t.nu.exp_integral(1j * alpha * v),
         ], dtype=complex)
 
     u = np.random.default_rng(2008).uniform(-3.0, 3.0, (16, t.n))  # the same for every spec
@@ -553,37 +552,6 @@ class AlphaSolution:
     roots: tuple[float, ...] = ()  # the bracketed scan's root, if it found one
 
 
-def _exp_safe(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def _marginal_jump_terms(t: LevyTriplet, i: int):
-    """Callables for the i-th marginal integrals in the order equation."""
-    atoms = [(float(x[i - 1]), m) for x, m in t.nu.atoms]
-    g = t.nu.gaussian
-    if g is not None:
-        gm, gv, gmass = float(g.mean[i - 1]), float(g.cov[i - 1, i - 1]), g.mass
-    exp_int = sum(m * math.exp(x) for x, m in atoms) + (
-        gmass * math.exp(gm + 0.5 * gv) if g is not None else 0.0
-    )
-    mass = t.nu.total_mass
-
-    def weighted(alpha):
-        # overflow at extreme scan points degrades to +-inf, never raises;
-        # the scan passes its whole grid as one array
-        s = 0.5 * alpha
-        exp = _exp_safe if np.ndim(alpha) == 0 else np.exp
-        val = sum(m * x * exp(s * x) for x, m in atoms)
-        if g is not None:
-            val += gmass * (gm + s * gv) * exp(s * gm + 0.5 * s * s * gv)
-        return val
-
-    return exp_int, mass, weighted
-
-
 def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
     """Order alpha of quasi-self-duality for carrying cost ``lambda_i``.
 
@@ -600,17 +568,21 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
         raise DomainError(f"numeraire index {i} out of range 1..{t.n}")
     aii = float(t.a[i - 1, i - 1])
     gauss = t.nu.gaussian
-    # what moves coordinate i: its atoms, and the mean and variance of a Gaussian part
-    moves = [x[i - 1] for x, _ in t.nu.atoms]
-    moves += [] if gauss is None else [gauss.mean[i - 1], gauss.cov[i - 1, i - 1]]
-    if aii <= 0 and not any(moves):
+    # the jumps move coordinate i unless integral x_i^2 d nu is 0
+    if aii <= 0 and not t.nu.second_moment(t.n)[i - 1, i - 1]:
         raise DomainError(
             f"coordinate {i} has no diffusion and no jumps: the order equation is degenerate"
         )
-    exp_int, mass, weighted = _marginal_jump_terms(t, i)
+    # the marginal jump terms are the measure's transforms along e_i: integral (e^x_i - 1)
+    # d nu, and integral x_i e^(alpha x_i / 2) d nu at each alpha of an array
+    e_i = np.eye(t.n)[i - 1]
+    jumps = float(t.nu.exp_integral(e_i)) - t.nu.total_mass
 
     def g_fun(alpha):
-        return aii * alpha - aii + 2.0 * lambda_i - 2.0 * (exp_int - mass - weighted(alpha))
+        # overflow at extreme scan points degrades to +-inf, and inf - inf to nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = t.nu.weighted_mean(np.multiply.outer(0.5 * alpha, e_i), t.n)[..., i - 1]
+            return aii * alpha - aii + 2.0 * lambda_i - 2.0 * (jumps - weighted)
 
     roots, bracket = _scan_roots(g_fun)
 
@@ -631,11 +603,11 @@ def solve_alpha(t: LevyTriplet, i: int, lambda_i: float) -> AlphaSolution:
         if abs(g_fun(cand)) <= 1e-10 * (1.0 + abs(aii)):
             closed, method = cand, cand_method
 
-    if closed is not None:
-        return AlphaSolution(closed, method, bracket, abs(g_fun(closed)), tuple(roots))
-    if not roots:
-        raise NoBracket("no sign change of the order equation found in [-50, 50]")
-    return AlphaSolution(roots[0], "bracketed_root", bracket, abs(g_fun(roots[0])), tuple(roots))
+    if closed is None:
+        if not roots:
+            raise NoBracket("no sign change of the order equation found in [-50, 50]")
+        closed, method = roots[0], "bracketed_root"
+    return AlphaSolution(closed, method, bracket, float(abs(g_fun(closed))), tuple(roots))
 
 
 def _scan_roots(g_fun):
@@ -645,18 +617,18 @@ def _scan_roots(g_fun):
 
     pos = np.geomspace(1e-3, 50.0, 120)
     grid = np.concatenate([-pos[::-1], [0.0], pos])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, skipped below
-        vals = g_fun(grid)
-    for k in range(len(grid) - 1):
-        va, vb = vals[k], vals[k + 1]
-        if not (math.isfinite(va) and math.isfinite(vb)):
-            continue  # overflow region; no reliable bracketing there
-        if va == 0.0:
-            return [float(grid[k])], None
-        if (va < 0.0) != (vb < 0.0) and vb != 0.0:  # a product could overflow or underflow
-            lo, hi = float(grid[k]), float(grid[k + 1])
-            return [float(brentq(g_fun, lo, hi, xtol=1e-15, rtol=8.9e-16))], (lo, hi)
-    return ([float(grid[-1])] if vals[-1] == 0.0 else []), None
+    vals = g_fun(grid)
+    va, vb = vals[:-1], vals[1:]
+    # an overflowed end (or a nan, inf - inf) brackets nothing; signs, not a product, compared
+    finite = np.isfinite(va) & np.isfinite(vb)
+    hits = finite & ((va == 0.0) | (((va < 0.0) != (vb < 0.0)) & (vb != 0.0)))
+    if not hits.any():
+        return ([float(grid[-1])] if vals[-1] == 0.0 else []), None
+    k = int(np.argmax(hits))
+    if va[k] == 0.0:
+        return [float(grid[k])], None
+    lo, hi = float(grid[k]), float(grid[k + 1])
+    return [float(brentq(g_fun, lo, hi, xtol=1e-15, rtol=8.9e-16))], (lo, hi)
 
 
 # --------------------------------------------------------------------------- #

@@ -1253,10 +1253,12 @@ def test_every_check_on_every_model_kind_ends_in_an_exit_code(kind, check, tmp_p
     spec_file.write_text(
         f"model: {MODEL_OF_KIND[kind]}\ntask: {{kind: check, checks: [{check}]{alpha}}}\n"
     )
-    flags = ["--samples", "1000"] if "samples" in cli.CHECKS[check][0] else []  # a speed-up
+    spec = cli.parse_model_spec(spec_file.read_text())
+    # a speed-up, where the check reads samples: a triplet's quasi check reads tol
+    flags = ["--samples", "1000"] if "samples" in cli.TASKS["check"][2](spec["task"], spec["model"]) else []
     code = cli.main(["check", str(spec_file), *flags])
     assert code in (0, 1, 2, 3)
-    model = cli.parse_model_spec(spec_file.read_text())["model"]
+    model = spec["model"]
     need = cli.NEEDS.get(f"{check} check")
     refused = bool(need) and not isinstance(model, need[0])
     # every other pair reaches a verdict
@@ -1284,7 +1286,9 @@ def test_every_alpha_and_price_task_on_every_model_kind_reports_or_is_refused(
     code = cli.main([task, str(spec_file), *flags])
     need = cli.NEEDS[f"{task} task"]
     if isinstance(spec["model"], need[0]):
-        assert code == 0
+        # the multi_lognormal's covariance lacks the pattern a[1,2] = a[1,1] / 2 that an order
+        # for numeraire 1 needs, so the alpha task's check of its root fails
+        assert code == (1 if (task, kind) == ("alpha", "multi_lognormal") else 0)
     else:
         assert code == 3
         message = yaml.safe_load(capsys.readouterr().out)["error"]["message"]
@@ -1550,6 +1554,34 @@ def test_a_solved_order_licenses_a_hedge_only_where_the_law_has_one(c, want, res
         assert got == pytest.approx(residual, abs=1e-4)
 
 
+@pytest.mark.parametrize("c, want", [("0.02", 0), ("0.0", 1), ("0.035", 1)])
+def test_the_alpha_task_passes_only_a_law_that_has_its_root_as_order(c, want, tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(ALPHA_AT_CARRY.replace("C", c))
+    assert cli.main(["alpha", str(spec_file)]) == want
+    results = yaml.safe_load(capsys.readouterr().out)["results"]
+    assert results["alpha"] == pytest.approx(-0.5, abs=1e-12)  # reported where it fails too
+    assert results["verdict"] == results["check"]["verdict"] == ("fail" if want else "pass")
+    assert (results["check"]["method"], len(results["check"]["points"])) == ("exponent", 3)
+
+
+def test_an_alpha_task_whose_root_is_zero_is_refused():
+    # alpha = 1 - 2 carry / a = 0: every law is quasi-self-dual of order 0, so it decides nothing
+    spec = cli.parse_model_spec("model: {kind: levy_triplet, a: 0.04}\ntask: {kind: alpha, carry: 0.02}\n")
+    code, doc, _ = cli.run(spec)
+    assert (code, doc["error"]["type"]) == (3, "DomainError")
+    assert doc["error"]["message"].startswith("order alpha must be nonzero")
+
+
+def test_the_quasi_check_of_a_jump_triplet_fails_an_atom_pair_on_every_seed(tmp_path, capsys):
+    spec_file = tmp_path / "spec.yaml"
+    spec_file.write_text(QUASI_ATOM_PAIR)
+    for seed in range(1, 11):
+        assert cli.main(["check", str(spec_file), "--seed", str(seed)]) == 1, seed
+        (check,) = yaml.safe_load(capsys.readouterr().out)["results"]["checks"]
+        assert check["name"] == "qsd_triplet[i=1,alpha=1]"
+
+
 # the grid of the jump driver's pin: a continuous driver's hedge reads none of it
 JUMP_GRID = {"steps": 60, "n_outer": 400, "n_inner": 2000, "hit_states": 6}
 
@@ -1712,6 +1744,14 @@ MULTI_LOGNORMAL_DENSITY_QUASI = (
     "model: {kind: multi_lognormal, mean: [-0.125, -0.2], cov: [[0.25, 0.125], [0.125, 0.3]]}\n"
     "task: {kind: check, numeraire: 1, checks: [density, quasi], alpha: 1.0, carry: [0.0, 0.05]}\n"
 )
+# the order equation's one root at carry 0.03 is -0.5 for every C; the law has that order
+# only where a[1,2] = a[1,1] / 2, at C = 0.02
+ALPHA_AT_CARRY = "model: {kind: levy_triplet, a: [[0.04, C], [C, 0.09]]}\ntask: {kind: alpha, carry: 0.03}\n"
+# at alpha 1 the atom at -0.3 would need mass e^0.3 = 1.3499 to reflect the one at 0.3
+QUASI_ATOM_PAIR = (
+    "model: {kind: levy_triplet, a: 0.0225, atoms: [{x: 0.3, mass: 1.0}, {x: -0.3, mass: 1.2}]}\n"
+    "task: {kind: check, checks: [quasi], alpha: 1.0}\n"
+)
 # a jump triplet's payoff check, drawn i.i.d. and confirmed by rounds of 2x and 4x the first
 PAYOFF_JUMP_TRIPLET = """
 model:
@@ -1751,6 +1791,10 @@ GOLDEN_SPECS = {
         "task: {kind: alpha, carry: 0.2840254166877414}\n",
     ),
     "check-heavy-tail": ("check", HEAVY_TAIL_SELF_DUAL),
+    # a law whose order equation has a root but which has no order: the root's check fails
+    "alpha-no-order": ("alpha", ALPHA_AT_CARRY.replace("C", "0.0")),
+    # a jump triplet's quasi check, decided by its exponent: the atoms are not reflected pairs
+    "quasi-atom-pair": ("check", QUASI_ATOM_PAIR),
     "hedge-small": ("hedge", HEDGE_SMALL),
     # the truncated drift conventions, a Gaussian jump part and a jump driver
     "triplet-truncated-gamma": ("check", TRIPLET_TRUNCATED_GAMMA),
@@ -1776,7 +1820,9 @@ GOLDEN_SPECS = {
     )),
 }
 # the exit code of each pin that does not pass
-GOLDEN_EXIT = {"crn-fail": 1, "payoff-jump-triplet": 1, "joint-jump-triplet": 1}
+GOLDEN_EXIT = {
+    "crn-fail": 1, "payoff-jump-triplet": 1, "joint-jump-triplet": 1, "alpha-no-order": 1, "quasi-atom-pair": 1,
+}
 GOLDEN_SHA256 = {
     "zonoid-heavy-tail": {
         "boundary.csv": "3d7b8aa6b09dc9b7b40572098d642c6586527e074a77e4b32333bb1860f20527",
@@ -1787,8 +1833,16 @@ GOLDEN_SHA256 = {
         "report.yaml": "e45031b674ff9e6c275e1bdb2e6a131229c3c344871c67bb5049a41f83baf61c",
     },
     "alpha": {
-        "alpha.txt": "c174baa2c35ecf6fd9b98472a781a982c6112c12f3ec80333e1ced8631cb117b",
-        "report.yaml": "d5bebf7f1934c509031435e18422e99baca06b650c1380334eb6f4cf93af9da8",
+        "alpha.txt": "185e24d14057c620cdbd304e353941218b9e80578b7497418ff2516cc40de863",
+        "report.yaml": "70cddfb33c29e7eb15aaeca157698a322c80697fdb1ab320597b02e7a6600035",
+    },
+    "alpha-no-order": {
+        "alpha.txt": "861e92cac3d4eae97438b4cf766299720231b8bad2afba0ad9bc57b79024105f",
+        "report.yaml": "aa0253202b8cc19ef636540f5f74a19271e3fe2f4cd3be03765178544425c54b",
+    },
+    "quasi-atom-pair": {
+        "report.yaml": "e0f0325c34f6b788b0636294a4ad3f94920424cb5e9167bf61fefb189aafe35f",
+        "verdicts.txt": "ae455da3110333c063eeca0be19802f3f81648708517a6bd81df97e13738728e",
     },
     "check-heavy-tail": {
         "report.yaml": "a4beb2fab465d0023dc47bcb9fde433cd915f8354fde5fc603a19d9d53152dc2",
@@ -1844,8 +1898,8 @@ GOLDEN_SHA256 = {
         "report.yaml": "438bcf87adf431db72389ffd476a2b94b01f2d5aeff27492cd10c495bf32901c",
     },
     "check-density-quasi": {
-        "report.yaml": "1462188b168c3dbb0d24fed1177e87a6abbc1b125e81c0eb8cd085a16be6bfa1",
-        "verdicts.txt": "ccc3be0097b842c80db8c3dcd450d7e08407327c1d2705e92e251d97fd58653c",
+        "report.yaml": "33ed20b6b690e74549af88e357ec1bf2639f6c2438b8c102c4b51bc2bd61695c",
+        "verdicts.txt": "d5bf0b6b6bf6ff1161105d5b44fe6f194eb0f5e8041f7f231de360ec497d5bc9",
     },
     "payoff-jump-triplet": {
         "report.yaml": "0d37b83b332957ff63ad0927a32a902fb438560bb1dde11a3acac719d8b64fa6",

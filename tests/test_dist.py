@@ -377,8 +377,6 @@ def test_atoms_expect_affine_is_strict_at_p_zero():
 def test_power_transformed_families():
     ln = dist.LogNormal(0.1, 0.4).power_transformed(np.array([0.2]), -0.5)
     assert (ln.mu, ln.sigma) == pytest.approx((-0.15, 0.2), abs=1e-15)
-    mln = levy.MultiLogNormal.jointly_self_dual(2, 0.5).power_transformed(np.zeros(2), 2.0)
-    assert np.allclose(mln.a, 4.0 * levy.MultiLogNormal.jointly_self_dual(2, 0.5).a)
     assert dist.HeavyTail(1.0).power_transformed(0.0, 2.0) is None
 
 

@@ -843,10 +843,11 @@ def test_qsd_wrong_order_fails():
 
 
 def test_qsd_multivariate():
+    # a multi_lognormal's order is decided by its exponent, as for every triplet
     a = 0.04 * np.array([[1.0, 0.5], [0.5, 1.0]])
     model = levy.MultiLogNormal([-0.02, -0.02], a)
     lam = np.array([0.01, 0.01])
-    rep = duality.check_quasi_self_dual(model, 1, lam, 0.5, rng=make_rng(61), n_samples=100_000)
+    rep = levy.check_qsd_triplet(model, 1, lam, 0.5)
     assert rep.verdict == "pass", rep.one_line()
 
 

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfdual import cli, levy
+from selfdual import cli, duality, levy
 from selfdual.duality import KappaMaps
 from selfdual.errors import DomainError, NoBracket, PatternViolation, SelfDualError
 from selfdual.levy import GaussianPart, JumpMeasure, LevyTriplet
@@ -428,6 +428,13 @@ def _perturbed(gen, t, i, lam, kind, size):
     return LevyTriplet(a, JumpMeasure(atoms=tuple(atoms), gaussian=g), drift), lam
 
 
+def _random_part(gen, t):
+    """One part of ``t`` that :func:`_perturbed` can move."""
+    kinds = ["drift", "carry"] + ["a"] * (t.n > 1)
+    kinds += ["mass", "position"] * bool(t.nu.atoms) + ["gaussian"] * (t.nu.gaussian is not None)
+    return str(gen.choice(kinds))
+
+
 def test_the_exponent_identity_gives_the_oracles_verdict_on_random_triplets():
     from triplet_oracle import oracle_qsd_triplet
 
@@ -435,9 +442,7 @@ def test_the_exponent_identity_gives_the_oracles_verdict_on_random_triplets():
     seen = {}
     for _ in range(1000):
         t, i, alpha, lam = _random_qsd_case(gen)
-        kinds = ["drift", "carry"] + ["a"] * (t.n > 1)
-        kinds += ["mass", "position"] * bool(t.nu.atoms) + ["gaussian"] * (t.nu.gaussian is not None)
-        kind = str(gen.choice(kinds))
+        kind = _random_part(gen, t)
         seen[kind] = seen.get(kind, 0) + 1
         # 1e-6 to 1e-3 is 1e4 to 1e7 times tol: the exponent moves by about the size times
         # the reach of the design, and must clear tol (1 + scale)
@@ -457,6 +462,44 @@ def test_the_exponent_identity_gives_the_oracles_verdict_on_random_triplets():
                 assert failing == ["(3)"]
     assert sorted(seen) == ["a", "carry", "drift", "gaussian", "mass", "position"]
     assert min(seen.values()) >= 50, seen
+
+
+def test_the_quasi_check_of_a_triplet_gives_the_triplet_checks_verdict():
+    # through the CLI's check table, on the random triplets above and their perturbations
+    spec = cli.parse_model_spec(
+        "model: {kind: levy_triplet, a: 1.0}\ntask: {kind: check, checks: [quasi, triplet], alpha: 1.0}\n"
+    )
+    gen = np.random.default_rng(2026)
+    for _ in range(1000):
+        t, i, alpha, lam = _random_qsd_case(gen)
+        off = _perturbed(gen, t, i, lam, _random_part(gen, t), 10.0 ** gen.uniform(-6.0, -3.0))
+        for (model, carry), want in (((t, lam), 0), (off, 1)):
+            spec["model"] = model
+            spec["task"] |= {"numeraire": i, "alpha": alpha, "carry": [carry]}
+            code, doc, _ = cli.run(spec)
+            quasi, triplet = doc["results"]["checks"]
+            assert code == want and quasi["verdict"] == triplet["verdict"], triplet
+
+
+def test_the_density_of_the_power_transform_gives_the_exponents_verdict_without_jumps():
+    from triplet_oracle import power_transformed
+
+    base = levy.MultiLogNormal.jointly_self_dual(2, 0.5)
+    assert np.allclose(power_transformed(base, np.zeros(2), 2.0).a, 4.0 * base.a)
+    gen, verdicts = np.random.default_rng(2027), []
+    while len(verdicts) < 120:
+        t, i, alpha, lam = _random_qsd_case(gen)
+        if not t.nu.is_empty:
+            continue
+        # 1e-4 to 1e-3: the density moves by about that much relative to its value, far
+        # above the density check's tol of 1e-10 (1 + p)
+        off = _perturbed(gen, t, i, lam, _random_part(gen, t), 10.0 ** gen.uniform(-4.0, -3.0))
+        for model, carry in ((t, lam), off):
+            exact = levy.check_qsd_triplet(model, i, carry, alpha).verdict
+            law = power_transformed(model, np.full(model.n, carry), alpha)
+            assert duality.check_density_self_dual(law, i).verdict == exact
+            verdicts.append(exact)
+    assert verdicts.count("pass") == verdicts.count("fail") == 60
 
 
 # --------------------------------------------------------------------------- #
@@ -851,12 +894,13 @@ def test_an_overflowing_scan_writes_no_warning_and_keeps_its_result(tmp_path, mo
         [sys.executable, "-m", "selfdual.cli", "alpha", str(spec_file)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert (run.returncode, run.stderr) == (0, "")
+    # the atoms are not a reflected pair, so the law has no order: the root's exponent check fails
+    assert (run.returncode, run.stderr) == (1, "")
     monkeypatch.setattr(levy, "_scan_roots", _oracle_scan_roots)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's product overflows
         code, doc, _ = cli.run(cli.parse_model_spec(OVERFLOWING_SCAN))
-    assert code == 0
+    assert code == 1
     assert yaml.safe_load(run.stdout)["results"] == doc["results"]
 
 
@@ -1027,7 +1071,8 @@ def test_the_triplet_check_reads_a_multi_lognormal(model, code):
 def test_the_alpha_task_solves_a_multi_lognormal_in_closed_form():
     model = "{kind: multi_lognormal, mean: [-0.02, -0.045], cov: [[0.04, 0.01], [0.01, 0.09]]}"
     code, results = _run(model, "{kind: alpha, numeraire: 2, carry: 0.01}")
-    assert code == 0
+    # a[1,2] is not a[2,2] / 2, so the law has no order for numeraire 2: the root's check fails
+    assert code == 1 and results["check"]["points"][0]["status"] == "fail"
     assert results["method"] == "closed_lognormal"
     assert results["alpha"] == 1.0 - 2.0 * 0.01 / 0.09
 

@@ -8,6 +8,9 @@ reflections to 1e-12 and a Gaussian part held to the pattern and to its mean in 
 Condition (3) integrates the compensator over all of ``nu``, so the oracle holds for the
 ``mean`` drift convention only: a truncation ball that ``K_i`` does not map onto itself
 breaks it.
+
+Without jumps there is a second route: ``(e^lambda o exp(xi))^alpha`` is log-normal again,
+and it is self-dual for numeraire ``i`` exactly when its density passes the density check.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from selfdual.duality import KappaMaps, ReportPoint, SymmetryReport
+from selfdual.levy import MultiLogNormal
 
 
 def half_diagonal(b, i, tol, label="", name="b"):
@@ -74,3 +78,10 @@ def oracle_qsd_triplet(t, i, lam_i, alpha, tol=1e-10):
         ReportPoint("(3) drift[i] - compensator", float(t.drift[i - 1] - want), tol=tol * (1.0 + abs(aii)))
     )
     return report
+
+
+def power_transformed(t, lam, alpha):
+    """The law of ``(e^lam o exp(xi))^alpha`` for a jump-free triplet ``t``: the log-normal
+    with mean ``alpha (lam + drift)`` and covariance ``alpha^2 A``."""
+    assert t.nu.is_empty
+    return MultiLogNormal(alpha * (lam + t.drift), alpha * alpha * t.a)
