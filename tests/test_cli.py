@@ -1803,6 +1803,8 @@ GOLDEN_SPECS = {
     "triplet-qsd-tilted-gaussian": ("check", TRIPLET_QSD_TILTED_GAUSSIAN),
     "triplet-euclidean-straddle": ("check", TRIPLET_EUCLIDEAN_STRADDLE),
     "hedge-jump-super": ("hedge", HEDGE_JUMP_SUPER),
+    # a jump driver's grid at 20 hit states, some of them overshooting the level
+    "hedge-jump-spread": ("hedge", JUMP_SPREAD.replace("ALPHA", "1").replace("KNOCK", "in")),
     "hedge-indicator-in": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "in")),
     "hedge-indicator-out": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "out")),
     # a multi_lognormal's streamed and row-major draws, its density and its power transform
@@ -1876,6 +1878,11 @@ GOLDEN_SHA256 = {
         "hedge.txt": "af1bff4f4258b42daef750c0269c33bfeb39ed5be320238c6932bb3fd2d28349",
         "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
         "report.yaml": "e7ed9d838ac1bc75c84d286bad53c5b7b8ade20b6accc9fb8b1734582dfa3aa1",
+    },
+    "hedge-jump-spread": {
+        "hedge.txt": "4d7c1c6e1682b6b866ebbb4d7321f5ef10f5d7ce39c553832db4276fd4c94c1d",
+        "hedge_gaps.csv": "c6ca196f57bf4b603f378ea1b9ebfe29b1b44534290733533d1547ddfa2040a5",
+        "report.yaml": "85a07c99ee53a915e63aa3c2267ca99dc697b0ad45d485a7ddb9d8d83f0a8489",
     },
     "hedge-indicator-in": {
         "hedge.txt": "231f03ec8cc5c74fbde7bd2652fc7911813066a33fd7b5a649e926b10aaa7cbf",
