@@ -260,19 +260,18 @@ DECISIVE_Z = 10.0
 LATTICE_POINTS, LATTICE_SHIFTS = 251, 64
 # one kernel thread per CPU this process may use; with one, blocks run inline
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# by process and name: a forked child has no parent threads
-_POOLS: dict[tuple[int, str], ThreadPoolExecutor] = {}
+# by process: a forked child has no parent threads
+_POOLS: dict[int, ThreadPoolExecutor] = {}
 _LOCAL = threading.local()
 
 
-def _pool(name: str, threads: int) -> ThreadPoolExecutor | None:
-    """This process's pool ``name`` of ``threads`` threads, or None when the process may use
+def _pool() -> ThreadPoolExecutor | None:
+    """This process's kernel pool of ``WORKERS`` threads, or None when the process may use
     one CPU: then the caller runs its work inline and no thread is started."""
     if WORKERS == 1:
         return None
-    key = os.getpid(), name
-    pool = _POOLS.get(key)
-    return pool or _POOLS.setdefault(key, ThreadPoolExecutor(threads, "selfdual-" + name))
+    pool = _POOLS.get(os.getpid())
+    return pool or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(WORKERS, "selfdual-kernel"))
 
 
 def _scratch(slot: str, rows: int, width: int) -> np.ndarray:
@@ -309,7 +308,7 @@ def _block_moments(groups, rows, chunks, levels: bool) -> list:
                 yield batch, start
                 start += block
 
-    pool = _pool("kernel", WORKERS)
+    pool = _pool()
     if pool is None:
         return functools.reduce(pooled, itertools.starmap(reduce_block, drawn_blocks()))
     futures = []

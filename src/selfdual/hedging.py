@@ -20,41 +20,32 @@ Given ``S_T`` the monitored log-price is a Brownian bridge, which hit the level
 with probability ``p = exp(-2 (y_0 - h)(y_T - h) / (a_ii T))`` if ``S_T`` has not
 crossed it and 1 if it has (Glasserman 2004, 6.4), so the hedge must price like
 ``p f(S_T)``, or ``(1 - p) f`` for knock-out.  Jump drivers and the joint
-hedges keep the grid: a streaming first-hit pass over outer paths holds the
-log-states of one block of steps, ``(n, paths)``, and tests the barrier once per
-block, so memory is O(paths * n) whatever the number of steps; inner
-simulations from each hit state, projected onto the barrier unless the driver
-jumps, compare the conditional values of the two claims.  A jump driver keeps
-the overshoot state, and its verdicts are one-sided.
+hedges keep the grid: a streaming first-hit pass over outer paths holds one
+log-state, ``(n, paths)``, and tests every barrier at every step, so memory is
+O(paths * n) whatever the number of steps; inner simulations from each hit state,
+projected onto the barrier unless the driver jumps, compare the conditional values
+of the two claims.  A jump driver keeps the overshoot state, and its verdicts are
+one-sided.
 
 The price check draws ``xi_T``'s standard normals on randomly shifted copies of
 the rank-1 lattice of the common-random-number checks (randomised quasi-Monte
 Carlo), each copy a replicate whose means give the SEs; a price gap that fails
 within ``DECISIVE_Z`` SE takes fresh shifts in growing looks up to ``n_samples``.
-The hit states' variates are drawn up to two ahead, one after another, on one
-drawing thread per process; the calling thread assembles each state's
-increments from its variates and evaluates them, and draws nothing meanwhile.
-Every draw keeps its stream and its order, so reports do not depend on that
-thread, and a process that may use one CPU draws inline.
+Every draw of a hedge is made on the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from concurrent.futures import wait
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .duality import DECISIVE_Z, SymmetryReport, _LatticeDraw, _Moments, _pool, _scratch
-from .duality import worst_verdict
+from .duality import DECISIVE_Z, SymmetryReport, _LatticeDraw, _Moments, _scratch, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
-from .levy import LevyTriplet, MultiLogNormal, assemble_increments, check_qsd_triplet
-from .levy import gaussian_root, increment_variates, sample_increments
+from .levy import LevyTriplet, MultiLogNormal, check_qsd_triplet, gaussian_root, sample_increments
 from .pricing import (
     AffineCall,
     AffinePower,
@@ -91,7 +82,6 @@ SE_BAND = 3.0
 # resolution floor for nested-MC conditional values; coarser than the
 # distribution-level checks because inner simulations are the cost driver
 SE_FLOOR = 5e-3
-SEARCH_BLOCK = 25  # grid steps per barrier test in the first-hit search; flat from 10 to 125
 
 
 # --------------------------------------------------------------------------- #
@@ -252,22 +242,14 @@ def _first_hits(
     step = np.zeros((len(barriers), n_paths), dtype=np.int64)
     state = np.zeros((len(barriers), n_paths, cfg.n))
     overshoot = np.zeros((len(barriers), n_paths), dtype=bool)
-    growths, xs = np.empty((SEARCH_BLOCK, cfg.n)), np.empty((SEARCH_BLOCK, cfg.n, n_paths))
-    jumped = np.empty((SEARCH_BLOCK, n_paths), dtype=bool)
     for k, growth, x, counts in _price_steps(cfg, n_paths, rng):
-        r = (k - 1) % SEARCH_BLOCK  # the block's rows 0..r hold steps k - r..k
-        growths[r], xs[r], jumped[r] = growth, x, counts > 0
-        if r + 1 < SEARCH_BLOCK and k < cfg.steps:
-            continue
         for b, barrier in enumerate(barriers):
             i = barrier.asset - 1
-            values = cfg.s0[i] * np.exp(growths[: r + 1, i, None] + xs[: r + 1, i])
-            crossed = barrier.crossed(values) & (step[b] == 0)
-            new = np.flatnonzero(crossed.any(axis=0))
-            at = np.argmax(crossed[:, new], axis=0)
-            step[b, new] = k - r + at
-            state[b, new] = cfg.s0 * np.exp(growths[at] + xs[at, :, new])
-            overshoot[b, new] = jumped[at, new] & (values[at, new] != barrier.level)
+            values = cfg.s0[i] * np.exp(growth[i] + x[i])
+            new = np.flatnonzero(barrier.crossed(values) & (step[b] == 0))
+            step[b, new] = k
+            state[b, new] = cfg.s0 * np.exp(growth + x[:, new].T)
+            overshoot[b, new] = (counts[new] > 0) & (values[new] != barrier.level)
     return step, state, overshoot, np.ascontiguousarray(_prices(cfg.s0, growth, x).T)
 
 
@@ -535,28 +517,6 @@ class HedgeReport:
             )
 
 
-def _ahead(draw, keys):
-    """Yield ``draw(key)`` for each key in order, drawn up to two ahead on this process's
-    one drawing thread while the caller uses the last, or inline when it may use one CPU.
-    Only the grid's hit states draw here, and only variates, assembled by the caller.
-    Closed or raising early, it drops the draws not started and waits for the one running."""
-    pool = _pool("drawer", 1)
-    if pool is None:
-        yield from map(draw, keys)
-        return
-    keys, pending = iter(keys), deque()
-    try:
-        pending.extend(pool.submit(draw, key) for key in itertools.islice(keys, 2))
-        while pending:
-            got = pending.popleft().result()
-            pending.extend(pool.submit(draw, key) for key in itertools.islice(keys, 1))
-            yield got
-    finally:
-        for f in pending:
-            f.cancel()
-        wait(pending)
-
-
 def _conditional_gap(
     cfg: PathConfig,
     state: np.ndarray,
@@ -605,11 +565,6 @@ def _measure(
     draws from ``rng.child(1000 + j)``.
     """
     quota, n_outer = max(1, int(n_hit_states) // len(barriers)), int(n_outer)
-
-    def inner(key):  # a hit state's variates to the horizon, from its own stream
-        tau, stream = key
-        return increment_variates(cfg.driver, cfg.horizon - tau, stream, int(n_inner))
-
     steps, states, overshoots, terminal = _first_hits(cfg, n_outer, rng.child(0), barriers)
     first = np.argmin(np.where(steps > 0, steps, np.iinfo(steps.dtype).max), axis=0)
     paths = np.arange(n_outer)
@@ -618,18 +573,15 @@ def _measure(
     order = np.sort(np.concatenate(
         [np.flatnonzero(live & (first == b))[:quota] for b in range(len(barriers))]
     ))
-    taus = [cfg.horizon * int(step[p]) / cfg.steps for p in order]
     gaps = []
-    with closing(_ahead(inner, zip(taus, map(rng.child, itertools.count(1000))))) as drawn:
-        for p, tau, variates in zip(order, taus, drawn):
-            b, k = int(first[p]), int(step[p])
-            if cfg.is_continuous and not overshoot[p]:
-                state[p, barriers[b].asset - 1] = barriers[b].level
-            incr = assemble_increments(cfg.driver, cfg.horizon - tau, variates)
-            lv, rv, gap, se = _conditional_gap(cfg, state[p], tau, *exchanges[b], incr)
-            gaps.append(
-                HitGap(int(p), k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p]))
-            )
+    for j, p in enumerate(order):
+        b, k = int(first[p]), int(step[p])
+        tau = cfg.horizon * k / cfg.steps
+        if cfg.is_continuous and not overshoot[p]:
+            state[p, barriers[b].asset - 1] = barriers[b].level
+        incr = sample_increments(cfg.driver, cfg.horizon - tau, rng.child(1000 + j), int(n_inner))
+        lv, rv, gap, se = _conditional_gap(cfg, state[p], tau, *exchanges[b], incr)
+        gaps.append(HitGap(int(p), k, tau, tuple(state[p]), lv, rv, gap, se, bool(overshoot[p])))
     knocked = step > 0
     frac, n_knocked = float(np.mean(knocked)), int(knocked.sum())
     over = int(overshoot[knocked].sum()) / n_knocked if n_knocked else 0.0

@@ -51,8 +51,6 @@ __all__ = [
     "convert_convention",
     "gaussian_root",
     "sample_increments",
-    "increment_variates",
-    "assemble_increments",
 ]
 
 CONVENTIONS = ("mean", "truncated", "truncated_euclidean")
@@ -657,52 +655,38 @@ def sample_increments(
     Exact in distribution: Gaussian part plus a compound Poisson draw
     from the normalised finite jump measure, with the linear coefficient
     chosen so the characteristic exponent is ``dt`` times the triplet's.
-    With ``return_counts`` the per-increment Poisson jump counts are
-    returned alongside.  Callers that draw many batches over one ``dt``
-    pass ``root = gaussian_root(t, dt)`` to factor the covariance once.
-    The increments are built column-major, as ``(n, size)``, and returned
-    as its ``(size, n)`` transpose; ``.T`` gives the columns back.  This is
-    :func:`increment_variates` followed by :func:`assemble_increments`.
+    The variates are taken from ``rng`` in this order: the ``(size, n)``
+    standard normals (none without a Gaussian part), the Poisson jump
+    counts, the kinds of the jumps and the Gaussian jumps.  With
+    ``return_counts`` the per-increment Poisson jump counts are returned
+    alongside.  Callers that draw many batches over one ``dt`` pass
+    ``root = gaussian_root(t, dt)`` to factor the covariance once.  The
+    increments are built column-major, as ``(n, size)``, and returned as
+    its ``(size, n)`` transpose; ``.T`` gives the columns back.
     """
-    variates = increment_variates(t, dt, rng, size)
-    out = assemble_increments(t, dt, variates, root)
-    return (out, variates[1]) if return_counts else out
-
-
-def increment_variates(t: LevyTriplet, dt: float, rng: RngStream, size: int) -> tuple:
-    """Every variate of ``size`` increments over ``dt``, taken from ``rng`` in this order:
-    the ``(size, n)`` standard normals (None without a Gaussian part), the Poisson jump
-    counts, the kinds of the jumps and the Gaussian jumps (None where none is needed)."""
     if dt <= 0:
         raise DomainError("dt must be positive")
     if not math.isfinite(t.nu.total_mass):
         raise InfiniteActivity("jump measure must be finite")
     n, size, mass, g = t.n, int(size), t.nu.total_mass, t.nu.gaussian
-    normals = rng.standard_normal((size, n)) if t.a.any() else None
-    counts, kinds, gaussian_jumps = np.zeros(size, dtype=np.int64), None, None
+    if t.a.any():
+        root = gaussian_root(t, dt) if root is None else root
+        out = root @ rng.standard_normal((size, n)).T
+    else:
+        out = np.zeros((n, size))
+    out += (t._linear_rate * dt)[:, None]
+    counts = np.zeros(size, dtype=np.int64)
     if mass > 0:
         counts = rng.poisson(mass * dt, size=size)
         total = int(counts.sum())
         if total > 0:
             weights = np.array([m for _, m in t.nu.atoms] + ([] if g is None else [g.mass])) / mass
             kinds = rng.choice(len(weights), size=total, p=weights)
+            jumps = np.empty((total, n))
+            for idx, (x, _) in enumerate(t.nu.atoms):
+                jumps[kinds == idx] = x
             m_g = 0 if g is None else int((kinds == len(t.nu.atoms)).sum())
             if m_g:
-                gaussian_jumps = rng.multivariate_normal(g.mean, g.cov, size=m_g)
-    return normals, counts, kinds, gaussian_jumps
-
-
-def assemble_increments(t: LevyTriplet, dt: float, variates: tuple, root: np.ndarray | None = None):
-    """The ``(size, n)`` increments over ``dt`` made of :func:`increment_variates`' draws."""
-    normals, counts, kinds, gaussian_jumps = variates
-    root = gaussian_root(t, dt) if root is None and normals is not None else root
-    out = np.zeros((t.n, counts.shape[0])) if normals is None else root @ normals.T
-    out += (t._linear_rate * dt)[:, None]
-    if kinds is not None:
-        jumps = np.empty((kinds.shape[0], t.n))
-        for idx, (x, _) in enumerate(t.nu.atoms):
-            jumps[kinds == idx] = x
-        if gaussian_jumps is not None:
-            jumps[kinds == len(t.nu.atoms)] = gaussian_jumps
-        np.add.at(out.T, np.repeat(np.arange(counts.shape[0]), counts), jumps)
-    return out.T
+                jumps[kinds == len(t.nu.atoms)] = rng.multivariate_normal(g.mean, g.cov, size=m_g)
+            np.add.at(out.T, np.repeat(np.arange(size), counts), jumps)
+    return (out.T, counts) if return_counts else out.T

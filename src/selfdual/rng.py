@@ -7,9 +7,7 @@ sample sequence, while distinct ``stream_id`` values give statistically
 independent streams (numpy ``SeedSequence`` spawning).
 
 Streams are stateful and single-owner: do not use one instance from two
-threads at once.  A stream may be handed to another thread when its uses
-never overlap, as the hedge's drawing thread takes its draws one after
-another.  For parallel work derive children with :meth:`RngStream.child`.
+threads at once.  For parallel work derive children with :meth:`RngStream.child`.
 
 The standard normals of a jump-free law's common-random-number checks, and of a
 continuous hedge's price check, come from randomly shifted copies of a rank-1

@@ -515,11 +515,11 @@ def _hedge_specs():
 
 
 @pytest.mark.parametrize("name", ["bench", "knock-out", "super", "jump-spread", "jump-super"])
-def test_hedge_bytes_do_not_depend_on_the_drawing_thread(name, tmp_path, monkeypatch, capsys):
+def test_hedge_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkeypatch, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(_hedge_specs()[name])
     outputs = []
-    # one worker draws inline; more draw ahead on the drawing thread
+    # one worker or more: a hedge draws on the calling thread either way
     for workers in (1, max(duality.WORKERS, 2)):
         monkeypatch.setattr(duality, "WORKERS", workers)
         outputs.append(_cli_output("hedge", spec_file, tmp_path / f"out{workers}", capsys))

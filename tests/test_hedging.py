@@ -658,7 +658,7 @@ def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
 
 
 # --------------------------------------------------------------------------- #
-# The first-hit search, tested per block of steps, against the per-step rule
+# The first-hit search against the per-step rule
 # --------------------------------------------------------------------------- #
 
 
@@ -683,8 +683,8 @@ def _assert_same_hits(got, want):
 
 
 @pytest.mark.parametrize("direction", ["down", "up"])
-@pytest.mark.parametrize("steps", [1, 7, 25, 26, 120, 250])  # less than, one, and past a block
-def test_the_block_search_keeps_the_per_step_rule(steps, direction):
+@pytest.mark.parametrize("steps", [1, 7, 25, 26, 120, 250])
+def test_the_first_hit_search_keeps_the_per_step_rule(steps, direction):
     cfg = bs_config(steps)
     barrier = hedging.Barrier(2, 0.85 if direction == "down" else 1.15, direction)
     got = hedging._first_hits(cfg, 400, make_rng(211), [barrier])
@@ -692,7 +692,7 @@ def test_the_block_search_keeps_the_per_step_rule(steps, direction):
     assert got[0].any() and not got[0].all()
 
 
-def test_the_block_search_keeps_ties_overshoots_and_block_edges():
+def test_the_first_hit_search_keeps_ties_overshoots_and_block_edges():
     # the joint X barriers on the jump driver of the streaming joint test: both assets often
     # cross on one step, where the joint evaluator's first hitter is the lower index
     cfg, rng = jump_config(), make_rng(201).child(0)
@@ -702,8 +702,9 @@ def test_the_block_search_keeps_ties_overshoots_and_block_edges():
     step, _, overshoot, _ = got
     assert ((step[0] == step[1]) & (step[0] > 0)).sum() > 100
     assert overshoot.any() and not overshoot[step > 0].all()
-    at = step[step > 0] % hedging.SEARCH_BLOCK  # 1: the first step of a block, 0: its last
-    assert (at == 1).any() and (at == 0).any() and cfg.steps % hedging.SEARCH_BLOCK != 0
+    # crossings on the first and on the last step of blocks of 25, and steps not a multiple of 25
+    at = step[step > 0] % 25
+    assert (at == 1).any() and (at == 0).any() and cfg.steps % 25 != 0
 
 
 def test_the_search_memory_does_not_grow_with_steps():
@@ -725,8 +726,8 @@ def test_the_search_memory_does_not_grow_with_steps():
 @pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["bridge", "jump"])
 def test_traced_hedge_counts_repeat(config, monkeypatch):
     # bench/run.py --trace 1 fails its self-test unless every count repeats; its recorder
-    # keeps one call stack and one depth count, so draws run on one drawing thread, never
-    # beside a draw of the calling thread, even where one CPU would draw them inline
+    # keeps one call stack and one depth count, and a hedge draws only on the calling
+    # thread, whatever the kernel workers
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import spans
@@ -750,13 +751,15 @@ def test_traced_hedge_counts_repeat(config, monkeypatch):
     if cfg.is_continuous:  # the bridge draws only its lattice shifts, one uniform per asset
         assert counts[0]["rng.draws"] == reports[0].price_check[1] * cfg.n == 64 * 2
         assert counts[0]["levy.increments_inner_rows"] == 0
-    else:
-        assert counts[0]["rng.draws"] > 0 and counts[0]["levy.increments_inner_rows"] > 0
+    else:  # the search's steps of 600 paths (not under simulate_paths), then 200 per hit state
+        assert counts[0]["rng.draws"] > 0
+        inner = counts[0]["levy.increments_inner_rows"]
+        assert inner == cfg.steps * 600 + 200 * len(reports[0].hit_gaps) == 120 * 600 + 200 * 4
     assert reports[0] == reports[1] == run()
 
 
 # --------------------------------------------------------------------------- #
-# The drawing thread
+# Threads: a hedge draws and evaluates on the calling thread
 # --------------------------------------------------------------------------- #
 
 
@@ -768,7 +771,8 @@ def _joint_x(rng):
     )
 
 
-def test_joint_hedge_does_not_depend_on_the_drawing_thread(monkeypatch):
+def test_joint_hedge_does_not_depend_on_the_kernel_workers(monkeypatch):
+    # one worker or more: the grid draws inline either way
     reports = []
     for workers in (1, max(duality.WORKERS, 2)):
         monkeypatch.setattr(duality, "WORKERS", workers)
@@ -783,8 +787,8 @@ def _small_hedge(n_samples):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_hedge_draws_in_a_forked_child(monkeypatch):
-    # the parent's drawing thread does not exist in a forked child
+def test_a_forked_child_hedges_as_its_parent(monkeypatch):
+    # a forked child has none of its parent's threads, and a hedge needs none
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
     want = _small_hedge(50_000)
     with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -811,16 +815,15 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
     for workers in (1, max(duality.WORKERS, 2)):
         monkeypatch.setattr(duality, "WORKERS", workers)
         events = []
-        for name in ("increment_variates", "sample_increments"):
 
-            def counted(*args, _draw=getattr(levy, name), **kwargs):
-                events.append("start")
-                try:
-                    return _draw(*args, **kwargs)
-                finally:
-                    events.append("end")
+        def counted(*args, **kwargs):
+            events.append("start")
+            try:
+                return levy.sample_increments(*args, **kwargs)
+            finally:
+                events.append("end")
 
-            monkeypatch.setattr(hedging, name, counted)
+        monkeypatch.setattr(hedging, "sample_increments", counted)
         # the bridge calls the target once per lattice block of 32 replicates and draws no
         # increments, and its second block raises; on the grid the third inner state raises
         target = _RaisesOnCall(_SPREAD, 2 if cfg.is_continuous else 3)
@@ -832,25 +835,24 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
             )
         errors.append(str(raised.value))
         seen = list(events)
-        if workers > 1 and seen:  # the drawing thread takes its draws in order: after this, none is left
-            duality._POOLS[os.getpid(), "drawer"].submit(lambda: None).result(timeout=60)
         assert events == seen and seen.count("start") == seen.count("end")
         assert (seen == []) == cfg.is_continuous
     assert errors == [f"call {target.n}"] * 2
 
 
-def test_one_cpu_starts_no_drawing_thread(monkeypatch):
-    # a jump driver's hit states are what the drawing thread draws; a continuous hedge
-    # draws its lattice on the calling thread, whatever the CPUs
-    monkeypatch.setattr(duality, "WORKERS", 1)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_hedge_starts_a_thread(workers, monkeypatch):
+    # a continuous hedge draws its lattice and a jump driver's grid its paths and hit states,
+    # all on the calling thread, with one kernel worker or more
+    monkeypatch.setattr(duality, "WORKERS", workers)
     monkeypatch.setattr(duality, "_POOLS", {})
-    threads, draw = set(), levy.increment_variates
+    threads, running = set(), threading.active_count()
 
     def counted(*args, **kwargs):
         threads.add(threading.current_thread())
-        return draw(*args, **kwargs)
+        return levy.sample_increments(*args, **kwargs)
 
-    monkeypatch.setattr(hedging, "increment_variates", counted)
+    monkeypatch.setattr(hedging, "sample_increments", counted)
     assert _small_hedge(50_000).price_gap is not None and threads == set()
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
     rep = hedging.evaluate_hedge(
@@ -858,13 +860,14 @@ def test_one_cpu_starts_no_drawing_thread(monkeypatch):
     )
     assert len(rep.hit_gaps) == 4
     assert threads == {threading.current_thread()} and duality._POOLS == {}
+    assert threading.active_count() == running
 
 
 @pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
-def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
-    # the calling thread assembles each hit state's increments; it draws nothing beside the
-    # drawing thread, whose draws bench/spans.py would otherwise count on one depth counter;
-    # the bridge draws only its lattice shifts, on the calling thread, and nothing else runs
+def test_every_inner_draw_runs_on_the_calling_thread(config, monkeypatch):
+    # the search's steps and each hit state's increments are drawn on the calling thread,
+    # where bench/spans.py counts them on one depth counter; the bridge draws only its
+    # lattice shifts, on the calling thread, and nothing else runs
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
     cfg, draws, assembled, main = config(), [], [], threading.current_thread()
     for name in ("standard_normal", "uniform", "poisson", "choice", "multivariate_normal"):
@@ -875,11 +878,14 @@ def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
             return _method(stream, *args, **kwargs)
 
         monkeypatch.setattr(selfdual.RngStream, name, watched)
-    assemble = hedging.assemble_increments
-    monkeypatch.setattr(
-        hedging, "assemble_increments",
-        lambda *args: assembled.append(threading.current_thread()) or assemble(*args),
-    )
+    increments = hedging.sample_increments
+
+    def watched_increments(t, dt, stream, *args, **kwargs):  # one call per hit state
+        if stream._key[1:] >= (1000,):
+            assembled.append(threading.current_thread())
+        return increments(t, dt, stream, *args, **kwargs)
+
+    monkeypatch.setattr(hedging, "sample_increments", watched_increments)
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
     rep = hedging.evaluate_hedge(
         plan, cfg, n_outer=600, n_inner=500, rng=make_rng(213), n_hit_states=6, n_samples=50_000
@@ -895,7 +901,7 @@ def test_every_inner_draw_runs_on_the_drawing_thread(config, monkeypatch):
         assert [name for _, name, _ in draws] == ["uniform"]
         return
     (drawer,) = {thread for _, _, thread in inner}
-    assert drawer is not main and assembled == [main] * 6 == [main] * len(rep.hit_gaps)
+    assert drawer is main and assembled == [main] * 6 == [main] * len(rep.hit_gaps)
     assert bridge == set() and search == {main}
     assert {"poisson", "choice", "multivariate_normal"} <= {name for _, name, _ in inner}
 
