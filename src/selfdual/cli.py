@@ -415,9 +415,9 @@ TASKS = {
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
     }, lambda task, model: () if _closed_form(task, model) else ("samples",)),
-    # a continuous driver's hedge reads tol for its exact exchange and samples as the cap on
-    # its price check's lattice draws, and simulates no path; a jump driver's hedge checks
-    # and prices on its grid
+    # a hedge reads tol for its exact exchange; a continuous driver's hedge reads samples as
+    # the cap on its price check's lattice draws, and simulates no path; a jump driver's
+    # hedge checks and prices on its grid
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
             "asset": (_integer, {"ge": 1, "required": True}),
@@ -430,7 +430,7 @@ TASKS = {
         "n_outer": (_integer, {"ge": 100, "default": _DEFAULTS["n_outer"]}),
         "n_inner": (_integer, {"ge": 100, "default": _DEFAULTS["n_inner"]}),
         "hit_states": (_integer, {"ge": 1, "default": _DEFAULTS["hit_states"]}),
-    }, lambda task, cfg: ("samples", "tol") if getattr(cfg, "is_continuous", True) else _GRID),
+    }, lambda task, cfg: ("samples", "tol") if getattr(cfg, "is_continuous", True) else (*_GRID, "tol")),
     "zonoid": (dict, {
         "k_min": (_number, {"gt": 0.0, "default": 1e-2}),
         "k_max": (_number, {"gt": 0.0, "default": 1e2}),
@@ -758,14 +758,15 @@ def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
         "price_gap": None if report.price_gap is None else list(report.price_gap),
     }
     artifacts = {"hedge.txt": report.one_line() + "\n"}
-    if report.exchange is None:  # the grid's hit states
+    # the exact exchange, in three parts
+    exchange = _report_of(report.exchange)
+    doc["exchange"] = {"method": "exponent", "tol": spec["tol"]["exact"], **exchange}
+    if report.price_gap is None:  # the grid's hit states
         buf = io.StringIO()
         report.gaps_csv(buf)
         artifacts["hedge_gaps.csv"] = buf.getvalue()
         doc |= {"max_gap_se_units": report.max_gap_se_units, "hit_states": len(report.hit_gaps)}
-    else:  # the exact exchange, in three parts
-        exchange = _report_of(report.exchange)
-        doc["exchange"] = {"method": "exponent", "tol": spec["tol"]["exact"], **exchange}
+    else:
         doc["price_check"] = dict(zip(("n_samples", "replicates", "rounds"), report.price_check))
     return report.verdict, doc, artifacts
 

@@ -465,7 +465,7 @@ class HedgeReport:
     price_knock_out: tuple[float, float] = (0.0, 0.0)
     price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
     sub_replicates: bool = False  # a knock-out hedge: target minus a super-replicating hedge
-    exchange: SymmetryReport | None = None  # a continuous driver's exact exchange
+    exchange: SymmetryReport | None = None  # a single-barrier hedge's exact exchange
     price_check: tuple[int, int, int] | None = None  # its draws: (n_samples, replicates, rounds)
 
     def _miss(self, gap: float) -> float:
@@ -499,12 +499,12 @@ class HedgeReport:
         if self.price_gap is not None:  # signed; a constant gap is 0 or +-inf SEs from zero
             gap, se = self.price_gap
             price_gap = f"{gap / se if se > 0 else gap * math.inf if gap else 0.0:.2f}"
-        checked = f"states={len(self.hit_gaps)} max_gap_se={self.max_gap_se_units:.2f}"
-        if self.exchange is not None:  # exact: no hit state is simulated
-            checked = f"exchange={self.exchange.max_abs_residual:.3e}"
+        checked = [] if self.exchange is None else [f"exchange={self.exchange.max_abs_residual:.3e}"]
+        if self.price_gap is None:  # the grid's hit states
+            checked.append(f"states={len(self.hit_gaps)} max_gap_se={self.max_gap_se_units:.2f}")
         return (
             f"verdict={self.verdict} hits={self.knock_in_fraction:.4f}"
-            f"+-{self.knock_in_se:.4f} {checked} price_gap_se={price_gap} "
+            f"+-{self.knock_in_se:.4f} {' '.join(checked)} price_gap_se={price_gap} "
             f"overshoot={self.overshoot_fraction:.4f}"
         )
 
@@ -630,21 +630,22 @@ def evaluate_hedge(
 ) -> HedgeReport:
     """Measure the replication quality of a hedge plan.
 
-    A continuous driver simulates no path, so it reads neither ``n_outer``,
-    ``n_inner`` nor ``n_hit_states``: its exchange is :func:`levy.check_qsd_triplet`
-    at the barrier's asset, the carry and the plan's order, judged at ``tol``,
-    and fails the hedge even where the prices balance.  Bridge-weighted terminal
+    The exchange is :func:`levy.check_qsd_triplet` at the barrier's asset, the carry
+    and the plan's order, judged at ``tol``, and fails the hedge even where the prices
+    or the hit states balance.  A continuous driver simulates no path, so it reads
+    neither ``n_outer``, ``n_inner`` nor ``n_hit_states``.  Bridge-weighted terminal
     draws give the price gap, the knock-in fraction and the prices, and check the
     no-hit algebra where they end short of the level.  They are ``LATTICE_SHIFTS``
     lattice replicates with shifts from ``rng.child(2)``; while the gap fails within
     ``DECISIVE_Z`` SE, the looks of :meth:`duality._LatticeDraw.look` are pooled with
-    them, up to the cap ``n_samples``.  Jump drivers do all of it on ``n_outer`` paths, with
-    inner draws at ``n_hit_states`` hit states, and have no price gap and a one-sided
-    verdict: a gap fails below zero, or above it for a knock-out hedge.
+    them, up to the cap ``n_samples``.  Jump drivers price on ``n_outer`` paths, with
+    inner draws at ``n_hit_states`` hit states, and have no price gap; their hit-state
+    gaps are one-sided: a gap fails below zero, or above it for a knock-out hedge.
     """
     _require(cfg, [plan.barrier], rng)
-    if cfg.is_continuous:  # the exchange first: an order it cannot judge draws nothing
-        exchange = check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha, tol)
+    # the exchange first: an order it cannot judge draws nothing
+    exchange = check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha, tol)
+    if cfg.is_continuous:
         law = LevyTriplet(cfg.driver.a * cfg.horizon, drift=cfg.driver.drift * cfg.horizon)
         look = first = _LatticeDraw(law, n_samples, stream := rng.child(2))  # the law of xi_T
         total, mismatch = None, 0.0
@@ -672,7 +673,7 @@ def evaluate_hedge(
     return replace(
         report, sub_replicates=plan.knock == "out", terminal_max_mismatch=miss,
         price_plain=_mean_se(f), price_knock_in=_mean_se(chi * f),
-        price_knock_out=_mean_se((1.0 - chi) * f),
+        price_knock_out=_mean_se((1.0 - chi) * f), exchange=exchange,
     )
 
 

@@ -1488,11 +1488,30 @@ def test_a_jump_driver_knock_out_hedge_sub_replicates(seed):
         assert len(gaps[0]) == 20 and gaps[1] == [-g for g in gaps[0]]
         assert out["max_gap_se_units"] == into["max_gap_se_units"]
     assert runs["1", "in"][0] == runs["1", "out"][0] == 0
-    # the wrong order fails through a hit state alone: a jump driver has no price check
+    # the wrong order fails its exchange and a hit state: a jump driver has no price check
     for knock in ("in", "out"):
         code, results, _ = runs["1.5", knock]
         assert code == 1 and results["max_gap_se_units"] > 3.0
+        assert results["exchange"]["verdict"] == "fail"
         assert results["price_gap"] is None and results["terminal_max_mismatch"] == 0.0
+
+
+# the atoms of JUMP_SPREAD at equal masses: the law has no order for numeraire 1, though
+# its order equation has a root near 1.0033
+JUMP_NO_ORDER = JUMP_SPREAD.replace("mass: 1.3498588075760032", "mass: 1.0").replace(
+    "steps: 100", "steps: 50"
+).replace("ALPHA", "solve")
+
+
+@pytest.mark.parametrize("knock", ["in", "super"])
+def test_a_jump_hedge_on_a_law_with_no_order_fails_its_exchange(knock):
+    runs = [_run_at(JUMP_NO_ORDER.replace("KNOCK", knock), seed) for seed in range(10)]
+    assert [code for code, _, _ in runs] == [1] * 10
+    exchanges = [results["exchange"] for _, results, _ in runs]
+    assert {(e["verdict"], e["tol"]) for e in exchanges} == {("fail", 1e-10)}
+    assert min(e["max_abs_residual"] for e in exchanges) > 0.5
+    # the one-sided hit-state gaps alone pass the hedge on some of these seeds
+    assert min(results["max_gap_se_units"] for _, results, _ in runs) < 3.0
 
 
 HEDGE_MAX_OPTION = HEDGE_SMALL.replace(
@@ -1631,14 +1650,19 @@ def test_a_continuous_hedge_records_the_draws_of_its_price_check(seed, draws):
 
 
 def test_a_hedge_of_order_zero_is_refused(tmp_path, capsys):
+    # on a continuous driver and on a jump driver alike, before anything is drawn
     spec_file = tmp_path / "spec.yaml"
-    spec_file.write_text(_bench_specs()["bench-hedge"][1].replace("alpha: 1.0", "alpha: 0"))
-    assert cli.main(["hedge", str(spec_file)]) == 3
-    error = yaml.safe_load(capsys.readouterr().out)["error"]
-    assert error == {
-        "type": "DomainError",
-        "message": "order alpha must be nonzero: every law is quasi-self-dual of order 0",
-    }
+    for text in (
+        _bench_specs()["bench-hedge"][1].replace("alpha: 1.0", "alpha: 0"),
+        JUMP_SPREAD.replace("ALPHA", "0").replace("KNOCK", "in"),
+    ):
+        spec_file.write_text(text)
+        assert cli.main(["hedge", str(spec_file)]) == 3
+        error = yaml.safe_load(capsys.readouterr().out)["error"]
+        assert error == {
+            "type": "DomainError",
+            "message": "order alpha must be nonzero: every law is quasi-self-dual of order 0",
+        }
 
 
 def test_readme_lists_every_model_payoff_task_and_check():
@@ -1875,14 +1899,14 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "a5d3cc7cfaef657bc24b749a82c61c0a30faa416ab60107ae653ae38a4d3bce6",
     },
     "hedge-jump-super": {
-        "hedge.txt": "af1bff4f4258b42daef750c0269c33bfeb39ed5be320238c6932bb3fd2d28349",
+        "hedge.txt": "4d61da03cafae198b1c6f1e9e8bbffcd3ba93d4f27a2bbf1177d57293d99a91e",
         "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
-        "report.yaml": "e7ed9d838ac1bc75c84d286bad53c5b7b8ade20b6accc9fb8b1734582dfa3aa1",
+        "report.yaml": "817f32761f42d21ecb8f69228e6ee7401df993989a01e41d779766378ed2f8e4",
     },
     "hedge-jump-spread": {
-        "hedge.txt": "4d7c1c6e1682b6b866ebbb4d7321f5ef10f5d7ce39c553832db4276fd4c94c1d",
+        "hedge.txt": "7f11282e85e9b13536f3ec964c1331d0a1ab570662398e471ee05cb78f9a5df5",
         "hedge_gaps.csv": "c6ca196f57bf4b603f378ea1b9ebfe29b1b44534290733533d1547ddfa2040a5",
-        "report.yaml": "85a07c99ee53a915e63aa3c2267ca99dc697b0ad45d485a7ddb9d8d83f0a8489",
+        "report.yaml": "af284a36d132d7c8f55009d5627194dd814548d5d973e3279353e210a06a61cd",
     },
     "hedge-indicator-in": {
         "hedge.txt": "231f03ec8cc5c74fbde7bd2652fc7911813066a33fd7b5a649e926b10aaa7cbf",
