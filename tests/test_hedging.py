@@ -694,7 +694,7 @@ def test_the_first_hit_search_keeps_the_per_step_rule(steps, direction):
     assert got[0].any() and not got[0].all()
 
 
-def test_the_first_hit_search_keeps_ties_overshoots_and_block_edges():
+def test_the_first_hit_search_keeps_ties_and_overshoots():
     # the joint X barriers on the jump driver of the streaming joint test: both assets often
     # cross on one step, where the joint evaluator's first hitter is the lower index
     cfg, rng = jump_config(), make_rng(201).child(0)
@@ -871,7 +871,7 @@ def test_every_inner_draw_runs_on_the_calling_thread(config, monkeypatch):
     # where bench/spans.py counts them on one depth counter; the bridge draws only its
     # lattice shifts, on the calling thread, and nothing else runs
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
-    cfg, draws, assembled, main = config(), [], [], threading.current_thread()
+    cfg, draws, states_drawn, main = config(), [], [], threading.current_thread()
     for name in ("standard_normal", "uniform", "poisson", "choice", "multivariate_normal"):
         method = getattr(selfdual.RngStream, name)
 
@@ -884,7 +884,7 @@ def test_every_inner_draw_runs_on_the_calling_thread(config, monkeypatch):
 
     def watched_increments(t, dt, stream, *args, **kwargs):  # one call per hit state
         if stream._key[1:] >= (1000,):
-            assembled.append(threading.current_thread())
+            states_drawn.append(threading.current_thread())
         return increments(t, dt, stream, *args, **kwargs)
 
     monkeypatch.setattr(hedging, "sample_increments", watched_increments)
@@ -895,15 +895,15 @@ def test_every_inner_draw_runs_on_the_calling_thread(config, monkeypatch):
     # keys: (213,) the root, (213, 1000 + j) the j-th hit state, (213, 2) the bridge's shifts,
     # (213, 0, k) the search's step k + 1; a continuous driver draws only the bridge's shifts
     inner = [(key, name, thread) for key, name, thread in draws if key[1:] >= (1000,)]
-    assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == len(assembled)
+    assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == len(states_drawn)
     bridge = {thread for key, _, thread in draws if key[1:] == (2,)}
     search = {thread for key, _, thread in draws if len(key) == 3}
     if cfg.is_continuous:
         assert inner == [] and bridge == {main} and search == set()
         assert [name for _, name, _ in draws] == ["uniform"]
         return
-    (drawer,) = {thread for _, _, thread in inner}
-    assert drawer is main and assembled == [main] * 6 == [main] * len(rep.hit_gaps)
+    (drawn_on,) = {thread for _, _, thread in inner}
+    assert drawn_on is main and states_drawn == [main] * 6 == [main] * len(rep.hit_gaps)
     assert bridge == set() and search == {main}
     assert {"poisson", "choice", "multivariate_normal"} <= {name for _, name, _ in inner}
 
