@@ -541,31 +541,34 @@ def _dump(doc) -> str:
     return yaml.emit(events, Dumper=YAML_DUMPER)
 
 
-def _walk(node, events: list, implicit: dict[str, tuple], seen: set[int]) -> None:
-    """Append the events of ``node``; ``implicit`` holds each string's flags for one document."""
+def _walk(node, events: list, memo: dict, seen: set[int]) -> None:
+    """Append the events of ``node``.  The emitters only read events, so ``memo`` gives each
+    str, int, bool and None scalar of one document a single event, keyed by ``(type, value)``
+    but for strings so that ``True`` and ``1`` stay apart; a float's text is made each time."""
     kind = type(node)
-    if kind is str:
-        if node not in implicit:
-            # the serializer's test: plain if the text reads back as a string
-            implicit[node] = (_RESOLVE(yaml.ScalarNode, node, (True, False)) == _TAG + "str", True)
-        events.append(yaml.ScalarEvent(None, _TAG + "str", implicit[node], node))
+    if kind is float:
+        events.append(yaml.ScalarEvent(None, _TAG + "float", (True, False), _float(node)))
     elif kind in _SCALARS:
-        tag, text = _SCALARS[kind]
-        events.append(yaml.ScalarEvent(None, tag, (True, False), text(node)))
+        key = node if kind is str else (kind, node)
+        if (event := memo.get(key)) is None:
+            event = memo[key] = yaml.ScalarEvent(None, *_SCALARS[kind](node))
+        events.append(event)
     elif (kind is dict or kind is list) and id(node) not in seen:
         seen.add(id(node))
-        if kind is dict:
-            events.append(yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False))
-            try:
-                node = sorted(node.items())
-            except TypeError:  # keys of unlike types, which PyYAML leaves in insertion order
-                node = node.items()
-            node = [part for item in node for part in item]  # key, value, key, value, ...
+        start, end = _MAPPING if kind is dict else _SEQUENCE
+        events.append(start)
+        if kind is list:
+            for item in node:
+                _walk(item, events, memo, seen)
         else:
-            events.append(yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False))
-        for item in node:
-            _walk(item, events, implicit, seen)
-        events.append(yaml.MappingEndEvent() if kind is dict else yaml.SequenceEndEvent())
+            try:
+                items = sorted(node.items())
+            except TypeError:  # keys of unlike types, which PyYAML leaves in insertion order
+                items = node.items()
+            for key, value in items:
+                _walk(key, events, memo, seen)
+                _walk(value, events, memo, seen)
+        events.append(end)
     else:
         raise _Defer
 
@@ -578,18 +581,24 @@ def _float(value: float) -> str:
         return ".inf"
     if value == -math.inf:
         return "-.inf"
-    text = repr(value).lower()
+    text = repr(value)
     # a repr such as '1e+16' needs a '.' to read back as a YAML float
     return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
 
 
-# type -> (tag, text) of the scalars whose text reads back as their own tag
+# type -> (tag, implicit, text) of the other scalars; the text of all but a string
+# reads back as its own tag, and a string is plain if its text reads back as a string
 _SCALARS = {
-    float: (_TAG + "float", _float),
-    int: (_TAG + "int", str),
-    bool: (_TAG + "bool", lambda value: "true" if value else "false"),
-    type(None): (_TAG + "null", lambda value: "null"),
+    str: lambda value: (
+        _TAG + "str", (_RESOLVE(yaml.ScalarNode, value, (True, False)) == _TAG + "str", True), value
+    ),
+    int: lambda value: (_TAG + "int", (True, False), str(value)),
+    bool: lambda value: (_TAG + "bool", (True, False), "true" if value else "false"),
+    type(None): lambda value: (_TAG + "null", (True, False), "null"),
 }
+# the emitters only read events: one pair serves every mapping, one every sequence
+_MAPPING = (yaml.MappingStartEvent(None, _TAG + "map", True, flow_style=False), yaml.MappingEndEvent())
+_SEQUENCE = (yaml.SequenceStartEvent(None, _TAG + "seq", True, flow_style=False), yaml.SequenceEndEvent())
 
 
 def _spec_echo(spec: dict) -> dict:

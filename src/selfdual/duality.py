@@ -31,7 +31,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -149,7 +149,13 @@ class ReportPoint:
     rounds: int = 0  # confirmation rounds pooled into it
     replicates: int = 0  # lattice replicates whose means gave the SE; zero for i.i.d. draws
 
-    @property
+    def relabelled(self, label: str) -> "ReportPoint":
+        """This point under ``label``: a copy of its fields, and of its status once read."""
+        point = object.__new__(ReportPoint)
+        point.__dict__.update(self.__dict__, label=label)
+        return point
+
+    @functools.cached_property  # a report reads it several times a point
     def status(self) -> str:
         if self.std_error == 0.0:
             return "pass" if abs(self.residual) <= self.tol else "fail"
@@ -189,9 +195,7 @@ class SymmetryReport:
 
     def merge(self, other: "SymmetryReport") -> "SymmetryReport":
         merged = SymmetryReport(self.test_name)
-        merged.points = self.points + [
-            replace(p, label=f"{other.test_name}:{p.label}") for p in other.points
-        ]
+        merged.points = self.points + [p.relabelled(f"{other.test_name}:{p.label}") for p in other.points]
         return merged
 
     def one_line(self) -> str:
@@ -663,7 +667,7 @@ def _test_vector_group(family: str, i: int, vectors):
     # tail-index-2 marginals where the raw difference has none
     control = np.zeros((len(first), first.shape[1] - 1))
     control[:, i - 1] = np.maximum(first[:, i], 0.0) - np.maximum(first[:, 0], 0.0)
-    labels = [f"u=({w[0]:.3f}," + ",".join(f"{v:.3f}" for v in w[1:]) + ")" for w in first]
+    labels = [f"u=({w[0]:.3f}," + ",".join(f"{v:.3f}" for v in w[1:]) + ")" for w in first.tolist()]
     # the payoff is nonnegative: its mean is its mean |f|
     return _swap_group(family, labels, first, second, control, level=True)
 

@@ -679,6 +679,31 @@ def test_writer_writes_the_program_labels_itself(yaml_backend, monkeypatch):
     assert cli._dump(doc) == want
 
 
+def test_writer_gives_pyyaml_bytes_for_a_report_of_many_points(yaml_backend, monkeypatch):
+    # one event serves each repeated scalar and container of the document
+    code, doc, _ = cli.run(cli.parse_model_spec(CRN_SPECS["pass"]))
+    assert code == 0 and sum(len(c["points"]) for c in doc["results"]["checks"]) >= 150
+    want = yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+    monkeypatch.setattr(yaml, "dump", _no_fallback)
+    assert cli._dump(doc) == want
+
+
+def test_writer_keeps_repeated_scalars_of_unlike_types_apart(yaml_backend, monkeypatch):
+    # equal values of unlike types share no event: True == 1 and 0.0 == -0.0
+    scalars = ["true", "1", "", 1, True, None, 0.0, -0.0, False, 0]
+    doc = {
+        "true": list(scalars),
+        "1": {"": list(scalars), "true": "1", "1": "true"},
+        "": [{"true": s, "1": s, "": s} for s in scalars],
+        "repeated": [list(scalars), scalars[::-1]],
+    }
+    want = yaml.dump(doc, Dumper=cli.YAML_DUMPER, sort_keys=True)
+    monkeypatch.setattr(yaml, "dump", _no_fallback)
+    assert cli._dump(doc) == want
+    back = yaml.load(want, Loader=cli.YAML_LOADER)["repeated"][1][::-1]
+    assert [(type(s), repr(s)) for s in back] == [(type(s), repr(s)) for s in scalars]
+
+
 # --------------------------------------------------------------------------- #
 # Start-up: scipy is imported by the code that calls it, on its first call
 # --------------------------------------------------------------------------- #

@@ -390,6 +390,21 @@ def test_confirmation_evaluates_only_the_pending_rows(kernel_workers, monkeypatc
     assert [draws[k] for k in range(len(points))] == [p.n_samples for p in points]
 
 
+def test_test_vector_labels_from_python_floats_match_the_numpy_scalar_labels():
+    # -0.0 keeps its sign, and the half-way decimals round as their binary values do
+    edges = [-0.0, 0.0005, 0.0015, 2.675, 2.6745, -0.0005, 1.0005, -2.6745, 1e-300, 0.9995]
+    vectors = [(u0, np.roll(edges, -k)[:4]) for k, u0 in enumerate(edges)]
+    vectors += duality.random_test_vectors(make_rng(82), 4, "basket", 64)
+    labels, _, _ = duality._test_vector_group("basket", 2, vectors)
+    first = np.array([np.concatenate(([u0], u)) for u0, u in vectors])
+    assert isinstance(first[0, 0], np.float64)
+    want = [f"u=({w[0]:.3f}," + ",".join(f"{v:.3f}" for v in w[1:]) + ")" for w in first]
+    assert labels == want
+    # 0.0005 and 2.6745 lie just above their half-way points, 1.0005 just below
+    assert labels[0] == "u=(-0.000,-0.000,0.001,0.002,2.675)"
+    assert labels[6] == "u=(1.000,1.000,-2.675,0.000,1.000)"
+
+
 def _forked_points(model, n_samples):
     return duality.check_payoff_symmetry(model, 1, rng=make_rng(81), n_samples=n_samples).points
 
