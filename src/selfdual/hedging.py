@@ -589,11 +589,13 @@ def _measure(
     return HedgeReport(frac, se, over, one_sided, gaps), knocked, terminal
 
 
-def _no_hit_mismatch(plan: HedgePlan, hedge: np.ndarray, target: np.ndarray) -> float:
-    """Largest miss where the barrier was not hit: a knock-in hedge pays nothing there
-    and a knock-out hedge the target; the super-hedge promises only domination."""
+def _no_hit_mismatch(plan: HedgePlan, no_hit: np.ndarray, hedge: np.ndarray, target: np.ndarray) -> float:
+    """Largest miss where the barrier was not hit (the mask ``no_hit``): a knock-in hedge pays
+    nothing there and a knock-out hedge the target; the super-hedge promises only domination."""
+    if plan.knock == "super":
+        return 0.0
     miss = hedge - target if plan.knock == "out" else hedge
-    return 0.0 if plan.knock == "super" else float(np.max(np.abs(miss), initial=0.0))
+    return float(np.max(np.abs(np.where(no_hit, miss, 0.0)), initial=0.0))
 
 
 def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw) -> tuple[_Moments, float]:
@@ -609,8 +611,8 @@ def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw) -> tu
         s = np.ascontiguousarray((forward[:, None] * cols[:, lo:hi]).T)
         # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
         p = np.exp(np.minimum(rate * np.log(s[:, i] / b.level), 0.0))
-        f, hedge, far = plan.target(s), plan.hedge(s), ~b.crossed(s[:, i])
-        mismatch = max(mismatch, _no_hit_mismatch(plan, hedge[far], f[far]))
+        f, hedge = plan.target(s), plan.hedge(s)
+        mismatch = max(mismatch, _no_hit_mismatch(plan, ~b.crossed(s[:, i]), hedge, f))
         w = 1.0 - p if plan.knock == "out" else p
         rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=_scratch("bridge", 5, hi - lo))
         block = _Moments.of(rows, out=rows, width=draws.width)
@@ -669,7 +671,7 @@ def evaluate_hedge(
         cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, True
     )
     f, chi = plan.target(terminal), knocked.astype(float)
-    miss = _no_hit_mismatch(plan, plan.hedge(terminal)[~knocked], f[~knocked])
+    miss = _no_hit_mismatch(plan, ~knocked, plan.hedge(terminal), f)
     return replace(
         report, sub_replicates=plan.knock == "out", terminal_max_mismatch=miss,
         price_plain=_mean_se(f), price_knock_in=_mean_se(chi * f),

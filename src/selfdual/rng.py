@@ -119,9 +119,12 @@ def ndtri(p, out: np.ndarray | None = None) -> np.ndarray:
     out = np.empty_like(p) if out is None else out
     np.multiply(q, _ratio(_AS241[0], np.subtract(0.180625, q * q)), out=out)
     r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    near = r <= 5.0
-    r[near] = _ratio(_AS241[1], r[near] - 1.6)
-    r[~near] = _ratio(_AS241[2], r[~near] - 5.0)
+    far = r > 5.0  # within exp(-25) of 0 or 1: about once in 3.6e10 lattice coordinates
+    if far.any():
+        r[~far] = _ratio(_AS241[1], r[~far] - 1.6)
+        r[far] = _ratio(_AS241[2], r[far] - 5.0)
+    else:
+        r = _ratio(_AS241[1], r - 1.6)
     out[tail] = np.copysign(r, q[tail])
     return out
 
@@ -152,7 +155,7 @@ def lattice_normals(points: int, shifts: np.ndarray, out: np.ndarray) -> np.ndar
     base = np.arange(points) * korobov(points, dim)[:, None] % points / points
     u = out.reshape(dim, replicates, points)
     np.add(base[:, None, :], shifts.T[:, :, None], out=u)
-    np.subtract(u, 1.0, out=u, where=u >= 1.0)  # exact, as base + shift lies in [0, 2)
+    np.subtract(u, np.floor(u), out=u)  # exact, as base + shift lies in [0, 2)
     np.abs(np.subtract(np.multiply(u, 2.0, out=u), 1.0, out=u), out=u)
     np.subtract(1.0, u, out=u)
     np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)

@@ -1,10 +1,11 @@
 """The lattice normals by their first transform, kept as a test oracle.
 
-``rng.lattice_normals`` wraps ``base + shift`` into [0, 1) by subtracting 1 where it is at
-least 1, and ``rng.ndtri`` evaluates AS241's central ratio at every point before the tails
-overwrite theirs.  This is the form they replace: the wrap by ``% 1.0``, and a quantile that
-gathers the central points, evaluates them alone and scatters them back.  Both must agree
-with it bit for bit.
+``rng.lattice_normals`` wraps ``base + shift`` into [0, 1) by subtracting its floor, and
+``rng.ndtri`` evaluates AS241's central ratio at every point before the tails overwrite
+theirs, gathering the near and far tails apart only when some point lies in the far one.
+This is the form they replace: the wrap by ``% 1.0``, and a quantile that gathers the
+central points, evaluates them alone and scatters them back, and always splits the tails.
+Both must agree with it bit for bit.
 """
 
 import numpy as np

@@ -663,6 +663,26 @@ def test_ndtri_is_bit_equal_to_its_gathered_form():
         assert got.shape == () and got.tobytes() == lattice_oracle.ndtri(v).tobytes()
 
 
+@pytest.mark.parametrize("far", [True, False], ids=["far-tail", "no-far-tail"])
+def test_ndtri_is_bit_equal_to_its_gathered_form_with_and_without_far_tail_points(far):
+    # central, near-tail and (or not) far-tail points in one array: p within exp(-25)
+    # of 0 or 1 takes AS241's far ratio, which ndtri evaluates only when some point needs it
+    g = np.random.default_rng(4)
+    p = np.concatenate([
+        g.random(5_000),
+        np.geomspace(math.exp(-24.9), 0.075, 2_001),
+        1 - np.geomspace(math.exp(-24.9), 0.075, 2_001),
+        np.geomspace(1e-300, math.exp(-25.1), 2_001) if far else [],
+        [1e-300, 5e-324, math.exp(-25.1)] if far else [math.exp(-24.9), 0.5],
+    ])
+    g.shuffle(p)
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    assert np.any(r > 5.0) == far and np.any((r > 1.0) & (r <= 5.0))
+    want = lattice_oracle.ndtri(p)
+    assert rng_module.ndtri(p).tobytes() == want.tobytes()
+    assert rng_module.ndtri(p, out=p).tobytes() == want.tobytes()
+
+
 def test_ndtri_in_place_equals_ndtri_of_a_copy():
     p = _ndtri_grid()
     want = rng_module.ndtri(p.copy())

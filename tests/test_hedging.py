@@ -226,6 +226,21 @@ def test_super_hedge_dominates_pointwise_reflection():
     assert plan.simplification == "super-hedge reflected claim"
 
 
+@pytest.mark.parametrize("knock", ["in", "out", "super"])
+def test_no_hit_mismatch_by_selection_equals_it_on_the_gathered_states(knock):
+    target = pricing.BasketCall((1.0, 0.5), 1.2)
+    barrier = hedging.Barrier(1, 0.85, "down")
+    plan = hedging.build_hedge(target, barrier, 1.0, knock)
+    s = np.random.default_rng(20).uniform(0.2, 2.5, size=(500, 2))
+    f, hedge = target(s), plan.hedge(s)
+    for no_hit in (~barrier.crossed(s[:, 0]), np.zeros(500, bool), np.ones(500, bool)):
+        miss = hedge[no_hit] - f[no_hit] if knock == "out" else hedge[no_hit]
+        want = 0.0 if knock == "super" else float(np.max(np.abs(miss), initial=0.0))
+        assert hedging._no_hit_mismatch(plan, no_hit, hedge, f) == want
+    if knock != "super":
+        assert hedging._no_hit_mismatch(plan, np.ones(500, bool), hedge, f) > 0.0
+
+
 # --------------------------------------------------------------------------- #
 # Replication measurement
 # --------------------------------------------------------------------------- #
