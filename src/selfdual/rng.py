@@ -120,12 +120,9 @@ def ndtri(p, out: np.ndarray | None = None) -> np.ndarray:
     np.multiply(q, _ratio(_AS241[0], np.subtract(0.180625, q * q)), out=out)
     r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
     far = r > 5.0  # within exp(-25) of 0 or 1: about once in 3.6e10 lattice coordinates
-    if far.any():
-        r[~far] = _ratio(_AS241[1], r[~far] - 1.6)
-        r[far] = _ratio(_AS241[2], r[far] - 5.0)
-    else:
-        r = _ratio(_AS241[1], r - 1.6)
-    out[tail] = np.copysign(r, q[tail])
+    near = _ratio(_AS241[1], r - 1.6)  # positive coefficients: finite on the far points too
+    near[far] = _ratio(_AS241[2], r[far] - 5.0)
+    out[tail] = np.copysign(near, q[tail])
     return out
 
 

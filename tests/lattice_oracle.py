@@ -2,9 +2,9 @@
 
 ``rng.lattice_normals`` wraps ``base + shift`` into [0, 1) by subtracting its floor, and
 ``rng.ndtri`` evaluates AS241's central ratio at every point before the tails overwrite
-theirs, gathering the near and far tails apart only when some point lies in the far one.
+theirs, and the near-tail ratio at every tail point before the far ones overwrite theirs.
 This is the form they replace: the wrap by ``% 1.0``, and a quantile that gathers the
-central points, evaluates them alone and scatters them back, and always splits the tails.
+central points, evaluates them alone and scatters them back, and gathers each tail apart.
 Both must agree with it bit for bit.
 """
 

@@ -666,7 +666,7 @@ def test_ndtri_is_bit_equal_to_its_gathered_form():
 @pytest.mark.parametrize("far", [True, False], ids=["far-tail", "no-far-tail"])
 def test_ndtri_is_bit_equal_to_its_gathered_form_with_and_without_far_tail_points(far):
     # central, near-tail and (or not) far-tail points in one array: p within exp(-25)
-    # of 0 or 1 takes AS241's far ratio, which ndtri evaluates only when some point needs it
+    # of 0 or 1 takes AS241's far ratio, which overwrites the near ratio ndtri takes there
     g = np.random.default_rng(4)
     p = np.concatenate([
         g.random(5_000),
