@@ -363,7 +363,8 @@ class _LatticeDraw(_Draw):
 
     The first look takes ``LATTICE_SHIFTS`` replicates with shifts from ``rng``; confirmation
     look ``k`` takes ``2^k`` times as many, up to the cap, into thread scratch that the looks
-    share.  A cap below ``LATTICE_POINTS * LATTICE_SHIFTS`` shrinks the lattice."""
+    share, sized for the largest look at once so that it neither grows nor moves from one look
+    to the next.  A cap below ``LATTICE_POINTS * LATTICE_SHIFTS`` shrinks the lattice."""
 
     def __init__(self, model, cap: int, rng: RngStream, shifts: int | None = None):
         self.model, self.cap = model, int(cap)
@@ -372,8 +373,11 @@ class _LatticeDraw(_Draw):
         self.n = self.width * (self.first if shifts is None else shifts)
         self.block = self.width * max(BLOCK // self.width, 1)
         self._shifts = rng.uniform(size=(self.n // self.width, model.dim))
-        shape = model.dim, self.n
-        self.cols = np.empty(shape) if shifts is None else _scratch("look", *shape)
+        if shifts is None:
+            self.cols = np.empty((model.dim, self.n))
+        else:
+            largest = max(itertools.takewhile(lambda m: m > 0, map(self._look_shifts, itertools.count(1))))
+            self.cols = _scratch("look", model.dim, self.width * largest)[:, : self.n]
         self._chunks = self._drawn()
 
     def _drawn(self):
@@ -385,8 +389,11 @@ class _LatticeDraw(_Draw):
             np.exp(np.add(xi, rate[:, None], out=xi), out=xi)
             yield self.cols, hi
 
+    def _look_shifts(self, k: int) -> int:
+        return min(self.first * 2**k, self.cap // self.width - self.first * (2**k - 1))
+
     def look(self, k: int, rng: RngStream) -> "_LatticeDraw | None":
-        more = min(self.first * 2**k, self.cap // self.width - self.first * (2**k - 1))
+        more = self._look_shifts(k)
         return _LatticeDraw(self.model, self.cap, rng, more) if more > 0 else None
 
     def pending(self, point: ReportPoint) -> bool:

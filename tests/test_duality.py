@@ -749,18 +749,22 @@ def test_lattice_z_scores_of_closed_form_expectations_have_unit_spread():
     assert np.all((0.8 <= sd) & (sd <= 1.25)), sd
 
 
-def test_lattice_looks_extend_an_undecided_point_up_to_the_cap(kernel_workers):
+def test_lattice_looks_extend_an_undecided_point_up_to_the_cap(kernel_workers, monkeypatch):
     first = duality._draw(_NEGATIVE_LATTICE, 200_000, make_rng(90))
     assert (first.width, first.n) == (251, 64 * 251)
     noisy, flat = duality._confirmed_mc_points([_NOISY], first, make_rng(91))
     # looks of 64, 128, 256 and the cap's last 348 shifts: 796 * 251 = 199,796 draws
     records = [(p.status, p.rounds, p.replicates, p.n_samples) for p in (noisy, flat)]
     assert records == [("inconclusive", 3, 796, 199_796), ("pass", 0, 64, 64 * 251)]
-    # the confirmation looks fill one buffer of the calling thread, held from look to look
+    # the confirmation looks fill one buffer of the calling thread, held from look to look:
+    # made at the first look for the largest, as a buffer that grew would move, and free a
+    # hole in the heap
+    monkeypatch.setattr(duality._LOCAL, "buffers", {}, raising=False)  # as on a fresh thread
     looks = [first.look(k, make_rng(92)) for k in (1, 2, 3)]
     assert [look.n // 251 for look in looks] == [128, 256, 348]
     assert first.look(4, make_rng(92)) is None
     assert looks[0].cols.base is looks[2].cols.base is duality._LOCAL.buffers["look"]
+    assert duality._LOCAL.buffers["look"].size == 2 * 348 * 251
 
 
 def test_a_cap_below_the_first_look_shrinks_the_lattice():
