@@ -20,7 +20,8 @@ is drawn i.i.d. from PCG64, each draw a replicate of width one.  A lattice
 point that is undecided, failing within ``DECISIVE_Z`` SE or inconclusive,
 takes fresh shifts in growing looks until it is decided or the check's
 ``samples`` are spent; an i.i.d. point only confirms a failure, by two
-batches of 2x and 4x the first.
+batches of 2x and 4x the first.  The estimator reads only replicate means:
+test-vector payoffs go to theirs in cache-sized chunks, and are differenced.
 """
 
 from __future__ import annotations
@@ -215,11 +216,8 @@ class _Moments:
     m2: float | np.ndarray
 
     @classmethod
-    def of(cls, diffs: np.ndarray, out: np.ndarray | None = None, width: int = 1) -> "_Moments":
-        """Row-wise along the last axis, whose runs of ``width`` columns are replicates and whose
-        samples are the replicates' means; ``out``, which may be ``diffs``, gets the deviations."""
-        if width > 1:
-            diffs = out = np.add.reduce(diffs.reshape(*diffs.shape[:-1], -1, width), axis=-1) / width
+    def of(cls, diffs: np.ndarray, out: np.ndarray | None = None) -> "_Moments":
+        """Row-wise along the last axis; ``out``, which may be ``diffs``, gets the deviations."""
         mean = np.add.reduce(diffs, axis=-1) / diffs.shape[-1]
         dev = np.subtract(diffs, mean[..., None], out=out)
         return cls(diffs.shape[-1], mean, np.einsum("...i,...i->...", dev, dev))
@@ -238,6 +236,14 @@ class _Moments:
         return _Moments(self.n, self.mean[rows], self.m2[rows])
 
 
+def _means(x: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The means of runs of ``width`` columns along the last axis (into ``out``); ``x`` at width 1."""
+    if width == 1:
+        return x
+    out = np.add.reduce(x.reshape(*x.shape[:-1], -1, width), axis=-1, out=out)
+    return np.divide(out, width, out=out)
+
+
 def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0, width: int = 1):
     """The point of ``stats``, whose samples are means of replicates of ``width`` draws."""
     if stats.n < 2:
@@ -253,6 +259,7 @@ def _mc_point(label: str, stats: _Moments, scale: float, rounds: int = 0, width:
 
 
 BLOCK = 8192  # draws per kernel block; 2,048 and 16,384 were slower
+ROWS = 5  # swap points per chunk: 10 payoff rows of a block, 640 KB, fit in L2 (3, 10 were slower)
 CONFIRM_ROUNDS = 2  # fresh i.i.d. batches for a failing point, of 2x and then 4x the first
 # a failing point beyond this many SE at a look is decided there; no failing point of
 # a positive control has gone past 4.13 SE at any look on i.i.d. draws, nor past 4.99 on
@@ -298,8 +305,8 @@ def _block_moments(groups, rows, chunks, levels: bool) -> list:
         cols = batch[:, start : start + block]
         out = []
         for (_, evaluate, _), r in zip(groups, rows):
-            diffs, sums = evaluate(cols, r, levels)
-            out.append((_Moments.of(diffs, out=diffs, width=width), sums))
+            means, sums = evaluate(cols, r, levels, width)
+            out.append((_Moments.of(means, out=means), sums))
         return out
 
     def pooled(total, part):
@@ -412,10 +419,11 @@ def _confirmed_mc_points(groups, first: _Draw, confirm_rng) -> list[ReportPoint]
     """Evaluate CRN difference points with pooled re-confirmation.
 
     ``groups`` holds ``(labels, evaluate, scales)``: ``evaluate(cols, rows,
-    levels)`` maps a column-major ``(n, B)`` block of draws and the
-    indices of the points wanted to ``(diffs, sums)``: one row of differences
-    per point, which may be overwritten, and with ``levels`` the row sums of
-    the points' levels or ``None``.  A point's scale is its level mean on
+    levels, width)`` maps a column-major ``(n, B)`` block of draws, the indices
+    of the points wanted and the replicate width to ``(means, sums)``: one row
+    per point of its differences' means over each run of ``width`` draws, which
+    may be overwritten, and with ``levels`` the sums of the points' levels over
+    the block or ``None``.  A point's scale is its level mean on
     ``first``, at least one, or else its ``scales`` entry.
     One kernel pass reduces every group on ``first``.  ``confirm_rng`` is one
     stream, or a list of one per group.  A point that ``first.pending`` names is
@@ -624,38 +632,59 @@ def random_test_vectors(
     return [(float(row[0]), row[1:].copy()) for row in draw]
 
 
-def _payoff(family: str, u0, u, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The ``(k, B)`` test payoffs of weight rows ``u0 (k,)``, ``u (k, n)`` on draws ``(n, B)``."""
+def _payoff(family: str, u0, u, cols: np.ndarray, out: np.ndarray | None = None, pair=None) -> np.ndarray:
+    """The ``(k, B)`` test payoffs of weight rows ``u0 (k,)``, ``u (k, n)`` on draws ``(n, B)``; with
+    ``pair = i`` the second half of the rows is the first with ``u0`` and ``u_i`` exchanged."""
     u0, u = np.asarray(u0, dtype=float)[:, None], np.asarray(u, dtype=float)
     out = np.empty((len(u), cols.shape[1])) if out is None else out
     if family == "basket":
         np.add(np.matmul(u, cols, out=out), u0, out=out)
         return np.maximum(out, 0.0, out=out)
-    if family == "max":
-        for lo in range(0, len(u), 8):  # row chunks small enough to stay in cache across passes
-            o, w, term = out[lo : lo + 8], u[lo : lo + 8], _scratch("work", 8, cols.shape[1])
-            np.multiply(w[:, :1], cols[0], out=o)
-            for k in range(1, cols.shape[0]):
-                np.multiply(w[:, k : k + 1], cols[k], out=term[: len(w)])
-                np.maximum(o, term[: len(w)], out=o)
-            np.maximum(o, u0[lo : lo + 8], out=o)
-        return out
-    raise DomainError(f"unknown payoff family {family!r}")
+    if family != "max":
+        raise DomainError(f"unknown payoff family {family!r}")
+    term = _scratch("work", len(u), cols.shape[1])
+    if pair is None:
+        np.multiply(u[:, :1], cols[0], out=out)
+        for k in range(1, cols.shape[0]):
+            np.maximum(out, np.multiply(u[:, k : k + 1], cols[k], out=term), out=out)
+        return np.maximum(out, u0, out=out)
+    # max(u0, u_i x_i, M) and max(u_i, u0 x_i, M) share M = max_{j != i} u_j x_j, bit-exact as
+    # max is; at dim 1 there is no M
+    c, i = len(u) // 2, pair - 1
+    ui, u0, shared = u[:c, i, None], u0[:c], term[:c]
+    others = [j for j in range(cols.shape[0]) if j != i]
+    if others:
+        np.multiply(u[:c, others[0], None], cols[others[0]], out=shared)
+    for j in others[1:]:
+        np.maximum(shared, np.multiply(u[:c, j, None], cols[j], out=out[:c]), out=shared)
+    for half, own, other in ((out[:c], ui, u0), (out[c:], u0, ui)):
+        np.multiply(own, cols[i], out=half)
+        if others:
+            np.maximum(half, shared, out=half)
+        np.maximum(half, other, out=half)
+    return out
 
 
-def _swap_group(family: str, labels, first, second, control, level: bool):
-    """``f(first) - f(second) - control @ (x - 1)`` for weight rows ``(u0, u)`` of ``family``
-    payoffs, as one kernel group; with ``level`` the payoff of ``first`` sets the scale."""
+def _swap_group(family: str, labels, first, second, control, level: bool, pair=None):
+    """The replicate means of ``f(first) - f(second) - control @ (x - 1)`` for weight rows
+    ``(u0, u)`` of ``family`` payoffs (``pair`` as ``_payoff``'s), as one kernel group; with
+    ``level`` the payoff of ``first`` sets the scale.  The difference is linear, so each chunk of
+    ``ROWS`` points is reduced to means while in cache and the means are differenced."""
     weights, k = np.concatenate([first, second]), len(labels)
 
-    def evaluate(cols, rows, levels):
-        r, width = len(rows), cols.shape[1]
-        w = weights[np.concatenate([rows, rows + k])]
-        f = _payoff(family, w[:, 0], w[:, 1:], cols, out=_scratch("payoff", 2 * r, width))
-        sums = np.add.reduce(f[:r], axis=1) if level and levels else None
-        diffs = np.subtract(f[:r], f[r:], out=f[:r])  # in place: a cold buffer costs twice as much
-        shifted = np.subtract(cols, 1.0, out=_scratch("shifted", *cols.shape))
-        diffs -= np.matmul(control[rows], shifted, out=f[r:])
+    def evaluate(cols, rows, levels, width):
+        r, reps = len(rows), cols.shape[1] // width
+        diffs, sums = _scratch("diffs", r, reps), np.empty(r) if level and levels else None
+        for lo in range(0, r, ROWS):
+            chunk = rows[lo : lo + ROWS]
+            c, w = len(chunk), weights[np.concatenate([chunk, chunk + k])]
+            f = _payoff(family, w[:, 0], w[:, 1:], cols, _scratch("payoff", 2 * c, cols.shape[1]), pair)
+            m = _means(f, width, out=_scratch("means", 2 * c, reps))
+            if sums is not None:
+                sums[lo : lo + c] = np.add.reduce(m[:c], axis=1) * width
+            np.subtract(m[:c], m[c:], out=diffs[lo : lo + c])
+        shifted = np.subtract(_means(cols, width), 1.0, out=_scratch("shifted", len(cols), reps))
+        diffs -= np.matmul(control[rows], shifted, out=_scratch("control", r, reps))
         return diffs, sums
 
     return labels, evaluate, [1.0] * k
@@ -676,7 +705,7 @@ def _test_vector_group(family: str, i: int, vectors):
     control[:, i - 1] = np.maximum(first[:, i], 0.0) - np.maximum(first[:, 0], 0.0)
     labels = [f"u=({w[0]:.3f}," + ",".join(f"{v:.3f}" for v in w[1:]) + ")" for w in first.tolist()]
     # the payoff is nonnegative: its mean is its mean |f|
-    return _swap_group(family, labels, first, second, control, level=True)
+    return _swap_group(family, labels, first, second, control, level=True, pair=i)
 
 
 def _numeraire_change_group(title: str, maps: KappaMaps, carry=None, alpha: float = 1.0):
@@ -684,7 +713,7 @@ def _numeraire_change_group(title: str, maps: KappaMaps, carry=None, alpha: floa
     ``x = e^carry o eta``, as one kernel group: ``kappa_i`` of a block is
     computed once for all of them, and each is one call on both sides."""
 
-    def evaluate(cols, rows, levels):
+    def evaluate(cols, rows, levels, width):
         # both sides and a temporary of their shape are thread scratch: a block
         # then allocates only single rows, and two kernel threads at once stay
         # below one sampling block however they interleave
@@ -702,7 +731,7 @@ def _numeraire_change_group(title: str, maps: KappaMaps, carry=None, alpha: floa
         for row, (_, f) in zip(diffs, (_BOUNDED_PAYOFFS[k] for k in rows)):
             plain, reflected = f(sides, total, tmp)
             np.subtract(plain, reflected * weight, out=row)
-        return diffs, None
+        return _means(diffs, width), None
 
     return [f"{title} {name}" for name, _ in _BOUNDED_PAYOFFS], evaluate, [1.0] * 3
 
@@ -777,14 +806,15 @@ def check_joint_self_duality(
     low, high, caps = np.array(pairs).reshape(-1, 3).T
     low, high = low.astype(int), high.astype(int)
 
-    def marginals(cols, rows, levels):
+    def marginals(cols, rows, levels, width):
         # into thread scratch; "clip" takes unbuffered, and every index is in range
         lo, hi = (
             np.take(cols, ends[rows], axis=0, out=_scratch(slot, len(rows), cols.shape[1]), mode="clip")
             for ends, slot in ((low, "payoff"), (high, "tmp"))
         )
         cap = caps[rows, None]
-        return np.subtract(np.minimum(lo, cap, out=lo), np.minimum(hi, cap, out=hi), out=lo), None
+        diffs = np.subtract(np.minimum(lo, cap, out=lo), np.minimum(hi, cap, out=hi), out=lo)
+        return _means(diffs, width), None
 
     labels = [f"marginal {a + 1} vs {b + 1} @min(.,{c})" for a, b, c in pairs]
     # the statistic is bounded by the cap, which sets its scale

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .duality import DECISIVE_Z, SymmetryReport, _LatticeDraw, _Moments, _scratch, worst_verdict
+from .duality import DECISIVE_Z, SymmetryReport, _LatticeDraw, _means, _Moments, _scratch, worst_verdict
 from .errors import DomainError, SymmetryPrereqFailed
 from .levy import LevyTriplet, MultiLogNormal, check_qsd_triplet, gaussian_root, sample_increments
 from .pricing import (
@@ -615,7 +615,7 @@ def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw) -> tu
         mismatch = max(mismatch, _no_hit_mismatch(plan, ~b.crossed(s[:, i]), hedge, f))
         w = 1.0 - p if plan.knock == "out" else p
         rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=_scratch("bridge", 5, hi - lo))
-        block = _Moments.of(rows, out=rows, width=draws.width)
+        block = _Moments.of(_means(rows, draws.width))
         total, lo = block if total is None else total.pooled(block), hi
     return total, mismatch
 

@@ -1942,11 +1942,11 @@ GOLDEN_SHA256 = {
         "report.yaml": "b5e8d9b52e7c028ed4b193995e09eb161fa944ad45e2054ebc93f7868c28943d",
     },
     "crn-pass": {
-        "report.yaml": "c6179694445925cdb2c80663979ab0c6646cc4f893cdecfcdccc553655118a87",
+        "report.yaml": "86a64c83881ee9013a31077f5278349fa730fc071285414c8aee9fb86215b6ae",
         "verdicts.txt": "91cd75dbbaff296f1f2150543f9f99c31cbb8662d8e281071874823c925fd5c6",
     },
     "crn-fail": {
-        "report.yaml": "cb1bc5ff74412427803bd45122571e2b51e9c878934307de95c3b63f90fbef58",
+        "report.yaml": "8ebe0d9e52a64d964ba2611325674ec848571d270b931c0747054cbbf39486be",
         "verdicts.txt": "fd0a3fc679728cd11b4bf16842ef92b030f7b0a97fcd296c7dd7218bfe1b9305",
     },
     "price-multi-lognormal": {
@@ -1962,7 +1962,7 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "4ed35a41e6c76ab6588ee80af07b7185c311b675a1798a1db360cb8fbbea8c1b",
     },
     "joint-one-dim": {
-        "report.yaml": "4a7628064837e6de8c167e02b04b292bfb366fa3d013cc0f202cb45ba37c9f83",
+        "report.yaml": "fa447613a05cf09e2394537a7daf5a993a75c426ab4ef0c4f234e3e5c36b86eb",
         "verdicts.txt": "51a898c13936a4f2780da7ccb6e2878e7edb05d8d6224cffdeed46ef71e4860e",
     },
     "joint-jump-triplet": {

@@ -297,6 +297,49 @@ def test_column_payoffs_match_the_row_major_formulas():
         assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_a_max_pair_shares_its_untouched_coordinates_bit_for_bit(dim):
+    g = np.random.default_rng(dim)
+    cols = np.exp(g.normal(size=(dim, 3_000)))
+    cols[:, :40] = 1.0  # every coordinate alike: products of equal weights tie, and tie u0
+    cols[:, 40:80] = cols[:1, 40:80]
+    first = g.uniform(0.0, 1.0, size=(9, dim + 1))
+    first[0], first[1, 1:], first[2, 0], first[3] = 0.0, 0.0, 0.0, 0.5  # zero weights, ties
+    first[4, 1:] = first[4, 0]
+    for i in range(1, dim + 1):
+        second = first.copy()
+        second[:, [0, i]] = first[:, [i, 0]]
+        both = np.concatenate([first, second])
+        plain = duality._payoff("max", both[:, 0], both[:, 1:], cols)
+        shared = duality._payoff("max", both[:, 0], both[:, 1:], cols, pair=i)
+        assert shared.tobytes() == plain.tobytes()
+        assert np.array_equal(plain, lattice_oracle.payoffs("max", both, cols))
+
+
+@pytest.mark.parametrize("family", ["basket", "max"])
+@pytest.mark.parametrize("count", [1, duality.ROWS, duality.ROWS + 1, 20])
+def test_a_test_vector_group_gives_the_per_draw_estimator(family, count):
+    model = levy.MultiLogNormal.jointly_self_dual(3, 0.5)
+    vectors = duality.random_test_vectors(make_rng(96), 3, family, count)
+    rows = np.arange(count)
+    for i in (1, 3):
+        _, evaluate, _ = duality._test_vector_group(family, i, vectors)
+        # lattice draws: the replicate means of each chunk, differenced, as the per-draw means
+        lattice = duality._draw(model, duality.DEFAULT_SAMPLES, make_rng(97))
+        cols, width = next(iter(lattice))[0][:, : lattice.block], lattice.width
+        means, sums = (a.copy() for a in evaluate(cols, rows, True, width))
+        want, want_sums = lattice_oracle.swap_means(family, i, vectors, cols, width)
+        scale = np.maximum(want_sums / cols.shape[1], 1.0)
+        assert means.shape == (count, lattice.block // width)
+        assert np.all(np.abs(means - want) <= 1e-15 * scale[:, None])
+        assert np.all(np.abs(sums - want_sums) <= 1e-15 * scale * cols.shape[1])
+        # i.i.d. draws are replicates of width one: the per-draw operations, bit for bit
+        cols = drawn_columns(model, duality.BLOCK, make_rng(98))
+        means, sums = evaluate(cols, rows, True, 1)
+        want, want_sums = lattice_oracle.swap_means(family, i, vectors, cols, 1)
+        assert means.tobytes() == want.tobytes() and sums.tobytes() == want_sums.tobytes()
+
+
 def test_pooled_moments_match_concatenated_samples():
     gen = make_rng(73).generator
     batches = [gen.standard_t(3.0, size=n) + 0.1 for n in (10_000, 20_000, 40_000)]
@@ -378,9 +421,9 @@ def test_confirmation_evaluates_only_the_pending_rows(kernel_workers, monkeypatc
     labels, evaluate, scales = duality._test_vector_group("basket", 1, vectors)
     draws = collections.Counter()
 
-    def counted(cols, rows, levels):
+    def counted(cols, rows, levels, width):
         draws.update({int(k): cols.shape[1] for k in rows})
-        return evaluate(cols, rows, levels)
+        return evaluate(cols, rows, levels, width)
 
     first = duality._Draw(ind, 20_000, make_rng(78))
     group = (labels, counted, scales)
@@ -479,7 +522,9 @@ def test_a_decisive_failure_stops_at_its_look(monkeypatch):
     shifts = np.array([1.0, 0.055, 0.035, 0.0])
     group = (
         [f"shift={s}" for s in shifts],
-        lambda cols, rows, levels: (0.01 * (np.log(cols[0]) + shifts[rows, None]), None),
+        lambda cols, rows, levels, width: (
+            duality._means(0.01 * (np.log(cols[0]) + shifts[rows, None]), width), None
+        ),
         [1.0] * len(shifts),
     )
     model = levy.MultiLogNormal([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
@@ -593,7 +638,9 @@ def test_power_scaled_draw_holds_one_batch():
 # beside one that cancels exactly
 _NOISY = (
     ["noisy", "flat"],
-    lambda cols, rows, levels: (np.stack([np.sin(1e4 * cols[0]), 0.0 * cols[0]])[rows], None),
+    lambda cols, rows, levels, width: (
+        duality._means(np.stack([np.sin(1e4 * cols[0]), 0.0 * cols[0]])[rows], width), None
+    ),
     [1.0, 1.0],
 )
 
@@ -734,9 +781,9 @@ def test_lattice_z_scores_of_closed_form_expectations_have_unit_spread():
     model = levy.MultiLogNormal([-0.125, -0.08], [[0.25, 0.1], [0.1, 0.16]])
     call = pricing.price(dist.LogNormal(-0.125, 0.5), pricing.BasketCall((1.0,), 1.1)).value
 
-    def evaluate(cols, rows, levels):
+    def evaluate(cols, rows, levels, width):
         diffs = np.stack([cols[0] - 1.0, cols[1] - 1.0, np.maximum(cols[0] - 1.1, 0.0) - call])
-        return diffs[rows], None
+        return duality._means(diffs[rows], width), None
 
     group, z = (["E eta_1", "E eta_2", "call"], evaluate, [1.0] * 3), []
     for seed in range(200):  # first looks, each of LATTICE_SHIFTS fresh shifts
