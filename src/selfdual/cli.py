@@ -248,10 +248,7 @@ def _path_config(s0, carry, horizon, steps, driver):
 
 
 # each setting that a task may leave unread, at its default
-_DEFAULTS = {"samples": 200_000, "tol": 1e-10, "steps": 250, "n_outer": 10_000, "n_inner": 20_000,
-             "hit_states": 50}
-# the settings of a hedge's grid, each with the section of the spec that holds it
-_GRID = {"steps": "model", "n_outer": "task", "n_inner": "task", "hit_states": "task"}
+_DEFAULTS = {"samples": 200_000, "tol": 1e-10, "steps": 250}
 _REQUIRED_VECTOR = (_vector, {"required": True})
 _REQUIRED_MATRIX = (_matrix, {"required": True})
 _STRIKE = (_number, {"ge": 0.0, "required": True})
@@ -415,9 +412,8 @@ TASKS = {
         "maturity": (_number, {"gt": 0.0, "default": 1.0}),
         "forward": (_vector, {"default": (1.0,)}),
     }, lambda task, model: () if _closed_form(task, model) else ("samples",)),
-    # a hedge reads tol for its exact exchange; a continuous driver's hedge reads samples as
-    # the cap on its price check's lattice draws, and simulates no path; a jump driver's
-    # hedge checks and prices on its grid
+    # a hedge reads tol for its exact exchange and samples as the cap on its price check's
+    # lattice draws; it simulates no path, so it reads no steps
     "hedge": (dict, {
         "barrier": (_table, {"required": True, "table": (hedging.Barrier, {
             "asset": (_integer, {"ge": 1, "required": True}),
@@ -427,10 +423,7 @@ TASKS = {
         "target": _PAYOFF,
         "alpha": (_number, {"or": ("solve",), "default": 1.0}),
         "knock": (_choice, {"of": ("in", "out", "super"), "default": "in"}),
-        "n_outer": (_integer, {"ge": 100, "default": _DEFAULTS["n_outer"]}),
-        "n_inner": (_integer, {"ge": 100, "default": _DEFAULTS["n_inner"]}),
-        "hit_states": (_integer, {"ge": 1, "default": _DEFAULTS["hit_states"]}),
-    }, lambda task, cfg: ("samples", "tol") if getattr(cfg, "is_continuous", True) else (*_GRID, "tol")),
+    }, lambda task, cfg: ("samples", "tol")),
     "zonoid": (dict, {
         "k_min": (_number, {"gt": 0.0, "default": 1e-2}),
         "k_max": (_number, {"gt": 0.0, "default": 1e2}),
@@ -479,7 +472,7 @@ def parse_model_spec(document: str) -> dict:
         "tol": ("spec.tol.exact", (raw.get("tol") or {}).get("exact")),
     }
     if spec["task"]["kind"] == "hedge":
-        given |= {key: (f"spec.{part}.{key}", raw[part].get(key)) for key, part in _GRID.items()}
+        given["steps"] = ("spec.model.steps", raw["model"].get("steps"))
     _refuse_unread(spec, given)
     spec["model_node"] = _normalize(raw["model"])
     spec["task_node"] = _normalize(raw["task"])
@@ -738,20 +731,15 @@ def _run_price(spec: dict) -> tuple[str, dict, dict]:
 
 
 def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
-    cfg, task = spec["model"], spec["task"]
+    cfg, task, tol = spec["model"], spec["task"], spec["tol"]["exact"]
     # before the barrier's asset picks a carry or a hedge weight
     task["barrier"].validate(cfg)
     alpha = task["alpha"]
     if alpha == "solve":
         i = task["barrier"].asset
-        lam = float(cfg.carry[i - 1])
-        alpha = levy.solve_alpha(cfg.driver, i, lam).alpha
+        alpha = levy.solve_alpha(cfg.driver, i, float(cfg.carry[i - 1])).alpha
     plan = hedging.build_hedge(task["target"], task["barrier"], float(alpha), task["knock"])
-    rng = RngStream(spec["seed"])
-    report = hedging.evaluate_hedge(
-        plan, cfg, n_outer=task["n_outer"], n_inner=task["n_inner"], rng=rng,
-        n_hit_states=task["hit_states"], n_samples=spec["samples"], tol=spec["tol"]["exact"],
-    )
+    report = hedging.evaluate_hedge(plan, cfg, RngStream(spec["seed"]), spec["samples"], tol)
     doc = {
         "verdict": report.verdict,
         "alpha": float(alpha),
@@ -764,20 +752,12 @@ def _run_hedge(spec: dict) -> tuple[str, dict, dict]:
         "price_plain": list(report.price_plain),
         "price_knock_in": list(report.price_knock_in),
         "price_knock_out": list(report.price_knock_out),
-        "price_gap": None if report.price_gap is None else list(report.price_gap),
+        "price_gap": list(report.price_gap),
+        "price_check": dict(zip(("n_samples", "replicates", "rounds"), report.price_check)),
+        # the exact exchange, in three parts
+        "exchange": {"method": "exponent", "tol": tol, **_report_of(report.exchange)},
     }
-    artifacts = {"hedge.txt": report.one_line() + "\n"}
-    # the exact exchange, in three parts
-    exchange = _report_of(report.exchange)
-    doc["exchange"] = {"method": "exponent", "tol": spec["tol"]["exact"], **exchange}
-    if report.price_gap is None:  # the grid's hit states
-        buf = io.StringIO()
-        report.gaps_csv(buf)
-        artifacts["hedge_gaps.csv"] = buf.getvalue()
-        doc |= {"max_gap_se_units": report.max_gap_se_units, "hit_states": len(report.hit_gaps)}
-    else:
-        doc["price_check"] = dict(zip(("n_samples", "replicates", "rounds"), report.price_check))
-    return report.verdict, doc, artifacts
+    return report.verdict, doc, {"hedge.txt": report.one_line() + "\n"}
 
 
 def _run_zonoid(spec: dict) -> tuple[str, dict, dict]:

@@ -2,30 +2,29 @@
 
 Prices follow ``S_t = S_0 o exp(t lambda + xi_t)`` for a finite-activity
 Levy log-driver whose exponential is a componentwise martingale.  A
-barrier event is the first grid time at which the level lies on the
-segment between the initial and the current price of the monitored
-asset.  The semi-static hedge of a knock-in claim is the European claim
+barrier event is the first time at which the level lies on the segment
+between the initial and the current price of the monitored asset.  The
+semi-static hedge of a knock-in claim is the European claim
 ``(f(S_T) + (S_Ti/H)^alpha f(kappahat_i(S_T, H))) 1{H in segment}``.
 The reflection maps an affine-power claim ``(S_i/H)^b (<w, S> + c)_+^p``
 symbolically to another one; when the payoff's support makes one summand
 vanish identically the indicator is dropped and the hedge collapses to
 that reflected claim.
 
-A continuous driver is decided without paths.  At a hit state ``s``, ``s_i = H``,
+A single-barrier hedge is decided without paths.  At a hit state ``s``, ``s_i = H``,
 the exchange ``E f(s o Y) = E[Y_i^alpha f(s o kappa_i Y)]`` for ``Y = S_T / s =
 exp(r carry + xi_r)`` is the quasi-self-duality of order ``alpha`` of ``Y``'s law
 for numeraire ``i``; a Levy exponent is linear in ``r``, so it holds at every
 state exactly when :func:`levy.check_qsd_triplet` passes (Carr and Lee 2009).
-Given ``S_T`` the monitored log-price is a Brownian bridge, which hit the level
-with probability ``p = exp(-2 (y_0 - h)(y_T - h) / (a_ii T))`` if ``S_T`` has not
-crossed it and 1 if it has (Glasserman 2004, 6.4), so the hedge must price like
-``p f(S_T)``, or ``(1 - p) f`` for knock-out.  Jump drivers and the joint
-hedges keep the grid: a streaming first-hit pass over outer paths holds one
-log-state, ``(n, paths)``, and tests every barrier at every step, so memory is
-O(paths * n) whatever the number of steps; inner simulations from each hit state,
+Given ``S_T`` and the jump times and sizes, the monitored log-price is a Brownian
+bridge between jumps, which hits the level on a segment from ``y`` to ``y'`` short
+of it with probability ``exp(-2 (y - h)(y' - h) / (a_ii dt))`` (Metwally and Atiya
+2002; Glasserman 2004, 6.4), so the hedge must price like ``p f(S_T)`` for the hit
+probability ``p``, or ``(1 - p) f`` for knock-out.  The joint hedges keep the grid:
+a streaming first-hit pass over outer paths holds one log-state, ``(n, paths)``,
+and checks each barrier at each step; inner simulations from each hit state,
 projected onto the barrier unless the driver jumps, compare the conditional values
-of the two claims.  A jump driver keeps the overshoot state, and its verdicts are
-one-sided.
+of the two claims.
 
 The price check draws ``xi_T``'s standard normals on randomly shifted copies of
 the rank-1 lattice of the common-random-number checks (randomised quasi-Monte
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -456,7 +455,7 @@ class HitGap:
 class HedgeReport:
     knock_in_fraction: float
     knock_in_se: float
-    overshoot_fraction: float
+    overshoot_fraction: float  # the share of the hits that jumps make past the level
     one_sided: bool
     hit_gaps: list[HitGap] = field(default_factory=list)
     terminal_max_mismatch: float = 0.0
@@ -464,7 +463,7 @@ class HedgeReport:
     price_knock_in: tuple[float, float] = (0.0, 0.0)
     price_knock_out: tuple[float, float] = (0.0, 0.0)
     price_gap: tuple[float, float] | None = None  # (mean, SE) of hedge - weighted target
-    sub_replicates: bool = False  # a knock-out hedge: target minus a super-replicating hedge
+    sub_replicates: bool = False  # a jump driver's knock-out hedge: target minus a super-replicating one
     exchange: SymmetryReport | None = None  # a single-barrier hedge's exact exchange
     price_check: tuple[int, int, int] | None = None  # its draws: (n_samples, replicates, rounds)
 
@@ -472,11 +471,6 @@ class HedgeReport:
         """How far a gap lies on the failing side: either side if two-sided, else below zero,
         or above it for a hedge that sub-replicates."""
         return abs(gap) if not self.one_sided else gap if self.sub_replicates else -gap
-
-    @property
-    def max_gap_se_units(self) -> float:
-        units = (self._miss(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0)
-        return max(units, default=0.0)
 
     @property
     def verdict(self) -> str:
@@ -495,26 +489,20 @@ class HedgeReport:
         return worst_verdict(statuses)
 
     def one_line(self) -> str:
-        price_gap = "none"  # the driver has no price check
+        price_gap = "none"  # a joint hedge has no price check
         if self.price_gap is not None:  # signed; a constant gap is 0 or +-inf SEs from zero
             gap, se = self.price_gap
             price_gap = f"{gap / se if se > 0 else gap * math.inf if gap else 0.0:.2f}"
         checked = [] if self.exchange is None else [f"exchange={self.exchange.max_abs_residual:.3e}"]
-        if self.price_gap is None:  # the grid's hit states
-            checked.append(f"states={len(self.hit_gaps)} max_gap_se={self.max_gap_se_units:.2f}")
+        if self.price_gap is None:  # a joint hedge's hit states, and the largest miss in SEs
+            units = (self._miss(g.gap) / g.std_error for g in self.hit_gaps if g.std_error > 0)
+            worst = max(units, default=0.0)
+            checked.append(f"states={len(self.hit_gaps)} max_gap_se={worst:.2f}")
         return (
             f"verdict={self.verdict} hits={self.knock_in_fraction:.4f}"
             f"+-{self.knock_in_se:.4f} {' '.join(checked)} price_gap_se={price_gap} "
             f"overshoot={self.overshoot_fraction:.4f}"
         )
-
-    def gaps_csv(self, fh) -> None:
-        fh.write("path,step,time,target_value,hedge_value,gap,std_error,overshoot\n")
-        for g in self.hit_gaps:
-            fh.write(
-                f"{g.path},{g.step},{g.time:.17g},{g.target_value:.17g},"
-                f"{g.hedge_value:.17g},{g.gap:.17g},{g.std_error:.17g},{int(g.overshoot)}\n"
-            )
 
 
 def _conditional_gap(
@@ -551,10 +539,10 @@ def _measure(
     n_inner: int,
     rng: RngStream,
     n_hit_states: int,
-    one_sided: bool,
 ) -> tuple[HedgeReport, np.ndarray, np.ndarray]:
     """The outer pass and hit-state checks of the grid evaluators: returns the
-    report without prices, and the paths' knock mask and terminal prices.
+    report without prices, one-sided on a jump driver, and the paths' knock
+    mask and terminal prices.
 
     A path's first hitter is the barrier it crossed first, the lower index
     on ties.  Each barrier checks the gap of its exchange at up to
@@ -586,7 +574,7 @@ def _measure(
     frac, n_knocked = float(np.mean(knocked)), int(knocked.sum())
     over = int(overshoot[knocked].sum()) / n_knocked if n_knocked else 0.0
     se = math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer)
-    return HedgeReport(frac, se, over, one_sided, gaps), knocked, terminal
+    return HedgeReport(frac, se, over, not cfg.is_continuous, gaps), knocked, terminal
 
 
 def _no_hit_mismatch(plan: HedgePlan, no_hit: np.ndarray, hedge: np.ndarray, target: np.ndarray) -> float:
@@ -598,24 +586,60 @@ def _no_hit_mismatch(plan: HedgePlan, no_hit: np.ndarray, hedge: np.ndarray, tar
     return float(np.max(np.abs(np.where(no_hit, miss, 0.0)), initial=0.0))
 
 
-def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw) -> tuple[_Moments, float]:
-    """Moments of the replicate means of (price gap, plain, knock-in, knock-out, ``p``) on the
-    lattice draws ``draws`` of ``exp(xi_T)`` weighted by the bridge hit probability ``p``, and
-    their no-hit mismatch.  The gap is ``hedge - p f``, or ``hedge - (1 - p) f`` for knock-out.
-    """
+def _hits(cfg: PathConfig, barrier: Barrier, cols: np.ndarray, s: np.ndarray, jumps: RngStream | None):
+    """``(p, share)``: the hit probability of each terminal draw ``s`` (rows), whose Gaussian part
+    with its linear drift is ``log cols`` (columns), and on a jump driver the part of ``p`` that jumps
+    past the level make.  There each draw first takes i.i.d. jumps from ``jumps`` into ``s``: ``N ~
+    Poisson(lambda T)`` at uniform times, sizes from the jump measure, and the monitored Gaussian
+    part at each jump time from its bridge to the horizon.  It misses the level with the product of
+    its segments' bridge misses, unless a jump crosses."""
+    i, t, m = barrier.asset - 1, cfg.horizon, len(s)
+    a, y0_h = cfg.driver.a[i, i], math.log(cfg.s0[i] / barrier.level)
+    dist, at = y0_h, 0.0  # the log-distance y - h from the level after the last jump, and its time
+    with np.errstate(divide="ignore"):  # a_ii = 0: no Gaussian part, so no hit between jumps
+        if jumps is not None:
+            # for each draw after its last jump so far: dist and at, the Gaussian part and the sum
+            # of the jumps then, the chance of no hit up to it, and the part of hits jumps make
+            dist, miss, (at, gauss, jumped, share) = np.full(m, y0_h), np.ones(m), np.zeros((4, m))
+            counts = jumps.poisson(cfg.driver.nu.total_mass * t, size=m)
+            owner = np.repeat(np.arange(m), counts)
+            times = jumps.uniform(0.0, t, size=owner.size)
+            times, sizes = times[np.lexsort((times, owner))], cfg.driver.nu.sample(owner.size, jumps)
+            z, growth, ends = jumps.standard_normal(owner.size), np.zeros_like(s), np.cumsum(counts)
+            np.add.at(growth, owner, sizes)
+            s *= np.exp(growth)
+            for r in range(counts.max(initial=0)):
+                d = np.flatnonzero(counts > r)
+                k = ends[d] - counts[d] + r  # the draws' r-th jumps
+                dt, frac = times[k] - at[d], (times[k] - at[d]) / (t - at[d])
+                gauss[d] += frac * (np.log(cols[i, d]) - gauss[d]) + np.sqrt(a * dt * (1.0 - frac)) * z[k]
+                before = y0_h + cfg.carry[i] * times[k] + gauss[d] + jumped[d]
+                miss[d] *= -np.expm1(np.minimum(-2.0 * dist[d] * before / (a * dt), 0.0))
+                jumped[d] += sizes[k, i]
+                dist[d] = before + sizes[k, i]
+                share[d] += miss[d] * (dist[d] * y0_h <= 0.0)
+                miss[d] *= dist[d] * y0_h > 0.0
+                at[d] = times[k]
+        # p = exp(rate (y_T - h)) after the last jump, whose exponent is negative short of the level
+        rate = -2.0 * dist / (a * (t - at))
+    p = np.exp(np.minimum(rate * np.log(s[:, i] / barrier.level), 0.0))
+    return (p, None) if jumps is None else (1.0 - miss * (1.0 - p), share)
+
+
+def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw, jumps: RngStream | None):
+    """Moments of the replicate means of (price gap, plain, knock-in, knock-out, ``p``, and its jump
+    share on a jump driver) on ``draws`` with the jumps of ``jumps``, weighted by the hit chance ``p``
+    of :func:`_hits`, and their no-hit mismatch.  The gap is ``hedge - p f`` (``1 - p`` if knock-out)."""
     b, i = plan.barrier, plan.barrier.asset - 1
-    y0_h, var = math.log(cfg.s0[i] / b.level), cfg.driver.a[i, i] * cfg.horizon
-    rate = -2.0 * y0_h / var if var > 0 else -math.copysign(math.inf, y0_h)
     forward, total, mismatch, lo = cfg.s0 * np.exp(cfg.horizon * cfg.carry), None, 0.0, 0
     for cols, hi in draws:
         s = np.ascontiguousarray((forward[:, None] * cols[:, lo:hi]).T)
-        # p = exp(rate (y_T - h)), whose exponent is negative short of the level, and 1 past it
-        p = np.exp(np.minimum(rate * np.log(s[:, i] / b.level), 0.0))
+        p, share = _hits(cfg, b, cols[:, lo:hi], s, jumps)
         f, hedge = plan.target(s), plan.hedge(s)
         mismatch = max(mismatch, _no_hit_mismatch(plan, ~b.crossed(s[:, i]), hedge, f))
         w = 1.0 - p if plan.knock == "out" else p
-        rows = np.stack([hedge - w * f, f, p * f, (1.0 - p) * f, p], out=_scratch("bridge", 5, hi - lo))
-        block = _Moments.of(_means(rows, draws.width))
+        rows = [hedge - w * f, f, p * f, (1.0 - p) * f, p] + ([] if share is None else [share])
+        block = _Moments.of(_means(np.stack(rows, out=_scratch("bridge", len(rows), hi - lo)), draws.width))
         total, lo = block if total is None else total.pooled(block), hi
     return total, mismatch
 
@@ -623,60 +647,52 @@ def _bridge_moments(plan: HedgePlan, cfg: PathConfig, draws: _LatticeDraw) -> tu
 def evaluate_hedge(
     plan: HedgePlan,
     cfg: PathConfig,
-    n_outer: int = 10_000,
-    n_inner: int = 20_000,
     rng: RngStream | None = None,
-    n_hit_states: int = 50,
     n_samples: int = 200_000,
     tol: float = 1e-10,
 ) -> HedgeReport:
-    """Measure the replication quality of a hedge plan.
+    """Measure the replication quality of a hedge plan; ``cfg.steps`` is not read.
 
-    The exchange is :func:`levy.check_qsd_triplet` at the barrier's asset, the carry
-    and the plan's order, judged at ``tol``, and fails the hedge even where the prices
-    or the hit states balance.  A continuous driver simulates no path, so it reads
-    neither ``n_outer``, ``n_inner`` nor ``n_hit_states``.  Bridge-weighted terminal
-    draws give the price gap, the knock-in fraction and the prices, and check the
-    no-hit algebra where they end short of the level.  They are ``LATTICE_SHIFTS``
-    lattice replicates with shifts from ``rng.child(2)``; while the gap fails within
-    ``DECISIVE_Z`` SE, the looks of :meth:`duality._LatticeDraw.look` are pooled with
-    them, up to the cap ``n_samples``.  Jump drivers price on ``n_outer`` paths, with
-    inner draws at ``n_hit_states`` hit states, and have no price gap; their hit-state
-    gaps are one-sided: a gap fails below zero, or above it for a knock-out hedge.
+    The exchange is :func:`levy.check_qsd_triplet` at the barrier's asset, the carry and the
+    plan's order, judged at ``tol``, and fails the hedge even where the prices balance.
+    Bridge-weighted terminal draws (:func:`_hits`) give the price gap, the knock-in fraction and
+    the prices, and check the no-hit algebra where they end short of the level.  The Gaussian
+    part of ``xi_T`` is drawn on ``LATTICE_SHIFTS`` lattice replicates with shifts from
+    ``rng.child(2)``, a jump driver's jumps from ``rng.child(3)``; while the gap fails within
+    ``DECISIVE_Z`` SE, the looks of :meth:`duality._LatticeDraw.look` are pooled with them, up to
+    the cap ``n_samples``, look ``r`` taking its jumps from ``rng.child(3).child(r)``.
+
+    With ``tau`` the first hit, the no-hit algebra makes the knock-in gap ``E[hedge(S_T)] -
+    E[1{tau <= T} f(S_T)] = E[1{tau <= T} (V_hedge - V_target)(tau)]``.  A continuous price hits
+    on the level, where the exchange makes that 0, so the gap is two-sided; a super-hedge only
+    dominates and fails below zero.  A jump can overshoot the level, where the knock-in and super
+    hedges are worth at least the target, so they fail below zero; the knock-out hedge, the
+    target less the knock-in hedge against ``(1 - p) f``, has the knock-in gap negated: it
+    sub-replicates and fails above zero.
     """
     _require(cfg, [plan.barrier], rng)
     # the exchange first: an order it cannot judge draws nothing
     exchange = check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha, tol)
-    if cfg.is_continuous:
-        law = LevyTriplet(cfg.driver.a * cfg.horizon, drift=cfg.driver.drift * cfg.horizon)
-        look = first = _LatticeDraw(law, n_samples, stream := rng.child(2))  # the law of xi_T
-        total, mismatch = None, 0.0
-        for rounds in itertools.count():
-            more, miss = _bridge_moments(plan, cfg, look)
-            total, mismatch = more if total is None else total.pooled(more), max(mismatch, miss)
-            se = np.sqrt(total.m2 / (total.n - 1)) / math.sqrt(total.n)
-            gap, plain, k_in, k_out, hit = [(float(m), float(e)) for m, e in zip(total.mean, se)]
-            report = HedgeReport(
-                *hit, 0.0, plan.knock == "super", terminal_max_mismatch=mismatch, price_plain=plain,
-                price_knock_in=k_in, price_knock_out=k_out, price_gap=gap, exchange=exchange,
-                price_check=(total.n * first.width, total.n, rounds),
-            )
-            if not SE_BAND * gap[1] < report._miss(gap[0]) <= DECISIVE_Z * gap[1]:
-                return report  # a pass, or a fail beyond DECISIVE_Z SE
-            if (look := first.look(rounds + 1, stream.child(rounds))) is None:
-                return report  # the cap is spent
-    # in: exact exchange; super: the reflected claim must dominate the target
-    lhs = CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n) if plan.knock == "out" else plan.target
-    report, knocked, terminal = _measure(
-        cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_hit_states, True
-    )
-    f, chi = plan.target(terminal), knocked.astype(float)
-    miss = _no_hit_mismatch(plan, ~knocked, plan.hedge(terminal), f)
-    return replace(
-        report, sub_replicates=plan.knock == "out", terminal_max_mismatch=miss,
-        price_plain=_mean_se(f), price_knock_in=_mean_se(chi * f),
-        price_knock_out=_mean_se((1.0 - chi) * f), exchange=exchange,
-    )
+    # the law of xi_T less its jumps
+    law = LevyTriplet(cfg.driver.a * cfg.horizon, drift=cfg.driver._linear_rate * cfg.horizon)
+    look = first = _LatticeDraw(law, n_samples, stream := rng.child(2))
+    jumps = None if cfg.is_continuous else rng.child(3)
+    total, mismatch = None, 0.0
+    for rounds in itertools.count():
+        more, miss = _bridge_moments(plan, cfg, look, jumps and (jumps.child(rounds) if rounds else jumps))
+        total, mismatch = more if total is None else total.pooled(more), max(mismatch, miss)
+        se = np.sqrt(total.m2 / (total.n - 1)) / math.sqrt(total.n)
+        gap, plain, k_in, k_out, hit, *share = [(float(m), float(e)) for m, e in zip(total.mean, se)]
+        report = HedgeReport(
+            *hit, share[0][0] / hit[0] if share and hit[0] else 0.0, bool(jumps) or plan.knock == "super",
+            terminal_max_mismatch=mismatch, price_plain=plain, price_knock_in=k_in, price_knock_out=k_out,
+            price_gap=gap, sub_replicates=bool(jumps) and plan.knock == "out", exchange=exchange,
+            price_check=(total.n * first.width, total.n, rounds),
+        )
+        if not SE_BAND * gap[1] < report._miss(gap[0]) <= DECISIVE_Z * gap[1]:
+            return report  # a pass, or a fail beyond DECISIVE_Z SE
+        if (look := first.look(rounds + 1, stream.child(rounds))) is None:
+            return report  # the cap is spent
 
 
 # --------------------------------------------------------------------------- #
@@ -700,7 +716,6 @@ def two_asset_joint_hedges(
     k_x: float | None = None,
     k_y: float | None = None,
     alphas: tuple[float, float] = (1.0, 1.0),
-    carry=(0.0, 0.0),
 ) -> JointHedgePlan:
     """Semi-static hedges for the two-asset joint-barrier claims.
 
@@ -709,14 +724,15 @@ def two_asset_joint_hedges(
     ``Y`` is a basket-put position switched in sign by which asset first
     reaches ``k_y``; its hedge is a long/short pair of spread claims with
     the ``(k_y^-1 S_i)^(alpha_i - 1)`` weights when the orders differ from
-    one.  Requires the driver to satisfy the symmetry for both numeraires.
+    one.  Requires the driver to be quasi-self-dual of order ``alphas[i - 1]`` for numeraire
+    ``i`` at the scenario's carry, for both numeraires.
     """
     if cfg.n != 2:
         raise DomainError("joint hedges are two-asset constructions")
     if claim not in ("X", "Y"):
         raise DomainError("claim must be 'X' or 'Y'")
     for i in (1, 2):
-        rep = check_qsd_triplet(cfg.driver, i, np.asarray(carry, dtype=float), alphas[i - 1])
+        rep = check_qsd_triplet(cfg.driver, i, cfg.carry, alphas[i - 1])
         if rep.verdict != "pass":
             raise SymmetryPrereqFailed(
                 f"driver is not quasi-self-dual for numeraire {i}: {rep.one_line()}"
@@ -760,7 +776,4 @@ def evaluate_joint_hedge(
     barriers = [Barrier(i, plan.level, "down" if plan.claim == "X" else "up") for i in (1, 2)]
     _require(cfg, barriers, rng)
     exchanges = {i: (lhs, rhs) for i, lhs, rhs in plan.exchanges}
-    return _measure(
-        cfg, barriers, [exchanges[1], exchanges[2]], n_outer, n_inner, rng, n_hit_states,
-        not cfg.is_continuous,
-    )[0]
+    return _measure(cfg, barriers, [exchanges[1], exchanges[2]], n_outer, n_inner, rng, n_hit_states)[0]

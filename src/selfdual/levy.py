@@ -162,6 +162,20 @@ class JumpMeasure:
             m += self.gaussian.mass
         return float(m)
 
+    def sample(self, size: int, rng: RngStream) -> np.ndarray:
+        """``size`` i.i.d. jumps of the normalised measure, ``(size, dim)``: their kinds
+        (an atom or the Gaussian part) from ``rng``, then the Gaussian jumps."""
+        g = self.gaussian
+        weights = np.array([m for _, m in self.atoms] + ([] if g is None else [g.mass])) / self.total_mass
+        kinds = rng.choice(len(weights), size=size, p=weights)
+        jumps = np.empty((size, self.dim))
+        for idx, (x, _) in enumerate(self.atoms):
+            jumps[kinds == idx] = x
+        gaussian = kinds == len(self.atoms)  # the Gaussian part's kind follows the atoms'
+        if gaussian.any():
+            jumps[gaussian] = rng.multivariate_normal(g.mean, g.cov, size=int(gaussian.sum()))
+        return jumps
+
     def exp_integral(self, w) -> complex:
         """integral of exp(<w, x>) d nu at each row of ``w``: atom sums, Gaussian closed form."""
         w = np.asarray(w)
@@ -281,7 +295,7 @@ class LevyTriplet(VectorModel):
     @cached_property
     def _linear_rate(self) -> np.ndarray:
         """The drift less the jump mean its convention compensates: increments' linear rate."""
-        return self.drift - _compensator_vector(self)
+        return self.drift if self.nu.is_empty else self.drift - _compensator_vector(self)
 
     @property
     def means(self) -> np.ndarray:
@@ -668,7 +682,7 @@ def sample_increments(
         raise DomainError("dt must be positive")
     if not math.isfinite(t.nu.total_mass):
         raise InfiniteActivity("jump measure must be finite")
-    n, size, mass, g = t.n, int(size), t.nu.total_mass, t.nu.gaussian
+    n, size, mass = t.n, int(size), t.nu.total_mass
     if t.a.any():
         root = gaussian_root(t, dt) if root is None else root
         out = root @ rng.standard_normal((size, n)).T
@@ -678,15 +692,6 @@ def sample_increments(
     counts = np.zeros(size, dtype=np.int64)
     if mass > 0:
         counts = rng.poisson(mass * dt, size=size)
-        total = int(counts.sum())
-        if total > 0:
-            weights = np.array([m for _, m in t.nu.atoms] + ([] if g is None else [g.mass])) / mass
-            kinds = rng.choice(len(weights), size=total, p=weights)
-            jumps = np.empty((total, n))
-            for idx, (x, _) in enumerate(t.nu.atoms):
-                jumps[kinds == idx] = x
-            m_g = 0 if g is None else int((kinds == len(t.nu.atoms)).sum())
-            if m_g:
-                jumps[kinds == len(t.nu.atoms)] = rng.multivariate_normal(g.mean, g.cov, size=m_g)
-            np.add.at(out.T, np.repeat(np.arange(size), counts), jumps)
+        if counts.any():
+            np.add.at(out.T, np.repeat(np.arange(size), counts), t.nu.sample(int(counts.sum()), rng))
     return (out.T, counts) if return_counts else out.T

@@ -1,4 +1,12 @@
-"""The per-state nested Monte Carlo of a continuous single-barrier hedge, kept as a test oracle.
+"""The grid estimators of single-barrier hedges, kept as test oracles.
+
+``grid_hedge`` prices a hedge on simulated paths, as every jump-driver hedge once was:
+the knock fraction and the prices come from the grid indicator of ``n_outer`` paths, and
+hit states are checked by inner simulation.  The grid misses crossings between its times,
+so it undercounts hits by a margin that shrinks with the steps; the bridge price check of
+``hedging.evaluate_hedge`` is the limit it tends to.
+
+``hit_state_gaps`` is the per-state nested Monte Carlo of a continuous hedge.
 
 A continuous hedge's exchange is decided by the driver's exponent identity
 (``levy.check_qsd_triplet``).  Before that, it was checked by simulation: outer
@@ -10,11 +18,11 @@ them, each with its standard error.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from selfdual import hedging, levy
+from selfdual import hedging, levy, pricing
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,31 @@ class StateGap:
     hedge_value: float
     gap: float  # mean of hedge - target over the inner draws
     std_error: float
+
+
+def grid_hedge(plan, cfg, n_outer, n_inner, rng, n_states):
+    """The grid-priced report of a single-barrier hedge, without its exchange.
+
+    The ``n_outer`` paths of ``cfg.steps`` steps come from ``rng.child(0)`` and give the
+    knock fraction, the share of hits whose step held a jump that missed the level, the
+    prices and the no-hit mismatch.  Up to ``n_states`` hit states before the horizon, in
+    path order, get inner draws from ``rng.child(1000 + j)``; a jump driver keeps the
+    overshoot state, and its gaps are one-sided: a gap fails below zero, or above it for
+    a knock-out hedge.
+    """
+    zero = pricing.CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
+    lhs = zero if plan.knock == "out" else plan.target
+    report, knocked, terminal = hedging._measure(
+        cfg, [plan.barrier], [(lhs, plan.hedge)], n_outer, n_inner, rng, n_states
+    )
+    f, chi = plan.target(terminal), knocked.astype(float)
+    return replace(
+        report, one_sided=report.one_sided or plan.knock == "super",
+        sub_replicates=not cfg.is_continuous and plan.knock == "out",
+        terminal_max_mismatch=hedging._no_hit_mismatch(plan, ~knocked, plan.hedge(terminal), f),
+        price_plain=pricing._mean_se(f), price_knock_in=pricing._mean_se(chi * f),
+        price_knock_out=pricing._mean_se((1.0 - chi) * f),
+    )
 
 
 def hit_state_gaps(plan, cfg, n_outer, n_inner, rng, n_states):

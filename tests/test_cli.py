@@ -1,5 +1,7 @@
+import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -524,9 +526,9 @@ def test_hedge_bytes_do_not_depend_on_the_kernel_workers(name, tmp_path, monkeyp
         monkeypatch.setattr(duality, "WORKERS", workers)
         outputs.append(_cli_output("hedge", spec_file, tmp_path / f"out{workers}", capsys))
     assert outputs[0] == outputs[1]
-    # only the grid of a jump driver writes hit states
+    # no hedge writes hit states, on a jump driver either
     assert outputs[0][0] in (0, 1, 2)
-    assert ("hedge_gaps.csv" in outputs[0][2]) == name.startswith("jump")
+    assert sorted(outputs[0][2]) == ["hedge.txt", "report.yaml"]
 
 
 # --------------------------------------------------------------------------- #
@@ -1061,12 +1063,12 @@ SCHEMA_CORPUS = [
     (_hedge("barrier: 3, " + _TARGET), ["spec.task.barrier: expected a mapping, got int"]),
     (
         _hedge("barrier: {level: 0.8, kind: x}, alpha: x, n_outer: 10, hit_states: 0, " + _TARGET),
-        [
+        [  # the former grid settings are unknown keys, which each mapping reports first
+            "spec.task.n_outer: unknown key",
+            "spec.task.hit_states: unknown key",
             "spec.task.barrier.kind: unknown key",
             "spec.task.barrier.asset: missing required key",
             "spec.task.alpha: not a number: 'x'",
-            "spec.task.n_outer: must be >= 100, got 10",
-            "spec.task.hit_states: must be >= 1, got 0",
         ],
     ),
     (
@@ -1471,7 +1473,6 @@ JUMP_SPREAD = """
 model:
   kind: path_config
   s0: [1.0, 1.0]
-  steps: 100
   driver:
     kind: levy_triplet
     a: [[0.0225, 0.01125], [0.01125, 0.0225]]
@@ -1484,9 +1485,6 @@ task:
   target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
   alpha: ALPHA
   knock: KNOCK
-  n_outer: 4000
-  n_inner: 20000
-  hit_states: 20
 """
 
 
@@ -1500,32 +1498,32 @@ def _run_at(text, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_a_jump_driver_knock_out_hedge_sub_replicates(seed):
     # overshoot makes the knock-in hedge super-replicate, so target minus it sub-replicates:
-    # its hit-state gaps are the knock-in gaps negated, and they fail only above zero
+    # its price gap is the knock-in gap negated, and it fails only above zero
     runs = {
         (alpha, knock): _run_at(JUMP_SPREAD.replace("ALPHA", alpha).replace("KNOCK", knock), seed)
         for alpha in ("1", "1.5")
         for knock in ("in", "out")
     }
     for alpha in ("1", "1.5"):
-        (_, into, in_csv), (_, out, out_csv) = runs[alpha, "in"], runs[alpha, "out"]
-        gaps = [[float(row.split(",")[5]) for row in csv["hedge_gaps.csv"].splitlines()[1:]]
-                for csv in (in_csv, out_csv)]
-        assert len(gaps[0]) == 20 and gaps[1] == [-g for g in gaps[0]]
-        assert out["max_gap_se_units"] == into["max_gap_se_units"]
+        (_, into, _), (_, out, _) = runs[alpha, "in"], runs[alpha, "out"]
+        (gap_in, se_in), (gap_out, se_out) = into["price_gap"], out["price_gap"]
+        assert gap_out == pytest.approx(-gap_in, rel=1e-15, abs=0.0)
+        assert se_out == pytest.approx(se_in, rel=1e-12, abs=0.0)
+        assert (into["one_sided"], out["one_sided"]) == (True, True)
+        assert gap_in > 3.0 * se_in  # on the passing side of both
     assert runs["1", "in"][0] == runs["1", "out"][0] == 0
-    # the wrong order fails its exchange and a hit state: a jump driver has no price check
+    # the wrong order fails its exchange, though its one-sided price gap passes
     for knock in ("in", "out"):
         code, results, _ = runs["1.5", knock]
-        assert code == 1 and results["max_gap_se_units"] > 3.0
-        assert results["exchange"]["verdict"] == "fail"
-        assert results["price_gap"] is None and results["terminal_max_mismatch"] == 0.0
+        assert code == 1 and results["exchange"]["verdict"] == "fail"
+        gap, se = results["price_gap"]
+        assert (gap > 3.0 * se) == (knock == "in") and abs(gap) > 3.0 * se
+        assert results["price_check"]["rounds"] == 0 and results["terminal_max_mismatch"] == 0.0
 
 
 # the atoms of JUMP_SPREAD at equal masses: the law has no order for numeraire 1, though
 # its order equation has a root near 1.0033
-JUMP_NO_ORDER = JUMP_SPREAD.replace("mass: 1.3498588075760032", "mass: 1.0").replace(
-    "steps: 100", "steps: 50"
-).replace("ALPHA", "solve")
+JUMP_NO_ORDER = JUMP_SPREAD.replace("mass: 1.3498588075760032", "mass: 1.0").replace("ALPHA", "solve")
 
 
 @pytest.mark.parametrize("knock", ["in", "super"])
@@ -1535,8 +1533,55 @@ def test_a_jump_hedge_on_a_law_with_no_order_fails_its_exchange(knock):
     exchanges = [results["exchange"] for _, results, _ in runs]
     assert {(e["verdict"], e["tol"]) for e in exchanges} == {("fail", 1e-10)}
     assert min(e["max_abs_residual"] for e in exchanges) > 0.5
-    # the one-sided hit-state gaps alone pass the hedge on some of these seeds
-    assert min(results["max_gap_se_units"] for _, results, _ in runs) < 3.0
+    # the one-sided price gap alone passes the hedge on every one of these seeds
+    assert min(gap / se for gap, se in (results["price_gap"] for _, results, _ in runs)) > -3.0
+
+
+def test_a_jump_hedge_is_decided_by_its_exchange_and_its_one_sided_price_gap():
+    # seeds 1-10: the licensed order passes in, out and super; a wrong one fails its exchange
+    for seed in range(1, 11):
+        for alpha, knock in itertools.product(("1", "1.5"), ("in", "out", "super")):
+            code, results, _ = _run_at(JUMP_SPREAD.replace("ALPHA", alpha).replace("KNOCK", knock), seed)
+            assert code == (0 if alpha == "1" else 1), (seed, alpha, knock)
+            assert results["price_gap"] is not None and results["price_check"]["n_samples"] >= 16_064
+
+
+# the monitored asset of JUMP_SPREAD without its Gaussian part: it hits only at jump times
+JUMP_NO_GAUSSIAN = JUMP_SPREAD.replace(
+    "a: [[0.0225, 0.01125], [0.01125, 0.0225]]", "a: [[0.0, 0.0], [0.0, 0.0225]]"
+)
+
+
+@pytest.mark.parametrize("text", [JUMP_SPREAD, JUMP_NO_GAUSSIAN], ids=["spread", "no-gaussian-part"])
+def test_the_jump_bridge_prices_as_the_grid_does_at_2000_steps(text):
+    # the grid misses the crossings between its times; at 2,000 steps that bias is well inside
+    # 3 SE of 8,000 grid paths and of the bridge's first look
+    spec = cli.parse_model_spec(text.replace("ALPHA", "1").replace("KNOCK", "in"))
+    cfg = dataclasses.replace(spec["model"], steps=2_000)
+    plan = hedging.build_hedge(spec["task"]["target"], spec["task"]["barrier"], 1.0, "in")
+    bridge = hedging.evaluate_hedge(plan, cfg, rng=RngStream(7))
+    grid = hedge_oracle.grid_hedge(plan, cfg, 8_000, 100, RngStream(7), 1)
+    pairs = [((bridge.knock_in_fraction, bridge.knock_in_se), (grid.knock_in_fraction, grid.knock_in_se))]
+    for name in ("price_plain", "price_knock_in", "price_knock_out"):
+        pairs.append((getattr(bridge, name), getattr(grid, name)))
+    for (mean, se), (want, want_se) in pairs:
+        assert abs(mean - want) <= 3.0 * math.hypot(se, want_se), (mean, want)
+    assert bridge.overshoot_fraction == pytest.approx(grid.overshoot_fraction, abs=0.03)
+    assert (bridge.overshoot_fraction == 1.0) == (text is JUMP_NO_GAUSSIAN)
+
+
+@pytest.mark.parametrize("knock", ["in", "out", "super"])
+def test_the_jump_price_gap_holds_one_sided_on_ten_seeds_whatever_the_steps(knock):
+    spec = cli.parse_model_spec(JUMP_SPREAD.replace("ALPHA", "1").replace("KNOCK", knock))
+    plan = hedging.build_hedge(spec["task"]["target"], spec["task"]["barrier"], 1.0, knock)
+    for seed in range(10):
+        configs = [dataclasses.replace(spec["model"], steps=steps) for steps in (1, 25, 250)]
+        reports = [hedging.evaluate_hedge(plan, cfg, rng=RngStream(seed)) for cfg in configs]
+        assert reports[0] == reports[1] == reports[2]  # the price check reads no grid
+        gap, se = reports[0].price_gap
+        assert reports[0].verdict == "pass" and reports[0].one_sided
+        # strictly on the passing side: overshoot makes the in and super hedges worth more
+        assert (gap if knock == "out" else -gap) < -3.0 * se, (seed, gap / se)
 
 
 HEDGE_MAX_OPTION = HEDGE_SMALL.replace(
@@ -1626,7 +1671,8 @@ def test_the_quasi_check_of_a_jump_triplet_fails_an_atom_pair_on_every_seed(tmp_
         assert check["name"] == "qsd_triplet[i=1,alpha=1]"
 
 
-# the grid of the jump driver's pin: a continuous driver's hedge reads none of it
+# the grid settings of the hedges' former path grid: the model's steps stays a path_config key
+# that no hedge reads, and the task's keys are gone
 JUMP_GRID = {"steps": 60, "n_outer": 400, "n_inner": 2000, "hit_states": 6}
 
 
@@ -1643,20 +1689,22 @@ def test_a_continuous_hedge_refuses_the_grid_settings_it_does_not_read(key, defa
         out, err = capsys.readouterr()
         return code, out and yaml.safe_load(out)["results"], err
 
-    def continuous(value):  # the task section ends the spec
+    def setting(text, value):  # the task section ends the spec
         line = f"  {key}: {value}\n"
         if where == "model":
-            return HEDGE_SMALL.replace("  s0: [1.0, 1.0]\n", "  s0: [1.0, 1.0]\n" + line)
-        return HEDGE_SMALL + line
+            return text.replace("  s0: [1.0, 1.0]\n", "  s0: [1.0, 1.0]\n" + line)
+        return text + line
 
-    given = JUMP_GRID[key]
-    assert run(continuous(given)) == (
-        3, "", f"schema error: spec.{where}.{key}: the hedge task does not read {key}\n"
-    )
-    # the default is accepted, as every echo writes it, and a jump driver's grid reads the setting
-    assert run(continuous(default)) == run(HEDGE_SMALL) and run(HEDGE_SMALL)[0] == 0
-    doubled = HEDGE_JUMP_SUPER.replace(f"  {key}: {given}\n", f"  {key}: {2 * given}\n")
-    assert doubled != HEDGE_JUMP_SUPER and run(doubled)[1] != run(HEDGE_JUMP_SUPER)[1]
+    # on a continuous driver and on a jump driver alike
+    for text in (HEDGE_SMALL, HEDGE_JUMP_SUPER):
+        if key == "steps":  # the default is accepted, as every echo writes it
+            refusal = "schema error: spec.model.steps: the hedge task does not read steps\n"
+            assert run(setting(text, default)) == run(text) and run(text)[0] == 0
+        else:
+            refusal = f"schema error: spec.task.{key}: unknown key\n"
+            assert run(setting(text, default)) == (3, "", refusal)
+        for value in (JUMP_GRID[key], 2 * JUMP_GRID[key]):
+            assert run(setting(text, value)) == (3, "", refusal)
 
 
 # (seed, the price check's draws): the bench hedge's gap fails 3 SE at seed 18's first look,
@@ -1670,8 +1718,9 @@ def test_a_continuous_hedge_records_the_draws_of_its_price_check(seed, draws):
     assert (code, results["price_check"]) == (0, draws)
     gap, se = results["price_gap"]
     assert abs(gap) <= 3.0 * se
-    # a jump driver prices on its grid and has no price check
-    assert "price_check" not in _run_at(HEDGE_JUMP_SUPER, seed)[1]
+    # a jump driver's hedge records the draws of its price check too
+    jump = _run_at(HEDGE_JUMP_SUPER, seed)[1]
+    assert jump["price_check"]["n_samples"] >= 16_064 and jump["price_gap"] is not None
 
 
 def test_a_hedge_of_order_zero_is_refused(tmp_path, capsys):
@@ -1753,7 +1802,6 @@ seed: 5
 model:
   kind: path_config
   s0: [1.0, 1.0]
-  steps: 60
   driver:
     kind: levy_triplet
     a: [[0.0625, 0.03125], [0.03125, 0.0625]]
@@ -1766,9 +1814,6 @@ task:
   barrier: {asset: 1, level: 0.8}
   target: {kind: spread_call, long_weights: [1, 0], short_weights: [0, 0.1], strike: 0.8}
   knock: super
-  n_outer: 400
-  n_inner: 2000
-  hit_states: 6
 """
 # a basket call has no indicator-free hedge, so these run the indicator-form claim
 HEDGE_INDICATOR = """
@@ -1852,7 +1897,7 @@ GOLDEN_SPECS = {
     "triplet-qsd-tilted-gaussian": ("check", TRIPLET_QSD_TILTED_GAUSSIAN),
     "triplet-euclidean-straddle": ("check", TRIPLET_EUCLIDEAN_STRADDLE),
     "hedge-jump-super": ("hedge", HEDGE_JUMP_SUPER),
-    # a jump driver's grid at 20 hit states, some of them overshooting the level
+    # a jump driver's bridge, where most hits are jumps past the level
     "hedge-jump-spread": ("hedge", JUMP_SPREAD.replace("ALPHA", "1").replace("KNOCK", "in")),
     "hedge-indicator-in": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "in")),
     "hedge-indicator-out": ("hedge", HEDGE_INDICATOR.replace("KNOCK", "out")),
@@ -1924,14 +1969,12 @@ GOLDEN_SHA256 = {
         "verdicts.txt": "a5d3cc7cfaef657bc24b749a82c61c0a30faa416ab60107ae653ae38a4d3bce6",
     },
     "hedge-jump-super": {
-        "hedge.txt": "4d61da03cafae198b1c6f1e9e8bbffcd3ba93d4f27a2bbf1177d57293d99a91e",
-        "hedge_gaps.csv": "9c578e1028c7f4c984fe1c4f13b9c70ff109607f1a69d5f8f0509646b229d095",
-        "report.yaml": "817f32761f42d21ecb8f69228e6ee7401df993989a01e41d779766378ed2f8e4",
+        "hedge.txt": "9d81a01fb7e6d202bc68b94e977a620340458a95254bc7c73340372b65098571",
+        "report.yaml": "164e85ee093b0fad2e8046bbe96d071d042947d068169d11c1f252d42b6707dc",
     },
     "hedge-jump-spread": {
-        "hedge.txt": "7f11282e85e9b13536f3ec964c1331d0a1ab570662398e471ee05cb78f9a5df5",
-        "hedge_gaps.csv": "c6ca196f57bf4b603f378ea1b9ebfe29b1b44534290733533d1547ddfa2040a5",
-        "report.yaml": "af284a36d132d7c8f55009d5627194dd814548d5d973e3279353e210a06a61cd",
+        "hedge.txt": "5cc439b1f385b2abf4aee4385de7ed1400655a9b38cf03271721b124e4c33a61",
+        "report.yaml": "6b2ad7608acc5396b00e8f8dce7274121148aa74edf69fb09d7c85a5e188f4b5",
     },
     "hedge-indicator-in": {
         "hedge.txt": "231f03ec8cc5c74fbde7bd2652fc7911813066a33fd7b5a649e926b10aaa7cbf",
@@ -2073,25 +2116,21 @@ def test_no_cli_report_takes_the_yaml_dump_fallback(name, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("name", ["hedge-small", "hedge-jump-super"])
-def test_samples_size_the_price_check_of_continuous_hedges_only(name, tmp_path, capsys):
+def test_samples_size_the_price_check_of_every_hedge(name, tmp_path, capsys):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(GOLDEN_SPECS[name][1])
     assert cli.main(["hedge", str(spec_file), "--seed", "11"]) == 0
     default = yaml.safe_load(capsys.readouterr().out)["results"]
     code = cli.main(["hedge", str(spec_file), "--seed", "11", "--samples", "1000"])
     captured = capsys.readouterr()
-    if name == "hedge-jump-super":  # grid-monitored: no price gap, and samples are refused
-        assert default["price_gap"] is None
-        assert (code, captured.out) == (3, "")
-        assert captured.err == "schema error: --samples: the hedge task does not read samples\n"
-    else:
-        assert code == 0
-        small = yaml.safe_load(captured.out)["results"]
-        assert small["price_gap"] != default["price_gap"]
-        # 64 replicates of 15 points against 64 of 251: 960 draws against 16,064
-        assert (small["price_check"]["n_samples"], default["price_check"]["n_samples"]) == (960, 16_064)
-        assert small["price_gap"][1] > 5.0 * default["price_gap"][1]
-        assert small["exchange"] == default["exchange"]  # exact: it draws nothing
+    assert code == 0
+    small = yaml.safe_load(captured.out)["results"]
+    assert small["price_gap"] != default["price_gap"]
+    # 64 replicates of 15 points against 64 of 251: 960 draws against 16,064
+    assert (small["price_check"]["n_samples"], default["price_check"]["n_samples"]) == (960, 16_064)
+    # the lattice shrinks the SE of a continuous driver's gap faster than the i.i.d. jumps can
+    assert small["price_gap"][1] > (5.0 if name == "hedge-small" else 2.5) * default["price_gap"][1]
+    assert small["exchange"] == default["exchange"]  # exact: it draws nothing
 
 
 # one spec of each task kind, and a jump driver's hedge; each reads what its kind declares

@@ -30,11 +30,11 @@ def bs_config(steps=250, sigma=SIGMA, s0=(1.0, 1.0), carry=(0.0, 0.0)):
     return hedging.PathConfig(s0, carry, levy.martingale_normalized(a), 1.0, steps)
 
 
-def jump_config(mass=3.0, steps=120):
+def jump_config(mass=3.0, steps=120, carry=(0.0, 0.0)):
     b = 0.09 * np.array([[1.0, 0.5], [0.5, 1.0]])
     nu = levy.build_tilted_gaussian_measure(b, 1.0, mass, 1)
     driver = levy.martingale_normalized(0.04 * np.array([[1.0, 0.5], [0.5, 1.0]]), nu)
-    return hedging.PathConfig([1.0, 1.0], [0.0, 0.0], driver, 1.0, steps)
+    return hedging.PathConfig([1.0, 1.0], carry, driver, 1.0, steps)
 
 
 # --------------------------------------------------------------------------- #
@@ -277,14 +277,16 @@ def test_evaluate_hedge_jump_driver_super_replicates():
     cfg = jump_config()
     target = pricing.SpreadCall((1.0, 0.0), (0.0, 0.1), 0.8)
     plan = hedging.build_hedge(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=2_000, n_inner=10_000, rng=make_rng(95), n_hit_states=20
-    )
-    assert rep.one_sided
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(95))
+    assert rep.one_sided and not rep.sub_replicates
     assert rep.overshoot_fraction > 0.2
     assert rep.verdict == "pass", rep.one_line()
-    over = [g for g in rep.hit_gaps if g.overshoot and g.state[0] < 0.79]
-    assert over and all(g.gap > 0 for g in over)  # strict super-replication
+    gap, se = rep.price_gap
+    assert gap > 3.0 * se  # strict super-replication, at the price level
+    # and at the overshooting hit states of the grid oracle
+    grid = hedge_oracle.grid_hedge(plan, cfg, 2_000, 10_000, make_rng(95), 20)
+    over = [g for g in grid.hit_gaps if g.overshoot and g.state[0] < 0.79]
+    assert over and all(g.gap > 0 for g in over)
 
 
 def test_super_hedge_value_dominates():
@@ -390,13 +392,25 @@ def test_joint_hedge_alpha_weights():
         1.0,
         50,
     )
-    plan = hedging.two_asset_joint_hedges(
-        cfg_carry, "Y", k_y=1.3, alphas=(0.5, 0.5), carry=(0.01, 0.01)
-    )
+    plan = hedging.two_asset_joint_hedges(cfg_carry, "Y", k_y=1.3, alphas=(0.5, 0.5))
     s = np.array([[2.2, 0.4]])
     leg = plan.legs[0][1]
     plain = max(2.2 - 0.4 - 1.3, 0.0)
     assert leg(s)[0] == pytest.approx((2.2 / 1.3) ** (-0.5) * plain, rel=1e-12)
+
+
+def test_a_joint_hedge_checks_its_orders_at_the_scenario_carry():
+    # at carry 0.03 the driver's order is 1 - 2 * 0.03 / 0.04 = -0.5 for both numeraires, not 1
+    driver = levy.martingale_normalized(0.04 * np.array([[1.0, 0.5], [0.5, 1.0]]))
+    cfg = hedging.PathConfig([1.0, 1.0], [0.03, 0.03], driver, 1.0, 50)
+    for i in (1, 2):
+        assert levy.check_qsd_triplet(cfg.driver, i, cfg.carry, 1.0).verdict == "fail"
+        assert levy.solve_alpha(cfg.driver, i, 0.03).alpha == pytest.approx(-0.5, abs=1e-12)
+    for claim in ("X", "Y"):
+        with pytest.raises(SymmetryPrereqFailed, match="numeraire 1"):
+            hedging.two_asset_joint_hedges(cfg, claim, k_x=0.8, k_y=1.2)
+        plan = hedging.two_asset_joint_hedges(cfg, claim, k_x=0.8, k_y=1.2, alphas=(-0.5, -0.5))
+        assert plan.alphas == (-0.5, -0.5)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
@@ -428,62 +442,60 @@ def test_power_weighted_affine_is_the_affine_power_claim():
 # --------------------------------------------------------------------------- #
 
 
-def _oracle_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
-    """evaluate_hedge as a full price grid plus one detect_first_hit call per path."""
-    paths, jump_flags = hedging.simulate_paths(cfg, n_outer, rng.child(0))
-    terminal = paths[:, -1, :]
-    hits = []
-    for p in range(n_outer):
-        rec = hedging.detect_first_hit(paths[p], plan.barrier, cfg.horizon, jump_flags[p])
-        if rec is not None:
-            hits.append((p, rec))
-    knocked = np.zeros(n_outer, dtype=bool)
-    knocked[[p for p, _ in hits]] = True
-    frac = float(np.mean(knocked))
-    overshoots = sum(rec.overshoot for _, rec in hits)
-    target_terminal, hedge_terminal = plan.target(terminal), plan.hedge(terminal)
-    chi = knocked.astype(float)
-    if plan.knock == "super" or knocked.all():
-        mismatch = 0.0
-    elif plan.knock == "in":
-        mismatch = float(np.max(np.abs(hedge_terminal[~knocked])))
-    else:
-        mismatch = float(np.max(np.abs(hedge_terminal[~knocked] - target_terminal[~knocked])))
-    zero = pricing.CustomPayoff(lambda s: np.zeros(s.shape[0]), cfg.n)
-    lhs = zero if plan.knock == "out" else plan.target
-    gaps = []
-    for idx, (p, rec) in enumerate([h for h in hits if h[1].step < cfg.steps][:n_hit_states]):
-        state = paths[p, rec.step].copy()
-        if cfg.is_continuous and not rec.overshoot:
-            state[plan.barrier.asset - 1] = plan.barrier.level
-        incr = levy.sample_increments(
-            cfg.driver, cfg.horizon - rec.time, rng.child(1000 + idx), n_inner
-        )
-        tv, hv, gap, se = hedging._conditional_gap(cfg, state, rec.time, lhs, plan.hedge, incr)
-        gaps.append(
-            hedging.HitGap(p, rec.step, rec.time, tuple(state), tv, hv, gap, se, rec.overshoot)
-        )
+def _no_hit(u, w, var):
+    """The chance that a Brownian bridge of variance ``var`` from ``u`` to ``w`` (distances short
+    of the level) stays short of it."""
+    if u <= 0.0 or w <= 0.0:
+        return 0.0
+    return 1.0 if var == 0.0 else -math.expm1(-2.0 * u * w / var)
 
-    def price(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_outer))
 
-    return hedging.HedgeReport(
-        knock_in_fraction=frac,
-        knock_in_se=math.sqrt(max(frac * (1.0 - frac), 1e-300) / n_outer),
-        overshoot_fraction=overshoots / len(hits) if hits else 0.0,
-        one_sided=(not cfg.is_continuous) or plan.knock == "super",
-        hit_gaps=gaps,
-        terminal_max_mismatch=mismatch,
-        price_plain=price(target_terminal),
-        price_knock_in=price(chi * target_terminal),
-        price_knock_out=price((1.0 - chi) * target_terminal),
-    )
+def _oracle_jumps(plan, cfg, x, looks, rng):
+    """The jumps' log-growth (draws, n), and the hit probability and its jump share of each draw
+    with a jump (NaN without one), one draw at a time: each look's draws take their jumps from
+    ``rng.child(3)``, or its child ``k`` for look ``k > 0``, in lattice blocks of whole replicates."""
+    points, t = duality.LATTICE_POINTS, cfg.horizon
+    block = points * max(duality.BLOCK // points, 1)
+    i, sign = plan.barrier.asset - 1, 1.0 if plan.barrier.direction == "down" else -1.0
+    a, y0_h = cfg.driver.a[i, i], math.log(cfg.s0[i] / plan.barrier.level)
+    growth, hit, share = np.zeros_like(x), np.full(len(x), np.nan), np.full(len(x), np.nan)
+    lo = 0
+    for k, m in enumerate(looks):
+        stream = rng.child(3) if k == 0 else rng.child(3).child(k)
+        for start in range(lo, lo + m * points, block):
+            stop = min(start + block, lo + m * points)
+            counts = stream.poisson(cfg.driver.nu.total_mass * t, size=stop - start)
+            times = stream.uniform(0.0, t, size=counts.sum())
+            sizes = cfg.driver.nu.sample(counts.sum(), stream)
+            z = stream.standard_normal(counts.sum())
+            first = 0
+            for d, count in zip(range(start, stop), counts):
+                own = slice(first, first + count)
+                first += count
+                growth[d] = sizes[own].sum(axis=0)
+                if not count:
+                    continue
+                at, gauss, jumped, dist, miss, jump_share = 0.0, 0.0, 0.0, sign * y0_h, 1.0, 0.0
+                for when, size, normal in zip(np.sort(times[own]), sizes[own, i], z[own]):
+                    frac = (when - at) / (t - at)
+                    gauss += frac * (x[d, i] - gauss) + math.sqrt(a * (when - at) * (1.0 - frac)) * normal
+                    before = sign * (y0_h + cfg.carry[i] * when + gauss + jumped)
+                    miss *= _no_hit(dist, before, a * (when - at))
+                    jumped += size
+                    dist = before + sign * size
+                    jump_share += miss if dist <= 0.0 else 0.0
+                    at = when
+                end = sign * (y0_h + cfg.carry[i] * t + x[d, i] + jumped)
+                hit[d], share[d] = 1.0 - miss * _no_hit(dist, end, a * (t - at)), jump_share
+        lo += m * points
+    return growth, hit, share
 
 
 def _oracle_bridge(plan, cfg, n_samples, rng, rounds=0):
-    """evaluate_hedge's terminal statistics for a continuous driver, and their draws, from the
-    lattice normals of its first look and ``rounds`` more drawn in one piece: each SE is that
-    of the replicate means.  Look k > 0 takes twice the replicates of the last, up to the cap."""
+    """evaluate_hedge's terminal statistics, and their draws, from the lattice normals of its
+    first look and ``rounds`` more drawn in one piece, with a jump driver's jumps drawn draw by
+    draw: each SE is that of the replicate means.  Look k > 0 takes twice the replicates of the
+    last, up to the cap."""
     points, shifts = duality.LATTICE_POINTS, duality.LATTICE_SHIFTS
     assert n_samples >= points * shifts  # the full lattice
     cap = n_samples // points
@@ -492,13 +504,18 @@ def _oracle_bridge(plan, cfg, n_samples, rng, rounds=0):
     shift = np.concatenate([stream.uniform(size=(m, cfg.n)) for stream, m in zip(streams, looks)])
     shifts, n = len(shift), points * len(shift)
     z = rng_module.lattice_normals(points, shift, np.empty((cfg.n, n)))
-    x = (levy.gaussian_root(cfg.driver, cfg.horizon) @ z).T + cfg.horizon * cfg.driver.drift
-    s = cfg.s0 * np.exp(cfg.horizon * cfg.carry + x)
+    x = (levy.gaussian_root(cfg.driver, cfg.horizon) @ z).T + cfg.horizon * cfg.driver._linear_rate
+    growth, jump_hit, share = np.zeros_like(x), np.full(n, np.nan), np.zeros(n)
+    if not cfg.is_continuous:
+        growth, jump_hit, share = _oracle_jumps(plan, cfg, x, looks, rng)
+    s = cfg.s0 * np.exp(cfg.horizon * cfg.carry + x + growth)
     i, h = plan.barrier.asset - 1, math.log(plan.barrier.level)
     y0, y_t = math.log(cfg.s0[i]), np.log(s[:, i])
     far = ~plan.barrier.crossed(s[:, i])
     p = np.ones(n)
     p[far] = np.exp(-2.0 * (y0 - h) * (y_t[far] - h) / (cfg.driver.a[i, i] * cfg.horizon))
+    jumped = ~np.isnan(jump_hit)
+    p[jumped], share[~jumped] = jump_hit[jumped], 0.0
     f, hedge = plan.target(s), plan.hedge(s)
     if plan.knock == "super":
         mismatch = 0.0
@@ -513,6 +530,7 @@ def _oracle_bridge(plan, cfg, n_samples, rng, rounds=0):
     return {
         "knock_in_fraction": price(p)[0],
         "knock_in_se": price(p)[1],
+        "overshoot_fraction": price(share)[0] / price(p)[0],
         "terminal_max_mismatch": mismatch,
         "price_plain": price(f),
         "price_knock_in": price(p * f),
@@ -521,22 +539,20 @@ def _oracle_bridge(plan, cfg, n_samples, rng, rounds=0):
     }, n
 
 
-def _assert_matches_oracles(rep, plan, cfg, n_outer, n_inner, seed, n_hit_states, n_samples):
-    """The exponent identity at the barrier's asset, the carry and the plan's order, and
-    jump drivers against the per-path loop, continuous ones against the bridge oracle."""
+def _assert_matches_oracles(rep, plan, cfg, seed, n_samples):
+    """The exponent identity at the barrier's asset, the carry and the plan's order, and the
+    terminal statistics against the bridge oracle."""
     exchange = levy.check_qsd_triplet(cfg.driver, plan.barrier.asset, cfg.carry, plan.alpha)
     assert rep.exchange == exchange
-    if not cfg.is_continuous:
-        want = _oracle_hedge(plan, cfg, n_outer, n_inner, make_rng(seed), n_hit_states)
-        assert replace(rep, exchange=None) == want
-        return
     rounds = rep.price_check[2]
     want, n = _oracle_bridge(plan, cfg, n_samples, make_rng(seed), rounds)
     for name, value in want.items():
         assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
     assert rep.price_check == (n, n // duality.LATTICE_POINTS, rounds)
     assert rep.hit_gaps == []
-    assert (rep.overshoot_fraction, rep.one_sided) == (0.0, plan.knock == "super")
+    jumps = not cfg.is_continuous
+    assert rep.one_sided == (jumps or plan.knock == "super")
+    assert rep.sub_replicates == (jumps and plan.knock == "out")
 
 
 def _oracle_joint_hedge(plan, cfg, n_outer, n_inner, rng, n_hit_states):
@@ -592,6 +608,9 @@ _HEDGE_CASES = {
     "knock-out": (_SPREAD, hedging.Barrier(1, 0.8, "down"), "out", lambda: bs_config(120)),
     "up-super": (_BASKET, hedging.Barrier(2, 1.2, "up"), "super", lambda: bs_config(120)),
     "jump-in": (_SPREAD, hedging.Barrier(1, 0.8, "down"), "in", jump_config),
+    "jump-up-out-carry": (
+        _BASKET, hedging.Barrier(2, 1.2, "up"), "out", lambda: jump_config(carry=(0.03, -0.02)),
+    ),
 }
 
 
@@ -601,14 +620,20 @@ def test_streaming_hedge_matches_per_path_loop(case):
     cfg = config()
     plan = hedging.build_hedge(target, barrier, 1.0, knock)
     # the first look's 16,064 terminal draws are two lattice blocks of 32 replicates
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=1_500, n_inner=400, rng=make_rng(200), n_hit_states=20, n_samples=50_000
-    )
-    assert len(rep.hit_gaps) == (0 if cfg.is_continuous else 20)
-    _assert_matches_oracles(rep, plan, cfg, 1_500, 400, 200, 20, 50_000)
-    if case == "jump-in":
-        assert rep.overshoot_fraction > 0.2
-        assert any(g.overshoot for g in rep.hit_gaps) and not all(g.overshoot for g in rep.hit_gaps)
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(200), n_samples=50_000)
+    _assert_matches_oracles(rep, plan, cfg, 200, 50_000)
+    if case == "jump-in":  # some hits, not all, are jumps past the level
+        assert 0.2 < rep.overshoot_fraction < 1.0
+
+
+def test_each_look_of_a_jump_hedge_draws_its_own_jumps():
+    # a wrong order on the jump driver: the gap fails within DECISIVE_Z SE at the first two
+    # looks, so the third look is drawn, up to the cap, each with its own jumps
+    cfg = jump_config()
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 2.5, "in")
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(200), n_samples=50_000)
+    assert rep.price_check[1:] == (199, 2) and rep.verdict == "fail"
+    _assert_matches_oracles(rep, plan, cfg, 200, 50_000)
 
 
 @pytest.mark.parametrize("n_hit_states", [7, 16])  # an odd count leaves one state unused
@@ -658,7 +683,7 @@ def test_streaming_hedge_matches_per_path_loop_on_three_assets(barrier):
         rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(205), n_samples=30_000)
         assert rep.exchange.verdict == ("pass" if licensed else "fail")
         assert (rep.verdict == "pass") == licensed, rep.one_line()
-        _assert_matches_oracles(rep, plan, cfg, 1_500, 300, 205, 12, 30_000)
+        _assert_matches_oracles(rep, plan, cfg, 205, 30_000)
 
 
 def test_streaming_joint_hedge_matches_per_path_loop_on_three_assets():
@@ -753,9 +778,7 @@ def test_traced_hedge_counts_repeat(config, monkeypatch):
     cfg = config()
 
     def run():
-        return hedging.evaluate_hedge(
-            plan, cfg, n_outer=600, n_inner=200, rng=make_rng(207), n_hit_states=4
-        )
+        return hedging.evaluate_hedge(plan, cfg, rng=make_rng(207))
 
     counts, reports = [], []
     for _ in range(2):
@@ -765,13 +788,14 @@ def test_traced_hedge_counts_repeat(config, monkeypatch):
         metrics = spans.layer_metrics(recorded)
         counts.append({name: metrics.get(name, 0) for name in spans.REPEATABLE})
     assert counts[0] == counts[1]
-    if cfg.is_continuous:  # the bridge draws only its lattice shifts, one uniform per asset
-        assert counts[0]["rng.draws"] == reports[0].price_check[1] * cfg.n == 64 * 2
-        assert counts[0]["levy.increments_inner_rows"] == 0
-    else:  # the search's steps of 600 paths (not under simulate_paths), then 200 per hit state
-        assert counts[0]["rng.draws"] > 0
-        inner = counts[0]["levy.increments_inner_rows"]
-        assert inner == cfg.steps * 600 + 200 * len(reports[0].hit_gaps) == 120 * 600 + 200 * 4
+    # the bridge draws its lattice shifts, one uniform per asset, and a jump driver's jumps;
+    # no hedge draws an increment
+    shifts = reports[0].price_check[1] * cfg.n
+    assert counts[0]["levy.increments_inner_rows"] == counts[0]["levy.increments_outer_rows"] == 0
+    if cfg.is_continuous:
+        assert counts[0]["rng.draws"] == shifts == 64 * 2
+    else:
+        assert counts[0]["rng.draws"] > shifts + reports[0].price_check[0]
     assert reports[0] == reports[1] == run()
 
 
@@ -842,49 +866,49 @@ def test_a_payoff_that_raises_leaves_no_draw_running(config, monkeypatch):
 
         monkeypatch.setattr(hedging, "sample_increments", counted)
         # the bridge calls the target once per lattice block of 32 replicates and draws no
-        # increments, and its second block raises; on the grid the third inner state raises
-        target = _RaisesOnCall(_SPREAD, 2 if cfg.is_continuous else 3)
+        # increments, and its second block raises
+        target = _RaisesOnCall(_SPREAD, 2)
         plan = hedging.HedgePlan(target, hedging.Barrier(1, 0.8, "down"), 1.0, "in", hedge)
         with pytest.raises(DomainError) as raised:
-            hedging.evaluate_hedge(
-                plan, cfg, n_outer=600, n_inner=500, rng=make_rng(210), n_hit_states=6,
-                n_samples=50_000,
-            )
+            hedging.evaluate_hedge(plan, cfg, rng=make_rng(210), n_samples=50_000)
         errors.append(str(raised.value))
         seen = list(events)
         assert events == seen and seen.count("start") == seen.count("end")
-        assert (seen == []) == cfg.is_continuous
+        assert seen == []
     assert errors == [f"call {target.n}"] * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_hedge_starts_a_thread(workers, monkeypatch):
-    # a continuous hedge draws its lattice and a jump driver's grid its paths and hit states,
-    # all on the calling thread, with one kernel worker or more
+    # a hedge draws its lattice, and a jump driver's hedge its jumps, on the calling thread,
+    # with one kernel worker or more
     monkeypatch.setattr(duality, "WORKERS", workers)
     monkeypatch.setattr(duality, "_POOLS", {})
-    threads, running = set(), threading.active_count()
+    threads, running, jumps = set(), threading.active_count(), levy.JumpMeasure.sample
 
     def counted(*args, **kwargs):
         threads.add(threading.current_thread())
         return levy.sample_increments(*args, **kwargs)
 
+    def sampled(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return jumps(*args, **kwargs)
+
     monkeypatch.setattr(hedging, "sample_increments", counted)
+    monkeypatch.setattr(levy.JumpMeasure, "sample", sampled)
     assert _small_hedge(50_000).price_gap is not None and threads == set()
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    rep = hedging.evaluate_hedge(
-        plan, jump_config(), n_outer=600, n_inner=200, rng=make_rng(209), n_hit_states=4
-    )
-    assert len(rep.hit_gaps) == 4
+    rep = hedging.evaluate_hedge(plan, jump_config(), rng=make_rng(209))
+    assert rep.price_gap is not None and rep.hit_gaps == []
     assert threads == {threading.current_thread()} and duality._POOLS == {}
     assert threading.active_count() == running
 
 
 @pytest.mark.parametrize("config", [lambda: bs_config(60), jump_config], ids=["bridge", "jump"])
 def test_every_inner_draw_runs_on_the_calling_thread(config, monkeypatch):
-    # the search's steps and each hit state's increments are drawn on the calling thread,
-    # where bench/spans.py counts them on one depth counter; the bridge draws only its
-    # lattice shifts, on the calling thread, and nothing else runs
+    # the bridge draws its lattice shifts, and a jump driver's hedge its jumps, on the calling
+    # thread, where bench/spans.py counts them on one depth counter; no hedge searches a path
+    # or draws a hit state's increments
     monkeypatch.setattr(duality, "WORKERS", max(duality.WORKERS, 2))
     cfg, draws, states_drawn, main = config(), [], [], threading.current_thread()
     for name in ("standard_normal", "uniform", "poisson", "choice", "multivariate_normal"):
@@ -904,23 +928,21 @@ def test_every_inner_draw_runs_on_the_calling_thread(config, monkeypatch):
 
     monkeypatch.setattr(hedging, "sample_increments", watched_increments)
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=600, n_inner=500, rng=make_rng(213), n_hit_states=6, n_samples=50_000
-    )
-    # keys: (213,) the root, (213, 1000 + j) the j-th hit state, (213, 2) the bridge's shifts,
-    # (213, 0, k) the search's step k + 1; a continuous driver draws only the bridge's shifts
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(213), n_samples=50_000)
+    # keys: (213,) the root, (213, 1000 + j) a j-th hit state, (213, 2) the bridge's shifts,
+    # (213, 3) the first look's jumps, (213, 0, k) a search's step k + 1
     inner = [(key, name, thread) for key, name, thread in draws if key[1:] >= (1000,)]
-    assert len({key for key, _, _ in inner}) == len(rep.hit_gaps) == len(states_drawn)
+    assert inner == [] and states_drawn == [] and rep.hit_gaps == []
     bridge = {thread for key, _, thread in draws if key[1:] == (2,)}
-    search = {thread for key, _, thread in draws if len(key) == 3}
-    if cfg.is_continuous:
-        assert inner == [] and bridge == {main} and search == set()
-        assert [name for _, name, _ in draws] == ["uniform"]
+    search = {thread for key, _, thread in draws if key[1:2] == (0,)}
+    jumps = [(name, thread) for key, name, thread in draws if key[1:] == (3,)]
+    assert bridge == {main} and search == set()
+    if cfg.is_continuous:  # only the bridge's shifts
+        assert [name for _, name, _ in draws] == ["uniform"] and jumps == []
         return
-    (drawn_on,) = {thread for _, _, thread in inner}
-    assert drawn_on is main and states_drawn == [main] * 6 == [main] * len(rep.hit_gaps)
-    assert bridge == set() and search == {main}
-    assert {"poisson", "choice", "multivariate_normal"} <= {name for _, name, _ in inner}
+    assert {thread for _, thread in jumps} == {main} and rep.price_check[2] == 0
+    names = {name for name, _ in jumps}
+    assert names == {"poisson", "uniform", "choice", "multivariate_normal", "standard_normal"}
 
 
 def test_every_traced_and_exported_name_resolves():
@@ -962,16 +984,14 @@ def test_simulation_factors_the_covariance_once(monkeypatch):
 
 
 def test_hedge_memory_does_not_grow_with_steps():
-    # a jump driver's hedge searches its grid; a continuous one simulates no path
+    # no hedge simulates a path, on a jump driver either
     plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
 
     def peak(steps):
         cfg = jump_config(steps=steps)
         tracemalloc.start()
         try:
-            hedging.evaluate_hedge(
-                plan, cfg, n_outer=2_000, n_inner=200, rng=make_rng(203), n_hit_states=5
-            )
+            hedging.evaluate_hedge(plan, cfg, rng=make_rng(203))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1075,31 +1095,27 @@ def test_a_hedge_that_pays_where_the_barrier_was_not_hit_fails(config):
     # the bare target as a knock-in hedge: exact at every hit state, wrong on every path that misses
     cfg = config()
     plan = hedging.HedgePlan(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in", _SPREAD)
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=500, n_inner=200, rng=make_rng(210), n_hit_states=4, n_samples=20_000,
-    )
-    if cfg.is_continuous:  # the driver licenses the exchange; the claim is wrong off the barrier
-        assert rep.exchange.verdict == "pass"
-    else:
-        assert rep.hit_gaps and all(g.gap == 0.0 for g in rep.hit_gaps)
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(210), n_samples=20_000)
+    # the driver licenses the exchange; the claim is wrong off the barrier
+    assert rep.exchange.verdict == "pass"
+    if not cfg.is_continuous:  # and exact at the grid oracle's hit states
+        grid = hedge_oracle.grid_hedge(plan, cfg, 500, 200, make_rng(210), 4)
+        assert grid.hit_gaps and all(g.gap == 0.0 for g in grid.hit_gaps)
     assert rep.terminal_max_mismatch > 1e-10 and rep.verdict == "fail"
     assert replace(rep, terminal_max_mismatch=0.0, price_gap=None).verdict == "pass"
 
 
 @pytest.mark.parametrize("config", [lambda: bs_config(120), jump_config], ids=["continuous", "jump"])
-def test_only_a_jump_driver_searches_its_paths_for_hit_states(config, monkeypatch):
-    sizes, first_hits = [], hedging._first_hits
-    monkeypatch.setattr(
-        hedging, "_first_hits", lambda cfg, n, *args: sizes.append(n) or first_hits(cfg, n, *args)
-    )
+@pytest.mark.parametrize("knock", ["in", "out", "super"])
+def test_no_single_barrier_hedge_searches_a_path(config, knock, monkeypatch):
+    def first_hits(*args):
+        raise AssertionError("a single-barrier hedge searched a path")
+
+    monkeypatch.setattr(hedging, "_first_hits", first_hits)
     cfg = config()
-    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, "in")
-    rep = hedging.evaluate_hedge(
-        plan, cfg, n_outer=1_000, n_inner=100, rng=make_rng(208), n_hit_states=20, n_samples=20_000
-    )
-    # the grid searches its n_outer paths in one pass, for its states and its prices
-    assert sizes == ([] if cfg.is_continuous else [1_000])
-    assert len(rep.hit_gaps) == (0 if cfg.is_continuous else 20)
+    plan = hedging.build_hedge(_SPREAD, hedging.Barrier(1, 0.8, "down"), 1.0, knock)
+    rep = hedging.evaluate_hedge(plan, cfg, rng=make_rng(208), n_samples=20_000)
+    assert len(rep.hit_gaps) == 0 and rep.price_gap is not None and rep.price_check is not None
 
 
 # --------------------------------------------------------------------------- #
